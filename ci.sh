@@ -92,6 +92,18 @@ test -s target/bench_policies_smoke.json || {
     exit 1
 }
 
+echo "==> policy-ablation golden (the full cube must reproduce BENCH_policies.json byte for byte)"
+# Every cell is virtual time, so any change to a policy, the accounting
+# structures or the ghost list that moves one eviction shows up here.
+cargo run -q --release -p mage-bench --bin policies -- --out target/bench_policies_full.json >/dev/null
+cmp target/bench_policies_full.json BENCH_policies.json || {
+    echo "error: the policy cube no longer reproduces the committed BENCH_policies.json" >&2
+    exit 1
+}
+
+echo "==> benchmark tests (benchsuite/ builds against the workspace's public API)"
+cargo test -q --release --manifest-path benchsuite/Cargo.toml
+
 echo "==> scale smoke (terabyte-scale sparse-metadata harness, quick mode; validates BENCH_scale.json schema)"
 # Quick mode shrinks the per-point work but keeps the nominal capacities
 # at full scale (256 vcores, 2^26-page keyspace, 1M connections,

@@ -232,7 +232,7 @@ pub fn run_hotloop(quick: bool) -> HotloopReport {
     let mut scenarios = run_suite(quick);
     for _ in 1..repeats {
         for (best, s) in scenarios.iter_mut().zip(run_suite(quick)) {
-            debug_assert_eq!(s.events, best.events, "rounds must be deterministic");
+            assert_eq!(s.events, best.events, "rounds must be deterministic");
             if s.wall_ms < best.wall_ms {
                 *best = s;
             }

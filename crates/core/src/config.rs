@@ -24,7 +24,8 @@ use mage_sim::SimHandle;
 
 use crate::backend::{DisaggTier, FarBackend, RdmaBackend, ReplicationConfig};
 use crate::costs::{CostModel, OsProfile};
-use crate::reclaim::{AgingClock, ApproxLru, EvictionPolicy, Fifo, S3Fifo, SecondChance};
+use crate::reclaim::policy::CounterPolicy;
+use crate::reclaim::{EvictionPolicy, Fifo};
 use crate::retry::RetryPolicy;
 
 /// Remote-slot allocation policy selector.
@@ -56,8 +57,9 @@ pub enum EvictionPolicyKind {
     /// partition count) — the small/main/ghost queues *are* the
     /// accounting structure, so the two halves ship as a pair.
     S3Fifo,
-    /// NFU-with-aging LRU approximation: an 8-bit age byte per page,
-    /// shifted each scan. Keeps the configured accounting structure.
+    /// NFU-with-aging LRU approximation: a page is evicted on the 8th
+    /// cold scan after its last hit, when an 8-bit aging register would
+    /// decay to zero. Keeps the configured accounting structure.
     ApproxLru,
     /// A user-provided policy; `build` is called once at machine launch.
     Custom {
@@ -69,14 +71,20 @@ pub enum EvictionPolicyKind {
 }
 
 impl EvictionPolicyKind {
-    /// Instantiates the policy.
+    /// Instantiates the policy. Every built-in kind but `Fifo` is a
+    /// preset of one counter mechanism (see [`crate::reclaim::policy`]).
     pub fn build(&self) -> Box<dyn EvictionPolicy> {
+        let counter = |increment, cap, recharge| -> Box<dyn EvictionPolicy> {
+            Box::new(CounterPolicy::new(self.name(), increment, cap, recharge))
+        };
         match *self {
-            EvictionPolicyKind::SecondChance => Box::new(SecondChance),
+            EvictionPolicyKind::SecondChance => counter(false, 0, false),
             EvictionPolicyKind::Fifo => Box::new(Fifo),
-            EvictionPolicyKind::AgingClock { hot_rounds } => Box::new(AgingClock::new(hot_rounds)),
-            EvictionPolicyKind::S3Fifo => Box::new(S3Fifo::default()),
-            EvictionPolicyKind::ApproxLru => Box::new(ApproxLru::default()),
+            EvictionPolicyKind::AgingClock { hot_rounds } => {
+                counter(false, hot_rounds.max(1) - 1, false)
+            }
+            EvictionPolicyKind::S3Fifo => counter(true, 3, true),
+            EvictionPolicyKind::ApproxLru => counter(false, 7, false),
             EvictionPolicyKind::Custom { build, .. } => build(),
         }
     }

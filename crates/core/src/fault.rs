@@ -219,7 +219,7 @@ impl FarMemory {
                         // out and back twice in quick succession.
                         self.stats.re_faults.inc();
                         self.stats.ghost_hits.inc();
-                        self.policy.note_refault(vpn);
+                        self.policy.note_refault(&self.pt, vpn);
                     }
                     mage_sim::racecheck!(self.shadow_tlb, atomic vpn);
                     self.ic.tlb(core).fill(vpn);
@@ -327,7 +327,7 @@ impl FarMemory {
             // mistake. Tell the policy so it can protect the page.
             self.stats.re_faults.inc();
             self.stats.ghost_hits.inc();
-            self.policy.note_refault(vpn);
+            self.policy.note_refault(&self.pt, vpn);
         }
         ctx.acct = Some(PhaseSpan {
             start: t_a,

@@ -80,6 +80,6 @@ pub use events::{EventSink, PageEvent};
 pub use ideal::IdealModel;
 pub use machine::{Access, FarMemory, MachineParams};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, MetricsWindow};
-pub use reclaim::{AgingClock, ApproxLru, EvictionPolicy, Fifo, S3Fifo, SecondChance};
+pub use reclaim::{EvictionPolicy, Fifo};
 pub use retry::{FaultError, RetryPolicy, TransferOp};
 pub use stats::{BreakdownMeans, EngineStats};

@@ -10,7 +10,6 @@ use mage_sim::trace::TRACK_WRITEBACK;
 
 use crate::events::PageEvent;
 use crate::machine::FarMemory;
-use crate::reclaim::policy::PolicyProbe;
 use crate::retry::TransferOp;
 
 /// One page moving through the eviction pipeline.
@@ -116,10 +115,7 @@ impl FarMemory {
     ) -> (Vec<EvictPage>, Nanos) {
         let t0 = self.sim.now();
         let mut victims = Vec::new();
-        let probe = PolicyProbe {
-            pt: &self.pt,
-            policy: &*self.policy,
-        };
+        let probe = |vpn| self.policy.test_and_age(&self.pt, vpn);
         self.acct
             .take_victims(evictor_id, round, want, &probe, &mut victims)
             .await;
@@ -381,6 +377,7 @@ impl FarMemory {
     pub async fn pageout(&self, core: CoreId, vpns: &[u64]) -> usize {
         let mut batch = Vec::new();
         for &vpn in vpns {
+            self.policy.note_pageout(&self.pt, vpn);
             if let Some(page) = self.unmap_candidate(vpn).await {
                 batch.push(page);
             }

@@ -7,26 +7,41 @@
 //! split mirrors Linux: `isolate_lru_pages` picks candidates, the
 //! reference check decides reactivation.
 //!
-//! Implementations ship for the paper's second-chance test (default), a
-//! pure FIFO (no recheck at the policy level), an aging-counter CLOCK
-//! that grants recently-hot pages extra grace rounds, a frequency-capped
-//! [`S3Fifo`] filter fed by the accounting ghost list's re-fault signal,
-//! and an NFU/aging [`ApproxLru`] baseline. New policies are a new file
-//! implementing [`EvictionPolicy`] plus an
-//! [`EvictionPolicyKind::Custom`](crate::config::EvictionPolicyKind)
-//! constructor — no engine edits.
+//! Two mechanisms ship. [`Fifo`] evicts in scan order with no recheck.
+//! Every other built-in
+//! [`EvictionPolicyKind`](crate::config::EvictionPolicyKind) is a preset
+//! of one counter mechanism (`CounterPolicy` below): a grace byte per
+//! local frame, charged when the accessed bit is set, decremented by a
+//! cold scan, and the page is evicted at zero. The presets differ only
+//! in the charge rule, the cap and whether a ghost hit recharges:
+//!
+//! | kind | increment | cap | refault recharge |
+//! |---|---|---|---|
+//! | `SecondChance` (default) | no | 0 | no |
+//! | `AgingClock { hot_rounds: h }` | no | `h.max(1) - 1` | no |
+//! | `ApproxLru` | no | 7 | no |
+//! | `S3Fifo` | yes | 3 | yes |
+//!
+//! Cap 0 is the paper's second-chance test. An NFU aging register
+//! (`age = age >> 1 | accessed << 7`) always evicts on the 8th cold scan
+//! after the last hit, so the LRU approximation is cap 7. The S3-FIFO
+//! filter (SOSP '23) is a 2-bit saturating frequency; its small/main/ghost
+//! queues live in `mage_accounting::AccountingKind::S3Fifo`.
+//! New policies implement [`EvictionPolicy`] and plug in through
+//! [`EvictionPolicyKind::Custom`](crate::config::EvictionPolicyKind) —
+//! no engine edits.
 //!
 //! ## Ghost-feedback contract
 //!
 //! The engine notifies the policy via [`EvictionPolicy::note_refault`]
 //! whenever a fault-in (or an eviction cancel) hits the accounting
 //! ghost list — i.e. the page was evicted recently enough that evicting
-//! it was probably a mistake. Policies may use the signal to bias victim
+//! it was probably a mistake. Both call sites run after the page's PTE
+//! is present again. Policies may use the signal to bias victim
 //! selection away from such pages; the default is a no-op, so policies
 //! that ignore it (and the pinned default paths) pay nothing.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 use mage_mmu::PageTable;
 
@@ -44,26 +59,17 @@ pub trait EvictionPolicy {
     fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool;
 
     /// Called when a fault-in for `vpn` hits the accounting ghost list
-    /// (the page is back shortly after being evicted). Policies may bias
-    /// future [`test_and_age`](Self::test_and_age) decisions in its
-    /// favour; the default ignores the signal.
-    fn note_refault(&self, _vpn: u64) {}
-}
+    /// (the page is back shortly after being evicted), once its PTE is
+    /// present again. Policies may bias future
+    /// [`test_and_age`](Self::test_and_age) decisions in its favour; the
+    /// default ignores the signal.
+    fn note_refault(&self, _pt: &PageTable, _vpn: u64) {}
 
-/// The paper's second-chance test: a page whose accessed bit is set since
-/// the last scan survives once; the test clears the bit.
-#[derive(Default)]
-pub struct SecondChance;
-
-impl EvictionPolicy for SecondChance {
-    fn name(&self) -> &'static str {
-        "second-chance"
-    }
-
-    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
-        let old = pt.update(vpn, |p| p.with_accessed(false));
-        old.accessed()
-    }
+    /// Called by forced pageout just before it unmaps `vpn` — the one
+    /// eviction that does not ask [`test_and_age`](Self::test_and_age)
+    /// first. Policies drop any state the page still holds; the default
+    /// ignores the signal.
+    fn note_pageout(&self, _pt: &PageTable, _vpn: u64) {}
 }
 
 /// Strict FIFO: candidates are evicted in scan order with no reference
@@ -84,158 +90,116 @@ impl EvictionPolicy for Fifo {
     }
 }
 
-/// Aging-counter CLOCK: a hit recharges the page's counter to
-/// `hot_rounds`; every miss decays it by one, and the page is evicted
-/// only once the counter is exhausted. `hot_rounds = 1` degenerates to
-/// [`SecondChance`]; larger values keep the warm set resident through
-/// short cold spells at the price of slower reclaim of truly-dead pages.
-pub struct AgingClock {
-    hot_rounds: u8,
-    /// Remaining grace rounds per page. Deterministic iteration order is
-    /// irrelevant (keyed point lookups only) but BTreeMap keeps the
-    /// no-hash-collections rule trivially satisfied.
-    counters: RefCell<BTreeMap<u64, u8>>,
+/// The counter mechanism behind every built-in policy except [`Fifo`].
+///
+/// A scan that finds the accessed bit set charges the page's counter —
+/// to `cap`, or by one up to `cap` when `increment` is set — and keeps
+/// the page. A cold scan keeps the page while the counter is above zero,
+/// decrementing it, and evicts at zero. With `refault_recharge`, a ghost
+/// hit charges the counter to `cap`.
+///
+/// **Frame keying.** Counters live in one byte per local frame, indexed
+/// by the PTE's frame number and grown on first touch, so the state is
+/// O(local frames). A frame's counter is always zero when the frame
+/// changes owner:
+/// - a page leaves residency through a scan only after its probe
+///   returned `false`, and that verdict leaves the counter at zero;
+/// - forced pageout, the one eviction without a probe, zeroes it first
+///   ([`EvictionPolicy::note_pageout`]);
+/// - eviction cancels and requeued victims re-map the same frame;
+/// - `FifoQueues` accounting never calls the probe, so no counter is
+///   ever charged there (the one preset that charges outside a scan,
+///   `S3Fifo`, always runs on S3-FIFO accounting).
+pub(crate) struct CounterPolicy {
+    name: &'static str,
+    increment: bool,
+    cap: u8,
+    refault_recharge: bool,
+    counters: RefCell<Vec<u8>>,
 }
 
-impl AgingClock {
-    /// A clock granting `hot_rounds` grace rounds after each hit.
-    pub fn new(hot_rounds: u8) -> Self {
-        AgingClock {
-            hot_rounds: hot_rounds.max(1),
-            counters: RefCell::new(BTreeMap::new()),
+impl CounterPolicy {
+    /// A counter policy with every counter at zero.
+    pub(crate) fn new(
+        name: &'static str,
+        increment: bool,
+        cap: u8,
+        refault_recharge: bool,
+    ) -> Self {
+        CounterPolicy {
+            name,
+            increment,
+            cap,
+            refault_recharge,
+            counters: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// Sets the counter of the frame behind `vpn`, if the page is
+    /// resident.
+    fn set(&self, pt: &PageTable, vpn: u64, value: u8) {
+        let pte = pt.get(vpn);
+        if pte.is_present() {
+            *slot(&mut self.counters.borrow_mut(), pte.payload()) = value;
         }
     }
 }
 
-impl EvictionPolicy for AgingClock {
+/// The counter of `frame`, growing the array on first touch.
+fn slot(counters: &mut Vec<u8>, frame: u64) -> &mut u8 {
+    let i = usize::try_from(frame).expect("frame number fits in usize");
+    if i >= counters.len() {
+        counters.resize(i + 1, 0);
+    }
+    &mut counters[i]
+}
+
+impl EvictionPolicy for CounterPolicy {
     fn name(&self) -> &'static str {
-        "aging-clock"
+        self.name
     }
 
     fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
         let old = pt.update(vpn, |p| p.with_accessed(false));
+        if self.cap == 0 || !old.is_present() {
+            // No grace to count (second chance), or a candidate that
+            // forced pageout already took: the accessed bit decides.
+            return old.accessed();
+        }
         let mut counters = self.counters.borrow_mut();
+        let c = slot(&mut counters, old.payload());
         if old.accessed() {
-            counters.insert(vpn, self.hot_rounds);
-            return true;
-        }
-        match counters.get_mut(&vpn) {
-            Some(n) if *n > 1 => {
-                *n -= 1;
-                true
-            }
-            Some(_) => {
-                counters.remove(&vpn);
-                false
-            }
-            None => false,
-        }
-    }
-}
-
-/// S3-FIFO's frequency filter (SOSP '23), honestly degraded to the page
-/// table's one-bit accessed signal as the paper's §4.2.2 argues it must
-/// be: each observed hit raises a per-page frequency (capped at
-/// [`S3Fifo::FREQ_CAP`]), each cold scan decays it, and the page is
-/// evicted only at frequency zero. The queue structure itself (small /
-/// main / ghost) lives in `mage_accounting::AccountingKind::S3Fifo`;
-/// selecting [`EvictionPolicyKind::S3Fifo`](crate::config::EvictionPolicyKind)
-/// pairs the two at launch. The ghost re-fault signal arrives through
-/// [`EvictionPolicy::note_refault`] and recharges the page to the cap —
-/// this is the "biases victim selection away from recently re-faulted
-/// pages" half of the feedback loop.
-#[derive(Default)]
-pub struct S3Fifo {
-    /// Per-page access frequency, capped at [`Self::FREQ_CAP`]. BTreeMap
-    /// for the no-hash-collections rule; keyed point lookups only.
-    freq: RefCell<BTreeMap<u64, u8>>,
-}
-
-impl S3Fifo {
-    /// Frequency cap — S3-FIFO uses 2 bits (0..=3).
-    pub const FREQ_CAP: u8 = 3;
-}
-
-impl EvictionPolicy for S3Fifo {
-    fn name(&self) -> &'static str {
-        "s3-fifo"
-    }
-
-    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
-        let old = pt.update(vpn, |p| p.with_accessed(false));
-        let mut freq = self.freq.borrow_mut();
-        if old.accessed() {
-            let f = freq.entry(vpn).or_insert(0);
-            *f = (*f + 1).min(Self::FREQ_CAP);
-            return true;
-        }
-        match freq.get_mut(&vpn) {
-            Some(f) if *f > 1 => {
-                *f -= 1;
-                true
-            }
-            Some(_) => {
-                freq.remove(&vpn);
-                true // last unit of grace: survive this scan, evict next
-            }
-            None => false,
-        }
-    }
-
-    fn note_refault(&self, vpn: u64) {
-        // A ghost hit means this page was evicted too early — give it the
-        // full frequency budget so the next scans keep it resident.
-        self.freq.borrow_mut().insert(vpn, Self::FREQ_CAP);
-    }
-}
-
-/// NFU-with-aging LRU approximation (the classic software LRU stand-in):
-/// each scan shifts the page's age byte right and ORs the accessed bit
-/// into the top bit, so recently-touched pages carry large values and a
-/// page is evicted only once its byte decays to zero (8 cold scans after
-/// the last hit). A deliberately *stateful-but-cheap* baseline between
-/// [`SecondChance`] (1 bit) and a true LRU ordering.
-#[derive(Default)]
-pub struct ApproxLru {
-    /// Per-page age byte. BTreeMap for the no-hash-collections rule.
-    age: RefCell<BTreeMap<u64, u8>>,
-}
-
-impl EvictionPolicy for ApproxLru {
-    fn name(&self) -> &'static str {
-        "approx-lru"
-    }
-
-    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
-        let old = pt.update(vpn, |p| p.with_accessed(false));
-        let mut ages = self.age.borrow_mut();
-        let slot = ages.entry(vpn).or_insert(0);
-        *slot = (*slot >> 1) | if old.accessed() { 0x80 } else { 0 };
-        if *slot == 0 {
-            ages.remove(&vpn);
-            false
-        } else {
+            *c = if self.increment {
+                (*c + 1).min(self.cap)
+            } else {
+                self.cap
+            };
             true
+        } else if *c > 0 {
+            *c -= 1;
+            true
+        } else {
+            false
         }
     }
-}
 
-/// Adapter presenting an [`EvictionPolicy`] to the accounting crate's
-/// [`VictimProbe`](mage_accounting::VictimProbe) seam.
-pub(crate) struct PolicyProbe<'a> {
-    pub(crate) pt: &'a PageTable,
-    pub(crate) policy: &'a dyn EvictionPolicy,
-}
+    fn note_refault(&self, pt: &PageTable, vpn: u64) {
+        if self.refault_recharge {
+            self.set(pt, vpn, self.cap);
+        }
+    }
 
-impl mage_accounting::VictimProbe for PolicyProbe<'_> {
-    fn test_and_age(&self, vpn: u64) -> bool {
-        self.policy.test_and_age(self.pt, vpn)
+    fn note_pageout(&self, pt: &PageTable, vpn: u64) {
+        if self.cap > 0 {
+            self.set(pt, vpn, 0);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EvictionPolicyKind;
     use mage_mmu::Pte;
 
     fn table_with(vpn: u64, accessed: bool) -> PageTable {
@@ -247,7 +211,7 @@ mod tests {
     #[test]
     fn second_chance_clears_and_reports() {
         let pt = table_with(9, true);
-        let p = SecondChance;
+        let p = EvictionPolicyKind::SecondChance.build();
         assert!(p.test_and_age(&pt, 9), "hot on first test");
         assert!(!pt.get(9).accessed(), "bit cleared by the test");
         assert!(!p.test_and_age(&pt, 9), "cold on second test");
@@ -264,7 +228,7 @@ mod tests {
     #[test]
     fn aging_clock_grants_grace_rounds() {
         let pt = table_with(9, true);
-        let p = AgingClock::new(3);
+        let p = EvictionPolicyKind::AgingClock { hot_rounds: 3 }.build();
         assert!(p.test_and_age(&pt, 9), "hit: recharged");
         // Two further cold scans survive on the counter, the third evicts
         // (three survivals per hit in total with hot_rounds = 3).
@@ -277,12 +241,12 @@ mod tests {
     #[test]
     fn s3fifo_caps_frequency_and_decays() {
         let pt = table_with(9, true);
-        let p = S3Fifo::default();
+        let p = EvictionPolicyKind::S3Fifo.build();
         assert!(p.test_and_age(&pt, 9), "hit: freq -> 1");
         assert!(!pt.get(9).accessed(), "bit cleared by the test");
         assert!(p.test_and_age(&pt, 9), "cold: last grace unit spent");
         assert!(!p.test_and_age(&pt, 9), "cold again: evicted");
-        // Repeated hits saturate at FREQ_CAP instead of growing forever.
+        // Repeated hits saturate at the cap instead of growing forever.
         for _ in 0..10 {
             pt.set(9, pt.get(9).with_accessed(true));
             assert!(p.test_and_age(&pt, 9));
@@ -294,9 +258,9 @@ mod tests {
     #[test]
     fn s3fifo_refault_signal_recharges() {
         let pt = table_with(9, false);
-        let p = S3Fifo::default();
+        let p = EvictionPolicyKind::S3Fifo.build();
         assert!(!p.test_and_age(&pt, 9), "unknown cold page evicts");
-        p.note_refault(9);
+        p.note_refault(&pt, 9);
         assert!(p.test_and_age(&pt, 9), "ghost hit grants full grace");
         assert!(p.test_and_age(&pt, 9));
         assert!(p.test_and_age(&pt, 9));
@@ -306,7 +270,7 @@ mod tests {
     #[test]
     fn approx_lru_age_byte_decays_over_eight_scans() {
         let pt = table_with(9, true);
-        let p = ApproxLru::default();
+        let p = EvictionPolicyKind::ApproxLru.build();
         assert!(p.test_and_age(&pt, 9), "hit: byte = 0x80");
         let survives = (0..10).take_while(|_| p.test_and_age(&pt, 9)).count();
         assert_eq!(survives, 7, "seven further survivals as the byte shifts out");
@@ -318,7 +282,7 @@ mod tests {
         let pt = PageTable::new();
         pt.set(1, Pte::present(1).with_accessed(true));
         pt.set(2, Pte::present(2).with_accessed(true));
-        let p = ApproxLru::default();
+        let p = EvictionPolicyKind::ApproxLru.build();
         // Page 1 touched long ago, page 2 touched every scan: after a few
         // rounds page 1 decays out first.
         assert!(p.test_and_age(&pt, 1));
@@ -335,19 +299,31 @@ mod tests {
     #[test]
     fn default_note_refault_is_a_no_op() {
         let pt = table_with(9, false);
-        let p = SecondChance;
-        p.note_refault(9);
+        let p = EvictionPolicyKind::SecondChance.build();
+        p.note_refault(&pt, 9);
         assert!(!p.test_and_age(&pt, 9), "second-chance ignores the signal");
     }
 
     #[test]
     fn aging_clock_recharges_on_rehit() {
         let pt = table_with(9, true);
-        let p = AgingClock::new(2);
+        let p = EvictionPolicyKind::AgingClock { hot_rounds: 2 }.build();
         assert!(p.test_and_age(&pt, 9));
         pt.set(9, pt.get(9).with_accessed(true)); // page touched again
         assert!(p.test_and_age(&pt, 9), "recharged by the new hit");
         assert!(p.test_and_age(&pt, 9), "counter full again");
         assert!(!p.test_and_age(&pt, 9));
+    }
+
+    #[test]
+    fn pageout_leaves_no_grace_for_the_next_owner() {
+        let pt = table_with(9, true);
+        let p = EvictionPolicyKind::ApproxLru.build();
+        assert!(p.test_and_age(&pt, 9), "hit: grace charged on frame 1");
+        p.note_pageout(&pt, 9);
+        pt.set(9, Pte::remote(0));
+        // A different page lands on the freed frame, cold.
+        pt.set(4, Pte::present(1));
+        assert!(!p.test_and_age(&pt, 4), "frame 1 kept its grace");
     }
 }

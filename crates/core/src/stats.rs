@@ -129,7 +129,12 @@ pub struct EngineStats {
     /// numerator of the ablation sweep's re-fault rate.
     pub re_faults: Counter,
     /// All residency inserts that hit the ghost list, including eviction
-    /// cancels and requeued victims (a superset of `re_faults`).
+    /// cancels and requeued victims (a superset of `re_faults`). Every
+    /// ghost hit also counts as a re-fault except a requeued victim's, so
+    /// `ghost_hits - re_faults` is the number of requeued victims still on
+    /// the ghost list when re-inserted, and
+    /// `ghost_hits - re_faults <= requeued_victims` (checked per cell by
+    /// `tests/chaos.rs`).
     pub ghost_hits: Counter,
 }
 

@@ -23,7 +23,7 @@
 //! | `std-sync` | `std::sync::{Mutex, RwLock, …}`, atomics | host-level blocking invisible to virtual time; use `SimMutex`/`SimRwLock` |
 //! | `unseeded-rng` | RNG constructors without a `seed` parameter | every stochastic component must be replayable from its seed |
 //! | `stats-registration` | stat fields missing from `MetricsRegistry::snapshot` | an unregistered counter escapes measurement windows and silently keeps warmup samples |
-//! | `hot-path` | `BTreeMap` / `BTreeSet` in `executor.rs`, `tlb.rs`, `machine.rs` | ordered maps on the per-poll/per-access/per-page paths cost pointer chases the slab refactor removed (DESIGN.md §11); use `Slab`/`PageMap`/`TimerWheel` |
+//! | `hot-path` | `BTreeMap` / `BTreeSet` in `executor.rs`, `tlb.rs`, `machine.rs`, `policy.rs` | ordered maps on the per-poll/per-access/per-page/per-scanned-page paths cost pointer chases the slab refactor removed (DESIGN.md §11); use `Slab`/`PageMap`/`TimerWheel` or a frame-indexed array |
 //!
 //! All rules except `stats-registration` are per-file token passes.
 //! `stats-registration` is a cross-file pass over the whole scanned set:

@@ -47,11 +47,10 @@ pub use mage_workloads as workloads;
 /// The most common imports for running experiments.
 pub mod prelude {
     pub use mage::{
-        Access, AgingClock, ApproxLru, BackendKind, CostModel, DisaggTier, EvictionPolicy,
-        EvictionPolicyKind, FarBackend, FarMemory, FaultError, Fifo, IdealModel, MachineParams,
-        MetricsRegistry, MetricsSnapshot, MetricsWindow, OsProfile, PrefetchPolicy, RdmaBackend,
-        ReplicaState, ReplicatedBackend, ReplicationConfig, ReplicationStats, RetryPolicy, S3Fifo,
-        SecondChance, SystemConfig, TransferOp,
+        Access, BackendKind, CostModel, DisaggTier, EvictionPolicy, EvictionPolicyKind, FarBackend,
+        FarMemory, FaultError, Fifo, IdealModel, MachineParams, MetricsRegistry, MetricsSnapshot,
+        MetricsWindow, OsProfile, PrefetchPolicy, RdmaBackend, ReplicaState, ReplicatedBackend,
+        ReplicationConfig, ReplicationStats, RetryPolicy, SystemConfig, TransferOp,
     };
     pub use mage_fabric::{FaultPlan, TransferError};
     pub use mage_mmu::{CoreId, Topology};

@@ -11,7 +11,9 @@
 //!     `evicted + sync + cancelled + requeued ≤ unmapped`;
 //! (c) no page is lost: every VMA page is either resident or still
 //!     reachable remotely, even after aborted fault-ins and requeued
-//!     writebacks.
+//!     writebacks;
+//! (d) the ghost-hit identity: only a requeued victim moves `ghost_hits`
+//!     without `re_faults`, so `ghost_hits - re_faults ≤ requeued`.
 //!
 //! The sweep covers ≥ 64 (system × fault-plan × seed) cells. Each assert
 //! carries the cell label and seed so a failing run can be replayed in
@@ -66,6 +68,8 @@ struct ChaosOutcome {
     transfer_retries: u64,
     requeued_victims: u64,
     failed_accesses: u64,
+    /// Ghost hits that were not re-faults (requeued victims only).
+    requeue_ghost_hits: u64,
 }
 
 /// One chaos cell: launch, churn two rounds over the working set under
@@ -158,10 +162,20 @@ fn chaos_run(system: SystemConfig, plan: FaultPlan, label: &str, seed: u64) -> C
          over-commits the local quota"
     );
 
+    // (d) Every ghost hit is a re-fault except a requeued victim's.
+    let (ghost_hits, re_faults) = (s.ghost_hits.get(), s.re_faults.get());
+    assert!(
+        re_faults <= ghost_hits && ghost_hits - re_faults <= s.requeued_victims.get(),
+        "[{label} seed={seed}] ghost_hits {ghost_hits} - re_faults {re_faults} \
+         exceeds requeued victims {}",
+        s.requeued_victims.get()
+    );
+
     ChaosOutcome {
         transfer_retries: s.transfer_retries.get(),
         requeued_victims: s.requeued_victims.get(),
         failed_accesses,
+        requeue_ghost_hits: ghost_hits - re_faults,
     }
 }
 
@@ -171,6 +185,7 @@ struct SweepTotals {
     retries: u64,
     requeued: u64,
     failed: u64,
+    requeue_ghost_hits: u64,
     cells: usize,
 }
 
@@ -178,6 +193,7 @@ fn sweep(systems: &[SystemCtor]) -> SweepTotals {
     let mut retries = 0u64;
     let mut requeued = 0u64;
     let mut failed = 0u64;
+    let mut requeue_ghost_hits = 0u64;
     let mut cells = 0usize;
     for (name, system) in systems {
         for fault_seed in 0..4u64 {
@@ -194,6 +210,7 @@ fn sweep(systems: &[SystemCtor]) -> SweepTotals {
                     retries += out.transfer_retries;
                     requeued += out.requeued_victims;
                     failed += out.failed_accesses;
+                    requeue_ghost_hits += out.requeue_ghost_hits;
                     cells += 1;
                 }
             }
@@ -203,6 +220,7 @@ fn sweep(systems: &[SystemCtor]) -> SweepTotals {
         retries,
         requeued,
         failed,
+        requeue_ghost_hits,
         cells,
     }
 }
@@ -232,6 +250,13 @@ fn chaos_sweep_preserves_invariants() {
     assert!(
         t.failed > 0,
         "no access ever exhausted its retry budget across {} cells",
+        t.cells
+    );
+    // The one path where the two counters part: a requeued victim is
+    // still on the ghost list it joined when it was picked.
+    assert!(
+        t.requeue_ghost_hits > 0,
+        "ghost_hits == re_faults in all {} cells",
         t.cells
     );
 }
