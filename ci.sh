@@ -60,10 +60,6 @@ if cargo run -q -p simlint -- crates/simlint/fixtures/violations.rs >/dev/null 2
     echo "error: simlint accepted the seeded violation fixture" >&2
     exit 1
 fi
-if cargo run -q -p simlint -- crates/simlint/fixtures/stats_missing.rs >/dev/null 2>&1; then
-    echo "error: simlint accepted the unregistered-stat fixture" >&2
-    exit 1
-fi
 if cargo run -q -p simlint -- crates/simlint/fixtures/hotpath/executor.rs >/dev/null 2>&1; then
     echo "error: simlint accepted the hot-path ordered-map fixture" >&2
     exit 1

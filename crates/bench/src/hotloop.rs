@@ -17,8 +17,8 @@
 //!   with and without eviction pressure.
 //!
 //! The emitted JSON (`schema: mage-bench-hotloop/v1`) is hand-rolled —
-//! the workspace has no serde — and parsed back by the same module for
-//! the baseline comparison and the smoke test.
+//! the workspace has no serde — and read back through `mage_sim::json`
+//! for the baseline comparison and the smoke test.
 
 use std::rc::Rc;
 
@@ -246,7 +246,7 @@ pub fn run_hotloop(quick: bool) -> HotloopReport {
 }
 
 /// Renders the report as `mage-bench-hotloop/v1` JSON. When a baseline
-/// (parsed from a previous report via [`parse_scenarios`]) is given,
+/// (read from a previous report via [`validate_report`]) is given,
 /// per-scenario speedups and their geometric mean are included.
 pub fn render_json(report: &HotloopReport, baseline: Option<(&str, &[(String, f64)])>) -> String {
     let mut out = String::with_capacity(4096);
@@ -302,42 +302,20 @@ pub fn render_json(report: &HotloopReport, baseline: Option<(&str, &[(String, f6
     out
 }
 
-/// Extracts `(id, events_per_sec)` rows from a previously emitted
-/// report. A minimal scanner over our own stable output format — not a
-/// general JSON parser (the workspace has none by design).
-pub fn parse_scenarios(json: &str) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        let Some(id_at) = line.find("\"id\": \"") else {
-            continue;
-        };
-        let rest = &line[id_at + 7..];
-        let Some(id_end) = rest.find('"') else {
-            continue;
-        };
-        let id = rest[..id_end].to_string();
-        let Some(eps_at) = line.find("\"events_per_sec\": ") else {
-            continue;
-        };
-        let tail = &line[eps_at + 18..];
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(eps) = num.parse::<f64>() {
-            rows.push((id, eps));
-        }
-    }
-    rows
-}
-
-/// Validates an emitted report: schema marker, at least one scenario,
-/// and a positive events/sec everywhere. Returns the parsed rows.
+/// Validates an emitted report: a well-formed document with the schema
+/// marker, at least one scenario, and a positive events/sec everywhere.
+/// Returns the `(id, events_per_sec)` rows, the baseline input of
+/// [`render_json`].
 pub fn validate_report(json: &str) -> Result<Vec<(String, f64)>, String> {
-    if !json.contains(SCHEMA) {
+    let doc = mage_sim::json::parse(json)?;
+    if doc.str_at("schema") != Ok(SCHEMA) {
         return Err(format!("missing schema marker {SCHEMA:?}"));
     }
-    let rows = parse_scenarios(json);
+    let rows = doc
+        .array_at("scenarios")?
+        .iter()
+        .map(|s| Ok((s.str_at("id")?.to_string(), s.f64_at("events_per_sec")?)))
+        .collect::<Result<Vec<_>, String>>()?;
     if rows.is_empty() {
         return Err("no scenarios found".to_string());
     }

@@ -23,7 +23,8 @@
 //!   cache small enough that evictions exercise replica tracking.
 //!
 //! The emitted JSON (`schema: mage-bench-scale/v1`) is hand-rolled and
-//! parsed back by this module for the smoke test, mirroring `hotloop`.
+//! read back through `mage_sim::json` for the smoke test, mirroring
+//! `hotloop`.
 
 use std::rc::Rc;
 
@@ -74,9 +75,12 @@ pub struct ScalePoint {
     pub virtual_ns: u64,
     /// Executor task polls the run performed.
     pub events: u64,
-    /// Process peak RSS (VmHWM) sampled after the run, KiB. Monotone
-    /// across the process lifetime, so later points can only report
-    /// equal-or-higher values; the headline number is the last point's.
+    /// Process peak RSS (VmHWM) sampled after the run, KiB. The watermark
+    /// is reset to the current RSS before each point (by writing `5` to
+    /// `/proc/self/clear_refs`), so this is the peak RSS while the point
+    /// ran, including whatever earlier points left resident. Where that
+    /// write fails it is the peak over the whole process lifetime, so
+    /// later points can only report equal-or-higher values.
     pub peak_rss_kb: u64,
 }
 
@@ -115,9 +119,17 @@ pub fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
+/// Resets the process's peak-RSS watermark (`VmHWM`) to its current RSS
+/// (Linux ≥ 4.0). A failed write leaves the lifetime watermark in place,
+/// which only overstates later points' peaks, so the error is ignored.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 /// One Fig-5-shaped fault storm at `threads` virtual cores on the
 /// scaled dual-socket geometry (SeqFault, every page remote).
 fn run_fig5_point(threads: usize, wss_pages: u64) -> ScalePoint {
+    reset_peak_rss();
     let mut cfg = RunConfig::new(
         SystemConfig::mage_lib(),
         WorkloadKind::SeqFault,
@@ -145,6 +157,7 @@ fn run_fig5_point(threads: usize, wss_pages: u64) -> ScalePoint {
 /// One million connections over a 256 GiB keyspace, lazily populated:
 /// the host pays for requested pages and active connections only.
 fn run_memcached_point(quick: bool) -> ScalePoint {
+    reset_peak_rss();
     let capacity: u64 = 1 << 26; // 2^26 pages = 256 GiB of 4 KiB pages
     let mut cfg = MemcachedConfig::paper(SystemConfig::mage_lib(), capacity);
     cfg.workers = 8;
@@ -170,6 +183,7 @@ fn run_memcached_point(quick: bool) -> ScalePoint {
 /// evictions stream pages to the backend and the replica table tracks
 /// them — all of it O(touched).
 fn run_sparse_point(touched: u64) -> ScalePoint {
+    reset_peak_rss();
     const SPACE: u64 = 1 << 40; // 4 PiB of 4 KiB pages
     let t0 = Instant::now();
     let sim = Simulation::new();
@@ -277,57 +291,30 @@ pub fn render_json(report: &ScaleReport) -> String {
 /// metadata_entries, events_per_sec)`.
 pub type PointRow = (String, u64, u64, u64, f64);
 
-/// Extracts [`PointRow`]s from a previously emitted report. A minimal
-/// scanner over our own stable output format, like `hotloop`'s.
-pub fn parse_points(json: &str) -> Vec<PointRow> {
-    let grab_u64 = |line: &str, key: &str| -> Option<u64> {
-        let at = line.find(key)?;
-        let tail = &line[at + key.len()..];
-        let num: String = tail.chars().take_while(|c| c.is_ascii_digit()).collect();
-        num.parse().ok()
-    };
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        let Some(id_at) = line.find("\"id\": \"") else {
-            continue;
-        };
-        let rest = &line[id_at + 7..];
-        let Some(id_end) = rest.find('"') else {
-            continue;
-        };
-        let id = rest[..id_end].to_string();
-        let (Some(cap), Some(touched), Some(meta)) = (
-            grab_u64(line, "\"capacity_pages\": "),
-            grab_u64(line, "\"touched_pages\": "),
-            grab_u64(line, "\"metadata_entries\": "),
-        ) else {
-            continue;
-        };
-        let Some(eps_at) = line.find("\"events_per_sec\": ") else {
-            continue;
-        };
-        let tail = &line[eps_at + 18..];
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(eps) = num.parse::<f64>() {
-            rows.push((id, cap, touched, meta, eps));
-        }
-    }
-    rows
-}
-
-/// Validates an emitted report: schema marker, at least one point, a
-/// positive events/sec everywhere, and — the point of the harness —
-/// metadata within [`META_SLACK`]·touched + [`META_FLOOR`] at every
-/// point. A dense O(capacity) structure anywhere fails this by orders
-/// of magnitude (capacity/touched is ≥ 2^14 at every point).
+/// Validates an emitted report: a well-formed document with the schema
+/// marker, at least one point, a positive events/sec everywhere, and —
+/// the point of the harness — metadata within
+/// [`META_SLACK`]·touched + [`META_FLOOR`] at every point. A dense
+/// O(capacity) structure anywhere fails this by orders of magnitude
+/// (capacity/touched is ≥ 2^14 at every point).
 pub fn validate_report(json: &str) -> Result<Vec<PointRow>, String> {
-    if !json.contains(SCHEMA) {
+    let doc = mage_sim::json::parse(json)?;
+    if doc.str_at("schema") != Ok(SCHEMA) {
         return Err(format!("missing schema marker {SCHEMA:?}"));
     }
-    let rows = parse_points(json);
+    let rows = doc
+        .array_at("points")?
+        .iter()
+        .map(|p| {
+            Ok((
+                p.str_at("id")?.to_string(),
+                p.u64_at("capacity_pages")?,
+                p.u64_at("touched_pages")?,
+                p.u64_at("metadata_entries")?,
+                p.f64_at("events_per_sec")?,
+            ))
+        })
+        .collect::<Result<Vec<PointRow>, String>>()?;
     if rows.is_empty() {
         return Err("no scale points found".to_string());
     }

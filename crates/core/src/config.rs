@@ -191,12 +191,6 @@ pub struct SystemConfig {
     pub sync_eviction_batch: usize,
     /// Prefetch policy.
     pub prefetch: PrefetchPolicy,
-    /// Whether the system runs in a VM (VMexit on IPIs, compute
-    /// inflation).
-    pub virtualized: bool,
-    /// Whether TLB coherence is maintained at all (false only for the
-    /// "ideal" baseline, which has no software overhead by definition).
-    pub tlb_coherence: bool,
     /// NIC / link configuration.
     pub nic: NicConfig,
     /// Deterministic transport-fault schedule ([`FaultPlan::none`] — a
@@ -261,8 +255,6 @@ impl SystemConfig {
             eviction_batch: 256,
             sync_eviction_batch: 64,
             prefetch: PrefetchPolicy::None,
-            virtualized: true,
-            tlb_coherence: true,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
@@ -293,8 +285,6 @@ impl SystemConfig {
             eviction_batch: 256,
             sync_eviction_batch: 64,
             prefetch: PrefetchPolicy::None,
-            virtualized: true,
-            tlb_coherence: true,
             nic: NicConfig {
                 bandwidth_bytes_per_ns: 17.4, // 139 Gbps ceiling (§6.4)
                 ..NicConfig::bluefield2_200g()
@@ -328,8 +318,6 @@ impl SystemConfig {
             eviction_batch: 64,
             sync_eviction_batch: 32,
             prefetch: PrefetchPolicy::Readahead { max_window: 8 },
-            virtualized: false,
-            tlb_coherence: true,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
@@ -361,8 +349,6 @@ impl SystemConfig {
             eviction_batch: 64,
             sync_eviction_batch: 32,
             prefetch: PrefetchPolicy::Readahead { max_window: 8 },
-            virtualized: true,
-            tlb_coherence: true,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
@@ -395,8 +381,6 @@ impl SystemConfig {
             eviction_batch: 256,
             sync_eviction_batch: 64,
             prefetch: PrefetchPolicy::None,
-            virtualized: false,
-            tlb_coherence: false,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
@@ -512,7 +496,7 @@ mod tests {
         assert!(hermit.sync_eviction && !hermit.pipelined_eviction);
         assert_eq!(hermit.max_evictors, 32);
         assert_eq!(hermit.remote_alloc, RemoteAllocKind::SwapLock);
-        assert!(!hermit.virtualized, "Hermit runs on bare metal (§6.1)");
+        assert_eq!(hermit.costs.ipi.vmexit_ns, 0, "Hermit runs on bare metal (§6.1)");
 
         let dilos = SystemConfig::dilos();
         assert_eq!(dilos.local_alloc, LocalAllocatorKind::GlobalBuddy);
@@ -527,7 +511,7 @@ mod tests {
     #[test]
     fn ideal_has_no_coherence_cost() {
         let ideal = SystemConfig::ideal();
-        assert!(!ideal.tlb_coherence);
+        assert_eq!(ideal.costs.ipi.handler_cost(256), 0);
         assert_eq!(ideal.costs.os.fault_fixed_ns(), 0);
     }
 

@@ -1,7 +1,7 @@
 //! Measurement windows over every stat source of a running machine.
 //!
-//! A [`MetricsRegistry`] composes the engine, NIC, interrupt and
-//! accounting statistics into one façade with two operations:
+//! A [`MetricsRegistry`] composes the engine, NIC, interrupt, accounting
+//! and replication statistics into one façade with two operations:
 //! [`snapshot`](MetricsRegistry::snapshot) captures a cheap start line
 //! ([`MetricsSnapshot`]), and
 //! [`window_since`](MetricsRegistry::window_since) computes the
@@ -11,20 +11,27 @@
 //! in the registry is windowed by construction, and one that doesn't
 //! cannot appear in a report at all.
 //!
+//! Every windowed metric is one row of the `metrics!` table below, and
+//! the snapshot, the window and both operations are generated from it.
+//! Each source struct is destructured without `..`, so a stat field
+//! added to a source struct without a row is a compile error.
+//!
 //! The destructive `EngineStats::reset` shim this replaces (since
 //! removed) cleared only
 //! the engine's own counters — NIC byte counts and IPI histograms kept
 //! their warmup samples and were then divided by the post-warmup runtime,
 //! inflating `read_gbps`/`write_gbps` and skewing `shootdown_mean_ns`.
 
+use std::cell::RefCell;
+
 use mage_accounting::AccountingStats;
 use mage_fabric::NicStats;
 use mage_mmu::IpiStats;
-use mage_sim::stats::{CounterSnapshot, HistogramDelta, HistogramSnapshot, TimeStatDelta, TimeStatSnapshot};
+use mage_sim::stats::{Counter, Histogram, TimeStat, Windowed};
 use mage_sim::time::Nanos;
 
 use crate::backend::ReplicationStats;
-use crate::stats::{BreakdownMeans, EngineStats};
+use crate::stats::{BreakdownMeans, EngineStats, FaultBreakdown};
 
 /// Borrowed view of every stat source of one machine; the entry point for
 /// snapshot/delta measurement windows. Obtain via
@@ -43,167 +50,191 @@ pub struct MetricsRegistry<'a> {
     pub replication: Option<&'a ReplicationStats>,
 }
 
-/// Start line of a measurement window: a point-in-time capture of every
-/// registered stat source. Cheap to take (a few hundred plain copies, no
-/// virtual time passes).
-#[derive(Clone, Debug, Default)]
-pub struct MetricsSnapshot {
-    // Engine counters.
-    accesses: CounterSnapshot,
-    tlb_hits: CounterSnapshot,
-    minor_walks: CounterSnapshot,
-    major_faults: CounterSnapshot,
-    page_lock_waits: CounterSnapshot,
-    sync_evictions: CounterSnapshot,
-    evicted_pages: CounterSnapshot,
-    sync_evicted_pages: CounterSnapshot,
-    writebacks: CounterSnapshot,
-    clean_reclaims: CounterSnapshot,
-    eviction_batches: CounterSnapshot,
-    unmapped_pages: CounterSnapshot,
-    evict_cancels: CounterSnapshot,
-    evict_cancelled_pages: CounterSnapshot,
-    prefetches: CounterSnapshot,
-    prefetch_inflight_hits: CounterSnapshot,
-    transfer_retries: CounterSnapshot,
-    transfer_failures: CounterSnapshot,
-    aborted_faults: CounterSnapshot,
-    requeued_victims: CounterSnapshot,
-    failover_reads: CounterSnapshot,
-    re_faults: CounterSnapshot,
-    ghost_hits: CounterSnapshot,
-    fault_latency: HistogramSnapshot,
-    retry_latency: HistogramSnapshot,
-    breakdown_rdma: TimeStatSnapshot,
-    breakdown_tlb: TimeStatSnapshot,
-    breakdown_accounting: TimeStatSnapshot,
-    breakdown_circulation: TimeStatSnapshot,
-    breakdown_other: TimeStatSnapshot,
-    free_wait: TimeStatSnapshot,
-    // NIC.
-    nic_reads: CounterSnapshot,
-    nic_writes: CounterSnapshot,
-    nic_read_bytes: CounterSnapshot,
-    nic_write_bytes: CounterSnapshot,
-    nic_read_latency: HistogramSnapshot,
-    nic_write_latency: HistogramSnapshot,
-    // Interrupts.
-    ipis: CounterSnapshot,
-    shootdowns: CounterSnapshot,
-    ipi_latency: HistogramSnapshot,
-    shootdown_latency: HistogramSnapshot,
-    // Accounting.
-    acct_inserts: CounterSnapshot,
-    acct_scanned: CounterSnapshot,
-    acct_reactivated: CounterSnapshot,
-    acct_victims: CounterSnapshot,
-    // Replication (zero when the machine has no replicated backend).
-    rereplicated_pages: CounterSnapshot,
-    degraded_marks: CounterSnapshot,
+/// Generates [`MetricsSnapshot`], [`MetricsWindow`] and the registry's
+/// `snapshot`/`window_since` from one table. Each group names a local
+/// bound by [`MetricsRegistry::sources`], the source struct, and the
+/// struct's fields that are not windowed metrics; each row maps one
+/// source field to its window name and stat type.
+macro_rules! metrics {
+    ($(
+        $src:ident: $Source:ident $( (skip $($skip:ident),+) )? {
+            $( $(#[$doc:meta])* $field:ident => $name:ident: $ty:ty, )*
+        }
+    )*) => {
+        /// Start line of a measurement window: a point-in-time capture of
+        /// every registered stat source. Cheap to take (a few hundred plain
+        /// copies, no virtual time passes).
+        #[derive(Clone, Debug, Default)]
+        pub struct MetricsSnapshot {
+            $($( $name: <$ty as Windowed>::Snapshot, )*)*
+        }
+
+        /// The *end − start* deltas of one measurement window. Every field
+        /// is a windowed value: counters are plain differences,
+        /// distributions are [`HistogramDelta`](mage_sim::stats::HistogramDelta)s /
+        /// [`TimeStatDelta`](mage_sim::stats::TimeStatDelta)s covering only
+        /// samples recorded inside the window.
+        pub struct MetricsWindow {
+            $($( $(#[$doc])* pub $name: <$ty as Windowed>::Delta, )*)*
+        }
+
+        impl MetricsRegistry<'_> {
+            /// Captures the start line of a measurement window.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                let absent = ReplicationStats::default();
+                let ($($src,)*) = self.sources(&absent);
+                $( let $Source { $($field: $name,)* $($($skip: _,)+)? } = $src; )*
+                MetricsSnapshot { $($( $name: $name.start(), )*)* }
+            }
+
+            /// Computes the *current − start* window over every registered
+            /// stat.
+            pub fn window_since(&self, start: &MetricsSnapshot) -> MetricsWindow {
+                let absent = ReplicationStats::default();
+                let ($($src,)*) = self.sources(&absent);
+                $( let $Source { $($field: $name,)* $($($skip: _,)+)? } = $src; )*
+                MetricsWindow { $($( $name: $name.since(&start.$name), )*)* }
+            }
+        }
+    };
 }
 
-/// The *end − start* deltas of one measurement window. Every field is a
-/// windowed value: counters are plain differences, distributions are
-/// [`HistogramDelta`]s / [`TimeStatDelta`]s covering only samples recorded
-/// inside the window.
-pub struct MetricsWindow {
-    /// Page accesses in the window.
-    pub accesses: u64,
-    /// TLB hits in the window.
-    pub tlb_hits: u64,
-    /// Minor walks in the window.
-    pub minor_walks: u64,
-    /// Major faults in the window.
-    pub major_faults: u64,
-    /// Page-lock waits in the window.
-    pub page_lock_waits: u64,
-    /// Synchronous evictions in the window.
-    pub sync_evictions: u64,
-    /// Background-evicted pages in the window.
-    pub evicted_pages: u64,
-    /// Synchronously evicted pages in the window.
-    pub sync_evicted_pages: u64,
-    /// Writebacks in the window.
-    pub writebacks: u64,
-    /// Clean reclaims in the window.
-    pub clean_reclaims: u64,
-    /// Eviction batches in the window.
-    pub eviction_batches: u64,
-    /// Pages unmapped in the window.
-    pub unmapped_pages: u64,
-    /// Refault-cancelled evictions in the window.
-    pub evict_cancels: u64,
-    /// Eviction-batch pages cancelled in the window.
-    pub evict_cancelled_pages: u64,
-    /// Pages prefetched in the window.
-    pub prefetches: u64,
-    /// In-flight prefetch hits in the window.
-    pub prefetch_inflight_hits: u64,
-    /// Transfer retries in the window.
-    pub transfer_retries: u64,
-    /// Exhausted-retry transfer failures in the window.
-    pub transfer_failures: u64,
-    /// Aborted faults in the window.
-    pub aborted_faults: u64,
-    /// Requeued eviction victims in the window.
-    pub requeued_victims: u64,
-    /// Reads served from a surviving replica in the window.
-    pub failover_reads: u64,
-    /// Major faults that hit the ghost list in the window (pages evicted
-    /// too early — the re-fault-rate numerator).
-    pub re_faults: u64,
-    /// All ghost-list hits in the window (re-faults plus eviction cancels
-    /// and requeues).
-    pub ghost_hits: u64,
-    /// Fault-latency distribution over the window.
-    pub fault_latency: HistogramDelta,
-    /// Retry-recovery latency distribution over the window.
-    pub retry_latency: HistogramDelta,
-    /// RDMA-read component of the fault breakdown, window only.
-    pub breakdown_rdma: TimeStatDelta,
-    /// In-fault TLB component of the fault breakdown, window only.
-    pub breakdown_tlb: TimeStatDelta,
-    /// Accounting component of the fault breakdown, window only.
-    pub breakdown_accounting: TimeStatDelta,
-    /// Circulation component of the fault breakdown, window only.
-    pub breakdown_circulation: TimeStatDelta,
-    /// Residual component of the fault breakdown, window only.
-    pub breakdown_other: TimeStatDelta,
-    /// Free-page wait time over the window.
-    pub free_wait: TimeStatDelta,
-    /// NIC reads completed in the window.
-    pub nic_reads: u64,
-    /// NIC writes completed in the window.
-    pub nic_writes: u64,
-    /// Bytes read remote→local in the window.
-    pub nic_read_bytes: u64,
-    /// Bytes written local→remote in the window.
-    pub nic_write_bytes: u64,
-    /// NIC read-latency distribution over the window.
-    pub nic_read_latency: HistogramDelta,
-    /// NIC write-latency distribution over the window.
-    pub nic_write_latency: HistogramDelta,
-    /// IPIs delivered in the window.
-    pub ipis: u64,
-    /// Shootdown rounds in the window.
-    pub shootdowns: u64,
-    /// Per-IPI latency distribution over the window.
-    pub ipi_latency: HistogramDelta,
-    /// Shootdown (first-send → last-ACK) distribution over the window.
-    pub shootdown_latency: HistogramDelta,
-    /// Accounting inserts in the window.
-    pub acct_inserts: u64,
-    /// Accounting pages scanned in the window.
-    pub acct_scanned: u64,
-    /// Accounting reactivations in the window.
-    pub acct_reactivated: u64,
-    /// Accounting victims taken in the window.
-    pub acct_victims: u64,
-    /// Pages copied back to full replication in the window (zero without
-    /// a replicated backend).
-    pub rereplicated_pages: u64,
-    /// Replica slots marked degraded by node outages in the window.
-    pub degraded_marks: u64,
+metrics! {
+    engine: EngineStats (skip breakdown) {
+        /// Page accesses in the window.
+        accesses => accesses: Counter,
+        /// TLB hits in the window.
+        tlb_hits => tlb_hits: Counter,
+        /// Minor walks in the window.
+        minor_walks => minor_walks: Counter,
+        /// Major faults in the window.
+        major_faults => major_faults: Counter,
+        /// Page-lock waits in the window.
+        page_lock_waits => page_lock_waits: Counter,
+        /// Synchronous evictions in the window.
+        sync_evictions => sync_evictions: Counter,
+        /// Background-evicted pages in the window.
+        evicted_pages => evicted_pages: Counter,
+        /// Synchronously evicted pages in the window.
+        sync_evicted_pages => sync_evicted_pages: Counter,
+        /// Writebacks in the window.
+        writebacks => writebacks: Counter,
+        /// Clean reclaims in the window.
+        clean_reclaims => clean_reclaims: Counter,
+        /// Eviction batches in the window.
+        eviction_batches => eviction_batches: Counter,
+        /// Pages unmapped in the window.
+        unmapped_pages => unmapped_pages: Counter,
+        /// Refault-cancelled evictions in the window.
+        evict_cancels => evict_cancels: Counter,
+        /// Eviction-batch pages cancelled in the window.
+        evict_cancelled_pages => evict_cancelled_pages: Counter,
+        /// Pages prefetched in the window.
+        prefetches => prefetches: Counter,
+        /// In-flight prefetch hits in the window.
+        prefetch_inflight_hits => prefetch_inflight_hits: Counter,
+        /// Transfer retries in the window.
+        transfer_retries => transfer_retries: Counter,
+        /// Exhausted-retry transfer failures in the window.
+        transfer_failures => transfer_failures: Counter,
+        /// Aborted faults in the window.
+        aborted_faults => aborted_faults: Counter,
+        /// Requeued eviction victims in the window.
+        requeued_victims => requeued_victims: Counter,
+        /// Reads served from a surviving replica in the window.
+        failover_reads => failover_reads: Counter,
+        /// Major faults that hit the ghost list in the window (pages evicted
+        /// too early — the re-fault-rate numerator).
+        re_faults => re_faults: Counter,
+        /// All ghost-list hits in the window (re-faults plus eviction cancels
+        /// and requeues).
+        ghost_hits => ghost_hits: Counter,
+        /// Fault-latency distribution over the window.
+        fault_latency => fault_latency: Histogram,
+        /// Retry-recovery latency distribution over the window.
+        retry_latency => retry_latency: Histogram,
+        /// Free-page wait time over the window.
+        free_wait => free_wait: RefCell<TimeStat>,
+    }
+    breakdown: FaultBreakdown {
+        /// RDMA-read component of the fault breakdown, window only.
+        rdma => breakdown_rdma: RefCell<TimeStat>,
+        /// In-fault TLB component of the fault breakdown, window only.
+        tlb => breakdown_tlb: RefCell<TimeStat>,
+        /// Accounting component of the fault breakdown, window only.
+        accounting => breakdown_accounting: RefCell<TimeStat>,
+        /// Circulation component of the fault breakdown, window only.
+        circulation => breakdown_circulation: RefCell<TimeStat>,
+        /// Residual component of the fault breakdown, window only.
+        other => breakdown_other: RefCell<TimeStat>,
+    }
+    nic: NicStats {
+        /// NIC reads completed in the window.
+        reads => nic_reads: Counter,
+        /// NIC writes completed in the window.
+        writes => nic_writes: Counter,
+        /// Bytes read remote→local in the window.
+        read_bytes => nic_read_bytes: Counter,
+        /// Bytes written local→remote in the window.
+        write_bytes => nic_write_bytes: Counter,
+        /// NIC read-latency distribution over the window.
+        read_latency => nic_read_latency: Histogram,
+        /// NIC write-latency distribution over the window.
+        write_latency => nic_write_latency: Histogram,
+    }
+    interrupts: IpiStats {
+        /// IPIs delivered in the window.
+        ipis => ipis: Counter,
+        /// Shootdown rounds in the window.
+        shootdowns => shootdowns: Counter,
+        /// Per-IPI latency distribution over the window.
+        ipi_latency => ipi_latency: Histogram,
+        /// Shootdown (first-send → last-ACK) distribution over the window.
+        shootdown_latency => shootdown_latency: Histogram,
+    }
+    accounting: AccountingStats {
+        /// Accounting inserts in the window.
+        inserts => acct_inserts: Counter,
+        /// Accounting pages scanned in the window.
+        scanned => acct_scanned: Counter,
+        /// Accounting reactivations in the window.
+        reactivated => acct_reactivated: Counter,
+        /// Accounting victims taken in the window.
+        victims => acct_victims: Counter,
+    }
+    replication: ReplicationStats (skip illegal_transitions) {
+        /// Pages copied back to full replication in the window (zero without
+        /// a replicated backend).
+        rereplicated_pages => rereplicated_pages: Counter,
+        /// Replica slots marked degraded by node outages in the window.
+        degraded_marks => degraded_marks: Counter,
+    }
+}
+
+impl MetricsRegistry<'_> {
+    /// Every stat source, in table order. A machine without a replicated
+    /// backend reads its replication rows from `absent`, whose zeros make
+    /// those windows zero.
+    fn sources<'s>(
+        &'s self,
+        absent: &'s ReplicationStats,
+    ) -> (
+        &'s EngineStats,
+        &'s FaultBreakdown,
+        &'s NicStats,
+        &'s IpiStats,
+        &'s AccountingStats,
+        &'s ReplicationStats,
+    ) {
+        (
+            self.engine,
+            &self.engine.breakdown,
+            self.nic,
+            self.interrupts,
+            self.accounting,
+            self.replication.unwrap_or(absent),
+        )
+    }
 }
 
 impl MetricsWindow {
@@ -233,130 +264,6 @@ impl MetricsWindow {
             accounting: self.breakdown_accounting.mean(),
             circulation: self.breakdown_circulation.mean(),
             other: self.breakdown_other.mean(),
-        }
-    }
-}
-
-impl MetricsRegistry<'_> {
-    /// Captures the start line of a measurement window.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let e = self.engine;
-        let b = &e.breakdown;
-        MetricsSnapshot {
-            accesses: e.accesses.snapshot(),
-            tlb_hits: e.tlb_hits.snapshot(),
-            minor_walks: e.minor_walks.snapshot(),
-            major_faults: e.major_faults.snapshot(),
-            page_lock_waits: e.page_lock_waits.snapshot(),
-            sync_evictions: e.sync_evictions.snapshot(),
-            evicted_pages: e.evicted_pages.snapshot(),
-            sync_evicted_pages: e.sync_evicted_pages.snapshot(),
-            writebacks: e.writebacks.snapshot(),
-            clean_reclaims: e.clean_reclaims.snapshot(),
-            eviction_batches: e.eviction_batches.snapshot(),
-            unmapped_pages: e.unmapped_pages.snapshot(),
-            evict_cancels: e.evict_cancels.snapshot(),
-            evict_cancelled_pages: e.evict_cancelled_pages.snapshot(),
-            prefetches: e.prefetches.snapshot(),
-            prefetch_inflight_hits: e.prefetch_inflight_hits.snapshot(),
-            transfer_retries: e.transfer_retries.snapshot(),
-            transfer_failures: e.transfer_failures.snapshot(),
-            aborted_faults: e.aborted_faults.snapshot(),
-            requeued_victims: e.requeued_victims.snapshot(),
-            failover_reads: e.failover_reads.snapshot(),
-            re_faults: e.re_faults.snapshot(),
-            ghost_hits: e.ghost_hits.snapshot(),
-            fault_latency: e.fault_latency.snapshot(),
-            retry_latency: e.retry_latency.snapshot(),
-            breakdown_rdma: b.rdma.borrow().snapshot(),
-            breakdown_tlb: b.tlb.borrow().snapshot(),
-            breakdown_accounting: b.accounting.borrow().snapshot(),
-            breakdown_circulation: b.circulation.borrow().snapshot(),
-            breakdown_other: b.other.borrow().snapshot(),
-            free_wait: e.free_wait.borrow().snapshot(),
-            nic_reads: self.nic.reads.snapshot(),
-            nic_writes: self.nic.writes.snapshot(),
-            nic_read_bytes: self.nic.read_bytes.snapshot(),
-            nic_write_bytes: self.nic.write_bytes.snapshot(),
-            nic_read_latency: self.nic.read_latency.snapshot(),
-            nic_write_latency: self.nic.write_latency.snapshot(),
-            ipis: self.interrupts.ipis.snapshot(),
-            shootdowns: self.interrupts.shootdowns.snapshot(),
-            ipi_latency: self.interrupts.ipi_latency.snapshot(),
-            shootdown_latency: self.interrupts.shootdown_latency.snapshot(),
-            acct_inserts: self.accounting.inserts.snapshot(),
-            acct_scanned: self.accounting.scanned.snapshot(),
-            acct_reactivated: self.accounting.reactivated.snapshot(),
-            acct_victims: self.accounting.victims.snapshot(),
-            rereplicated_pages: self
-                .replication
-                .map(|r| r.rereplicated_pages.snapshot())
-                .unwrap_or_default(),
-            degraded_marks: self
-                .replication
-                .map(|r| r.degraded_marks.snapshot())
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Computes the *current − start* window over every registered stat.
-    pub fn window_since(&self, start: &MetricsSnapshot) -> MetricsWindow {
-        let e = self.engine;
-        let b = &e.breakdown;
-        MetricsWindow {
-            accesses: e.accesses.delta(&start.accesses),
-            tlb_hits: e.tlb_hits.delta(&start.tlb_hits),
-            minor_walks: e.minor_walks.delta(&start.minor_walks),
-            major_faults: e.major_faults.delta(&start.major_faults),
-            page_lock_waits: e.page_lock_waits.delta(&start.page_lock_waits),
-            sync_evictions: e.sync_evictions.delta(&start.sync_evictions),
-            evicted_pages: e.evicted_pages.delta(&start.evicted_pages),
-            sync_evicted_pages: e.sync_evicted_pages.delta(&start.sync_evicted_pages),
-            writebacks: e.writebacks.delta(&start.writebacks),
-            clean_reclaims: e.clean_reclaims.delta(&start.clean_reclaims),
-            eviction_batches: e.eviction_batches.delta(&start.eviction_batches),
-            unmapped_pages: e.unmapped_pages.delta(&start.unmapped_pages),
-            evict_cancels: e.evict_cancels.delta(&start.evict_cancels),
-            evict_cancelled_pages: e.evict_cancelled_pages.delta(&start.evict_cancelled_pages),
-            prefetches: e.prefetches.delta(&start.prefetches),
-            prefetch_inflight_hits: e.prefetch_inflight_hits.delta(&start.prefetch_inflight_hits),
-            transfer_retries: e.transfer_retries.delta(&start.transfer_retries),
-            transfer_failures: e.transfer_failures.delta(&start.transfer_failures),
-            aborted_faults: e.aborted_faults.delta(&start.aborted_faults),
-            requeued_victims: e.requeued_victims.delta(&start.requeued_victims),
-            failover_reads: e.failover_reads.delta(&start.failover_reads),
-            re_faults: e.re_faults.delta(&start.re_faults),
-            ghost_hits: e.ghost_hits.delta(&start.ghost_hits),
-            fault_latency: e.fault_latency.delta(&start.fault_latency),
-            retry_latency: e.retry_latency.delta(&start.retry_latency),
-            breakdown_rdma: b.rdma.borrow().delta(&start.breakdown_rdma),
-            breakdown_tlb: b.tlb.borrow().delta(&start.breakdown_tlb),
-            breakdown_accounting: b.accounting.borrow().delta(&start.breakdown_accounting),
-            breakdown_circulation: b.circulation.borrow().delta(&start.breakdown_circulation),
-            breakdown_other: b.other.borrow().delta(&start.breakdown_other),
-            free_wait: e.free_wait.borrow().delta(&start.free_wait),
-            nic_reads: self.nic.reads.delta(&start.nic_reads),
-            nic_writes: self.nic.writes.delta(&start.nic_writes),
-            nic_read_bytes: self.nic.read_bytes.delta(&start.nic_read_bytes),
-            nic_write_bytes: self.nic.write_bytes.delta(&start.nic_write_bytes),
-            nic_read_latency: self.nic.read_latency.delta(&start.nic_read_latency),
-            nic_write_latency: self.nic.write_latency.delta(&start.nic_write_latency),
-            ipis: self.interrupts.ipis.delta(&start.ipis),
-            shootdowns: self.interrupts.shootdowns.delta(&start.shootdowns),
-            ipi_latency: self.interrupts.ipi_latency.delta(&start.ipi_latency),
-            shootdown_latency: self.interrupts.shootdown_latency.delta(&start.shootdown_latency),
-            acct_inserts: self.accounting.inserts.delta(&start.acct_inserts),
-            acct_scanned: self.accounting.scanned.delta(&start.acct_scanned),
-            acct_reactivated: self.accounting.reactivated.delta(&start.acct_reactivated),
-            acct_victims: self.accounting.victims.delta(&start.acct_victims),
-            rereplicated_pages: self
-                .replication
-                .map(|r| r.rereplicated_pages.delta(&start.rereplicated_pages))
-                .unwrap_or(0),
-            degraded_marks: self
-                .replication
-                .map(|r| r.degraded_marks.delta(&start.degraded_marks))
-                .unwrap_or(0),
         }
     }
 }

@@ -14,6 +14,8 @@
 //!   support for measurement windows,
 //! - a **virtual-time tracer** recording structured spans into per-track
 //!   ring buffers, exportable as Chrome `trace_event` JSON ([`trace`]),
+//! - a small dependency-free **JSON reader** ([`json`]) for validating
+//!   trace exports and committed benchmark reports,
 //! - a tiny deterministic **RNG** ([`rng::SplitMix64`]) for components that
 //!   must not depend on external crates.
 //!
@@ -38,6 +40,7 @@
 
 pub mod executor;
 pub mod explore;
+pub mod json;
 pub mod lockdep;
 pub mod race;
 pub mod rng;

@@ -10,9 +10,65 @@
 //! a cheap start line and `delta(&snapshot)` returns only what was recorded
 //! after it. Harnesses report windows instead of destructively resetting
 //! stats, so a warmup phase can never pollute the measured figures and the
-//! cumulative values stay available for debugging.
+//! cumulative values stay available for debugging. The [`Windowed`] trait
+//! gives all of them one interface, so a metrics table can window any
+//! stat uniformly.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+
+/// A stat that supports measurement windows.
+pub trait Windowed {
+    /// Start line of a window; its `Default` is an empty start line, from
+    /// which [`since`](Windowed::since) returns the cumulative value.
+    type Snapshot: Default;
+    /// What was recorded inside a window.
+    type Delta;
+
+    /// Captures the current state as a window start line.
+    fn start(&self) -> Self::Snapshot;
+
+    /// What was recorded since `start` was captured.
+    fn since(&self, start: &Self::Snapshot) -> Self::Delta;
+}
+
+impl Windowed for Counter {
+    type Snapshot = CounterSnapshot;
+    type Delta = u64;
+
+    fn start(&self) -> CounterSnapshot {
+        self.snapshot()
+    }
+
+    fn since(&self, start: &CounterSnapshot) -> u64 {
+        self.delta(start)
+    }
+}
+
+impl Windowed for Histogram {
+    type Snapshot = HistogramSnapshot;
+    type Delta = HistogramDelta;
+
+    fn start(&self) -> HistogramSnapshot {
+        self.snapshot()
+    }
+
+    fn since(&self, start: &HistogramSnapshot) -> HistogramDelta {
+        self.delta(start)
+    }
+}
+
+impl Windowed for RefCell<TimeStat> {
+    type Snapshot = TimeStatSnapshot;
+    type Delta = TimeStatDelta;
+
+    fn start(&self) -> TimeStatSnapshot {
+        self.borrow().snapshot()
+    }
+
+    fn since(&self, start: &TimeStatSnapshot) -> TimeStatDelta {
+        self.borrow().delta(start)
+    }
+}
 
 /// A monotonically increasing event counter.
 #[derive(Default)]

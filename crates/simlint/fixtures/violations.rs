@@ -31,20 +31,3 @@ impl PacketRng {
 fn scratch() -> HashMap<u64, u64> {
     HashMap::new()
 }
-
-// stats-registration: the orphan counter below is declared but never
-// referenced by the registry snapshot that follows.
-pub struct EngineStats {
-    pub accesses: Counter,
-    pub orphan_counter: Counter,
-}
-
-pub struct MetricsRegistry {
-    engine: EngineStats,
-}
-
-impl MetricsRegistry {
-    pub fn snapshot(&self) -> &Counter {
-        &self.engine.accesses
-    }
-}

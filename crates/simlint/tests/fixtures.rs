@@ -56,24 +56,6 @@ fn violation_lines_are_exact() {
     assert_eq!(at(Rule::ExternalRng), 14);
     assert_eq!(at(Rule::UnseededRng), 24);
     assert_eq!(at(Rule::BareAllow), 30);
-    assert_eq!(at(Rule::StatsRegistration), 39);
-}
-
-/// The stats-registration fixture pair: the ok half (snapshot captures
-/// every field) is clean, the missing half trips exactly on the field
-/// that escaped the registry.
-#[test]
-fn stats_fixture_pair() {
-    let ok = lint_file(&fixture("stats_ok.rs")).expect("fixture readable");
-    assert!(ok.is_empty(), "unexpected: {ok:#?}");
-    let missing = lint_file(&fixture("stats_missing.rs")).expect("fixture readable");
-    assert_eq!(missing.len(), 1, "{missing:#?}");
-    assert_eq!(missing[0].rule, Rule::StatsRegistration);
-    assert!(
-        missing[0].message.contains("NicStats.lost_counter"),
-        "{}",
-        missing[0].message
-    );
 }
 
 #[test]

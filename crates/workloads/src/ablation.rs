@@ -16,8 +16,8 @@
 //! so the committed report is bit-reproducible across hosts.
 //!
 //! The emitted JSON (`schema: mage-bench-policies/v1`) is hand-rolled —
-//! the workspace has no serde — and parsed back by the same module for
-//! validation and the CI smoke stage.
+//! the workspace has no serde — and read back through `mage_sim::json`
+//! for validation and the CI smoke stage.
 
 use mage::{EvictionPolicyKind, SystemConfig};
 use mage_mmu::Topology;
@@ -203,49 +203,30 @@ pub fn render_json(cells: &[PolicyCell], quick: bool) -> String {
     out
 }
 
-/// Extracts `(policy, workload, local_frac, re_fault_rate)` rows from a
-/// previously emitted report. A minimal scanner over our own stable
-/// output format — not a general JSON parser.
-pub fn parse_cells(json: &str) -> Vec<(String, String, f64, f64)> {
-    fn str_field(line: &str, key: &str) -> Option<String> {
-        let tag = format!("\"{key}\": \"");
-        let at = line.find(&tag)?;
-        let rest = &line[at + tag.len()..];
-        Some(rest[..rest.find('"')?].to_string())
-    }
-    fn num_field(line: &str, key: &str) -> Option<f64> {
-        let tag = format!("\"{key}\": ");
-        let at = line.find(&tag)?;
-        let tail = &line[at + tag.len()..];
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        num.parse().ok()
-    }
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        let (Some(policy), Some(workload), Some(frac), Some(rate)) = (
-            str_field(line, "policy"),
-            str_field(line, "workload"),
-            num_field(line, "local_frac"),
-            num_field(line, "re_fault_rate"),
-        ) else {
-            continue;
-        };
-        rows.push((policy, workload, frac, rate));
-    }
-    rows
-}
+/// One parsed report row: `(policy, workload, local_frac,
+/// re_fault_rate)`.
+pub type CellRow = (String, String, f64, f64);
 
-/// Validates an emitted report: schema marker, a complete cube (every
-/// policy × workload × fraction cell present exactly once) and sane
-/// rates. Returns the parsed rows.
-pub fn validate_report(json: &str) -> Result<Vec<(String, String, f64, f64)>, String> {
-    if !json.contains(SCHEMA) {
+/// Validates an emitted report: a well-formed document with the schema
+/// marker, a complete cube (every policy × workload × fraction cell
+/// present exactly once) and sane rates. Returns the parsed rows.
+pub fn validate_report(json: &str) -> Result<Vec<CellRow>, String> {
+    let doc = mage_sim::json::parse(json)?;
+    if doc.str_at("schema") != Ok(SCHEMA) {
         return Err(format!("missing schema marker {SCHEMA:?}"));
     }
-    let rows = parse_cells(json);
+    let rows = doc
+        .array_at("cells")?
+        .iter()
+        .map(|c| {
+            Ok((
+                c.str_at("policy")?.to_string(),
+                c.str_at("workload")?.to_string(),
+                c.f64_at("local_frac")?,
+                c.f64_at("re_fault_rate")?,
+            ))
+        })
+        .collect::<Result<Vec<CellRow>, String>>()?;
     let expected = policies().len() * workloads().len() * LOCAL_FRACTIONS.len();
     if rows.len() != expected {
         return Err(format!("expected {expected} cells, found {}", rows.len()));
@@ -338,9 +319,11 @@ mod tests {
     fn validate_rejects_incomplete_cubes() {
         assert!(validate_report("{}").is_err());
         let one_cell = format!(
-            "{{\"schema\": \"{SCHEMA}\"}}\n    {{\"policy\": \"fifo\", \"workload\": \"gups\", \
-             \"local_frac\": 0.20, \"re_fault_rate\": 0.5}}\n"
+            "{{\"schema\": \"{SCHEMA}\", \"cells\": [{{\"policy\": \"fifo\", \"workload\": \"gups\", \
+             \"local_frac\": 0.20, \"re_fault_rate\": 0.5}}]}}\n"
         );
-        assert!(validate_report(&one_cell).is_err(), "cube incomplete");
+        mage_sim::json::parse(&one_cell).expect("the fixture is one JSON document");
+        let err = validate_report(&one_cell).expect_err("cube incomplete");
+        assert!(err.contains("cells, found 1"), "{err}");
     }
 }

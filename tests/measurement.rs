@@ -132,3 +132,151 @@ fn open_loop_tail_is_not_censored_at_low_load() {
         raw.censored_requests, raw.issued_requests
     );
 }
+
+/// Every row of the metrics table reads the source field it names: from
+/// an empty start line, each window equals the cumulative value read
+/// straight off the source struct. A row pointed at the wrong field of
+/// the right type still compiles, so only this comparison catches it.
+/// The run is replicated with staggered node crashes, so the retry,
+/// failover, re-replication and degraded rows carry real counts.
+#[test]
+fn every_window_row_reads_its_own_source() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use mage_far_memory::sim::stats::{
+        Counter, Histogram, HistogramDelta, TimeStat, TimeStatDelta,
+    };
+
+    const THREADS: usize = 4;
+    const PAGES: u64 = 512;
+    let nodes = 2;
+    // Node crashes drive failover and repair; transient CQ errors on top
+    // drive the retry path.
+    let plans = (0..nodes)
+        .map(|i| FaultPlan {
+            error_rate: 0.02,
+            ..FaultPlan::staggered_node_crash(0x5EED, i, nodes, 400_000, 40_000)
+        })
+        .collect();
+    let system = SystemConfig::mage_lib()
+        .with_node_faults(plans)
+        .with_replication(ReplicationConfig {
+            nodes,
+            repair_poll_ns: 10_000,
+        })
+        .with_retry(RetryPolicy {
+            max_retries: 2,
+            ..RetryPolicy::default()
+        });
+    let sim = Simulation::new();
+    let params = MachineParams {
+        topo: Topology::single_socket(8),
+        app_threads: THREADS,
+        local_pages: 256,
+        remote_pages: 4_096,
+        tlb_entries: 64,
+        seed: 5,
+    };
+    let engine = FarMemory::launch(sim.handle(), system, params);
+    let vma = engine.mmap(PAGES);
+    engine.populate(&vma);
+    let e = Rc::clone(&engine);
+    sim.block_on(async move {
+        for round in 0..2 {
+            for i in 0..PAGES {
+                let core = CoreId((i % THREADS as u64) as u32);
+                e.access(core, vma.start_vpn + i, round == 0).await;
+            }
+        }
+    });
+    engine.shutdown();
+
+    let w = engine.metrics().window_since(&MetricsSnapshot::default());
+    let s = engine.stats();
+    let b = &s.breakdown;
+    let nic = engine.nic().stats();
+    let ipi = engine.interrupts().stats();
+    let acct = engine.accounting().stats();
+    let repl = engine
+        .backend()
+        .replication_stats()
+        .expect("replicated backend exposes repair stats");
+
+    let counters: [(&str, u64, &Counter); 35] = [
+        ("accesses", w.accesses, &s.accesses),
+        ("tlb_hits", w.tlb_hits, &s.tlb_hits),
+        ("minor_walks", w.minor_walks, &s.minor_walks),
+        ("major_faults", w.major_faults, &s.major_faults),
+        ("page_lock_waits", w.page_lock_waits, &s.page_lock_waits),
+        ("sync_evictions", w.sync_evictions, &s.sync_evictions),
+        ("evicted_pages", w.evicted_pages, &s.evicted_pages),
+        ("sync_evicted_pages", w.sync_evicted_pages, &s.sync_evicted_pages),
+        ("writebacks", w.writebacks, &s.writebacks),
+        ("clean_reclaims", w.clean_reclaims, &s.clean_reclaims),
+        ("eviction_batches", w.eviction_batches, &s.eviction_batches),
+        ("unmapped_pages", w.unmapped_pages, &s.unmapped_pages),
+        ("evict_cancels", w.evict_cancels, &s.evict_cancels),
+        ("evict_cancelled_pages", w.evict_cancelled_pages, &s.evict_cancelled_pages),
+        ("prefetches", w.prefetches, &s.prefetches),
+        ("prefetch_inflight_hits", w.prefetch_inflight_hits, &s.prefetch_inflight_hits),
+        ("transfer_retries", w.transfer_retries, &s.transfer_retries),
+        ("transfer_failures", w.transfer_failures, &s.transfer_failures),
+        ("aborted_faults", w.aborted_faults, &s.aborted_faults),
+        ("requeued_victims", w.requeued_victims, &s.requeued_victims),
+        ("failover_reads", w.failover_reads, &s.failover_reads),
+        ("re_faults", w.re_faults, &s.re_faults),
+        ("ghost_hits", w.ghost_hits, &s.ghost_hits),
+        ("nic_reads", w.nic_reads, &nic.reads),
+        ("nic_writes", w.nic_writes, &nic.writes),
+        ("nic_read_bytes", w.nic_read_bytes, &nic.read_bytes),
+        ("nic_write_bytes", w.nic_write_bytes, &nic.write_bytes),
+        ("ipis", w.ipis, &ipi.ipis),
+        ("shootdowns", w.shootdowns, &ipi.shootdowns),
+        ("acct_inserts", w.acct_inserts, &acct.inserts),
+        ("acct_scanned", w.acct_scanned, &acct.scanned),
+        ("acct_reactivated", w.acct_reactivated, &acct.reactivated),
+        ("acct_victims", w.acct_victims, &acct.victims),
+        ("rereplicated_pages", w.rereplicated_pages, &repl.rereplicated_pages),
+        ("degraded_marks", w.degraded_marks, &repl.degraded_marks),
+    ];
+    for (name, windowed, source) in counters {
+        assert_eq!(windowed, source.get(), "{name}");
+    }
+    let histograms: [(&str, &HistogramDelta, &Histogram); 6] = [
+        ("fault_latency", &w.fault_latency, &s.fault_latency),
+        ("retry_latency", &w.retry_latency, &s.retry_latency),
+        ("nic_read_latency", &w.nic_read_latency, &nic.read_latency),
+        ("nic_write_latency", &w.nic_write_latency, &nic.write_latency),
+        ("ipi_latency", &w.ipi_latency, &ipi.ipi_latency),
+        ("shootdown_latency", &w.shootdown_latency, &ipi.shootdown_latency),
+    ];
+    for (name, d, h) in histograms {
+        assert_eq!(
+            (d.count(), d.sum(), d.p50(), d.p99(), d.p999()),
+            (h.count(), h.sum(), h.p50(), h.p99(), h.p999()),
+            "{name}"
+        );
+    }
+    let times: [(&str, TimeStatDelta, &RefCell<TimeStat>); 6] = [
+        ("free_wait", w.free_wait, &s.free_wait),
+        ("breakdown_rdma", w.breakdown_rdma, &b.rdma),
+        ("breakdown_tlb", w.breakdown_tlb, &b.tlb),
+        ("breakdown_accounting", w.breakdown_accounting, &b.accounting),
+        ("breakdown_circulation", w.breakdown_circulation, &b.circulation),
+        ("breakdown_other", w.breakdown_other, &b.other),
+    ];
+    for (name, d, t) in times {
+        let t = t.borrow();
+        assert_eq!((d.count(), d.sum()), (t.count(), t.sum()), "{name}");
+    }
+
+    for (name, count) in [
+        ("transfer_retries", w.transfer_retries),
+        ("failover_reads", w.failover_reads),
+        ("rereplicated_pages", w.rereplicated_pages),
+        ("degraded_marks", w.degraded_marks),
+    ] {
+        assert!(count > 0, "{name} never fired, so its row is untested");
+    }
+}
