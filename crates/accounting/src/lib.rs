@@ -4,22 +4,22 @@
 //! system — both the fault-in path (inserting freshly faulted pages,
 //! `FP₃`) and the eviction path (scanning for victims, `EP₁`) hammer it,
 //! and the paper identifies contention on the system-wide LRU list as
-//! Challenge 2 (§3.3.2). This crate implements the designs the paper
-//! compares:
+//! Challenge 2 (§3.3.2). The one structure here covers the designs the
+//! paper compares through its partition count:
 //!
-//! - [`AccountingKind::GlobalLru`] — one active/inactive LRU pair behind a
-//!   single lock (Linux / Hermit / DiLOS);
-//! - [`AccountingKind::PartitionedLru`] — MAGE's per-evictor partitioned
-//!   LRU lists: insertion hashes the faulting CPU id to a partition,
-//!   evictors scan partitions round-robin from staggered starting indices
-//!   (§4.2.2); accuracy is deliberately traded for lock locality;
-//! - [`AccountingKind::FifoQueues`] — MAGE-Lnx's low-contention FIFO
-//!   queues with no accessed-bit recheck (§5.1), trading more accuracy
-//!   for even less list manipulation.
+//! - **1 partition** — one active/inactive LRU pair behind a single lock
+//!   (Linux / Hermit / DiLOS);
+//! - **n partitions** — MAGE's per-evictor partitioned lists: insertion
+//!   hashes the faulting CPU id to a partition, evictors scan partitions
+//!   round-robin from staggered starting indices (§4.2.2); accuracy is
+//!   deliberately traded for lock locality.
 //!
-//! Victim hotness is judged through a caller-supplied predicate reading
-//! (and clearing) the PTE accessed bit, so this crate stays independent of
-//! the page-table representation.
+//! Each partition holds a probation list and a protected list. Every scan
+//! asks a caller-supplied [`VictimProbe`] about each candidate; survivors
+//! move to the protected list. How a candidate is judged — the
+//! accessed-bit recheck, or none at all for MAGE-Lnx's FIFO queues (§5.1)
+//! — is the probe's business, so this crate stays independent of the
+//! page-table representation and of the eviction policy.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
@@ -70,73 +70,23 @@ impl Default for AccountingCosts {
     }
 }
 
-/// Which accounting structure a system uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccountingKind {
-    /// System-wide active/inactive LRU behind one lock.
-    GlobalLru,
-    /// `partitions` independent LRU lists (MAGE, §4.2.2).
-    PartitionedLru {
-        /// Number of independent lists.
-        partitions: usize,
-    },
-    /// `partitions` independent FIFO queues without accessed-bit rechecks
-    /// (MAGE-Lnx, §5.1).
-    FifoQueues {
-        /// Number of independent queues.
-        partitions: usize,
-    },
-    /// Classic CLOCK (second chance): one circular queue per partition;
-    /// hot pages rotate to the tail of the *same* queue instead of being
-    /// promoted to an active list.
-    Clock {
-        /// Number of independent clocks.
-        partitions: usize,
-    },
-    /// S3-FIFO-like (SOSP '23): a small probationary queue, a main queue
-    /// and a ghost list. The paper (§4.2.2) notes S3-FIFO wants
-    /// fine-grained access frequencies that page tables cannot provide;
-    /// this implementation honestly degrades it to the one-bit accessed
-    /// signal, so its accuracy advantage largely evaporates — which is
-    /// the paper's point.
-    S3Fifo {
-        /// Number of independent instances.
-        partitions: usize,
-    },
-}
-
-impl AccountingKind {
-    /// Number of independent partitions this kind maintains.
-    pub fn partitions(&self) -> usize {
-        match *self {
-            AccountingKind::GlobalLru => 1,
-            AccountingKind::PartitionedLru { partitions }
-            | AccountingKind::FifoQueues { partitions }
-            | AccountingKind::Clock { partitions }
-            | AccountingKind::S3Fifo { partitions } => partitions.max(1),
-        }
-    }
-}
-
 struct Lists {
-    /// The probationary queue. Under [`AccountingKind::S3Fifo`] this is
-    /// the *small* queue; the LRU designs use it as the inactive list.
+    /// The probationary (inactive) list; S3-FIFO's *small* queue.
     inactive: VecDeque<u64>,
-    /// The protected queue. Under [`AccountingKind::S3Fifo`] this is the
-    /// *main* queue; the LRU designs use it as the active list.
+    /// The protected (active) list; S3-FIFO's *main* queue.
     active: VecDeque<u64>,
 }
 
 /// A bounded FIFO of recently evicted pages — the S3-FIFO ghost queue
-/// (SOSP '23), shared by every accounting structure as the engine's
+/// (SOSP '23), kept by every accounting structure as the engine's
 /// *re-fault detector*: a page that faults back in while still on the
 /// ghost list was evicted too early.
 ///
-/// Under [`AccountingKind::S3Fifo`] the ghost additionally drives
-/// placement (a ghost hit admits the page straight to the main queue);
-/// under every other kind it is measurement-only, so the default paths
-/// keep their schedules bit-for-bit (membership updates are synchronous
-/// — no locks, no virtual time).
+/// When [`PageAccounting::new`] is asked to promote ghost hits, the ghost
+/// additionally drives placement (a ghost hit is admitted straight to the
+/// protected list); otherwise it is measurement-only, so the default
+/// paths keep their schedules bit-for-bit (membership updates are
+/// synchronous — no locks, no virtual time).
 ///
 /// Contents are mirrored in a `BTreeSet` so membership tests are
 /// `O(log n)`; the queue and the set always hold exactly the same pages.
@@ -231,7 +181,8 @@ pub struct AccountingStats {
 /// The page-accounting structure of a running system.
 pub struct PageAccounting {
     sim: SimHandle,
-    kind: AccountingKind,
+    /// Whether a ghost-hit insert skips probation (S3-FIFO's admission).
+    promote_ghost_hits: bool,
     costs: AccountingCosts,
     partitions: Vec<SimMutex<Lists>>,
     /// Engine-wide re-fault detector (see [`GhostList`]). Updated
@@ -242,13 +193,20 @@ pub struct PageAccounting {
 }
 
 impl PageAccounting {
-    /// Creates the accounting structure for `kind`.
-    pub fn new(sim: SimHandle, kind: AccountingKind, costs: AccountingCosts) -> Self {
-        let n = kind.partitions();
+    /// Creates an accounting structure with `partitions` independent
+    /// lists (at least one). With `promote_ghost_hits`, a page that faults
+    /// back while still on the ghost list is admitted straight to the
+    /// protected list (S3-FIFO's ghost-to-main rule).
+    pub fn new(
+        sim: SimHandle,
+        partitions: usize,
+        promote_ghost_hits: bool,
+        costs: AccountingCosts,
+    ) -> Self {
         PageAccounting {
-            kind,
+            promote_ghost_hits,
             costs,
-            partitions: (0..n)
+            partitions: (0..partitions.max(1))
                 .map(|_| {
                     SimMutex::new_named(
                         sim.clone(),
@@ -265,11 +223,6 @@ impl PageAccounting {
             stats: AccountingStats::default(),
             sim,
         }
-    }
-
-    /// The structure kind.
-    pub fn kind(&self) -> AccountingKind {
-        self.kind
     }
 
     /// Number of partitions.
@@ -323,22 +276,20 @@ impl PageAccounting {
     /// evicted pages, i.e. it was evicted too early.
     ///
     /// `core` is the CPU of the inserting thread; it selects the target
-    /// partition under the partitioned designs. The ghost check is
-    /// synchronous and happens for every kind; only
-    /// [`AccountingKind::S3Fifo`] also acts on it (a ghost hit admits the
-    /// page straight to the main queue instead of probation), so the
-    /// other kinds keep their event schedules bit-for-bit.
+    /// partition. The ghost check is synchronous and always happens; only
+    /// a structure built to promote ghost hits also acts on it (the page
+    /// skips probation), so the others keep their event schedules
+    /// bit-for-bit.
     pub async fn insert(&self, core: usize, vpn: u64) -> bool {
         let ghost_hit = self.ghost.borrow_mut().take(vpn);
         let idx = self.partition_for_insert(core);
         let mut lists = self.partitions[idx].lock().await;
         self.sim.sleep(self.costs.list_op_ns).await;
-        if ghost_hit && matches!(self.kind, AccountingKind::S3Fifo { .. }) {
-            // Ghost hit: the page was recently evicted and is back —
-            // admit it straight to the main queue.
+        if ghost_hit && self.promote_ghost_hits {
+            // The page was recently evicted and is back: protect it.
             lists.active.push_back(vpn);
         } else {
-            lists.inactive.push_back(vpn); // small/probationary queue
+            lists.inactive.push_back(vpn);
         }
         drop(lists);
         self.resident.set(self.resident.get() + 1);
@@ -350,11 +301,9 @@ impl PageAccounting {
     /// `round`-th scan cycle (`EP₁`).
     ///
     /// Pages are spliced off the list in batches *under* the lock (cheap
-    /// pointer work, like Linux's `isolate_lru_pages`), then the
-    /// accessed-bit recheck runs *off* the lock; hot pages get a second
-    /// chance and are re-added to the active list. Under
-    /// [`AccountingKind::FifoQueues`] the probe is not consulted (no
-    /// recheck — the accuracy trade of MAGE-Lnx).
+    /// pointer work, like Linux's `isolate_lru_pages`), then the probe
+    /// runs *off* the lock; pages it keeps get a second chance on the
+    /// protected list.
     ///
     /// `probe` reads **and ages** the page's reference state (see
     /// [`VictimProbe`]).
@@ -367,7 +316,6 @@ impl PageAccounting {
         out: &mut Vec<u64>,
     ) {
         let n = self.partitions.len();
-        let recheck = !matches!(self.kind, AccountingKind::FifoQueues { .. });
         let before = out.len();
         let target = before + want;
         // Staggered start + round-robin over partitions (§4.2.2). Allow a
@@ -388,20 +336,16 @@ impl PageAccounting {
                 tried += 1;
                 continue;
             }
-            // Recheck accessed bits off the lock.
+            // Probe the candidates off the lock.
             let mut hot = Vec::new();
             for vpn in isolated {
-                if recheck {
-                    self.sim.sleep(self.costs.scan_per_page_ns).await;
-                    self.stats.scanned.inc();
-                    if probe.test_and_age(vpn) {
-                        hot.push(vpn);
-                        continue;
-                    }
+                self.sim.sleep(self.costs.scan_per_page_ns).await;
+                self.stats.scanned.inc();
+                if probe.test_and_age(vpn) {
+                    hot.push(vpn);
                 } else {
-                    self.stats.scanned.inc();
+                    out.push(vpn);
                 }
-                out.push(vpn);
             }
             if !hot.is_empty() {
                 self.stats.reactivated.add(hot.len() as u64);
@@ -409,14 +353,7 @@ impl PageAccounting {
                 self.sim
                     .sleep(self.costs.list_op_ns + self.costs.pop_per_page_ns * hot.len() as u64)
                     .await;
-                match self.kind {
-                    // CLOCK rotates survivors to the tail of the same
-                    // circular queue.
-                    AccountingKind::Clock { .. } => lists.inactive.extend(hot),
-                    // S3-FIFO promotes probation survivors to main; the
-                    // others use an active list.
-                    _ => lists.active.extend(hot),
-                }
+                lists.active.extend(hot);
             }
             idx = (idx + 1) % n;
             tried += 1;
@@ -424,10 +361,10 @@ impl PageAccounting {
         let taken = (out.len() - before) as u64;
         if taken > 0 {
             // Remember the victims so a quick re-fault is detectable (and,
-            // under S3-FIFO, promoted to the main queue). Synchronous: no
-            // lock, no virtual time, so non-S3-FIFO schedules are
-            // unchanged. Pages evicted without passing through this scan
-            // path (e.g. direct removal) bypass the detector.
+            // when ghost hits are promoted, protected). Synchronous: no
+            // lock, no virtual time, so the schedule is unchanged. Pages
+            // evicted without passing through this scan path (e.g. direct
+            // removal) bypass the detector.
             let mut ghost = self.ghost.borrow_mut();
             for &vpn in &out[before..] {
                 ghost.record(vpn);
@@ -516,11 +453,12 @@ mod tests {
     use mage_sim::Simulation;
     use std::rc::Rc;
 
-    fn rig(kind: AccountingKind) -> (Simulation, Rc<PageAccounting>) {
+    fn rig(partitions: usize, promote_ghost_hits: bool) -> (Simulation, Rc<PageAccounting>) {
         let sim = Simulation::new();
         let acc = Rc::new(PageAccounting::new(
             sim.handle(),
-            kind,
+            partitions,
+            promote_ghost_hits,
             AccountingCosts::default(),
         ));
         (sim, acc)
@@ -528,7 +466,7 @@ mod tests {
 
     #[test]
     fn insert_then_evict_fifo_order() {
-        let (sim, acc) = rig(AccountingKind::GlobalLru);
+        let (sim, acc) = rig(1, false);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..10 {
@@ -543,7 +481,7 @@ mod tests {
 
     #[test]
     fn hot_pages_get_second_chance() {
-        let (sim, acc) = rig(AccountingKind::GlobalLru);
+        let (sim, acc) = rig(1, false);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..6 {
@@ -564,23 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_queues_ignore_hotness() {
-        let (sim, acc) = rig(AccountingKind::FifoQueues { partitions: 1 });
-        let a = Rc::clone(&acc);
-        sim.block_on(async move {
-            for vpn in 0..4 {
-                a.insert(0, vpn).await;
-            }
-            let mut victims = Vec::new();
-            a.take_victims(0, 0, 4, &|_| true, &mut victims).await;
-            assert_eq!(victims, vec![0, 1, 2, 3], "no recheck under FIFO");
-            assert_eq!(a.stats().reactivated.get(), 0);
-        });
-    }
-
-    #[test]
     fn partitioned_insert_spreads_by_core() {
-        let (sim, acc) = rig(AccountingKind::PartitionedLru { partitions: 4 });
+        let (sim, acc) = rig(4, false);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for core in 0..32usize {
@@ -597,7 +520,7 @@ mod tests {
 
     #[test]
     fn round_robin_scans_cover_all_partitions() {
-        let (sim, acc) = rig(AccountingKind::PartitionedLru { partitions: 4 });
+        let (sim, acc) = rig(4, false);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for core in 0..64usize {
@@ -618,8 +541,8 @@ mod tests {
     fn partitioned_lru_reduces_lock_waiting() {
         // 8 inserters + 2 scanners on 1 vs 8 partitions: aggregated lock
         // wait time must drop with partitioning.
-        fn run(kind: AccountingKind) -> u64 {
-            let (sim, acc) = rig(kind);
+        fn run(partitions: usize) -> u64 {
+            let (sim, acc) = rig(partitions, false);
             for core in 0..8usize {
                 let a = Rc::clone(&acc);
                 sim.spawn(async move {
@@ -640,8 +563,8 @@ mod tests {
             sim.run();
             acc.lock_wait_sum_ns()
         }
-        let global = run(AccountingKind::GlobalLru);
-        let partitioned = run(AccountingKind::PartitionedLru { partitions: 8 });
+        let global = run(1);
+        let partitioned = run(8);
         assert!(
             partitioned * 2 < global,
             "partitioned {partitioned} vs global {global}"
@@ -649,29 +572,8 @@ mod tests {
     }
 
     #[test]
-    fn clock_rotates_hot_pages_in_place() {
-        let (sim, acc) = rig(AccountingKind::Clock { partitions: 1 });
-        let a = Rc::clone(&acc);
-        sim.block_on(async move {
-            for vpn in 0..4 {
-                a.insert(0, vpn).await;
-            }
-            // Page 0 is hot once: it must survive the first scan and be
-            // re-evictable at the *tail* of the same queue.
-            let hot = std::cell::Cell::new(true);
-            let is_hot = |vpn: u64| vpn == 0 && hot.replace(false);
-            let mut victims = Vec::new();
-            a.take_victims(0, 0, 3, &is_hot, &mut victims).await;
-            assert_eq!(victims, vec![1, 2, 3], "hot page skipped");
-            victims.clear();
-            a.take_victims(0, 1, 1, &is_hot, &mut victims).await;
-            assert_eq!(victims, vec![0], "rotated page eventually evicted");
-        });
-    }
-
-    #[test]
-    fn s3fifo_ghost_promotes_refaulted_pages() {
-        let (sim, acc) = rig(AccountingKind::S3Fifo { partitions: 1 });
+    fn promoted_ghost_hits_skip_probation() {
+        let (sim, acc) = rig(1, true);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..4 {
@@ -680,8 +582,8 @@ mod tests {
             let mut victims = Vec::new();
             a.take_victims(0, 0, 2, &|_| false, &mut victims).await;
             assert_eq!(victims, vec![0, 1]);
-            // Page 0 refaults: the ghost hit must admit it to the main
-            // (active) queue, so the next probation scan prefers 2 and 3.
+            // Page 0 refaults: the ghost hit must admit it to the protected
+            // list, so the next probation scan prefers 2 and 3.
             assert!(a.insert(0, 0).await, "refault must report a ghost hit");
             victims.clear();
             a.take_victims(0, 1, 2, &|_| false, &mut victims).await;
@@ -690,10 +592,10 @@ mod tests {
     }
 
     #[test]
-    fn ghost_detects_refaults_for_every_kind() {
-        // The ghost list is measurement-only outside S3-FIFO, but the
-        // re-fault signal must still fire.
-        let (sim, acc) = rig(AccountingKind::GlobalLru);
+    fn ghost_detects_refaults_without_promotion() {
+        // The ghost list is measurement-only unless ghost hits are
+        // promoted, but the re-fault signal must still fire.
+        let (sim, acc) = rig(1, false);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..4 {
@@ -706,8 +608,8 @@ mod tests {
             assert!(a.ghost_contains(0) && a.ghost_contains(1));
             assert!(a.insert(0, 0).await, "refault detected");
             assert!(!a.ghost_contains(0), "ghost hit is consumed");
-            // Placement is unchanged under non-S3-FIFO kinds: page 0 sits
-            // at the probationary tail, not in the protected queue.
+            // Placement is unchanged without promotion: page 0 sits at the
+            // probationary tail, not on the protected list.
             let snap = a.queues_snapshot();
             assert_eq!(snap[0].0, vec![2, 3, 0]);
             assert!(snap[0].1.is_empty());
@@ -735,7 +637,7 @@ mod tests {
 
     #[test]
     fn remove_forgets_page() {
-        let (sim, acc) = rig(AccountingKind::GlobalLru);
+        let (sim, acc) = rig(1, false);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             a.insert(0, 7).await;

@@ -4,26 +4,18 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use mage_accounting::{AccountingCosts, AccountingKind, PageAccounting};
+use mage_accounting::{AccountingCosts, PageAccounting};
 use mage_sim::rng::SplitMix64;
 use mage_sim::Simulation;
 
-fn kind_from(idx: u8, partitions: usize) -> AccountingKind {
-    match idx % 3 {
-        0 => AccountingKind::GlobalLru,
-        1 => AccountingKind::PartitionedLru { partitions },
-        _ => AccountingKind::FifoQueues { partitions },
-    }
-}
-
 /// Every inserted page is eventually handed out exactly once as a victim
-/// (when nothing is hot), regardless of structure, partition count,
-/// interleaving, or batch sizes.
+/// (when nothing is hot — a FIFO probe), regardless of partition count,
+/// ghost-hit admission, interleaving, or batch sizes.
 #[test]
 fn pages_conserved_through_scans() {
     let rng = SplitMix64::new(0xC025_E12E);
     for case in 0..32u64 {
-        let kind_idx = rng.next_below(3) as u8;
+        let promote_ghost_hits = rng.next_below(2) == 1;
         let partitions = (1 + rng.next_below(8)) as usize;
         let pages = 1 + rng.next_below(399);
         let batch = (1 + rng.next_below(63)) as usize;
@@ -32,7 +24,8 @@ fn pages_conserved_through_scans() {
         let sim = Simulation::new();
         let acct = Rc::new(PageAccounting::new(
             sim.handle(),
-            kind_from(kind_idx, partitions),
+            partitions,
+            promote_ghost_hits,
             AccountingCosts::default(),
         ));
         // Insert from a rotating set of cores.
@@ -90,7 +83,8 @@ fn second_chance_defers_but_never_duplicates() {
         let sim = Simulation::new();
         let acct = Rc::new(PageAccounting::new(
             sim.handle(),
-            AccountingKind::GlobalLru,
+            1,
+            false,
             AccountingCosts::default(),
         ));
         let hot: Rc<RefCell<BTreeSet<u64>>> = Rc::new(RefCell::new(

@@ -8,10 +8,11 @@
 //!   linear scan: same membership, same eviction of the oldest entry,
 //!   same position refresh on re-record, and a hard capacity bound after
 //!   every step.
-//! * [`PageAccounting`] under [`AccountingKind::S3Fifo`] — a seeded
-//!   insert / take-victims / remove stream must uphold the structural
-//!   rules: the ghost list stays bounded, a ghost-hit insert lands in the
-//!   main (protected) queue and a cold insert in the small (probationary)
+//! * [`PageAccounting`] with and without ghost-hit promotion (S3-FIFO's
+//!   admission rule) — a seeded insert / take-victims / remove stream
+//!   must uphold the structural rules: the ghost list stays bounded, a
+//!   ghost-hit insert lands in the main (protected) queue exactly when
+//!   promotion is on and every other insert in the small (probationary)
 //!   queue, no VPN ever sits in two queues at once, and residency always
 //!   equals the total queued population.
 //!
@@ -20,7 +21,7 @@
 
 use std::rc::Rc;
 
-use mage_accounting::{AccountingCosts, AccountingKind, GhostList, PageAccounting};
+use mage_accounting::{AccountingCosts, GhostList, PageAccounting};
 use mage_sim::rng::SplitMix64;
 use mage_sim::Simulation;
 
@@ -107,11 +108,12 @@ fn ghost_list_matches_linear_shadow() {
 
 #[test]
 fn s3fifo_accounting_upholds_queue_rules() {
-    for seed in SEEDS {
+    for (seed, promote) in SEEDS.into_iter().flat_map(|s| [(s, true), (s, false)]) {
         let sim = Simulation::new();
         let acc = Rc::new(PageAccounting::new(
             sim.handle(),
-            AccountingKind::S3Fifo { partitions: 2 },
+            2,
+            promote,
             AccountingCosts::default(),
         ));
         let a = Rc::clone(&acc);
@@ -132,28 +134,29 @@ fn s3fifo_accounting_upholds_queue_rules() {
                         let hit = a.insert(rng.next_below(8) as usize, vpn).await;
                         assert_eq!(
                             hit, was_ghost,
-                            "seed {seed} step {step}: ghost hit misreported for {vpn}"
+                            "seed {seed} promote {promote} step {step}: ghost hit misreported for {vpn}"
                         );
                         resident.insert(vpn);
-                        // Promotion rule: ghost hits land in main
-                        // (protected), cold inserts in small (probation).
+                        // Promotion rule: promoted ghost hits land in main
+                        // (protected), every other insert in small
+                        // (probation).
                         let snap = a.queues_snapshot();
                         let in_main = snap.iter().any(|(_, main)| main.contains(&vpn));
                         let in_small = snap.iter().any(|(small, _)| small.contains(&vpn));
-                        if was_ghost {
+                        if was_ghost && promote {
                             assert!(
                                 in_main && !in_small,
-                                "seed {seed} step {step}: ghost hit {vpn} not promoted to main"
+                                "seed {seed} promote {promote} step {step}: ghost hit {vpn} not promoted to main"
                             );
                         } else {
                             assert!(
                                 in_small && !in_main,
-                                "seed {seed} step {step}: cold insert {vpn} not in probation"
+                                "seed {seed} promote {promote} step {step}: insert {vpn} not in probation"
                             );
                         }
                         assert!(
                             !a.ghost_contains(vpn),
-                            "seed {seed} step {step}: resident {vpn} still ghosted"
+                            "seed {seed} promote {promote} step {step}: resident {vpn} still ghosted"
                         );
                     }
                     5..=6 => {
@@ -166,11 +169,11 @@ fn s3fifo_accounting_upholds_queue_rules() {
                         for &v in &victims {
                             assert!(
                                 resident.remove(&v),
-                                "seed {seed} step {step}: victim {v} was not resident"
+                                "seed {seed} promote {promote} step {step}: victim {v} was not resident"
                             );
                             assert!(
                                 a.ghost_contains(v),
-                                "seed {seed} step {step}: victim {v} not ghosted"
+                                "seed {seed} promote {promote} step {step}: victim {v} not ghosted"
                             );
                         }
                     }
@@ -179,14 +182,14 @@ fn s3fifo_accounting_upholds_queue_rules() {
                         assert_eq!(
                             removed,
                             resident.remove(&vpn),
-                            "seed {seed} step {step}: remove({vpn}) disagreed"
+                            "seed {seed} promote {promote} step {step}: remove({vpn}) disagreed"
                         );
                     }
                 }
                 // Structural invariants after every op.
                 assert!(
                     a.ghost_len() <= GhostList::DEFAULT_CAP,
-                    "seed {seed} step {step}: ghost unbounded"
+                    "seed {seed} promote {promote} step {step}: ghost unbounded"
                 );
                 let snap = a.queues_snapshot();
                 let mut seen = std::collections::BTreeSet::new();
@@ -196,23 +199,23 @@ fn s3fifo_accounting_upholds_queue_rules() {
                         queued += 1;
                         assert!(
                             seen.insert(v),
-                            "seed {seed} step {step}: {v} present in two queues"
+                            "seed {seed} promote {promote} step {step}: {v} present in two queues"
                         );
                         assert!(
                             !a.ghost_contains(v),
-                            "seed {seed} step {step}: queued {v} also ghosted"
+                            "seed {seed} promote {promote} step {step}: queued {v} also ghosted"
                         );
                     }
                 }
                 assert_eq!(
                     queued,
                     a.resident_pages(),
-                    "seed {seed} step {step}: residency drifted from the queues"
+                    "seed {seed} promote {promote} step {step}: residency drifted from the queues"
                 );
                 assert_eq!(
                     seen,
                     resident,
-                    "seed {seed} step {step}: queue population drifted from the shadow"
+                    "seed {seed} promote {promote} step {step}: queue population drifted from the shadow"
                 );
             }
         });

@@ -78,9 +78,10 @@ pub struct ScalePoint {
     /// Process peak RSS (VmHWM) sampled after the run, KiB. The watermark
     /// is reset to the current RSS before each point (by writing `5` to
     /// `/proc/self/clear_refs`), so this is the peak RSS while the point
-    /// ran, including whatever earlier points left resident. Where that
-    /// write fails it is the peak over the whole process lifetime, so
-    /// later points can only report equal-or-higher values.
+    /// ran. Earlier points' machines are freed with their simulations;
+    /// what stays resident is heap the allocator kept for reuse. Where
+    /// the write fails it is the peak over the whole process lifetime,
+    /// so later points can only report equal-or-higher values.
     pub peak_rss_kb: u64,
 }
 

@@ -5,7 +5,8 @@
 //!
 //! | knob | Hermit | DiLOS | MAGE-Lib | MAGE-Lnx |
 //! |---|---|---|---|---|
-//! | accounting | global LRU | global LRU | partitioned LRU | FIFO queues |
+//! | accounting partitions | 1 | 1 | 8 | 8 |
+//! | victim policy | second chance | second chance | second chance | FIFO |
 //! | local alloc | per-CPU cache | global buddy | multi-layer | multi-layer |
 //! | remote alloc | swap lock | direct map | direct map | direct map |
 //! | VMA lock | global | none | none | sharded |
@@ -15,7 +16,6 @@
 //! | prefetch | readahead | readahead | readahead | none |
 //! | virtualized | no (bare metal) | yes | yes | yes |
 
-use mage_accounting::AccountingKind;
 use mage_fabric::{FaultPlan, NicConfig};
 use mage_mmu::VmaLockModel;
 use mage_palloc::LocalAllocatorKind;
@@ -43,23 +43,24 @@ pub enum RemoteAllocKind {
 pub enum EvictionPolicyKind {
     /// The paper's second-chance accessed-bit test (default everywhere).
     SecondChance,
-    /// Strict FIFO: no reference recheck at the policy level.
+    /// Strict FIFO: evict in scan order with no reference recheck
+    /// (MAGE-Lnx's FIFO queues, §5.1; its preset also zeroes the
+    /// per-page scan cost, since nothing is checked).
     Fifo,
     /// Aging-counter CLOCK: each hit grants `hot_rounds` grace rounds.
     AgingClock {
         /// Grace rounds granted per hit (1 behaves like second chance).
         hot_rounds: u8,
     },
-    /// S3-FIFO (SOSP '23): frequency-capped filter at the policy level,
-    /// fed re-fault signals from the accounting ghost list. Selecting
-    /// this kind also switches the accounting structure to
-    /// [`AccountingKind::S3Fifo`] at launch (preserving the configured
-    /// partition count) — the small/main/ghost queues *are* the
-    /// accounting structure, so the two halves ship as a pair.
+    /// S3-FIFO (SOSP '23): a 2-bit frequency filter recharged by re-fault
+    /// signals from the accounting ghost list. It also asks the
+    /// accounting structure to admit ghost hits straight to the protected
+    /// list, which makes the probation/protected pair S3-FIFO's
+    /// small/main queues — on any partition count and any preset.
     S3Fifo,
     /// NFU-with-aging LRU approximation: a page is evicted on the 8th
     /// cold scan after its last hit, when an 8-bit aging register would
-    /// decay to zero. Keeps the configured accounting structure.
+    /// decay to zero.
     ApproxLru,
     /// A user-provided policy; `build` is called once at machine launch.
     Custom {
@@ -151,11 +152,8 @@ impl BackendKind {
 pub enum PrefetchPolicy {
     /// No prefetching.
     None,
-    /// Sequential-pattern readahead with the given maximum window.
-    Readahead {
-        /// Maximum pages prefetched per trigger.
-        max_window: usize,
-    },
+    /// Sequential-pattern readahead, up to 8 pages per trigger.
+    Readahead,
 }
 
 /// Full configuration of one simulated far-memory system.
@@ -163,13 +161,15 @@ pub enum PrefetchPolicy {
 pub struct SystemConfig {
     /// Display name.
     pub name: &'static str,
-    /// Page-accounting structure (`EP₁`/`FP₃`).
-    pub accounting: AccountingKind,
+    /// Independent page-accounting lists (`EP₁`/`FP₃`): 1 is the global
+    /// LRU of Linux/Hermit/DiLOS, more is MAGE's partitioning (§4.2.2).
+    pub accounting_partitions: usize,
     /// Local frame-allocator stack (`FP₁`).
     pub local_alloc: LocalAllocatorKind,
     /// Remote-slot policy (`EP₃`), consumed by the RDMA backend.
     pub remote_alloc: RemoteAllocKind,
-    /// Victim-selection policy (`EP₁`).
+    /// Victim-selection policy (`EP₁`): how each scanned candidate is
+    /// judged.
     pub eviction_policy: EvictionPolicyKind,
     /// Far-memory backend (data movement + slot placement).
     pub backend: BackendKind,
@@ -242,7 +242,7 @@ impl SystemConfig {
     pub fn mage_lib() -> Self {
         SystemConfig {
             name: "MageLib",
-            accounting: AccountingKind::PartitionedLru { partitions: 8 },
+            accounting_partitions: 8,
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
@@ -272,10 +272,10 @@ impl SystemConfig {
     pub fn mage_lnx() -> Self {
         SystemConfig {
             name: "MageLnx",
-            accounting: AccountingKind::FifoQueues { partitions: 8 },
+            accounting_partitions: 8,
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
-            eviction_policy: EvictionPolicyKind::SecondChance,
+            eviction_policy: EvictionPolicyKind::Fifo,
             backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::Sharded(16),
             evictors: 4,
@@ -296,7 +296,12 @@ impl SystemConfig {
             break_publish: false,
             break_rereplication: false,
             retry: RetryPolicy::default(),
-            costs: CostModel::new(OsProfile::mage_lnx(), true),
+            costs: {
+                let mut costs = CostModel::new(OsProfile::mage_lnx(), true);
+                // FIFO queues check nothing per scanned page.
+                costs.accounting.scan_per_page_ns = 0;
+                costs
+            },
         }
     }
 
@@ -305,7 +310,7 @@ impl SystemConfig {
     pub fn hermit() -> Self {
         SystemConfig {
             name: "Hermit",
-            accounting: AccountingKind::GlobalLru,
+            accounting_partitions: 1,
             local_alloc: LocalAllocatorKind::PcpuCache,
             remote_alloc: RemoteAllocKind::SwapLock,
             eviction_policy: EvictionPolicyKind::SecondChance,
@@ -317,7 +322,7 @@ impl SystemConfig {
             pipelined_eviction: false,
             eviction_batch: 64,
             sync_eviction_batch: 32,
-            prefetch: PrefetchPolicy::Readahead { max_window: 8 },
+            prefetch: PrefetchPolicy::Readahead,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
@@ -336,7 +341,7 @@ impl SystemConfig {
     pub fn dilos() -> Self {
         SystemConfig {
             name: "DiLOS",
-            accounting: AccountingKind::GlobalLru,
+            accounting_partitions: 1,
             local_alloc: LocalAllocatorKind::GlobalBuddy,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
@@ -348,7 +353,7 @@ impl SystemConfig {
             pipelined_eviction: false,
             eviction_batch: 64,
             sync_eviction_batch: 32,
-            prefetch: PrefetchPolicy::Readahead { max_window: 8 },
+            prefetch: PrefetchPolicy::Readahead,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
@@ -368,7 +373,7 @@ impl SystemConfig {
             // Zero-cost partitioned LRU: the ideal system has perfect
             // (software-free) replacement, so it must keep second-chance
             // accuracy rather than FIFO's approximation.
-            accounting: AccountingKind::PartitionedLru { partitions: 8 },
+            accounting_partitions: 8,
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
@@ -396,7 +401,7 @@ impl SystemConfig {
     /// Enables readahead prefetching (used by MAGE-Lib in §6.2's
     /// sequential-scan experiment).
     pub fn with_prefetch(mut self) -> Self {
-        self.prefetch = PrefetchPolicy::Readahead { max_window: 8 };
+        self.prefetch = PrefetchPolicy::Readahead;
         self
     }
 
@@ -503,7 +508,8 @@ mod tests {
         assert_eq!(dilos.vma_lock, VmaLockModel::None);
 
         let lnx = SystemConfig::mage_lnx();
-        assert!(matches!(lnx.accounting, AccountingKind::FifoQueues { .. }));
+        assert!(matches!(lnx.eviction_policy, EvictionPolicyKind::Fifo));
+        assert_eq!(lnx.costs.accounting.scan_per_page_ns, 0, "no recheck, no scan cost");
         assert!(lnx.nic.gbps() < 150.0, "Linux stack bandwidth ceiling");
         assert_eq!(lnx.prefetch, PrefetchPolicy::None);
     }
@@ -526,7 +532,7 @@ mod tests {
                 ..RetryPolicy::default()
             });
         assert_eq!(cfg.eviction_batch, 128);
-        assert!(matches!(cfg.prefetch, PrefetchPolicy::Readahead { .. }));
+        assert_eq!(cfg.prefetch, PrefetchPolicy::Readahead);
         assert!(cfg.faults.is_active());
         assert_eq!(cfg.retry.max_retries, 5);
     }

@@ -122,17 +122,6 @@ pub struct CostModel {
     /// Per-page CPU cost of posting doorbell-batched eviction writes
     /// (much cheaper than a standalone post).
     pub evict_post_per_page_ns: Nanos,
-    /// Evictor idle backoff: how long an evictor sleeps when it finds no
-    /// work (no deficit / empty scan / stalled pipeline). A polling
-    /// cadence, not a service time — it must stay non-zero even in the
-    /// ideal model or idle evictors would spin without advancing time.
-    pub evictor_idle_ns: Nanos,
-    /// Sleep of a parked evictor (beyond the active pool) between checks
-    /// for having been scaled back in.
-    pub evictor_parked_ns: Nanos,
-    /// Poll interval of the feedback-directed scaling controller
-    /// (Hermit-style dynamic evictor pools).
-    pub scaling_poll_ns: Nanos,
 }
 
 impl CostModel {
@@ -151,9 +140,6 @@ impl CostModel {
             vma_lock_hold_ns: 120,
             hw_walk_ns: 60,
             evict_post_per_page_ns: 50,
-            evictor_idle_ns: 10_000,
-            evictor_parked_ns: 100_000,
-            scaling_poll_ns: 100_000,
         }
     }
 
@@ -187,12 +173,6 @@ impl CostModel {
             vma_lock_hold_ns: 0,
             hw_walk_ns: 0,
             evict_post_per_page_ns: 0,
-            // Polling cadences, not costs: identical to the calibrated
-            // model so the ideal system's evictors neither spin nor drift
-            // from the default schedule.
-            evictor_idle_ns: 10_000,
-            evictor_parked_ns: 100_000,
-            scaling_poll_ns: 100_000,
         }
     }
 }

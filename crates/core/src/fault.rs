@@ -490,15 +490,25 @@ mod tests {
                 .filter(|&v| e.pt.get(v).is_present())
                 .take(16)
                 .collect();
+            let resident = e.acct.resident_pages();
             let n = e.pageout(CoreId(0), &local).await;
             assert_eq!(n, 16);
+            assert_eq!(e.acct.resident_pages(), resident - 16, "paged-out pages still tracked");
             for &vpn in &local {
                 assert!(e.pt.get(vpn).is_remote(), "page {vpn:#x} still local");
                 assert!(!e.pt.get(vpn).locked(), "page {vpn:#x} left locked");
             }
-            // Accessing a paged-out page faults it back in.
+            // Accessing a paged-out page faults it back in, onto one list.
             let a = e.access(CoreId(1), local[0], false).await;
             assert!(matches!(a, Access::Major { .. }));
+            let entries = e
+                .acct
+                .queues_snapshot()
+                .iter()
+                .flat_map(|(probation, protected)| probation.iter().chain(protected))
+                .filter(|&&vpn| vpn == local[0])
+                .count();
+            assert_eq!(entries, 1, "refaulted page queued {entries} times");
         });
         // Populate marks local pages dirty, so all 16 were written back.
         assert!(engine.stats().writebacks.get() >= 16);

@@ -3,7 +3,7 @@
 //! DiLOS, Hermit and MAGE-Lib record past fault-in virtual addresses to
 //! detect sequential access patterns and proactively fetch upcoming pages
 //! (§6.2, "Applications with regular access patterns"). The window grows
-//! with the streak length up to the configured maximum. Prefetches run as
+//! with the streak length up to [`MAX_WINDOW`] pages. Prefetches run as
 //! detached tasks: they consume NIC bandwidth and free pages but add no
 //! latency to the faulting thread — which is exactly why prefetching only
 //! pays off when the eviction path can sustain the extra fault-in
@@ -16,6 +16,9 @@ use mage_mmu::{CoreId, Pte, PAGE_SIZE};
 use crate::config::PrefetchPolicy;
 use crate::events::PageEvent;
 use crate::machine::FarMemory;
+
+/// Most pages one readahead trigger prefetches.
+const MAX_WINDOW: u64 = 8;
 
 /// Per-core sequential-stream detector.
 pub(crate) struct StreamDetector {
@@ -34,7 +37,7 @@ impl StreamDetector {
     }
 
     /// Feeds a fault address; returns how many pages ahead to prefetch.
-    fn observe(&mut self, vpn: u64, max_window: usize) -> u64 {
+    fn observe(&mut self, vpn: u64) -> u64 {
         if vpn == self.last_vpn + 1 {
             self.streak += 1;
         } else {
@@ -46,7 +49,7 @@ impl StreamDetector {
             return 0;
         }
         // Exponential ramp-up capped at the window, like Linux readahead.
-        let window = (1u64 << self.streak.min(10)).min(max_window as u64);
+        let window = (1u64 << self.streak.min(10)).min(MAX_WINDOW);
         let target = vpn + window;
         if target <= self.prefetched_until {
             return 0;
@@ -61,12 +64,12 @@ impl FarMemory {
     /// Called at the end of a major fault: detect streams, spawn
     /// prefetches.
     pub(crate) fn maybe_prefetch(&self, core: CoreId, vpn: u64) {
-        let PrefetchPolicy::Readahead { max_window } = self.cfg.prefetch else {
+        if self.cfg.prefetch != PrefetchPolicy::Readahead {
             return;
-        };
+        }
         let count = {
             let mut detectors = self.prefetchers.borrow_mut();
-            detectors[core.index()].observe(vpn, max_window)
+            detectors[core.index()].observe(vpn)
         };
         if count == 0 {
             return;
@@ -161,31 +164,31 @@ mod tests {
     #[test]
     fn detector_needs_a_streak() {
         let mut d = StreamDetector::new();
-        assert_eq!(d.observe(100, 8), 0);
-        assert_eq!(d.observe(101, 8), 0);
+        assert_eq!(d.observe(100), 0);
+        assert_eq!(d.observe(101), 0);
         // Third sequential fault triggers readahead.
-        assert!(d.observe(102, 8) > 0);
+        assert!(d.observe(102) > 0);
     }
 
     #[test]
     fn detector_resets_on_random_jump() {
         let mut d = StreamDetector::new();
         for v in 100..105 {
-            d.observe(v, 8);
+            d.observe(v);
         }
-        assert_eq!(d.observe(9_000, 8), 0, "jump resets the streak");
-        assert_eq!(d.observe(9_001, 8), 0);
+        assert_eq!(d.observe(9_000), 0, "jump resets the streak");
+        assert_eq!(d.observe(9_001), 0);
     }
 
     #[test]
     fn window_does_not_refetch_covered_pages() {
         let mut d = StreamDetector::new();
-        d.observe(10, 8);
-        d.observe(11, 8);
-        let first = d.observe(12, 8);
+        d.observe(10);
+        d.observe(11);
+        let first = d.observe(12);
         assert!(first >= 1);
         // The next sequential fault extends, not repeats, the window.
-        let second = d.observe(13, 8);
+        let second = d.observe(13);
         assert!(second <= first + 1);
         let total_covered = d.prefetched_until;
         assert!(total_covered > 13);
@@ -196,8 +199,8 @@ mod tests {
         let mut d = StreamDetector::new();
         let mut max_step = 0;
         for v in 0..64 {
-            max_step = max_step.max(d.observe(v, 8));
+            max_step = max_step.max(d.observe(v));
         }
-        assert!(max_step <= 8, "window {max_step} exceeded cap");
+        assert!(max_step <= MAX_WINDOW, "window {max_step} exceeded cap");
     }
 }

@@ -373,12 +373,14 @@ impl FarMemory {
     /// analogue, the mechanism the paper's §3.2 microbenchmarks use to
     /// pre-evict pages). Runs the full unmap → shootdown → writeback →
     /// reclaim sequence synchronously on the calling core and returns the
-    /// number of pages actually paged out.
+    /// number of pages actually paged out. Each unmapped page also leaves
+    /// its accounting list, as a scan victim would.
     pub async fn pageout(&self, core: CoreId, vpns: &[u64]) -> usize {
         let mut batch = Vec::new();
         for &vpn in vpns {
             self.policy.note_pageout(&self.pt, vpn);
             if let Some(page) = self.unmap_candidate(vpn).await {
+                self.acct.remove(vpn).await;
                 batch.push(page);
             }
         }

@@ -17,9 +17,24 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use mage_mmu::{CoreId, FlushTicket};
+use mage_sim::time::Nanos;
 
 use crate::machine::FarMemory;
 use crate::reclaim::batch::{EvictPage, WritebackSet};
+
+/// How long an evictor sleeps when it finds no work (no deficit, empty
+/// scan, stalled pipeline). A polling cadence, not a service time, so
+/// the ideal model keeps it too: idle evictors must not spin without
+/// advancing time.
+const EVICTOR_IDLE_NS: Nanos = 10_000;
+
+/// Sleep of a parked evictor (beyond the active pool) between checks for
+/// having been scaled back in.
+const EVICTOR_PARKED_NS: Nanos = 100_000;
+
+/// Poll interval of the feedback-directed scaling controller
+/// (Hermit-style dynamic evictor pools).
+const SCALING_POLL_NS: Nanos = 100_000;
 
 /// In-flight state of a pipelined evictor: the TSB and RSB of §4.1.
 pub(crate) struct Pipeline {
@@ -55,14 +70,12 @@ impl FarMemory {
         let core = self.evictor_cores[id % self.evictor_cores.len()];
         let mut round = id; // staggered start (§4.2.2)
         let mut pipe = Pipeline::new();
-        let idle_ns = self.cfg.costs.evictor_idle_ns;
-        let parked_ns = self.cfg.costs.evictor_parked_ns;
         loop {
             if self.stop_flag.get() {
                 break;
             }
             if id >= self.active_evictors.get() {
-                self.sim.sleep(parked_ns).await;
+                self.sim.sleep(EVICTOR_PARKED_NS).await;
                 continue;
             }
             // A stalled allocator is a deficit even above the watermark:
@@ -78,11 +91,11 @@ impl FarMemory {
                     .pipeline_step(core, id, &mut round, &mut pipe, deficit)
                     .await;
                 if !progressed {
-                    self.sim.sleep(idle_ns).await;
+                    self.sim.sleep(EVICTOR_IDLE_NS).await;
                 }
             } else {
                 if !deficit {
-                    self.sim.sleep(idle_ns).await;
+                    self.sim.sleep(EVICTOR_IDLE_NS).await;
                     continue;
                 }
                 let outcome = self
@@ -90,7 +103,7 @@ impl FarMemory {
                     .await;
                 round += 1;
                 if outcome.pages == 0 {
-                    self.sim.sleep(idle_ns).await;
+                    self.sim.sleep(EVICTOR_IDLE_NS).await;
                 }
             }
         }
@@ -99,12 +112,11 @@ impl FarMemory {
     /// Hermit's feedback-directed controller: doubles the evictor pool
     /// when free pages run low, halves it when pressure subsides.
     pub(crate) async fn scaling_controller(self: Rc<Self>) {
-        let poll_ns = self.cfg.costs.scaling_poll_ns;
         loop {
             if self.stop_flag.get() {
                 break;
             }
-            self.sim.sleep(poll_ns).await;
+            self.sim.sleep(SCALING_POLL_NS).await;
             let free = self.alloc.free_frames();
             let active = self.active_evictors.get();
             if free < self.low_watermark && active < self.cfg.max_evictors {

@@ -2,13 +2,14 @@
 //!
 //! A policy answers one question — *is this candidate worth keeping
 //! resident for another round?* — by testing **and aging** the page's
-//! reference state. The accounting structures decide *which* candidates
-//! are inspected and in what order; the policy decides their fate. The
-//! split mirrors Linux: `isolate_lru_pages` picks candidates, the
-//! reference check decides reactivation.
+//! reference state. The accounting structure decides *which* candidates
+//! are inspected and in what order (its partition count is the other
+//! victim-selection knob); the policy decides their fate. The split
+//! mirrors Linux: `isolate_lru_pages` picks candidates, the reference
+//! check decides reactivation.
 //!
-//! Two mechanisms ship. [`Fifo`] evicts in scan order with no recheck.
-//! Every other built-in
+//! Two mechanisms ship. [`Fifo`] evicts in scan order with no recheck —
+//! MAGE-Lnx's FIFO queues (§5.1). Every other built-in
 //! [`EvictionPolicyKind`](crate::config::EvictionPolicyKind) is a preset
 //! of one counter mechanism (`CounterPolicy` below): a grace byte per
 //! local frame, charged when the accessed bit is set, decremented by a
@@ -25,8 +26,11 @@
 //! Cap 0 is the paper's second-chance test. An NFU aging register
 //! (`age = age >> 1 | accessed << 7`) always evicts on the 8th cold scan
 //! after the last hit, so the LRU approximation is cap 7. The S3-FIFO
-//! filter (SOSP '23) is a 2-bit saturating frequency; its small/main/ghost
-//! queues live in `mage_accounting::AccountingKind::S3Fifo`.
+//! filter (SOSP '23) is a 2-bit saturating frequency; a policy that
+//! recharges on a ghost hit also asks the accounting structure to admit
+//! ghost hits to its protected list
+//! ([`EvictionPolicy::promotes_ghost_hits`]), which is S3-FIFO's
+//! small/main/ghost queue rule.
 //! New policies implement [`EvictionPolicy`] and plug in through
 //! [`EvictionPolicyKind::Custom`](crate::config::EvictionPolicyKind) —
 //! no engine edits.
@@ -70,12 +74,19 @@ pub trait EvictionPolicy {
     /// first. Policies drop any state the page still holds; the default
     /// ignores the signal.
     fn note_pageout(&self, _pt: &PageTable, _vpn: u64) {}
+
+    /// Whether the accounting structure should admit a page that faults
+    /// back while still on its ghost list straight to the protected list,
+    /// skipping probation. Asked once at machine launch; the default
+    /// keeps ghost hits on probation.
+    fn promotes_ghost_hits(&self) -> bool {
+        false
+    }
 }
 
 /// Strict FIFO: candidates are evicted in scan order with no reference
-/// recheck at all (the policy-level analogue of MAGE-Lnx's FIFO queues —
-/// usable with any accounting structure). Accessed bits are still cleared
-/// so a later switch of policy starts from aged state.
+/// recheck at all — MAGE-Lnx's FIFO queues (§5.1). The accessed bit is
+/// neither read nor cleared: only policies read it.
 #[derive(Default)]
 pub struct Fifo;
 
@@ -84,8 +95,7 @@ impl EvictionPolicy for Fifo {
         "fifo"
     }
 
-    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
-        pt.update(vpn, |p| p.with_accessed(false));
+    fn test_and_age(&self, _pt: &PageTable, _vpn: u64) -> bool {
         false
     }
 }
@@ -106,10 +116,7 @@ impl EvictionPolicy for Fifo {
 ///   returned `false`, and that verdict leaves the counter at zero;
 /// - forced pageout, the one eviction without a probe, zeroes it first
 ///   ([`EvictionPolicy::note_pageout`]);
-/// - eviction cancels and requeued victims re-map the same frame;
-/// - `FifoQueues` accounting never calls the probe, so no counter is
-///   ever charged there (the one preset that charges outside a scan,
-///   `S3Fifo`, always runs on S3-FIFO accounting).
+/// - eviction cancels and requeued victims re-map the same frame.
 pub(crate) struct CounterPolicy {
     name: &'static str,
     increment: bool,
@@ -163,7 +170,8 @@ impl EvictionPolicy for CounterPolicy {
         let old = pt.update(vpn, |p| p.with_accessed(false));
         if self.cap == 0 || !old.is_present() {
             // No grace to count (second chance), or a candidate that
-            // forced pageout already took: the accessed bit decides.
+            // forced pageout took while a scan held it: the accessed bit
+            // decides.
             return old.accessed();
         }
         let mut counters = self.counters.borrow_mut();
@@ -194,6 +202,10 @@ impl EvictionPolicy for CounterPolicy {
             self.set(pt, vpn, 0);
         }
     }
+
+    fn promotes_ghost_hits(&self) -> bool {
+        self.refault_recharge
+    }
 }
 
 #[cfg(test)]
@@ -222,7 +234,7 @@ mod tests {
         let pt = table_with(9, true);
         let p = Fifo;
         assert!(!p.test_and_age(&pt, 9), "no recheck");
-        assert!(!pt.get(9).accessed(), "bit still aged");
+        assert!(pt.get(9).accessed(), "the accessed bit is left alone");
     }
 
     #[test]

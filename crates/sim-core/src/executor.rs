@@ -826,6 +826,23 @@ impl Default for Simulation {
     }
 }
 
+impl Drop for Simulation {
+    /// Drops every unfinished task. A parked task's future holds `Rc`s to
+    /// the components it drives, and those hold [`SimHandle`]s back to
+    /// this executor, so without this no simulated machine is ever freed.
+    /// The slab is taken out of its `RefCell` first: dropping a future
+    /// can run wake paths (a released lock serving its next waiter), and
+    /// those find an empty slab.
+    fn drop(&mut self) {
+        // simlint: allow(host-thread): only asks whether this thread is unwinding
+        if std::thread::panicking() {
+            return; // leak rather than risk a second panic mid-unwind
+        }
+        let tasks = std::mem::take(&mut *self.handle.core.tasks.borrow_mut());
+        drop(tasks);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

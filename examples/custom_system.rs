@@ -8,7 +8,6 @@
 //! cargo run --release --example custom_system
 //! ```
 
-use mage_far_memory::accounting::AccountingKind;
 use mage_far_memory::palloc::LocalAllocatorKind;
 use mage_far_memory::prelude::*;
 
@@ -30,7 +29,7 @@ fn main() {
     // + P3a: partitioned LRU lists.
     let mut partitioned = pipelined.clone();
     partitioned.name = "+LRU-part";
-    partitioned.accounting = AccountingKind::PartitionedLru { partitions: 8 };
+    partitioned.accounting_partitions = 8;
 
     // + P3b: multi-layer allocator => this is MAGE-Lib.
     let mut multilayer = partitioned.clone();
@@ -45,9 +44,10 @@ fn main() {
         .with_eviction_policy(EvictionPolicyKind::AgingClock { hot_rounds: 3 });
     aging.name = "+AgingClock";
 
-    // Policy-zoo swap: S3-FIFO pairs the scan probe with ghost-feedback
-    // accounting (small/main queues + bounded ghost list, DESIGN.md §12)
-    // so pages re-faulted shortly after eviction skip probation.
+    // Policy-zoo swap: S3-FIFO's frequency filter also admits ghost hits
+    // straight to the protected list (small/main queues + bounded ghost
+    // list, DESIGN.md §12), so pages re-faulted shortly after eviction
+    // skip probation.
     let mut s3fifo = multilayer
         .clone()
         .with_eviction_policy(EvictionPolicyKind::S3Fifo);

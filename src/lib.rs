@@ -11,7 +11,8 @@
 //! - [`mmu`] — page tables, TLBs, IPIs, address spaces,
 //! - [`palloc`] — buddy/per-CPU/multi-layer frame allocators, remote
 //!   allocators,
-//! - [`accounting`] — global/partitioned LRU and FIFO page accounting,
+//! - [`accounting`] — page accounting with one (global) or many
+//!   (partitioned) lists; the victim policy judges each scanned page,
 //! - [`engine`] — the far-memory engine (fault-in + eviction paths) and
 //!   system presets (MAGE-Lib, MAGE-Lnx, Hermit, DiLOS, ideal),
 //! - [`workloads`] — the paper's applications as access-pattern

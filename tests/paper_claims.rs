@@ -5,7 +5,6 @@
 //! numbers — so a regression in any mechanism (pipelining, partitioning,
 //! allocator layering, sync-eviction avoidance) fails loudly.
 
-use mage_far_memory::accounting::AccountingKind;
 use mage_far_memory::palloc::LocalAllocatorKind;
 use mage_far_memory::prelude::*;
 
@@ -185,7 +184,7 @@ fn ablation_steps_improve_monotonically_enough() {
     let pipelined = batch(pipelined_cfg.clone(), WorkloadKind::RandomGraph, 48, 0.6);
 
     let mut partitioned_cfg = pipelined_cfg.clone();
-    partitioned_cfg.accounting = AccountingKind::PartitionedLru { partitions: 8 };
+    partitioned_cfg.accounting_partitions = 8;
     let partitioned = batch(partitioned_cfg.clone(), WorkloadKind::RandomGraph, 48, 0.6);
 
     let mut full_cfg = partitioned_cfg;

@@ -95,27 +95,56 @@ fn every_policy_preserves_invariants() {
     }
 }
 
-/// Selecting the S3-FIFO policy must also install the matching
-/// small/main/ghost accounting structure, preserving the preset's
-/// partition count; other policies leave the accounting untouched.
+/// S3-FIFO's ghost-hit admission belongs to the policy, not the preset:
+/// on every preset (MAGE-Lnx's FIFO one included) a page that faults back
+/// while on the ghost list lands on the protected list exactly when the
+/// policy is S3-FIFO, and on probation under every other policy.
 #[test]
-fn s3fifo_policy_pairs_with_s3fifo_accounting() {
-    let system = SystemConfig::mage_lib().with_eviction_policy(EvictionPolicyKind::S3Fifo);
-    let (_sim, engine, _vma) = launch(system, 21);
-    assert_eq!(engine.eviction_policy().name(), "s3-fifo");
-    assert_eq!(
-        engine.accounting().kind(),
-        mage_far_memory::accounting::AccountingKind::S3Fifo { partitions: 8 },
-        "policy selection must switch the accounting structure"
-    );
-
-    let plain = SystemConfig::mage_lib().with_eviction_policy(EvictionPolicyKind::ApproxLru);
-    let (_sim2, engine2, _vma2) = launch(plain, 21);
-    assert_eq!(
-        engine2.accounting().kind(),
-        mage_far_memory::accounting::AccountingKind::PartitionedLru { partitions: 8 },
-        "non-S3-FIFO policies keep the preset accounting"
-    );
+fn ghost_hit_promotion_follows_the_policy_on_every_preset() {
+    let presets = [
+        SystemConfig::mage_lib,
+        SystemConfig::mage_lnx,
+        SystemConfig::hermit,
+        SystemConfig::dilos,
+        SystemConfig::ideal,
+    ];
+    let policies = [
+        EvictionPolicyKind::SecondChance,
+        EvictionPolicyKind::Fifo,
+        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
+        EvictionPolicyKind::S3Fifo,
+        EvictionPolicyKind::ApproxLru,
+    ];
+    for preset in presets {
+        for kind in policies {
+            let system = preset().with_eviction_policy(kind);
+            let label = format!("{} + {}", system.name, kind.name());
+            let (sim, engine, vma) = launch(system, 21);
+            let promotes = kind.name() == "s3-fifo";
+            assert_eq!(engine.eviction_policy().promotes_ghost_hits(), promotes, "{label}");
+            churn(&sim, &engine, &vma);
+            sim.run(); // the evictors see the shutdown and exit
+            let acct = engine.accounting();
+            let vpn = (0..vma.pages)
+                .map(|i| vma.start_vpn + i)
+                .find(|&v| {
+                    let pte = engine.page_table().get(v);
+                    acct.ghost_contains(v) && pte.is_remote() && !pte.locked()
+                })
+                .unwrap_or_else(|| panic!("{label}: no evicted page left on the ghost list"));
+            let e = Rc::clone(&engine);
+            let refault = sim.block_on(async move { e.access(CoreId(0), vpn, false).await });
+            assert!(matches!(refault, Access::Major { .. }), "{label}: {refault:?}");
+            let snap = acct.queues_snapshot();
+            let protected = snap.iter().any(|(_, p)| p.contains(&vpn));
+            let probation = snap.iter().any(|(p, _)| p.contains(&vpn));
+            assert_eq!(
+                (protected, probation),
+                (promotes, !promotes),
+                "{label}: ghost hit {vpn:#x} on the wrong list"
+            );
+        }
+    }
 }
 
 /// Same seed, same accesses: a policy swap changes *which* pages are
@@ -300,6 +329,38 @@ fn zero_fault_path_matches_pre_fault_layer_golden_values() {
     assert!(rb.re_faults > 0, "hermit/Gups churn must observe re-faults");
     assert!(ra.ghost_hits >= ra.re_faults, "re-faults are ghost hits");
     assert!(rb.ghost_hits >= rb.re_faults, "re-faults are ghost hits");
+}
+
+/// MAGE-Lnx golden: its FIFO queues (no accessed-bit recheck) must keep
+/// this schedule, executor polls included, whatever the representation
+/// of the victim-selection path.
+#[test]
+fn mage_lnx_matches_golden_values() {
+    use mage_far_memory::workloads::runner::{run_batch, RunConfig};
+    use mage_far_memory::workloads::WorkloadKind;
+
+    let mut c = RunConfig::new(SystemConfig::mage_lnx(), WorkloadKind::RandomGraph, 8, 16_384, 0.5);
+    c.ops_per_thread = 4_000;
+    c.warmup_ops = 1_000;
+    c.seed = 7;
+    let r = run_batch(&c);
+    let got = (
+        r.runtime_ns,
+        r.total_ops,
+        r.major_faults,
+        r.fault_p50_ns,
+        r.fault_p99_ns,
+        r.evicted_pages,
+        r.sync_evictions,
+        r.evict_cancels,
+        r.fault_mean_ns.to_bits(),
+        r.executor_polls,
+    );
+    assert_eq!(
+        got,
+        (5_885_292, 32_000, 6_170, 6_271, 6_655, 5_939, 0, 205, 4_663_460_517_660_057_974, 129_877),
+        "mage_lnx/RandomGraph drifted from the pinned schedule"
+    );
 }
 
 /// A user-supplied policy plugs in through `EvictionPolicyKind::Custom`.
