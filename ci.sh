@@ -69,50 +69,13 @@ cargo run -q -p simlint -- crates/simlint/fixtures/hotpath_ok >/dev/null 2>&1 ||
     exit 1
 }
 
-echo "==> bench smoke (hot-loop harness, quick mode; validates BENCH_hotloop.json schema)"
-# Writes the quick-mode report to target/ — the committed BENCH_hotloop.json
-# at the repo root comes from a full run (see README "Benchmarking").
-cargo run -q --release -p mage-bench --bin hotloop -- --quick --out target/bench_hotloop_smoke.json >/dev/null
-test -s target/bench_hotloop_smoke.json || {
-    echo "error: bench smoke did not produce target/bench_hotloop_smoke.json" >&2
-    exit 1
-}
-
-echo "==> policy-ablation smoke (eviction-policy zoo, quick mode; validates BENCH_policies.json schema)"
-# Quick-mode sweep of the fig17-style policy × workload × local-fraction
-# cube. The committed BENCH_policies.json comes from a full run (see
-# EXPERIMENTS.md "Eviction-policy ablation").
-cargo run -q --release -p mage-bench --bin policies -- --quick --out target/bench_policies_smoke.json >/dev/null
-test -s target/bench_policies_smoke.json || {
-    echo "error: policy ablation smoke did not produce target/bench_policies_smoke.json" >&2
-    exit 1
-}
-
-echo "==> policy-ablation golden (the full cube must reproduce BENCH_policies.json byte for byte)"
-# Every cell is virtual time, so any change to a policy, the accounting
-# structures or the ghost list that moves one eviction shows up here.
-cargo run -q --release -p mage-bench --bin policies -- --out target/bench_policies_full.json >/dev/null
-cmp target/bench_policies_full.json BENCH_policies.json || {
-    echo "error: the policy cube no longer reproduces the committed BENCH_policies.json" >&2
-    exit 1
-}
-
 echo "==> benchmark tests (benchsuite/ builds against the workspace's public API)"
 cargo test -q --release --manifest-path benchsuite/Cargo.toml
 
-echo "==> scale smoke (terabyte-scale sparse-metadata harness, quick mode; validates BENCH_scale.json schema)"
-# Quick mode shrinks the per-point work but keeps the nominal capacities
-# at full scale (256 vcores, 2^26-page keyspace, 1M connections,
-# 2^40-page space), so any dense O(capacity) metadata regression fails
-# here. The committed BENCH_scale.json comes from a full run (see
-# EXPERIMENTS.md "Scale sweep"). The sparse regression test drives the
-# same property end to end through the engine and the batch runner.
+echo "==> sparse-metadata regression (O(touched) host metadata through the engine and the batch runner)"
+# The committed policy cube and scale sweep are goldens in
+# crates/bench/tests/committed_reports.rs, run by the workspace stage above.
 cargo test -q --release --test scale_sparse >/dev/null
-cargo run -q --release -p mage-bench --bin scale -- --quick --out target/bench_scale_smoke.json >/dev/null
-test -s target/bench_scale_smoke.json || {
-    echo "error: scale smoke did not produce target/bench_scale_smoke.json" >&2
-    exit 1
-}
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

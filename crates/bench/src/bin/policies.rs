@@ -3,18 +3,17 @@
 //! see `mage_workloads::ablation`).
 //!
 //! ```sh
-//! cargo run --release -p mage-bench --bin policies            # full run
-//! cargo run --release -p mage-bench --bin policies -- --quick # smoke
+//! cargo run --release -p mage-bench --bin policies
 //! ```
 //!
 //! Flags:
-//! * `--quick` — scaled-down cells (CI smoke; ids stay comparable).
 //! * `--out <path>` — output path (default: `<repo>/BENCH_policies.json`).
 //!
-//! Every metric is virtual-time, so the full report is bit-reproducible
-//! across hosts. Full mode additionally asserts that S3-FIFO wins at
-//! least one `(workload, fraction)` group on re-fault rate — the claim
-//! the committed report exists to document.
+//! Every metric is virtual-time, so the report is bit-reproducible
+//! across hosts; `tests/committed_reports.rs` regenerates it and compares
+//! it with the committed file byte for byte. The run asserts that
+//! S3-FIFO wins at least one `(workload, fraction)` group on re-fault
+//! rate — the claim the committed report exists to document.
 
 use std::path::{Path, PathBuf};
 
@@ -29,12 +28,10 @@ fn workspace_root() -> PathBuf {
 }
 
 fn main() {
-    let mut quick = false;
     let mut out_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
             "--out" => out_path = Some(PathBuf::from(args.next().expect("--out needs a path"))),
             other => {
                 eprintln!("policies: unknown flag {other}");
@@ -44,21 +41,16 @@ fn main() {
     }
     let out_path = out_path.unwrap_or_else(|| workspace_root().join("BENCH_policies.json"));
 
-    eprintln!(
-        "policies: running the {} ablation cube...",
-        if quick { "quick" } else { "full" }
-    );
-    let cells = run_ablation(quick);
+    eprintln!("policies: running the ablation cube...");
+    let cells = run_ablation();
 
-    let json = render_json(&cells, quick);
+    let json = render_json(&cells);
     validate_report(&json).expect("emitted report must validate against its own schema");
     let wins = s3fifo_win_cells(&cells);
-    if !quick {
-        assert!(
-            !wins.is_empty(),
-            "full ablation must show S3-FIFO winning at least one cell on re-fault rate"
-        );
-    }
+    assert!(
+        !wins.is_empty(),
+        "the ablation must show S3-FIFO winning at least one cell on re-fault rate"
+    );
     std::fs::write(&out_path, &json).expect("write BENCH_policies.json");
 
     for c in &cells {

@@ -11,7 +11,6 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-pub mod hotloop;
 pub mod scale_bench;
 
 /// Collects one experiment's rows and emits table + CSV.

@@ -1,8 +1,17 @@
-//! The committed benchmark reports must stay valid under their own
-//! validators: each file parses as one JSON document with the expected
-//! row count, and a truncated copy is rejected.
+//! The committed benchmark reports are goldens. Each file must pass its
+//! own validator (and a truncated copy must not), and a fresh run must
+//! reproduce it: the policy cube byte for byte, the scale sweep's model
+//! fields exactly and its peak RSS within a bound.
 
 use std::path::Path;
+use std::process::Command;
+
+use mage_sim::json::{self, Value};
+
+/// Peak RSS a fresh scale point may reach, as a multiple of the
+/// committed value. Host noise in VmHWM is a few percent; a leak that
+/// keeps a machine alive roughly doubles it.
+const RSS_BOUND: f64 = 1.25;
 
 fn committed(rel: &str) -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -23,20 +32,6 @@ fn check<T>(rel: &str, rows: usize, validate: fn(&str) -> Result<Vec<T>, String>
 }
 
 #[test]
-fn hotloop_reports_validate() {
-    check(
-        "BENCH_hotloop.json",
-        9,
-        mage_bench::hotloop::validate_report,
-    );
-    check(
-        "crates/bench/baseline/hotloop_baseline.json",
-        9,
-        mage_bench::hotloop::validate_report,
-    );
-}
-
-#[test]
 fn scale_report_validates() {
     check(
         "BENCH_scale.json",
@@ -52,4 +47,70 @@ fn policies_report_validates() {
         30,
         mage_workloads::ablation::validate_report,
     );
+}
+
+/// Every cell is virtual time, so any change to a policy, the accounting
+/// lists or the ghost list that moves one eviction shows up here.
+#[test]
+fn policy_cube_reproduces_committed_report() {
+    use mage_workloads::ablation::{render_json, run_ablation, s3fifo_win_cells};
+    let cells = run_ablation();
+    assert!(
+        !s3fifo_win_cells(&cells).is_empty(),
+        "S3-FIFO must win at least one (workload, fraction) group on re-fault rate"
+    );
+    assert_eq!(
+        render_json(&cells),
+        committed("BENCH_policies.json"),
+        "the policy cube no longer reproduces BENCH_policies.json; \
+         regenerate it with `cargo run --release -p mage-bench --bin policies` \
+         only for a change meant to move evictions"
+    );
+}
+
+/// Runs the `scale` binary and compares each point with the committed
+/// one: `model` must match exactly, `host.peak_rss_kb` within
+/// [`RSS_BOUND`]. Wall time is not checked.
+#[test]
+fn scale_sweep_reproduces_committed_model() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_scale.json");
+    let run = Command::new(env!("CARGO_BIN_EXE_scale"))
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("start the scale binary");
+    assert!(
+        run.status.success(),
+        "scale exited with {}: {}",
+        run.status,
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let fresh = std::fs::read_to_string(&out).expect("read the fresh scale report");
+
+    let committed = json::parse(&committed("BENCH_scale.json")).expect("committed report parses");
+    let fresh = json::parse(&fresh).expect("fresh report parses");
+    let old_points = committed.array_at("points").expect("committed points");
+    let new_points = fresh.array_at("points").expect("fresh points");
+    assert_eq!(old_points.len(), new_points.len(), "scale point count");
+    for (old, new) in old_points.iter().zip(new_points) {
+        let id = old.str_at("id").expect("committed point id");
+        assert_eq!(new.str_at("id"), Ok(id), "scale point order");
+        assert_eq!(
+            new.get("model"),
+            old.get("model"),
+            "{id}: model fields differ from BENCH_scale.json"
+        );
+        let rss = |p: &Value| {
+            p.get("host")
+                .and_then(|h| h.u64_at("peak_rss_kb").ok())
+                .expect("host.peak_rss_kb")
+        };
+        let bound = rss(old) as f64 * RSS_BOUND;
+        assert!(
+            rss(new) as f64 <= bound,
+            "{id}: peak RSS {} KiB exceeds {RSS_BOUND}× the committed {} KiB",
+            rss(new),
+            rss(old)
+        );
+    }
 }

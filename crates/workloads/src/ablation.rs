@@ -12,12 +12,13 @@
 //!
 //! All metrics are virtual-time quantities from
 //! [`RunReport`](crate::runner::RunReport) measurement
-//! windows — unlike the hotloop harness there is no wall clock anywhere,
-//! so the committed report is bit-reproducible across hosts.
+//! windows — there is no wall clock anywhere, so the committed report is
+//! bit-reproducible across hosts, and `mage-bench`'s
+//! `committed_reports` test regenerates it byte for byte.
 //!
 //! The emitted JSON (`schema: mage-bench-policies/v1`) is hand-rolled —
 //! the workspace has no serde — and read back through `mage_sim::json`
-//! for validation and the CI smoke stage.
+//! for validation.
 
 use mage::{EvictionPolicyKind, SystemConfig};
 use mage_mmu::Topology;
@@ -84,23 +85,14 @@ pub struct PolicyCell {
     pub fault_p99_ns: u64,
 }
 
-fn run_cell(
-    policy: EvictionPolicyKind,
-    kind: WorkloadKind,
-    local_frac: f64,
-    quick: bool,
-) -> PolicyCell {
-    let (wss, ops, threads) = if quick {
-        (2_048, 512, 2)
-    } else {
-        (8_192, 2_048, 4)
-    };
+fn run_cell(policy: EvictionPolicyKind, kind: WorkloadKind, local_frac: f64) -> PolicyCell {
+    const OPS: u64 = 2_048;
     let system = SystemConfig::mage_lib().with_eviction_policy(policy);
-    let mut cfg = RunConfig::new(system, kind, threads, wss, local_frac);
-    cfg.ops_per_thread = ops;
+    let mut cfg = RunConfig::new(system, kind, 4, 8_192, local_frac);
+    cfg.ops_per_thread = OPS;
     // Let residency converge to the access distribution before measuring,
     // so the window sees steady-state policy behaviour, not cold start.
-    cfg.warmup_ops = ops / 4;
+    cfg.warmup_ops = OPS / 4;
     cfg.seed = 0xAB1A;
     cfg.topo = Topology::single_socket(16);
     let report = run_batch(&cfg);
@@ -117,14 +109,13 @@ fn run_cell(
     }
 }
 
-/// Runs the full cube. `quick` shrinks every cell (~10× less work) for
-/// the CI smoke stage; cell ids are identical in both modes.
-pub fn run_ablation(quick: bool) -> Vec<PolicyCell> {
+/// Runs the full cube.
+pub fn run_ablation() -> Vec<PolicyCell> {
     let mut cells = Vec::new();
     for kind in workloads() {
         for &frac in &LOCAL_FRACTIONS {
             for policy in policies() {
-                cells.push(run_cell(policy, kind, frac, quick));
+                cells.push(run_cell(policy, kind, frac));
             }
         }
     }
@@ -157,15 +148,14 @@ pub fn s3fifo_win_cells(cells: &[PolicyCell]) -> Vec<(&'static str, f64)> {
     wins
 }
 
-/// Renders the cells as `mage-bench-policies/v1` JSON.
-pub fn render_json(cells: &[PolicyCell], quick: bool) -> String {
+/// Renders the cells as `mage-bench-policies/v1` JSON. The constant
+/// `"mode": "full"` line is part of the v1 schema, which the committed
+/// report is checked against byte for byte.
+pub fn render_json(cells: &[PolicyCell]) -> String {
     let mut out = String::with_capacity(8192);
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
+    out.push_str("  \"mode\": \"full\",\n");
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let mut line = format!(
@@ -288,7 +278,7 @@ mod tests {
                 }
             }
         }
-        let json = render_json(&cells, true);
+        let json = render_json(&cells);
         let rows = validate_report(&json).expect("synthetic report validates");
         assert_eq!(rows.len(), cells.len());
         // S3-FIFO is listed last (highest synthetic rate) => no wins.

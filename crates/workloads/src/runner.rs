@@ -169,8 +169,8 @@ pub struct RunReport {
     /// Chrome `trace_event` JSON of the run, when
     /// [`RunConfig::capture_trace`] was set.
     pub trace_json: Option<String>,
-    /// Total executor task polls the run performed — the discrete-event
-    /// count behind the wall-clock events/sec figure in `BENCH_*.json`.
+    /// Total executor task polls the run performed — the simulator's
+    /// discrete-event count (`events` in `BENCH_scale.json`).
     pub executor_polls: u64,
     /// Page-table nodes allocated by the end of the run (host-metadata
     /// gauge: O(touched pages), never O(address-space span)).
