@@ -51,7 +51,7 @@ fn main() {
             name.to_string(),
             f2(r.mops()),
             r.major_faults.to_string(),
-            r.evict_cancels.to_string(),
+            r.window.evict_cancels.to_string(),
         ]);
     }
     exp.finish();

@@ -61,7 +61,7 @@ fn main() {
                 base[i] = r.mops();
             }
             if far_pct == 10 {
-                fault_note.push((i, r.major_faults, r.prefetches));
+                fault_note.push((i, r.major_faults, r.window.prefetches));
             }
             cells.push(f2(100.0 * r.mops() / base[i]));
         }

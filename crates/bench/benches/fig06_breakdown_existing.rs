@@ -34,7 +34,7 @@ fn main() {
             cfg.all_remote = true;
             cfg.ops_per_thread = scale::STORM_WSS / threads as u64;
             let r = run_batch(&cfg);
-            let b = r.breakdown;
+            let b = r.window.breakdown_means();
             exp.row(vec![
                 name.to_string(),
                 threads.to_string(),

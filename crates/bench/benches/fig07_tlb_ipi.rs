@@ -32,8 +32,8 @@ fn main() {
             cfg.all_remote = true;
             cfg.ops_per_thread = scale::STORM_WSS / threads as u64;
             let r = run_batch(&cfg);
-            cells.push(f1(r.shootdown_mean_ns / 1e3));
-            cells.push(f1(r.ipi_mean_ns / 1e3));
+            cells.push(f1(r.window.shootdown_latency.mean() / 1e3));
+            cells.push(f1(r.window.ipi_latency.mean() / 1e3));
         }
         exp.row(cells);
     }

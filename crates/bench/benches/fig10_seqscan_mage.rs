@@ -54,7 +54,8 @@ fn main() {
                 base[i] = r.mops();
             }
             if far_pct == 10 {
-                notes.push((*name, r.major_faults, r.prefetches, r.fault_mean_ns));
+                let w = &r.window;
+                notes.push((*name, r.major_faults, w.prefetches, w.fault_latency.mean()));
             }
             cells.push(f2(100.0 * r.mops() / base[i]));
         }

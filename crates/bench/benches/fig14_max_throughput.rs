@@ -46,12 +46,12 @@ fn main() {
         let r = run_batch(&cfg);
         exp.row(vec![
             name.to_string(),
-            f1(r.read_gbps),
+            f1(r.read_gbps()),
             format!("{:.2}", r.fault_mops()),
-            f1(r.fault_p50_ns as f64 / 1e3),
+            f1(r.window.fault_latency.p50() as f64 / 1e3),
             f1(r.fault_p99_ns as f64 / 1e3),
             r.sync_evictions.to_string(),
-            r.evict_cancels.to_string(),
+            r.window.evict_cancels.to_string(),
         ]);
     }
     exp.finish();

@@ -27,8 +27,8 @@
 use std::rc::Rc;
 
 use mage::{
-    EventSink, EvictionPolicyKind, FarMemory, MachineParams, ReplicationConfig, RetryPolicy,
-    SystemConfig,
+    EventSink, EvictionPolicyKind, FarMemory, MachineParams, PlantedBug, ReplicationConfig,
+    RetryPolicy, SystemConfig,
 };
 use mage_fabric::FaultPlan;
 use mage_mmu::{CoreId, Topology};
@@ -197,23 +197,16 @@ pub struct CheckOptions {
     /// uphold the same oracles; sweeping this knob checks each member
     /// under adversarial schedules, not just the default.
     pub eviction_policy: EvictionPolicyKind,
-    /// Test-only: resurrect the historical settlement double-count bug
-    /// (`SystemConfig::with_broken_settlement`) to prove the oracle and
-    /// shrinker catch a real defect.
-    pub break_settlement: bool,
-    /// Test-only: plant the unlocked PTE re-publish bug
-    /// (`SystemConfig::with_broken_publish`) to prove the simsan race
-    /// oracle catches an ordering defect no functional check can see.
-    pub break_publish: bool,
     /// Run every cell on a [`ReplicatedBackend`](mage::ReplicatedBackend)
     /// over two memory nodes with staggered per-node crash windows, and
     /// register the replica-state invariants.
     pub replicate: bool,
-    /// Test-only: plant the skipped-backup-repair bug
-    /// (`SystemConfig::with_broken_rereplication`) to prove the
-    /// replica-coverage invariant catches a node-kill data-loss defect.
-    /// Implies nothing unless `replicate` is set.
-    pub break_rereplication: bool,
+    /// Test-only: plant a known bug ([`SystemConfig::with_planted_bug`])
+    /// to prove the oracles catch and shrink it: `Settlement` trips the
+    /// settlement identity, `Publish` the simsan race oracle, and
+    /// `Rereplication` (which needs `replicate`) the replica-coverage
+    /// invariant.
+    pub planted_bug: Option<PlantedBug>,
 }
 
 impl Default for CheckOptions {
@@ -225,10 +218,8 @@ impl Default for CheckOptions {
             eviction_batch: 16,
             max_polls_per_phase: 4_000_000,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            break_settlement: false,
-            break_publish: false,
             replicate: false,
-            break_rereplication: false,
+            planted_bug: None,
         }
     }
 }
@@ -398,16 +389,17 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
         max_retries: 2,
         ..RetryPolicy::default()
     };
+    assert!(
+        opts.replicate || opts.planted_bug != Some(PlantedBug::Rereplication),
+        "PlantedBug::Rereplication needs `replicate`: a single-copy backend has no repairs to skip"
+    );
     let mut cfg = SystemConfig::mage_lib()
         .with_eviction_policy(opts.eviction_policy)
         .with_eviction_batch(opts.eviction_batch)
         .with_faults(plan)
         .with_retry(retry);
-    if opts.break_settlement {
-        cfg = cfg.with_broken_settlement();
-    }
-    if opts.break_publish {
-        cfg = cfg.with_broken_publish();
+    if let Some(bug) = opts.planted_bug {
+        cfg = cfg.with_planted_bug(bug);
     }
     if opts.replicate {
         // Two nodes with provably disjoint 30 µs crash windows per 150 µs
@@ -422,9 +414,6 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
             nodes,
             repair_poll_ns: 5_000,
         });
-        if opts.break_rereplication {
-            cfg = cfg.with_broken_rereplication();
-        }
     }
     let cores = (cell.threads + cfg.max_evictors) as u32;
 
@@ -644,7 +633,7 @@ mod tests {
     #[test]
     fn broken_settlement_is_caught() {
         let opts = CheckOptions {
-            break_settlement: true,
+            planted_bug: Some(PlantedBug::Settlement),
             ..quick_opts()
         };
         let err = run_cell(&Cell::default(), &opts).unwrap_err();
@@ -665,7 +654,7 @@ mod tests {
     fn broken_rereplication_is_caught() {
         let opts = CheckOptions {
             replicate: true,
-            break_rereplication: true,
+            planted_bug: Some(PlantedBug::Rereplication),
             phases: 2,
             ..quick_opts()
         };
@@ -674,9 +663,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "PlantedBug::Rereplication needs `replicate`")]
+    fn rereplication_bug_without_replicas_is_rejected() {
+        let opts = CheckOptions {
+            planted_bug: Some(PlantedBug::Rereplication),
+            ..quick_opts()
+        };
+        let _ = run_cell(&Cell::default(), &opts);
+    }
+
+    #[test]
     fn broken_publish_is_caught_as_a_data_race() {
         let opts = CheckOptions {
-            break_publish: true,
+            planted_bug: Some(PlantedBug::Publish),
             ..quick_opts()
         };
         let err = run_cell(&Cell::default(), &opts).unwrap_err();

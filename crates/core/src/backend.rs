@@ -390,7 +390,7 @@ struct ReplicaTable {
     states: RefCell<PageMap<[ReplicaState; 2]>>,
     stats: ReplicationStats,
     stop: Cell<bool>,
-    break_rereplication: bool,
+    skip_backup_repairs: bool,
 }
 
 impl ReplicaTable {
@@ -477,7 +477,7 @@ impl ReplicaTable {
 
     /// Degraded replicas that can be repaired right now: their home node
     /// is reachable and the page still has a Synced copy to read from.
-    /// The planted `break_rereplication` bug silently skips backup-slot
+    /// The planted `PlantedBug::Rereplication` bug silently skips backup-slot
     /// repairs — exactly the "works until the other node also blinks"
     /// failure the ≥1-synced-replica invariant exists to catch.
     /// Repair order is part of the schedule: the scan walks tracked
@@ -496,7 +496,7 @@ impl ReplicaTable {
                 if *st != ReplicaState::Degraded {
                     continue;
                 }
-                if self.break_rereplication && slot == 1 {
+                if self.skip_backup_repairs && slot == 1 {
                     continue;
                 }
                 if nic.node_reachable(self.home(rpn, slot)) {
@@ -586,18 +586,20 @@ pub struct ReplicatedBackend {
 impl ReplicatedBackend {
     /// Wraps `inner`, spawning the crash monitor / repair task on `sim`.
     /// The task runs until [`FarBackend::shutdown`].
+    /// `skip_backup_repairs` plants the test-only
+    /// `PlantedBug::Rereplication`.
     pub fn new(
         sim: SimHandle,
         inner: Box<dyn FarBackend>,
         cfg: ReplicationConfig,
-        break_rereplication: bool,
+        skip_backup_repairs: bool,
     ) -> Self {
         let table = Rc::new(ReplicaTable {
             nodes: cfg.nodes.max(2) as u32,
             states: RefCell::new(PageMap::new()),
             stats: ReplicationStats::default(),
             stop: Cell::new(false),
-            break_rereplication,
+            skip_backup_repairs,
         });
         let nic = Rc::clone(inner.link());
         let monitor_sim = sim.clone();
@@ -820,7 +822,7 @@ mod tests {
     fn replicated(
         sim: &Simulation,
         node_plans: Vec<FaultPlan>,
-        break_rereplication: bool,
+        skip_backup_repairs: bool,
     ) -> Rc<ReplicatedBackend> {
         let cfg = SystemConfig::mage_lib().with_node_faults(node_plans);
         let inner = Box::new(RdmaBackend::new(sim.handle(), &cfg, 1_024));
@@ -828,7 +830,7 @@ mod tests {
             sim.handle(),
             inner,
             ReplicationConfig::default(),
-            break_rereplication,
+            skip_backup_repairs,
         ))
     }
 

@@ -210,31 +210,32 @@ pub struct SystemConfig {
     pub retry: RetryPolicy,
     /// Service-time model.
     pub costs: CostModel,
-    /// Test-only fault: resurrect the historical finalize-batch counting
-    /// bug (evicted pages double-counted), violating the settlement
-    /// identity `evicted + sync + cancelled + requeued ≤ unmapped`. Used
-    /// by the mage-check harness to prove its oracle catches and shrinks
-    /// a real, historically observed bug class. Never set in presets.
+    /// Test-only: a deliberately planted defect (see [`PlantedBug`]).
+    /// Never set in presets.
     #[doc(hidden)]
-    pub break_settlement: bool,
-    /// Test-only fault: after a reclaim batch is finalized (PTEs
-    /// unlocked, waiters woken), redundantly re-publish the settled PTE
-    /// words *without* holding their lock bits. The rewritten values are
-    /// identical, so no functional test can see it — but the unlocked
-    /// writes race with the next faulter's install or the next unmap of
-    /// the same page. Used by the simsan tests to prove the race
-    /// detector catches an ordering bug end-to-end. Never set in
-    /// presets.
-    #[doc(hidden)]
-    pub break_publish: bool,
-    /// Test-only fault: the background repair task silently skips
-    /// backup-slot replicas, so a page degraded on its backup node is
-    /// never re-replicated — invisible until the *primary's* node also
-    /// crashes, at which point the page has no synced copy left. Used by
-    /// the mage-check harness to prove the ≥1-synced-replica invariant
-    /// catches and shrinks this bug class. Never set in presets.
-    #[doc(hidden)]
-    pub break_rereplication: bool,
+    pub planted_bug: Option<PlantedBug>,
+}
+
+/// A deliberately planted defect, used by the mage-check and simsan
+/// tests to prove their oracles catch and shrink a real bug class.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlantedBug {
+    /// Resurrect the historical finalize-batch counting bug (evicted
+    /// pages double-counted), violating the settlement identity
+    /// `evicted + sync + cancelled + requeued ≤ unmapped`.
+    Settlement,
+    /// After a reclaim batch is finalized (PTEs unlocked, waiters woken),
+    /// redundantly re-publish the settled PTE words *without* holding
+    /// their lock bits. The rewritten values are identical, so no
+    /// functional test can see it — but the unlocked writes race with the
+    /// next faulter's install or the next unmap of the same page.
+    Publish,
+    /// The background repair task silently skips backup-slot replicas,
+    /// so a page degraded on its backup node is never re-replicated —
+    /// invisible until the *primary's* node also crashes, at which point
+    /// the page has no synced copy left.
+    Rereplication,
 }
 
 impl SystemConfig {
@@ -259,9 +260,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted_bug: None,
             retry: RetryPolicy::default(),
             costs: CostModel::new(OsProfile::unikernel(), true),
         }
@@ -292,9 +291,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted_bug: None,
             retry: RetryPolicy::default(),
             costs: {
                 let mut costs = CostModel::new(OsProfile::mage_lnx(), true);
@@ -327,9 +324,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted_bug: None,
             retry: RetryPolicy::default(),
             costs: CostModel::new(OsProfile::linux_bare_metal(), false),
         }
@@ -358,9 +353,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted_bug: None,
             retry: RetryPolicy::default(),
             costs: CostModel::new(OsProfile::unikernel(), true),
         }
@@ -390,9 +383,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted_bug: None,
             retry: RetryPolicy::default(),
             costs: CostModel::ideal(),
         }
@@ -458,30 +449,11 @@ impl SystemConfig {
         self
     }
 
-    /// Test-only: deliberately breaks the settlement-identity accounting
-    /// (see [`SystemConfig::break_settlement`]). For the mage-check
-    /// oracle tests; never use in experiments.
-    #[doc(hidden)]
-    pub fn with_broken_settlement(mut self) -> Self {
-        self.break_settlement = true;
-        self
-    }
-
-    /// Test-only: deliberately re-publishes settled PTEs without their
-    /// lock bits held (see [`SystemConfig::break_publish`]). For the
-    /// simsan oracle tests; never use in experiments.
-    #[doc(hidden)]
-    pub fn with_broken_publish(mut self) -> Self {
-        self.break_publish = true;
-        self
-    }
-
-    /// Test-only: deliberately skips backup-slot re-replication (see
-    /// [`SystemConfig::break_rereplication`]). For the mage-check oracle
+    /// Test-only: plants `bug` (see [`PlantedBug`]). For the oracle
     /// tests; never use in experiments.
     #[doc(hidden)]
-    pub fn with_broken_rereplication(mut self) -> Self {
-        self.break_rereplication = true;
+    pub fn with_planted_bug(mut self, bug: PlantedBug) -> Self {
+        self.planted_bug = Some(bug);
         self
     }
 }

@@ -73,7 +73,7 @@ pub use backend::{
     ReplicationConfig, ReplicationStats,
 };
 pub use config::{
-    BackendKind, EvictionPolicyKind, PrefetchPolicy, RemoteAllocKind, SystemConfig,
+    BackendKind, EvictionPolicyKind, PlantedBug, PrefetchPolicy, RemoteAllocKind, SystemConfig,
 };
 pub use costs::{CostModel, OsProfile};
 pub use events::{EventSink, PageEvent};

@@ -31,7 +31,7 @@ use mage_sim::trace::Tracer;
 use mage_sim::SimHandle;
 
 use crate::backend::{FarBackend, ReplicatedBackend};
-use crate::config::SystemConfig;
+use crate::config::{PlantedBug, SystemConfig};
 use crate::events::{EventSink, EventTap, PageEvent};
 use crate::metrics::MetricsRegistry;
 use crate::prefetch::StreamDetector;
@@ -168,7 +168,7 @@ impl FarMemory {
                 sim.clone(),
                 backend,
                 replication,
-                cfg.break_rereplication,
+                cfg.planted_bug == Some(PlantedBug::Rereplication),
             )),
             None => backend,
         };

@@ -8,6 +8,7 @@ use mage_mmu::{CoreId, FlushTicket, Pte, PAGE_SIZE};
 use mage_sim::time::{Nanos, SimTime};
 use mage_sim::trace::TRACK_WRITEBACK;
 
+use crate::config::PlantedBug;
 use crate::events::PageEvent;
 use crate::machine::FarMemory;
 use crate::retry::TransferOp;
@@ -309,20 +310,20 @@ impl FarMemory {
                 vpn: page.vpn,
                 frame: page.frame,
             });
-            if self.cfg.break_publish {
+            if self.cfg.planted_bug == Some(PlantedBug::Publish) {
                 settled.push(page.vpn);
             }
             frames.push(page.frame);
         }
         self.alloc.free_batch(core.index(), &frames).await;
         self.free_waiters.wake_all();
-        // Planted bug (test-only, `break_publish`): redundantly re-publish
+        // Planted bug (test-only, `PlantedBug::Publish`): redundantly re-publish
         // the settled PTE words *after* dropping their lock bits and
         // waking waiters. The rewritten values are identical, so no
         // functional test can tell — but each `set` is an unlocked plain
         // write that races with the next fault-in install (or unmap) of
         // the same page. Only the race detector can see it.
-        if self.cfg.break_publish {
+        if self.cfg.planted_bug == Some(PlantedBug::Publish) {
             for &vpn in &settled {
                 self.pt.set(vpn, self.pt.get(vpn));
             }
@@ -330,10 +331,10 @@ impl FarMemory {
         self.stats.eviction_batches.inc();
         // Count only frames actually reclaimed: pages cancelled mid-batch
         // by a refault are accounted under `evict_cancelled_pages`, never
-        // under the evicted counters. `break_settlement` resurrects the
+        // under the evicted counters. `PlantedBug::Settlement` resurrects the
         // historical double-count (a deliberate, test-only bug for the
         // mage-check oracle to catch).
-        let counted = if self.cfg.break_settlement {
+        let counted = if self.cfg.planted_bug == Some(PlantedBug::Settlement) {
             2 * frames.len() as u64
         } else {
             frames.len() as u64

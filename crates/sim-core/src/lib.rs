@@ -47,7 +47,6 @@ pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod sync;
-pub mod sync_ext;
 pub mod time;
 pub mod trace;
 pub mod wheel;

@@ -4,8 +4,8 @@
 //! (fault path vs. eviction path vs. allocator); a simulator of them can
 //! too, and an async deadlock just looks like a mysteriously idle run.
 //! This module validates lock ordering *as the simulation executes*,
-//! exactly like Linux's lockdep: every [`crate::sync::SimMutex`] and
-//! [`crate::sync_ext::SimRwLock`] belongs to a **lock class** (named at
+//! exactly like Linux's lockdep: every [`crate::sync::SimMutex`]
+//! belongs to a **lock class** (named at
 //! construction, or defaulted from the protected type), and every
 //! acquisition while other locks are held records a directed edge
 //! `held-class → acquired-class` in an acquisition graph. The first

@@ -599,7 +599,7 @@ thread_local! {
 }
 
 /// Runs `f` with the detector currently published by the executor (if
-/// any). Used by the handle-less primitives in `sync.rs`/`sync_ext.rs`.
+/// any). Used by the handle-less primitives in `sync.rs`.
 pub(crate) fn with_current<R>(f: impl FnOnce(&Rc<RaceDetector>) -> R) -> Option<R> {
     CURRENT.with(|c| c.borrow().as_ref().map(f))
 }

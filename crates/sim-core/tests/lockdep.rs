@@ -6,7 +6,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use mage_sim::sync::SimMutex;
-use mage_sim::sync_ext::SimRwLock;
 use mage_sim::Simulation;
 
 /// Runs `f` and returns the panic payload message it must produce.
@@ -113,36 +112,6 @@ fn three_lock_cycle_is_detected() {
         msg.contains("cyc-a") && msg.contains("cyc-b") && msg.contains("cyc-c"),
         "all three classes in the report: {msg}"
     );
-}
-
-#[test]
-fn rwlock_participates_in_ordering() {
-    let msg = panic_message(|| {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        let rw = Rc::new(SimRwLock::new_named(h.clone(), "rw-map"));
-        let m = Rc::new(SimMutex::new_named(h.clone(), "plain-lock", ()));
-        {
-            let (h, rw, m) = (h.clone(), Rc::clone(&rw), Rc::clone(&m));
-            sim.spawn(async move {
-                let _gr = rw.read().await;
-                h.sleep(10).await;
-                let _gm = m.lock().await;
-            });
-        }
-        {
-            let (h, rw, m) = (h.clone(), Rc::clone(&rw), Rc::clone(&m));
-            sim.spawn(async move {
-                h.sleep(5).await;
-                let _gm = m.lock().await;
-                h.sleep(10).await;
-                let _gw = rw.write().await;
-            });
-        }
-        sim.run();
-    });
-    assert!(msg.contains("lock ordering cycle"), "got: {msg}");
-    assert!(msg.contains("rw-map") && msg.contains("plain-lock"), "got: {msg}");
 }
 
 /// Holding a flagged guard across a time-advancing await panics with the

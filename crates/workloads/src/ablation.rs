@@ -102,8 +102,8 @@ fn run_cell(policy: EvictionPolicyKind, kind: WorkloadKind, local_frac: f64) -> 
         local_frac,
         mops: report.mops(),
         major_faults: report.major_faults,
-        re_faults: report.re_faults,
-        ghost_hits: report.ghost_hits,
+        re_faults: report.window.re_faults,
+        ghost_hits: report.window.ghost_hits,
         re_fault_rate: report.re_fault_rate(),
         fault_p99_ns: report.fault_p99_ns,
     }

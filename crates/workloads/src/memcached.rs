@@ -93,16 +93,8 @@ pub struct MemcachedReport {
     pub p99_ns: u64,
     /// Major faults taken while serving.
     pub major_faults: u64,
-    /// Synchronous evictions on the serving path.
-    pub sync_evictions: u64,
     /// p99 of the major-fault latency itself (excluding queueing).
     pub fault_p99_ns: u64,
-    /// Requests that stalled waiting for a free page.
-    pub free_waits: u64,
-    /// Longest free-page stall, ns.
-    pub free_wait_max_ns: u64,
-    /// Faults that waited on a page mid-eviction or mid-fault.
-    pub page_lock_waits: u64,
     /// Distinct connections that issued at least one request (host
     /// bookkeeping is proportional to this, not to
     /// [`MemcachedConfig::connections`]).
@@ -152,6 +144,7 @@ pub fn run_memcached(cfg: &MemcachedConfig) -> MemcachedReport {
     } else {
         engine.populate(&vma);
     }
+    let start = engine.metrics().snapshot();
 
     let queues: Vec<Rc<WorkerQueue>> = (0..cfg.workers)
         .map(|_| {
@@ -253,6 +246,7 @@ pub fn run_memcached(cfg: &MemcachedConfig) -> MemcachedReport {
     sim.block_on(async move { h.sleep(drain).await });
     engine.shutdown();
 
+    let window = engine.metrics().window_since(&start);
     let active_connections = conn_seen.borrow().len() as u64;
     let touched_pages = page_seen.borrow().len() as u64;
     MemcachedReport {
@@ -261,18 +255,8 @@ pub fn run_memcached(cfg: &MemcachedConfig) -> MemcachedReport {
         mean_ns: sojourn.mean(),
         p50_ns: sojourn.p50(),
         p99_ns: sojourn.p99(),
-        major_faults: engine.stats().major_faults.get(),
-        sync_evictions: engine.stats().sync_evictions.get(),
-        fault_p99_ns: engine.stats().fault_latency.p99(),
-        free_waits: {
-            let fw = engine.stats().free_wait.borrow();
-            fw.count()
-        },
-        free_wait_max_ns: {
-            let fw = engine.stats().free_wait.borrow();
-            fw.max()
-        },
-        page_lock_waits: engine.stats().page_lock_waits.get(),
+        major_faults: window.major_faults,
+        fault_p99_ns: window.fault_latency.p99(),
         active_connections,
         touched_pages,
         pt_nodes: engine.page_table().node_count() as u64,

@@ -2,6 +2,7 @@
 //! and raw-RDMA load generators.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use mage::{Access, FarMemory, MachineParams, MetricsWindow, SystemConfig};
@@ -108,67 +109,28 @@ pub struct RunReport {
     pub runtime_ns: Nanos,
     /// Total application operations completed.
     pub total_ops: u64,
-    /// Major faults observed.
-    pub major_faults: u64,
     /// Per-thread major-fault counts (feeds the §3.1 ideal model).
     pub faults_per_thread: Vec<u64>,
-    /// Mean major-fault latency, ns.
-    pub fault_mean_ns: f64,
-    /// p50 major-fault latency, ns.
-    pub fault_p50_ns: u64,
-    /// p99 major-fault latency, ns.
-    pub fault_p99_ns: u64,
-    /// Per-component fault breakdown means.
-    pub breakdown: mage::BreakdownMeans,
-    /// Synchronous evictions performed on the fault path.
-    pub sync_evictions: u64,
-    /// Pages evicted in the background.
-    pub evicted_pages: u64,
-    /// Mean TLB-shootdown latency, ns.
-    pub shootdown_mean_ns: f64,
-    /// Mean per-IPI latency, ns.
-    pub ipi_mean_ns: f64,
-    /// Achieved RDMA read bandwidth, Gbps.
-    pub read_gbps: f64,
-    /// Achieved RDMA write bandwidth, Gbps.
-    pub write_gbps: f64,
-    /// Pages prefetched.
-    pub prefetches: u64,
     /// Ops-per-bucket timeline, if sampling was enabled.
     pub timeline: Vec<(Nanos, u64)>,
     /// Per-thread instant of the phase-0 → phase-1 switch (0 if none).
     pub phase_switch_ns: Vec<Nanos>,
-    /// Faults that cancelled an in-flight eviction (refault dedup).
-    pub evict_cancels: u64,
-    /// Time faulting threads spent waiting for free pages (count, mean).
-    pub free_wait_count: u64,
-    /// Mean free-page wait, ns.
-    pub free_wait_mean_ns: f64,
-    /// RDMA transfers re-posted after an injected fault.
-    pub transfer_retries: u64,
-    /// Transfers that exhausted the retry budget.
-    pub transfer_failures: u64,
-    /// Fault-ins aborted after retry exhaustion.
-    pub aborted_faults: u64,
-    /// Eviction victims re-inserted after a failed writeback.
-    pub requeued_victims: u64,
-    /// Reads served from a surviving replica after the primary's node
-    /// went unreachable (zero without a replicated backend).
-    pub failover_reads: u64,
-    /// Pages copied back to full replication after a node outage.
-    pub rereplicated_pages: u64,
-    /// Replica slots still degraded when the run ended (end-of-run
-    /// gauge, not a window delta).
-    pub degraded_pages: u64,
-    /// Major faults whose page was still on the accounting ghost list —
-    /// pages the eviction policy gave up on too early. The numerator of
-    /// [`RunReport::re_fault_rate`].
-    pub re_faults: u64,
-    /// All ghost-list hits (re-faults plus eviction cancels/requeues).
-    pub ghost_hits: u64,
     /// Chrome `trace_event` JSON of the run, when
     /// [`RunConfig::capture_trace`] was set.
     pub trace_json: Option<String>,
+    /// Every engine metric over the measurement window: from the start
+    /// line the last thread to finish warmup drew, to the end of the run.
+    pub window: MetricsWindow,
+    // The benchmark's contract: its parity check reads the next three
+    // fields by name. Each equals its `window` value.
+    /// Major faults in the window (`window.major_faults`).
+    pub major_faults: u64,
+    /// p99 major-fault latency in the window, ns
+    /// (`window.fault_latency.p99()`).
+    pub fault_p99_ns: u64,
+    /// Synchronous evictions on the fault path in the window
+    /// (`window.sync_evictions`).
+    pub sync_evictions: u64,
     /// Total executor task polls the run performed — the simulator's
     /// discrete-event count (`events` in `BENCH_scale.json`).
     pub executor_polls: u64,
@@ -178,6 +140,9 @@ pub struct RunReport {
     /// Replica-table entries tracked by the end of the run (0 without a
     /// replicated backend; O(touched slots), never O(max rpn)).
     pub replica_entries: u64,
+    /// Replica slots still degraded when the run ended (end-of-run
+    /// gauge, not a window delta).
+    pub degraded_pages: u64,
 }
 
 impl RunReport {
@@ -195,7 +160,7 @@ impl RunReport {
         if self.major_faults == 0 {
             return 0.0;
         }
-        self.re_faults as f64 / self.major_faults as f64
+        self.window.re_faults as f64 / self.major_faults as f64
     }
 
     /// Major-fault throughput in M faults/s.
@@ -206,12 +171,46 @@ impl RunReport {
         self.major_faults as f64 * 1e3 / self.runtime_ns as f64
     }
 
-    /// Jobs/hour for a batch job of this runtime.
-    pub fn jobs_per_hour(&self) -> f64 {
-        if self.runtime_ns == 0 {
-            return 0.0;
-        }
-        3_600.0e9 / self.runtime_ns as f64
+    /// Achieved RDMA read bandwidth over the run, Gbps.
+    pub fn read_gbps(&self) -> f64 {
+        self.window.read_gbps(self.runtime_ns)
+    }
+
+    /// Achieved RDMA write bandwidth over the run, Gbps.
+    pub fn write_gbps(&self) -> f64 {
+        self.window.write_gbps(self.runtime_ns)
+    }
+
+    /// Pages evicted in the window, background plus synchronous.
+    pub fn evicted_pages(&self) -> u64 {
+        self.window.evicted_pages + self.window.sync_evicted_pages
+    }
+
+    /// The report as one JSON object: the per-run values, the end-of-run
+    /// gauges and `"window"` ([`MetricsWindow::to_json`]). Integers
+    /// only, so byte-equal JSON means a bit-identical run. The trace is
+    /// left out; it is its own export.
+    pub fn to_json(&self) -> String {
+        let list = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
+        let timeline: Vec<String> =
+            self.timeline.iter().map(|(t, ops)| format!("[{t}, {ops}]")).collect();
+        format!(
+            "{{\"system\": \"{}\", \"runtime_ns\": {}, \"total_ops\": {}, \
+             \"faults_per_thread\": [{}], \"timeline\": [{}], \"phase_switch_ns\": [{}], \
+             \"executor_polls\": {}, \"pt_nodes\": {}, \"replica_entries\": {}, \
+             \"degraded_pages\": {}, \"window\": {}}}",
+            self.system,
+            self.runtime_ns,
+            self.total_ops,
+            list(&self.faults_per_thread),
+            timeline.join(", "),
+            list(&self.phase_switch_ns),
+            self.executor_polls,
+            self.pt_nodes,
+            self.replica_entries,
+            self.degraded_pages,
+            self.window.to_json(),
+        )
     }
 }
 
@@ -384,71 +383,22 @@ pub fn run_batch(cfg: &RunConfig) -> RunReport {
         .take()
         .expect("rendezvous captured a start snapshot");
     let window = engine.metrics().window_since(&start);
-    let faults_per_thread: Vec<u64> = per_thread.iter().map(|&(f, _, _)| f).collect();
-    let phase_switch_ns: Vec<Nanos> = per_thread.iter().map(|&(_, s, _)| s).collect();
-    let mut report = report_from(
-        cfg,
-        &window,
-        runtime_ns,
-        ops_counter.get(),
-        faults_per_thread,
-        phase_switch_ns,
-        timeline,
-        tracer.map(|t| t.to_chrome_json()),
-    );
-    report.executor_polls = sim.polls();
-    report.degraded_pages = engine.backend().degraded_pages();
-    report.pt_nodes = engine.page_table().node_count() as u64;
-    report.replica_entries = engine.backend().replica_entries();
-    report
-}
-
-#[allow(clippy::too_many_arguments)]
-fn report_from(
-    cfg: &RunConfig,
-    w: &MetricsWindow,
-    runtime_ns: Nanos,
-    total_ops: u64,
-    faults_per_thread: Vec<u64>,
-    phase_switch_ns: Vec<Nanos>,
-    timeline: Rc<RefCell<Vec<(Nanos, u64)>>>,
-    trace_json: Option<String>,
-) -> RunReport {
     RunReport {
         system: cfg.system.name,
         runtime_ns,
-        total_ops,
-        major_faults: w.major_faults,
-        faults_per_thread,
-        fault_mean_ns: w.fault_latency.mean(),
-        fault_p50_ns: w.fault_latency.p50(),
-        fault_p99_ns: w.fault_latency.p99(),
-        breakdown: w.breakdown_means(),
-        sync_evictions: w.sync_evictions,
-        evicted_pages: w.evicted_pages + w.sync_evicted_pages,
-        shootdown_mean_ns: w.shootdown_latency.mean(),
-        ipi_mean_ns: w.ipi_latency.mean(),
-        read_gbps: w.read_gbps(runtime_ns),
-        write_gbps: w.write_gbps(runtime_ns),
-        prefetches: w.prefetches,
-        timeline: timeline.borrow().clone(),
-        phase_switch_ns,
-        evict_cancels: w.evict_cancels,
-        free_wait_count: w.free_wait.count(),
-        free_wait_mean_ns: w.free_wait.mean(),
-        transfer_retries: w.transfer_retries,
-        transfer_failures: w.transfer_failures,
-        aborted_faults: w.aborted_faults,
-        requeued_victims: w.requeued_victims,
-        failover_reads: w.failover_reads,
-        rereplicated_pages: w.rereplicated_pages,
-        degraded_pages: 0,
-        re_faults: w.re_faults,
-        ghost_hits: w.ghost_hits,
-        trace_json,
-        executor_polls: 0,
-        pt_nodes: 0,
-        replica_entries: 0,
+        total_ops: ops_counter.get(),
+        faults_per_thread: per_thread.iter().map(|&(f, _, _)| f).collect(),
+        timeline: timeline.take(),
+        phase_switch_ns: per_thread.iter().map(|&(_, s, _)| s).collect(),
+        trace_json: tracer.map(|t| t.to_chrome_json()),
+        major_faults: window.major_faults,
+        fault_p99_ns: window.fault_latency.p99(),
+        sync_evictions: window.sync_evictions,
+        window,
+        executor_polls: sim.polls(),
+        pt_nodes: engine.page_table().node_count() as u64,
+        replica_entries: engine.backend().replica_entries(),
+        degraded_pages: engine.backend().degraded_pages(),
     }
 }
 
@@ -465,16 +415,6 @@ pub struct OpenLoopReport {
     pub p50_ns: u64,
     /// p99 request latency, ns.
     pub p99_ns: u64,
-    /// Synchronous evictions during the run.
-    pub sync_evictions: u64,
-    /// Achieved read bandwidth, Gbps.
-    pub read_gbps: f64,
-    /// Requests that stalled waiting for a free page.
-    pub free_waits: u64,
-    /// Longest free-page stall, ns.
-    pub free_wait_max_ns: u64,
-    /// p99 of the engine-level fault latency (excluding request queueing).
-    pub fault_p99_ns: u64,
     /// Requests the generator issued during the offered-load window.
     pub issued_requests: u64,
     /// Requests that completed by the end of the drain (in or out of the
@@ -513,90 +453,21 @@ pub fn run_open_loop_faults(
     // driver operates in eviction steady state from the first request
     // (the paper's Fig. 15 regime), not in a one-off fill phase.
     engine.populate(&vma);
-    let first_remote = engine.accounting().resident_pages();
-    let remote_span = wss_pages - first_remote;
+    let resident = engine.accounting().resident_pages();
+    let (first_remote, remote_span) = (vma.start_vpn + resident, wss_pages - resident);
 
-    let latency = Rc::new(Histogram::new());
-    let completed = Rc::new(Counter::new());
-    let issued = Rc::new(Counter::new());
-    let in_window = Rc::new(Counter::new());
-
-    // The generator issues requests with exponential inter-arrivals,
-    // spreading them round-robin over the worker cores.
-    let h = sim.handle();
+    // Request `i` touches the next remote page in sequence from worker
+    // core `i` round-robin.
     let gen_engine = Rc::clone(&engine);
-    let gen_latency = Rc::clone(&latency);
-    let gen_completed = Rc::clone(&completed);
-    let gen_issued = Rc::clone(&issued);
-    let gen_in_window = Rc::clone(&in_window);
-    let base = vma.start_vpn;
-    sim.spawn(async move {
-        let rng = SplitMix64::new(seed);
-        let mean_gap_ns = 1e3 / rate_mops; // ns between arrivals
-        let mut next_page = 0u64;
-        let mut core = 0u32;
-        while h.now().as_nanos() < duration_ns {
-            let u = rng.next_f64();
-            let gap = (-(1.0 - u).ln() * mean_gap_ns).max(1.0) as u64;
-            h.sleep(gap).await;
-            let page = base + first_remote + (next_page % remote_span);
-            next_page += 1;
-            let c = CoreId(core % threads as u32);
-            core += 1;
-            gen_issued.inc();
-            let e = Rc::clone(&gen_engine);
-            let lat = Rc::clone(&gen_latency);
-            let comp = Rc::clone(&gen_completed);
-            let win = Rc::clone(&gen_in_window);
-            let h2 = h.clone();
-            h.spawn(async move {
-                let t0 = h2.now();
-                e.access(c, page, false).await;
-                lat.record(h2.now() - t0);
-                comp.inc();
-                if h2.now().as_nanos() <= duration_ns {
-                    win.inc();
-                }
-            });
+    let report = drive_open_loop(&sim, rate_mops, duration_ns, seed, move |i| {
+        let engine = Rc::clone(&gen_engine);
+        let core = CoreId((i % threads as u64) as u32);
+        async move {
+            engine.access(core, first_remote + i % remote_span, false).await;
         }
-    });
-
-    // Drain until every issued request completes (bounded): a fixed-length
-    // drain right-censors the tail — precisely the slow requests that an
-    // overloaded system queues past the cutoff — which deflates p99 at the
-    // loads where it matters most. The NIC byte count is sampled at the
-    // window edge so bandwidth covers the offered-load window only.
-    let h = sim.handle();
-    let drain_completed = Rc::clone(&completed);
-    let drain_issued = Rc::clone(&issued);
-    let drain_engine = Rc::clone(&engine);
-    let window_read_bytes = sim.block_on(async move {
-        h.sleep(duration_ns).await;
-        let bytes = drain_engine.nic().stats().read_bytes.get();
-        let cutoff = duration_ns + 2 * SECS;
-        while drain_completed.get() < drain_issued.get() && h.now().as_nanos() < cutoff {
-            h.sleep(50_000).await;
-        }
-        bytes
     });
     engine.shutdown();
-
-    let free_wait = engine.stats().free_wait.borrow().clone();
-    OpenLoopReport {
-        offered_mops: rate_mops,
-        achieved_mops: in_window.get() as f64 * 1e3 / duration_ns as f64,
-        mean_ns: latency.mean(),
-        p50_ns: latency.p50(),
-        p99_ns: latency.p99(),
-        sync_evictions: engine.stats().sync_evictions.get(),
-        read_gbps: window_read_bytes as f64 * 8.0 / duration_ns as f64,
-        free_waits: free_wait.count(),
-        free_wait_max_ns: free_wait.max(),
-        fault_p99_ns: engine.stats().fault_latency.p99(),
-        issued_requests: issued.get(),
-        completed_requests: completed.get(),
-        censored_requests: issued.get() - completed.get(),
-    }
+    report
 }
 
 /// Raw RDMA reads at `rate_mops` with 4 background writer threads
@@ -605,10 +476,6 @@ pub fn run_raw_rdma(rate_mops: f64, duration_ns: Nanos, seed: u64) -> OpenLoopRe
     use mage_fabric::{Nic, NicConfig};
     let sim = Simulation::new();
     let nic = Rc::new(Nic::new(sim.handle(), NicConfig::bluefield2_200g()));
-    let latency = Rc::new(Histogram::new());
-    let completed = Rc::new(Counter::new());
-    let issued = Rc::new(Counter::new());
-    let in_window = Rc::new(Counter::new());
 
     // Background writers: keep the tx direction busy, mirroring eviction
     // traffic ("4 background threads constantly performing RDMA writes").
@@ -622,28 +489,61 @@ pub fn run_raw_rdma(rate_mops: f64, duration_ns: Nanos, seed: u64) -> OpenLoopRe
         });
     }
 
+    drive_open_loop(&sim, rate_mops, duration_ns, seed, move |_| {
+        let nic = Rc::clone(&nic);
+        async move {
+            let _ = nic.post_read(4096).await;
+        }
+    })
+}
+
+/// Issues `request(0)`, `request(1)`, … open-loop with exponential
+/// inter-arrivals at `rate_mops` until `duration_ns`, each as its own
+/// task, and reports their latencies.
+///
+/// Drains until every issued request completes (bounded): a fixed-length
+/// drain right-censors the tail — precisely the slow requests that an
+/// overloaded system queues past the cutoff — which deflates p99 at the
+/// loads where it matters most.
+fn drive_open_loop<F, R>(
+    sim: &Simulation,
+    rate_mops: f64,
+    duration_ns: Nanos,
+    seed: u64,
+    request: F,
+) -> OpenLoopReport
+where
+    F: Fn(u64) -> R + 'static,
+    R: Future<Output = ()> + 'static,
+{
+    let latency = Rc::new(Histogram::new());
+    let completed = Rc::new(Counter::new());
+    let issued = Rc::new(Counter::new());
+    let in_window = Rc::new(Counter::new());
+
     let h = sim.handle();
-    let gen_nic = Rc::clone(&nic);
     let gen_latency = Rc::clone(&latency);
     let gen_completed = Rc::clone(&completed);
     let gen_issued = Rc::clone(&issued);
     let gen_in_window = Rc::clone(&in_window);
     sim.spawn(async move {
         let rng = SplitMix64::new(seed);
-        let mean_gap_ns = 1e3 / rate_mops;
+        let mean_gap_ns = 1e3 / rate_mops; // ns between arrivals
+        let mut i = 0;
         while h.now().as_nanos() < duration_ns {
             let u = rng.next_f64();
             let gap = (-(1.0 - u).ln() * mean_gap_ns).max(1.0) as u64;
             h.sleep(gap).await;
             gen_issued.inc();
-            let nic = Rc::clone(&gen_nic);
+            let req = request(i);
+            i += 1;
             let lat = Rc::clone(&gen_latency);
             let comp = Rc::clone(&gen_completed);
             let win = Rc::clone(&gen_in_window);
             let h2 = h.clone();
             h.spawn(async move {
                 let t0 = h2.now();
-                let _ = nic.post_read(4096).await;
+                req.await;
                 lat.record(h2.now() - t0);
                 comp.inc();
                 if h2.now().as_nanos() <= duration_ns {
@@ -653,20 +553,15 @@ pub fn run_raw_rdma(rate_mops: f64, duration_ns: Nanos, seed: u64) -> OpenLoopRe
         }
     });
 
-    // Same uncensored-tail protocol as `run_open_loop_faults`: drain every
-    // issued read (bounded), window the byte count at the load cutoff.
     let h = sim.handle();
     let drain_completed = Rc::clone(&completed);
     let drain_issued = Rc::clone(&issued);
-    let drain_nic = Rc::clone(&nic);
-    let window_read_bytes = sim.block_on(async move {
+    sim.block_on(async move {
         h.sleep(duration_ns).await;
-        let bytes = drain_nic.stats().read_bytes.get();
         let cutoff = duration_ns + 2 * SECS;
         while drain_completed.get() < drain_issued.get() && h.now().as_nanos() < cutoff {
             h.sleep(50_000).await;
         }
-        bytes
     });
 
     OpenLoopReport {
@@ -675,11 +570,6 @@ pub fn run_raw_rdma(rate_mops: f64, duration_ns: Nanos, seed: u64) -> OpenLoopRe
         mean_ns: latency.mean(),
         p50_ns: latency.p50(),
         p99_ns: latency.p99(),
-        sync_evictions: 0,
-        read_gbps: window_read_bytes as f64 * 8.0 / duration_ns as f64,
-        free_waits: 0,
-        free_wait_max_ns: 0,
-        fault_p99_ns: latency.p99(),
         issued_requests: issued.get(),
         completed_requests: completed.get(),
         censored_requests: issued.get() - completed.get(),
@@ -723,7 +613,7 @@ mod tests {
         ));
         assert!(off.major_faults > 1_000);
         assert!(off.runtime_ns > local.runtime_ns);
-        assert!(off.read_gbps > 0.0);
+        assert!(off.read_gbps() > 0.0);
     }
 
     #[test]

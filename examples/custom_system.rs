@@ -69,7 +69,7 @@ fn main() {
             r.mops(),
             r.fault_p99_ns as f64 / 1_000.0,
             r.sync_evictions,
-            r.re_faults
+            r.window.re_faults
         );
     }
     println!("\nEach row adds one technique; the paper's Fig. 17 reports the same");

@@ -31,7 +31,7 @@ fn run_row(name: &str, system: SystemConfig) {
         "{:<14} {:>9.2} {:>9.1} us {:>9.1} us {:>12}",
         name,
         r.mops(),
-        r.fault_mean_ns / 1e3,
+        r.window.fault_latency.mean() / 1e3,
         r.fault_p99_ns as f64 / 1e3,
         r.sync_evictions
     );

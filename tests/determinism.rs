@@ -2,53 +2,18 @@
 //! with the same seed must produce bit-identical statistics, and a
 //! different seed must produce different ones. This is the property the
 //! whole evaluation rests on (and the one simlint + the deterministic
-//! executor exist to protect).
+//! executor exist to protect). A run's digest is its report's JSON: every
+//! `metrics!` row of the window plus the per-run values and end-of-run
+//! gauges, all integers, so equal digests mean bit-identical runs.
 
 use mage::{EvictionPolicyKind, PrefetchPolicy, ReplicationConfig, RetryPolicy, SystemConfig};
 use mage_fabric::FaultPlan;
-use mage_workloads::runner::{run_batch, RunConfig, RunReport};
+use mage_workloads::runner::{run_batch, RunConfig};
 use mage_workloads::WorkloadKind;
-
-/// Digest of every statistic a report carries, down to the exact f64
-/// bits. Floats go through `to_bits()` so "bit-identical" means exactly
-/// that, not "equal within epsilon".
-fn digest(r: &RunReport) -> Vec<u64> {
-    let mut d = vec![
-        r.runtime_ns,
-        r.total_ops,
-        r.major_faults,
-        r.fault_mean_ns.to_bits(),
-        r.fault_p50_ns,
-        r.fault_p99_ns,
-        r.sync_evictions,
-        r.evicted_pages,
-        r.shootdown_mean_ns.to_bits(),
-        r.ipi_mean_ns.to_bits(),
-        r.read_gbps.to_bits(),
-        r.write_gbps.to_bits(),
-        r.prefetches,
-        r.evict_cancels,
-        r.free_wait_count,
-        r.free_wait_mean_ns.to_bits(),
-        r.transfer_retries,
-        r.transfer_failures,
-        r.aborted_faults,
-        r.requeued_victims,
-        r.re_faults,
-        r.ghost_hits,
-        r.failover_reads,
-        r.rereplicated_pages,
-        r.degraded_pages,
-        r.executor_polls,
-    ];
-    d.extend(r.faults_per_thread.iter().copied());
-    d.extend(r.timeline.iter().flat_map(|&(t, v)| [t, v]));
-    d
-}
 
 /// Scaled-down fig05 sweep: three systems × two thread counts, with and
 /// without eviction pressure, all folded into one digest.
-fn sweep(seed: u64) -> Vec<u64> {
+fn sweep(seed: u64) -> Vec<String> {
     let mut out = Vec::new();
     for system in [
         SystemConfig::hermit(),
@@ -65,7 +30,7 @@ fn sweep(seed: u64) -> Vec<u64> {
                 cfg.all_remote = true;
                 cfg.ops_per_thread = wss / threads as u64;
                 cfg.seed = seed;
-                out.extend(digest(&run_batch(&cfg)));
+                out.push(run_batch(&cfg).to_json());
             }
         }
     }
@@ -74,7 +39,7 @@ fn sweep(seed: u64) -> Vec<u64> {
     let mut cfg = RunConfig::new(SystemConfig::mage_lib(), WorkloadKind::Gups, 2, 2048, 0.5);
     cfg.ops_per_thread = 1000;
     cfg.seed = seed;
-    out.extend(digest(&run_batch(&cfg)));
+    out.push(run_batch(&cfg).to_json());
     out
 }
 
@@ -97,7 +62,7 @@ fn different_seeds_differ() {
 /// One faulty-link sweep: two systems under a degraded link plus a
 /// crash-window plan, folded into a digest. The fault plan's own seed is
 /// a parameter so both halves of the determinism contract can be pinned.
-fn faulty_sweep(fault_seed: u64) -> Vec<u64> {
+fn faulty_sweep(fault_seed: u64) -> Vec<String> {
     let mut out = Vec::new();
     for system in [SystemConfig::mage_lib(), SystemConfig::hermit()] {
         for plan in [
@@ -119,7 +84,7 @@ fn faulty_sweep(fault_seed: u64) -> Vec<u64> {
             let mut cfg = RunConfig::new(s, WorkloadKind::Gups, 2, 2048, 0.5);
             cfg.ops_per_thread = 500;
             cfg.seed = 13;
-            out.extend(digest(&run_batch(&cfg)));
+            out.push(run_batch(&cfg).to_json());
         }
     }
     out
@@ -153,7 +118,7 @@ fn different_fault_seeds_diverge() {
 /// into a digest (which now carries the failover / re-replication
 /// counters). Returns the digest plus the total failovers and repairs so
 /// the tests can also pin that the counters were genuinely exercised.
-fn replicated_sweep(fault_seed: u64) -> (Vec<u64>, u64, u64) {
+fn replicated_sweep(fault_seed: u64) -> (Vec<String>, u64, u64) {
     let mut out = Vec::new();
     let (mut failovers, mut repairs) = (0u64, 0u64);
     let nodes = 2usize;
@@ -186,9 +151,9 @@ fn replicated_sweep(fault_seed: u64) -> (Vec<u64>, u64, u64) {
         cfg.ops_per_thread = 500;
         cfg.seed = 13;
         let report = run_batch(&cfg);
-        failovers += report.failover_reads;
-        repairs += report.rereplicated_pages;
-        out.extend(digest(&report));
+        failovers += report.window.failover_reads;
+        repairs += report.window.rereplicated_pages;
+        out.push(report.to_json());
     }
     (out, failovers, repairs)
 }
@@ -243,7 +208,7 @@ fn every_eviction_policy_is_bit_deterministic() {
         let mut cfg = RunConfig::new(system, WorkloadKind::Gups, 4, 4096, 0.5);
         cfg.ops_per_thread = 1500;
         cfg.seed = seed;
-        digest(&run_batch(&cfg))
+        run_batch(&cfg).to_json()
     };
     let mut digests = Vec::new();
     for kind in zoo {
@@ -284,7 +249,7 @@ fn random_access_workload_is_deterministic_too() {
         );
         cfg.ops_per_thread = 2000;
         cfg.seed = seed;
-        digest(&run_batch(&cfg))
+        run_batch(&cfg).to_json()
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));

@@ -44,7 +44,7 @@ fn determinism_across_identical_runs() {
         let b = run(system, WorkloadKind::RandomGraph, 8, 0.5);
         assert_eq!(a.runtime_ns, b.runtime_ns);
         assert_eq!(a.major_faults, b.major_faults);
-        assert_eq!(a.evicted_pages, b.evicted_pages);
+        assert_eq!(a.evicted_pages(), b.evicted_pages());
         assert_eq!(a.fault_p99_ns, b.fault_p99_ns);
         assert_eq!(a.faults_per_thread, b.faults_per_thread);
     }

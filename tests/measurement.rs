@@ -45,24 +45,24 @@ fn warmup_does_not_pollute_the_measurement_window() {
     let cold = run_batch(&steady(0));
     let warm = run_batch(&steady(3_000));
 
-    assert!(cold.read_gbps > 0.0 && warm.read_gbps > 0.0);
+    assert!(cold.read_gbps() > 0.0 && warm.read_gbps() > 0.0);
     assert!(
-        rel_diff(cold.read_gbps, warm.read_gbps) < 0.05,
+        rel_diff(cold.read_gbps(), warm.read_gbps()) < 0.05,
         "read_gbps diverges: cold {:.4} vs warm {:.4}",
-        cold.read_gbps,
-        warm.read_gbps
+        cold.read_gbps(),
+        warm.read_gbps()
     );
     assert!(
-        rel_diff(cold.write_gbps, warm.write_gbps) < 0.05,
+        rel_diff(cold.write_gbps(), warm.write_gbps()) < 0.05,
         "write_gbps diverges: cold {:.4} vs warm {:.4}",
-        cold.write_gbps,
-        warm.write_gbps
+        cold.write_gbps(),
+        warm.write_gbps()
     );
     assert!(
-        rel_diff(cold.shootdown_mean_ns, warm.shootdown_mean_ns) < 0.05,
+        rel_diff(cold.window.shootdown_latency.mean(), warm.window.shootdown_latency.mean()) < 0.05,
         "shootdown_mean_ns diverges: cold {:.1} vs warm {:.1}",
-        cold.shootdown_mean_ns,
-        warm.shootdown_mean_ns
+        cold.window.shootdown_latency.mean(),
+        warm.window.shootdown_latency.mean()
     );
 }
 
@@ -144,6 +144,7 @@ fn every_window_row_reads_its_own_source() {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    use mage_far_memory::sim::json::{parse, Value};
     use mage_far_memory::sim::stats::{
         Counter, Histogram, HistogramDelta, TimeStat, TimeStatDelta,
     };
@@ -271,6 +272,42 @@ fn every_window_row_reads_its_own_source() {
         assert_eq!((d.count(), d.sum()), (t.count(), t.sum()), "{name}");
     }
 
+    // The generated JSON names exactly these rows, each with its
+    // source's value: counters as numbers, histograms as
+    // {count, sum, p50, p99, p999}, time stats as {count, sum}.
+    let json = parse(&w.to_json()).expect("window JSON parses");
+    let Value::Object(members) = &json else {
+        panic!("window JSON is not an object");
+    };
+    let num = |n: u64| Value::Number(n.to_string());
+    let obj = |fields: &[(&str, u64)]| {
+        Value::Object(fields.iter().map(|&(k, v)| (k.to_string(), num(v))).collect())
+    };
+    for (key, value) in members {
+        let expected = if let Some((.., c)) = counters.iter().find(|(n, ..)| n == key) {
+            num(c.get())
+        } else if let Some((.., h)) = histograms.iter().find(|(n, ..)| n == key) {
+            obj(&[
+                ("count", h.count()),
+                ("sum", h.sum()),
+                ("p50", h.p50()),
+                ("p99", h.p99()),
+                ("p999", h.p999()),
+            ])
+        } else if let Some((.., t)) = times.iter().find(|(n, ..)| n == key) {
+            let t = t.borrow();
+            obj(&[("count", t.count()), ("sum", t.sum())])
+        } else {
+            panic!("window JSON row {key:?} is not in this test's source lists");
+        };
+        assert_eq!(value, &expected, "{key}");
+    }
+    let names = counters.iter().map(|r| r.0);
+    let names = names.chain(histograms.iter().map(|r| r.0));
+    for name in names.chain(times.iter().map(|r| r.0)) {
+        assert!(json.get(name).is_some(), "{name} is missing from the window JSON");
+    }
+
     for (name, count) in [
         ("transfer_retries", w.transfer_retries),
         ("failover_reads", w.failover_reads),
@@ -279,4 +316,22 @@ fn every_window_row_reads_its_own_source() {
     ] {
         assert!(count > 0, "{name} never fired, so its row is untested");
     }
+}
+
+/// The three `RunReport` fields the benchmark's parity check reads by
+/// name are the window's values. The run warms up first, so its window
+/// and the cumulative counters differ, and it is a Hermit run under
+/// pressure, so every one of the three is nonzero.
+#[test]
+fn report_contract_fields_equal_their_window_rows() {
+    let mut cfg =
+        RunConfig::new(SystemConfig::hermit(), WorkloadKind::RandomGraph, 16, 16_384, 0.3);
+    cfg.ops_per_thread = 3_000;
+    cfg.warmup_ops = 1_000;
+    cfg.topo = Topology::single_socket(24);
+    let r = run_batch(&cfg);
+    assert!(r.sync_evictions > 0, "the run must evict synchronously");
+    assert_eq!(r.major_faults, r.window.major_faults);
+    assert_eq!(r.fault_p99_ns, r.window.fault_latency.p99());
+    assert_eq!(r.sync_evictions, r.window.sync_evictions);
 }

@@ -107,7 +107,7 @@ fn shootdown_latency_grows_with_threads() {
         cfg.all_remote = true;
         cfg.ops_per_thread = (60_000 / threads) as u64;
         let r = run_batch(&cfg);
-        shots.push(r.shootdown_mean_ns);
+        shots.push(r.window.shootdown_latency.mean());
     }
     assert!(
         shots[1] > 2.0 * shots[0],
@@ -138,7 +138,7 @@ fn prefetch_only_pays_off_on_mage() {
         mage_on.mops(),
         mage_off.mops()
     );
-    assert!(mage_on.prefetches > 0);
+    assert!(mage_on.window.prefetches > 0);
 
     let hermit_off = {
         let mut s = SystemConfig::hermit();

@@ -282,12 +282,12 @@ fn zero_fault_path_matches_pre_fault_layer_golden_values() {
         ra.runtime_ns,
         ra.total_ops,
         ra.major_faults,
-        ra.fault_p50_ns,
+        ra.window.fault_latency.p50(),
         ra.fault_p99_ns,
-        ra.evicted_pages,
+        ra.evicted_pages(),
         ra.sync_evictions,
-        ra.evict_cancels,
-        ra.fault_mean_ns.to_bits(),
+        ra.window.evict_cancels,
+        ra.window.fault_latency.mean().to_bits(),
     );
     assert_eq!(
         got_a,
@@ -303,12 +303,12 @@ fn zero_fault_path_matches_pre_fault_layer_golden_values() {
         rb.runtime_ns,
         rb.total_ops,
         rb.major_faults,
-        rb.fault_p50_ns,
+        rb.window.fault_latency.p50(),
         rb.fault_p99_ns,
-        rb.evicted_pages,
+        rb.evicted_pages(),
         rb.sync_evictions,
-        rb.evict_cancels,
-        rb.fault_mean_ns.to_bits(),
+        rb.window.evict_cancels,
+        rb.window.fault_latency.mean().to_bits(),
     );
     assert_eq!(
         got_b,
@@ -317,18 +317,18 @@ fn zero_fault_path_matches_pre_fault_layer_golden_values() {
     );
 
     // And the fault-layer counters must read zero on a clean link.
-    assert_eq!(ra.transfer_retries + rb.transfer_retries, 0);
-    assert_eq!(ra.transfer_failures + rb.transfer_failures, 0);
-    assert_eq!(ra.aborted_faults + rb.aborted_faults, 0);
-    assert_eq!(ra.requeued_victims + rb.requeued_victims, 0);
+    assert_eq!(ra.window.transfer_retries + rb.window.transfer_retries, 0);
+    assert_eq!(ra.window.transfer_failures + rb.window.transfer_failures, 0);
+    assert_eq!(ra.window.aborted_faults + rb.window.aborted_faults, 0);
+    assert_eq!(ra.window.requeued_victims + rb.window.requeued_victims, 0);
 
     // The ghost-feedback counters are measurement-only on the default
     // path: they must flow into the report (hermit/Gups cancels 101
     // evictions, each a ghost hit) without having moved the pinned
     // schedules above.
-    assert!(rb.re_faults > 0, "hermit/Gups churn must observe re-faults");
-    assert!(ra.ghost_hits >= ra.re_faults, "re-faults are ghost hits");
-    assert!(rb.ghost_hits >= rb.re_faults, "re-faults are ghost hits");
+    assert!(rb.window.re_faults > 0, "hermit/Gups churn must observe re-faults");
+    assert!(ra.window.ghost_hits >= ra.window.re_faults, "re-faults are ghost hits");
+    assert!(rb.window.ghost_hits >= rb.window.re_faults, "re-faults are ghost hits");
 }
 
 /// MAGE-Lnx golden: its FIFO queues (no accessed-bit recheck) must keep
@@ -348,12 +348,12 @@ fn mage_lnx_matches_golden_values() {
         r.runtime_ns,
         r.total_ops,
         r.major_faults,
-        r.fault_p50_ns,
+        r.window.fault_latency.p50(),
         r.fault_p99_ns,
-        r.evicted_pages,
+        r.evicted_pages(),
         r.sync_evictions,
-        r.evict_cancels,
-        r.fault_mean_ns.to_bits(),
+        r.window.evict_cancels,
+        r.window.fault_latency.mean().to_bits(),
         r.executor_polls,
     );
     assert_eq!(

@@ -114,10 +114,5 @@ fn tracing_does_not_perturb_the_run() {
     cfg.capture_trace = false;
     let plain = run_batch(&cfg);
     assert!(plain.trace_json.is_none());
-    assert_eq!(traced.runtime_ns, plain.runtime_ns);
-    assert_eq!(traced.total_ops, plain.total_ops);
-    assert_eq!(traced.major_faults, plain.major_faults);
-    assert_eq!(traced.fault_mean_ns.to_bits(), plain.fault_mean_ns.to_bits());
-    assert_eq!(traced.read_gbps.to_bits(), plain.read_gbps.to_bits());
-    assert_eq!(traced.evicted_pages, plain.evicted_pages);
+    assert_eq!(traced.to_json(), plain.to_json());
 }
