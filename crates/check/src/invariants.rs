@@ -22,7 +22,7 @@
 //! invariants without touching the harness.
 
 use mage::FarMemory;
-use mage_mmu::{CoreId, Vma};
+use mage_mmu::Vma;
 
 use crate::Violation;
 
@@ -97,15 +97,13 @@ impl InvariantRegistry {
 /// remote *and locked* is mid-eviction: its frame is not reclaimed until
 /// the shootdown acks arrive, so a TLB entry there is not yet stale.
 fn no_stale_tlb(ctx: &CheckCtx) -> Option<Violation> {
-    let cores = ctx.engine.topology().total_cores();
+    let directory = ctx.engine.interrupts().directory();
     for i in 0..ctx.vma.pages {
         let vpn = ctx.vma.start_vpn + i;
         let pte = ctx.engine.page_table().get(vpn);
         if pte.is_remote() && !pte.locked() {
-            for core in 0..cores {
-                if ctx.engine.interrupts().tlb(CoreId(core)).translates(vpn) {
-                    return Some(Violation::StaleTlb { core, vpn });
-                }
+            if let Some(core) = directory.sharer(vpn) {
+                return Some(Violation::StaleTlb { core: core.0, vpn });
             }
         }
     }

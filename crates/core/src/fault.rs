@@ -532,12 +532,11 @@ mod tests {
             for i in 0..vma.pages {
                 let vpn = vma.start_vpn + i;
                 if e.pt.get(vpn).is_remote() {
-                    for c in 0..4u32 {
-                        assert!(
-                            !e.ic.tlb(CoreId(c)).translates(vpn),
-                            "stale TLB entry for evicted page {vpn:#x} on core {c}"
-                        );
-                    }
+                    assert_eq!(
+                        e.ic.directory().sharer(vpn),
+                        None,
+                        "stale TLB entry for evicted page {vpn:#x}"
+                    );
                 }
             }
         });

@@ -21,7 +21,7 @@ use std::rc::{Rc, Weak};
 use mage_accounting::PageAccounting;
 use mage_fabric::{MemoryNode, Nic};
 use mage_mmu::{
-    AddressSpace, CoreId, InterruptController, PageTable, Pte, Tlb, Topology, Vma, PAGE_SIZE,
+    AddressSpace, CoreId, InterruptController, PageTable, Pte, Topology, Vma, PAGE_SIZE,
 };
 use mage_palloc::LocalAllocator;
 use mage_sim::race::ShadowRegion;
@@ -173,14 +173,12 @@ impl FarMemory {
             None => backend,
         };
         let policy = cfg.eviction_policy.build();
-        let tlbs: Vec<Rc<Tlb>> = (0..topo.total_cores())
-            .map(|i| Rc::new(Tlb::new(params.tlb_entries, params.seed ^ i as u64)))
-            .collect();
         let ic = Rc::new(InterruptController::new(
             sim.clone(),
             topo,
             cfg.costs.ipi.clone(),
-            tlbs,
+            params.tlb_entries,
+            params.seed,
         ));
         let alloc = Rc::new(LocalAllocator::new(
             sim.clone(),

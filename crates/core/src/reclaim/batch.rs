@@ -295,14 +295,12 @@ impl FarMemory {
                     }
                 }
             }
-            #[cfg(debug_assertions)]
-            for c in self.topo.cores() {
-                debug_assert!(
-                    !self.ic.tlb(c).translates(page.vpn),
-                    "frame reclaim with live translation: vpn {:#x} core {c:?}",
-                    page.vpn
-                );
-            }
+            debug_assert_eq!(
+                self.ic.directory().sharer(page.vpn),
+                None,
+                "frame reclaim with live translation: vpn {:#x}",
+                page.vpn
+            );
             self.pt.update(page.vpn, |p| p.with_locked(false));
             self.pt.shadow_unlock(page.vpn);
             self.wake_page(page.vpn);

@@ -25,7 +25,7 @@ use mage_sim::time::{Nanos, SimTime};
 use mage_sim::trace::{Tracer, TRACK_TLB};
 use mage_sim::SimHandle;
 
-use crate::tlb::Tlb;
+use crate::tlb::{SharerDirectory, Tlb};
 use crate::topology::{CoreId, Topology};
 
 /// Cost model for IPI delivery and TLB invalidation.
@@ -108,7 +108,8 @@ pub struct InterruptController {
     topo: Topology,
     cost: IpiCostModel,
     endpoints: Vec<Endpoint>,
-    tlbs: Vec<Rc<Tlb>>,
+    directory: Rc<SharerDirectory>,
+    tlbs: Vec<Tlb>,
     stats: IpiStats,
     /// Optional trace collector; `None` (the default) costs one branch
     /// per shootdown round.
@@ -116,13 +117,21 @@ pub struct InterruptController {
 }
 
 impl InterruptController {
-    /// Creates a controller for `topo`, wiring up one TLB per core.
-    pub fn new(sim: SimHandle, topo: Topology, cost: IpiCostModel, tlbs: Vec<Rc<Tlb>>) -> Self {
-        assert_eq!(
-            tlbs.len(),
-            topo.total_cores() as usize,
-            "one TLB per core required"
-        );
+    /// Creates a controller for `topo` with one `tlb_entries`-entry TLB
+    /// per core, all over one sharer directory; core `i` replaces with
+    /// seed `seed ^ i`.
+    pub fn new(
+        sim: SimHandle,
+        topo: Topology,
+        cost: IpiCostModel,
+        tlb_entries: usize,
+        seed: u64,
+    ) -> Self {
+        let directory = Rc::new(SharerDirectory::new(topo.total_cores()));
+        let tlbs = topo
+            .cores()
+            .map(|c| Tlb::with_directory(Rc::clone(&directory), c, tlb_entries, seed ^ c.0 as u64))
+            .collect();
         let endpoints = (0..topo.total_cores())
             .map(|_| Endpoint {
                 busy_until: Cell::new(SimTime::ZERO),
@@ -134,6 +143,7 @@ impl InterruptController {
             topo,
             cost,
             endpoints,
+            directory,
             tlbs,
             stats: IpiStats::default(),
             tracer: RefCell::new(None),
@@ -149,8 +159,14 @@ impl InterruptController {
     }
 
     /// The TLB of `core`.
-    pub fn tlb(&self, core: CoreId) -> &Rc<Tlb> {
+    pub fn tlb(&self, core: CoreId) -> &Tlb {
         &self.tlbs[core.index()]
+    }
+
+    /// The directory of which cores cache each page, shared by every
+    /// core's TLB.
+    pub fn directory(&self) -> &SharerDirectory {
+        &self.directory
     }
 
     /// IPI statistics.
@@ -208,7 +224,10 @@ impl InterruptController {
             ep.stolen_ns.set(ep.stolen_ns.get() + handler);
             // Invalidate the target's entries now; the frame will not be
             // reclaimed until the ticket resolves, so the safety invariant
-            // holds (see module docs in `tlb`).
+            // holds (see module docs in `tlb`). Each invalidation reads the
+            // target's live sharer bit at this send: a refault that
+            // cancels the eviction may have refilled the entry during the
+            // sends above, and that entry must go too.
             for &vpn in vpns {
                 self.tlbs[t.index()].invalidate(vpn);
             }
@@ -269,10 +288,7 @@ mod tests {
     use mage_sim::Simulation;
 
     fn controller(sim: &Simulation, topo: Topology, cost: IpiCostModel) -> Rc<InterruptController> {
-        let tlbs = (0..topo.total_cores())
-            .map(|i| Rc::new(Tlb::new(64, i as u64)))
-            .collect();
-        Rc::new(InterruptController::new(sim.handle(), topo, cost, tlbs))
+        Rc::new(InterruptController::new(sim.handle(), topo, cost, 64, 0))
     }
 
     #[test]
@@ -393,6 +409,37 @@ mod tests {
         for core in topo.cores() {
             assert!(!ic.tlb(core).translates(77), "core {core:?} stale");
         }
+        assert_eq!(ic.directory().sharer(77), None);
+        assert_eq!(ic.directory().entries(), 0);
+    }
+
+    #[test]
+    fn refill_during_the_sends_is_invalidated_at_its_target() {
+        // Core 2 does not cache the page when the shootdown starts, but
+        // fills it between the send to core 1 and its own send: the
+        // invalidation at core 2's send time must see the live entry.
+        let sim = Simulation::new();
+        let topo = Topology::single_socket(3);
+        let cost = IpiCostModel::bare_metal();
+        let ic = controller(&sim, topo, cost.clone());
+        ic.tlb(CoreId(1)).fill(77);
+        let (flusher, refiller) = (Rc::clone(&ic), Rc::clone(&ic));
+        let h = sim.handle();
+        let refill = sim.spawn(async move {
+            h.sleep(cost.send_ns + cost.send_ns / 2).await;
+            refiller.tlb(CoreId(2)).fill(77);
+        });
+        sim.block_on(async move {
+            flusher
+                .flush_sync(CoreId(0), &[CoreId(1), CoreId(2)], &[77])
+                .await;
+            refill.await;
+        });
+        assert!(!ic.tlb(CoreId(1)).translates(77));
+        assert!(
+            !ic.tlb(CoreId(2)).translates(77),
+            "mid-shootdown refill survived"
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-core TLB model.
+//! Per-core TLB model over one sharer directory per machine.
 //!
 //! The TLB tracks which virtual page numbers a core can currently
 //! translate without touching the page table. It serves two purposes in
@@ -8,7 +8,13 @@
 //!    page-table walks.
 //! 2. **Safety checking** — the eviction pipeline must never reclaim a
 //!    frame while any core still caches a translation to it. The engine's
-//!    debug assertions consult [`Tlb::translates`] to enforce this.
+//!    debug assertions ask [`SharerDirectory::sharer`] to enforce this.
+//!
+//! Membership lives in a [`SharerDirectory`]: each cached page maps to a
+//! bitmask of the cores caching it, so a shootdown's per-target
+//! invalidation costs one directory probe, and reaches a core's
+//! replacement state only when that core really caches the page. Each
+//! [`Tlb`] keeps only its insertion vector and replacement RNG.
 //!
 //! Invalidations performed by the shootdown protocol clear entries at
 //! *request* time even though the simulated flush completes later; this is
@@ -17,19 +23,119 @@
 //! (see `mage_mmu::ipi`).
 
 use std::cell::RefCell;
+use std::num::NonZeroU64;
+use std::rc::Rc;
 
 use mage_sim::rng::SplitMix64;
 use mage_sim::slab::PageMap;
 use mage_sim::stats::Counter;
 
+use crate::topology::CoreId;
+
+/// Which cores cache a translation for each page.
+///
+/// A page's sharer mask has ⌈cores / 64⌉ words; each word is keyed by
+/// `(page, word index)` and present only while some core of its 64 caches
+/// the page. The directory therefore costs O(cached translations) host
+/// memory, never O(pages touched), and a lookup, fill or invalidation is
+/// one probe on any core count.
+pub struct SharerDirectory {
+    /// Mask words per page: ⌈cores / 64⌉.
+    words: u64,
+    /// `vpn * words + core / 64` → bit `core % 64` set per caching core.
+    /// A word is never zero, so the map stores it in 8 bytes.
+    sharers: RefCell<PageMap<NonZeroU64>>,
+}
+
+impl SharerDirectory {
+    /// An empty directory for a machine of `cores` cores.
+    pub fn new(cores: u32) -> Self {
+        SharerDirectory {
+            words: u64::from(cores.div_ceil(64).max(1)),
+            sharers: RefCell::new(PageMap::new()),
+        }
+    }
+
+    /// The key of word `w` of `vpn`'s sharer mask.
+    #[inline]
+    fn key(&self, vpn: u64, w: u64) -> u64 {
+        vpn.checked_mul(self.words)
+            .and_then(|k| k.checked_add(w))
+            .expect("vpn fits the directory's key space")
+    }
+
+    /// The key of `core`'s mask word for `vpn`, and its bit in that word.
+    #[inline]
+    fn word(&self, vpn: u64, core: CoreId) -> (u64, u64) {
+        (self.key(vpn, u64::from(core.0 / 64)), 1 << (core.0 % 64))
+    }
+
+    /// Whether `core` caches a translation for `vpn`.
+    #[inline]
+    fn caches(&self, vpn: u64, core: CoreId) -> bool {
+        let (key, bit) = self.word(vpn, core);
+        self.sharers
+            .borrow()
+            .get(key)
+            .is_some_and(|w| w.get() & bit != 0)
+    }
+
+    /// The lowest-numbered core caching `vpn`, if any.
+    pub fn sharer(&self, vpn: u64) -> Option<CoreId> {
+        let sharers = self.sharers.borrow();
+        (0..self.words).find_map(|w| {
+            let word = sharers.get(self.key(vpn, w))?;
+            Some(CoreId((w * 64) as u32 + word.trailing_zeros()))
+        })
+    }
+
+    /// Live mask words: one per page cached by any core on ≤ 64-core
+    /// machines. Bounded by the cached translations.
+    pub fn entries(&self) -> usize {
+        self.sharers.borrow().len()
+    }
+
+    /// Marks `core` as caching `vpn`; false if it already did.
+    fn set(&self, vpn: u64, core: CoreId) -> bool {
+        let (key, bit) = self.word(vpn, core);
+        let mut inserted = false;
+        let mut sharers = self.sharers.borrow_mut();
+        let word = sharers.get_or_insert_with(key, || {
+            inserted = true;
+            NonZeroU64::new(bit).expect("a core's bit is nonzero")
+        });
+        let newly = inserted || word.get() & bit == 0;
+        *word |= bit;
+        newly
+    }
+
+    /// Clears `core`'s bit for `vpn`, dropping the word once no core of
+    /// its 64 caches the page; true if the bit was set.
+    fn clear(&self, vpn: u64, core: CoreId) -> bool {
+        let (key, bit) = self.word(vpn, core);
+        let mut was_set = false;
+        self.sharers.borrow_mut().update_or_remove(key, |word| {
+            was_set = word.get() & bit != 0;
+            match NonZeroU64::new(word.get() & !bit) {
+                Some(rest) => {
+                    *word = rest;
+                    true
+                }
+                None => false,
+            }
+        });
+        was_set
+    }
+}
+
 /// A fixed-capacity, randomly-replaced translation cache for one core.
 pub struct Tlb {
+    dir: Rc<SharerDirectory>,
+    core: CoreId,
     capacity: usize,
-    /// vpn → slot in `order` (for O(1) invalidation). Open-addressed
-    /// deterministic index: the hottest lookup in the simulator (once
-    /// per access), converted from `BTreeMap` by the slab refactor.
-    map: RefCell<PageMap<usize>>,
-    /// Insertion vector for random replacement.
+    /// Cached vpns in insertion order, for random replacement.
+    /// Invalidation scans it, but only after the directory confirms the
+    /// page is here.
     order: RefCell<Vec<u64>>,
     rng: SplitMix64,
     /// Translation hits.
@@ -41,15 +147,24 @@ pub struct Tlb {
 }
 
 impl Tlb {
-    /// Creates a TLB with `capacity` entries (e.g. 1,536 for Ice Lake's
-    /// combined DTLB+STLB reach at 4 KiB pages).
+    /// Creates a stand-alone TLB with `capacity` entries (e.g. 1,536 for
+    /// Ice Lake's combined DTLB+STLB reach at 4 KiB pages) over a private
+    /// one-core directory.
     pub fn new(capacity: usize, seed: u64) -> Self {
+        Self::with_directory(Rc::new(SharerDirectory::new(1)), CoreId(0), capacity, seed)
+    }
+
+    /// Creates `core`'s TLB over the machine's shared directory.
+    pub fn with_directory(
+        dir: Rc<SharerDirectory>,
+        core: CoreId,
+        capacity: usize,
+        seed: u64,
+    ) -> Self {
         Tlb {
+            dir,
+            core,
             capacity,
-            // 2× slack: a full TLB replaces an entry per miss (remove +
-            // insert), and backward-shift deletion at the map's ¾-load
-            // limit walks long probe chains. Half-load keeps them short.
-            map: RefCell::new(PageMap::with_capacity(capacity * 2)),
             order: RefCell::new(Vec::with_capacity(capacity)),
             rng: SplitMix64::new(seed),
             hits: Counter::new(),
@@ -60,7 +175,7 @@ impl Tlb {
 
     /// Looks up `vpn`, recording a hit or miss.
     pub fn lookup(&self, vpn: u64) -> bool {
-        if self.map.borrow().contains_key(vpn) {
+        if self.translates(vpn) {
             self.hits.inc();
             true
         } else {
@@ -71,48 +186,43 @@ impl Tlb {
 
     /// Whether the core can currently translate `vpn` (no stats recorded).
     pub fn translates(&self, vpn: u64) -> bool {
-        self.map.borrow().contains_key(vpn)
+        self.dir.caches(vpn, self.core)
     }
 
     /// Inserts a translation after a page-table walk, evicting a random
     /// victim if the TLB is full.
     pub fn fill(&self, vpn: u64) {
-        let mut map = self.map.borrow_mut();
-        if map.contains_key(vpn) {
+        if !self.dir.set(vpn, self.core) {
             return;
         }
         let mut order = self.order.borrow_mut();
         if order.len() >= self.capacity {
             let victim_slot = self.rng.next_below(order.len() as u64) as usize;
-            let victim = order[victim_slot];
-            map.remove(victim);
+            let victim = std::mem::replace(&mut order[victim_slot], vpn);
+            self.dir.clear(victim, self.core);
             self.capacity_evictions.inc();
-            order[victim_slot] = vpn;
-            map.insert(vpn, victim_slot);
         } else {
             order.push(vpn);
-            map.insert(vpn, order.len() - 1);
         }
     }
 
     /// Invalidates one translation (INVLPG).
     pub fn invalidate(&self, vpn: u64) {
-        let mut map = self.map.borrow_mut();
-        if let Some(slot) = map.remove(vpn) {
+        if self.dir.clear(vpn, self.core) {
             let mut order = self.order.borrow_mut();
-            let last = order.len() - 1;
-            order.swap(slot, last);
-            order.pop();
-            if slot < order.len() {
-                map.insert(order[slot], slot);
-            }
+            let slot = order
+                .iter()
+                .position(|&v| v == vpn)
+                .expect("a sharer bit has its order entry");
+            order.swap_remove(slot);
         }
     }
 
     /// Flushes every translation (CR3 write).
     pub fn flush_all(&self) {
-        *self.map.borrow_mut() = PageMap::with_capacity(self.capacity * 2);
-        self.order.borrow_mut().clear();
+        for vpn in self.order.borrow_mut().drain(..) {
+            self.dir.clear(vpn, self.core);
+        }
     }
 
     /// Number of cached translations.
@@ -181,6 +291,7 @@ mod tests {
         tlb.flush_all();
         assert!(tlb.is_empty());
         assert!(!tlb.translates(5));
+        assert_eq!(tlb.dir.entries(), 0, "flush drops every directory word");
     }
 
     #[test]
@@ -197,8 +308,8 @@ mod tests {
         for vpn in 0..10 {
             tlb.fill(vpn);
         }
-        // Remove from the middle repeatedly; the map/order cross-links
-        // must stay coherent.
+        // Remove from the middle repeatedly; the directory and the order
+        // vector must stay coherent.
         for vpn in [3, 0, 9, 5] {
             tlb.invalidate(vpn);
             assert!(!tlb.translates(vpn));
@@ -209,5 +320,28 @@ mod tests {
             tlb.invalidate(v);
         }
         assert!(tlb.is_empty());
+    }
+
+    #[test]
+    fn shared_directory_tracks_every_sharer() {
+        // 130 cores: three mask words per page.
+        let dir = Rc::new(SharerDirectory::new(130));
+        let tlbs: Vec<Tlb> = [1, 64, 129]
+            .into_iter()
+            .map(|c| Tlb::with_directory(Rc::clone(&dir), CoreId(c), 4, c as u64))
+            .collect();
+        for tlb in &tlbs {
+            tlb.fill(42);
+        }
+        assert_eq!(dir.entries(), 3, "one word per 64-core group");
+        assert_eq!(dir.sharer(42), Some(CoreId(1)));
+        tlbs[0].invalidate(42);
+        assert!(!tlbs[0].translates(42));
+        assert!(tlbs[1].translates(42) && tlbs[2].translates(42));
+        assert_eq!(dir.sharer(42), Some(CoreId(64)));
+        tlbs[1].invalidate(42);
+        tlbs[2].invalidate(42);
+        assert_eq!(dir.sharer(42), None);
+        assert_eq!(dir.entries(), 0);
     }
 }

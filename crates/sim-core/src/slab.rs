@@ -142,14 +142,14 @@ fn fib_hash(key: u64, shift: u32) -> usize {
 ///
 /// Linear probing with backward-shift deletion (no tombstones), growth
 /// at ¾ load. Point operations are O(1) expected with a probe sequence
-/// fully determined by the key history — the structure the TLB,
-/// page-waiter and evicting sets use instead of `BTreeMap`.
+/// fully determined by the key history — the structure the TLB sharer
+/// directory, page-waiter and evicting sets use instead of `BTreeMap`.
+/// Every point operation, upserts and read-modify-remove included,
+/// makes one probe (two when an insert grows the table).
 ///
 /// Keys and values live in parallel arrays so the probe loop touches 8
 /// bytes per slot (the key array) and only dereferences a value on a
-/// hit — measurably faster than probing `Option<(u64, V)>` slots in the
-/// events/sec harness, where the per-core TLBs put a few thousand of
-/// these probes on every fault path.
+/// hit.
 pub struct PageMap<V> {
     /// `key + 1` per slot; 0 marks an empty slot. Keys of `u64::MAX`
     /// are rejected at insert (page and sequence numbers never get
@@ -173,27 +173,12 @@ impl<V> PageMap<V> {
     /// An empty map (allocates the minimum table eagerly so the probe
     /// arithmetic never special-cases zero capacity).
     pub fn new() -> Self {
-        Self::with_pow2_capacity(Self::MIN_CAP)
-    }
-
-    /// An empty map sized for `n` entries without growing. The table is
-    /// the smallest power of two keeping `n` at or under ¾ load — the
-    /// same threshold [`insert`](Self::insert) grows at, so a map sized
-    /// for its working set never reallocates *or* overshoots to the next
-    /// power of two (a TLB's 1 536 entries fit 2 048 slots exactly).
-    pub fn with_capacity(n: usize) -> Self {
-        let cap = (n * 4).div_ceil(3).next_power_of_two().max(Self::MIN_CAP);
-        Self::with_pow2_capacity(cap)
-    }
-
-    fn with_pow2_capacity(cap: usize) -> Self {
-        debug_assert!(cap.is_power_of_two());
         let mut vals = Vec::new();
-        vals.resize_with(cap, || None);
+        vals.resize_with(Self::MIN_CAP, || None);
         PageMap {
-            keys: vec![0; cap],
+            keys: vec![0; Self::MIN_CAP],
             vals,
-            shift: 64 - cap.trailing_zeros(),
+            shift: 64 - Self::MIN_CAP.trailing_zeros(),
             len: 0,
         }
     }
@@ -216,19 +201,53 @@ impl<V> PageMap<V> {
     /// Slot index of `key`, if present.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
+        if key == u64::MAX {
+            return None; // never stored
+        }
+        self.probe(key).ok()
+    }
+
+    /// One probe for `key` (never `u64::MAX`): `Ok(slot)` where it lives,
+    /// or `Err(slot)` for the empty slot ending its chain, where an
+    /// insert would put it.
+    #[inline]
+    fn probe(&self, key: u64) -> Result<usize, usize> {
         let mask = self.mask();
-        let tagged = key.checked_add(1)?; // u64::MAX is never stored
+        let tagged = key + 1;
         let mut i = fib_hash(key, self.shift);
         loop {
             let k = self.keys[i];
             if k == tagged {
-                return Some(i);
+                return Ok(i);
             }
             if k == 0 {
-                return None;
+                return Err(i);
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// [`probe`](Self::probe) for an insert: when `key` is absent and
+    /// one more entry would cross ¾ load, grows and probes the new table
+    /// (the only case that probes twice).
+    #[inline]
+    fn probe_for_insert(&mut self, key: u64) -> Result<usize, usize> {
+        assert_ne!(key, u64::MAX, "u64::MAX is reserved");
+        match self.probe(key) {
+            Err(_) if (self.len + 1) * 4 > self.keys.len() * 3 => {
+                self.grow();
+                self.probe(key)
+            }
+            found => found,
+        }
+    }
+
+    /// Fills the empty slot `i` that a probe for `key` ended at.
+    #[inline]
+    fn occupy(&mut self, i: usize, key: u64, value: V) -> &mut V {
+        self.keys[i] = key + 1;
+        self.len += 1;
+        self.vals[i].insert(value)
     }
 
     /// Shared access to the value under `key`.
@@ -252,42 +271,47 @@ impl<V> PageMap<V> {
 
     /// Inserts `key → value`, returning the previous value if any.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        assert_ne!(key, u64::MAX, "u64::MAX is reserved");
-        if (self.len + 1) * 4 > self.keys.len() * 3 {
-            self.grow();
-        }
-        let mask = self.mask();
-        let tagged = key + 1;
-        let mut i = fib_hash(key, self.shift);
-        loop {
-            let k = self.keys[i];
-            if k == 0 {
-                self.keys[i] = tagged;
-                self.vals[i] = Some(value);
-                self.len += 1;
-                return None;
+        match self.probe_for_insert(key) {
+            Ok(i) => self.vals[i].replace(value),
+            Err(i) => {
+                self.occupy(i, key, value);
+                None
             }
-            if k == tagged {
-                return self.vals[i].replace(value);
-            }
-            i = (i + 1) & mask;
         }
     }
 
     /// Returns a mutable reference to the value under `key`, inserting
     /// `make()` first if absent (the `entry().or_insert_with()` shape).
+    /// One probe, unless the insert grows the table.
     pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> V) -> &mut V {
-        if self.find(key).is_none() {
-            self.insert(key, make());
+        match self.probe_for_insert(key) {
+            Ok(i) => self.vals[i].as_mut().expect("found slot is occupied"),
+            Err(i) => self.occupy(i, key, make()),
         }
-        let i = self.find(key).expect("key just ensured present");
-        self.vals[i].as_mut().expect("found slot is occupied")
     }
 
-    /// Removes `key`, returning its value. Backward-shift deletion keeps
-    /// probe chains tombstone-free, so lookup cost never decays.
+    /// Applies `update` to the value under `key` and removes the entry if
+    /// it returns `false` (a bitmask that lost its last bit), in one
+    /// probe. Returns whether `key` was present.
+    pub fn update_or_remove(&mut self, key: u64, update: impl FnOnce(&mut V) -> bool) -> bool {
+        let Some(i) = self.find(key) else {
+            return false;
+        };
+        if !update(self.vals[i].as_mut().expect("found slot is occupied")) {
+            self.remove_at(i);
+        }
+        true
+    }
+
+    /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let mut hole = self.find(key)?;
+        let i = self.find(key)?;
+        Some(self.remove_at(i))
+    }
+
+    /// Empties occupied slot `hole`. Backward-shift deletion keeps probe
+    /// chains tombstone-free, so lookup cost never decays.
+    fn remove_at(&mut self, mut hole: usize) -> V {
         self.keys[hole] = 0;
         let value = self.vals[hole].take().expect("found slot is occupied");
         self.len -= 1;
@@ -309,7 +333,7 @@ impl<V> PageMap<V> {
                 hole = i;
             }
         }
-        Some(value)
+        value
     }
 
     /// Entries in ascending key order — the only iteration offered, so
@@ -433,5 +457,23 @@ mod tests {
         m.get_or_insert_with(5, Vec::new).push(1);
         m.get_or_insert_with(5, || panic!("must not re-create")).push(2);
         assert_eq!(m.get(5), Some(&vec![1, 2]));
+    }
+
+    #[test]
+    fn pagemap_update_or_remove_drops_emptied_values() {
+        let mut m: PageMap<u64> = PageMap::new();
+        m.insert(9, 0b11);
+        assert!(m.update_or_remove(9, |v| {
+            *v &= !0b01;
+            *v != 0
+        }));
+        assert_eq!(m.get(9), Some(&0b10));
+        assert!(m.update_or_remove(9, |v| {
+            *v &= !0b10;
+            *v != 0
+        }));
+        assert!(!m.contains_key(9), "an emptied value drops its entry");
+        assert!(!m.update_or_remove(9, |_| panic!("absent key is not visited")));
+        assert!(m.is_empty());
     }
 }

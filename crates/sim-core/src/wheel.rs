@@ -45,7 +45,7 @@
 //! timers — the classic hierarchical-wheel bound. (An earlier lazy
 //! variant kept entries in place and partitioned the candidate slot of
 //! every level on each fire; that walk was O(pending) per fire and
-//! showed up as the top profile entry in the events/sec harness.)
+//! showed up as the top entry in a host profile.)
 
 use std::task::Waker;
 

@@ -120,13 +120,12 @@ fn chaos_run(system: SystemConfig, plan: FaultPlan, label: &str, seed: u64) -> C
         let vpn = vma.start_vpn + i;
         let pte = engine.page_table().get(vpn);
         if pte.is_remote() && !pte.locked() {
-            for c in 0..CORES {
-                assert!(
-                    !engine.interrupts().tlb(CoreId(c)).translates(vpn),
-                    "[{label} seed={seed}] stale TLB entry: core {c} still \
-                     translates remote vpn {vpn}"
-                );
-            }
+            let sharer = engine.interrupts().directory().sharer(vpn);
+            assert!(
+                sharer.is_none(),
+                "[{label} seed={seed}] stale TLB entry: core {sharer:?} still \
+                 translates remote vpn {vpn}"
+            );
         }
     }
 

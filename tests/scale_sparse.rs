@@ -2,11 +2,12 @@
 //! huge machine must be proportional to what the workload *touches*,
 //! never to the nominal capacity. Each test opens a 2^40-page (4 PiB)
 //! address space, touches ~1k scattered pages, and pins every per-page
-//! structure — page-table nodes, replica records, runner gauges — to an
-//! O(touched) bound that a dense O(capacity) representation would miss
-//! by nine orders of magnitude (these tests would also never finish
-//! allocating it).
+//! structure — page-table nodes, replica records, the TLB sharer
+//! directory, runner gauges — to an O(touched) bound that a dense
+//! O(capacity) representation would miss by nine orders of magnitude
+//! (these tests would also never finish allocating it).
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use mage_far_memory::prelude::*;
@@ -25,6 +26,23 @@ fn scattered(i: u64) -> u64 {
 /// touched page (5-level radix ⇒ ≤ 4 interior + 1 leaf each).
 fn pt_bound(touched: u64) -> u64 {
     1 + 5 * touched
+}
+
+/// The TLB sharer directory holds an entry only while some core caches
+/// the page: never more entries than cached translations (themselves at
+/// most cores × TLB capacity), nor than pages touched so far.
+fn assert_directory_bounded(engine: &FarMemory, touched: u64) {
+    let ic = engine.interrupts();
+    let cached: usize = engine.topology().cores().map(|c| ic.tlb(c).len()).sum();
+    let entries = ic.directory().entries();
+    assert!(
+        entries <= cached,
+        "directory holds {entries} entries for {cached} cached translations"
+    );
+    assert!(
+        entries as u64 <= touched,
+        "directory holds {entries} entries after {touched} touches"
+    );
 }
 
 /// Scattered touches through the replicated backend: a local cache much
@@ -51,14 +69,20 @@ fn replicated_4pib_space_costs_o_touched() {
     let vma = engine.mmap(SPACE);
     engine.populate_lazy(&vma);
 
+    let started = Rc::new(Cell::new(0u64));
     let mut joins = Vec::new();
     for t in 0..4u64 {
         let engine = Rc::clone(&engine);
+        let started = Rc::clone(&started);
         let h = sim.handle();
         let base = vma.start_vpn;
         joins.push(sim.spawn(async move {
             for i in (t..TOUCHED).step_by(4) {
-                engine.access(CoreId(t as u32), base + scattered(i), true).await;
+                started.set(started.get() + 1);
+                engine
+                    .access(CoreId(t as u32), base + scattered(i), true)
+                    .await;
+                assert_directory_bounded(&engine, started.get());
                 h.sleep(150).await;
             }
         }));
@@ -70,6 +94,7 @@ fn replicated_4pib_space_costs_o_touched() {
     });
     engine.shutdown();
     sim.run();
+    assert_directory_bounded(&engine, TOUCHED);
 
     let pt_nodes = engine.page_table().node_count() as u64;
     let replicas = engine.backend().replica_entries();
@@ -122,6 +147,11 @@ fn runner_lazy_populate_over_4pib_reports_sparse_gauges() {
     // No replication configured: the gauge must report zero rather than
     // inventing entries.
     assert_eq!(r.replica_entries, 0);
+    assert!(
+        r.tlb_directory_entries > 0 && r.tlb_directory_entries <= touched_max,
+        "tlb_directory_entries {} outside (0, {touched_max}]",
+        r.tlb_directory_entries
+    );
 }
 
 /// Replication through the runner: the end-to-end path (mmap → lazy
