@@ -13,6 +13,57 @@ use std::collections::BTreeSet;
 /// Maximum block order (2^10 frames = 4 MiB blocks at 4 KiB pages).
 pub const MAX_ORDER: u32 = 10;
 
+/// log2 of the frames covered by one chunk of the outstanding record.
+const CHUNK_SHIFT: u32 = 12;
+const CHUNK_FRAMES: usize = 1 << CHUNK_SHIFT;
+
+/// The buddy's record of outstanding blocks: one byte per frame, holding
+/// `order + 1` at a live block's base and 0 everywhere else.
+///
+/// Bytes live in 4 KiB chunks (one per 4,096 frames) allocated on first
+/// touch and found through a small [`PageMap`] keyed by
+/// `frame >> CHUNK_SHIFT`, so the record costs O(touched frames). It is
+/// deliberately not one vector grown to the highest frame: an unaligned
+/// pool hands out its sub-max-order tail first, so a `2^38 + 777`-frame
+/// pool's first order-0 frame sits near `2^38`.
+#[derive(Default)]
+struct Outstanding {
+    chunk_of: PageMap<u32>,
+    chunks: Vec<[u8; CHUNK_FRAMES]>,
+    /// Live blocks: bytes currently nonzero.
+    live: u64,
+}
+
+impl Outstanding {
+    /// Records a live block of `order` at `base`.
+    fn insert(&mut self, base: u64, order: u32) {
+        let fresh = self.chunks.len() as u32;
+        let chunk = *self
+            .chunk_of
+            .get_or_insert_with(base >> CHUNK_SHIFT, || fresh);
+        if chunk == fresh {
+            self.chunks.push([0; CHUNK_FRAMES]);
+        }
+        let byte = &mut self.chunks[chunk as usize][base as usize % CHUNK_FRAMES];
+        debug_assert_eq!(*byte, 0, "block {base:#x} already outstanding");
+        *byte = order as u8 + 1;
+        self.live += 1;
+    }
+
+    /// Clears the record at `base` and returns what it held: `order + 1`
+    /// if a block of `order` was live there, else 0.
+    fn take(&mut self, base: u64) -> u8 {
+        let Some(&chunk) = self.chunk_of.get(base >> CHUNK_SHIFT) else {
+            return 0;
+        };
+        let byte = std::mem::take(&mut self.chunks[chunk as usize][base as usize % CHUNK_FRAMES]);
+        if byte != 0 {
+            self.live -= 1;
+        }
+        byte
+    }
+}
+
 /// A binary buddy allocator handing out frame numbers.
 ///
 /// # Examples
@@ -55,10 +106,8 @@ pub struct BuddyAllocator {
     /// eager representation would have picked.
     pristine_next: u64,
     pristine_end: u64,
-    /// Outstanding allocations (base → order), for exact double-free
-    /// detection. Pure point lookups, so an open-addressed [`PageMap`]
-    /// suffices: a base can be outstanding at only one order at a time.
-    outstanding: PageMap<u32>,
+    /// Outstanding allocations, for exact double-free detection.
+    outstanding: Outstanding,
     free_frames: u64,
 }
 
@@ -76,7 +125,7 @@ impl BuddyAllocator {
             free_lists: (0..=MAX_ORDER).map(|_| BTreeSet::new()).collect(),
             pristine_next: 0,
             pristine_end,
-            outstanding: PageMap::new(),
+            outstanding: Outstanding::default(),
             free_frames: nframes,
         };
         // Seed the sub-max-order tail with maximal aligned blocks.
@@ -130,12 +179,12 @@ impl BuddyAllocator {
     }
 
     /// Host-side metadata entries currently held: materialized free-list
-    /// blocks plus outstanding-allocation records. The pristine run costs
-    /// two words however large it is, so right after construction this is
-    /// O(1) in `nframes` — the scale bench and the sparse-space
-    /// regression read it to pin O(touched) behaviour.
+    /// blocks plus outstanding blocks. The pristine run costs two words
+    /// however large it is, so right after construction this is O(1) in
+    /// `nframes`; this module's tests read it to pin O(touched)
+    /// behaviour.
     pub fn metadata_entries(&self) -> u64 {
-        self.free_lists.iter().map(|l| l.len() as u64).sum::<u64>() + self.outstanding.len() as u64
+        self.free_lists.iter().map(|l| l.len() as u64).sum::<u64>() + self.outstanding.live
     }
 
     /// Allocates a block of `2^order` frames, returning its base frame.
@@ -178,8 +227,8 @@ impl BuddyAllocator {
         assert_eq!(base % (1 << order), 0, "misaligned free of {base:#x}");
         assert!(base + (1 << order) <= self.nframes, "free out of range");
         assert_eq!(
-            self.outstanding.remove(base),
-            Some(order),
+            self.outstanding.take(base),
+            order as u8 + 1,
             "double or invalid free of block {base:#x} order {order}"
         );
         let freed_frames = 1u64 << order;
@@ -212,6 +261,7 @@ impl BuddyAllocator {
 mod tests {
     use super::*;
     use mage_sim::rng::SplitMix64;
+    use std::collections::BTreeMap;
 
     #[test]
     fn full_pool_after_construction() {
@@ -245,6 +295,98 @@ mod tests {
         assert_eq!(b.alloc(MAX_ORDER), Some(1 << MAX_ORDER));
         b.free(0, 0);
         assert_eq!(b.alloc(0), Some(0));
+        assert!(
+            b.outstanding.chunks.len() <= 2,
+            "bottom blocks: {} chunks",
+            b.outstanding.chunks.len()
+        );
+        // The unaligned pool hands out its top tail first; recording those
+        // frames must cost chunks near the top, not a vector grown to them.
+        let mut unaligned = unaligned;
+        for _ in 0..4 {
+            let f = unaligned.alloc(0).expect("tail frame");
+            assert!(f >= 1u64 << 38, "tail frames come first: {f:#x}");
+        }
+        assert!(
+            unaligned.outstanding.chunks.len() <= 2,
+            "top tail: {} chunks",
+            unaligned.outstanding.chunks.len()
+        );
+    }
+
+    /// The per-frame byte record against a `BTreeMap` of outstanding
+    /// blocks: a seeded alloc/free stream at mixed orders, with the
+    /// outstanding count and the free count compared after every step.
+    #[test]
+    fn outstanding_record_matches_btreemap_reference() {
+        for n in [1000u64, 4096, 9000, (1 << 14) + 777] {
+            for seed in 0..16u64 {
+                let rng = SplitMix64::new(0x0B17_E5EE ^ seed);
+                let mut b = BuddyAllocator::new(n);
+                let mut reference: BTreeMap<u64, u32> = BTreeMap::new();
+                for step in 0..600 {
+                    if rng.next_below(3) < 2 || reference.is_empty() {
+                        let order = rng.next_below(MAX_ORDER as u64 + 1) as u32;
+                        if let Some(base) = b.alloc(order) {
+                            assert_eq!(
+                                reference.insert(base, order),
+                                None,
+                                "base {base:#x} live twice"
+                            );
+                        }
+                    } else {
+                        let nth = rng.next_below(reference.len() as u64) as usize;
+                        let (&base, &order) = reference.iter().nth(nth).expect("non-empty");
+                        reference.remove(&base);
+                        b.free(base, order);
+                    }
+                    let free_blocks: u64 = b.free_lists.iter().map(|l| l.len() as u64).sum();
+                    assert_eq!(
+                        b.metadata_entries() - free_blocks,
+                        reference.len() as u64,
+                        "outstanding count diverged (n {n} seed {seed} step {step})"
+                    );
+                    let held: u64 = reference.values().map(|&o| 1u64 << o).sum();
+                    assert_eq!(
+                        b.free_frames(),
+                        n - held,
+                        "free count diverged (n {n} seed {seed} step {step})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Runs `case` on a fresh allocator and requires the double-free panic.
+    fn assert_invalid_free(name: &str, case: fn(&mut BuddyAllocator)) {
+        let err =
+            std::panic::catch_unwind(|| case(&mut BuddyAllocator::new(1 << 14))).expect_err(name);
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("double or invalid free"), "{name}: {msg}");
+    }
+
+    /// Each invalid free panics: a base never allocated (in an untouched
+    /// chunk and next to a live block), the wrong order, and a second free.
+    #[test]
+    fn invalid_frees_panic() {
+        assert_invalid_free("never allocated, untouched chunk", |b| b.free(0, 0));
+        assert_invalid_free("never allocated, touched chunk", |b| {
+            assert_eq!(b.alloc(0), Some(0));
+            b.free(1, 0);
+        });
+        assert_invalid_free("wrong order", |b| {
+            let base = b.alloc(1).expect("frame pair");
+            b.free(base, 0);
+        });
+        assert_invalid_free("second free", |b| {
+            let base = b.alloc(2).expect("block");
+            b.free(base, 2);
+            b.free(base, 2);
+        });
     }
 
     /// The eager-seeded allocator this module used to build: every
