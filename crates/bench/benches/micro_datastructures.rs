@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the hot data structures: buddy allocator
-//! alloc/free, TLB fill/invalidate, page-table updates and histogram
-//! recording. These bound the *host-side* cost of a simulated event,
-//! which determines how large an experiment the harness can run.
+//! alloc/free, TLB fill/invalidate, a 48-core fill storm and shootdown
+//! probe, page-table updates and histogram recording. These bound the
+//! *host-side* cost of a simulated event, which determines how large an
+//! experiment the harness can run.
 //!
 //! Self-contained timing loop (no external bench framework): each case
 //! is warmed up, then run for a fixed iteration count several times, and
@@ -74,6 +75,32 @@ fn main() {
         std::hint::black_box(tlb.lookup(i % 1_000));
     });
     exp.row(vec!["tlb_lookup_hit".into(), format!("{ns:.1}")]);
+
+    // A fault storm's TLB traffic: 48 cores, each walking its own
+    // sequential page stream, so every lookup misses and, once the
+    // 1,536 entries are full, every fill evicts a random victim.
+    let tlbs: Vec<Tlb> = (0..48).map(|c| Tlb::new(1_536, c)).collect();
+    let mut next = 0u64;
+    let ns = best_ns_per_iter(|_| {
+        let (core, vpn) = (next % 48, (next / 48) | ((next % 48) << 32));
+        next += 1;
+        let tlb = &tlbs[core as usize];
+        if !tlb.lookup(std::hint::black_box(vpn)) {
+            tlb.fill(vpn);
+        }
+    });
+    exp.row(vec!["tlb_fill_storm_48".into(), format!("{ns:.1}")]);
+
+    // A shootdown round's target-side probes: 240 pages invalidated on
+    // each of 48 full TLBs that cache none of them.
+    let ns = best_ns_per_iter(|i| {
+        let tlb = &tlbs[(i / 240 % 48) as usize];
+        tlb.invalidate(std::hint::black_box((1 << 40) | (i % 240)));
+    });
+    exp.row(vec![
+        "tlb_shootdown_probe_48x240".into(),
+        format!("{ns:.1}"),
+    ]);
 
     let pt = PageTable::new();
     for v in 0..10_000u64 {

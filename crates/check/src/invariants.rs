@@ -97,12 +97,12 @@ impl InvariantRegistry {
 /// remote *and locked* is mid-eviction: its frame is not reclaimed until
 /// the shootdown acks arrive, so a TLB entry there is not yet stale.
 fn no_stale_tlb(ctx: &CheckCtx) -> Option<Violation> {
-    let directory = ctx.engine.interrupts().directory();
+    let interrupts = ctx.engine.interrupts();
     for i in 0..ctx.vma.pages {
         let vpn = ctx.vma.start_vpn + i;
         let pte = ctx.engine.page_table().get(vpn);
         if pte.is_remote() && !pte.locked() {
-            if let Some(core) = directory.sharer(vpn) {
+            if let Some(core) = interrupts.sharer(vpn) {
                 return Some(Violation::StaleTlb { core: core.0, vpn });
             }
         }

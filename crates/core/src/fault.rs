@@ -533,7 +533,7 @@ mod tests {
                 let vpn = vma.start_vpn + i;
                 if e.pt.get(vpn).is_remote() {
                     assert_eq!(
-                        e.ic.directory().sharer(vpn),
+                        e.ic.sharer(vpn),
                         None,
                         "stale TLB entry for evicted page {vpn:#x}"
                     );

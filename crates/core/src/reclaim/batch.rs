@@ -296,7 +296,7 @@ impl FarMemory {
                 }
             }
             debug_assert_eq!(
-                self.ic.directory().sharer(page.vpn),
+                self.ic.sharer(page.vpn),
                 None,
                 "frame reclaim with live translation: vpn {:#x}",
                 page.vpn

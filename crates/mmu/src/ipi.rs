@@ -25,7 +25,7 @@ use mage_sim::time::{Nanos, SimTime};
 use mage_sim::trace::{Tracer, TRACK_TLB};
 use mage_sim::SimHandle;
 
-use crate::tlb::{SharerDirectory, Tlb};
+use crate::tlb::Tlb;
 use crate::topology::{CoreId, Topology};
 
 /// Cost model for IPI delivery and TLB invalidation.
@@ -108,7 +108,6 @@ pub struct InterruptController {
     topo: Topology,
     cost: IpiCostModel,
     endpoints: Vec<Endpoint>,
-    directory: Rc<SharerDirectory>,
     tlbs: Vec<Tlb>,
     stats: IpiStats,
     /// Optional trace collector; `None` (the default) costs one branch
@@ -118,8 +117,7 @@ pub struct InterruptController {
 
 impl InterruptController {
     /// Creates a controller for `topo` with one `tlb_entries`-entry TLB
-    /// per core, all over one sharer directory; core `i` replaces with
-    /// seed `seed ^ i`.
+    /// per core; core `i` replaces with seed `seed ^ i`.
     pub fn new(
         sim: SimHandle,
         topo: Topology,
@@ -127,10 +125,9 @@ impl InterruptController {
         tlb_entries: usize,
         seed: u64,
     ) -> Self {
-        let directory = Rc::new(SharerDirectory::new(topo.total_cores()));
         let tlbs = topo
             .cores()
-            .map(|c| Tlb::with_directory(Rc::clone(&directory), c, tlb_entries, seed ^ c.0 as u64))
+            .map(|c| Tlb::new(tlb_entries, seed ^ c.0 as u64))
             .collect();
         let endpoints = (0..topo.total_cores())
             .map(|_| Endpoint {
@@ -143,7 +140,6 @@ impl InterruptController {
             topo,
             cost,
             endpoints,
-            directory,
             tlbs,
             stats: IpiStats::default(),
             tracer: RefCell::new(None),
@@ -163,10 +159,10 @@ impl InterruptController {
         &self.tlbs[core.index()]
     }
 
-    /// The directory of which cores cache each page, shared by every
-    /// core's TLB.
-    pub fn directory(&self) -> &SharerDirectory {
-        &self.directory
+    /// The lowest-numbered core whose TLB translates `vpn`, if any: the
+    /// stale-translation safety check.
+    pub fn sharer(&self, vpn: u64) -> Option<CoreId> {
+        self.topo.cores().find(|&c| self.tlb(c).translates(vpn))
     }
 
     /// IPI statistics.
@@ -225,7 +221,7 @@ impl InterruptController {
             // Invalidate the target's entries now; the frame will not be
             // reclaimed until the ticket resolves, so the safety invariant
             // holds (see module docs in `tlb`). Each invalidation reads the
-            // target's live sharer bit at this send: a refault that
+            // target's live TLB at this send: a refault that
             // cancels the eviction may have refilled the entry during the
             // sends above, and that entry must go too.
             for &vpn in vpns {
@@ -409,8 +405,8 @@ mod tests {
         for core in topo.cores() {
             assert!(!ic.tlb(core).translates(77), "core {core:?} stale");
         }
-        assert_eq!(ic.directory().sharer(77), None);
-        assert_eq!(ic.directory().entries(), 0);
+        assert_eq!(ic.sharer(77), None);
+        assert_eq!(topo.cores().map(|c| ic.tlb(c).len()).sum::<usize>(), 0);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //!
 //! - [`pagetable::PageTable`] — a 5-level radix page table with x86-style
 //!   PTE bits (present/accessed/dirty/locked/remote),
-//! - [`tlb::Tlb`] — per-core translation caches over one
-//!   [`tlb::SharerDirectory`] per machine (page → bitmask of caching
-//!   cores), used both for hit accounting and for checking the
-//!   *stale-translation safety invariant* (a frame may not be reclaimed
-//!   while a core could still translate to it),
+//! - [`tlb::Tlb`] — per-core translation caches, each indexing its own
+//!   insertion vector with 2-byte slots, used both for hit accounting
+//!   and for checking the *stale-translation safety invariant* (a frame
+//!   may not be reclaimed while a core could still translate to it),
 //! - [`ipi::InterruptController`] — APIC-style IPI delivery with serial
 //!   per-target sends, per-core FIFO handler queues, NUMA-dependent wire
 //!   latency and optional VMexit penalty; IPI storms and queueing delay
@@ -28,5 +27,5 @@ pub mod topology;
 pub use addrspace::{AddressSpace, Vma, VmaLockModel};
 pub use ipi::{FlushTicket, InterruptController, IpiCostModel, IpiStats};
 pub use pagetable::{PageTable, Pte, PAGE_SHIFT, PAGE_SIZE};
-pub use tlb::{SharerDirectory, Tlb};
+pub use tlb::Tlb;
 pub use topology::{CoreId, Topology};

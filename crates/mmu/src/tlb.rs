@@ -1,4 +1,4 @@
-//! Per-core TLB model over one sharer directory per machine.
+//! Per-core TLB model, each with its own small translation index.
 //!
 //! The TLB tracks which virtual page numbers a core can currently
 //! translate without touching the page table. It serves two purposes in
@@ -8,13 +8,20 @@
 //!    page-table walks.
 //! 2. **Safety checking** — the eviction pipeline must never reclaim a
 //!    frame while any core still caches a translation to it. The engine's
-//!    debug assertions ask [`SharerDirectory::sharer`] to enforce this.
+//!    debug assertions ask
+//!    [`InterruptController::sharer`](crate::ipi::InterruptController::sharer)
+//!    to enforce this.
 //!
-//! Membership lives in a [`SharerDirectory`]: each cached page maps to a
-//! bitmask of the cores caching it, so a shootdown's per-target
-//! invalidation costs one directory probe, and reaches a core's
-//! replacement state only when that core really caches the page. Each
-//! [`Tlb`] keeps only its insertion vector and replacement RNG.
+//! Each [`Tlb`] keeps its cached pages in an insertion vector, from which
+//! random replacement draws its victims, and beside it an open-addressed
+//! index of 2-byte slots: each occupied slot holds a page's position in
+//! the vector, at or after the page's Fibonacci home slot. Probing is
+//! linear and deletion shifts the cluster back, so there are no
+//! tombstones. The index starts at 16 slots and doubles to keep its load
+//! ≤ 3/8, so an idle core costs 32 bytes and a full 1,536-entry TLB
+//! 8 KiB — small enough to stay cache-resident on the fault path. A
+//! lookup, fill or invalidation is one probe; invalidation re-points the
+//! last vector entry's slot and swap-removes, so it never scans.
 //!
 //! Invalidations performed by the shootdown protocol clear entries at
 //! *request* time even though the simulated flush completes later; this is
@@ -23,120 +30,19 @@
 //! (see `mage_mmu::ipi`).
 
 use std::cell::RefCell;
-use std::num::NonZeroU64;
-use std::rc::Rc;
 
 use mage_sim::rng::SplitMix64;
-use mage_sim::slab::PageMap;
 use mage_sim::stats::Counter;
 
-use crate::topology::CoreId;
-
-/// Which cores cache a translation for each page.
-///
-/// A page's sharer mask has ⌈cores / 64⌉ words; each word is keyed by
-/// `(page, word index)` and present only while some core of its 64 caches
-/// the page. The directory therefore costs O(cached translations) host
-/// memory, never O(pages touched), and a lookup, fill or invalidation is
-/// one probe on any core count.
-pub struct SharerDirectory {
-    /// Mask words per page: ⌈cores / 64⌉.
-    words: u64,
-    /// `vpn * words + core / 64` → bit `core % 64` set per caching core.
-    /// A word is never zero, so the map stores it in 8 bytes.
-    sharers: RefCell<PageMap<NonZeroU64>>,
-}
-
-impl SharerDirectory {
-    /// An empty directory for a machine of `cores` cores.
-    pub fn new(cores: u32) -> Self {
-        SharerDirectory {
-            words: u64::from(cores.div_ceil(64).max(1)),
-            sharers: RefCell::new(PageMap::new()),
-        }
-    }
-
-    /// The key of word `w` of `vpn`'s sharer mask.
-    #[inline]
-    fn key(&self, vpn: u64, w: u64) -> u64 {
-        vpn.checked_mul(self.words)
-            .and_then(|k| k.checked_add(w))
-            .expect("vpn fits the directory's key space")
-    }
-
-    /// The key of `core`'s mask word for `vpn`, and its bit in that word.
-    #[inline]
-    fn word(&self, vpn: u64, core: CoreId) -> (u64, u64) {
-        (self.key(vpn, u64::from(core.0 / 64)), 1 << (core.0 % 64))
-    }
-
-    /// Whether `core` caches a translation for `vpn`.
-    #[inline]
-    fn caches(&self, vpn: u64, core: CoreId) -> bool {
-        let (key, bit) = self.word(vpn, core);
-        self.sharers
-            .borrow()
-            .get(key)
-            .is_some_and(|w| w.get() & bit != 0)
-    }
-
-    /// The lowest-numbered core caching `vpn`, if any.
-    pub fn sharer(&self, vpn: u64) -> Option<CoreId> {
-        let sharers = self.sharers.borrow();
-        (0..self.words).find_map(|w| {
-            let word = sharers.get(self.key(vpn, w))?;
-            Some(CoreId((w * 64) as u32 + word.trailing_zeros()))
-        })
-    }
-
-    /// Live mask words: one per page cached by any core on ≤ 64-core
-    /// machines. Bounded by the cached translations.
-    pub fn entries(&self) -> usize {
-        self.sharers.borrow().len()
-    }
-
-    /// Marks `core` as caching `vpn`; false if it already did.
-    fn set(&self, vpn: u64, core: CoreId) -> bool {
-        let (key, bit) = self.word(vpn, core);
-        let mut inserted = false;
-        let mut sharers = self.sharers.borrow_mut();
-        let word = sharers.get_or_insert_with(key, || {
-            inserted = true;
-            NonZeroU64::new(bit).expect("a core's bit is nonzero")
-        });
-        let newly = inserted || word.get() & bit == 0;
-        *word |= bit;
-        newly
-    }
-
-    /// Clears `core`'s bit for `vpn`, dropping the word once no core of
-    /// its 64 caches the page; true if the bit was set.
-    fn clear(&self, vpn: u64, core: CoreId) -> bool {
-        let (key, bit) = self.word(vpn, core);
-        let mut was_set = false;
-        self.sharers.borrow_mut().update_or_remove(key, |word| {
-            was_set = word.get() & bit != 0;
-            match NonZeroU64::new(word.get() & !bit) {
-                Some(rest) => {
-                    *word = rest;
-                    true
-                }
-                None => false,
-            }
-        });
-        was_set
-    }
-}
+/// An index slot that holds no page.
+const EMPTY: u16 = u16::MAX;
+/// log2 of the index's initial slot count.
+const MIN_BITS: u32 = 4;
 
 /// A fixed-capacity, randomly-replaced translation cache for one core.
 pub struct Tlb {
-    dir: Rc<SharerDirectory>,
-    core: CoreId,
     capacity: usize,
-    /// Cached vpns in insertion order, for random replacement.
-    /// Invalidation scans it, but only after the directory confirms the
-    /// page is here.
-    order: RefCell<Vec<u64>>,
+    entries: RefCell<Entries>,
     rng: SplitMix64,
     /// Translation hits.
     pub hits: Counter,
@@ -146,26 +52,120 @@ pub struct Tlb {
     pub capacity_evictions: Counter,
 }
 
-impl Tlb {
-    /// Creates a stand-alone TLB with `capacity` entries (e.g. 1,536 for
-    /// Ice Lake's combined DTLB+STLB reach at 4 KiB pages) over a private
-    /// one-core directory.
-    pub fn new(capacity: usize, seed: u64) -> Self {
-        Self::with_directory(Rc::new(SharerDirectory::new(1)), CoreId(0), capacity, seed)
+/// The cached pages and their index.
+struct Entries {
+    /// Cached vpns in insertion order, for random replacement.
+    order: Vec<u64>,
+    /// Open-addressed slots: a position in `order`, or [`EMPTY`]. The
+    /// length is a power of two ≥ 16 with `order.len() * 8 ≤ len * 3`.
+    index: Vec<u16>,
+    /// `64 - log2(index.len())`: turns a Fibonacci product into a slot.
+    shift: u32,
+}
+
+impl Entries {
+    fn new(capacity: usize) -> Self {
+        Entries {
+            order: Vec::with_capacity(capacity),
+            index: vec![EMPTY; 1 << MIN_BITS],
+            shift: 64 - MIN_BITS,
+        }
     }
 
-    /// Creates `core`'s TLB over the machine's shared directory.
-    pub fn with_directory(
-        dir: Rc<SharerDirectory>,
-        core: CoreId,
-        capacity: usize,
-        seed: u64,
-    ) -> Self {
+    #[inline]
+    fn mask(&self) -> usize {
+        self.index.len() - 1
+    }
+
+    /// `vpn`'s Fibonacci home slot.
+    #[inline]
+    fn home(&self, vpn: u64) -> usize {
+        (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `vpn`, or `Err` with the empty slot that ends its
+    /// probe.
+    #[inline]
+    fn find(&self, vpn: u64) -> Result<usize, usize> {
+        let mask = self.mask();
+        let mut slot = self.home(vpn);
+        // Bounded by the slot count: a probe that wraps the whole index
+        // means the index lost its empty slots.
+        for _ in 0..=mask {
+            match self.index[slot] {
+                EMPTY => return Err(slot),
+                pos if self.order[usize::from(pos)] == vpn => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        panic!("TLB index has no empty slot");
+    }
+
+    /// The first empty slot on `vpn`'s probe, for a page known absent.
+    #[inline]
+    fn vacant(&self, vpn: u64) -> usize {
+        let mask = self.mask();
+        let mut slot = self.home(vpn);
+        for _ in 0..=mask {
+            if self.index[slot] == EMPTY {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+        panic!("TLB index has no empty slot");
+    }
+
+    /// Empties `hole`, shifting later entries of its cluster back so that
+    /// every remaining page stays reachable from its home slot. Reads
+    /// `order` for those entries' pages, so it must be current for them.
+    fn clear_slot(&mut self, mut hole: usize) {
+        let mask = self.mask();
+        let mut slot = hole;
+        loop {
+            slot = (slot + 1) & mask;
+            let pos = self.index[slot];
+            if pos == EMPTY {
+                break;
+            }
+            let home = self.home(self.order[usize::from(pos)]);
+            // The entry may fill the hole only if its home is not
+            // cyclically inside (hole, slot].
+            if slot.wrapping_sub(home) & mask >= slot.wrapping_sub(hole) & mask {
+                self.index[hole] = pos;
+                hole = slot;
+            }
+        }
+        self.index[hole] = EMPTY;
+    }
+
+    /// Doubles the index and re-homes every cached page.
+    fn grow(&mut self) {
+        self.index = vec![EMPTY; self.index.len() * 2];
+        self.shift -= 1;
+        for pos in 0..self.order.len() {
+            let slot = self.vacant(self.order[pos]);
+            self.index[slot] = pos as u16;
+        }
+    }
+}
+
+impl Tlb {
+    /// Creates a TLB with `capacity` entries (e.g. 1,536 for Ice Lake's
+    /// combined DTLB+STLB reach at 4 KiB pages) whose random replacement
+    /// draws from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` is 0 (a fill would have no victim to draw) or does
+    /// not leave room for the index's empty marker (≥ 65,535).
+    pub fn new(capacity: usize, seed: u64) -> Self {
+        assert!(
+            (1..usize::from(EMPTY)).contains(&capacity),
+            "TLB capacity {capacity} outside 1..{EMPTY}: the index stores 2-byte positions"
+        );
         Tlb {
-            dir,
-            core,
             capacity,
-            order: RefCell::new(Vec::with_capacity(capacity)),
+            entries: RefCell::new(Entries::new(capacity)),
             rng: SplitMix64::new(seed),
             hits: Counter::new(),
             misses: Counter::new(),
@@ -186,53 +186,71 @@ impl Tlb {
 
     /// Whether the core can currently translate `vpn` (no stats recorded).
     pub fn translates(&self, vpn: u64) -> bool {
-        self.dir.caches(vpn, self.core)
+        self.entries.borrow().find(vpn).is_ok()
     }
 
     /// Inserts a translation after a page-table walk, evicting a random
     /// victim if the TLB is full.
     pub fn fill(&self, vpn: u64) {
-        if !self.dir.set(vpn, self.core) {
+        let mut e = self.entries.borrow_mut();
+        let Err(mut slot) = e.find(vpn) else {
             return;
-        }
-        let mut order = self.order.borrow_mut();
-        if order.len() >= self.capacity {
-            let victim_slot = self.rng.next_below(order.len() as u64) as usize;
-            let victim = std::mem::replace(&mut order[victim_slot], vpn);
-            self.dir.clear(victim, self.core);
+        };
+        let pos = if e.order.len() >= self.capacity {
+            let victim_pos = self.rng.next_below(e.order.len() as u64) as usize;
+            let victim_slot = e
+                .find(e.order[victim_pos])
+                .expect("a cached page is indexed");
+            e.clear_slot(victim_slot);
+            e.order[victim_pos] = vpn;
             self.capacity_evictions.inc();
+            // The backward shift may have emptied a slot earlier on
+            // `vpn`'s probe.
+            slot = e.vacant(vpn);
+            victim_pos
         } else {
-            order.push(vpn);
-        }
+            e.order.push(vpn);
+            if e.order.len() * 8 > e.index.len() * 3 {
+                // Re-homing indexes `vpn` with every other page.
+                e.grow();
+                return;
+            }
+            e.order.len() - 1
+        };
+        e.index[slot] = pos as u16;
     }
 
     /// Invalidates one translation (INVLPG).
     pub fn invalidate(&self, vpn: u64) {
-        if self.dir.clear(vpn, self.core) {
-            let mut order = self.order.borrow_mut();
-            let slot = order
-                .iter()
-                .position(|&v| v == vpn)
-                .expect("a sharer bit has its order entry");
-            order.swap_remove(slot);
+        let mut e = self.entries.borrow_mut();
+        let Ok(slot) = e.find(vpn) else {
+            return;
+        };
+        let pos = e.index[slot];
+        let last = *e.order.last().expect("an indexed page is cached");
+        if last != vpn {
+            let moved = e.find(last).expect("a cached page is indexed");
+            e.index[moved] = pos;
         }
+        e.order.swap_remove(usize::from(pos));
+        e.clear_slot(slot);
     }
 
     /// Flushes every translation (CR3 write).
     pub fn flush_all(&self) {
-        for vpn in self.order.borrow_mut().drain(..) {
-            self.dir.clear(vpn, self.core);
-        }
+        let mut e = self.entries.borrow_mut();
+        e.order.clear();
+        e.index.fill(EMPTY);
     }
 
     /// Number of cached translations.
     pub fn len(&self) -> usize {
-        self.order.borrow().len()
+        self.entries.borrow().order.len()
     }
 
     /// Whether the TLB is empty.
     pub fn is_empty(&self) -> bool {
-        self.order.borrow().is_empty()
+        self.entries.borrow().order.is_empty()
     }
 }
 
@@ -290,8 +308,7 @@ mod tests {
         }
         tlb.flush_all();
         assert!(tlb.is_empty());
-        assert!(!tlb.translates(5));
-        assert_eq!(tlb.dir.entries(), 0, "flush drops every directory word");
+        assert!((0..10).all(|v| !tlb.translates(v)));
     }
 
     #[test]
@@ -308,7 +325,7 @@ mod tests {
         for vpn in 0..10 {
             tlb.fill(vpn);
         }
-        // Remove from the middle repeatedly; the directory and the order
+        // Remove from the middle repeatedly; the index and the order
         // vector must stay coherent.
         for vpn in [3, 0, 9, 5] {
             tlb.invalidate(vpn);
@@ -323,25 +340,29 @@ mod tests {
     }
 
     #[test]
-    fn shared_directory_tracks_every_sharer() {
-        // 130 cores: three mask words per page.
-        let dir = Rc::new(SharerDirectory::new(130));
-        let tlbs: Vec<Tlb> = [1, 64, 129]
-            .into_iter()
-            .map(|c| Tlb::with_directory(Rc::clone(&dir), CoreId(c), 4, c as u64))
-            .collect();
-        for tlb in &tlbs {
-            tlb.fill(42);
+    fn index_grows_to_eight_kib_at_full_reach() {
+        let tlb = Tlb::new(1_536, 9);
+        assert_eq!(tlb.entries.borrow().index.len(), 16, "idle core: 32 bytes");
+        for vpn in 0..1_536 {
+            tlb.fill(vpn << 12);
         }
-        assert_eq!(dir.entries(), 3, "one word per 64-core group");
-        assert_eq!(dir.sharer(42), Some(CoreId(1)));
-        tlbs[0].invalidate(42);
-        assert!(!tlbs[0].translates(42));
-        assert!(tlbs[1].translates(42) && tlbs[2].translates(42));
-        assert_eq!(dir.sharer(42), Some(CoreId(64)));
-        tlbs[1].invalidate(42);
-        tlbs[2].invalidate(42);
-        assert_eq!(dir.sharer(42), None);
-        assert_eq!(dir.entries(), 0);
+        assert_eq!(
+            tlb.entries.borrow().index.len(),
+            4_096,
+            "8 KiB at 1,536 entries"
+        );
+        assert!((0..1_536).all(|v| tlb.translates(v << 12)));
+    }
+
+    #[test]
+    #[should_panic(expected = "TLB capacity 0 outside 1..65535")]
+    fn zero_capacity_is_rejected() {
+        Tlb::new(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "TLB capacity 65535 outside 1..65535")]
+    fn capacity_past_the_slot_width_is_rejected() {
+        Tlb::new(usize::from(u16::MAX), 1);
     }
 }

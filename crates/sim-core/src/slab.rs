@@ -290,19 +290,6 @@ impl<V> PageMap<V> {
         }
     }
 
-    /// Applies `update` to the value under `key` and removes the entry if
-    /// it returns `false` (a bitmask that lost its last bit), in one
-    /// probe. Returns whether `key` was present.
-    pub fn update_or_remove(&mut self, key: u64, update: impl FnOnce(&mut V) -> bool) -> bool {
-        let Some(i) = self.find(key) else {
-            return false;
-        };
-        if !update(self.vals[i].as_mut().expect("found slot is occupied")) {
-            self.remove_at(i);
-        }
-        true
-    }
-
     /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: u64) -> Option<V> {
         let i = self.find(key)?;
@@ -457,23 +444,5 @@ mod tests {
         m.get_or_insert_with(5, Vec::new).push(1);
         m.get_or_insert_with(5, || panic!("must not re-create")).push(2);
         assert_eq!(m.get(5), Some(&vec![1, 2]));
-    }
-
-    #[test]
-    fn pagemap_update_or_remove_drops_emptied_values() {
-        let mut m: PageMap<u64> = PageMap::new();
-        m.insert(9, 0b11);
-        assert!(m.update_or_remove(9, |v| {
-            *v &= !0b01;
-            *v != 0
-        }));
-        assert_eq!(m.get(9), Some(&0b10));
-        assert!(m.update_or_remove(9, |v| {
-            *v &= !0b10;
-            *v != 0
-        }));
-        assert!(!m.contains_key(9), "an emptied value drops its entry");
-        assert!(!m.update_or_remove(9, |_| panic!("absent key is not visited")));
-        assert!(m.is_empty());
     }
 }

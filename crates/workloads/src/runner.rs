@@ -140,9 +140,9 @@ pub struct RunReport {
     /// Replica-table entries tracked by the end of the run (0 without a
     /// replicated backend; O(touched slots), never O(max rpn)).
     pub replica_entries: u64,
-    /// TLB sharer-directory entries live at the end of the run
-    /// (O(cached translations), never O(pages touched)).
-    pub tlb_directory_entries: u64,
+    /// Translations cached across every core's TLB at the end of the
+    /// run (≤ cores × TLB capacity, never O(pages touched)).
+    pub tlb_entries: u64,
     /// Replica slots still degraded when the run ended (end-of-run
     /// gauge, not a window delta).
     pub degraded_pages: u64,
@@ -201,7 +201,7 @@ impl RunReport {
             "{{\"system\": \"{}\", \"runtime_ns\": {}, \"total_ops\": {}, \
              \"faults_per_thread\": [{}], \"timeline\": [{}], \"phase_switch_ns\": [{}], \
              \"executor_polls\": {}, \"pt_nodes\": {}, \"replica_entries\": {}, \
-             \"tlb_directory_entries\": {}, \"degraded_pages\": {}, \"window\": {}}}",
+             \"tlb_entries\": {}, \"degraded_pages\": {}, \"window\": {}}}",
             self.system,
             self.runtime_ns,
             self.total_ops,
@@ -211,7 +211,7 @@ impl RunReport {
             self.executor_polls,
             self.pt_nodes,
             self.replica_entries,
-            self.tlb_directory_entries,
+            self.tlb_entries,
             self.degraded_pages,
             self.window.to_json(),
         )
@@ -402,7 +402,11 @@ pub fn run_batch(cfg: &RunConfig) -> RunReport {
         executor_polls: sim.polls(),
         pt_nodes: engine.page_table().node_count() as u64,
         replica_entries: engine.backend().replica_entries(),
-        tlb_directory_entries: engine.interrupts().directory().entries() as u64,
+        tlb_entries: engine
+            .topology()
+            .cores()
+            .map(|c| engine.interrupts().tlb(c).len() as u64)
+            .sum(),
         degraded_pages: engine.backend().degraded_pages(),
     }
 }

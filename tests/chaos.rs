@@ -120,7 +120,7 @@ fn chaos_run(system: SystemConfig, plan: FaultPlan, label: &str, seed: u64) -> C
         let vpn = vma.start_vpn + i;
         let pte = engine.page_table().get(vpn);
         if pte.is_remote() && !pte.locked() {
-            let sharer = engine.interrupts().directory().sharer(vpn);
+            let sharer = engine.interrupts().sharer(vpn);
             assert!(
                 sharer.is_none(),
                 "[{label} seed={seed}] stale TLB entry: core {sharer:?} still \
