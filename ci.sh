@@ -47,6 +47,10 @@ if cargo run -q -p simlint -- crates/simlint/fixtures/hotpath/executor.rs >/dev/
     echo "error: simlint accepted the hot-path ordered-map fixture" >&2
     exit 1
 fi
+if cargo run -q -p simlint -- crates/simlint/fixtures/hotpath/accounting/src/lib.rs >/dev/null 2>&1; then
+    echo "error: simlint accepted the accounting hot-path ordered-map fixture" >&2
+    exit 1
+fi
 cargo run -q -p simlint -- crates/simlint/fixtures/hotpath_ok >/dev/null 2>&1 || {
     echo "error: simlint rejected the justified hot-path allow fixture" >&2
     exit 1

@@ -20,14 +20,24 @@
 //! accessed-bit recheck, or none at all for MAGE-Lnx's FIFO queues (§5.1)
 //! — is the probe's business, so this crate stays independent of the
 //! page-table representation and of the eviction policy.
+//!
+//! Every queue here — both lists of every partition and the ghost
+//! list's ring — is one page FIFO stored in 4 KiB blocks of 512 page
+//! numbers, freed as they drain, so list memory follows the resident
+//! set rather than its peak. Push and pop are O(1); the ghost list's
+//! membership is a `PageMap` lookup.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, VecDeque};
 
+use mage_sim::slab::PageMap;
 use mage_sim::stats::Counter;
 use mage_sim::sync::{LockStats, SimMutex};
 use mage_sim::time::Nanos;
 use mage_sim::SimHandle;
+
+mod fifo;
+
+use fifo::PageFifo;
 
 /// Hotness probe consulted while scanning victim candidates.
 ///
@@ -70,11 +80,12 @@ impl Default for AccountingCosts {
     }
 }
 
+#[derive(Default)]
 struct Lists {
     /// The probationary (inactive) list; S3-FIFO's *small* queue.
-    inactive: VecDeque<u64>,
+    inactive: PageFifo,
     /// The protected (active) list; S3-FIFO's *main* queue.
-    active: VecDeque<u64>,
+    active: PageFifo,
 }
 
 /// A bounded FIFO of recently evicted pages — the S3-FIFO ghost queue
@@ -88,13 +99,33 @@ struct Lists {
 /// paths keep their schedules bit-for-bit (membership updates are
 /// synchronous — no locks, no virtual time).
 ///
-/// Contents are mirrored in a `BTreeSet` so membership tests are
-/// `O(log n)`; the queue and the set always hold exactly the same pages.
-#[derive(Debug)]
+/// Every record appends the page to a ring and stamps it with a
+/// sequence number; a ring entry's stamp is implied by its position
+/// (the front's stamp plus its offset). A `PageMap` holds each
+/// remembered page's latest stamp, so `record`, `take` and `contains`
+/// are expected O(1). A taken or re-recorded page leaves its older
+/// ring entry behind as *stale*: its stamp no longer matches the map.
+/// Trimming to the bound skips stale entries and drops the oldest live
+/// page, and once stale entries make the ring longer than twice the
+/// bound, one rebuild drops them all (amortized O(1)).
 pub struct GhostList {
     cap: usize,
-    queue: VecDeque<u64>,
-    members: BTreeSet<u64>,
+    /// Records, oldest first, stale ones included.
+    ring: PageFifo,
+    /// Stamp of the ring's front entry.
+    front_stamp: u32,
+    /// Each remembered page's latest stamp.
+    live: PageMap<u32>,
+}
+
+impl std::fmt::Debug for GhostList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GhostList")
+            .field("cap", &self.cap)
+            .field("len", &self.len())
+            .field("ring_len", &self.ring.len())
+            .finish()
+    }
 }
 
 impl GhostList {
@@ -102,32 +133,61 @@ impl GhostList {
     pub const DEFAULT_CAP: usize = 4_096;
 
     /// An empty ghost list bounded at `cap` pages (`0` disables it).
+    ///
+    /// # Panics
+    /// If `cap` exceeds 2^30, where `u32` stamps could wrap within the
+    /// ring.
     pub fn new(cap: usize) -> Self {
+        assert!(cap <= 1 << 30, "ghost list bound {cap} exceeds 2^30");
         GhostList {
             cap,
-            queue: VecDeque::new(),
-            members: BTreeSet::new(),
+            ring: PageFifo::default(),
+            front_stamp: 0,
+            live: PageMap::new(),
         }
     }
 
     /// Remembers `vpn` as recently evicted. Re-recording a page refreshes
     /// its position (it ages from the back of the queue again); the
-    /// oldest entry falls off once the bound is exceeded.
+    /// oldest page falls off once the bound is exceeded.
     pub fn record(&mut self, vpn: u64) {
         if self.cap == 0 {
             return;
         }
-        if self.members.contains(&vpn) {
-            if let Some(pos) = self.queue.iter().position(|&v| v == vpn) {
-                self.queue.remove(pos);
-            }
-        } else {
-            self.members.insert(vpn);
+        let stamp = self.front_stamp.wrapping_add(self.ring.len() as u32);
+        self.live.insert(vpn, stamp);
+        self.ring.push_back(vpn);
+        if self.live.len() > self.cap {
+            // Skip stale entries up to the oldest live page; drop it.
+            while !self.pop_front_entry() {}
         }
-        self.queue.push_back(vpn);
-        while self.queue.len() > self.cap {
-            if let Some(old) = self.queue.pop_front() {
-                self.members.remove(&old);
+        if self.ring.len() > 2 * self.cap {
+            self.drop_stale();
+        }
+    }
+
+    /// Pops the ring's front entry. If it was live, forgets its page
+    /// and returns `true`; a stale entry returns `false`.
+    fn pop_front_entry(&mut self) -> bool {
+        let vpn = self.ring.pop_front().expect("a live page is on the ring");
+        let stamp = self.front_stamp;
+        self.front_stamp = stamp.wrapping_add(1);
+        let live = self.live.get(vpn) == Some(&stamp);
+        if live {
+            self.live.remove(vpn);
+        }
+        live
+    }
+
+    /// Rebuilds the ring from its live entries, in order, and re-stamps
+    /// them to match their new positions.
+    fn drop_stale(&mut self) {
+        let old = std::mem::take(&mut self.ring);
+        for (offset, vpn) in old.iter().enumerate() {
+            let old_stamp = self.front_stamp.wrapping_add(offset as u32);
+            if let Some(stamp) = self.live.get_mut(vpn).filter(|s| **s == old_stamp) {
+                *stamp = self.front_stamp.wrapping_add(self.ring.len() as u32);
+                self.ring.push_back(vpn);
             }
         }
     }
@@ -135,28 +195,22 @@ impl GhostList {
     /// Consumes a ghost hit: removes `vpn` and reports whether it was
     /// present (i.e. whether this insert is a re-fault).
     pub fn take(&mut self, vpn: u64) -> bool {
-        if !self.members.remove(&vpn) {
-            return false;
-        }
-        if let Some(pos) = self.queue.iter().position(|&v| v == vpn) {
-            self.queue.remove(pos);
-        }
-        true
+        self.live.remove(vpn).is_some()
     }
 
     /// Whether `vpn` is currently remembered.
     pub fn contains(&self, vpn: u64) -> bool {
-        self.members.contains(&vpn)
+        self.live.contains_key(vpn)
     }
 
     /// Pages currently remembered.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.live.len()
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.live.is_empty()
     }
 
     /// The configured bound.
@@ -208,14 +262,7 @@ impl PageAccounting {
             costs,
             partitions: (0..partitions.max(1))
                 .map(|_| {
-                    SimMutex::new_named(
-                        sim.clone(),
-                        "accounting.lists",
-                        Lists {
-                            inactive: VecDeque::new(),
-                            active: VecDeque::new(),
-                        },
-                    )
+                    SimMutex::new_named(sim.clone(), "accounting.lists", Lists::default())
                 })
                 .collect(),
             ghost: RefCell::new(GhostList::new(GhostList::DEFAULT_CAP)),
@@ -393,8 +440,8 @@ impl PageAccounting {
             .map(|p| {
                 p.with_sync(|lists| {
                     (
-                        lists.inactive.iter().copied().collect(),
-                        lists.active.iter().copied().collect(),
+                        lists.inactive.iter().collect(),
+                        lists.active.iter().collect(),
                     )
                 })
             })
@@ -432,13 +479,7 @@ impl PageAccounting {
     pub async fn remove(&self, vpn: u64) -> bool {
         for p in &self.partitions {
             let mut lists = p.lock().await;
-            if let Some(pos) = lists.inactive.iter().position(|&v| v == vpn) {
-                lists.inactive.remove(pos);
-                self.resident.set(self.resident.get() - 1);
-                return true;
-            }
-            if let Some(pos) = lists.active.iter().position(|&v| v == vpn) {
-                lists.active.remove(pos);
+            if lists.inactive.remove(vpn) || lists.active.remove(vpn) {
                 self.resident.set(self.resident.get() - 1);
                 return true;
             }
@@ -488,8 +529,12 @@ mod tests {
                 a.insert(0, vpn).await;
             }
             // Pages 0 and 1 are hot on first inspection only.
-            let hot = std::cell::RefCell::new(std::collections::BTreeSet::from([0u64, 1]));
-            let is_hot = |vpn: u64| hot.borrow_mut().remove(&vpn);
+            let hot = std::cell::RefCell::new(vec![0u64, 1]);
+            let is_hot = |vpn: u64| {
+                let mut hot = hot.borrow_mut();
+                let pos = hot.iter().position(|&v| v == vpn);
+                pos.map(|i| hot.swap_remove(i)).is_some()
+            };
             let mut victims = Vec::new();
             a.take_victims(0, 0, 2, &is_hot, &mut victims).await;
             assert_eq!(victims, vec![2, 3], "hot pages skipped");
@@ -633,6 +678,17 @@ mod tests {
         assert!(g.take(6));
         assert!(!g.take(6), "hit consumed");
         assert_eq!(g.len(), 3);
+        // Re-records and takes of fewer pages than the bound never trim,
+        // so only rebuilds keep the stale entries they leave within
+        // twice the bound.
+        let mut g = GhostList::new(4);
+        for vpn in 0..1_000 {
+            g.record(vpn % 3);
+            if vpn.is_multiple_of(4) {
+                g.take(vpn % 3);
+            }
+            assert!(g.ring.len() <= 2 * g.capacity(), "ring {} entries", g.ring.len());
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //!
 //! Two layers are pinned:
 //!
-//! * [`GhostList`] — a bounded FIFO with O(log n) membership — must agree
+//! * [`GhostList`] — a bounded FIFO with O(1) membership — must agree
 //!   op-for-op with a plain `Vec` shadow that re-derives every answer by
-//!   linear scan: same membership, same eviction of the oldest entry,
-//!   same position refresh on re-record, and a hard capacity bound after
-//!   every step.
+//!   linear scan: same membership, same eviction of the oldest live
+//!   entry, same position refresh on re-record, and a hard capacity
+//!   bound after every step, for bounds 0, 1, 2 and 32, and through
+//!   trims after takes and ring rebuilds.
 //! * [`PageAccounting`] with and without ghost-hit promotion (S3-FIFO's
 //!   admission rule) — a seeded insert / take-victims / remove stream
 //!   must uphold the structural rules: the ghost list stays bounded, a
@@ -53,56 +54,126 @@ impl ShadowGhost {
     }
 }
 
+/// A [`GhostList`] driven in lockstep with its shadow; every op is
+/// followed by a full comparison over the key space `0..keys`.
+struct GhostPair {
+    ghost: GhostList,
+    shadow: ShadowGhost,
+    keys: u64,
+    ctx: String,
+}
+
+impl GhostPair {
+    fn new(cap: usize, keys: u64) -> Self {
+        GhostPair {
+            ghost: GhostList::new(cap),
+            shadow: ShadowGhost { cap, order: Vec::new() },
+            keys,
+            ctx: String::new(),
+        }
+    }
+
+    fn record(&mut self, vpn: u64) {
+        self.ghost.record(vpn);
+        self.shadow.record(vpn);
+        self.check();
+    }
+
+    fn take(&mut self, vpn: u64) {
+        let (got, want) = (self.ghost.take(vpn), self.shadow.take(vpn));
+        assert_eq!(got, want, "{}: take({vpn}) disagreed", self.ctx);
+        self.check();
+    }
+
+    fn check(&self) {
+        let ctx = &self.ctx;
+        assert_eq!(self.ghost.len(), self.shadow.order.len(), "{ctx}: length disagreed");
+        assert_eq!(self.ghost.is_empty(), self.shadow.order.is_empty(), "{ctx}: emptiness");
+        assert!(self.ghost.len() <= self.ghost.capacity(), "{ctx}: ghost over capacity");
+        for v in 0..self.keys {
+            assert_eq!(
+                self.ghost.contains(v),
+                self.shadow.order.contains(&v),
+                "{ctx}: contains({v}) disagreed"
+            );
+        }
+    }
+}
+
 #[test]
 fn ghost_list_matches_linear_shadow() {
-    for seed in SEEDS {
-        let rng = SplitMix64::new(seed);
-        // Small cap + narrow key space force constant displacement and
-        // re-record refreshes.
-        let cap = 32;
-        let mut ghost = GhostList::new(cap);
-        let mut shadow = ShadowGhost { cap, order: Vec::new() };
-        for step in 0..20_000u64 {
-            let vpn = rng.next_below(96);
-            match rng.next_below(10) {
-                0..=5 => {
-                    ghost.record(vpn);
-                    shadow.record(vpn);
-                }
-                6..=7 => {
-                    assert_eq!(
-                        ghost.take(vpn),
-                        shadow.take(vpn),
-                        "seed {seed} step {step}: take({vpn}) disagreed"
-                    );
-                }
-                _ => {
-                    assert_eq!(
-                        ghost.contains(vpn),
-                        shadow.order.contains(&vpn),
-                        "seed {seed} step {step}: contains({vpn}) disagreed"
-                    );
-                }
-            }
-            assert_eq!(
-                ghost.len(),
-                shadow.order.len(),
-                "seed {seed} step {step}: length disagreed"
-            );
-            assert!(
-                ghost.len() <= ghost.capacity(),
-                "seed {seed} step {step}: ghost over capacity"
-            );
-            if step % 1_000 == 0 {
-                // Full-membership crosscheck.
-                for &v in &shadow.order {
-                    assert!(
-                        ghost.contains(v),
-                        "seed {seed} step {step}: {v} missing from ghost"
-                    );
+    for cap in [1usize, 2, 7, 32] {
+        scripted_ghost_ops(cap);
+    }
+    for cap in [0usize, 1, 2, 32] {
+        for seed in SEEDS {
+            let rng = SplitMix64::new(seed);
+            // A key space three times the cap forces constant displacement,
+            // re-record refreshes and takes of absent pages.
+            let keys = 3 * cap.max(1) as u64;
+            let mut pair = GhostPair::new(cap, keys);
+            for step in 0..5_000u64 {
+                pair.ctx = format!("cap {cap} seed {seed} step {step}");
+                let vpn = rng.next_below(keys);
+                match rng.next_below(10) {
+                    0..=5 => pair.record(vpn),
+                    _ => pair.take(vpn),
                 }
             }
         }
+    }
+}
+
+/// Cases a random stream reaches only by chance: trimming after takes
+/// must drop the oldest *live* page rather than a stale entry, and
+/// re-records and takes that leave more than twice `cap` stale entries
+/// on the ring force its rebuild, after which the order must still
+/// match.
+fn scripted_ghost_ops(cap: usize) {
+    let c = cap as u64;
+    let mut pair = GhostPair::new(cap, 8 * c + 8);
+    pair.ctx = format!("cap {cap} fill");
+    for vpn in 0..c {
+        pair.record(vpn);
+    }
+    pair.ctx = format!("cap {cap} re-record");
+    // Re-recording a live page refreshes it: page 0 becomes newest.
+    pair.record(0);
+    pair.ctx = format!("cap {cap} take");
+    // Take the oldest half (stale entries at the ring's front) and an
+    // absent page.
+    for vpn in 1..=c / 2 {
+        pair.take(vpn);
+    }
+    pair.take(8 * c + 7);
+    pair.ctx = format!("cap {cap} trim after takes");
+    // Refill to the bound, then past it: each new page must drop the
+    // oldest live page, skipping the stale entries of the taken ones.
+    for vpn in c..3 * c {
+        pair.record(vpn);
+    }
+    pair.ctx = format!("cap {cap} stale storm");
+    // Re-record every live page in turn, three passes over the bound:
+    // each leaves its older entry stale, so the ring passes 2 × cap
+    // with at least 2 × cap stale entries and is rebuilt.
+    let live: Vec<u64> = pair.shadow.order.clone();
+    for _ in 0..3 {
+        for &vpn in &live {
+            pair.record(vpn);
+        }
+    }
+    // Record-then-take pairs leave one stale entry each.
+    for vpn in 4 * c..6 * c + 1 {
+        pair.record(vpn);
+        pair.take(vpn);
+    }
+    pair.ctx = format!("cap {cap} after rebuild");
+    // The rebuilt ring must still drop pages oldest first.
+    for vpn in 6 * c + 1..8 * c + 2 {
+        pair.record(vpn);
+    }
+    while let Some(&oldest) = pair.shadow.order.first() {
+        pair.take(oldest);
     }
 }
 

@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the hot data structures: buddy allocator
 //! alloc/free, TLB fill/invalidate, a 48-core fill storm and shootdown
-//! probe, page-table updates and histogram recording. These bound the
+//! probe, page-table updates, histogram recording, page accounting's
+//! partition lists and its ghost list. These bound the
 //! *host-side* cost of a simulated event, which determines how large an
 //! experiment the harness can run.
 //!
@@ -9,13 +10,16 @@
 //! the best per-iteration time is reported. Host wall-clock use is fine
 //! here — this binary measures the simulator, it is not part of it.
 
+use std::rc::Rc;
 use std::time::Instant;
 
+use mage_accounting::{AccountingCosts, GhostList, PageAccounting};
 use mage_bench::Experiment;
 use mage_mmu::{PageTable, Pte, Tlb};
 use mage_palloc::BuddyAllocator;
 use mage_sim::rng::mix64;
 use mage_sim::stats::Histogram;
+use mage_sim::Simulation;
 
 const ITERS: u64 = 200_000;
 const ROUNDS: usize = 5;
@@ -117,6 +121,54 @@ fn main() {
         h.record(std::hint::black_box(v.max(1)));
     });
     exp.row(vec!["histogram_record".into(), format!("{ns:.1}")]);
+
+    // Pages cycling through 8 accounting partitions at pagerank_evict's
+    // 49,152 resident pages: an evictor takes 64 victims (every eighth
+    // page probes hot and moves to the protected list) and they fault
+    // back in from 48 cores. Includes the partition locks and the
+    // executor's virtual-time sleeps; one iteration moves one page.
+    let sim = Simulation::new();
+    let acc = Rc::new(PageAccounting::new(
+        sim.handle(),
+        8,
+        false,
+        AccountingCosts::default(),
+    ));
+    for vpn in 0..49_152u64 {
+        acc.seed((vpn % 48) as usize, vpn);
+    }
+    let ns = best_ns_per_iter(|i| {
+        if !i.is_multiple_of(64) {
+            return;
+        }
+        let acc = Rc::clone(&acc);
+        sim.block_on(async move {
+            let mut victims = Vec::with_capacity(64);
+            let round = (i / 64) as usize;
+            acc.take_victims(round % 8, round, 64, &|vpn: u64| vpn.is_multiple_of(8), &mut victims)
+                .await;
+            for (k, &vpn) in victims.iter().enumerate() {
+                acc.insert(k % 48, std::hint::black_box(vpn)).await;
+            }
+        });
+    });
+    exp.row(vec!["accounting_cycle_8x49k".into(), format!("{ns:.1}")]);
+
+    // The ghost list at its 4,096-page bound: every iteration takes one
+    // page (a hit one time in five: a page recorded 2,048 iterations
+    // earlier) and records a fresh one, which drops the oldest.
+    let mut ghost = GhostList::new(GhostList::DEFAULT_CAP);
+    for vpn in 0..4_096 {
+        ghost.record(vpn);
+    }
+    let mut next = 4_096u64;
+    let ns = best_ns_per_iter(|i| {
+        let probe = if i.is_multiple_of(5) { next - 2_048 } else { next | 1 << 40 };
+        std::hint::black_box(ghost.take(probe));
+        ghost.record(next);
+        next += 1;
+    });
+    exp.row(vec!["ghost_record_take_4k".into(), format!("{ns:.1}")]);
 
     exp.finish();
 }

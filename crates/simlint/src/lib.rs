@@ -22,7 +22,7 @@
 //! | `hash-collection` | `HashMap` / `HashSet` | iteration order varies per process (random SipHash keys); use `BTreeMap`/`BTreeSet` or sorted iteration |
 //! | `std-sync` | `std::sync::{Mutex, RwLock, …}`, atomics | host-level blocking invisible to virtual time; use `SimMutex`/`Semaphore` |
 //! | `unseeded-rng` | RNG constructors without a `seed` parameter | every stochastic component must be replayable from its seed |
-//! | `hot-path` | `BTreeMap` / `BTreeSet` in `executor.rs`, `tlb.rs`, `machine.rs`, `policy.rs` | ordered maps on the per-poll/per-access/per-page/per-scanned-page paths cost pointer chases the slab refactor removed (DESIGN.md §11); use `Slab`/`PageMap`/`TimerWheel` or a frame-indexed array |
+//! | `hot-path` | `BTreeMap` / `BTreeSet` in files named `executor.rs`, `tlb.rs`, `machine.rs`, `policy.rs`, and in `accounting/src/lib.rs` | ordered maps on the per-poll/per-access/per-page/per-scanned-page paths cost pointer chases the slab refactor removed (DESIGN.md §11); use `Slab`/`PageMap`/`TimerWheel` or a frame-indexed array |
 //!
 //! Every rule is a per-file token pass. (Metrics registration needs no
 //! lint: `mage::metrics` declares each windowed metric once, and a stat
@@ -171,7 +171,7 @@ pub struct AllowDirective {
 }
 
 /// Lints one source string; `file` is used for reporting and by the
-/// file-name-keyed `hot-path` rule.
+/// path-keyed `hot-path` rule.
 pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
     rules::check(file, &lexer::lex(src))
 }

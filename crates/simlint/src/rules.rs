@@ -20,6 +20,12 @@ const FORBIDDEN_SYNC: &[&str] = &[
 /// `allow(hot-path)`.
 const HOT_PATH_FILES: &[&str] = &["executor.rs", "tlb.rs", "machine.rs", "policy.rs"];
 
+/// Hot-path files whose names are too common to match alone (every
+/// crate has a `lib.rs`), matched by path suffix instead: the page
+/// accounting lists and ghost list, touched on every fault and every
+/// eviction.
+const HOT_PATH_SUFFIXES: &[&str] = &["accounting/src/lib.rs"];
+
 /// Identifiers that imply an external or entropy-seeded RNG.
 const RNG_IDENTS: &[&str] = &[
     "thread_rng",
@@ -223,12 +229,14 @@ fn check_idents(toks: &[Token], found: &mut Vec<Violation>) {
 }
 
 /// Flags ordered maps in the designated hot-path files (matched by file
-/// name, so the rule follows the file wherever its crate lives).
+/// name, so the rule follows the file wherever its crate lives, or by
+/// whole path components at the end of the path).
 fn check_hot_path(file: &Path, toks: &[Token], found: &mut Vec<Violation>) {
     let hot = file
         .file_name()
         .and_then(|n| n.to_str())
-        .is_some_and(|n| HOT_PATH_FILES.contains(&n));
+        .is_some_and(|n| HOT_PATH_FILES.contains(&n))
+        || HOT_PATH_SUFFIXES.iter().any(|s| file.ends_with(s));
     if !hot {
         return;
     }
@@ -484,6 +492,14 @@ mod tests {
         // Same tokens elsewhere are legal (ordered maps are the sanctioned
         // deterministic collection off the hot paths).
         assert!(lint_source(&PathBuf::from("config.rs"), src).is_empty());
+        // `lib.rs` is hot only in the accounting crate, matched by whole
+        // path components.
+        for path in ["crates/accounting/src/lib.rs", "/w/crates/accounting/src/lib.rs"] {
+            assert_eq!(lint_source(&PathBuf::from(path), src).len(), 2, "{path}");
+        }
+        for path in ["lib.rs", "crates/palloc/src/lib.rs", "crates/myaccounting/src/lib.rs"] {
+            assert!(lint_source(&PathBuf::from(path), src).is_empty(), "{path}");
+        }
         // Comments and strings never trip the rule.
         let doc = "// converted from `BTreeMap` by the slab refactor\nlet x = 1;";
         assert!(lint_source(&PathBuf::from("tlb.rs"), doc).is_empty());

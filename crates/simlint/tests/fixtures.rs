@@ -27,14 +27,17 @@ fn violation_fixture_trips_every_rule() {
 }
 
 /// The hot-path fixture pair: an ordered map in an executor-named file
-/// fails, and the justified `allow(hot-path)` escape hatch passes.
+/// or under an `accounting/src/lib.rs` path fails, and the justified
+/// `allow(hot-path)` escape hatch passes.
 #[test]
 fn hot_path_fixture_pair() {
-    let bad = lint_file(&fixture("hotpath/executor.rs")).expect("fixture readable");
-    assert!(
-        bad.iter().all(|v| v.rule == Rule::HotPath) && bad.len() == 2,
-        "{bad:#?}"
-    );
+    for bad in ["hotpath/executor.rs", "hotpath/accounting/src/lib.rs"] {
+        let bad = lint_file(&fixture(bad)).expect("fixture readable");
+        assert!(
+            bad.iter().all(|v| v.rule == Rule::HotPath) && bad.len() == 2,
+            "{bad:#?}"
+        );
+    }
     let ok = lint_file(&fixture("hotpath_ok/machine.rs")).expect("fixture readable");
     assert!(ok.is_empty(), "unexpected: {ok:#?}");
 }
