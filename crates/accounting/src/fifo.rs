@@ -15,9 +15,8 @@ type Block = Box<[u64; BLOCK]>;
 /// length, and because its head and tail cycle through the whole ring,
 /// all of that capacity ends up resident. Here entries live in
 /// 512-entry blocks: `push_back` allocates a block only when the last
-/// one is full, and a block drained by `pop_front` is freed, except
-/// that one spare is kept for the next block the queue needs. The
-/// blocks holding entries number at most `⌈len / 512⌉ + 1`.
+/// one is full, and a block drained by `pop_front` is freed. The blocks
+/// number at most `⌈len / 512⌉ + 1`.
 ///
 /// Entry `i` (0 = front) sits at `head + i` across the blocks, found
 /// with a shift and a mask.
@@ -28,8 +27,6 @@ pub(crate) struct PageFifo {
     /// Offset of the front entry in `blocks[0]`, always `< 512`.
     head: usize,
     len: usize,
-    /// A drained block kept for the next `push_back` that needs one.
-    spare: Option<Block>,
 }
 
 impl PageFifo {
@@ -48,8 +45,7 @@ impl PageFifo {
     pub(crate) fn push_back(&mut self, vpn: u64) {
         let end = self.head + self.len;
         if end == self.blocks.len() << SHIFT {
-            let block = self.spare.take().unwrap_or_else(|| Box::new([0; BLOCK]));
-            self.blocks.push_back(block);
+            self.blocks.push_back(Box::new([0; BLOCK]));
         }
         let last = self.blocks.len() - 1;
         self.blocks[last][end & MASK] = vpn;
@@ -67,8 +63,7 @@ impl PageFifo {
         self.len -= 1;
         if self.head == BLOCK {
             self.head = 0;
-            let drained = self.blocks.pop_front();
-            self.keep_spare(drained);
+            self.blocks.pop_front();
         }
         Some(vpn)
     }
@@ -92,23 +87,15 @@ impl PageFifo {
         self.len -= 1;
         if (end - 1) & MASK == 0 {
             // The last block held only the entry that moved forward.
-            let emptied = self.blocks.pop_back();
-            self.keep_spare(emptied);
+            self.blocks.pop_back();
         }
         true
     }
 
-    /// Keeps `block` as the spare if there is none; otherwise frees it.
-    fn keep_spare(&mut self, block: Option<Block>) {
-        if self.spare.is_none() {
-            self.spare = block;
-        }
-    }
-
-    /// Blocks holding entries, then the spare (0 or 1).
+    /// Blocks allocated.
     #[cfg(test)]
-    fn block_counts(&self) -> (usize, usize) {
-        (self.blocks.len(), usize::from(self.spare.is_some()))
+    fn block_count(&self) -> usize {
+        self.blocks.len()
     }
 }
 
@@ -126,8 +113,7 @@ mod tests {
     use mage_sim::rng::SplitMix64;
 
     /// Compares `fifo` with `reference` entry by entry and checks the
-    /// block bound: at most `⌈len / 512⌉ + 1` blocks hold entries, and
-    /// at most one spare is kept.
+    /// block bound: at most `⌈len / 512⌉ + 1` blocks are allocated.
     fn check(fifo: &PageFifo, reference: &VecDeque<u64>, ctx: &str) {
         assert_eq!(fifo.len(), reference.len(), "{ctx}: len");
         assert_eq!(fifo.is_empty(), reference.is_empty(), "{ctx}: is_empty");
@@ -135,13 +121,12 @@ mod tests {
             fifo.iter().eq(reference.iter().copied()),
             "{ctx}: contents differ"
         );
-        let (in_use, spare) = fifo.block_counts();
+        let blocks = fifo.block_count();
         assert!(
-            in_use <= fifo.len().div_ceil(BLOCK) + 1,
-            "{ctx}: {in_use} blocks in use for {} entries",
+            blocks <= fifo.len().div_ceil(BLOCK) + 1,
+            "{ctx}: {blocks} blocks for {} entries",
             fifo.len()
         );
-        assert!(spare <= 1, "{ctx}: {spare} spare blocks");
     }
 
     #[test]
@@ -236,15 +221,17 @@ mod tests {
     }
 
     #[test]
-    fn drained_queue_frees_all_but_one_block() {
+    fn drained_blocks_are_freed() {
         let mut fifo = PageFifo::default();
         fifo.extend(0..10 * BLOCK as u64);
-        assert_eq!(fifo.block_counts(), (10, 0));
+        assert_eq!(fifo.block_count(), 10);
         while fifo.len() > 3 {
             fifo.pop_front();
         }
-        assert_eq!(fifo.block_counts(), (1, 1), "nine drained blocks: one kept, eight freed");
+        assert_eq!(fifo.block_count(), 1, "nine drained blocks freed");
         fifo.extend(0..BLOCK as u64);
-        assert_eq!(fifo.block_counts(), (2, 0), "the spare is reused first");
+        assert_eq!(fifo.block_count(), 2);
+        while fifo.pop_front().is_some() {}
+        assert_eq!(fifo.block_count(), 0, "an empty queue holds no block");
     }
 }

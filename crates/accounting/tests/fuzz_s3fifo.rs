@@ -112,12 +112,16 @@ fn ghost_list_matches_linear_shadow() {
             // re-record refreshes and takes of absent pages.
             let keys = 3 * cap.max(1) as u64;
             let mut pair = GhostPair::new(cap, keys);
-            for step in 0..5_000u64 {
+            // Cap 32 runs long enough to cycle through many trims and
+            // rebuilds.
+            let steps = if cap == 32 { 20_000 } else { 5_000 };
+            for step in 0..steps {
                 pair.ctx = format!("cap {cap} seed {seed} step {step}");
                 let vpn = rng.next_below(keys);
                 match rng.next_below(10) {
                     0..=5 => pair.record(vpn),
-                    _ => pair.take(vpn),
+                    6..=7 => pair.take(vpn),
+                    _ => pair.check(),
                 }
             }
         }

@@ -13,18 +13,22 @@ const FORBIDDEN_SYNC: &[&str] = &[
 
 /// Files on the simulator's measured hot paths (the per-poll executor
 /// loop, the per-access TLB probe, the per-page engine maps, the
-/// per-candidate eviction-policy test), where
+/// per-candidate eviction-policy test, the page accounting lists and
+/// ghost list touched on every fault and every eviction), where
 /// ordered maps are banned outright: the slab refactor (DESIGN.md §11)
 /// bought its events/sec there, and a `BTreeMap` creeping back in would
 /// silently give it up. Deliberate exceptions carry a justified
-/// `allow(hot-path)`.
-const HOT_PATH_FILES: &[&str] = &["executor.rs", "tlb.rs", "machine.rs", "policy.rs"];
-
-/// Hot-path files whose names are too common to match alone (every
-/// crate has a `lib.rs`), matched by path suffix instead: the page
-/// accounting lists and ghost list, touched on every fault and every
-/// eviction.
-const HOT_PATH_SUFFIXES: &[&str] = &["accounting/src/lib.rs"];
+/// `allow(hot-path)`. Entries are matched as whole-component path
+/// suffixes, so a bare file name follows the file wherever its crate
+/// lives, and a name every crate has (`lib.rs`) is given with its
+/// crate's directories.
+const HOT_PATH_FILES: &[&str] = &[
+    "executor.rs",
+    "tlb.rs",
+    "machine.rs",
+    "policy.rs",
+    "accounting/src/lib.rs",
+];
 
 /// Identifiers that imply an external or entropy-seeded RNG.
 const RNG_IDENTS: &[&str] = &[
@@ -228,15 +232,10 @@ fn check_idents(toks: &[Token], found: &mut Vec<Violation>) {
     }
 }
 
-/// Flags ordered maps in the designated hot-path files (matched by file
-/// name, so the rule follows the file wherever its crate lives, or by
-/// whole path components at the end of the path).
+/// Flags ordered maps in the designated hot-path files (matched as
+/// whole-component path suffixes).
 fn check_hot_path(file: &Path, toks: &[Token], found: &mut Vec<Violation>) {
-    let hot = file
-        .file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| HOT_PATH_FILES.contains(&n))
-        || HOT_PATH_SUFFIXES.iter().any(|s| file.ends_with(s));
+    let hot = HOT_PATH_FILES.iter().any(|s| file.ends_with(s));
     if !hot {
         return;
     }
