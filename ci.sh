@@ -60,9 +60,17 @@ echo "==> benchmark tests (benchsuite/ builds against the workspace's public API
 cargo test -q --release --manifest-path benchsuite/Cargo.toml
 
 echo "==> sparse-metadata regression (O(touched) host metadata through the engine and the batch runner)"
-# The committed policy cube and scale sweep are goldens in
+# The committed paper claims, policy cube and scale sweep are goldens in
 # crates/bench/tests/committed_reports.rs, run by the workspace stage above.
 cargo test -q --release --test scale_sparse >/dev/null
+
+echo "==> paper-size smoke (the figure path the BENCH_paper.json golden does not run)"
+rm -f target/experiments/fig18b.csv
+cargo run -q --release -p mage-bench --bin paper -- fig18b >/dev/null
+test -s target/experiments/fig18b.csv || {
+    echo "error: paper fig18b did not write target/experiments/fig18b.csv" >&2
+    exit 1
+}
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -14,7 +14,6 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use mage_accounting::{AccountingCosts, GhostList, PageAccounting};
-use mage_bench::Experiment;
 use mage_mmu::{PageTable, Pte, Tlb};
 use mage_palloc::BuddyAllocator;
 use mage_sim::rng::mix64;
@@ -41,19 +40,20 @@ fn best_ns_per_iter(mut f: impl FnMut(u64)) -> f64 {
     best
 }
 
+/// Prints one case's best time per iteration.
+fn row(case: &str, ns: f64) {
+    println!("{case:>28}  {ns:>8.1}");
+}
+
 fn main() {
-    let mut exp = Experiment::new(
-        "micro",
-        "Host-side cost of hot data-structure operations (best ns/iter)",
-        &["case", "ns_per_iter"],
-    );
+    println!("Host-side cost of hot data-structure operations (best ns/iter)");
 
     let mut buddy = BuddyAllocator::new(1 << 16);
     let ns = best_ns_per_iter(|_| {
         let f = buddy.alloc(0).expect("frame");
         buddy.free(std::hint::black_box(f), 0);
     });
-    exp.row(vec!["buddy_alloc_free_cycle".into(), format!("{ns:.1}")]);
+    row("buddy_alloc_free_cycle", ns);
 
     let mut buddy = BuddyAllocator::new(1 << 16);
     let mut out = Vec::with_capacity(64);
@@ -62,14 +62,14 @@ fn main() {
         buddy.alloc_batch(64, &mut out);
         buddy.free_batch(std::hint::black_box(&out));
     });
-    exp.row(vec!["buddy_batch_64".into(), format!("{ns:.1}")]);
+    row("buddy_batch_64", ns);
 
     let tlb = Tlb::new(1_536, 7);
     let ns = best_ns_per_iter(|i| {
         tlb.fill(std::hint::black_box(i));
         tlb.invalidate(i);
     });
-    exp.row(vec!["tlb_fill_invalidate".into(), format!("{ns:.1}")]);
+    row("tlb_fill_invalidate", ns);
 
     let tlb = Tlb::new(1_536, 7);
     for v in 0..1_000 {
@@ -78,7 +78,7 @@ fn main() {
     let ns = best_ns_per_iter(|i| {
         std::hint::black_box(tlb.lookup(i % 1_000));
     });
-    exp.row(vec!["tlb_lookup_hit".into(), format!("{ns:.1}")]);
+    row("tlb_lookup_hit", ns);
 
     // A fault storm's TLB traffic: 48 cores, each walking its own
     // sequential page stream, so every lookup misses and, once the
@@ -93,7 +93,7 @@ fn main() {
             tlb.fill(vpn);
         }
     });
-    exp.row(vec!["tlb_fill_storm_48".into(), format!("{ns:.1}")]);
+    row("tlb_fill_storm_48", ns);
 
     // A shootdown round's target-side probes: 240 pages invalidated on
     // each of 48 full TLBs that cache none of them.
@@ -101,10 +101,7 @@ fn main() {
         let tlb = &tlbs[(i / 240 % 48) as usize];
         tlb.invalidate(std::hint::black_box((1 << 40) | (i % 240)));
     });
-    exp.row(vec![
-        "tlb_shootdown_probe_48x240".into(),
-        format!("{ns:.1}"),
-    ]);
+    row("tlb_shootdown_probe_48x240", ns);
 
     let pt = PageTable::new();
     for v in 0..10_000u64 {
@@ -113,14 +110,14 @@ fn main() {
     let ns = best_ns_per_iter(|i| {
         pt.update(std::hint::black_box(i % 10_000), |p| p.with_accessed(true));
     });
-    exp.row(vec!["pagetable_update".into(), format!("{ns:.1}")]);
+    row("pagetable_update", ns);
 
     let h = Histogram::new();
     let ns = best_ns_per_iter(|i| {
         let v = mix64(i) >> 34;
         h.record(std::hint::black_box(v.max(1)));
     });
-    exp.row(vec!["histogram_record".into(), format!("{ns:.1}")]);
+    row("histogram_record", ns);
 
     // Pages cycling through 8 accounting partitions at pagerank_evict's
     // 49,152 resident pages: an evictor takes 64 victims (every eighth
@@ -152,7 +149,7 @@ fn main() {
             }
         });
     });
-    exp.row(vec!["accounting_cycle_8x49k".into(), format!("{ns:.1}")]);
+    row("accounting_cycle_8x49k", ns);
 
     // The ghost list at its 4,096-page bound: every iteration takes one
     // page (a hit one time in five: a page recorded 2,048 iterations
@@ -168,7 +165,5 @@ fn main() {
         ghost.record(next);
         next += 1;
     });
-    exp.row(vec!["ghost_record_take_4k".into(), format!("{ns:.1}")]);
-
-    exp.finish();
+    row("ghost_record_take_4k", ns);
 }

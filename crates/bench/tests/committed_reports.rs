@@ -1,7 +1,7 @@
 //! The committed benchmark reports are goldens. Each file must pass its
 //! own validator (and a truncated copy must not), and a fresh run must
-//! reproduce it: the policy cube byte for byte, the scale sweep's model
-//! fields exactly and its peak RSS within a bound.
+//! reproduce it: the paper claims and the policy cube byte for byte, the
+//! scale sweep's model fields exactly and its peak RSS within a bound.
 
 use std::path::Path;
 use std::process::Command;
@@ -46,6 +46,78 @@ fn policies_report_validates() {
         "BENCH_policies.json",
         30,
         mage_workloads::ablation::validate_report,
+    );
+}
+
+#[test]
+fn paper_report_validates() {
+    check(
+        "BENCH_paper.json",
+        mage_bench::paper::claims().len(),
+        mage_bench::paper::validate_report,
+    );
+}
+
+/// `json` with row `id`'s measured value replaced by `value`.
+fn with_measured(json: &str, id: &str, value: f64) -> String {
+    let row = format!("\"id\": \"{id}\"");
+    json.lines()
+        .map(|line| {
+            if !line.contains(&row) {
+                return line.to_string();
+            }
+            let (head, tail) = line.split_once("\"measured\": ").expect("measured member");
+            let rest = &tail[tail.find(',').expect("member after measured")..];
+            format!("{head}\"measured\": {value:?}{rest}")
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Moving any row's measured value to the other side of its tolerance,
+/// with `holds` left as committed, must fail validation.
+#[test]
+fn paper_report_rejects_a_value_across_its_tolerance() {
+    use mage_bench::paper::{passes, validate_report};
+    let json = committed("BENCH_paper.json");
+    for row in validate_report(&json).expect("committed report validates") {
+        let across = match (row.comparison.as_str(), &row.tolerance[..], row.holds) {
+            (">" | "<", &[t], true) | (">=" | "<=" | "==", &[t], false) => t,
+            (">=", &[t], true) | ("<", &[t], false) => t - 1e-9,
+            ("<=" | "==", &[t], true) | (">", &[t], false) => t + 1e-9,
+            ("in", &[_, hi], true) => hi,
+            ("in", &[lo, _], false) => lo,
+            _ => panic!("{}: unexpected comparison", row.id),
+        };
+        let passed = passes(&row.comparison, &row.tolerance, across);
+        assert_eq!(
+            passed,
+            Some(!row.holds),
+            "{}: {across} is not across",
+            row.id
+        );
+        let moved = with_measured(&json, &row.id, across);
+        assert_ne!(moved, json, "{}: measured value not replaced", row.id);
+        assert!(
+            validate_report(&moved).is_err(),
+            "{}: measured {across} accepted with holds {}",
+            row.id,
+            row.holds
+        );
+    }
+}
+
+/// Every claim is virtual time, so any change that moves one figure cell
+/// a claim reads shows up here.
+#[test]
+fn paper_claims_reproduce_committed_report() {
+    use mage_bench::paper::{render_json, run_claims};
+    assert_eq!(
+        render_json(&run_claims()),
+        committed("BENCH_paper.json"),
+        "the paper claims no longer reproduce BENCH_paper.json; regenerate it with \
+         `cargo run --release -p mage-bench --bin paper` only for a change meant to \
+         move virtual metrics, and say which rows moved"
     );
 }
 

@@ -16,20 +16,19 @@
 //! - **capacity** ([`FarBackend::node`]): region registration against the
 //!   passive node's exported bytes.
 //!
-//! Two implementations ship with the engine: [`RdmaBackend`] (the paper's
-//! testbed — one-sided RDMA to a single passive memory node) and
-//! [`DisaggTier`] (a higher-latency disaggregated tier behind a switch
-//! hop with dynamic slot placement), selected via
-//! [`BackendKind`](crate::config::BackendKind). Adding a backend is a new
-//! file implementing this trait plus a `BackendKind::Custom` constructor —
-//! no engine edits.
+//! [`RdmaBackend`] (the paper's testbed — one-sided RDMA to a single
+//! passive memory node) ships with the engine, selected via
+//! [`BackendKind`](crate::config::BackendKind), and [`ReplicatedBackend`]
+//! wraps it when the config asks for replication. Adding a backend is a
+//! new file implementing this trait plus a `BackendKind::Custom`
+//! constructor — no engine edits.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
-use mage_fabric::{Completion, MemoryNode, Nic, NicConfig, NodeId};
+use mage_fabric::{Completion, MemoryNode, Nic, NodeId};
 use mage_mmu::PAGE_SIZE;
 use mage_palloc::{RemoteAllocator, SwapBitmap};
 use mage_sim::slab::PageMap;
@@ -277,90 +276,6 @@ impl FarBackend for RdmaBackend {
 
     fn writes_clean_pages(&self) -> bool {
         self.slots.is_synchronized()
-    }
-
-    fn link(&self) -> &Rc<Nic> {
-        &self.nic
-    }
-
-    fn node(&self) -> &MemoryNode {
-        &self.node
-    }
-}
-
-/// A disaggregated memory tier reached through a switch hop (pooled
-/// CXL-/fabric-attached memory rather than a directly-cabled RDMA node).
-///
-/// Differences from [`RdmaBackend`], all expressed through the trait seam
-/// with no engine changes:
-///
-/// - every transfer pays an extra `hop_ns` each way on top of the link's
-///   base latency (folded into the link model at construction);
-/// - placement is dynamic: the pool is shared, so slots are allocated
-///   from a bitmap on eviction and freed on fault-in — there is no
-///   address-derived home, which also means clean pages must be
-///   re-written on every eviction ([`FarBackend::writes_clean_pages`]).
-pub struct DisaggTier {
-    nic: Rc<Nic>,
-    node: MemoryNode,
-    slots: SwapBitmap,
-}
-
-impl DisaggTier {
-    /// Builds the tier from the system's NIC config, adding `hop_ns` of
-    /// switch latency per direction.
-    pub fn new(sim: SimHandle, cfg: &SystemConfig, remote_pages: u64, hop_ns: u64) -> Self {
-        let link = NicConfig {
-            base_read_ns: cfg.nic.base_read_ns + 2 * hop_ns,
-            base_write_ns: cfg.nic.base_write_ns + 2 * hop_ns,
-            ..cfg.nic.clone()
-        };
-        DisaggTier {
-            nic: Rc::new(Nic::with_node_faults(
-                sim.clone(),
-                link,
-                cfg.faults.clone(),
-                cfg.node_faults.clone(),
-            )),
-            node: MemoryNode::new(
-                remote_pages
-                    .checked_mul(PAGE_SIZE)
-                    .expect("remote capacity (remote_pages * PAGE_SIZE) overflows u64"),
-            ),
-            // Pool-side slot table: cheap (the tier's controller owns it),
-            // but a real allocation nonetheless.
-            slots: SwapBitmap::new(sim, remote_pages, cfg.costs.swap_slot_ns / 4),
-        }
-    }
-}
-
-impl FarBackend for DisaggTier {
-    fn name(&self) -> &'static str {
-        "disagg-tier"
-    }
-
-    fn read_page(&self, bytes: u64) -> Completion {
-        self.nic.post_read(bytes)
-    }
-
-    fn write_page(&self, bytes: u64) -> Completion {
-        self.nic.post_write(bytes)
-    }
-
-    fn alloc_slot<'a>(&'a self, _direct_rpn: u64) -> LocalBoxFuture<'a, Option<u64>> {
-        Box::pin(self.slots.alloc())
-    }
-
-    fn release_slot<'a>(&'a self, rpn: u64) -> LocalBoxFuture<'a, ()> {
-        Box::pin(self.slots.free(rpn))
-    }
-
-    fn seed_slot(&self, _direct_rpn: u64) -> Option<u64> {
-        self.slots.seed_alloc()
-    }
-
-    fn writes_clean_pages(&self) -> bool {
-        true
     }
 
     fn link(&self) -> &Rc<Nic> {
@@ -777,44 +692,6 @@ mod tests {
             assert_ne!(slot, 999, "bitmap slot, not the direct rpn");
         });
         assert!(be.writes_clean_pages());
-    }
-
-    #[test]
-    fn disagg_tier_pays_the_hop() {
-        let sim = Simulation::new();
-        let cfg = SystemConfig::mage_lib();
-        let hop = 1_500;
-        let be = Rc::new(DisaggTier::new(sim.handle(), &cfg, 1_024, hop));
-        let base = cfg.nic.base_read_ns;
-        let b = Rc::clone(&be);
-        let h = sim.handle();
-        let latency = sim.block_on(async move {
-            let t0 = h.now();
-            b.read_page(PAGE_SIZE).await.unwrap();
-            h.now().saturating_since(t0)
-        });
-        assert!(
-            latency >= base + 2 * hop,
-            "tier read {latency} must include the switch hop"
-        );
-        assert!(be.writes_clean_pages(), "pooled slots are fresh every time");
-    }
-
-    #[test]
-    fn disagg_tier_recycles_slots() {
-        let sim = Simulation::new();
-        let cfg = SystemConfig::mage_lib();
-        let be = Rc::new(DisaggTier::new(sim.handle(), &cfg, 4, 0));
-        let b = Rc::clone(&be);
-        sim.block_on(async move {
-            let mut slots = Vec::new();
-            for _ in 0..4 {
-                slots.push(b.alloc_slot(0).await.expect("capacity"));
-            }
-            assert!(b.alloc_slot(0).await.is_none(), "pool exhausted");
-            b.release_slot(slots[1]).await;
-            assert_eq!(b.alloc_slot(0).await, Some(slots[1]), "slot recycled");
-        });
     }
 
     use mage_fabric::{FaultPlan, TransferError};

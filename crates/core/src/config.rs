@@ -19,10 +19,9 @@
 use mage_fabric::{FaultPlan, NicConfig};
 use mage_mmu::VmaLockModel;
 use mage_palloc::LocalAllocatorKind;
-use mage_sim::time::Nanos;
 use mage_sim::SimHandle;
 
-use crate::backend::{DisaggTier, FarBackend, RdmaBackend, ReplicationConfig};
+use crate::backend::{FarBackend, RdmaBackend, ReplicationConfig};
 use crate::costs::{CostModel, OsProfile};
 use crate::reclaim::policy::CounterPolicy;
 use crate::reclaim::{EvictionPolicy, Fifo};
@@ -110,13 +109,6 @@ pub enum BackendKind {
     /// testbed; default everywhere). Slot placement follows
     /// [`SystemConfig::remote_alloc`].
     Rdma,
-    /// A disaggregated memory tier behind a switch hop: higher latency,
-    /// dynamic pool-side slot placement, clean pages re-written on every
-    /// eviction.
-    DisaggTier {
-        /// Extra switch latency per direction, ns.
-        hop_ns: Nanos,
-    },
     /// A user-provided backend; `build` is called once at machine launch
     /// with the simulation handle, the full config and the far-memory
     /// capacity in pages.
@@ -139,9 +131,6 @@ impl BackendKind {
     ) -> Box<dyn FarBackend> {
         match *self {
             BackendKind::Rdma => Box::new(RdmaBackend::new(sim, cfg, remote_pages)),
-            BackendKind::DisaggTier { hop_ns } => {
-                Box::new(DisaggTier::new(sim, cfg, remote_pages, hop_ns))
-            }
             BackendKind::Custom { build, .. } => build(sim, cfg, remote_pages),
         }
     }
@@ -410,7 +399,7 @@ impl SystemConfig {
     }
 
     /// Swaps the far-memory backend implementation (data movement + slot
-    /// placement), e.g. to the disaggregated tier.
+    /// placement), e.g. to a [`BackendKind::Custom`] backend.
     pub fn with_backend_kind(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self

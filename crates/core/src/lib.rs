@@ -69,8 +69,8 @@ pub mod retry;
 pub mod stats;
 
 pub use backend::{
-    DisaggTier, FarBackend, LocalBoxFuture, RdmaBackend, ReplicaState, ReplicatedBackend,
-    ReplicationConfig, ReplicationStats,
+    FarBackend, LocalBoxFuture, RdmaBackend, ReplicaState, ReplicatedBackend, ReplicationConfig,
+    ReplicationStats,
 };
 pub use config::{
     BackendKind, EvictionPolicyKind, PlantedBug, PrefetchPolicy, RemoteAllocKind, SystemConfig,

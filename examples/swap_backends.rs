@@ -1,6 +1,5 @@
 //! Swap-backend comparison: the same MAGE engine over RDMA far memory,
-//! an NVMe SSD, compressed RAM (zswap-like), and a disaggregated memory
-//! tier behind a switch hop.
+//! an NVMe SSD and compressed RAM (zswap-like).
 //!
 //! The paper's conclusion (§8) notes that MAGE's OS-level optimizations
 //! apply to any fast swap backend. This example runs the same workload
@@ -8,12 +7,10 @@
 //! throughput and fault tails, while the paging-path behaviour (zero
 //! synchronous evictions, pipelined writeback) stays identical.
 //!
-//! Two seams are exercised: [`SystemConfig::with_backend`] swaps only the
-//! link model (same direct-cabled RDMA semantics), while
-//! [`SystemConfig::with_backend_kind`] swaps the whole
-//! [`FarBackend`] implementation — the disaggregated tier also changes
-//! slot placement (pooled, allocated per eviction) and forces clean-page
-//! writebacks.
+//! [`SystemConfig::with_backend`] swaps only the link model (same
+//! direct-cabled RDMA semantics); replacing the whole [`FarBackend`]
+//! implementation is `SystemConfig::with_backend_kind` with a
+//! `BackendKind::Custom` constructor (see `tests/seams.rs`).
 //!
 //! ```sh
 //! cargo run --release --example swap_backends
@@ -50,15 +47,6 @@ fn main() {
     ] {
         run_row(name, SystemConfig::mage_lib().with_backend(nic));
     }
-    // Whole-backend swaps: the disaggregated tier adds switch latency and
-    // switches to pooled slot placement (clean pages re-written on every
-    // eviction), all behind the FarBackend trait.
-    for hop_ns in [500, 2_000] {
-        run_row(
-            &format!("disagg {:.1}us", 2.0 * hop_ns as f64 / 1e3),
-            SystemConfig::mage_lib().with_backend_kind(BackendKind::DisaggTier { hop_ns }),
-        );
-    }
-    println!("\nExpected shape: throughput ranks RDMA > zswap > disagg > NVMe (by");
+    println!("\nExpected shape: throughput ranks RDMA > zswap > NVMe (by");
     println!("access latency); the eviction discipline is backend-independent.");
 }

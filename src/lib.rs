@@ -48,8 +48,8 @@ pub use mage_workloads as workloads;
 /// The most common imports for running experiments.
 pub mod prelude {
     pub use mage::{
-        Access, BackendKind, CostModel, DisaggTier, EvictionPolicy, EvictionPolicyKind, FarBackend,
-        FarMemory, FaultError, Fifo, IdealModel, MachineParams, MetricsRegistry, MetricsSnapshot,
+        Access, BackendKind, CostModel, EvictionPolicy, EvictionPolicyKind, FarBackend, FarMemory,
+        FaultError, Fifo, IdealModel, MachineParams, MetricsRegistry, MetricsSnapshot,
         MetricsWindow, OsProfile, PrefetchPolicy, RdmaBackend, ReplicaState, ReplicatedBackend,
         ReplicationConfig, ReplicationStats, RetryPolicy, SystemConfig, TransferOp,
     };
