@@ -13,8 +13,8 @@ echo "==> cargo test --workspace -q"
 # planted-bug self-checks.
 cargo test --workspace -q
 
-echo "==> chaos + seams under the race detector (MAGE_SIMSAN=1)"
-MAGE_SIMSAN=1 cargo test -q --test chaos --test seams
+echo "==> chaos + seams + placement differential under the race detector (MAGE_SIMSAN=1)"
+MAGE_SIMSAN=1 cargo test -q --test chaos --test seams --test populate_diff
 
 echo "==> failover determinism under the race detector (MAGE_SIMSAN=1, DESIGN.md §13)"
 MAGE_SIMSAN=1 cargo test -q --test determinism replicated_sweep

@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the hot data structures: buddy allocator
 //! alloc/free, TLB fill/invalidate, a 48-core fill storm and shootdown
-//! probe, page-table updates, histogram recording, page accounting's
-//! partition lists and its ghost list. These bound the
+//! probe, page-table updates, set-up placement, histogram recording,
+//! page accounting's partition lists and its ghost list. These bound the
 //! *host-side* cost of a simulated event, which determines how large an
 //! experiment the harness can run.
 //!
@@ -13,6 +13,7 @@
 use std::rc::Rc;
 use std::time::Instant;
 
+use mage::{FarMemory, MachineParams, SystemConfig};
 use mage_accounting::{AccountingCosts, GhostList, PageAccounting};
 use mage_mmu::{PageTable, Pte, Tlb};
 use mage_palloc::BuddyAllocator;
@@ -111,6 +112,36 @@ fn main() {
         pt.update(std::hint::black_box(i % 10_000), |p| p.with_accessed(true));
     });
     row("pagetable_update", ns);
+
+    // Set-up placement at the repository benchmark's sizes: fault_storm
+    // places 786,432 pages all remote; pagerank_evict places 98,304
+    // pages with local memory for half of them. Each round times one
+    // placement call on a fresh MAGE-Lib machine; one iteration is one
+    // page.
+    for (case, pages, local_pages, all_remote) in [
+        ("populate_all_remote_786k", 786_432u64, 786_432u64, true),
+        ("populate_half_local_98k", 98_304, 49_152, false),
+    ] {
+        let mut best = f64::INFINITY;
+        for round in 0..=ROUNDS {
+            let sim = Simulation::new();
+            let params = MachineParams::testbed(48, local_pages, pages + 1_024);
+            let engine = FarMemory::launch(sim.handle(), SystemConfig::mage_lib(), params);
+            let vma = engine.mmap(pages);
+            let start = Instant::now();
+            if all_remote {
+                engine.populate_all_remote(std::hint::black_box(&vma));
+            } else {
+                engine.populate(std::hint::black_box(&vma));
+            }
+            let ns = start.elapsed().as_nanos() as f64 / pages as f64;
+            engine.shutdown();
+            if round > 0 {
+                best = best.min(ns);
+            }
+        }
+        row(case, best);
+    }
 
     let h = Histogram::new();
     let ns = best_ns_per_iter(|i| {

@@ -7,6 +7,8 @@
 //! synchronously, at the exact instant the corresponding PTE mutation
 //! happens — there is no buffering and no await between the state change
 //! and the notification, so a sink always observes a consistent machine.
+//! The one batch is set-up placement: a `populate` call writes the
+//! region's PTEs, then emits its `Placed` events in vpn order.
 //!
 //! The stream exists for differential checking: the `mage-check` crate
 //! replays it through an abstract per-page state machine
@@ -20,7 +22,8 @@ use std::rc::Rc;
 /// One page-lifecycle transition, identified by virtual page number.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PageEvent {
-    /// Setup-time placement by `populate`/`populate_all_remote`.
+    /// Setup-time placement by `populate`/`populate_all_remote`, emitted
+    /// after the region's PTEs are written.
     Placed {
         /// Virtual page number.
         vpn: u64,

@@ -424,32 +424,13 @@ impl FarMemory {
     /// starts remote. Local pages are dirty (no remote copy yet).
     ///
     /// Runs synchronously at setup time (no virtual time passes).
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the vpn if a page of the region is already placed.
     pub fn populate(&self, vma: &Vma) {
-        let mut core = 0usize;
-        for i in 0..vma.pages {
-            let vpn = vma.start_vpn + i;
-            if self.alloc.free_frames() > self.high_watermark {
-                let frames = self.alloc.seed_take(1);
-                let frame = frames[0];
-                // Placed, not accessed: the application has not touched
-                // the page yet, so it must look cold to the first scan
-                // (seeding it hot would make the first eviction wave
-                // strip accessed bits across the whole residency with no
-                // victims to show for it). It is dirty: no remote copy
-                // exists yet.
-                self.pt.set(vpn, Pte::present(frame).with_dirty(true));
-                self.acct.seed(core, vpn);
-                self.emit(PageEvent::Placed { vpn, local: true });
-                core = (core + 1) % self.app_cores.len().max(1);
-            } else {
-                let rpn = self
-                    .backend
-                    .seed_slot(vma.remote_page(vpn))
-                    .expect("backend capacity exceeded");
-                self.pt.set(vpn, Pte::remote(rpn));
-                self.emit(PageEvent::Placed { vpn, local: false });
-            }
-        }
+        let budget = self.alloc.free_frames().saturating_sub(self.high_watermark);
+        self.place(vma, budget);
     }
 
     /// Leaves the region unpopulated: no page-table paths, frames or
@@ -470,15 +451,52 @@ impl FarMemory {
     /// `madvise_pageout` so that each access faults).
     ///
     /// Runs synchronously at setup time.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the vpn if a page of the region is already placed.
     pub fn populate_all_remote(&self, vma: &Vma) {
-        for i in 0..vma.pages {
-            let vpn = vma.start_vpn + i;
-            let rpn = self
-                .backend
-                .seed_slot(vma.remote_page(vpn))
-                .expect("backend capacity exceeded");
-            self.pt.set(vpn, Pte::remote(rpn));
-            self.emit(PageEvent::Placed { vpn, local: false });
+        self.place(vma, 0);
+    }
+
+    /// Places the region in vpn order: the first `local_budget` pages on
+    /// local frames, seeded round-robin over the app cores' accounting
+    /// partitions, the rest on backend slots. Each page's `Placed` event
+    /// follows once the region's PTEs are written.
+    fn place(&self, vma: &Vma, local_budget: u64) {
+        let local = local_budget.min(vma.pages);
+        let cores = self.app_cores.len().max(1);
+        let mut core = 0usize;
+        self.pt.place_run(vma.start_vpn, vma.pages, |vpn| {
+            if vpn - vma.start_vpn < local {
+                let frame = self
+                    .alloc
+                    .seed_frame()
+                    .expect("free frames above the watermark are in the buddy allocator at setup");
+                self.acct.seed(core, vpn);
+                core = (core + 1) % cores;
+                // Placed, not accessed: the application has not touched
+                // the page yet, so it must look cold to the first scan
+                // (seeding it hot would make the first eviction wave
+                // strip accessed bits across the whole residency with no
+                // victims to show for it). It is dirty: no remote copy
+                // exists yet.
+                Pte::present(frame).with_dirty(true)
+            } else {
+                let rpn = self
+                    .backend
+                    .seed_slot(vma.remote_page(vpn))
+                    .expect("backend capacity exceeded");
+                Pte::remote(rpn)
+            }
+        });
+        if !self.events.is_empty() {
+            for i in 0..vma.pages {
+                self.emit(PageEvent::Placed {
+                    vpn: vma.start_vpn + i,
+                    local: i < local,
+                });
+            }
         }
     }
 
@@ -572,6 +590,20 @@ mod tests {
         assert!(weak.upgrade().is_some(), "parked evictors still hold the machine");
         drop(sim);
         assert!(weak.upgrade().is_none(), "the machine outlived its simulation");
+    }
+
+    #[test]
+    #[should_panic(expected = "vpn 0x100000 is already placed")]
+    fn populating_a_region_twice_panics() {
+        let (_sim, engine, vma) = small_machine(SystemConfig::mage_lib());
+        engine.populate(&vma);
+    }
+
+    #[test]
+    #[should_panic(expected = "vpn 0x100000 is already placed")]
+    fn placing_a_populated_region_all_remote_panics() {
+        let (_sim, engine, vma) = small_machine(SystemConfig::mage_lib());
+        engine.populate_all_remote(&vma);
     }
 
     #[test]

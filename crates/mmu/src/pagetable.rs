@@ -37,8 +37,8 @@
 //! - [`get`](PageTable::get) / [`update`](PageTable::update) are
 //!   *atomic-class* (lock-free `READ_ONCE`/`SET_BIT`-style single-word
 //!   operations — the hardware a/d-bit updates and the dedup-loop reads);
-//! - [`set`](PageTable::set) is a *plain write* that must be ordered by
-//!   the lock protocol;
+//! - [`set`](PageTable::set) and [`place_run`](PageTable::place_run)
+//!   are *plain writes* that must be ordered by the lock protocol;
 //! - [`try_lock`](PageTable::try_lock) / [`unlock`](PageTable::unlock)
 //!   take acquire/release edges on the per-word lock, and callers whose
 //!   lock transitions are implicit in a `set` (unmap writes
@@ -265,6 +265,41 @@ impl PageTable {
         self.leaves.borrow_mut()[leaf][slot] = pte.0;
     }
 
+    /// Places `n` never-populated entries starting at `first_vpn`, in vpn
+    /// order: entry `vpn` gets `f(vpn)`. The radix is walked once per
+    /// leaf the run touches, not once per entry.
+    ///
+    /// Each word is a plain write for race detection, as in
+    /// [`set`](PageTable::set). `f` runs while the table is borrowed, so
+    /// it must not access this page table.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the vpn if an entry of the run is not
+    /// [`Pte::NONE`]: placing a page twice would leak its frame or slot.
+    #[track_caller]
+    pub fn place_run(&self, first_vpn: u64, n: u64, mut f: impl FnMut(u64) -> Pte) {
+        let end = first_vpn
+            .checked_add(n)
+            .expect("place_run: vpn range overflows u64");
+        let shadow = self.shadow.borrow();
+        let mut vpn = first_vpn;
+        while vpn < end {
+            let (leaf, first) = self.leaf_of(vpn, true).expect("create never fails");
+            let last = (FANOUT as u64).min(first as u64 + (end - vpn)) as usize;
+            let mut leaves = self.leaves.borrow_mut();
+            for word in &mut leaves[leaf][first..last] {
+                assert!(
+                    *word == Pte::NONE.0,
+                    "place_run: vpn {vpn:#x} is already placed (pte {word:#x})"
+                );
+                shadow.on_write(vpn);
+                *word = f(vpn).0;
+                vpn += 1;
+            }
+        }
+    }
+
     /// Atomically (w.r.t. the simulation) applies `f` to the entry for
     /// `vpn` and returns the *previous* value.
     ///
@@ -398,6 +433,54 @@ mod tests {
         assert!(!pt.try_lock(5), "second lock attempt must fail");
         pt.unlock(5);
         assert!(pt.try_lock(5));
+    }
+
+    #[test]
+    fn place_run_matches_per_entry_set() {
+        // Runs inside one leaf, exactly one leaf, across leaf and
+        // interior boundaries, and up to the top of the address space.
+        let shapes = [
+            (0u64, 1u64),
+            (5, 511),
+            (0, 512),
+            (511, 2),
+            (300, 2_000),
+            ((1 << 18) - 7, 520),
+            (MAX_VPN - 3, 3),
+        ];
+        for (first, n) in shapes {
+            let (run, oracle) = (PageTable::new(), PageTable::new());
+            let mut seen = Vec::new();
+            run.place_run(first, n, |vpn| {
+                seen.push(vpn);
+                Pte::remote(vpn ^ 0x55)
+            });
+            for vpn in first..first + n {
+                oracle.set(vpn, Pte::remote(vpn ^ 0x55));
+            }
+            assert_eq!(seen, (first..first + n).collect::<Vec<_>>());
+            assert_eq!(run.node_count(), oracle.node_count(), "run {first:#x}+{n}");
+            let lo = first.saturating_sub(1);
+            let hi = (first + n + 1).min(MAX_VPN);
+            for vpn in lo..hi {
+                assert_eq!(run.get(vpn), oracle.get(vpn), "vpn {vpn:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn place_run_of_zero_pages_allocates_nothing() {
+        let pt = PageTable::new();
+        pt.place_run(1 << 30, 0, |_| unreachable!());
+        assert_eq!(pt.node_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "vpn 0x201 is already placed")]
+    fn place_run_over_a_placed_entry_panics() {
+        let pt = PageTable::new();
+        pt.set(0x201, Pte::present(3));
+        pt.place_run(0x1f0, 64, Pte::remote);
     }
 
     #[test]

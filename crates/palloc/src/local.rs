@@ -145,14 +145,13 @@ impl LocalAllocator {
         self.shared_queue.stats()
     }
 
-    /// Synchronously takes up to `n` frames for initial page placement
-    /// (setup only; no virtual time passes, no statistics recorded).
-    pub fn seed_take(&self, n: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(n);
-        self.buddy.with_sync(|b| b.alloc_batch(n, &mut out));
-        self.free_count
-            .set(self.free_count.get() - out.len() as u64);
-        out
+    /// Synchronously takes one frame from the buddy allocator for initial
+    /// page placement, or `None` if it has none (setup only; no virtual
+    /// time passes, no statistics recorded).
+    pub fn seed_frame(&self) -> Option<u64> {
+        let frame = self.buddy.with_sync(|b| b.alloc(0))?;
+        self.free_count.set(self.free_count.get() - 1);
+        Some(frame)
     }
 
     /// Allocates one frame on behalf of `core`.
@@ -323,6 +322,17 @@ mod tests {
         assert_eq!(set.len(), 64);
         assert_eq!(a.free_frames(), 0);
         assert_eq!(a.stats().failures.get(), 1);
+    }
+
+    #[test]
+    fn seed_frame_takes_one_frame_until_the_pool_is_empty() {
+        let (_sim, a) = alloc_rig(LocalAllocatorKind::MultiLayer, 3, 2);
+        let frames: Vec<_> = (0..3).map(|_| a.seed_frame().expect("frame")).collect();
+        let set: std::collections::BTreeSet<_> = frames.iter().collect();
+        assert_eq!(set.len(), 3);
+        assert_eq!(a.free_frames(), 0);
+        assert_eq!(a.seed_frame(), None);
+        assert_eq!(a.free_frames(), 0);
     }
 
     #[test]
