@@ -32,6 +32,10 @@ test -s target/quickstart_trace.json || {
     exit 1
 }
 
+echo "==> swap_backends smoke (SystemConfig::with_backend is how a backend is swapped)"
+# `set -e` fails the gate on a non-zero exit.
+cargo run -q --release --example swap_backends >/dev/null
+
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -197,7 +197,7 @@ pub struct CheckOptions {
     /// uphold the same oracles; sweeping this knob checks each member
     /// under adversarial schedules, not just the default.
     pub eviction_policy: EvictionPolicyKind,
-    /// Run every cell on a [`ReplicatedBackend`](mage::ReplicatedBackend)
+    /// Run every cell on a replicated [`FarBackend`](mage::FarBackend)
     /// over two memory nodes with staggered per-node crash windows, and
     /// register the replica-state invariants.
     pub replicate: bool,
@@ -410,9 +410,10 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
         let node_plans = (0..nodes)
             .map(|i| FaultPlan::staggered_node_crash(cell.seed, i, nodes, 150_000, 30_000))
             .collect();
-        cfg = cfg.with_node_faults(node_plans).with_replication(ReplicationConfig {
+        cfg = cfg.with_replication(ReplicationConfig {
             nodes,
             repair_poll_ns: 5_000,
+            node_faults: node_plans,
         });
     }
     let cores = (cell.threads + cfg.max_evictors) as u32;

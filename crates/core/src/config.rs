@@ -19,9 +19,8 @@
 use mage_fabric::{FaultPlan, NicConfig};
 use mage_mmu::VmaLockModel;
 use mage_palloc::LocalAllocatorKind;
-use mage_sim::SimHandle;
 
-use crate::backend::{FarBackend, RdmaBackend, ReplicationConfig};
+use crate::backend::ReplicationConfig;
 use crate::costs::{CostModel, OsProfile};
 use crate::reclaim::policy::CounterPolicy;
 use crate::reclaim::{EvictionPolicy, Fifo};
@@ -102,40 +101,6 @@ impl EvictionPolicyKind {
     }
 }
 
-/// Far-memory backend selector; see [`FarBackend`].
-#[derive(Clone, Copy, Debug)]
-pub enum BackendKind {
-    /// One-sided RDMA to a single passive memory node (the paper's
-    /// testbed; default everywhere). Slot placement follows
-    /// [`SystemConfig::remote_alloc`].
-    Rdma,
-    /// A user-provided backend; `build` is called once at machine launch
-    /// with the simulation handle, the full config and the far-memory
-    /// capacity in pages.
-    Custom {
-        /// Display name.
-        name: &'static str,
-        /// Backend constructor.
-        build: fn(SimHandle, &SystemConfig, u64) -> Box<dyn FarBackend>,
-    },
-}
-
-impl BackendKind {
-    /// Instantiates the backend for a machine with `remote_pages` of far
-    /// memory.
-    pub fn build(
-        &self,
-        sim: SimHandle,
-        cfg: &SystemConfig,
-        remote_pages: u64,
-    ) -> Box<dyn FarBackend> {
-        match *self {
-            BackendKind::Rdma => Box::new(RdmaBackend::new(sim, cfg, remote_pages)),
-            BackendKind::Custom { build, .. } => build(sim, cfg, remote_pages),
-        }
-    }
-}
-
 /// Prefetching policy on the fault-in path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrefetchPolicy {
@@ -155,13 +120,12 @@ pub struct SystemConfig {
     pub accounting_partitions: usize,
     /// Local frame-allocator stack (`FP₁`).
     pub local_alloc: LocalAllocatorKind,
-    /// Remote-slot policy (`EP₃`), consumed by the RDMA backend.
+    /// Remote-slot policy (`EP₃`), consumed by the
+    /// [`FarBackend`](crate::backend::FarBackend).
     pub remote_alloc: RemoteAllocKind,
     /// Victim-selection policy (`EP₁`): how each scanned candidate is
     /// judged.
     pub eviction_policy: EvictionPolicyKind,
-    /// Far-memory backend (data movement + slot placement).
-    pub backend: BackendKind,
     /// Address-space lock granularity.
     pub vma_lock: VmaLockModel,
     /// Number of dedicated evictor threads.
@@ -183,13 +147,9 @@ pub struct SystemConfig {
     /// NIC / link configuration.
     pub nic: NicConfig,
     /// Deterministic transport-fault schedule ([`FaultPlan::none`] — a
-    /// perfect network — by default).
+    /// perfect network — by default). Per-node crash plans of replicated
+    /// runs live in [`ReplicationConfig::node_faults`].
     pub faults: FaultPlan,
-    /// Per-node fault schedules for multi-node fabrics: `node_faults[i]`
-    /// governs operations targeted at memory node `i` (node-kill chaos
-    /// plans for replicated runs). Empty — a single-node view — by
-    /// default; untargeted operations always follow `faults`.
-    pub node_faults: Vec<FaultPlan>,
     /// Replicate remote pages across simulated memory nodes with
     /// transparent read failover and background re-replication. `None`
     /// (the default) keeps the single-copy backend bit-identical to
@@ -236,7 +196,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::None,
             evictors: 4,
             max_evictors: 4,
@@ -247,7 +206,6 @@ impl SystemConfig {
             prefetch: PrefetchPolicy::None,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted_bug: None,
             retry: RetryPolicy::default(),
@@ -264,7 +222,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::Fifo,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::Sharded(16),
             evictors: 4,
             max_evictors: 4,
@@ -278,7 +235,6 @@ impl SystemConfig {
                 ..NicConfig::bluefield2_200g()
             },
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted_bug: None,
             retry: RetryPolicy::default(),
@@ -300,7 +256,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::PcpuCache,
             remote_alloc: RemoteAllocKind::SwapLock,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::Global,
             evictors: 4,
             max_evictors: 32,
@@ -311,7 +266,6 @@ impl SystemConfig {
             prefetch: PrefetchPolicy::Readahead,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted_bug: None,
             retry: RetryPolicy::default(),
@@ -329,7 +283,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::GlobalBuddy,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::None,
             evictors: 4,
             max_evictors: 4,
@@ -340,7 +293,6 @@ impl SystemConfig {
             prefetch: PrefetchPolicy::Readahead,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted_bug: None,
             retry: RetryPolicy::default(),
@@ -359,7 +311,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::None,
             evictors: 4,
             max_evictors: 4,
@@ -370,7 +321,6 @@ impl SystemConfig {
             prefetch: PrefetchPolicy::None,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted_bug: None,
             retry: RetryPolicy::default(),
@@ -398,13 +348,6 @@ impl SystemConfig {
         self
     }
 
-    /// Swaps the far-memory backend implementation (data movement + slot
-    /// placement), e.g. to a [`BackendKind::Custom`] backend.
-    pub fn with_backend_kind(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Swaps the victim-selection policy.
     pub fn with_eviction_policy(mut self, policy: EvictionPolicyKind) -> Self {
         self.eviction_policy = policy;
@@ -415,13 +358,6 @@ impl SystemConfig {
     /// link (the degraded-link experiments and the chaos suite).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Installs per-node fault schedules: `plans[i]` governs operations
-    /// targeted at memory node `i` (the node-kill chaos suite).
-    pub fn with_node_faults(mut self, plans: Vec<FaultPlan>) -> Self {
-        self.node_faults = plans;
         self
     }
 

@@ -11,7 +11,7 @@
 //! component times and settles them into the Fig. 6/16 breakdown
 //! categories exactly once, when the fault completes.
 
-use mage_mmu::{CoreId, Pte, PAGE_SIZE};
+use mage_mmu::{CoreId, Pte};
 use mage_sim::time::{Nanos, SimTime};
 
 use crate::events::PageEvent;
@@ -279,7 +279,7 @@ impl FarMemory {
             let t_r = self.sim.now();
             self.sim.sleep(costs.os.rdma_post_cpu_ns).await;
             if let Err(err) = self
-                .transfer_with_retry(TransferOp::Read, PAGE_SIZE, Some(rpn))
+                .transfer_with_retry(TransferOp::Read, rpn)
                 .await
             {
                 // Abort the fault: the remote copy is the only copy, so

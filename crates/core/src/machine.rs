@@ -30,8 +30,8 @@ use mage_sim::time::{Nanos, SimTime};
 use mage_sim::trace::Tracer;
 use mage_sim::SimHandle;
 
-use crate::backend::{FarBackend, ReplicatedBackend};
-use crate::config::{PlantedBug, SystemConfig};
+use crate::backend::FarBackend;
+use crate::config::SystemConfig;
 use crate::events::{EventSink, EventTap, PageEvent};
 use crate::metrics::MetricsRegistry;
 use crate::prefetch::StreamDetector;
@@ -107,7 +107,7 @@ pub struct FarMemory {
     pub(crate) sim: SimHandle,
     pub(crate) cfg: SystemConfig,
     pub(crate) topo: Topology,
-    pub(crate) backend: Box<dyn FarBackend>,
+    pub(crate) backend: FarBackend,
     pub(crate) policy: Box<dyn EvictionPolicy>,
     pub(crate) pt: PageTable,
     pub(crate) asp: RefCell<AddressSpace>,
@@ -162,16 +162,7 @@ impl FarMemory {
             params.app_threads <= topo.total_cores() as usize,
             "more app threads than cores"
         );
-        let backend = cfg.backend.build(sim.clone(), &cfg, params.remote_pages);
-        let backend: Box<dyn FarBackend> = match cfg.replication {
-            Some(replication) => Box::new(ReplicatedBackend::new(
-                sim.clone(),
-                backend,
-                replication,
-                cfg.planted_bug == Some(PlantedBug::Rereplication),
-            )),
-            None => backend,
-        };
+        let backend = FarBackend::new(sim.clone(), &cfg, params.remote_pages);
         let policy = cfg.eviction_policy.build();
         let ic = Rc::new(InterruptController::new(
             sim.clone(),
@@ -332,8 +323,8 @@ impl FarMemory {
     }
 
     /// The far-memory backend.
-    pub fn backend(&self) -> &dyn FarBackend {
-        &*self.backend
+    pub fn backend(&self) -> &FarBackend {
+        &self.backend
     }
 
     /// The victim-selection policy.
@@ -571,8 +562,18 @@ mod tests {
     #[test]
     fn default_seams_are_the_papers() {
         let (_sim, engine, _vma) = small_machine(SystemConfig::mage_lib());
-        assert_eq!(engine.backend().name(), "rdma");
         assert_eq!(engine.eviction_policy().name(), "second-chance");
+    }
+
+    #[test]
+    #[should_panic(expected = "3 per-node fault plans for 2 memory nodes")]
+    fn more_node_plans_than_nodes_panics_at_launch() {
+        let plan = mage_fabric::FaultPlan::staggered_node_crash(7, 0, 3, 1_000_000, 50_000);
+        let cfg = SystemConfig::mage_lib().with_replication(crate::ReplicationConfig {
+            node_faults: vec![plan; 3],
+            ..crate::ReplicationConfig::default()
+        });
+        small_machine(cfg);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct MetricsRegistry<'a> {
     /// Page-accounting counters.
     pub accounting: &'a AccountingStats,
     /// Replica-repair counters, present only when the machine runs a
-    /// [`ReplicatedBackend`](crate::backend::ReplicatedBackend).
+    /// replicated [`FarBackend`](crate::backend::FarBackend).
     pub replication: Option<&'a ReplicationStats>,
 }
 

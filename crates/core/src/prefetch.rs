@@ -11,7 +11,7 @@
 
 use std::rc::Rc;
 
-use mage_mmu::{CoreId, Pte, PAGE_SIZE};
+use mage_mmu::{CoreId, Pte};
 
 use crate::config::PrefetchPolicy;
 use crate::events::PageEvent;
@@ -130,7 +130,7 @@ impl FarMemory {
         };
         self.sim.sleep(self.cfg.costs.os.rdma_post_cpu_ns).await;
         if self
-            .await_op(self.backend.read_page_at(rpn, PAGE_SIZE))
+            .await_op(self.backend.read(rpn))
             .await
             .is_err()
         {

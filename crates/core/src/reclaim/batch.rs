@@ -4,7 +4,7 @@
 //! pageout and the pipelined evictor.
 
 use mage_fabric::Completion;
-use mage_mmu::{CoreId, FlushTicket, Pte, PAGE_SIZE};
+use mage_mmu::{CoreId, FlushTicket, Pte};
 use mage_sim::time::{Nanos, SimTime};
 use mage_sim::trace::TRACK_WRITEBACK;
 
@@ -139,8 +139,8 @@ impl FarMemory {
     /// Steps ④–⑤: post the writebacks for flushed pages.
     ///
     /// Clean pages whose backend copy is still valid (direct mapping)
-    /// skip the write; backends with per-eviction slot allocation report
-    /// [`writes_clean_pages`](crate::backend::FarBackend::writes_clean_pages),
+    /// skip the write; with per-eviction slot allocation the backend
+    /// reports [`writes_clean_pages`](crate::backend::FarBackend::writes_clean_pages),
     /// so every page is written.
     pub(crate) async fn post_writebacks(&self, batch: &[EvictPage]) -> WritebackSet {
         let t_post = self.sim.now();
@@ -148,7 +148,7 @@ impl FarMemory {
         let mut completions = Vec::new();
         for (idx, page) in batch.iter().enumerate() {
             if page.dirty || must_write_clean {
-                completions.push((idx, self.backend.write_page_at(page.rpn, PAGE_SIZE)));
+                completions.push((idx, self.backend.write(page.rpn)));
             } else {
                 self.stats.clean_reclaims.inc();
             }
@@ -198,7 +198,7 @@ impl FarMemory {
         for (idx, c) in &wb.completions {
             if let Err(e) = c.outcome() {
                 if self
-                    .retry_transfer(TransferOp::Write, PAGE_SIZE, Some(batch[*idx].rpn), Err(e))
+                    .retry_transfer(TransferOp::Write, batch[*idx].rpn, Err(e))
                     .await
                     .is_err()
                 {

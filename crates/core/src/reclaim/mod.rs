@@ -12,7 +12,7 @@
 //! The split keeps one `scan_and_unmap`/`finalize_batch` implementation
 //! under all four entry points (background sequential, background
 //! pipelined, synchronous fault-path fallback, forced pageout); policies
-//! and backends extend the path through traits instead of engine edits.
+//! extend the path through a trait instead of engine edits.
 
 pub mod policy;
 

@@ -109,29 +109,24 @@ impl FarMemory {
         c.await
     }
 
-    /// Posts one transfer. With a known backend slot the slot-addressed
-    /// entry points are used, which replication-aware backends route to
-    /// replicas; the defaults delegate straight to the plain posts, so
-    /// unreplicated behaviour is unchanged.
-    fn post_transfer(&self, op: TransferOp, bytes: u64, rpn: Option<u64>) -> Completion {
-        match (op, rpn) {
-            (TransferOp::Read, Some(rpn)) => self.backend.read_page_at(rpn, bytes),
-            (TransferOp::Read, None) => self.backend.read_page(bytes),
-            (TransferOp::Write, Some(rpn)) => self.backend.write_page_at(rpn, bytes),
-            (TransferOp::Write, None) => self.backend.write_page(bytes),
+    /// Posts one page transfer of backend slot `rpn`.
+    fn post_transfer(&self, op: TransferOp, rpn: u64) -> Completion {
+        match op {
+            TransferOp::Read => self.backend.read(rpn),
+            TransferOp::Write => self.backend.write(rpn),
         }
     }
 
-    /// Posts one transfer and drives it through the retry policy.
+    /// Posts one page transfer of backend slot `rpn` and drives it
+    /// through the retry policy.
     pub(crate) async fn transfer_with_retry(
         &self,
         op: TransferOp,
-        bytes: u64,
-        rpn: Option<u64>,
+        rpn: u64,
     ) -> Result<Nanos, FaultError> {
-        let c = self.post_transfer(op, bytes, rpn);
+        let c = self.post_transfer(op, rpn);
         let first = self.await_op(c).await;
-        self.retry_transfer(op, bytes, rpn, first).await
+        self.retry_transfer(op, rpn, first).await
     }
 
     /// Applies the retry policy to an already-observed first attempt:
@@ -141,8 +136,7 @@ impl FarMemory {
     pub(crate) async fn retry_transfer(
         &self,
         op: TransferOp,
-        bytes: u64,
-        rpn: Option<u64>,
+        rpn: u64,
         first: Result<Nanos, TransferError>,
     ) -> Result<Nanos, FaultError> {
         let mut last = match first {
@@ -152,10 +146,10 @@ impl FarMemory {
         // Transparent failover: a node-unreachable read on a replicated
         // backend re-routes to a surviving synced replica before any
         // backoff — the crash costs one extra read, not an abort.
-        // Unreplicated backends answer `None` here without an await or an
-        // RNG draw, leaving their fault schedules untouched.
+        // Without replication the backend answers `None` here without an
+        // await or an RNG draw, leaving the fault schedule untouched.
         if last == TransferError::NodeUnreachable && op == TransferOp::Read {
-            if let Some(c) = rpn.and_then(|rpn| self.backend.failover_read(rpn, bytes)) {
+            if let Some(c) = self.backend.failover_read(rpn) {
                 if let Ok(lat) = self.await_op(c).await {
                     self.stats.failover_reads.inc();
                     return Ok(lat);
@@ -178,7 +172,7 @@ impl FarMemory {
                 .await;
             // Re-posting costs CPU like the original post did.
             self.sim.sleep(self.cfg.costs.os.rdma_post_cpu_ns).await;
-            let c = self.post_transfer(op, bytes, rpn);
+            let c = self.post_transfer(op, rpn);
             match self.await_op(c).await {
                 Ok(lat) => {
                     self.stats

@@ -120,6 +120,16 @@ impl RemoteAllocator {
         }
     }
 
+    /// Synchronously resolves the remote page of a page placed remote at
+    /// setup (no virtual time, no statistics): the direct-mapped page
+    /// itself, or the next swap slot. `None` only if swap is exhausted.
+    pub fn seed_for(&self, direct_rpn: u64) -> Option<u64> {
+        match self {
+            RemoteAllocator::DirectMap => Some(direct_rpn),
+            RemoteAllocator::Swap(bitmap) => bitmap.seed_alloc(),
+        }
+    }
+
     /// Releases a remote page when it is faulted back in. Direct mapping
     /// keeps the remote page reserved (it is address-derived), so only
     /// swap areas do work here.
@@ -184,6 +194,7 @@ mod tests {
             assert_eq!(r.alloc_for(1234).await, Some(1234));
             r.release(1234).await;
         });
+        assert_eq!(ra.seed_for(1234), Some(1234), "seeding is address-derived too");
         assert_eq!(sim.run().as_nanos(), 0, "no virtual time consumed");
         assert!(!ra.is_synchronized());
     }
@@ -192,12 +203,14 @@ mod tests {
     fn swap_allocator_uses_allocated_slot_not_direct() {
         let sim = Simulation::new();
         let ra = Rc::new(RemoteAllocator::Swap(Box::new(SwapBitmap::new(sim.handle(), 16, 50))));
+        assert_eq!(ra.seed_for(999), Some(0), "setup seeding draws bitmap slots too");
         let r = Rc::clone(&ra);
         sim.block_on(async move {
             let slot = r.alloc_for(999).await.expect("capacity");
-            assert_eq!(slot, 0, "bitmap slot, not the direct rpn");
+            assert_eq!(slot, 1, "bitmap slot after the seeded one, not the direct rpn");
             r.release(slot).await;
         });
+        assert_eq!(sim.run().as_nanos(), 100, "seeding is free; alloc and release pay the lock");
         assert!(ra.is_synchronized());
     }
 }

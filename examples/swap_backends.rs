@@ -7,10 +7,10 @@
 //! throughput and fault tails, while the paging-path behaviour (zero
 //! synchronous evictions, pipelined writeback) stays identical.
 //!
-//! [`SystemConfig::with_backend`] swaps only the link model (same
-//! direct-cabled RDMA semantics); replacing the whole [`FarBackend`]
-//! implementation is `SystemConfig::with_backend_kind` with a
-//! `BackendKind::Custom` constructor (see `tests/seams.rs`).
+//! [`SystemConfig::with_backend`]`(NicConfig)` is how a backend is
+//! swapped: it replaces the link model and keeps the one-sided transfer
+//! semantics. The backend's other axes are config data too:
+//! `remote_alloc` places slots and `replication` adds replicas.
 //!
 //! ```sh
 //! cargo run --release --example swap_backends

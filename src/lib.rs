@@ -48,10 +48,10 @@ pub use mage_workloads as workloads;
 /// The most common imports for running experiments.
 pub mod prelude {
     pub use mage::{
-        Access, BackendKind, CostModel, EvictionPolicy, EvictionPolicyKind, FarBackend, FarMemory,
-        FaultError, Fifo, IdealModel, MachineParams, MetricsRegistry, MetricsSnapshot,
-        MetricsWindow, OsProfile, PrefetchPolicy, RdmaBackend, ReplicaState, ReplicatedBackend,
-        ReplicationConfig, ReplicationStats, RetryPolicy, SystemConfig, TransferOp,
+        Access, CostModel, EvictionPolicy, EvictionPolicyKind, FarBackend, FarMemory, FaultError,
+        Fifo, IdealModel, MachineParams, MetricsRegistry, MetricsSnapshot, MetricsWindow,
+        OsProfile, PrefetchPolicy, ReplicaState, ReplicationConfig, ReplicationStats, RetryPolicy,
+        SystemConfig, TransferOp,
     };
     pub use mage_fabric::{FaultPlan, TransferError};
     pub use mage_mmu::{CoreId, Topology};

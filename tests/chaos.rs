@@ -365,10 +365,10 @@ fn replicated_chaos_run(
         ..RetryPolicy::default()
     };
     let system = SystemConfig::mage_lib()
-        .with_node_faults(node_plans)
         .with_replication(ReplicationConfig {
             nodes,
             repair_poll_ns: 10_000,
+            node_faults: node_plans,
         })
         .with_retry(retry);
     let sim = Simulation::new();

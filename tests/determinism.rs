@@ -113,10 +113,10 @@ fn different_fault_seeds_diverge() {
     assert_ne!(a, b, "different fault seeds must perturb the statistics");
 }
 
-/// One replicated sweep: MAGE-Lib on a two-node [`ReplicatedBackend`]
-/// under staggered per-node crash plans, two outage geometries, folded
-/// into a digest (which now carries the failover / re-replication
-/// counters). Returns the digest plus the total failovers and repairs so
+/// One replicated sweep: MAGE-Lib on a two-node replicated
+/// [`FarBackend`](mage::FarBackend) under staggered per-node crash plans,
+/// two outage geometries, folded into a digest (which now carries the
+/// failover / re-replication counters). Returns the digest plus the total failovers and repairs so
 /// the tests can also pin that the counters were genuinely exercised.
 fn replicated_sweep(fault_seed: u64) -> (Vec<String>, u64, u64) {
     let mut out = Vec::new();
@@ -137,10 +137,10 @@ fn replicated_sweep(fault_seed: u64) -> (Vec<String>, u64, u64) {
             })
             .collect();
         let mut s = SystemConfig::mage_lib()
-            .with_node_faults(plans)
             .with_replication(ReplicationConfig {
                 nodes,
                 repair_poll_ns: 10_000,
+                node_faults: plans,
             })
             .with_retry(RetryPolicy {
                 max_retries: 2,

@@ -161,10 +161,10 @@ fn every_window_row_reads_its_own_source() {
         })
         .collect();
     let system = SystemConfig::mage_lib()
-        .with_node_faults(plans)
         .with_replication(ReplicationConfig {
             nodes,
             repair_poll_ns: 10_000,
+            node_faults: plans,
         })
         .with_retry(RetryPolicy {
             max_retries: 2,

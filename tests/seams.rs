@@ -1,11 +1,14 @@
-//! Integration tests for the pluggable trait seams: every
-//! [`EvictionPolicy`] implementation and every [`FarBackend`]
-//! implementation must run the full engine end-to-end while preserving
-//! the safety invariants the default configuration guarantees.
+//! Integration tests for the engine's one trait seam, the victim
+//! selection policy: every [`EvictionPolicy`] implementation, shipped or
+//! user-supplied, must run the full engine end-to-end while preserving
+//! the safety invariants the default configuration guarantees. The far
+//! memory backend is one concrete type whose shapes are config data
+//! (slot placement, link model, replication); every shape a config can
+//! build is held to the same invariants, and the goldens pin the
+//! default, baseline and replicated schedules.
 
 use std::rc::Rc;
 
-use mage_far_memory::engine::backend::{FarBackend, LocalBoxFuture, RdmaBackend};
 use mage_far_memory::engine::reclaim::EvictionPolicy;
 use mage_far_memory::mmu::{PageTable, Topology, Vma};
 use mage_far_memory::prelude::*;
@@ -161,15 +164,23 @@ fn policy_swap_conserves_accesses() {
     assert_eq!(totals[0], totals[1], "access count is policy-independent");
 }
 
-/// The shipped RDMA backend drives the engine end-to-end and upholds the
-/// invariants.
+/// Every backend shape a config can build — direct-mapped slots,
+/// Hermit's swap slots and replicated slots — drives the engine
+/// end-to-end and upholds the invariants.
 #[test]
 fn backend_swap_preserves_invariants() {
-    let system = SystemConfig::mage_lib().with_backend_kind(BackendKind::Rdma);
-    let (sim, engine, vma) = launch(system, 33);
-    assert_eq!(engine.backend().name(), "rdma");
-    churn(&sim, &engine, &vma);
-    assert_safe(&engine, &vma, "rdma");
+    for (label, system) in [
+        ("direct map", SystemConfig::mage_lib()),
+        ("swap slots", SystemConfig::hermit()),
+        (
+            "replicated",
+            SystemConfig::mage_lib().with_replication(ReplicationConfig::default()),
+        ),
+    ] {
+        let (sim, engine, vma) = launch(system, 33);
+        churn(&sim, &engine, &vma);
+        assert_safe(&engine, &vma, label);
+    }
 }
 
 /// Swap-slot placement (Hermit's `SwapLock` allocator) forces writebacks
@@ -204,58 +215,6 @@ fn disagg_tier_rewrites_clean_pages() {
         "a fresh swap slot per eviction: every eviction writes"
     );
     assert!(clean_reclaims[1].1 > 0, "Hermit's evictions write back");
-}
-
-/// A user-supplied backend plugs in through `BackendKind::Custom` with no
-/// engine edits: here, an RDMA backend wrapped with a transfer counter.
-#[test]
-fn custom_backend_plugs_in() {
-    struct CountingBackend {
-        inner: RdmaBackend,
-    }
-
-    impl FarBackend for CountingBackend {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-        fn read_page(&self, bytes: u64) -> mage_far_memory::fabric::Completion {
-            self.inner.read_page(bytes)
-        }
-        fn write_page(&self, bytes: u64) -> mage_far_memory::fabric::Completion {
-            self.inner.write_page(bytes)
-        }
-        fn alloc_slot<'a>(&'a self, direct_rpn: u64) -> LocalBoxFuture<'a, Option<u64>> {
-            self.inner.alloc_slot(direct_rpn)
-        }
-        fn release_slot<'a>(&'a self, rpn: u64) -> LocalBoxFuture<'a, ()> {
-            self.inner.release_slot(rpn)
-        }
-        fn seed_slot(&self, direct_rpn: u64) -> Option<u64> {
-            self.inner.seed_slot(direct_rpn)
-        }
-        fn writes_clean_pages(&self) -> bool {
-            self.inner.writes_clean_pages()
-        }
-        fn link(&self) -> &Rc<mage_far_memory::fabric::Nic> {
-            self.inner.link()
-        }
-        fn node(&self) -> &mage_far_memory::fabric::MemoryNode {
-            self.inner.node()
-        }
-    }
-
-    let system = SystemConfig::mage_lib().with_backend_kind(BackendKind::Custom {
-        name: "counting",
-        build: |sim, cfg, remote_pages| {
-            Box::new(CountingBackend {
-                inner: RdmaBackend::new(sim, cfg, remote_pages),
-            })
-        },
-    });
-    let (sim, engine, vma) = launch(system, 9);
-    assert_eq!(engine.backend().name(), "counting");
-    churn(&sim, &engine, &vma);
-    assert!(engine.nic().stats().reads.get() > 0, "reads flowed through");
 }
 
 /// Zero-fault parity: with the default `FaultPlan::none()` the fault
@@ -381,4 +340,64 @@ fn custom_policy_plugs_in() {
     assert_eq!(engine.eviction_policy().name(), "evict-everything");
     churn(&sim, &engine, &vma);
     assert_safe(&engine, &vma, "evict-everything");
+}
+
+/// Replicated-path golden: the replica routing, mirrored writes,
+/// failover reads and background repairs must keep this schedule. Two
+/// runs under two memory nodes with staggered, disjoint crash windows
+/// (the geometry of `tests/determinism.rs`'s replicated sweep): MAGE-Lib
+/// over direct-mapped slots, and Hermit, whose swap slots are untracked
+/// on release and whose clean pages are written on every eviction.
+#[test]
+fn replicated_path_matches_golden_values() {
+    use mage_far_memory::workloads::runner::{run_batch, RunConfig};
+    use mage_far_memory::workloads::WorkloadKind;
+
+    let run = |preset: fn() -> SystemConfig| {
+        let nodes = 2usize;
+        let plans = (0..nodes)
+            .map(|i| FaultPlan::staggered_node_crash(0xFA417, i, nodes, 400_000, 40_000))
+            .collect();
+        let mut system = preset()
+            .with_replication(ReplicationConfig {
+                nodes,
+                repair_poll_ns: 10_000,
+                node_faults: plans,
+            })
+            .with_retry(RetryPolicy {
+                max_retries: 2,
+                ..RetryPolicy::default()
+            });
+        system.prefetch = PrefetchPolicy::None;
+        let mut cfg = RunConfig::new(system, WorkloadKind::Gups, 2, 2048, 0.5);
+        cfg.ops_per_thread = 500;
+        cfg.seed = 13;
+        let r = run_batch(&cfg);
+        (
+            r.runtime_ns,
+            r.major_faults,
+            r.window.failover_reads,
+            r.window.rereplicated_pages,
+            r.window.writebacks,
+            r.window.transfer_retries,
+            r.executor_polls,
+            r.degraded_pages,
+        )
+    };
+    let lib = run(SystemConfig::mage_lib);
+    let hermit = run(SystemConfig::hermit);
+    for (label, got) in [("mage_lib", lib), ("hermit", hermit)] {
+        assert!(got.2 > 0, "{label}: the run must exercise failover reads");
+        assert!(got.3 > 0, "{label}: the run must exercise background repairs");
+    }
+    assert_eq!(
+        lib,
+        (758_504, 457, 6, 2_634, 895, 7, 8_951, 0),
+        "mage_lib replicated schedule drifted"
+    );
+    assert_eq!(
+        hermit,
+        (1_225_851, 316, 7, 4_478, 320, 10, 10_532, 1_491),
+        "hermit replicated schedule drifted"
+    );
 }
