@@ -64,17 +64,28 @@ echo "==> benchmark tests (benchsuite/ builds against the workspace's public API
 cargo test -q --release --manifest-path benchsuite/Cargo.toml
 
 echo "==> sparse-metadata regression (O(touched) host metadata through the engine and the batch runner)"
-# The committed paper claims, policy cube and scale sweep are goldens in
-# crates/bench/tests/committed_reports.rs, run by the workspace stage above.
+# The committed paper claims (the policy zoo's rows among them) and the
+# scale sweep are goldens in crates/bench/tests/committed_reports.rs, run
+# by the workspace stage above.
 cargo test -q --release --test scale_sparse >/dev/null
 
 echo "==> paper-size smoke (the figure path the BENCH_paper.json golden does not run)"
-rm -f target/experiments/fig18b.csv
-cargo run -q --release -p mage-bench --bin paper -- fig18b >/dev/null
+rm -f target/experiments/fig18b.csv target/experiments/ext_policies_*.csv
+cargo run -q --release -p mage-bench --bin paper -- fig18b ext_policies >/dev/null
 test -s target/experiments/fig18b.csv || {
     echo "error: paper fig18b did not write target/experiments/fig18b.csv" >&2
     exit 1
 }
+# The policy zoo as CSV: 5 policies x 3 local fractions per workload,
+# after the `# id: title` line and the header.
+for workload in gups pagerank; do
+    csv="target/experiments/ext_policies_$workload.csv"
+    rows=$(tail -n +3 "$csv" 2>/dev/null | wc -l)
+    test -s "$csv" && test "$rows" -eq 15 || {
+        echo "error: paper ext_policies wrote $rows data rows to $csv, expected 15" >&2
+        exit 1
+    }
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -55,7 +55,7 @@ fn main() {
         for r in &rows {
             let verdict = if r.holds { "holds" } else { "DOES NOT HOLD" };
             let (id, measured, cmp, tol) = (&r.id, r.measured, &r.comparison, &r.tolerance);
-            eprintln!("  {id:40} {measured:>12.4} {cmp} {tol:?}: {verdict}");
+            eprintln!("  {id:52} {measured:>12.4} {cmp} {tol:?}: {verdict}");
         }
         eprintln!("paper: {} claims -> {}", rows.len(), out.display());
         return;

@@ -439,6 +439,20 @@ const BREAKDOWN: &[Column] = &[
     Column("total", |c| us(c.s.breakdown().total())),
 ];
 
+/// The policy zoo's per-cell values. The re-fault rate is the share of
+/// major faults whose page was still on the ghost list: evicted too
+/// early.
+const ZOO: &[Column] = &[
+    Column("mops", |c| format!("{:.4}", c.s.mops())),
+    Column("major_faults", |c| c.s.r().major_faults.to_string()),
+    Column("re_faults", |c| c.s.r().window.re_faults.to_string()),
+    Column("ghost_hits", |c| c.s.r().window.ghost_hits.to_string()),
+    Column("re_fault_rate", |c| {
+        format!("{:.6}", c.s.r().re_fault_rate())
+    }),
+    Column("fault_p99_us", |c| f1(c.s.p99_us())),
+];
+
 /// How a spec's cells are laid out in its CSV.
 enum Layout {
     /// One row per sweep point; each line contributes its columns.
@@ -585,6 +599,9 @@ fn specs() -> Vec<Spec> {
     let gups = app(48, 49_152, 60_000, 0);
     let open_loop = timed(48, 200_000, 15_000_000);
     let sequential = SystemConfig { pipelined_eviction: false, name: "MageSeq", ..S::mage_lib() };
+    // MAGE-Lib with each built-in eviction policy, labelled by its name.
+    let zoo = |workload| lines(EvictionPolicyKind::BUILT_IN.map(|k| (k.name(), S::mage_lib().with_eviction_policy(k))).to_vec(), workload);
+    let zoo_size = app(4, 8_192, 2_048, 512);
     vec![
         spec("fig01", "GapBS pagerank throughput vs far-memory % (48 threads), normalized to each system's all-local run",
             far_pct(&[0, 10, 20, 30, 40, 50, 60, 70, 80, 90]),
@@ -706,6 +723,12 @@ fn specs() -> Vec<Spec> {
               Column("major_faults", |c| c.s.r().major_faults.to_string()),
               Column("evict_cancels", |c| c.s.r().window.evict_cancels.to_string())])
             .sizes(APP, APP).at(0.6).layout(Layout::Long("policy")),
+        spec("ext_policies_gups", "Policy zoo on MAGE-Lib: GUPS 4T vs local memory",
+            local_pct(&[20, 50, 80]), zoo(App(Gups)), ZOO)
+            .sizes(zoo_size, zoo_size).layout(Layout::Long("policy")),
+        spec("ext_policies_pagerank", "Policy zoo on MAGE-Lib: GapBS pagerank 4T vs local memory",
+            local_pct(&[20, 50, 80]), zoo(App(RandomGraph)), ZOO)
+            .sizes(zoo_size, zoo_size).layout(Layout::Long("policy")),
     ]
 }
 
@@ -746,21 +769,14 @@ impl Lab {
 
     /// The sample of `spec`'s cell at point `point` on line `line`,
     /// after `tweak` has adjusted its run.
-    fn variant(&mut self, spec: &str, point: &str, line: &str, tweak: fn(&mut Run)) -> &Sample {
-        let spec = find(&self.specs, spec);
-        let knob = spec
-            .axis
-            .points
-            .iter()
-            .find(|(l, _)| l == point)
-            .expect("sweep point")
-            .1;
-        let line = spec
-            .lines
-            .iter()
-            .find(|l| l.label == line)
-            .expect("spec line");
-        let mut run = spec.run(knob, line, self.scale);
+    fn variant(&mut self, id: &str, point: &str, line: &str, tweak: fn(&mut Run)) -> &Sample {
+        let spec = find(&self.specs, id);
+        let knob = spec.axis.points.iter().find(|(l, _)| l == point);
+        let found = spec.lines.iter().find(|l| l.label == line);
+        let (Some(&(_, knob)), Some(found)) = (knob, found) else {
+            panic!("spec {id} has no cell at point {point:?} on line {line:?}")
+        };
+        let mut run = spec.run(knob, found, self.scale);
         tweak(&mut run);
         sample(&mut self.samples, &run)
     }
@@ -936,6 +952,44 @@ fn recovery_ms(lab: &mut Lab, line: &str) -> f64 {
     (back.map_or(end, |&(t, _)| t) - PHASE_AT_NS) as f64 / 1e6
 }
 
+/// The policy zoo's (spec, point) groups.
+fn zoo_groups() -> impl Iterator<Item = (&'static str, &'static str)> {
+    ["ext_policies_gups", "ext_policies_pagerank"]
+        .into_iter()
+        .flat_map(|spec| ["20", "50", "80"].map(|point| (spec, point)))
+}
+
+fn re_fault_rate(lab: &mut Lab, spec: &str, point: &str, kind: EvictionPolicyKind) -> f64 {
+    lab.cell(spec, point, kind.name()).r().re_fault_rate()
+}
+
+/// Groups where S3-FIFO's re-fault rate is strictly below every other
+/// policy's: a tie is not a win.
+fn s3fifo_refault_wins(lab: &mut Lab) -> f64 {
+    let mut wins = 0;
+    for (spec, point) in zoo_groups() {
+        let s3 = re_fault_rate(lab, spec, point, EvictionPolicyKind::S3Fifo);
+        let mut others = EvictionPolicyKind::BUILT_IN
+            .into_iter()
+            .filter(|k| !matches!(k, EvictionPolicyKind::S3Fifo));
+        if others.all(|k| s3 < re_fault_rate(lab, spec, point, k)) {
+            wins += 1;
+        }
+    }
+    wins as f64
+}
+
+/// `kind`'s mean re-fault rate over the zoo's six cells, over second
+/// chance's.
+fn refault_over_second_chance(lab: &mut Lab, kind: EvictionPolicyKind) -> f64 {
+    let mut sum = |kind| {
+        zoo_groups()
+            .map(|(spec, point)| re_fault_rate(lab, spec, point, kind))
+            .sum::<f64>()
+    };
+    sum(kind) / sum(EvictionPolicyKind::SecondChance)
+}
+
 /// Every claim `BENCH_paper.json` records, in paper order. A claim that
 /// does not hold is a known deviation (DESIGN.md §7).
 #[rustfmt::skip] // one claim per two lines, laid out as a table
@@ -1019,6 +1073,15 @@ pub fn claims() -> Vec<Claim> {
                 + lab.cell("tab02", "xsbench", "MageLib").r().major_faults) as f64),
         claim("ext_partlru_over_globallru", "§4.2.2", None, (">", &[1.0]),
             |lab| ratio(lab, "ext_replacement", ("", "PartLru"), ("", "GlobalLru"))),
+        claim("ext_policies_s3fifo_refault_wins", "§4.2.2", None, (">", &[0.0]), s3fifo_refault_wins),
+        claim("ext_policies_fifo_refault_over_second_chance", "§4.2.2", None, (">", &[1.0]),
+            |lab| refault_over_second_chance(lab, EvictionPolicyKind::Fifo)),
+        claim("ext_policies_aging_clock_refault_over_second_chance", "§4.2.2", None, ("<", &[1.0]),
+            |lab| refault_over_second_chance(lab, EvictionPolicyKind::AgingClock { hot_rounds: 3 })),
+        claim("ext_policies_approx_lru_refault_over_second_chance", "§4.2.2", None, ("<", &[1.0]),
+            |lab| refault_over_second_chance(lab, EvictionPolicyKind::ApproxLru)),
+        claim("ext_policies_s3fifo_refault_over_second_chance", "§4.2.2", None, ("<", &[1.0]),
+            |lab| refault_over_second_chance(lab, EvictionPolicyKind::S3Fifo)),
     ]
 }
 
@@ -1170,6 +1233,14 @@ mod tests {
                 "duplicate in {ids:?}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "spec ext_policies_gups has no cell at point \"20\" on line \"s3fifo\""
+    )]
+    fn a_missing_cell_is_named() {
+        Lab::new(Scale::Reduced).cell("ext_policies_gups", "20", "s3fifo");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The committed benchmark reports are goldens. Each file must pass its
 //! own validator (and a truncated copy must not), and a fresh run must
-//! reproduce it: the paper claims and the policy cube byte for byte, the
-//! scale sweep's model fields exactly and its peak RSS within a bound.
+//! reproduce it: the paper claims byte for byte, the scale sweep's model
+//! fields exactly and its peak RSS within a bound.
 
 use std::path::Path;
 use std::process::Command;
@@ -37,15 +37,6 @@ fn scale_report_validates() {
         "BENCH_scale.json",
         4,
         mage_bench::scale_bench::validate_report,
-    );
-}
-
-#[test]
-fn policies_report_validates() {
-    check(
-        "BENCH_policies.json",
-        30,
-        mage_workloads::ablation::validate_report,
     );
 }
 
@@ -118,25 +109,6 @@ fn paper_claims_reproduce_committed_report() {
         "the paper claims no longer reproduce BENCH_paper.json; regenerate it with \
          `cargo run --release -p mage-bench --bin paper` only for a change meant to \
          move virtual metrics, and say which rows moved"
-    );
-}
-
-/// Every cell is virtual time, so any change to a policy, the accounting
-/// lists or the ghost list that moves one eviction shows up here.
-#[test]
-fn policy_cube_reproduces_committed_report() {
-    use mage_workloads::ablation::{render_json, run_ablation, s3fifo_win_cells};
-    let cells = run_ablation();
-    assert!(
-        !s3fifo_win_cells(&cells).is_empty(),
-        "S3-FIFO must win at least one (workload, fraction) group on re-fault rate"
-    );
-    assert_eq!(
-        render_json(&cells),
-        committed("BENCH_policies.json"),
-        "the policy cube no longer reproduces BENCH_policies.json; \
-         regenerate it with `cargo run --release -p mage-bench --bin policies` \
-         only for a change meant to move evictions"
     );
 }
 

@@ -70,6 +70,16 @@ pub enum EvictionPolicyKind {
 }
 
 impl EvictionPolicyKind {
+    /// Every built-in policy, in declaration order (`AgingClock` with
+    /// three grace rounds).
+    pub const BUILT_IN: [EvictionPolicyKind; 5] = [
+        EvictionPolicyKind::SecondChance,
+        EvictionPolicyKind::Fifo,
+        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
+        EvictionPolicyKind::S3Fifo,
+        EvictionPolicyKind::ApproxLru,
+    ];
+
     /// Instantiates the policy. Every built-in kind but `Fifo` is a
     /// preset of one counter mechanism (see [`crate::reclaim::policy`]).
     pub fn build(&self) -> Box<dyn EvictionPolicy> {

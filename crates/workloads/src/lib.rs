@@ -17,11 +17,9 @@
 //! [`runner`] drives the closed-loop batch experiments; [`memcached`]
 //! implements the open-loop latency-critical service of §6.3.
 
-pub mod ablation;
 pub mod memcached;
 pub mod patterns;
 pub mod runner;
 
-pub use ablation::{run_ablation, PolicyCell};
 pub use patterns::{Op, Stream, WorkloadKind, Zipf};
 pub use runner::{run_batch, RunConfig, RunReport};

@@ -75,7 +75,7 @@ fn main() {
     println!("\nEach row adds one technique; the paper's Fig. 17 reports the same");
     println!("progression (pipelining buys the most, the two contention-avoidance");
     println!("techniques compound on top). Re-faults count evictions the policy");
-    println!("got wrong (a second major fault paid for the same page); the full");
-    println!("policy x workload x local-fraction cube where S3-FIFO earns its");
-    println!("keep is BENCH_policies.json (cargo run -p mage-bench --bin policies).");
+    println!("got wrong (a second major fault paid for the same page); every");
+    println!("built-in policy across two workloads and three local fractions is");
+    println!("`cargo run -p mage-bench --bin paper -- ext_policies`.");
 }

@@ -196,13 +196,6 @@ fn every_eviction_policy_is_bit_deterministic() {
     // The policy zoo must uphold the same-seed contract: per policy,
     // two runs agree bit-for-bit, and policies genuinely diverge from
     // one another on a workload with eviction pressure.
-    let zoo = [
-        EvictionPolicyKind::SecondChance,
-        EvictionPolicyKind::Fifo,
-        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
-        EvictionPolicyKind::S3Fifo,
-        EvictionPolicyKind::ApproxLru,
-    ];
     let run = |kind: EvictionPolicyKind, seed: u64| {
         let system = SystemConfig::mage_lib().with_eviction_policy(kind);
         let mut cfg = RunConfig::new(system, WorkloadKind::Gups, 4, 4096, 0.5);
@@ -211,7 +204,7 @@ fn every_eviction_policy_is_bit_deterministic() {
         run_batch(&cfg).to_json()
     };
     let mut digests = Vec::new();
-    for kind in zoo {
+    for kind in EvictionPolicyKind::BUILT_IN {
         let a = run(kind, 11);
         let b = run(kind, 11);
         assert_eq!(a, b, "{}: same seed must be bit-identical", kind.name());

@@ -147,3 +147,20 @@ fn all_local_virtualization_cost() {
         "virtualization penalty {penalty:.2} too large"
     );
 }
+
+/// §4.2.2 extension: on the one-bit accessed signal, strict FIFO evicts
+/// more pages it needs right back than second chance, the counter
+/// presets fewer, and S3-FIFO beats every other policy in at least one
+/// (workload, local fraction) group. Ties are not wins.
+#[test]
+fn policy_zoo_refault_ordering() {
+    let wins = measured("ext_policies_s3fifo_refault_wins", ">", &[0.0]);
+    assert!(wins > 0.0, "S3-FIFO wins no group on re-fault rate");
+    let fifo = measured("ext_policies_fifo_refault_over_second_chance", ">", &[1.0]);
+    assert!(fifo > 1.0, "FIFO re-faults {fifo:.3}x second chance");
+    for policy in ["aging_clock", "approx_lru", "s3fifo"] {
+        let id = format!("ext_policies_{policy}_refault_over_second_chance");
+        let ratio = measured(&id, "<", &[1.0]);
+        assert!(ratio < 1.0, "{policy} re-faults {ratio:.3}x second chance");
+    }
+}

@@ -13,16 +13,6 @@ use mage_far_memory::mmu::Topology;
 use mage_far_memory::prelude::*;
 use mage_far_memory::sim::rng;
 
-fn zoo() -> [EvictionPolicyKind; 5] {
-    [
-        EvictionPolicyKind::SecondChance,
-        EvictionPolicyKind::Fifo,
-        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
-        EvictionPolicyKind::S3Fifo,
-        EvictionPolicyKind::ApproxLru,
-    ]
-}
-
 /// Statistics that must be reproduced bit-for-bit by a same-seed rerun.
 #[derive(Debug, PartialEq, Eq)]
 struct RunDigest {
@@ -143,7 +133,7 @@ fn policy_zoo_preserves_invariants_under_seeded_sweeps() {
     for (seed, threads, local, wss, ops) in
         [(3u64, 4u32, 512u64, 2_048u64, 2_000u32), (0xBEEF, 2, 768, 1_536, 1_500)]
     {
-        for kind in zoo() {
+        for kind in EvictionPolicyKind::BUILT_IN {
             run_policy(kind, seed, threads, local, wss, ops);
         }
     }
@@ -153,7 +143,7 @@ fn policy_zoo_preserves_invariants_under_seeded_sweeps() {
 /// and a different seed does not.
 #[test]
 fn each_policy_is_bit_identical_under_same_seed() {
-    for kind in zoo() {
+    for kind in EvictionPolicyKind::BUILT_IN {
         let a = run_policy(kind, 77, 4, 512, 2_048, 1_500);
         let b = run_policy(kind, 77, 4, 512, 2_048, 1_500);
         assert_eq!(a, b, "{}: same-seed runs diverged", kind.name());
@@ -169,7 +159,7 @@ fn each_policy_is_bit_identical_under_same_seed() {
 #[test]
 fn policies_agree_on_work_but_diverge_on_schedule() {
     let mut digests: Vec<(&'static str, RunDigest)> = Vec::new();
-    for kind in zoo() {
+    for kind in EvictionPolicyKind::BUILT_IN {
         digests.push((kind.name(), run_policy(kind, 55, 4, 512, 2_048, 1_500)));
     }
     for (i, (name_a, da)) in digests.iter().enumerate() {

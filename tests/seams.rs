@@ -76,14 +76,7 @@ fn assert_safe(engine: &Rc<FarMemory>, vma: &Vma, label: &str) {
 /// same seed and upholds the same invariants (policy parity).
 #[test]
 fn every_policy_preserves_invariants() {
-    let policies = [
-        EvictionPolicyKind::SecondChance,
-        EvictionPolicyKind::Fifo,
-        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
-        EvictionPolicyKind::S3Fifo,
-        EvictionPolicyKind::ApproxLru,
-    ];
-    for kind in policies {
+    for kind in EvictionPolicyKind::BUILT_IN {
         let system = SystemConfig::mage_lib().with_eviction_policy(kind);
         let (sim, engine, vma) = launch(system, 21);
         assert_eq!(engine.eviction_policy().name(), kind.name());
@@ -111,15 +104,8 @@ fn ghost_hit_promotion_follows_the_policy_on_every_preset() {
         SystemConfig::dilos,
         SystemConfig::ideal,
     ];
-    let policies = [
-        EvictionPolicyKind::SecondChance,
-        EvictionPolicyKind::Fifo,
-        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
-        EvictionPolicyKind::S3Fifo,
-        EvictionPolicyKind::ApproxLru,
-    ];
     for preset in presets {
-        for kind in policies {
+        for kind in EvictionPolicyKind::BUILT_IN {
             let system = preset().with_eviction_policy(kind);
             let label = format!("{} + {}", system.name, kind.name());
             let (sim, engine, vma) = launch(system, 21);
