@@ -87,6 +87,11 @@ for workload in gups pagerank; do
     }
 done
 
+echo "==> micro benchmarks, one run (clippy --all-targets only type-checks them)"
+# A case that panics at run time, such as a placement row whose machine
+# no longer fits, fails the gate here.
+cargo bench -q -p mage-bench --bench micro_datastructures >/dev/null
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -28,6 +28,7 @@
 //! membership is a `PageMap` lookup.
 
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 
 use mage_sim::slab::PageMap;
 use mage_sim::stats::Counter;
@@ -310,12 +311,39 @@ impl PageAccounting {
         (mage_sim::rng::mix64(core as u64) as usize) % self.partitions.len()
     }
 
-    /// Synchronously seeds a resident page during setup (no virtual time
-    /// passes, no statistics recorded).
-    pub fn seed(&self, core: usize, vpn: u64) {
-        let idx = self.partition_for_insert(core);
-        self.partitions[idx].with_sync(|lists| lists.inactive.push_back(vpn));
-        self.resident.set(self.resident.get() + 1);
+    /// Synchronously seeds the resident pages `vpns` during setup, round
+    /// robin over `cores` cores: page `vpns.start + i` goes where an insert
+    /// from core `(first_core + i) % cores` would, so each partition's
+    /// list gets its pages in vpn order (no virtual time passes, no
+    /// statistics recorded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero.
+    pub fn seed(&self, vpns: Range<u64>, first_core: usize, cores: usize) {
+        assert!(cores > 0, "seeding round robin over zero cores");
+        // The partition of each offset in one round-robin period.
+        let period: Vec<usize> = (0..cores)
+            .map(|k| self.partition_for_insert((first_core + k) % cores))
+            .collect();
+        for (idx, partition) in self.partitions.iter().enumerate() {
+            let offsets: Vec<u64> = (0..cores as u64)
+                .filter(|&k| period[k as usize] == idx)
+                .collect();
+            if offsets.is_empty() {
+                continue;
+            }
+            partition.with_sync(|lists| {
+                for start in vpns.clone().step_by(cores) {
+                    let pages = offsets.iter().map(|&k| start + k);
+                    lists
+                        .inactive
+                        .extend(pages.take_while(|&vpn| vpn < vpns.end));
+                }
+            });
+        }
+        self.resident
+            .set(self.resident.get() + (vpns.end - vpns.start));
     }
 
     /// Records a page as resident (`FP₃`) and reports whether the insert
@@ -518,6 +546,35 @@ mod tests {
             assert_eq!(victims, vec![0, 1, 2, 3], "oldest first");
             assert_eq!(a.resident_pages(), 6);
         });
+    }
+
+    /// The run form queues every page where an insert from its
+    /// round-robin core would, and in the same order.
+    #[test]
+    fn seed_places_pages_where_inserts_would() {
+        for (partitions, cores) in [(1, 1), (1, 4), (8, 4), (8, 24), (3, 5)] {
+            for (first_core, pages) in [(0, 0), (0, 1), (3, 23), (0, 24), (7, 25), (1, 1_000)] {
+                let first_core = first_core % cores;
+                let vpns = 100..100 + pages;
+                let (_sim, seeded) = rig(partitions, false);
+                seeded.seed(vpns.clone(), first_core, cores);
+                let (sim, inserted) = rig(partitions, false);
+                let a = Rc::clone(&inserted);
+                let v = vpns.clone();
+                sim.block_on(async move {
+                    for (i, vpn) in v.enumerate() {
+                        a.insert((first_core + i) % cores, vpn).await;
+                    }
+                });
+                let ctx = format!("{partitions} partitions, {cores} cores, {first_core}+{pages}");
+                assert_eq!(
+                    seeded.queues_snapshot(),
+                    inserted.queues_snapshot(),
+                    "{ctx}"
+                );
+                assert_eq!(seeded.resident_pages(), pages, "{ctx}");
+            }
+        }
     }
 
     #[test]

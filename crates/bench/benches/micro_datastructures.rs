@@ -115,17 +115,19 @@ fn main() {
 
     // Set-up placement at the repository benchmark's sizes: fault_storm
     // places 786,432 pages all remote; pagerank_evict places 98,304
-    // pages with local memory for half of them. Each round times one
-    // placement call on a fresh MAGE-Lib machine; one iteration is one
-    // page.
-    for (case, pages, local_pages, all_remote) in [
-        ("populate_all_remote_786k", 786_432u64, 786_432u64, true),
-        ("populate_half_local_98k", 98_304, 49_152, false),
+    // pages with local memory for half of them; one memcached_ladder
+    // rung places 120,000 pages, half local, seeded over 24 workers.
+    // Each round times one placement call on a fresh MAGE-Lib machine;
+    // one iteration is one page.
+    for (case, pages, local_pages, threads, all_remote) in [
+        ("populate_all_remote_786k", 786_432u64, 786_432u64, 48, true),
+        ("populate_half_local_98k", 98_304, 49_152, 48, false),
+        ("populate_half_local_120k", 120_000, 60_000, 24, false),
     ] {
         let mut best = f64::INFINITY;
         for round in 0..=ROUNDS {
             let sim = Simulation::new();
-            let params = MachineParams::testbed(48, local_pages, pages + 1_024);
+            let params = MachineParams::testbed(threads, local_pages, pages + 1_024);
             let engine = FarMemory::launch(sim.handle(), SystemConfig::mage_lib(), params);
             let vma = engine.mmap(pages);
             let start = Instant::now();
@@ -162,9 +164,7 @@ fn main() {
         false,
         AccountingCosts::default(),
     ));
-    for vpn in 0..49_152u64 {
-        acc.seed((vpn % 48) as usize, vpn);
-    }
+    acc.seed(0..49_152, 0, 48);
     let ns = best_ns_per_iter(|i| {
         if !i.is_multiple_of(64) {
             return;

@@ -456,16 +456,17 @@ impl FarMemory {
     /// follows once the region's PTEs are written.
     fn place(&self, vma: &Vma, local_budget: u64) {
         let local = local_budget.min(vma.pages);
-        let cores = self.app_cores.len().max(1);
-        let mut core = 0usize;
+        let mut frames = self.alloc.seed_frames(local).into_iter().flatten();
+        self.acct.seed(
+            vma.start_vpn..vma.start_vpn + local,
+            0,
+            self.app_cores.len().max(1),
+        );
         self.pt.place_run(vma.start_vpn, vma.pages, |vpn| {
             if vpn - vma.start_vpn < local {
-                let frame = self
-                    .alloc
-                    .seed_frame()
+                let frame = frames
+                    .next()
                     .expect("free frames above the watermark are in the buddy allocator at setup");
-                self.acct.seed(core, vpn);
-                core = (core + 1) % cores;
                 // Placed, not accessed: the application has not touched
                 // the page yet, so it must look cold to the first scan
                 // (seeding it hot would make the first eviction wave

@@ -9,13 +9,16 @@
 
 use mage_sim::slab::PageMap;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Maximum block order (2^10 frames = 4 MiB blocks at 4 KiB pages).
 pub const MAX_ORDER: u32 = 10;
 
 /// log2 of the frames covered by one chunk of the outstanding record.
+/// At least `MAX_ORDER`, so an aligned block never straddles two chunks.
 const CHUNK_SHIFT: u32 = 12;
 const CHUNK_FRAMES: usize = 1 << CHUNK_SHIFT;
+const _: () = assert!(MAX_ORDER <= CHUNK_SHIFT);
 
 /// The buddy's record of outstanding blocks: one byte per frame, holding
 /// `order + 1` at a live block's base and 0 everywhere else.
@@ -35,8 +38,9 @@ struct Outstanding {
 }
 
 impl Outstanding {
-    /// Records a live block of `order` at `base`.
-    fn insert(&mut self, base: u64, order: u32) {
+    /// The chunk holding `base`'s byte, allocated on first touch.
+    #[inline]
+    fn chunk_mut(&mut self, base: u64) -> &mut [u8; CHUNK_FRAMES] {
         let fresh = self.chunks.len() as u32;
         let chunk = *self
             .chunk_of
@@ -44,10 +48,28 @@ impl Outstanding {
         if chunk == fresh {
             self.chunks.push([0; CHUNK_FRAMES]);
         }
-        let byte = &mut self.chunks[chunk as usize][base as usize % CHUNK_FRAMES];
+        &mut self.chunks[chunk as usize]
+    }
+
+    /// Records a live block of `order` at `base`.
+    fn insert(&mut self, base: u64, order: u32) {
+        let byte = &mut self.chunk_mut(base)[base as usize % CHUNK_FRAMES];
         debug_assert_eq!(*byte, 0, "block {base:#x} already outstanding");
         *byte = order as u8 + 1;
         self.live += 1;
+    }
+
+    /// Records each frame of the aligned block of `order` at `base` as a
+    /// live order-0 block: one chunk lookup, one fill.
+    fn insert_frames(&mut self, base: u64, order: u32) {
+        let lo = base as usize % CHUNK_FRAMES;
+        let bytes = &mut self.chunk_mut(base)[lo..lo + (1 << order)];
+        debug_assert!(
+            bytes.iter().all(|&b| b == 0),
+            "a frame of block {base:#x} already outstanding"
+        );
+        bytes.fill(1);
+        self.live += 1 << order;
     }
 
     /// Clears the record at `base` and returns what it held: `order + 1`
@@ -83,8 +105,11 @@ pub struct BuddyAllocator {
     /// *smallest* free base at each order, and that ordered choice is part
     /// of the deterministic frame-allocation contract pinned by the seam
     /// goldens — an unordered index would change which frames come back.
-    /// This is a cold path relative to the per-core caches in
-    /// [`crate::local`], which absorb the hot alloc/free traffic.
+    /// [`alloc_runs`](Self::alloc_runs) and `alloc_batch` keep the same
+    /// contract: `n` frames from them are the `n` frames `alloc(0)`
+    /// would return, in the same order. This is a cold path relative to
+    /// the per-core caches in [`crate::local`], which absorb the hot
+    /// alloc/free traffic.
     free_lists: Vec<BTreeSet<u64>>,
     /// Frontier of the *pristine run*: the never-touched max-order blocks
     /// `[pristine_next, pristine_end)` that construction left
@@ -206,14 +231,48 @@ impl BuddyAllocator {
         Some(base)
     }
 
-    /// Allocates `n` single frames (order 0), stopping early if exhausted.
-    pub fn alloc_batch(&mut self, n: usize, out: &mut Vec<u64>) {
-        for _ in 0..n {
-            match self.alloc(0) {
-                Some(f) => out.push(f),
-                None => break,
+    /// Allocates up to `n` single frames (order 0) as ascending runs of
+    /// consecutive frames, stopping early if the pool runs dry.
+    ///
+    /// The frames, in run order, are exactly those `n` calls of
+    /// `alloc(0)` would return, and the allocator is left in the same
+    /// state. Let `o` be the smallest order with a free block. `alloc(0)`
+    /// splits the smallest block at `o` and, since nothing is free below
+    /// `o`, the following calls hand out the halves it split off, lowest
+    /// first, until the block is gone and the lists below `o` are empty
+    /// again: the block's frames in ascending order. So while at least
+    /// `2^o` frames remain to take, the block is taken whole, with one
+    /// free-list removal and one fill of the outstanding record; only a
+    /// last block larger than what remains goes through `alloc(0)`.
+    pub fn alloc_runs(&mut self, n: u64) -> Vec<Range<u64>> {
+        let mut runs: Vec<Range<u64>> = Vec::new();
+        let mut left = n;
+        while left > 0 {
+            let Some(order) = (0..=MAX_ORDER).find(|&o| self.has_free_at(o)) else {
+                break;
+            };
+            let block = 1u64 << order;
+            let (base, len) = if block <= left {
+                let base = self.take_smallest(order);
+                self.free_frames -= block;
+                self.outstanding.insert_frames(base, order);
+                (base, block)
+            } else {
+                (self.alloc(0).expect("a free block exists"), 1)
+            };
+            left -= len;
+            match runs.last_mut() {
+                Some(run) if run.end == base => run.end += len,
+                _ => runs.push(base..base + len),
             }
         }
+        runs
+    }
+
+    /// Allocates `n` single frames (order 0) in `alloc(0)` order,
+    /// stopping early if exhausted.
+    pub fn alloc_batch(&mut self, n: usize, out: &mut Vec<u64>) {
+        out.extend(self.alloc_runs(n as u64).into_iter().flatten());
     }
 
     /// Frees a block of `2^order` frames at `base`, coalescing buddies.

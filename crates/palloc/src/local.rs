@@ -8,6 +8,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use mage_sim::race::ShadowRegion;
 use mage_sim::stats::{Counter, Histogram};
@@ -145,13 +146,16 @@ impl LocalAllocator {
         self.shared_queue.stats()
     }
 
-    /// Synchronously takes one frame from the buddy allocator for initial
-    /// page placement, or `None` if it has none (setup only; no virtual
-    /// time passes, no statistics recorded).
-    pub fn seed_frame(&self) -> Option<u64> {
-        let frame = self.buddy.with_sync(|b| b.alloc(0))?;
-        self.free_count.set(self.free_count.get() - 1);
-        Some(frame)
+    /// Synchronously takes up to `n` frames from the buddy allocator for
+    /// initial page placement, as runs of consecutive frames in the order
+    /// `n` single-frame allocations would return them
+    /// ([`BuddyAllocator::alloc_runs`]); fewer only if the buddy runs dry
+    /// (setup only; no virtual time passes, no statistics recorded).
+    pub fn seed_frames(&self, n: u64) -> Vec<Range<u64>> {
+        let runs = self.buddy.with_sync(|b| b.alloc_runs(n));
+        let taken: u64 = runs.iter().map(|r| r.end - r.start).sum();
+        self.free_count.set(self.free_count.get() - taken);
+        runs
     }
 
     /// Allocates one frame on behalf of `core`.
@@ -325,13 +329,15 @@ mod tests {
     }
 
     #[test]
-    fn seed_frame_takes_one_frame_until_the_pool_is_empty() {
-        let (_sim, a) = alloc_rig(LocalAllocatorKind::MultiLayer, 3, 2);
-        let frames: Vec<_> = (0..3).map(|_| a.seed_frame().expect("frame")).collect();
-        let set: std::collections::BTreeSet<_> = frames.iter().collect();
-        assert_eq!(set.len(), 3);
+    fn seed_frames_stop_when_the_pool_is_empty() {
+        // 7 frames: free blocks [0,4), [4,6) and [6,7), taken smallest
+        // order first, and [4,6) split because one frame is left to take.
+        let (_sim, a) = alloc_rig(LocalAllocatorKind::MultiLayer, 7, 2);
+        assert_eq!(a.seed_frames(2), vec![6..7, 4..5]);
+        assert_eq!(a.free_frames(), 5);
+        assert_eq!(a.seed_frames(9), vec![5..6, 0..4]);
         assert_eq!(a.free_frames(), 0);
-        assert_eq!(a.seed_frame(), None);
+        assert!(a.seed_frames(1).is_empty());
         assert_eq!(a.free_frames(), 0);
     }
 

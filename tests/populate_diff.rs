@@ -3,8 +3,9 @@
 //! `PageTable::place_run`, one radix walk per 512-entry leaf. The
 //! per-page loop they replaced is kept here as the oracle:
 //! `oracle_place` does what `populate` did, one `PageTable::set` per
-//! page. Both run on twin machines, and everything placement touches
-//! must match:
+//! page, and takes each page's frame and accounting seed through the
+//! run forms one page at a time. Both run on twin machines, and
+//! everything placement touches must match:
 //!
 //! - every PTE word around each region, and the page-table node count;
 //! - the accounting lists (`queues_snapshot`) and resident count;
@@ -15,6 +16,9 @@
 //! Shapes cover leaf edges: regions of 1, 511, 512, 513 and 2,000
 //! pages, a second region starting mid-leaf, the local budget ending
 //! mid-leaf and exactly at a leaf boundary, and all-remote placement.
+//! One shape fragments the frame pool first, so placement starts on
+//! scattered low-order buddy blocks, and one config is
+//! `memcached_ladder`'s 24 app threads over 8 accounting partitions.
 //! Run with `MAGE_SIMSAN=1` (as `ci.sh` does) and every placement write
 //! also goes through the race detector's shadow check;
 //! `placement_writes_are_shadow_checked` checks that classification
@@ -50,6 +54,8 @@ enum Place {
     PopulateLocal(u64),
     /// `populate_all_remote`.
     AllRemote,
+    /// `populate` after [`fragment_pool`].
+    Fragmented,
 }
 
 /// Regions mapped and placed in order. `mmap` leaves a 512-page guard
@@ -87,29 +93,38 @@ const SHAPES: &[(&str, &[(u64, Place)])] = &[
         "second region mid-leaf, budget ends in it",
         &[(700, Place::Populate), (1_000, Place::PopulateLocal(300))],
     ),
+    ("fragmented pool", &[(4_000, Place::Fragmented)]),
 ];
 
-fn configs() -> Vec<(&'static str, SystemConfig)> {
+/// Each config with its app-thread count.
+fn configs() -> Vec<(&'static str, SystemConfig, usize)> {
     vec![
-        ("MAGE-Lib", SystemConfig::mage_lib()),
-        ("MAGE-Lnx", SystemConfig::mage_lnx()),
-        ("Hermit", SystemConfig::hermit()),
-        ("DiLOS", SystemConfig::dilos()),
+        ("MAGE-Lib", SystemConfig::mage_lib(), APP_THREADS),
+        ("MAGE-Lnx", SystemConfig::mage_lnx(), APP_THREADS),
+        ("Hermit", SystemConfig::hermit(), APP_THREADS),
+        ("DiLOS", SystemConfig::dilos(), APP_THREADS),
         (
             "MAGE-Lib replicated",
             SystemConfig::mage_lib().with_replication(ReplicationConfig::default()),
+            APP_THREADS,
         ),
         (
             "Hermit replicated",
             SystemConfig::hermit().with_replication(ReplicationConfig::default()),
+            APP_THREADS,
         ),
+        ("MAGE-Lib, 24 app threads", SystemConfig::mage_lib(), 24),
     ]
 }
 
-fn machine(sim: &Simulation, cfg: SystemConfig) -> (Rc<FarMemory>, Rc<Collect>) {
+fn machine(
+    sim: &Simulation,
+    cfg: SystemConfig,
+    app_threads: usize,
+) -> (Rc<FarMemory>, Rc<Collect>) {
     let params = MachineParams {
-        topo: Topology::single_socket(8),
-        app_threads: APP_THREADS,
+        topo: Topology::single_socket(app_threads as u32 + 4),
+        app_threads,
         local_pages: 4_096,
         remote_pages: 16_384,
         tlb_entries: 64,
@@ -121,20 +136,25 @@ fn machine(sim: &Simulation, cfg: SystemConfig) -> (Rc<FarMemory>, Rc<Collect>) 
     (m, events)
 }
 
+/// Takes one frame through the run form.
+fn seed_one(m: &FarMemory) -> Option<u64> {
+    m.allocator().seed_frames(1).first().map(|run| run.start)
+}
+
 /// The per-page placement loop `populate` ran before leaf runs: one
 /// page-table walk per page, local pages while more than the high
-/// watermark is free.
-fn oracle_place(m: &FarMemory, events: &Collect, vma: &Vma, all_remote: bool) {
+/// watermark is free, seeded round robin over `app_threads` cores.
+fn oracle_place(m: &FarMemory, events: &Collect, vma: &Vma, all_remote: bool, app_threads: usize) {
     let mut core = 0usize;
     for i in 0..vma.pages {
         let vpn = vma.start_vpn + i;
         if !all_remote && m.allocator().free_frames() > m.high_watermark() {
-            let frame = m.allocator().seed_frame().expect("frame");
+            let frame = seed_one(m).expect("frame");
             m.page_table()
                 .set(vpn, Pte::present(frame).with_dirty(true));
-            m.accounting().seed(core, vpn);
+            m.accounting().seed(vpn..vpn + 1, core, app_threads);
             events.on_event(PageEvent::Placed { vpn, local: true });
-            core = (core + 1) % APP_THREADS;
+            core = (core + 1) % app_threads;
         } else {
             let rpn = m
                 .backend()
@@ -154,21 +174,47 @@ fn set_local_budget(m: &FarMemory, local: u64) {
         "shape needs {local} local pages, budget is {budget}"
     );
     for _ in local..budget {
-        m.allocator().seed_frame().expect("frame");
+        seed_one(m).expect("frame");
     }
 }
 
+/// Draws 512 frames and frees 246 of them, highest first: every third
+/// frame and every fifth run of 16. Whatever reaches the buddy
+/// (every frame under DiLOS's global buddy, all but one per-CPU batch
+/// under Hermit's caches) leaves scattered blocks on its low-order free
+/// lists; MAGE's stacks keep freed frames in their shared queue.
+fn fragment_pool(sim: &Simulation, m: &FarMemory) {
+    let drawn = m.allocator().seed_frames(512);
+    let freed: Vec<u64> = drawn
+        .into_iter()
+        .flatten()
+        .filter(|f| f % 3 == 0 || f / 16 % 5 == 1)
+        .rev()
+        .collect();
+    let alloc = Rc::clone(m.allocator());
+    sim.block_on(async move { alloc.free_batch(0, &freed).await });
+}
+
 /// Maps and places `regions` on `m`, through `populate*` or the oracle.
-fn place_all(m: &FarMemory, events: &Collect, regions: &[(u64, Place)], oracle: bool) -> Vec<Vma> {
+fn place_all(
+    sim: &Simulation,
+    m: &FarMemory,
+    events: &Collect,
+    app_threads: usize,
+    regions: &[(u64, Place)],
+    oracle: bool,
+) -> Vec<Vma> {
     let mut vmas = Vec::new();
     for &(pages, place) in regions {
         let vma = m.mmap(pages);
-        if let Place::PopulateLocal(local) = place {
-            set_local_budget(m, local);
+        match place {
+            Place::PopulateLocal(local) => set_local_budget(m, local),
+            Place::Fragmented => fragment_pool(sim, m),
+            Place::Populate | Place::AllRemote => {}
         }
         let all_remote = matches!(place, Place::AllRemote);
         match (oracle, all_remote) {
-            (true, _) => oracle_place(m, events, &vma, all_remote),
+            (true, _) => oracle_place(m, events, &vma, all_remote, app_threads),
             (false, true) => m.populate_all_remote(&vma),
             (false, false) => m.populate(&vma),
         }
@@ -207,7 +253,7 @@ fn read_back(m: &FarMemory, events: &Collect, vmas: &[Vma]) -> Placement {
         }
     }
     let free_frames = m.allocator().free_frames();
-    let next_frames = (0..64).map_while(|_| m.allocator().seed_frame()).collect();
+    let next_frames = (0..64).map_while(|_| seed_one(m)).collect();
     let next_remote: u64 = vmas.iter().map(|v| v.pages).sum();
     Placement {
         ptes,
@@ -232,10 +278,15 @@ fn shape(name: &str) -> &'static [(u64, Place)] {
         .1
 }
 
-fn run_shape(cfg: &SystemConfig, regions: &[(u64, Place)], oracle: bool) -> Placement {
+fn run_shape(
+    cfg: &SystemConfig,
+    app_threads: usize,
+    regions: &[(u64, Place)],
+    oracle: bool,
+) -> Placement {
     let sim = Simulation::new();
-    let (m, events) = machine(&sim, cfg.clone());
-    let vmas = place_all(&m, &events, regions, oracle);
+    let (m, events) = machine(&sim, cfg.clone(), app_threads);
+    let vmas = place_all(&sim, &m, &events, app_threads, regions, oracle);
     let out = read_back(&m, &events, &vmas);
     m.shutdown();
     out
@@ -271,22 +322,25 @@ fn assert_same(ctx: &str, got: &Placement, want: &Placement) {
 
 #[test]
 fn leaf_run_placement_matches_the_per_page_loop() {
-    for (cfg_name, cfg) in configs() {
+    for (cfg_name, cfg, app_threads) in configs() {
         for &(shape, regions) in SHAPES {
-            let want = run_shape(&cfg, regions, true);
-            let got = run_shape(&cfg, regions, false);
+            let want = run_shape(&cfg, app_threads, regions, true);
+            let got = run_shape(&cfg, app_threads, regions, false);
             assert_same(&format!("{cfg_name}, {shape}"), &got, &want);
         }
     }
 }
 
 /// The shapes reach the cases they are named for: the local budget
-/// ends on a leaf boundary, the second region starts mid-leaf, and
-/// all-remote placement places nothing local.
+/// ends on a leaf boundary, the second region starts mid-leaf,
+/// all-remote placement places nothing local, a fragmented buddy hands
+/// out scattered frames before whole blocks, and 24 app threads seed
+/// all 8 partitions.
 #[test]
 fn shapes_cover_the_leaf_edges() {
     let place = run_shape(
         &SystemConfig::mage_lib(),
+        APP_THREADS,
         shape("local budget ends at a leaf boundary"),
         false,
     );
@@ -306,17 +360,45 @@ fn shapes_cover_the_leaf_edges() {
     );
     let mid = run_shape(
         &SystemConfig::mage_lib(),
+        APP_THREADS,
         shape("second region mid-leaf"),
         false,
     );
     let second = mid.events[300].vpn();
     assert_ne!(second % 512, 0, "second region starts mid-leaf");
-    let remote = run_shape(&SystemConfig::hermit(), shape("all remote"), false);
+    let remote = run_shape(
+        &SystemConfig::hermit(),
+        APP_THREADS,
+        shape("all remote"),
+        false,
+    );
     assert!(remote
         .events
         .iter()
         .all(|e| matches!(e, PageEvent::Placed { local: false, .. })));
     assert_eq!(remote.events.len(), 2_000);
+    for cfg in [SystemConfig::dilos(), SystemConfig::hermit()] {
+        let frag = run_shape(&cfg, APP_THREADS, shape("fragmented pool"), false);
+        let frames: Vec<u64> = frag
+            .ptes
+            .iter()
+            .map(|&(_, word)| Pte(word))
+            .filter(|pte| pte.is_present())
+            .map(|pte| pte.payload())
+            .collect();
+        assert!(
+            frames[0] < 512,
+            "first frame {} is not a freed one",
+            frames[0]
+        );
+        assert!(
+            frames.windows(2).any(|w| w[0] > w[1]),
+            "frames ascend: the low-order free lists were empty"
+        );
+    }
+    let wide = run_shape(&SystemConfig::mage_lib(), 24, shape("2000 pages"), false);
+    assert_eq!(wide.queues.len(), 8);
+    assert!(wide.queues.iter().all(|(inactive, _)| !inactive.is_empty()));
 }
 
 /// With the race detector on, each placed word is a plain write: a
@@ -329,14 +411,14 @@ fn placement_writes_are_shadow_checked() {
             let sim = Simulation::new();
             let det = sim.enable_race_detection();
             det.set_mode(RaceMode::Collect);
-            let (m, events) = machine(&sim, SystemConfig::mage_lib());
+            let (m, events) = machine(&sim, SystemConfig::mage_lib(), APP_THREADS);
             // Budget ends mid-leaf: runs of both kinds and a partial leaf.
             let vma = m.mmap(1_300);
             set_local_budget(&m, 700);
             let (m1, vma1) = (Rc::clone(&m), vma.clone());
             let placer = sim.spawn(async move {
                 match (oracle, all_remote) {
-                    (true, _) => oracle_place(&m1, &events, &vma1, all_remote),
+                    (true, _) => oracle_place(&m1, &events, &vma1, all_remote, APP_THREADS),
                     (false, true) => m1.populate_all_remote(&vma1),
                     (false, false) => m1.populate(&vma1),
                 }
