@@ -36,6 +36,20 @@ echo "==> swap_backends smoke (SystemConfig::with_backend is how a backend is sw
 # `set -e` fails the gate on a non-zero exit.
 cargo run -q --release --example swap_backends >/dev/null
 
+echo "==> lockdep demo (must abort on its planted lock-order cycle)"
+# The demo takes two lock classes in opposite orders; lockdep hooks into
+# SimMutex's lock future and guard drop, so a silent exit means the
+# hooks were lost.
+if cargo run -q -p mage-sim --example lockdep_demo >/dev/null 2>target/lockdep_demo.err; then
+    echo "error: lockdep_demo exited 0; lockdep missed the planted cycle" >&2
+    exit 1
+fi
+grep -q "lockdep: lock ordering cycle" target/lockdep_demo.err || {
+    echo "error: lockdep_demo failed without reporting the lock ordering cycle:" >&2
+    cat target/lockdep_demo.err >&2
+    exit 1
+}
+
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -19,7 +19,7 @@ use mage_sim::slab::PageMap;
 use std::rc::{Rc, Weak};
 
 use mage_accounting::PageAccounting;
-use mage_fabric::{MemoryNode, Nic};
+use mage_fabric::Nic;
 use mage_mmu::{
     AddressSpace, CoreId, InterruptController, PageTable, Pte, Topology, Vma, PAGE_SIZE,
 };
@@ -357,11 +357,6 @@ impl FarMemory {
         &self.acct
     }
 
-    /// The far-memory node bookkeeping.
-    pub fn memory_node(&self) -> &MemoryNode {
-        self.backend.node()
-    }
-
     /// Free-page low watermark (eviction trigger).
     pub fn low_watermark(&self) -> u64 {
         self.low_watermark
@@ -401,12 +396,10 @@ impl FarMemory {
             .checked_mul(PAGE_SIZE)
             .expect("mmap size (pages * PAGE_SIZE) overflows u64");
         let vma = self.asp.borrow_mut().mmap(pages);
-        let registered = self
-            .backend
-            .node()
-            .register(bytes, true)
-            .expect("memory node capacity exceeded");
-        debug_assert!(registered.len >= bytes);
+        assert!(
+            self.backend.node().register(bytes),
+            "memory node capacity exceeded"
+        );
         vma
     }
 
@@ -558,6 +551,25 @@ mod tests {
         // Free pages left at the high watermark.
         assert_eq!(engine.allocator().free_frames(), engine.high_watermark());
         assert_eq!(engine.accounting().resident_pages(), local);
+    }
+
+    /// The two requests' byte lengths sum to exactly 2^64: the node must
+    /// refuse the second, not wrap its registered count.
+    #[test]
+    #[should_panic(expected = "memory node capacity exceeded")]
+    fn mmap_past_capacity_is_refused_without_wrapping() {
+        let sim = Simulation::new();
+        let params = MachineParams {
+            topo: Topology::single_socket(8),
+            app_threads: 4,
+            local_pages: 512,
+            remote_pages: 4_096,
+            tlb_entries: 64,
+            seed: 7,
+        };
+        let engine = FarMemory::launch(sim.handle(), SystemConfig::mage_lib(), params);
+        engine.mmap(1);
+        engine.mmap((1 << 52) - 1);
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub mod faults;
 pub mod link;
 pub mod node;
 
-pub use faults::{FaultInjector, FaultPlan, FaultStats, TransferError};
+pub use faults::{FaultInjector, FaultPlan, TransferError};
 pub use link::{Completion, Nic, NicConfig, NicStats};
-pub use node::{MemoryNode, NodeId, RemoteAddr, RemoteRegion};
+pub use node::{MemoryNode, NodeId};

@@ -9,7 +9,7 @@ use mage_sim::time::{Nanos, SimTime};
 use mage_sim::trace::{Tracer, TRACK_NIC};
 use mage_sim::SimHandle;
 
-use crate::faults::{FaultInjector, FaultPlan, FaultStats, OpInjection, TransferError};
+use crate::faults::{FaultInjector, FaultPlan, OpInjection, TransferError};
 use crate::node::NodeId;
 
 /// Configuration of a simulated RDMA NIC / link.
@@ -206,11 +206,6 @@ impl Nic {
     /// Transfer statistics.
     pub fn stats(&self) -> &NicStats {
         &self.stats
-    }
-
-    /// Fault-injection counters, if a plan is active.
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.injector.as_ref().map(|i| i.stats())
     }
 
     /// The active fault injector, if any.
@@ -651,7 +646,6 @@ mod tests {
             assert_eq!(h.now().as_nanos(), 2 * 1_024 + 1_000);
         });
         assert_eq!(nic.stats().reads.get(), 0, "errored ops don't count");
-        assert_eq!(nic.fault_stats().unwrap().injected_errors.get(), 2);
     }
 
     #[test]
@@ -694,7 +688,6 @@ mod tests {
             // 4× the 1 024 ns serialization plus base latency.
             assert_eq!(lat, 4 * 1_024 + 1_000);
         });
-        assert_eq!(nic.fault_stats().unwrap().brownout_ops.get(), 1);
     }
 
     #[test]
@@ -751,6 +744,5 @@ mod tests {
         let sim = Simulation::new();
         let nic = Nic::with_faults(sim.handle(), fast_cfg(), FaultPlan::none());
         assert!(nic.injector().is_none());
-        assert!(nic.fault_stats().is_none());
     }
 }

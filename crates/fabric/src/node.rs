@@ -1,12 +1,12 @@
-//! The passive far-memory node: region registration and remote addressing.
+//! The passive far-memory node: node identity and registered capacity.
 //!
 //! The paper's memory node is a daemon that registers a HugeTLB-backed
 //! region with its RDMA NIC and then stays passive — all data movement is
 //! one-sided (§5.2, "Memory node"). Pages are metadata in this
-//! reproduction (DESIGN.md §4.5), so the node tracks address-space
-//! bookkeeping and capacity only; byte movement is charged at the NIC.
+//! reproduction (DESIGN.md §4.5), so the node tracks registered bytes
+//! against its capacity only; byte movement is charged at the NIC.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::fmt;
 
 /// Identity of one simulated memory node behind a link. The single-node
@@ -37,50 +37,11 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// An address in the far-memory node's registered address space.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RemoteAddr(pub u64);
-
-impl fmt::Debug for RemoteAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "R{:#x}", self.0)
-    }
-}
-
-/// A region registered on the memory node.
-#[derive(Clone, Debug)]
-pub struct RemoteRegion {
-    /// Base address within the node's space.
-    pub base: RemoteAddr,
-    /// Region length in bytes.
-    pub len: u64,
-    /// Whether the node backs the region with huge pages (cuts the node's
-    /// page-walk cost; modeled as a small per-op latency delta by callers).
-    pub huge_pages: bool,
-}
-
-impl RemoteRegion {
-    /// Returns the remote address at `offset` into the region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset` is out of bounds.
-    pub fn addr(&self, offset: u64) -> RemoteAddr {
-        assert!(offset < self.len, "offset {offset} out of region bounds");
-        RemoteAddr(self.base.0 + offset)
-    }
-
-    /// Whether `addr` falls inside this region.
-    pub fn contains(&self, addr: RemoteAddr) -> bool {
-        addr.0 >= self.base.0 && addr.0 < self.base.0 + self.len
-    }
-}
-
-/// The far-memory node daemon's bookkeeping.
+/// The far-memory node daemon's bookkeeping: how many of its exported
+/// bytes are registered.
 pub struct MemoryNode {
     capacity: u64,
-    next_base: RefCell<u64>,
-    regions: RefCell<Vec<RemoteRegion>>,
+    registered: Cell<u64>,
 }
 
 impl MemoryNode {
@@ -88,42 +49,26 @@ impl MemoryNode {
     pub fn new(capacity: u64) -> Self {
         MemoryNode {
             capacity,
-            next_base: RefCell::new(0),
-            regions: RefCell::new(Vec::new()),
+            registered: Cell::new(0),
         }
     }
 
-    /// Registers a region of `len` bytes, returning it, or `None` if the
-    /// node lacks capacity. Mirrors the setup-request handling of the
-    /// MAGE-Lib memory-node daemon.
-    pub fn register(&self, len: u64, huge_pages: bool) -> Option<RemoteRegion> {
-        let mut next = self.next_base.borrow_mut();
-        if *next + len > self.capacity {
-            return None;
+    /// Registers `len` more bytes, or returns `false` and registers
+    /// nothing if that would pass the node's capacity. Mirrors the
+    /// setup-request handling of the MAGE-Lib memory-node daemon.
+    pub fn register(&self, len: u64) -> bool {
+        match self.registered.get().checked_add(len) {
+            Some(total) if total <= self.capacity => {
+                self.registered.set(total);
+                true
+            }
+            _ => false,
         }
-        let region = RemoteRegion {
-            base: RemoteAddr(*next),
-            len,
-            huge_pages,
-        };
-        *next += len;
-        self.regions.borrow_mut().push(region.clone());
-        Some(region)
-    }
-
-    /// Total exported capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// Bytes currently registered.
     pub fn registered(&self) -> u64 {
-        *self.next_base.borrow()
-    }
-
-    /// Number of registered regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.borrow().len()
+        self.registered.get()
     }
 }
 
@@ -134,37 +79,18 @@ mod tests {
     #[test]
     fn register_within_capacity() {
         let node = MemoryNode::new(1 << 20);
-        let r1 = node.register(4096, true).expect("fits");
-        let r2 = node.register(8192, false).expect("fits");
-        assert_eq!(r1.base, RemoteAddr(0));
-        assert_eq!(r2.base, RemoteAddr(4096));
+        assert!(node.register(4096));
+        assert!(node.register(8192));
         assert_eq!(node.registered(), 12_288);
-        assert_eq!(node.region_count(), 2);
     }
 
     #[test]
     fn register_beyond_capacity_fails() {
         let node = MemoryNode::new(10_000);
-        assert!(node.register(8_000, false).is_some());
-        assert!(node.register(8_000, false).is_none());
+        assert!(node.register(8_000));
+        assert!(!node.register(8_000));
+        assert_eq!(node.registered(), 8_000, "a refusal registers nothing");
         // A smaller request still fits.
-        assert!(node.register(2_000, false).is_some());
-    }
-
-    #[test]
-    fn region_addressing() {
-        let node = MemoryNode::new(1 << 30);
-        let r = node.register(1 << 20, true).expect("fits");
-        assert_eq!(r.addr(512 * 1024), RemoteAddr(r.base.0 + 512 * 1024));
-        assert!(r.contains(r.addr(0)));
-        assert!(!r.contains(RemoteAddr(r.base.0 + r.len)));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of region bounds")]
-    fn out_of_bounds_addr_panics() {
-        let node = MemoryNode::new(1 << 20);
-        let r = node.register(4096, false).expect("fits");
-        let _ = r.addr(4096);
+        assert!(node.register(2_000));
     }
 }

@@ -29,5 +29,5 @@ pub mod local;
 pub mod remote;
 
 pub use buddy::BuddyAllocator;
-pub use local::{LocalAllocStats, LocalAllocator, LocalAllocatorKind};
+pub use local::{LocalAllocator, LocalAllocatorKind};
 pub use remote::{RemoteAllocator, SwapBitmap};

@@ -11,8 +11,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use mage_sim::race::ShadowRegion;
-use mage_sim::stats::{Counter, Histogram};
-use mage_sim::sync::{LockStats, SimMutex};
+use mage_sim::sync::SimMutex;
 use mage_sim::time::Nanos;
 use mage_sim::SimHandle;
 
@@ -57,21 +56,6 @@ impl Default for LocalAllocCosts {
     }
 }
 
-/// Counters exposed by a [`LocalAllocator`].
-#[derive(Default)]
-pub struct LocalAllocStats {
-    /// Allocations served from a per-core cache.
-    pub cache_hits: Counter,
-    /// Refills served from the shared queue (MultiLayer only).
-    pub queue_refills: Counter,
-    /// Refills / operations that reached the buddy allocator.
-    pub buddy_ops: Counter,
-    /// Allocations that found the pool globally empty.
-    pub failures: Counter,
-    /// Wall-clock (virtual) duration of each successful alloc, ns.
-    pub alloc_latency: Histogram,
-}
-
 /// An asynchronous frame allocator with a configurable concurrency stack.
 ///
 /// `alloc` returns `None` only when the pool is *globally* exhausted; the
@@ -84,7 +68,6 @@ pub struct LocalAllocator {
     per_core: Vec<RefCell<Vec<u64>>>,
     shared_queue: SimMutex<VecDeque<u64>>,
     free_count: Cell<u64>,
-    stats: LocalAllocStats,
     /// Simsan shadow over the per-core caches (index = core) and the
     /// `free_count` watermark (index = cores). Atomic class: the hermit
     /// preset overlaps evictor cores with app cores, and the watermark is
@@ -108,7 +91,6 @@ impl LocalAllocator {
             per_core: (0..cores).map(|_| RefCell::new(Vec::new())).collect(),
             shared_queue: SimMutex::new_named(sim.clone(), "palloc.shared-queue", VecDeque::new()),
             free_count: Cell::new(nframes),
-            stats: LocalAllocStats::default(),
             costs,
             shadow: ShadowRegion::new(&sim, "palloc"),
             sim,
@@ -131,26 +113,11 @@ impl LocalAllocator {
         self.free_count.get()
     }
 
-    /// Operation counters.
-    pub fn stats(&self) -> &LocalAllocStats {
-        &self.stats
-    }
-
-    /// Contention statistics of the buddy lock.
-    pub fn buddy_lock_stats(&self) -> &LockStats {
-        self.buddy.stats()
-    }
-
-    /// Contention statistics of the shared queue lock.
-    pub fn queue_lock_stats(&self) -> &LockStats {
-        self.shared_queue.stats()
-    }
-
     /// Synchronously takes up to `n` frames from the buddy allocator for
     /// initial page placement, as runs of consecutive frames in the order
     /// `n` single-frame allocations would return them
     /// ([`BuddyAllocator::alloc_runs`]); fewer only if the buddy runs dry
-    /// (setup only; no virtual time passes, no statistics recorded).
+    /// (setup only; no virtual time passes).
     pub fn seed_frames(&self, n: u64) -> Vec<Range<u64>> {
         let runs = self.buddy.with_sync(|b| b.alloc_runs(n));
         let taken: u64 = runs.iter().map(|r| r.end - r.start).sum();
@@ -160,21 +127,14 @@ impl LocalAllocator {
 
     /// Allocates one frame on behalf of `core`.
     pub async fn alloc(&self, core: usize) -> Option<u64> {
-        let t0 = self.sim.now();
         let frame = match self.kind {
             LocalAllocatorKind::GlobalBuddy => self.alloc_global().await,
             LocalAllocatorKind::PcpuCache => self.alloc_cached(core, false).await,
             LocalAllocatorKind::MultiLayer => self.alloc_cached(core, true).await,
         };
-        match frame {
-            Some(_) => {
-                mage_sim::racecheck!(self.shadow, atomic self.watermark_idx());
-                self.free_count.set(self.free_count.get() - 1);
-                self.stats
-                    .alloc_latency
-                    .record(self.sim.now().saturating_since(t0));
-            }
-            None => self.stats.failures.inc(),
+        if frame.is_some() {
+            mage_sim::racecheck!(self.shadow, atomic self.watermark_idx());
+            self.free_count.set(self.free_count.get() - 1);
         }
         frame
     }
@@ -182,7 +142,6 @@ impl LocalAllocator {
     async fn alloc_global(&self) -> Option<u64> {
         let mut buddy = self.buddy.lock().await;
         self.sim.sleep(self.costs.buddy_op_ns).await;
-        self.stats.buddy_ops.inc();
         buddy.alloc(0)
     }
 
@@ -192,7 +151,6 @@ impl LocalAllocator {
         self.sim.sleep(self.costs.cache_op_ns).await;
         mage_sim::racecheck!(self.shadow, atomic core);
         if let Some(f) = self.per_core[core].borrow_mut().pop() {
-            self.stats.cache_hits.inc();
             return Some(f);
         }
         // Middle layer: batch-pop from the shared concurrent queue.
@@ -209,7 +167,6 @@ impl LocalAllocator {
                 }
             }
             if !grabbed.is_empty() {
-                self.stats.queue_refills.inc();
                 let first = grabbed.pop().expect("non-empty");
                 mage_sim::racecheck!(self.shadow, atomic core);
                 self.per_core[core].borrow_mut().extend(grabbed);
@@ -223,7 +180,6 @@ impl LocalAllocator {
             let bulk = self.costs.buddy_op_ns
                 + self.costs.buddy_bulk_per_frame_ns * self.costs.batch as u64;
             self.sim.sleep(bulk).await;
-            self.stats.buddy_ops.inc();
             buddy.alloc_batch(self.costs.batch, &mut refill);
         }
         let first = refill.pop()?;
@@ -247,7 +203,6 @@ impl LocalAllocator {
                 let cost = self.costs.buddy_op_ns
                     + self.costs.buddy_bulk_per_frame_ns * frames.len() as u64;
                 self.sim.sleep(cost).await;
-                self.stats.buddy_ops.inc();
                 buddy.free_batch(frames);
             }
             LocalAllocatorKind::PcpuCache => {
@@ -271,7 +226,6 @@ impl LocalAllocator {
                     let cost = self.costs.buddy_op_ns
                         + self.costs.buddy_bulk_per_frame_ns * drain.len() as u64;
                     self.sim.sleep(cost).await;
-                    self.stats.buddy_ops.inc();
                     buddy.free_batch(&drain);
                 }
             }
@@ -310,6 +264,13 @@ mod tests {
         (sim, a)
     }
 
+    /// One `alloc` on `core` and the virtual time it charged.
+    async fn timed_alloc(a: &LocalAllocator, core: usize) -> (Option<u64>, u64) {
+        let t0 = a.sim.now();
+        let frame = a.alloc(core).await;
+        (frame, a.sim.now().saturating_since(t0))
+    }
+
     #[test]
     fn global_buddy_allocates_distinct_frames() {
         let (sim, a) = alloc_rig(LocalAllocatorKind::GlobalBuddy, 64, 2);
@@ -325,7 +286,6 @@ mod tests {
         let set: std::collections::BTreeSet<_> = frames.iter().collect();
         assert_eq!(set.len(), 64);
         assert_eq!(a.free_frames(), 0);
-        assert_eq!(a.stats().failures.get(), 1);
     }
 
     #[test]
@@ -345,19 +305,22 @@ mod tests {
     fn pcpu_cache_hits_after_refill() {
         let (sim, a) = alloc_rig(LocalAllocatorKind::PcpuCache, 256, 2);
         let a2 = Rc::clone(&a);
-        sim.block_on(async move {
-            // First alloc refills the cache from the buddy.
-            a2.alloc(0).await.unwrap();
-            assert_eq!(a2.stats().buddy_ops.get(), 1);
-            // The next (batch-1) allocs hit the cache.
-            for _ in 0..31 {
-                a2.alloc(0).await.unwrap();
+        let c = LocalAllocCosts::default();
+        let hit = c.cache_op_ns;
+        let refill = c.cache_op_ns + c.buddy_op_ns + c.buddy_bulk_per_frame_ns * c.batch as u64;
+        let (frames, charged): (Vec<_>, Vec<_>) = sim.block_on(async move {
+            let mut allocs = Vec::new();
+            for _ in 0..=c.batch {
+                allocs.push(timed_alloc(&a2, 0).await);
             }
-            assert_eq!(a2.stats().buddy_ops.get(), 1);
-            assert_eq!(a2.stats().cache_hits.get(), 31);
-            a2.alloc(0).await.unwrap();
-            assert_eq!(a2.stats().buddy_ops.get(), 2, "second refill");
+            allocs.into_iter().unzip()
         });
+        // The first alloc refills the cache from the buddy, the next
+        // (batch-1) hit the cache, and the one after refills again.
+        assert_eq!(charged[0], refill, "first refill");
+        assert_eq!(charged[1..c.batch], vec![hit; c.batch - 1], "cache hits");
+        assert_eq!(charged[c.batch], refill, "second refill");
+        assert!(frames.iter().all(Option::is_some));
     }
 
     #[test]
@@ -375,9 +338,14 @@ mod tests {
             let batch: Vec<u64> = held.drain(..16).collect();
             a2.free_batch(3, &batch).await;
             assert_eq!(a2.free_frames(), 16);
-            // App thread on core 0 can allocate again via the queue.
-            assert!(a2.alloc(0).await.is_some());
-            assert!(a2.stats().queue_refills.get() >= 1);
+            // App thread on core 0 can allocate again via the queue: one
+            // cache miss plus one shared-queue batch pop, no buddy refill.
+            let c = LocalAllocCosts::default();
+            let (frame, ns) = timed_alloc(&a2, 0).await;
+            assert!(frame.is_some());
+            assert_eq!(ns, c.cache_op_ns + c.queue_op_ns, "refilled from the queue");
+            // The rest of the batch now sits in core 0's cache.
+            assert_eq!(timed_alloc(&a2, 0).await.1, c.cache_op_ns, "cache hit");
         });
     }
 

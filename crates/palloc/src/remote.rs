@@ -8,7 +8,7 @@
 //! a fixed linear function of the virtual address.
 
 use mage_sim::stats::Counter;
-use mage_sim::sync::{LockStats, SimMutex};
+use mage_sim::sync::SimMutex;
 use mage_sim::time::Nanos;
 use mage_sim::SimHandle;
 
@@ -92,11 +92,6 @@ impl SwapBitmap {
         inner.free.push(slot);
         self.frees.inc();
     }
-
-    /// Contention statistics of the swap lock.
-    pub fn lock_stats(&self) -> &LockStats {
-        self.inner.stats()
-    }
 }
 
 /// The remote-slot allocation policy used by a system.
@@ -173,16 +168,20 @@ mod tests {
     fn swap_lock_serializes_contenders() {
         let sim = Simulation::new();
         let swap = Rc::new(SwapBitmap::new(sim.handle(), 1_000, 100));
+        let done = Rc::new(std::cell::RefCell::new(Vec::new()));
         for _ in 0..10 {
-            let s = Rc::clone(&swap);
+            let (s, done, h) = (Rc::clone(&swap), Rc::clone(&done), sim.handle());
             sim.spawn(async move {
                 s.alloc().await.unwrap();
+                done.borrow_mut().push(h.now().as_nanos());
             });
         }
         let end = sim.run();
-        // 10 allocations serialized at 100 ns each.
+        // 10 allocations serialized at 100 ns each: all but the first
+        // queue behind the ones ahead of them.
         assert_eq!(end.as_nanos(), 1_000);
-        assert_eq!(swap.lock_stats().contended(), 9);
+        let finish: Vec<u64> = (1..=10).map(|i| i * 100).collect();
+        assert_eq!(*done.borrow(), finish);
     }
 
     #[test]

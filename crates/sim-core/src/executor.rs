@@ -431,7 +431,7 @@ impl ExecCore {
         // happens-before every task step inside it, and every task step
         // inside it happens-before whatever main does after it returns.
         // The guard publishes the detector to handle-less primitives
-        // (WaitQueue/Event/channels) for the duration of the loop.
+        // (WaitQueue) for the duration of the loop.
         let race = self.race.borrow().clone();
         let _guard = CurrentGuard::install(race.clone());
         if let Some(det) = &race {

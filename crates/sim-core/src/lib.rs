@@ -6,12 +6,13 @@
 //!
 //! - a single-threaded, deterministic async **executor** over *virtual time*
 //!   ([`Simulation`], [`SimHandle`]),
-//! - virtual-time **synchronization primitives** that record contention
-//!   statistics ([`sync::SimMutex`], [`sync::Semaphore`], [`sync::Event`],
-//!   [`sync::WaitQueue`]),
+//! - virtual-time **synchronization primitives** ([`sync::SimMutex`],
+//!   [`sync::WaitQueue`]): contention emerges as waiting in virtual time
+//!   and is read through the engine's fault breakdown, not recorded by
+//!   the primitives,
 //! - a **statistics** library with counters, time aggregates and
-//!   log-bucketed latency histograms ([`stats`]), with snapshot/delta
-//!   support for measurement windows,
+//!   log-bucketed latency histograms ([`stats`]), windowed for
+//!   measurement through one interface ([`stats::Windowed`]),
 //! - a **virtual-time tracer** recording structured spans into per-track
 //!   ring buffers, exportable as Chrome `trace_event` JSON ([`trace`]),
 //! - a small dependency-free **JSON reader** ([`json`]) for validating

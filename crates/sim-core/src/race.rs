@@ -6,9 +6,8 @@
 //! synchronization protocol*. Two accesses to the same shadow-tracked
 //! word (a PTE, a per-CPU free-list slot, …) race when neither is ordered
 //! before the other by the happens-before relation built from the
-//! sim-core primitives — `SimMutex` lock/unlock, `Semaphore`
-//! acquire/release, `WaitQueue`/`Event` wake edges, channel send/recv,
-//! executor spawn/join. A protocol bug that would corrupt state on real
+//! sim-core primitives — `SimMutex` lock/unlock, `WaitQueue` wake
+//! edges, executor spawn/join. A protocol bug that would corrupt state on real
 //! hardware (e.g. publishing a PTE after waking its waiters) shows up
 //! here as an unordered pair even though the single-threaded simulation
 //! happens to serialize it.
@@ -588,7 +587,7 @@ impl RaceDetector {
 
 // ---- thread-local current detector -------------------------------------
 //
-// Handle-less primitives (WaitQueue, Event, channels) cannot reach the
+// Handle-less primitives (WaitQueue) cannot reach the
 // detector through a SimHandle; the executor publishes it here for the
 // duration of each run loop. `None` outside an enabled simulation's run,
 // so a disabled simulation is never confused with a previously-enabled

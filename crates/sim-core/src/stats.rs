@@ -6,13 +6,13 @@
 //! benchmark harness (p50/p99/p999 fault latencies, shootdown latencies,
 //! request sojourn times).
 //!
-//! Every stat type supports **measurement windows**: `snapshot()` captures
-//! a cheap start line and `delta(&snapshot)` returns only what was recorded
-//! after it. Harnesses report windows instead of destructively resetting
-//! stats, so a warmup phase can never pollute the measured figures and the
-//! cumulative values stay available for debugging. The [`Windowed`] trait
-//! gives all of them one interface, so a metrics table can window any
-//! stat uniformly.
+//! Every stat type supports **measurement windows** through one interface,
+//! [`Windowed`]: `start()` captures a cheap start line and
+//! `since(&start)` returns only what was recorded after it. Harnesses
+//! report windows instead of destructively resetting stats, so a warmup
+//! phase can never pollute the measured figures and the cumulative values
+//! stay available for debugging, and a metrics table can window any stat
+//! uniformly.
 
 use std::cell::{Cell, RefCell};
 
@@ -36,11 +36,13 @@ impl Windowed for Counter {
     type Delta = u64;
 
     fn start(&self) -> CounterSnapshot {
-        self.snapshot()
+        CounterSnapshot {
+            value: self.0.get(),
+        }
     }
 
     fn since(&self, start: &CounterSnapshot) -> u64 {
-        self.delta(start)
+        self.0.get().saturating_sub(start.value)
     }
 }
 
@@ -48,12 +50,34 @@ impl Windowed for Histogram {
     type Snapshot = HistogramSnapshot;
     type Delta = HistogramDelta;
 
+    /// Copies the bucket counts: one fixed-size copy (~15 KiB), taken
+    /// once per run.
     fn start(&self) -> HistogramSnapshot {
-        self.snapshot()
+        HistogramSnapshot {
+            buckets: self.buckets.iter().map(Cell::get).collect(),
+            stat: self.stat.start(),
+        }
     }
 
+    /// Quantile upper bounds are clamped by the histogram's *cumulative*
+    /// maximum: exact when the start line was empty, otherwise a
+    /// documented upper-bound approximation (a window's true max is not
+    /// recoverable from two cumulative states).
     fn since(&self, start: &HistogramSnapshot) -> HistogramDelta {
-        self.delta(start)
+        let buckets = self
+            .buckets
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                b.get()
+                    .saturating_sub(start.buckets.get(i).copied().unwrap_or(0))
+            })
+            .collect();
+        HistogramDelta {
+            buckets,
+            stat: self.stat.since(&start.stat),
+            max_hint: self.max(),
+        }
     }
 }
 
@@ -61,12 +85,22 @@ impl Windowed for RefCell<TimeStat> {
     type Snapshot = TimeStatSnapshot;
     type Delta = TimeStatDelta;
 
+    /// Min/max are stream properties that cannot be decomposed into
+    /// windows, so the start line carries only the additive components.
     fn start(&self) -> TimeStatSnapshot {
-        self.borrow().snapshot()
+        let s = self.borrow();
+        TimeStatSnapshot {
+            count: s.count,
+            sum: s.sum,
+        }
     }
 
     fn since(&self, start: &TimeStatSnapshot) -> TimeStatDelta {
-        self.borrow().delta(start)
+        let s = self.borrow();
+        TimeStatDelta {
+            count: s.count.saturating_sub(start.count),
+            sum: s.sum.saturating_sub(start.sum),
+        }
     }
 }
 
@@ -96,26 +130,9 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.get()
     }
-
-    /// Resets to zero, returning the previous value.
-    pub fn take(&self) -> u64 {
-        self.0.replace(0)
-    }
-
-    /// Captures the current value as a measurement-window start line.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            value: self.0.get(),
-        }
-    }
-
-    /// Events recorded since `start` was captured.
-    pub fn delta(&self, start: &CounterSnapshot) -> u64 {
-        self.0.get().saturating_sub(start.value)
-    }
 }
 
-/// Point-in-time value of a [`Counter`] (see [`Counter::snapshot`]).
+/// Point-in-time value of a [`Counter`] (see [`Windowed::start`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     value: u64,
@@ -155,25 +172,6 @@ impl TimeStat {
         self.sum = self.sum.saturating_add(v);
     }
 
-    /// Merges another aggregate into this one.
-    pub fn merge(&mut self, other: &TimeStat) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.count += other.count;
-        debug_assert!(
-            self.sum.checked_add(other.sum).is_some(),
-            "TimeStat merge sum overflow"
-        );
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -202,29 +200,10 @@ impl TimeStat {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Captures the current count/sum as a measurement-window start line.
-    ///
-    /// Min/max are stream properties that cannot be decomposed into
-    /// windows, so the snapshot carries only the additive components.
-    pub fn snapshot(&self) -> TimeStatSnapshot {
-        TimeStatSnapshot {
-            count: self.count,
-            sum: self.sum,
-        }
-    }
-
-    /// The samples recorded since `start` was captured (count/sum/mean).
-    pub fn delta(&self, start: &TimeStatSnapshot) -> TimeStatDelta {
-        TimeStatDelta {
-            count: self.count.saturating_sub(start.count),
-            sum: self.sum.saturating_sub(start.sum),
-        }
-    }
 }
 
 /// Point-in-time additive state of a [`TimeStat`] (see
-/// [`TimeStat::snapshot`]).
+/// [`Windowed::start`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimeStatSnapshot {
     count: u64,
@@ -377,60 +356,11 @@ impl Histogram {
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&self, other: &Histogram) {
-        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
-            a.set(a.get() + b.get());
-        }
-        self.stat.borrow_mut().merge(&other.stat.borrow());
-    }
-
-    /// Clears all samples.
-    pub fn clear(&self) {
-        for b in &self.buckets {
-            b.set(0);
-        }
-        *self.stat.borrow_mut() = TimeStat::new();
-    }
-
-    /// Captures the current bucket counts as a measurement-window start
-    /// line. Costs one fixed-size copy (~15 KiB), taken once per run.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self.buckets.iter().map(Cell::get).collect(),
-            stat: self.stat.borrow().snapshot(),
-        }
-    }
-
-    /// The samples recorded since `start` was captured, as a queryable
-    /// distribution (count/sum/mean/quantiles).
-    ///
-    /// Quantile upper bounds are clamped by the histogram's *cumulative*
-    /// maximum: exact when the snapshot was empty, otherwise a documented
-    /// upper-bound approximation (a window's true max is not recoverable
-    /// from two cumulative states).
-    pub fn delta(&self, start: &HistogramSnapshot) -> HistogramDelta {
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                b.get()
-                    .saturating_sub(start.buckets.get(i).copied().unwrap_or(0))
-            })
-            .collect();
-        HistogramDelta {
-            buckets,
-            stat: self.stat.borrow().delta(&start.stat),
-            max_hint: self.max(),
-        }
-    }
 }
 
 /// Point-in-time copy of a [`Histogram`]'s buckets (see
-/// [`Histogram::snapshot`]). The default value is an empty start line, so
-/// `delta(&HistogramSnapshot::default())` reproduces the cumulative
+/// [`Windowed::start`]). The default value is an empty start line, so
+/// `since(&HistogramSnapshot::default())` reproduces the cumulative
 /// distribution.
 #[derive(Clone, Debug, Default)]
 pub struct HistogramSnapshot {
@@ -508,8 +438,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.take(), 5);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -523,22 +451,6 @@ mod tests {
         assert_eq!(s.min(), 1);
         assert_eq!(s.max(), 9);
         assert!((s.mean() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn timestat_merge() {
-        let mut a = TimeStat::new();
-        a.record(10);
-        let mut b = TimeStat::new();
-        b.record(2);
-        b.record(30);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), 2);
-        assert_eq!(a.max(), 30);
-        let mut empty = TimeStat::new();
-        empty.merge(&a);
-        assert_eq!(empty, a);
     }
 
     #[test]
@@ -579,25 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_combined() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let c = Histogram::new();
-        for v in 0..1000u64 {
-            if v % 2 == 0 {
-                a.record(v * 7)
-            } else {
-                b.record(v * 7)
-            }
-            c.record(v * 7);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), c.count());
-        assert_eq!(a.p99(), c.p99());
-        assert_eq!(a.max(), c.max());
-    }
-
-    #[test]
     fn histogram_index_monotonic() {
         let mut last = 0;
         for v in [
@@ -623,48 +516,30 @@ mod tests {
     fn counter_snapshot_delta() {
         let c = Counter::new();
         c.add(10);
-        let start = c.snapshot();
-        assert_eq!(c.delta(&start), 0, "empty window");
+        let start = c.start();
+        assert_eq!(c.since(&start), 0, "empty window");
         c.add(7);
         c.inc();
-        assert_eq!(c.delta(&start), 8);
+        assert_eq!(c.since(&start), 8);
         assert_eq!(c.get(), 18, "snapshotting never mutates");
         let empty = CounterSnapshot::default();
-        assert_eq!(c.delta(&empty), c.get(), "empty start == cumulative");
+        assert_eq!(c.since(&empty), c.get(), "empty start == cumulative");
     }
 
     #[test]
     fn timestat_snapshot_delta() {
-        let mut s = TimeStat::new();
-        s.record(1_000); // warmup sample
-        let start = s.snapshot();
-        s.record(10);
-        s.record(30);
-        let d = s.delta(&start);
+        let s = RefCell::new(TimeStat::new());
+        s.borrow_mut().record(1_000); // warmup sample
+        let start = s.start();
+        s.borrow_mut().record(10);
+        s.borrow_mut().record(30);
+        let d = s.since(&start);
         assert_eq!(d.count(), 2);
         assert_eq!(d.sum(), 40);
         assert!((d.mean() - 20.0).abs() < 1e-9);
         // An empty start line reproduces the cumulative mean bit-for-bit.
-        let d0 = s.delta(&TimeStatSnapshot::default());
-        assert_eq!(d0.mean().to_bits(), s.mean().to_bits());
-    }
-
-    #[test]
-    fn timestat_delta_across_merge() {
-        // Snapshot, then merge another aggregate in: the delta must see
-        // the merged samples as part of the window.
-        let mut s = TimeStat::new();
-        s.record(5);
-        let start = s.snapshot();
-        let mut other = TimeStat::new();
-        other.record(100);
-        other.record(200);
-        s.merge(&other);
-        s.record(60);
-        let d = s.delta(&start);
-        assert_eq!(d.count(), 3);
-        assert_eq!(d.sum(), 360);
-        assert!((d.mean() - 120.0).abs() < 1e-9);
+        let d0 = s.since(&TimeStatSnapshot::default());
+        assert_eq!(d0.mean().to_bits(), s.borrow().mean().to_bits());
     }
 
     #[test]
@@ -674,14 +549,14 @@ mod tests {
         for _ in 0..1_000 {
             h.record(1_000_000);
         }
-        let start = h.snapshot();
+        let start = h.start();
         // Window: small samples only.
         let w = Histogram::new();
         for v in 1..=1_000u64 {
             h.record(v);
             w.record(v);
         }
-        let d = h.delta(&start);
+        let d = h.since(&start);
         assert_eq!(d.count(), w.count());
         assert_eq!(d.sum(), w.sum());
         assert_eq!(d.mean().to_bits(), w.mean().to_bits());
@@ -698,7 +573,7 @@ mod tests {
         for v in [3_900u64, 5_100, 12_000, 7] {
             h.record(v);
         }
-        let d = h.delta(&HistogramSnapshot::default());
+        let d = h.since(&HistogramSnapshot::default());
         assert_eq!(d.count(), h.count());
         assert_eq!(d.sum(), h.sum());
         assert_eq!(d.mean().to_bits(), h.mean().to_bits());
@@ -706,22 +581,6 @@ mod tests {
         assert_eq!(d.p99(), h.p99());
         assert_eq!(d.p999(), h.p999());
         assert_eq!(d.quantile(1.0), h.quantile(1.0));
-    }
-
-    #[test]
-    fn histogram_delta_across_merge() {
-        let h = Histogram::new();
-        h.record(50);
-        let start = h.snapshot();
-        let other = Histogram::new();
-        for v in [10u64, 20, 30] {
-            other.record(v);
-        }
-        h.merge(&other);
-        let d = h.delta(&start);
-        assert_eq!(d.count(), 3);
-        assert_eq!(d.sum(), 60);
-        assert_eq!(d.p50(), 20);
     }
 
     #[cfg(debug_assertions)]

@@ -1,11 +1,14 @@
-//! Virtual-time synchronization primitives with contention accounting.
+//! Virtual-time synchronization primitives.
 //!
-//! These primitives are the measurement instruments of the whole
-//! reproduction: the paper's scalability collapse is queueing delay at
-//! shared locks (LRU lists, allocators, swap locks, APIC). [`SimMutex`] is
-//! a strict-FIFO ticket lock on virtual time; waiting time accrues in the
-//! simulation clock and is recorded in [`LockStats`], so contention curves
-//! *emerge* from the simulated mechanism rather than being assumed.
+//! The paper's scalability collapse is queueing delay at shared locks
+//! (LRU lists, allocators, swap locks, APIC). [`SimMutex`] is a
+//! strict-FIFO ticket lock on virtual time: a waiter is suspended until
+//! the guard is handed over, so its wait accrues in the simulation clock
+//! and contention curves *emerge* from the simulated mechanism rather
+//! than being assumed. The locks record nothing themselves; the waits
+//! they cause surface in the task clocks and are read through the
+//! engine's fault breakdown. [`WaitQueue`] is the condition-variable
+//! counterpart for waiting on state rather than on a lock.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
@@ -17,56 +20,6 @@ use std::task::{Context, Poll, Waker};
 
 use crate::executor::SimHandle;
 use crate::race;
-use crate::stats::TimeStat;
-use crate::time::SimTime;
-
-/// Contention statistics for a [`SimMutex`] or [`Semaphore`].
-#[derive(Default)]
-pub struct LockStats {
-    acquisitions: Cell<u64>,
-    contended: Cell<u64>,
-    wait: RefCell<TimeStat>,
-    hold: RefCell<TimeStat>,
-    max_queue: Cell<u64>,
-}
-
-impl LockStats {
-    /// Total number of successful acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.get()
-    }
-
-    /// Number of acquisitions that had to wait.
-    pub fn contended(&self) -> u64 {
-        self.contended.get()
-    }
-
-    /// Aggregate waiting-time statistics (ns of virtual time).
-    pub fn wait(&self) -> TimeStat {
-        self.wait.borrow().clone()
-    }
-
-    /// Aggregate hold-time statistics (ns of virtual time).
-    pub fn hold(&self) -> TimeStat {
-        self.hold.borrow().clone()
-    }
-
-    /// Longest waiter queue observed.
-    pub fn max_queue(&self) -> u64 {
-        self.max_queue.get()
-    }
-
-    pub(crate) fn record_acquire(&self, waited_ns: u64, queue_len: u64) {
-        self.acquisitions.set(self.acquisitions.get() + 1);
-        if waited_ns > 0 {
-            self.contended.set(self.contended.get() + 1);
-        }
-        self.wait.borrow_mut().record(waited_ns);
-        if queue_len > self.max_queue.get() {
-            self.max_queue.set(queue_len);
-        }
-    }
-}
 
 struct MutexCtl {
     next_ticket: Cell<u64>,
@@ -116,15 +69,19 @@ impl MutexCtl {
 ///
 /// ```
 /// use mage_sim::{Simulation, sync::SimMutex};
+/// use std::cell::RefCell;
 /// use std::rc::Rc;
 ///
 /// let sim = Simulation::new();
 /// let h = sim.handle();
 /// let m = Rc::new(SimMutex::new(h.clone(), 0u64));
+/// let waits = Rc::new(RefCell::new(Vec::new()));
 /// for _ in 0..3 {
-///     let (h, m) = (h.clone(), Rc::clone(&m));
+///     let (h, m, waits) = (h.clone(), Rc::clone(&m), Rc::clone(&waits));
 ///     sim.spawn(async move {
+///         let asked = h.now();
 ///         let mut g = m.lock().await;
+///         waits.borrow_mut().push(h.now().saturating_since(asked));
 ///         h.sleep(100).await; // critical-section service time
 ///         *g += 1;
 ///     });
@@ -132,14 +89,13 @@ impl MutexCtl {
 /// sim.run();
 /// let m2 = Rc::clone(&m);
 /// assert_eq!(sim.block_on(async move { *m2.lock().await }), 3);
-/// assert_eq!(m.stats().acquisitions(), 4);
+/// // Each waiter queues behind the service times of those ahead of it.
+/// assert_eq!(*waits.borrow(), [0, 100, 200]);
 /// ```
 pub struct SimMutex<T> {
     sim: SimHandle,
     ctl: MutexCtl,
     value: RefCell<T>,
-    stats: LockStats,
-    hold_since: Cell<SimTime>,
     /// Lockdep class (see [`crate::lockdep`]).
     class: u32,
     /// Lazily-allocated simsan sync id (see [`crate::race`]).
@@ -173,8 +129,6 @@ impl<T> SimMutex<T> {
                 abandoned: RefCell::new(BTreeSet::new()),
             },
             value: RefCell::new(value),
-            stats: LockStats::default(),
-            hold_since: Cell::new(SimTime::ZERO),
             class,
             race_sync: Cell::new(0),
         }
@@ -196,15 +150,13 @@ impl<T> SimMutex<T> {
         MutexLock {
             mutex: self,
             ticket,
-            started: self.sim.now(),
             acquired: false,
             validated: false,
             site: Location::caller(),
         }
     }
 
-    /// Synchronously accesses the protected value without queueing or
-    /// recording statistics.
+    /// Synchronously accesses the protected value without queueing.
     ///
     /// Intended for setup/seeding and post-run inspection while the
     /// simulation is quiescent.
@@ -220,27 +172,12 @@ impl<T> SimMutex<T> {
         );
         f(&mut self.value.borrow_mut())
     }
-
-    /// Current number of tickets waiting behind the holder.
-    pub fn queue_len(&self) -> u64 {
-        self.ctl
-            .next_ticket
-            .get()
-            .saturating_sub(self.ctl.now_serving.get())
-            .saturating_sub(1)
-    }
-
-    /// Contention statistics for this lock.
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
-    }
 }
 
 /// Future returned by [`SimMutex::lock`].
 pub struct MutexLock<'a, T> {
     mutex: &'a SimMutex<T>,
     ticket: u64,
-    started: SimTime,
     acquired: bool,
     validated: bool,
     site: &'static Location<'static>,
@@ -261,9 +198,6 @@ impl<'a, T> Future for MutexLock<'a, T> {
         }
         if m.ctl.now_serving.get() == self.ticket {
             self.acquired = true;
-            let waited = m.sim.now().saturating_since(self.started);
-            m.stats.record_acquire(waited, m.queue_len());
-            m.hold_since.set(m.sim.now());
             let task = m.sim.current_task_key();
             m.sim.lockdep().acquired(task, m.class, self.site);
             race::edge(&m.race_sync, |det, s| det.acquire(s));
@@ -330,168 +264,7 @@ impl<T> Drop for MutexGuard<'_, T> {
         let m = self.mutex;
         m.sim.lockdep().release(self.task, m.class);
         race::edge(&m.race_sync, |det, s| det.release(s));
-        let held = m.sim.now().saturating_since(m.hold_since.get());
-        m.stats.hold.borrow_mut().record(held);
         m.ctl.serve_next();
-    }
-}
-
-struct SemWaiter {
-    need: u64,
-    granted: Cell<bool>,
-    cancelled: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
-}
-
-/// A FIFO counting semaphore on virtual time.
-///
-/// Used for bounded resources such as free-page reserves and NIC queue
-/// depth. Waiters are served strictly in arrival order; a waiter needing
-/// more permits than are available blocks everything behind it (no
-/// barging), which models a fair resource queue.
-pub struct Semaphore {
-    sim: SimHandle,
-    permits: Cell<u64>,
-    waiters: RefCell<VecDeque<Rc<SemWaiter>>>,
-    stats: LockStats,
-    /// Lazily-allocated simsan sync id: releases publish, grants acquire.
-    race_sync: Cell<u32>,
-}
-
-impl Semaphore {
-    /// Creates a semaphore with `permits` initial permits.
-    pub fn new(sim: SimHandle, permits: u64) -> Self {
-        Semaphore {
-            sim,
-            permits: Cell::new(permits),
-            waiters: RefCell::new(VecDeque::new()),
-            stats: LockStats::default(),
-            race_sync: Cell::new(0),
-        }
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> u64 {
-        self.permits.get()
-    }
-
-    /// Acquires `need` permits, waiting in FIFO order.
-    pub fn acquire(&self, need: u64) -> SemAcquire<'_> {
-        SemAcquire {
-            sem: self,
-            need,
-            started: self.sim.now(),
-            waiter: None,
-        }
-    }
-
-    /// Attempts to take `need` permits without waiting.
-    pub fn try_acquire(&self, need: u64) -> bool {
-        if self.waiters.borrow().is_empty() && self.permits.get() >= need {
-            self.permits.set(self.permits.get() - need);
-            self.stats.record_acquire(0, 0);
-            race::edge(&self.race_sync, |det, s| det.acquire(s));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Returns `n` permits and grants queued waiters in order.
-    pub fn release(&self, n: u64) {
-        race::edge(&self.race_sync, |det, s| det.release(s));
-        self.permits.set(self.permits.get() + n);
-        self.grant_waiters();
-    }
-
-    /// Contention statistics for this semaphore.
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
-    }
-
-    /// Number of queued waiters.
-    pub fn queue_len(&self) -> usize {
-        self.waiters.borrow().len()
-    }
-
-    fn grant_waiters(&self) {
-        loop {
-            let mut q = self.waiters.borrow_mut();
-            match q.front() {
-                Some(w) if w.cancelled.get() => {
-                    q.pop_front();
-                }
-                Some(w) if self.permits.get() >= w.need => {
-                    self.permits.set(self.permits.get() - w.need);
-                    w.granted.set(true);
-                    let waker = w.waker.borrow_mut().take();
-                    q.pop_front();
-                    drop(q);
-                    if let Some(waker) = waker {
-                        waker.wake();
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct SemAcquire<'a> {
-    sem: &'a Semaphore,
-    need: u64,
-    started: SimTime,
-    waiter: Option<Rc<SemWaiter>>,
-}
-
-impl Future for SemAcquire<'_> {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let sem = self.sem;
-        match &self.waiter {
-            None => {
-                if sem.try_acquire(self.need) {
-                    return Poll::Ready(());
-                }
-                let w = Rc::new(SemWaiter {
-                    need: self.need,
-                    granted: Cell::new(false),
-                    cancelled: Cell::new(false),
-                    waker: RefCell::new(Some(cx.waker().clone())),
-                });
-                sem.waiters.borrow_mut().push_back(Rc::clone(&w));
-                self.waiter = Some(w);
-                Poll::Pending
-            }
-            Some(w) => {
-                if w.granted.get() {
-                    let waited = sem.sim.now().saturating_since(self.started);
-                    sem.stats
-                        .record_acquire(waited, sem.waiters.borrow().len() as u64);
-                    race::edge(&sem.race_sync, |det, s| det.acquire(s));
-                    self.waiter = None;
-                    Poll::Ready(())
-                } else {
-                    *w.waker.borrow_mut() = Some(cx.waker().clone());
-                    Poll::Pending
-                }
-            }
-        }
-    }
-}
-
-impl Drop for SemAcquire<'_> {
-    fn drop(&mut self) {
-        if let Some(w) = self.waiter.take() {
-            if w.granted.get() {
-                // Granted but never observed: return the permits.
-                self.sem.release(w.need);
-            } else {
-                w.cancelled.set(true);
-            }
-        }
     }
 }
 
@@ -592,73 +365,40 @@ impl Future for Wait {
     }
 }
 
-/// An edge-triggered event with a stored permit (like `tokio::sync::Notify`).
-///
-/// `notify` before `wait` is not lost: the next `wait` completes
-/// immediately. Used to kick background evictors when a watermark is
-/// crossed.
-#[derive(Default)]
-pub struct Event {
-    permit: Cell<bool>,
-    queue: WaitQueue,
-    /// Simsan sync carrying the stored-permit edge (`notify` with no
-    /// waiter → later `wait` consuming the permit); direct wakes take
-    /// the per-waiter edge inside `queue` instead.
-    race_sync: Cell<u32>,
-}
-
-impl Event {
-    /// Creates an event with no stored permit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stores a permit and wakes one waiter if present.
-    pub fn notify(&self) {
-        if !self.queue.wake_one() {
-            race::edge(&self.race_sync, |det, s| det.release(s));
-            self.permit.set(true);
-        }
-    }
-
-    /// Waits for a notification (consumes a stored permit if present).
-    pub async fn wait(&self) {
-        if self.permit.replace(false) {
-            race::edge(&self.race_sync, |det, s| det.acquire(s));
-            return;
-        }
-        self.queue.wait().await;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Simulation;
 
-    #[test]
-    fn mutex_is_fifo_and_measures_wait() {
+    /// Spawns `contenders` tasks at t = 0 that each hold one mutex for
+    /// `service_ns`. Returns `(id, wait)` in grant order, where `wait` is
+    /// the task's own clock from its `lock()` call to its guard.
+    fn contend(contenders: u32, service_ns: u64) -> Vec<(u32, u64)> {
         let sim = Simulation::new();
         let h = sim.handle();
         let m = Rc::new(SimMutex::new(h.clone(), Vec::new()));
-        for id in 0..4u32 {
+        for id in 0..contenders {
             let (h, m) = (h.clone(), Rc::clone(&m));
             sim.spawn(async move {
+                let asked = h.now();
                 let mut g = m.lock().await;
-                h.sleep(100).await;
-                g.push(id);
+                g.push((id, h.now().saturating_since(asked)));
+                h.sleep(service_ns).await;
             });
         }
         sim.run();
-        let m2 = Rc::clone(&m);
-        let order = Simulation::new(); // separate sim not needed; inspect directly
-        drop(order);
-        assert_eq!(*m2.value.borrow(), vec![0, 1, 2, 3]);
-        assert_eq!(m.stats().acquisitions(), 4);
-        assert_eq!(m.stats().contended(), 3);
+        m.with_sync(std::mem::take)
+    }
+
+    #[test]
+    fn mutex_is_fifo_and_measures_wait() {
+        let granted = contend(4, 100);
+        let order: Vec<u32> = granted.iter().map(|&(id, _)| id).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
         // Waiters 1..3 wait 100, 200, 300 ns respectively.
-        assert_eq!(m.stats().wait().sum(), 600);
-        assert_eq!(m.stats().wait().max(), 300);
+        let waits: Vec<u64> = granted.iter().map(|&(_, w)| w).collect();
+        assert_eq!(waits, [0, 100, 200, 300]);
+        assert_eq!(waits.iter().sum::<u64>(), 600);
     }
 
     #[test]
@@ -697,67 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn semaphore_fifo_grants() {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        let s = Rc::new(Semaphore::new(h.clone(), 2));
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for id in 0..4u32 {
-            let (h, s, log) = (h.clone(), Rc::clone(&s), Rc::clone(&log));
-            sim.spawn(async move {
-                s.acquire(1).await;
-                log.borrow_mut().push(id);
-                h.sleep(50).await;
-                s.release(1);
-            });
-        }
-        sim.run();
-        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
-        assert_eq!(s.available(), 2);
-    }
-
-    #[test]
-    fn semaphore_large_request_blocks_queue() {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        let s = Rc::new(Semaphore::new(h.clone(), 0));
-        let log = Rc::new(RefCell::new(Vec::new()));
-        // First waiter needs 2; second needs 1 and must wait behind it.
-        for (id, need) in [(0u32, 2u64), (1, 1)] {
-            let (s, log) = (Rc::clone(&s), Rc::clone(&log));
-            sim.spawn(async move {
-                s.acquire(need).await;
-                log.borrow_mut().push(id);
-            });
-        }
-        let s2 = Rc::clone(&s);
-        let h2 = h.clone();
-        let log2 = Rc::clone(&log);
-        sim.spawn(async move {
-            h2.sleep(10).await;
-            // One permit is not enough for the head waiter (needs 2), so
-            // the later small waiter must stay blocked behind it (FIFO).
-            s2.release(1);
-            h2.sleep(10).await;
-            assert!(log2.borrow().is_empty());
-            // Two more permits: the head (need 2) is served first, then
-            // the small waiter takes the remaining permit.
-            s2.release(2);
-        });
-        sim.run();
-        assert_eq!(*log.borrow(), vec![0, 1]);
-    }
-
-    #[test]
-    fn event_permit_is_not_lost() {
-        let sim = Simulation::new();
-        let e = Rc::new(Event::new());
-        e.notify();
-        let e2 = Rc::clone(&e);
-        sim.block_on(async move { e2.wait().await });
-    }
-
-    #[test]
     fn waitqueue_wake_all() {
         let sim = Simulation::new();
         let q = Rc::new(WaitQueue::new());
@@ -785,18 +464,7 @@ mod tests {
         // lock with fixed service time grows quadratically with the number
         // of simultaneous contenders.
         fn total_wait(contenders: u32) -> u64 {
-            let sim = Simulation::new();
-            let h = sim.handle();
-            let m = Rc::new(SimMutex::new(h.clone(), ()));
-            for _ in 0..contenders {
-                let (h, m) = (h.clone(), Rc::clone(&m));
-                sim.spawn(async move {
-                    let _g = m.lock().await;
-                    h.sleep(200).await;
-                });
-            }
-            sim.run();
-            m.stats().wait().sum()
+            contend(contenders, 200).iter().map(|&(_, w)| w).sum()
         }
         let w8 = total_wait(8);
         let w48 = total_wait(48);

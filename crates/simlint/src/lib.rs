@@ -20,7 +20,7 @@
 //! | `host-thread` | `std::thread` | host threads race; the executor is the only scheduler |
 //! | `external-rng` | `rand::`, `thread_rng`, `from_entropy`, … | unseeded entropy breaks replay; use `mage_sim::rng::SplitMix64` |
 //! | `hash-collection` | `HashMap` / `HashSet` | iteration order varies per process (random SipHash keys); use `BTreeMap`/`BTreeSet` or sorted iteration |
-//! | `std-sync` | `std::sync::{Mutex, RwLock, …}`, atomics | host-level blocking invisible to virtual time; use `SimMutex`/`Semaphore` |
+//! | `std-sync` | `std::sync::{Mutex, RwLock, …}`, atomics | host-level blocking invisible to virtual time; use `SimMutex`/`WaitQueue` |
 //! | `unseeded-rng` | RNG constructors without a `seed` parameter | every stochastic component must be replayable from its seed |
 //! | `hot-path` | `BTreeMap` / `BTreeSet` in files named `executor.rs`, `tlb.rs`, `machine.rs`, `policy.rs`, and in `accounting/src/lib.rs` | ordered maps on the per-poll/per-access/per-page/per-scanned-page paths cost pointer chases the slab refactor removed (DESIGN.md §11); use `Slab`/`PageMap`/`TimerWheel` or a frame-indexed array |
 //!
@@ -105,7 +105,7 @@ impl Rule {
                 "HashMap/HashSet iteration order is randomized per process; use BTreeMap/BTreeSet or sort before iterating"
             }
             Rule::StdSync => {
-                "std::sync primitives block the host thread invisibly to virtual time; use SimMutex/Semaphore"
+                "std::sync primitives block the host thread invisibly to virtual time; use SimMutex/WaitQueue"
             }
             Rule::UnseededRng => {
                 "RNG constructors must take an explicit seed so every stochastic component is replayable"

@@ -463,6 +463,11 @@ pub fn run_open_loop_faults(
     // (the paper's Fig. 15 regime), not in a one-off fill phase.
     engine.populate(&vma);
     let resident = engine.accounting().resident_pages();
+    assert!(
+        resident < wss_pages,
+        "run_open_loop_faults: all {wss_pages} wss_pages are resident ({resident} resident \
+         pages), so no remote page is left to fault in; raise wss_pages past the local pages"
+    );
     let (first_remote, remote_span) = (vma.start_vpn + resident, wss_pages - resident);
 
     // Request `i` touches the next remote page in sequence from worker
@@ -594,6 +599,13 @@ mod tests {
         cfg.ops_per_thread = 4_000;
         cfg.topo = Topology::single_socket(10);
         cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "all 512 wss_pages are resident (512 resident pages)")]
+    fn open_loop_faults_refuses_an_all_resident_working_set() {
+        // The 1,024-page local floor holds all 512 pages.
+        run_open_loop_faults(SystemConfig::mage_lib(), 8, 512, 0.5, 0.2, 2_000_000, 1);
     }
 
     #[test]
