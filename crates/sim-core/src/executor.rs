@@ -7,14 +7,17 @@
 //! practice everything stays on one thread and execution is deterministic:
 //! the ready queue is FIFO and timers break ties by registration sequence.
 //!
-//! Hot-path representation (the slab refactor, DESIGN.md §11): tasks
-//! live in a dense slot arena with an intrusive ready list threaded
-//! through them (each task carries a per-slot cached waker, so polling
-//! allocates nothing), and timers live in a hierarchical timer wheel
-//! ([`crate::wheel`]) that batches same-tick wakeups. Both preserve the
-//! historical FIFO / `(deadline, seq)` orders bit-for-bit.
+//! Hot-path representation (DESIGN.md §11): tasks live in a dense slot
+//! arena, the ready queue is a `VecDeque` of slot ids with a per-slot
+//! state byte that de-duplicates wakes, and timers live in an exact
+//! near-window queue ([`crate::wheel`]) whose payloads are `u32` slot
+//! ids. A `Sleep` polled with its own task's waker registers that id, so
+//! a fired timer moves the task straight onto the ready queue; any other
+//! waker waits in a side table. Both orders, FIFO and `(deadline, seq)`,
+//! are the historical ones bit for bit.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -31,14 +34,17 @@ use std::task::{Context, Poll, Wake, Waker};
 use crate::explore::{ExplorationPolicy, Explorer, RunProgress};
 use crate::lockdep::{LockDep, TaskKey, MAIN_TASK};
 use crate::race::{CurrentGuard, RaceDetector};
+use crate::slab::Slab;
 use crate::time::{Nanos, SimTime};
 use crate::wheel::TimerWheel;
 
-type TaskId = usize;
+/// A task's slot index in the arena.
+pub(crate) type TaskId = u32;
 type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Sentinel for "no task" in the intrusive ready list.
-const NO_TASK: TaskId = usize::MAX;
+/// Timer payload bit marking a key into the foreign-waker table; task
+/// ids stay below it.
+const FOREIGN: u32 = 1 << 31;
 
 /// Thread-safe queue that wakers push task ids into.
 ///
@@ -61,16 +67,16 @@ impl WakeQueue {
         self.len.store(q.len(), Ordering::Release);
     }
 
-    fn is_empty(&self) -> bool {
-        self.len.load(Ordering::Acquire) == 0
-    }
-
-    fn drain_into(&self, out: &mut Vec<TaskId>) {
-        if self.is_empty() {
+    /// Hands every queued id to `f` in wake order and empties the queue.
+    #[inline]
+    fn drain(&self, mut f: impl FnMut(TaskId)) {
+        if self.len.load(Ordering::Acquire) == 0 {
             return;
         }
         let mut q = self.ids.lock().expect("wake queue poisoned");
-        out.append(&mut q);
+        for id in q.drain(..) {
+            f(id);
+        }
         self.len.store(0, Ordering::Release);
     }
 }
@@ -90,61 +96,124 @@ impl Wake for TaskWaker {
     }
 }
 
+/// A task slot; [`Sched`]'s slot state says whether it is live.
 struct Task {
-    future: Option<LocalFuture>,
-    /// True while the task id sits in the executor's ready queue, to
-    /// de-duplicate redundant wakes.
-    enqueued: bool,
-    /// Next task in the intrusive ready list ([`NO_TASK`] at the tail,
-    /// meaningless while not enqueued).
-    next_ready: TaskId,
-    /// The slot's cached waker, created once at spawn: polling clones
-    /// the `Rc` (a non-atomic refcount bump) instead of allocating a
-    /// fresh `Arc` — or touching its atomic refcount — per poll.
-    waker: Rc<Waker>,
+    /// The future and the slot's waker, created once at spawn; both are
+    /// moved out for the duration of a poll, so polling touches no
+    /// reference count. `None` while polled and once finished.
+    body: Option<(LocalFuture, Waker)>,
     /// simsan join-sync id released when the task completes (0 when the
     /// race detector is disabled).
     race_join: u32,
 }
 
-/// What a fired timer delivers. `Sleep` resolves to `Task` whenever it
-/// is polled with the owning task's own waker (the overwhelmingly common
-/// case), letting the executor move the task straight onto the ready
-/// list — no `Arc` refcount traffic, no wake-queue Mutex round-trip.
-enum TimerTarget {
-    /// Enqueue this task directly.
-    Task(TaskId),
-    /// A foreign waker (combinator-wrapped or out-of-executor poll):
-    /// woken the generic way.
-    External(Waker),
+/// Where a task slot stands with respect to the ready queue.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SlotState {
+    /// No task: wakes addressed to the slot are dropped.
+    Vacant,
+    /// Live and not queued (running, parked, or sleeping).
+    Idle,
+    /// Live and in the ready queue; further wakes are no-ops.
+    Queued,
+}
+
+/// The scheduler state one poll cycle touches, behind one borrow: the
+/// FIFO ready queue of slot ids, de-duplicated by per-slot state, and
+/// the pending timers.
+struct Sched {
+    ready: VecDeque<TaskId>,
+    state: Vec<SlotState>,
+    /// Pending timers, fired in `(deadline, seq)` order (see
+    /// [`crate::wheel`]): payloads are task ids, or [`FOREIGN`]-marked
+    /// keys into `foreign`.
+    timers: TimerWheel<u32>,
+    /// Wakers of timers registered from a context other than the polled
+    /// task's own waker (combinator-wrapped or out-of-executor polls).
+    foreign: Slab<Waker>,
+    timer_seq: u64,
+}
+
+impl Sched {
+    fn new() -> Self {
+        Sched {
+            ready: VecDeque::new(),
+            state: Vec::new(),
+            timers: TimerWheel::new(),
+            foreign: Slab::new(),
+            timer_seq: 0,
+        }
+    }
+
+    /// Queues `id` unless its slot is vacant or already queued.
+    #[inline]
+    fn wake(&mut self, id: TaskId) {
+        if let Some(s) = self.state.get_mut(id as usize) {
+            if *s == SlotState::Idle {
+                *s = SlotState::Queued;
+                self.ready.push_back(id);
+            }
+        }
+    }
+
+    /// Queues a freshly spawned task.
+    fn spawned(&mut self, id: TaskId) {
+        let i = id as usize;
+        if i >= self.state.len() {
+            self.state.resize(i + 1, SlotState::Vacant);
+        }
+        self.state[i] = SlotState::Idle;
+        self.wake(id);
+    }
+
+    /// Removes the next task to poll from a non-empty ready queue, as
+    /// chosen by `explorer`. The FIFO case pops the front: no RNG, the
+    /// historical schedule bit for bit. Exploration policies see the
+    /// queue as a slice in FIFO order.
+    #[inline]
+    fn pick(&mut self, explorer: &Explorer) -> TaskId {
+        let id = if explorer.is_fifo() || self.ready.len() < 2 {
+            self.ready.pop_front()
+        } else {
+            let idx = explorer.pick(self.ready.make_contiguous());
+            self.ready.remove(idx)
+        };
+        let id = id.expect("pick from a non-empty ready queue");
+        self.state[id as usize] = SlotState::Idle;
+        id
+    }
+
+    /// Registers a timer for `deadline` carrying `payload`.
+    #[inline]
+    fn add_timer(&mut self, deadline: SimTime, payload: u32) {
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        self.timers.insert(deadline.as_nanos(), seq, payload);
+    }
+}
+
+/// What the run loop does next.
+enum Step {
+    Poll(TaskId),
+    /// Drained, or the deadline was reached.
+    Done,
+    /// The poll budget ran out with work still queued.
+    Budget,
 }
 
 struct ExecCore {
     now: Cell<SimTime>,
-    tasks: RefCell<Vec<Option<Task>>>,
+    tasks: RefCell<Vec<Task>>,
     free_ids: RefCell<Vec<TaskId>>,
-    /// Intrusive FIFO ready list threaded through `Task::next_ready`.
-    ready_head: Cell<TaskId>,
-    ready_tail: Cell<TaskId>,
-    ready_len: Cell<usize>,
+    sched: RefCell<Sched>,
     wake_queue: Arc<WakeQueue>,
-    /// Pending timers: hierarchical wheel, fired in `(deadline, seq)`
-    /// order with same-tick wakeups batched (see [`crate::wheel`]).
-    wheel: RefCell<TimerWheel<TimerTarget>>,
-    /// The waker of the task currently being polled (`None` outside
-    /// `poll_one`), so `Sleep` can tell "polled with the task's own
-    /// waker" from a wrapped one via `will_wake`.
-    current_waker: RefCell<Option<Rc<Waker>>>,
-    timer_seq: Cell<u64>,
     live_tasks: Cell<usize>,
-    drain_buf: RefCell<Vec<TaskId>>,
-    /// Scratch for timer fire batches.
-    fire_buf: RefCell<Vec<TimerTarget>>,
-    /// Scratch for non-FIFO exploration picks: the ready list
-    /// materialized as a dense slice of slot ids.
-    pick_buf: RefCell<Vec<TaskId>>,
-    /// Task currently being polled, for lockdep hold tracking.
+    /// Task currently being polled, for lockdep hold tracking and for
+    /// `Sleep`'s own-task check.
     current: Cell<Option<TaskId>>,
+    /// Data pointer of the polled task's waker (null outside a poll):
+    /// `Sleep` compares its context's waker against it.
+    current_waker: Cell<*const ()>,
     lockdep: LockDep,
     /// Ready-queue pick strategy (FIFO unless exploration is requested).
     explorer: Explorer,
@@ -160,92 +229,16 @@ impl ExecCore {
             now: Cell::new(SimTime::ZERO),
             tasks: RefCell::new(Vec::new()),
             free_ids: RefCell::new(Vec::new()),
-            ready_head: Cell::new(NO_TASK),
-            ready_tail: Cell::new(NO_TASK),
-            ready_len: Cell::new(0),
+            sched: RefCell::new(Sched::new()),
             wake_queue: Arc::new(WakeQueue::default()),
-            wheel: RefCell::new(TimerWheel::new()),
-            current_waker: RefCell::new(None),
-            timer_seq: Cell::new(0),
             live_tasks: Cell::new(0),
-            drain_buf: RefCell::new(Vec::new()),
-            fire_buf: RefCell::new(Vec::new()),
-            pick_buf: RefCell::new(Vec::new()),
             current: Cell::new(None),
+            current_waker: Cell::new(std::ptr::null()),
             lockdep: LockDep::default(),
             explorer: Explorer::new(policy),
             polls: Cell::new(0),
             race: RefCell::new(None),
         })
-    }
-
-    /// Appends `id` to the intrusive ready list. The caller must have
-    /// checked `enqueued` (the list cannot hold duplicates).
-    fn push_ready(&self, tasks: &mut [Option<Task>], id: TaskId) {
-        let task = tasks[id].as_mut().expect("enqueued task exists");
-        debug_assert!(task.enqueued);
-        task.next_ready = NO_TASK;
-        let tail = self.ready_tail.get();
-        if tail == NO_TASK {
-            self.ready_head.set(id);
-        } else {
-            tasks[tail].as_mut().expect("ready tail exists").next_ready = id;
-        }
-        self.ready_tail.set(id);
-        self.ready_len.set(self.ready_len.get() + 1);
-    }
-
-    /// Pops the front of the intrusive ready list.
-    fn pop_ready_front(&self, tasks: &mut [Option<Task>]) -> Option<TaskId> {
-        let id = self.ready_head.get();
-        if id == NO_TASK {
-            return None;
-        }
-        let next = tasks[id].as_ref().expect("ready task exists").next_ready;
-        self.ready_head.set(next);
-        if next == NO_TASK {
-            self.ready_tail.set(NO_TASK);
-        }
-        self.ready_len.set(self.ready_len.get() - 1);
-        Some(id)
-    }
-
-    /// Removes and returns the next task id to poll, as chosen by the
-    /// exploration policy. The FIFO case pops the list head directly —
-    /// no materialization, no RNG — preserving the historical schedule
-    /// bit-for-bit. Exploration policies see the ready list as a dense
-    /// slice of stable slot ids.
-    fn pick_ready(&self) -> Option<TaskId> {
-        let mut tasks = self.tasks.borrow_mut();
-        if self.explorer.is_fifo() {
-            return self.pop_ready_front(&mut tasks);
-        }
-        if self.ready_len.get() == 0 {
-            return None;
-        }
-        let mut buf = self.pick_buf.borrow_mut();
-        buf.clear();
-        let mut id = self.ready_head.get();
-        while id != NO_TASK {
-            buf.push(id);
-            id = tasks[id].as_ref().expect("ready task exists").next_ready;
-        }
-        let idx = self.explorer.pick(&buf);
-        let chosen = buf[idx];
-        // Unlink `chosen`; its predecessor is the materialized slice's
-        // previous element.
-        let next = tasks[chosen].as_ref().expect("chosen task exists").next_ready;
-        if idx == 0 {
-            self.ready_head.set(next);
-        } else {
-            let prev = buf[idx - 1];
-            tasks[prev].as_mut().expect("predecessor exists").next_ready = next;
-        }
-        if next == NO_TASK {
-            self.ready_tail.set(if idx == 0 { NO_TASK } else { buf[idx - 1] });
-        }
-        self.ready_len.set(self.ready_len.get() - 1);
-        Some(chosen)
     }
 
     /// Spawns a task; returns its (recycled) slot id and the simsan
@@ -259,159 +252,140 @@ impl ExecCore {
             Some(det) => det.fork(),
             None => (0, 0),
         };
+        let mut tasks = self.tasks.borrow_mut();
         let id = match self.free_ids.borrow_mut().pop() {
             Some(id) => id,
             None => {
-                let mut tasks = self.tasks.borrow_mut();
-                tasks.push(None);
-                tasks.len() - 1
+                let id = TaskId::try_from(tasks.len()).expect("task slots exhausted");
+                assert!(id < FOREIGN, "task slots exhausted");
+                tasks.push(Task {
+                    body: None,
+                    race_join: 0,
+                });
+                id
             }
         };
-        self.tasks.borrow_mut()[id] = Some(Task {
-            future: Some(future),
-            enqueued: true,
-            next_ready: NO_TASK,
-            waker: Rc::new(Waker::from(Arc::new(TaskWaker {
-                queue: Arc::clone(&self.wake_queue),
-                id,
-            }))),
+        let waker = Waker::from(Arc::new(TaskWaker {
+            queue: Arc::clone(&self.wake_queue),
+            id,
+        }));
+        tasks[id as usize] = Task {
+            body: Some((future, waker)),
             race_join: join_sync,
-        });
+        };
+        drop(tasks);
         if let Some(det) = &race {
-            det.task_begin(id as u64, fork_sync);
+            det.task_begin(u64::from(id), fork_sync);
         }
         self.live_tasks.set(self.live_tasks.get() + 1);
-        self.push_ready(&mut self.tasks.borrow_mut(), id);
+        self.sched.borrow_mut().spawned(id);
         (id, join_sync)
     }
 
-    fn register_timer(&self, deadline: SimTime, target: TimerTarget) -> u64 {
-        let seq = self.timer_seq.get();
-        self.timer_seq.set(seq + 1);
-        self.wheel.borrow_mut().insert(deadline.as_nanos(), seq, target);
-        seq
-    }
-
-    /// Resolves the [`TimerTarget`] for a timer registered from the poll
-    /// context `cx`: the current task's id when `cx` carries that task's
-    /// own waker, otherwise the waker itself.
-    fn timer_target(&self, cx: &Context<'_>) -> TimerTarget {
-        if let Some(id) = self.current.get() {
-            if let Some(w) = self.current_waker.borrow().as_deref() {
-                if cx.waker().will_wake(w) {
-                    return TimerTarget::Task(id);
-                }
+    /// Registers a timer for `deadline` on behalf of the future polled
+    /// with `cx`: the current task's id when `cx` carries that task's
+    /// own waker, otherwise a key to a copy of the waker.
+    #[inline]
+    fn register_timer(&self, deadline: SimTime, cx: &Context<'_>) {
+        let waker = cx.waker();
+        let payload = match self.current.get() {
+            Some(id) if waker.data() == self.current_waker.get() => id,
+            _ => {
+                let waker = waker.clone();
+                let key = self.sched.borrow_mut().foreign.insert(waker);
+                assert!(key < FOREIGN, "foreign timer wakers exhausted");
+                FOREIGN | key
             }
-        }
-        TimerTarget::External(cx.waker().clone())
-    }
-
-    /// Puts `id` straight onto the ready list (a fired timer's direct
-    /// wake) — the same transition `absorb_wakes` performs, minus the
-    /// queue round-trip.
-    fn wake_task_direct(&self, id: TaskId) {
-        let mut tasks = self.tasks.borrow_mut();
-        if let Some(Some(task)) = tasks.get_mut(id) {
-            if !task.enqueued {
-                task.enqueued = true;
-                self.push_ready(&mut tasks, id);
-            }
-        }
-    }
-
-    /// Moves externally-woken tasks into the FIFO ready queue.
-    fn absorb_wakes(&self) {
-        if self.wake_queue.is_empty() {
-            return;
-        }
-        let mut buf = self.drain_buf.borrow_mut();
-        buf.clear();
-        self.wake_queue.drain_into(&mut buf);
-        if buf.is_empty() {
-            return;
-        }
-        let mut tasks = self.tasks.borrow_mut();
-        for &id in buf.iter() {
-            if let Some(Some(task)) = tasks.get_mut(id) {
-                if !task.enqueued {
-                    task.enqueued = true;
-                    self.push_ready(&mut tasks, id);
-                }
-            }
-        }
-    }
-
-    /// Advances the clock to the earliest pending timer and fires every
-    /// timer whose deadline has been reached, one same-deadline batch at
-    /// a time in `(deadline, seq)` order. Returns false if no timer was
-    /// pending.
-    fn advance_to_next_timer(&self) -> bool {
-        let next = match self.wheel.borrow().peek() {
-            Some(d) => SimTime::from_nanos(d),
-            None => return false,
         };
-        debug_assert!(next >= self.now.get(), "timer in the past");
-        if next > self.now.get() {
-            self.lockdep.check_time_advance(self.now.get(), next);
-        }
-        self.now.set(self.now.get().max(next));
-        let now = self.now.get().as_nanos();
-        let mut fired = self.fire_buf.borrow_mut();
+        self.sched.borrow_mut().add_timer(deadline, payload);
+    }
+
+    /// Picks the next task to poll. With nothing runnable it advances
+    /// the clock to the earliest pending timer (not past `deadline`) and
+    /// fires its deadline group in `seq` order: task ids go straight
+    /// onto the ready queue, foreign wakers are woken.
+    #[inline]
+    fn next_step(&self, deadline: Option<SimTime>, budget_spent: bool) -> Step {
+        let mut sched = self.sched.borrow_mut();
         loop {
-            fired.clear();
-            if !self.wheel.borrow_mut().fire_next(now, &mut fired) {
-                break;
+            // Externally-woken tasks join the queue first.
+            self.wake_queue.drain(|id| sched.wake(id));
+            if !sched.ready.is_empty() {
+                if budget_spent {
+                    return Step::Budget;
+                }
+                return Step::Poll(sched.pick(&self.explorer));
             }
-            for target in fired.drain(..) {
-                match target {
-                    TimerTarget::Task(id) => self.wake_task_direct(id),
-                    TimerTarget::External(w) => w.wake(),
+            let next = sched.timers.peek().map(SimTime::from_nanos);
+            if let Some(d) = deadline.filter(|&d| next.is_none_or(|t| t > d)) {
+                self.now.set(self.now.get().max(d));
+                return Step::Done;
+            }
+            let Some(next) = next else {
+                return Step::Done;
+            };
+            let now = self.now.get();
+            debug_assert!(next >= now, "timer in the past");
+            if next > now {
+                self.lockdep.check_time_advance(now, next);
+                self.now.set(next);
+            }
+            let fired = sched.timers.fire_next(next.as_nanos());
+            debug_assert!(fired, "the earliest timer is due");
+            while let Some(payload) = sched.timers.pop_fired() {
+                if payload & FOREIGN == 0 {
+                    sched.wake(payload);
+                } else {
+                    // A foreign wake runs arbitrary code: release the borrow.
+                    let waker = sched.foreign.remove(payload & !FOREIGN);
+                    drop(sched);
+                    waker.expect("foreign timer waker").wake();
+                    sched = self.sched.borrow_mut();
                 }
             }
         }
-        true
     }
 
-    fn poll_one(self: &Rc<Self>, id: TaskId, race: Option<&Rc<RaceDetector>>) {
-        let (mut future, waker, race_join) = {
-            let mut tasks = self.tasks.borrow_mut();
-            let Some(Some(task)) = tasks.get_mut(id) else {
-                return;
-            };
-            task.enqueued = false;
-            match task.future.take() {
-                Some(f) => (f, Rc::clone(&task.waker), task.race_join),
-                None => return,
-            }
+    #[inline]
+    fn poll_one(&self, id: TaskId, race: Option<&Rc<RaceDetector>>) {
+        let body = self
+            .tasks
+            .borrow_mut()
+            .get_mut(id as usize)
+            .and_then(|task| task.body.take());
+        let Some((mut future, waker)) = body else {
+            return;
         };
         let mut cx = Context::from_waker(&waker);
-        *self.current_waker.borrow_mut() = Some(Rc::clone(&waker));
         self.current.set(Some(id));
+        self.current_waker.set(waker.data());
         if let Some(det) = race {
             det.set_now(self.now.get().as_nanos());
-            det.enter(id as u64);
+            det.enter(u64::from(id));
         }
         let polled = future.as_mut().poll(&mut cx);
         if let Some(det) = race {
             det.exit();
         }
         self.current.set(None);
-        *self.current_waker.borrow_mut() = None;
+        self.current_waker.set(std::ptr::null());
         match polled {
             Poll::Ready(()) => {
                 if let Some(det) = race {
-                    det.task_end(id as u64, race_join);
+                    det.task_end(u64::from(id), self.tasks.borrow()[id as usize].race_join);
                 }
-                self.tasks.borrow_mut()[id] = None;
+                // A wake addressed to the slot may still sit in the wake
+                // queue or in a timer: it must find the slot vacant.
+                self.sched.borrow_mut().state[id as usize] = SlotState::Vacant;
                 self.free_ids.borrow_mut().push(id);
                 self.live_tasks.set(self.live_tasks.get() - 1);
             }
             Poll::Pending => {
                 // The task may have been re-woken while it was being
                 // polled; the id would already be in the wake queue, so we
-                // just return the future to its slot.
-                if let Some(Some(task)) = self.tasks.borrow_mut().get_mut(id) {
-                    task.future = Some(future);
+                // just return the body to its slot.
+                if let Some(task) = self.tasks.borrow_mut().get_mut(id as usize) {
+                    task.body = Some((future, waker));
                 }
             }
         }
@@ -424,7 +398,7 @@ impl ExecCore {
     fn run(
         self: &Rc<Self>,
         deadline: Option<SimTime>,
-        stop: &dyn Fn() -> bool,
+        stop: impl Fn() -> bool,
         max_polls: Option<u64>,
     ) -> bool {
         // simsan world edges: everything main did before this run
@@ -447,9 +421,9 @@ impl ExecCore {
     }
 
     fn run_inner(
-        self: &Rc<Self>,
+        &self,
         deadline: Option<SimTime>,
-        stop: &dyn Fn() -> bool,
+        stop: impl Fn() -> bool,
         max_polls: Option<u64>,
         race: Option<&Rc<RaceDetector>>,
     ) -> bool {
@@ -458,33 +432,14 @@ impl ExecCore {
             if stop() {
                 return true;
             }
-            self.absorb_wakes();
-            let runnable = self.ready_len.get() != 0;
-            if runnable && max_polls.is_some_and(|b| self.polls.get() - start_polls >= b) {
-                return false;
-            }
-            let next = self.pick_ready();
-            match next {
-                Some(id) => {
+            let budget_spent = max_polls.is_some_and(|b| self.polls.get() - start_polls >= b);
+            match self.next_step(deadline, budget_spent) {
+                Step::Poll(id) => {
                     self.polls.set(self.polls.get() + 1);
                     self.poll_one(id, race);
                 }
-                None => {
-                    if let Some(d) = deadline {
-                        let next_timer = self.wheel.borrow().peek().map(SimTime::from_nanos);
-                        match next_timer {
-                            Some(t) if t <= d => {
-                                self.advance_to_next_timer();
-                            }
-                            _ => {
-                                self.now.set(self.now.get().max(d));
-                                return true;
-                            }
-                        }
-                    } else if !self.advance_to_next_timer() {
-                        return true;
-                    }
-                }
+                Step::Done => return true,
+                Step::Budget => return false,
             }
         }
     }
@@ -507,6 +462,10 @@ impl SimHandle {
 
     /// Returns a future that completes `duration` nanoseconds of virtual
     /// time from now. A zero-duration sleep completes without yielding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the deadline would lie past `u64::MAX` ns.
     pub fn sleep(&self, duration: Nanos) -> Sleep {
         Sleep {
             core: Rc::clone(&self.core),
@@ -571,7 +530,7 @@ impl SimHandle {
     /// Key identifying the task currently being polled, for lockdep.
     pub(crate) fn current_task_key(&self) -> TaskKey {
         match self.core.current.get() {
-            Some(id) => id as TaskKey,
+            Some(id) => TaskKey::from(id),
             None => MAIN_TASK,
         }
     }
@@ -593,9 +552,7 @@ impl Future for Sleep {
         }
         if !self.registered {
             self.registered = true;
-            let deadline = self.deadline;
-            let target = self.core.timer_target(cx);
-            self.core.register_timer(deadline, target);
+            self.core.register_timer(self.deadline, cx);
         }
         Poll::Pending
     }
@@ -737,13 +694,13 @@ impl Simulation {
 
     /// Runs until no work remains; returns the final virtual time.
     pub fn run(&self) -> SimTime {
-        self.handle.core.run(None, &|| false, None);
+        self.handle.core.run(None, || false, None);
         self.handle.core.now.get()
     }
 
     /// Runs until `deadline`, or earlier if the simulation drains.
     pub fn run_until(&self, deadline: SimTime) -> SimTime {
-        self.handle.core.run(Some(deadline), &|| false, None);
+        self.handle.core.run(Some(deadline), || false, None);
         self.handle.core.now.get()
     }
 
@@ -754,7 +711,7 @@ impl Simulation {
     /// (`completed`) or hit the budget.
     pub fn run_bounded(&self, deadline: Option<SimTime>, max_polls: u64) -> RunProgress {
         let start = self.handle.core.polls.get();
-        let completed = self.handle.core.run(deadline, &|| false, Some(max_polls));
+        let completed = self.handle.core.run(deadline, || false, Some(max_polls));
         RunProgress {
             now: self.handle.core.now.get(),
             polls: self.handle.core.polls.get() - start,
@@ -806,7 +763,7 @@ impl Simulation {
             move || out.borrow().is_some()
         };
         let start = self.handle.core.polls.get();
-        let completed = self.handle.core.run(None, &done, max_polls);
+        let completed = self.handle.core.run(None, done, max_polls);
         let result = out.borrow_mut().take();
         match result {
             Some(v) => Ok(v),
@@ -857,6 +814,19 @@ mod tests {
             h.now().as_nanos()
         });
         assert_eq!(t, 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow: instant 1 ns + duration 18446744073709551615 ns")]
+    fn sleep_past_the_end_of_time_panics() {
+        // Unchecked, the deadline wrapped to 0 ns in release builds and
+        // the sleep returned at once with the clock still at 1 ns.
+        let sim = Simulation::new();
+        let h = sim.handle();
+        sim.block_on(async move {
+            h.sleep(1).await;
+            h.sleep(u64::MAX).await;
+        });
     }
 
     #[test]

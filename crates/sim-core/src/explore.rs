@@ -23,11 +23,12 @@
 //! run-to-completion atomicity (e.g. the PTE lock fast path) stays
 //! correct under every policy.
 //!
-//! The executor keeps its ready queue as an intrusive list through the
-//! task arena; policies see it as a dense slice of stable slot ids
-//! (materialized only for non-FIFO policies — the FIFO fast path pops
-//! the list head without consulting the explorer at all).
+//! The executor keeps its ready queue as a `VecDeque` of task slot ids;
+//! policies see it as a slice of those ids in FIFO order (the FIFO fast
+//! path pops the front without consulting the explorer at all, and a
+//! single-entry queue is not a choice point).
 
+use crate::executor::TaskId;
 use crate::rng::{mix64, SplitMix64};
 use crate::time::SimTime;
 
@@ -105,7 +106,7 @@ impl Explorer {
     /// Picks the index of the next task to poll from a non-empty ready
     /// set, given as a dense slice of stable task slot ids in FIFO
     /// order. Index 0 preserves the FIFO schedule exactly.
-    pub(crate) fn pick(&self, ready: &[usize]) -> usize {
+    pub(crate) fn pick(&self, ready: &[TaskId]) -> usize {
         debug_assert!(!ready.is_empty(), "pick on an empty ready queue");
         match self.policy {
             ExplorationPolicy::Fifo => 0,
@@ -120,7 +121,7 @@ impl Explorer {
                 let mut best = 0usize;
                 let mut best_prio = 0u64;
                 for (i, &id) in ready.iter().enumerate() {
-                    let prio = mix64(seed ^ mix64(id as u64 + 1));
+                    let prio = mix64(seed ^ mix64(u64::from(id) + 1));
                     if i == 0 || prio > best_prio {
                         best = i;
                         best_prio = prio;
@@ -185,7 +186,7 @@ mod tests {
             assert_eq!(e.pick(&[10, 11, 12, 13]), first);
         }
         // ...and removing it promotes a deterministic runner-up.
-        let mut q: Vec<usize> = vec![10, 11, 12, 13];
+        let mut q: Vec<TaskId> = vec![10, 11, 12, 13];
         q.remove(first);
         let second = e.pick(&q);
         for _ in 0..16 {

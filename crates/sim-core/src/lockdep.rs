@@ -32,7 +32,7 @@
 //!   when the executor is about to advance the clock while such a guard
 //!   is held.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::panic::Location;
 
@@ -68,10 +68,6 @@ struct Inner {
     names: Vec<String>,
     /// Class id → "must not be held across a virtual-time advance".
     no_hold_across_sleep: Vec<bool>,
-    /// True once any class opted into `forbid_hold_across_sleep`; lets
-    /// [`LockDep::check_time_advance`] (called on every clock advance)
-    /// return without scanning anything in the common case.
-    any_forbidden: bool,
     /// Name → class id (classes are deduplicated by name).
     by_name: BTreeMap<String, u32>,
     /// Acquisition graph, indexed by from-class: `edges[from]` maps
@@ -150,6 +146,10 @@ fn task_name(task: TaskKey) -> String {
 #[derive(Default)]
 pub struct LockDep {
     inner: RefCell<Inner>,
+    /// True once any class opted into `forbid_hold_across_sleep`; lets
+    /// [`LockDep::check_time_advance`] (called on every clock advance)
+    /// return without borrowing anything in the common case.
+    any_forbidden: Cell<bool>,
 }
 
 impl LockDep {
@@ -171,7 +171,7 @@ impl LockDep {
     pub(crate) fn forbid_hold_across_sleep(&self, class: u32) {
         let mut inner = self.inner.borrow_mut();
         inner.no_hold_across_sleep[class as usize] = true;
-        inner.any_forbidden = true;
+        self.any_forbidden.set(true);
     }
 
     /// Validates an acquisition *attempt* of `class` by `task` at
@@ -285,12 +285,19 @@ impl LockDep {
     /// [`forbid_hold_across_sleep`](Self::forbid_hold_across_sleep): the
     /// clock advancing means that task is suspended in an await with the
     /// guard still live.
+    #[inline]
     pub(crate) fn check_time_advance(&self, now: SimTime, next: SimTime) {
-        let inner = self.inner.borrow();
         // Fast path: the executor calls this on every clock advance, and
-        // almost no run registers a forbidden class or is even holding a
-        // guard at advance time.
-        if !inner.any_forbidden || inner.held_total == 0 {
+        // almost no run registers a forbidden class.
+        if self.any_forbidden.get() {
+            self.check_held_across_advance(now, next);
+        }
+    }
+
+    fn check_held_across_advance(&self, now: SimTime, next: SimTime) {
+        let inner = self.inner.borrow();
+        // Nor is any task holding a guard at most advances.
+        if inner.held_total == 0 {
             return;
         }
         // Slot 0 is MAIN_TASK (u64::MAX), which the ordered map this

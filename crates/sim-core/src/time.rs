@@ -63,17 +63,35 @@ impl SimTime {
     }
 }
 
+/// `t + d`, checked in every build: a wrapped deadline would lie in the
+/// past, and a sleep to it would return at once.
 impl Add<Nanos> for SimTime {
     type Output = SimTime;
+    #[inline]
+    #[track_caller]
     fn add(self, rhs: Nanos) -> SimTime {
-        SimTime(self.0 + rhs)
+        match self.0.checked_add(rhs) {
+            Some(t) => SimTime(t),
+            None => overflow(self, rhs),
+        }
     }
 }
 
 impl AddAssign<Nanos> for SimTime {
+    #[inline]
+    #[track_caller]
     fn add_assign(&mut self, rhs: Nanos) {
-        self.0 += rhs;
+        *self = *self + rhs;
     }
+}
+
+#[cold]
+#[track_caller]
+fn overflow(t: SimTime, d: Nanos) -> ! {
+    panic!(
+        "virtual time overflow: instant {} ns + duration {d} ns exceeds u64::MAX ns",
+        t.0
+    )
 }
 
 impl Sub<SimTime> for SimTime {
@@ -113,6 +131,19 @@ mod tests {
         assert_eq!((t + 2_500).as_nanos(), 7_500);
         assert_eq!((t + 2_500) - t, 2_500);
         assert_eq!(t.duration_since(SimTime::ZERO), 5_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow: instant 1 ns + duration 18446744073709551615 ns")]
+    fn add_panics_on_overflow() {
+        let _ = SimTime::from_nanos(1) + u64::MAX;
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow: instant 7 ns + duration 18446744073709551609 ns")]
+    fn add_assign_panics_on_overflow() {
+        let mut t = SimTime::from_nanos(7);
+        t += u64::MAX - 6;
     }
 
     #[test]

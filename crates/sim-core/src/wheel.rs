@@ -1,99 +1,105 @@
-//! Hierarchical timer wheel for the deterministic executor.
+//! Timer queue for the deterministic executor: an exact near window
+//! over 1-ns slots plus an overflow heap.
 //!
-//! Replaces the executor's `BinaryHeap<TimerEntry>` + `BTreeMap<u64,
-//! Waker>` pair with an O(1)-insert structure that fires timers in
-//! exactly the historical order: ascending `(deadline, seq)`, where
-//! `seq` is the registration sequence number. Same-deadline timers are
-//! batched into one wakeup group per tick, and every slot keeps a full
-//! list — a naïve tick-keyed map would drop the second waker when two
-//! timers register the same deadline.
+//! Fires timers in ascending `(deadline, seq)` order, where `seq` is the
+//! registration sequence number, and hands each same-deadline group out
+//! as one batch. It is Varghese & Lauck's timing wheel ("Hashed and
+//! Hierarchical Timing Wheels", SOSP 1987) with a single level whose
+//! slots are one nanosecond wide, so a slot holds exactly one deadline
+//! and firing never tests or sorts an entry.
 //!
-//! ## Tick math
+//! ## Window
 //!
-//! Time is split into 11 levels of 64 slots (6 bits each, covering the
-//! full 64-bit nanosecond clock: level L spans `64^(L+1)` ns). An entry
-//! with deadline `D` inserted when the wheel's clock reads `cur` is
-//! placed at:
+//! `cur` is the deadline of the last fired group. The window is the
+//! [`WINDOW`] (2^13) slots covering `[cur, cur + WINDOW)`; deadline `D`
+//! lives in slot `D mod WINDOW`, on a FIFO list, and an occupancy bitmap
+//! (128 words) with a two-word summary finds the first occupied slot at
+//! or after `cur`'s with a few `trailing_zeros`. Deadlines at or past
+//! `cur + WINDOW` wait in an overflow [`BinaryHeap`] keyed
+//! `(deadline, seq)`. The window is wide enough for the simulator's
+//! traffic: 98–99.9% of registrations are under 8 µs, the fault path's
+//! NIC completions (4–8 µs) included. It costs 33 KiB per queue.
 //!
-//! ```text
-//! level = highest 6-bit digit where D and cur differ   (from D ^ cur)
-//! slot  = (D >> 6·level) & 63                          (D's digit there)
-//! ```
+//! ## Why each slot list is already in `seq` order
 //!
-//! Two invariants follow (digits of `cur` above `level` matched `D`'s at
-//! insertion and stay matched, because the clock never passes a live
-//! deadline):
-//!
-//! 1. **A level-0 slot holds exactly one deadline.** Digits above 0
-//!    match `cur` and the slot fixes the low digit, so slot `s` ⇔
-//!    deadline `(cur & !63) | s`. Firing a deadline is "detach one
-//!    list", no per-entry deadline test.
-//! 2. **No live slot sits below `cur`'s own digit at any level**, so a
-//!    level's minimum slot is `occupancy.trailing_zeros()`, and when
-//!    level 0 is occupied it holds the global minimum (higher-level
-//!    entries differ from `cur` at a higher digit, which must be
-//!    larger, putting them past the whole level-0 block).
-//!
-//! ## Cascading
-//!
-//! When level 0 drains, the wheel *cascades*: it advances `cur` to the
-//! base covered by the lowest occupied slot of the lowest occupied
-//! level (safe — every live deadline is ≥ that base) and re-inserts
-//! that slot's entries, which now land at strictly lower levels. Each
-//! entry cascades at most once per level over its lifetime, so inserts
-//! and fires stay amortized O(levels) with no per-fire scan of pending
-//! timers — the classic hierarchical-wheel bound. (An earlier lazy
-//! variant kept entries in place and partitioned the candidate slot of
-//! every level on each fire; that walk was O(pending) per fire and
-//! showed up as the top entry in a host profile.)
+//! Firing a group moves `cur` forward to its deadline, and at that
+//! moment every overflow timer that now falls inside the window moves
+//! into its slot, in heap order. A later registration for the same
+//! deadline has a larger `seq` and can only be made after that move, so
+//! it appends behind the migrated timers. Before the move the slot held
+//! no other deadline: an earlier timer in the same slot would lie
+//! `WINDOW` below the migrated one, that is below `cur`, and so would
+//! already have fired. Nothing cascades and nothing is sorted.
 
-use std::task::Waker;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-const LEVEL_BITS: u32 = 6;
-const SLOTS: usize = 1 << LEVEL_BITS; // 64
-const LEVELS: usize = 11; // ceil(64 / 6): covers the full u64 clock
+/// Width of the near window in 1-ns slots.
+pub const WINDOW: u64 = 1 << 13;
+const MASK: u64 = WINDOW - 1;
+/// Occupancy bitmap words; the summary has one bit per word.
+const WORDS: usize = (WINDOW / 64) as usize;
+const _: () = assert!(WORDS == 128, "the summary is two words");
 const NIL: u32 = u32::MAX;
 
+/// A window entry: payload plus the next entry of its slot's circular
+/// list (a slot records its tail; the tail's `next` is the head).
 struct Entry<T> {
-    deadline: u64,
-    seq: u64,
     payload: Option<T>,
     next: u32,
 }
 
-struct Level {
-    /// Bit `s` set iff slot `s` has at least one entry.
-    occ: u64,
-    head: [u32; SLOTS],
-    tail: [u32; SLOTS],
+/// An overflow timer, ordered so the heap's top is the smallest
+/// `(deadline, seq)`.
+struct Far<T> {
+    deadline: u64,
+    seq: u64,
+    payload: T,
 }
 
-impl Level {
-    fn new() -> Self {
-        Level {
-            occ: 0,
-            head: [NIL; SLOTS],
-            tail: [NIL; SLOTS],
-        }
+impl<T> PartialEq for Far<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.deadline, self.seq) == (other.deadline, other.seq)
     }
 }
 
-/// The wheel. See the module docs for the invariants.
+impl<T> Eq for Far<T> {}
+
+impl<T> PartialOrd for Far<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Far<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.deadline, other.seq).cmp(&(self.deadline, self.seq))
+    }
+}
+
+/// The timer queue. See the module docs for the window invariant.
 ///
-/// Generic over the payload delivered at fire time — the executor
-/// stores its wake targets, standalone uses (and the differential
-/// fuzz) default to a plain [`Waker`].
-pub struct TimerWheel<T = Waker> {
+/// Generic over the payload delivered at fire time: the executor stores
+/// `u32` task ids (or keys into its foreign-waker table).
+pub struct TimerWheel<T> {
+    /// Deadline of the last fired group: the window's base.
     cur: u64,
-    levels: Vec<Level>,
+    /// Per-slot list tails ([`NIL`] when the slot is empty).
+    tail: Box<[u32; WINDOW as usize]>,
+    /// Bit `s % 64` of word `s / 64` is set iff slot `s` is occupied.
+    occ: Box<[u64; WORDS]>,
+    /// Bit `w % 64` of word `w / 64` is set iff `occ[w] != 0`.
+    summary: [u64; 2],
     entries: Vec<Entry<T>>,
     free: Vec<u32>,
+    overflow: BinaryHeap<Far<T>>,
     len: usize,
-    /// Exact earliest pending deadline (`None` when empty). Updated on
-    /// insert, recomputed after each fire group.
-    cached_min: Option<u64>,
-    /// Scratch for fire batches, kept to avoid per-fire allocation.
-    fire_buf: Vec<(u64, T)>,
+    /// Exact earliest pending deadline, `None` when empty.
+    min: Option<u64>,
+    /// The detached group [`pop_fired`](Self::pop_fired) drains: its
+    /// next entry ([`NIL`] when drained) and its last.
+    firing: u32,
+    firing_tail: u32,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -103,20 +109,27 @@ impl<T> Default for TimerWheel<T> {
 }
 
 impl<T> TimerWheel<T> {
-    /// An empty wheel at clock zero.
+    /// An empty queue at clock zero.
     pub fn new() -> Self {
         TimerWheel {
             cur: 0,
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            tail: vec![NIL; WINDOW as usize]
+                .into_boxed_slice()
+                .try_into()
+                .expect("window length"),
+            occ: Box::new([0; WORDS]),
+            summary: [0; 2],
             entries: Vec::new(),
             free: Vec::new(),
+            overflow: BinaryHeap::new(),
             len: 0,
-            cached_min: None,
-            fire_buf: Vec::new(),
+            min: None,
+            firing: NIL,
+            firing_tail: NIL,
         }
     }
 
-    /// Number of pending timers.
+    /// Number of pending timers, a fired group's undrained ones included.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -129,46 +142,34 @@ impl<T> TimerWheel<T> {
     /// Earliest pending deadline, if any. O(1).
     #[inline]
     pub fn peek(&self) -> Option<u64> {
-        self.cached_min
+        self.min
     }
 
+    /// Registers a timer. `deadline` must not lie before the last fired
+    /// deadline, and `seq` must be unique and increasing across
+    /// insertions (the executor's registration counter). O(1) inside
+    /// the window, O(log n) past it.
     #[inline]
-    fn placement(&self, deadline: u64) -> (usize, usize) {
-        let x = deadline ^ self.cur;
-        let level = if x == 0 {
-            0
-        } else {
-            ((63 - x.leading_zeros()) / LEVEL_BITS) as usize
-        };
-        let slot = ((deadline >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        (level, slot)
-    }
-
-    /// Appends arena entry `key` to its placement slot.
-    #[inline]
-    fn link(&mut self, key: u32) {
-        let deadline = self.entries[key as usize].deadline;
-        self.entries[key as usize].next = NIL;
-        let (level, slot) = self.placement(deadline);
-        let lv = &mut self.levels[level];
-        let tail = lv.tail[slot];
-        if tail == NIL {
-            lv.head[slot] = key;
-        } else {
-            self.entries[tail as usize].next = key;
-        }
-        lv.tail[slot] = key;
-        lv.occ |= 1 << slot;
-    }
-
-    /// Registers a timer. `deadline` must not lie in the past and `seq`
-    /// must be unique and monotone across insertions (the executor's
-    /// registration counter). O(1).
     pub fn insert(&mut self, deadline: u64, seq: u64, payload: T) {
-        debug_assert!(deadline >= self.cur, "timer registered in the past");
+        assert!(deadline >= self.cur, "timer registered before the last fired deadline");
+        if deadline - self.cur < WINDOW {
+            self.link(deadline, payload);
+        } else {
+            self.overflow.push(Far {
+                deadline,
+                seq,
+                payload,
+            });
+        }
+        self.len += 1;
+        self.min = Some(self.min.map_or(deadline, |m| m.min(deadline)));
+    }
+
+    /// Appends a window timer to the tail of its slot's list.
+    #[inline]
+    fn link(&mut self, deadline: u64, payload: T) {
+        let slot = (deadline & MASK) as usize;
         let entry = Entry {
-            deadline,
-            seq,
             payload: Some(payload),
             next: NIL,
         };
@@ -184,241 +185,236 @@ impl<T> TimerWheel<T> {
                 k
             }
         };
-        self.link(key);
-        self.len += 1;
-        self.cached_min = Some(match self.cached_min {
-            Some(m) => m.min(deadline),
-            None => deadline,
-        });
+        let tail = self.tail[slot];
+        if tail == NIL {
+            self.entries[key as usize].next = key;
+            self.occ[slot >> 6] |= 1 << (slot & 63);
+            self.summary[slot >> 12] |= 1 << ((slot >> 6) & 63);
+        } else {
+            self.entries[key as usize].next = self.entries[tail as usize].next;
+            self.entries[tail as usize].next = key;
+        }
+        self.tail[slot] = key;
     }
 
-    /// Cascades until level 0 is occupied (requires `len > 0`): advances
-    /// `cur` to the base of the lowest occupied slot of the lowest
-    /// occupied level and re-links its entries one level (or more) down.
-    /// Amortized O(1): each entry descends monotonically.
-    fn normalize(&mut self) {
-        debug_assert!(self.len > 0);
-        while self.levels[0].occ == 0 {
-            let level = (1..LEVELS)
-                .find(|&l| self.levels[l].occ != 0)
-                .expect("non-empty wheel has an occupied level");
-            let lv = &mut self.levels[level];
-            let slot = lv.occ.trailing_zeros() as usize;
-            let mut k = lv.head[slot];
-            lv.head[slot] = NIL;
-            lv.tail[slot] = NIL;
-            lv.occ &= !(1 << slot);
-            // Every live deadline is ≥ this slot's base (invariant 2),
-            // so the clock may advance to it without passing anything.
-            let span = LEVEL_BITS * (level as u32 + 1);
-            // span can exceed 64 at the top level (11·6 = 66): the kept
-            // prefix is then empty.
-            let mask = if span >= 64 { u64::MAX } else { (1u64 << span) - 1 };
-            let base = (self.cur & !mask) | ((slot as u64) << (span - LEVEL_BITS));
-            debug_assert!(base > self.cur);
-            self.cur = base;
-            // Re-link against the new cur: each entry's highest digit
-            // differing from cur is now strictly below `level`.
-            while k != NIL {
-                let next = self.entries[k as usize].next;
-                self.link(k);
-                k = next;
-            }
+    /// Moves every overflow timer that now falls inside the window into
+    /// its slot, in `(deadline, seq)` order.
+    #[inline]
+    fn migrate(&mut self) {
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|f| f.deadline - self.cur < WINDOW)
+        {
+            let f = self.overflow.pop().expect("peeked");
+            self.link(f.deadline, f.payload);
         }
+    }
+
+    /// Earliest deadline in the window: the first occupied slot at or
+    /// after `cur`'s, wrapping round.
+    fn window_min(&self) -> Option<u64> {
+        let [lo, hi] = self.summary;
+        if lo | hi == 0 {
+            return None;
+        }
+        let base = (self.cur & MASK) as usize;
+        let (word, bit) = (base >> 6, base & 63);
+        let here = self.occ[word] & (u64::MAX << bit);
+        let slot = if here != 0 {
+            (word << 6) | here.trailing_zeros() as usize
+        } else {
+            // The first occupied word after `word`; failing that, wrap
+            // round to the first overall, which may be `word` itself with
+            // only bits below `bit` (the window's far end) set.
+            let (above_lo, above_hi) = match word {
+                0..63 => (lo & (u64::MAX << (word + 1)), hi),
+                63..127 => (0, hi & (u64::MAX << (word - 63))),
+                _ => (0, 0),
+            };
+            let w = if above_lo != 0 {
+                above_lo.trailing_zeros()
+            } else if above_hi != 0 {
+                64 + above_hi.trailing_zeros()
+            } else if lo != 0 {
+                lo.trailing_zeros()
+            } else {
+                64 + hi.trailing_zeros()
+            } as usize;
+            (w << 6) | self.occ[w].trailing_zeros() as usize
+        };
+        Some(self.cur + ((slot as u64).wrapping_sub(base as u64) & MASK))
     }
 
     /// Fires the earliest deadline group if it is `≤ now`: advances the
-    /// wheel clock to it, appends the group's payloads to `out` in
-    /// registration (`seq`) order, and returns true. Returns false when
-    /// nothing is due.
-    pub fn fire_next(&mut self, now: u64, out: &mut Vec<T>) -> bool {
-        let d = match self.cached_min {
+    /// window to it, detaches the group for [`pop_fired`](Self::pop_fired)
+    /// and returns true. Returns false when nothing is due. The previous
+    /// group must have been drained.
+    pub fn fire_next(&mut self, now: u64) -> bool {
+        debug_assert_eq!(self.firing, NIL, "previous group not drained");
+        let d = match self.min {
             Some(d) if d <= now => d,
             _ => return false,
         };
-        self.normalize();
-        let slot = self.levels[0].occ.trailing_zeros() as usize;
-        debug_assert_eq!((self.cur & !(SLOTS as u64 - 1)) | slot as u64, d);
         self.cur = d;
-        // Invariant 1: this list is exactly the deadline-d group.
-        let lv = &mut self.levels[0];
-        let mut k = lv.head[slot];
-        lv.head[slot] = NIL;
-        let single = lv.tail[slot] == k;
-        lv.tail[slot] = NIL;
-        lv.occ &= !(1 << slot);
-        if single {
-            // Overwhelmingly common: one timer on the tick. Skip the
-            // seq-sort round-trip through the scratch buffer.
-            let e = &mut self.entries[k as usize];
-            debug_assert_eq!(e.deadline, d);
-            out.push(e.payload.take().expect("pending entry has a payload"));
-            self.free.push(k);
-            self.len -= 1;
-            self.cached_min = (self.len > 0).then(|| self.exact_min());
-            return true;
+        if self.summary == [0; 2] {
+            // The group waits in the overflow heap: bring it in first.
+            self.migrate();
         }
-        let mut batch = std::mem::take(&mut self.fire_buf);
-        batch.clear();
-        while k != NIL {
-            let e = &mut self.entries[k as usize];
-            debug_assert_eq!(e.deadline, d);
-            let payload = e.payload.take().expect("pending entry has a payload");
-            batch.push((e.seq, payload));
-            let next = e.next;
-            self.free.push(k);
-            self.len -= 1;
-            k = next;
+        let slot = (d & MASK) as usize;
+        let tail = std::mem::replace(&mut self.tail[slot], NIL);
+        debug_assert_ne!(tail, NIL, "earliest deadline has no slot list");
+        self.firing = self.entries[tail as usize].next;
+        self.firing_tail = tail;
+        self.occ[slot >> 6] &= !(1 << (slot & 63));
+        if self.occ[slot >> 6] == 0 {
+            self.summary[slot >> 12] &= !(1 << ((slot >> 6) & 63));
         }
-        debug_assert!(!batch.is_empty(), "cached_min pointed at an empty tick");
-        batch.sort_unstable_by_key(|&(seq, _)| seq);
-        out.extend(batch.drain(..).map(|(_, w)| w));
-        self.fire_buf = batch;
-        // NOT normalize() here: cascading would advance `cur` toward the
-        // next pending deadline, which may lie past the executor's clock
-        // — a later insert between the two would then be "in the past".
-        // The exact min costs at most one slot-list walk instead.
-        self.cached_min = (self.len > 0).then(|| self.exact_min());
+        self.migrate();
+        self.min = self
+            .window_min()
+            .or_else(|| self.overflow.peek().map(|f| f.deadline));
         true
     }
 
-    /// Exact earliest pending deadline of a non-empty wheel. Entries at
-    /// a lower level always precede entries at a higher one (they match
-    /// `cur` on the higher digit; the higher-level entry exceeds it), so
-    /// only the lowest occupied level's lowest slot matters: O(1) when
-    /// level 0 is occupied, one slot-list walk otherwise.
-    fn exact_min(&self) -> u64 {
-        debug_assert!(self.len > 0);
-        for level in 0..LEVELS {
-            let lv = &self.levels[level];
-            if lv.occ == 0 {
-                continue;
-            }
-            let slot = lv.occ.trailing_zeros() as usize;
-            if level == 0 {
-                // Invariant 1: the slot IS the deadline.
-                return (self.cur & !(SLOTS as u64 - 1)) | slot as u64;
-            }
-            let mut min = u64::MAX;
-            let mut k = lv.head[slot];
-            while k != NIL {
-                let e = &self.entries[k as usize];
-                min = min.min(e.deadline);
-                k = e.next;
-            }
-            return min;
+    /// Next payload of the group [`fire_next`](Self::fire_next)
+    /// detached, in registration (`seq`) order; `None` once drained.
+    #[inline]
+    pub fn pop_fired(&mut self) -> Option<T> {
+        let key = self.firing;
+        if key == NIL {
+            return None;
         }
-        unreachable!("non-empty wheel has an occupied level");
+        let e = &mut self.entries[key as usize];
+        self.firing = if key == self.firing_tail { NIL } else { e.next };
+        let payload = e.payload.take().expect("pending entry has a payload");
+        self.free.push(key);
+        self.len -= 1;
+        Some(payload)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    // simlint: allow(std-sync): test-only wake counter; the Wake trait requires Sync state
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-    use std::task::Wake;
 
-    struct NoopWake;
-    impl Wake for NoopWake {
-        fn wake(self: Arc<Self>) {}
-    }
-
-    fn waker() -> Waker {
-        Waker::from(Arc::new(NoopWake))
-    }
-
-    struct CountWake(AtomicUsize);
-    impl Wake for CountWake {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Fires the earliest group if due and returns its payloads.
+    fn fire(w: &mut TimerWheel<u64>, now: u64) -> Option<Vec<u64>> {
+        w.fire_next(now)
+            .then(|| std::iter::from_fn(|| w.pop_fired()).collect())
     }
 
     #[test]
     fn fires_in_deadline_then_seq_order() {
         let mut w = TimerWheel::new();
-        w.insert(100, 0, waker());
-        w.insert(50, 1, waker());
-        w.insert(100, 2, waker());
+        w.insert(100, 0, 0);
+        w.insert(50, 1, 1);
+        w.insert(100, 2, 2);
         assert_eq!(w.peek(), Some(50));
-        let mut out = Vec::new();
-        assert!(w.fire_next(50, &mut out));
-        assert_eq!(out.len(), 1);
+        assert_eq!(fire(&mut w, 50), Some(vec![1]));
         assert_eq!(w.peek(), Some(100));
-        assert!(!w.fire_next(50, &mut out), "nothing due yet");
-        out.clear();
-        assert!(w.fire_next(100, &mut out));
-        assert_eq!(out.len(), 2, "same-deadline group fires as one batch");
+        assert_eq!(fire(&mut w, 50), None, "nothing due yet");
+        assert_eq!(
+            fire(&mut w, 100),
+            Some(vec![0, 2]),
+            "same-deadline group fires as one batch"
+        );
         assert!(w.is_empty());
         assert_eq!(w.peek(), None);
     }
 
     #[test]
-    fn same_tick_keeps_every_waker() {
-        // The regression a tick-keyed map would fail: two timers on one
-        // deadline tick must both fire.
+    fn spans_window_and_large_jumps() {
         let mut w = TimerWheel::new();
-        let counter = Arc::new(CountWake(AtomicUsize::new(0)));
-        w.insert(77, 0, Waker::from(Arc::clone(&counter)));
-        w.insert(77, 1, Waker::from(Arc::clone(&counter)));
-        let mut out = Vec::new();
-        assert!(w.fire_next(77, &mut out));
-        for wk in out.drain(..) {
-            wk.wake();
-        }
-        assert_eq!(counter.0.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn spans_levels_and_large_jumps() {
-        let mut w = TimerWheel::new();
-        // Deadlines spread across many orders of magnitude.
-        let deadlines = [1u64, 63, 64, 4095, 4096, 1 << 30, (1 << 40) + 17, u64::MAX / 2];
+        let deadlines = [
+            1u64,
+            63,
+            64,
+            WINDOW - 1,
+            WINDOW,
+            WINDOW + 1,
+            1 << 30,
+            (1 << 40) + 17,
+            u64::MAX / 2,
+        ];
         for (i, &d) in deadlines.iter().enumerate() {
-            w.insert(d, i as u64, waker());
+            w.insert(d, i as u64, i as u64);
         }
         let mut fired = Vec::new();
-        let mut out = Vec::new();
         while let Some(d) = w.peek() {
-            assert!(w.fire_next(u64::MAX, &mut out));
+            assert_eq!(fire(&mut w, u64::MAX).map(|g| g.len()), Some(1));
             fired.push(d);
         }
-        let mut want = deadlines.to_vec();
-        want.sort_unstable();
-        assert_eq!(fired, want, "deadlines fire in ascending order");
-        assert_eq!(out.len(), deadlines.len());
+        assert_eq!(fired, deadlines, "deadlines fire in ascending order");
     }
 
     #[test]
-    fn same_deadline_from_different_insert_times_merges() {
-        // Insert D while cur=0 (lands high), fire an earlier timer to
-        // advance cur near D, insert D again (lands low): both must fire
-        // in one batch, seq-ordered.
+    fn migrated_timer_precedes_later_direct_insert() {
+        // Deadline d registered far ahead (overflow), then the clock
+        // advances within reach of d and d is registered again directly:
+        // the earlier registration must still fire first.
         let mut w = TimerWheel::new();
-        let d = 4096 + 7;
-        w.insert(d, 0, waker());
-        w.insert(4096, 1, waker());
-        let mut out = Vec::new();
-        assert!(w.fire_next(4096, &mut out)); // cur = 4096
-        out.clear();
-        w.insert(d, 2, waker()); // same deadline, different level now
+        let d = 3 * WINDOW / 2;
+        w.insert(d, 0, 0);
+        w.insert(WINDOW, 1, 1);
+        assert_eq!(fire(&mut w, WINDOW), Some(vec![1]));
+        w.insert(d, 2, 2);
         assert_eq!(w.peek(), Some(d));
-        assert!(w.fire_next(d, &mut out));
-        assert_eq!(out.len(), 2, "both copies of deadline {d} fired");
+        assert_eq!(fire(&mut w, d), Some(vec![0, 2]));
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn window_edge_goes_to_overflow() {
+        // deadline − cur == WINDOW shares cur's slot index; it must wait
+        // in the overflow heap, not alias a deadline at cur.
+        let mut w = TimerWheel::new();
+        w.insert(WINDOW, 0, 0);
+        w.insert(0, 1, 1);
+        assert_eq!(w.peek(), Some(0));
+        assert_eq!(fire(&mut w, 0), Some(vec![1]));
+        assert_eq!(w.peek(), Some(WINDOW));
+        assert_eq!(fire(&mut w, WINDOW), Some(vec![0]));
+    }
+
+    #[test]
+    fn search_wraps_round_the_summary_words() {
+        // Window bases in the first, last and boundary words of each
+        // summary half; deadlines in the same word, the next ones, across
+        // the half boundary and at the window's far end (behind the base
+        // after wrapping).
+        let offsets = [1u64, 63, 64, 65, 4_000, 4_100, WINDOW - 65, WINDOW - 1];
+        let bases = [5u64, 62 * 64 + 5, 63 * 64, 64 * 64 + 63];
+        let bases = bases.into_iter().chain([126 * 64, 127 * 64 + 10, 127 * 64 + 63]);
+        for base in bases {
+            let base = base + 3 * WINDOW;
+            let mut w = TimerWheel::new();
+            w.insert(base, 0, 0);
+            assert_eq!(fire(&mut w, base), Some(vec![0]), "base {base}");
+            for (i, &off) in offsets.iter().rev().enumerate() {
+                w.insert(base + off, 1 + i as u64, off);
+            }
+            let mut fired = Vec::new();
+            while let Some(d) = w.peek() {
+                let group = fire(&mut w, d).expect("due");
+                assert_eq!(group, vec![d - base], "base {base}");
+                fired.extend(group);
+            }
+            assert_eq!(fired, offsets, "base {base}");
+        }
     }
 
     #[test]
     fn arena_slots_recycle() {
         let mut w = TimerWheel::new();
-        let mut out = Vec::new();
+        let mut n = 0;
         for round in 0..100u64 {
             for i in 0..10u64 {
-                w.insert(round * 1000 + i * 3, round * 10 + i, waker());
+                w.insert(round * 1000 + i * 3, round * 10 + i, i);
             }
-            while w.fire_next(u64::MAX, &mut out) {}
+            while let Some(g) = fire(&mut w, u64::MAX) {
+                n += g.len();
+            }
         }
         assert!(w.is_empty());
         assert!(
@@ -426,6 +422,6 @@ mod tests {
             "arena should recycle, holds {}",
             w.entries.len()
         );
-        assert_eq!(out.len(), 1000);
+        assert_eq!(n, 1000);
     }
 }

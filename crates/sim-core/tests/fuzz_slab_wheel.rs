@@ -3,8 +3,9 @@
 //!
 //! The hot-path refactor (DESIGN.md §11) replaced the executor's
 //! `BinaryHeap + BTreeMap` timer pair and the per-page `BTreeMap` indexes
-//! with a hierarchical [`TimerWheel`], an open-addressed [`PageMap`] and a
-//! free-list [`Slab`]. The refactor is pinned end-to-end by the golden
+//! with a timer queue ([`TimerWheel`]: a 1-ns near window plus an
+//! overflow heap), an open-addressed [`PageMap`] and a free-list
+//! [`Slab`]. The refactor is pinned end-to-end by the golden
 //! seam tests; these fuzz runs pin it structure-by-structure: for each
 //! seeded op stream, the new structure must agree exactly — contents,
 //! sorted iteration order, and timer fire order — with the `BTreeMap` /
@@ -13,10 +14,8 @@
 
 use mage_sim::rng::SplitMix64;
 use mage_sim::slab::{PageMap, Slab};
-use mage_sim::wheel::TimerWheel;
+use mage_sim::wheel::{TimerWheel, WINDOW};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
-use std::task::{Wake, Waker};
 
 const SEEDS: [u64; 4] = [1, 42, 0xDEAD_BEEF, 0x5EED_5EED_5EED_5EED];
 
@@ -114,49 +113,41 @@ fn slab_matches_shadow_and_recycles_deterministically() {
     }
 }
 
-/// Records the firing timer's seq into a shared log when woken.
-struct RecordWake {
-    seq: u64,
-    log: Arc<Mutex<Vec<u64>>>,
-}
-
-impl Wake for RecordWake {
-    fn wake(self: Arc<Self>) {
-        self.log.lock().unwrap().push(self.seq);
-    }
+/// Picks a pending deadline from `shadow` at random, if any.
+fn pending_deadline(rng: &SplitMix64, shadow: &BTreeSet<(u64, u64)>) -> Option<u64> {
+    let n = shadow.len() as u64;
+    (n > 0).then(|| shadow.iter().nth(rng.next_below(n) as usize).expect("in range").0)
 }
 
 #[test]
 fn wheel_fire_order_matches_btreeset_shadow() {
     for seed in SEEDS {
         let rng = SplitMix64::new(seed);
-        let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut wheel = TimerWheel::new();
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
         // Shadow of the executor's historical timer pair: ascending
         // (deadline, seq) is the contract the wheel must reproduce.
         let mut shadow: BTreeSet<(u64, u64)> = BTreeSet::new();
         let mut cur = 0u64;
         let mut seq = 0u64;
-        let mut out: Vec<Waker> = Vec::new();
         for round in 0..2_000u64 {
-            // Insert a burst of timers with deltas spanning wheel levels:
-            // same-tick (0), small, and up to ~2^40 ns jumps.
+            // Insert a burst of timers with deltas spanning the window
+            // and the overflow heap: same instant (0), small, either side
+            // of the window edge, up to ~2^40 ns jumps, and repeats of a
+            // pending deadline, so a timer that waited in the overflow
+            // heap shares its group with later direct inserts.
             for _ in 0..rng.next_below(4) + 1 {
-                let delta = match rng.next_below(4) {
-                    0 => 0,
-                    1 => rng.next_below(64),
-                    2 => rng.next_below(1 << 18),
-                    _ => rng.next_below(1 << 40),
+                let deadline = match rng.next_below(9) {
+                    0 => cur,
+                    1 => cur + rng.next_below(64),
+                    2 => cur + rng.next_below(1 << 18),
+                    3 => cur + rng.next_below(1 << 40),
+                    4 => cur + WINDOW - 1,
+                    5 => cur + WINDOW,
+                    6 => cur + WINDOW + 1,
+                    7 => cur + 2 * WINDOW,
+                    _ => pending_deadline(&rng, &shadow).unwrap_or(cur),
                 };
-                let deadline = cur + delta;
-                wheel.insert(
-                    deadline,
-                    seq,
-                    Waker::from(Arc::new(RecordWake {
-                        seq,
-                        log: Arc::clone(&log),
-                    })),
-                );
+                wheel.insert(deadline, seq, seq);
                 shadow.insert((deadline, seq));
                 seq += 1;
             }
@@ -165,29 +156,39 @@ fn wheel_fire_order_matches_btreeset_shadow() {
                 shadow.first().map(|&(d, _)| d),
                 "seed {seed} round {round}: earliest deadline disagreed"
             );
-            // Advance to a random horizon and fire everything due, the
-            // way the executor drains a tick group.
-            let horizon = cur + rng.next_below(1 << 20);
-            while wheel.fire_next(horizon, &mut out) {
-                for w in out.drain(..) {
-                    w.wake();
+            // Advance to a horizon and fire everything due, the way the
+            // executor drains a deadline group: a random jump, or exactly
+            // onto a pending deadline several timers ahead, so one drain
+            // crosses several overflow timers at once.
+            let horizon = match rng.next_below(3) {
+                0 => shadow
+                    .iter()
+                    .map(|&(d, _)| d)
+                    .nth(rng.next_below(8) as usize)
+                    .unwrap_or(cur),
+                _ => cur + rng.next_below(1 << 20),
+            };
+            let mut fired = Vec::new();
+            while let Some(d) = wheel.peek().filter(|&d| d <= horizon) {
+                assert!(wheel.fire_next(horizon));
+                while let Some(s) = wheel.pop_fired() {
+                    fired.push((d, s));
                 }
             }
+            assert!(!wheel.fire_next(horizon), "seed {seed} round {round}: due timer left");
             cur = horizon;
-            let mut fired = log.lock().unwrap();
             let mut expected = Vec::new();
             while let Some(&(d, s)) = shadow.first() {
                 if d > horizon {
                     break;
                 }
                 shadow.remove(&(d, s));
-                expected.push(s);
+                expected.push((d, s));
             }
             assert_eq!(
-                *fired, expected,
+                fired, expected,
                 "seed {seed} round {round}: fire order diverged from (deadline, seq)"
             );
-            fired.clear();
             assert_eq!(wheel.len(), shadow.len(), "seed {seed} round {round}: len");
         }
     }
