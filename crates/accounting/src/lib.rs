@@ -15,7 +15,7 @@
 //!   deliberately traded for lock locality.
 //!
 //! Each partition holds a probation list and a protected list. Every scan
-//! asks a caller-supplied [`VictimProbe`] about each candidate; survivors
+//! asks a caller-supplied probe closure about each candidate; survivors
 //! move to the protected list. How a candidate is judged — the
 //! accessed-bit recheck, or none at all for MAGE-Lnx's FIFO queues (§5.1)
 //! — is the probe's business, so this crate stays independent of the
@@ -39,24 +39,6 @@ use mage_sim::SimHandle;
 mod fifo;
 
 use fifo::PageFifo;
-
-/// Hotness probe consulted while scanning victim candidates.
-///
-/// Implementors read **and age** the candidate's reference state (for the
-/// default second-chance policy: read-and-clear the PTE accessed bit).
-/// Returning `true` keeps the page resident for another round. The engine
-/// passes its configured `EvictionPolicy` through this trait; plain
-/// closures work too via the blanket impl (used by tests).
-pub trait VictimProbe {
-    /// Tests the candidate and ages its metadata; `true` means hot.
-    fn test_and_age(&self, vpn: u64) -> bool;
-}
-
-impl<F: Fn(u64) -> bool> VictimProbe for F {
-    fn test_and_age(&self, vpn: u64) -> bool {
-        self(vpn)
-    }
-}
 
 /// Service-time constants for accounting operations (virtual ns).
 #[derive(Clone, Debug)]
@@ -273,11 +255,6 @@ impl PageAccounting {
         }
     }
 
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Pages currently tracked.
     pub fn resident_pages(&self) -> u64 {
         self.resident.get()
@@ -362,14 +339,15 @@ impl PageAccounting {
     /// runs *off* the lock; pages it keeps get a second chance on the
     /// protected list.
     ///
-    /// `probe` reads **and ages** the page's reference state (see
-    /// [`VictimProbe`]).
+    /// `probe` reads **and ages** the page's reference state (for the
+    /// default second-chance policy: read-and-clear the PTE accessed
+    /// bit); `true` keeps the page resident for another round.
     pub async fn take_victims(
         &self,
         evictor_id: usize,
         round: usize,
         want: usize,
-        probe: &dyn VictimProbe,
+        probe: &dyn Fn(u64) -> bool,
         out: &mut Vec<u64>,
     ) {
         let n = self.partitions.len();
@@ -398,7 +376,7 @@ impl PageAccounting {
             for vpn in isolated {
                 self.sim.sleep(self.costs.scan_per_page_ns).await;
                 self.stats.scanned.inc();
-                if probe.test_and_age(vpn) {
+                if probe(vpn) {
                     hot.push(vpn);
                 } else {
                     out.push(vpn);

@@ -22,8 +22,7 @@ use mage_palloc::LocalAllocatorKind;
 
 use crate::backend::ReplicationConfig;
 use crate::costs::{CostModel, OsProfile};
-use crate::reclaim::policy::CounterPolicy;
-use crate::reclaim::{EvictionPolicy, Fifo};
+use crate::reclaim::VictimPolicy;
 use crate::retry::RetryPolicy;
 
 /// Remote-slot allocation policy selector.
@@ -35,8 +34,8 @@ pub enum RemoteAllocKind {
     SwapLock,
 }
 
-/// Victim-selection policy selector (`EP₁`); see
-/// [`EvictionPolicy`].
+/// Victim-selection policy selector (`EP₁`): each kind is a preset of
+/// [`VictimPolicy`].
 #[derive(Clone, Copy, Debug)]
 pub enum EvictionPolicyKind {
     /// The paper's second-chance accessed-bit test (default everywhere).
@@ -60,13 +59,6 @@ pub enum EvictionPolicyKind {
     /// cold scan after its last hit, when an 8-bit aging register would
     /// decay to zero.
     ApproxLru,
-    /// A user-provided policy; `build` is called once at machine launch.
-    Custom {
-        /// Display name.
-        name: &'static str,
-        /// Policy constructor.
-        build: fn() -> Box<dyn EvictionPolicy>,
-    },
 }
 
 impl EvictionPolicyKind {
@@ -80,21 +72,19 @@ impl EvictionPolicyKind {
         EvictionPolicyKind::ApproxLru,
     ];
 
-    /// Instantiates the policy. Every built-in kind but `Fifo` is a
-    /// preset of one counter mechanism (see [`crate::reclaim::policy`]).
-    pub fn build(&self) -> Box<dyn EvictionPolicy> {
-        let counter = |increment, cap, recharge| -> Box<dyn EvictionPolicy> {
-            Box::new(CounterPolicy::new(self.name(), increment, cap, recharge))
-        };
+    /// Instantiates the policy. Every kind but `Fifo` is a preset of
+    /// one counter mechanism (see [`crate::reclaim::policy`]).
+    pub fn build(&self) -> VictimPolicy {
+        let counter =
+            |increment, cap, recharge| VictimPolicy::counter(self.name(), increment, cap, recharge);
         match *self {
             EvictionPolicyKind::SecondChance => counter(false, 0, false),
-            EvictionPolicyKind::Fifo => Box::new(Fifo),
+            EvictionPolicyKind::Fifo => VictimPolicy::fifo(self.name()),
             EvictionPolicyKind::AgingClock { hot_rounds } => {
                 counter(false, hot_rounds.max(1) - 1, false)
             }
             EvictionPolicyKind::S3Fifo => counter(true, 3, true),
             EvictionPolicyKind::ApproxLru => counter(false, 7, false),
-            EvictionPolicyKind::Custom { build, .. } => build(),
         }
     }
 
@@ -106,7 +96,6 @@ impl EvictionPolicyKind {
             EvictionPolicyKind::AgingClock { .. } => "aging-clock",
             EvictionPolicyKind::S3Fifo => "s3-fifo",
             EvictionPolicyKind::ApproxLru => "approx-lru",
-            EvictionPolicyKind::Custom { name, .. } => name,
         }
     }
 }

@@ -2,17 +2,18 @@
 //!
 //! The ideal system incurs only data-movement costs: each major fault
 //! adds exactly one best-case RDMA latency `L` to the faulting thread.
-//! With per-core fault counts `F_c` and an all-local runtime `T₀`:
+//! With per-core fault counts `F_c` and an all-local runtime `T₀`, the
+//! job finishes when its busiest thread does:
 //!
 //! ```text
-//! Thp_ideal(x) = min_c  3600 / (T₀ + L · F_{c,x})   jobs/hour
-//! ΔThp(x)      = max_c  L · F_{c,x} / (T₀ + L · F_{c,x})
+//! T_ideal(x) = T₀ + L · max_c F_{c,x}
+//! Thp_ideal(x) = 3600 / T_ideal(x)   jobs/hour
 //! ```
 //!
-//! The benchmark harness uses this model two ways: as an analytic curve
-//! computed from fault counts measured on the zero-overhead simulation,
-//! and as the `SystemConfig::ideal()` configuration that actually runs
-//! the engine with all software costs zeroed.
+//! [`IdealModel::runtime_ns`] computes `T_ideal`; `tests/end_to_end.rs`
+//! checks that every measured system runs no faster than it. The
+//! `SystemConfig::ideal()` preset is the executable counterpart: it runs
+//! the engine with every software cost zeroed.
 
 use mage_sim::time::Nanos;
 
@@ -37,29 +38,6 @@ impl IdealModel {
         let worst = faults_per_core.iter().copied().max().unwrap_or(0);
         local_runtime_ns + self.rdma_latency_ns * worst
     }
-
-    /// Ideal throughput in jobs/hour.
-    pub fn throughput_jobs_per_hour(&self, local_runtime_ns: u64, faults_per_core: &[u64]) -> f64 {
-        let rt = self.runtime_ns(local_runtime_ns, faults_per_core);
-        if rt == 0 {
-            return f64::INFINITY;
-        }
-        3_600.0e9 / rt as f64
-    }
-
-    /// Relative throughput drop `ΔThp(x)` in percent (0–100).
-    pub fn throughput_drop_pct(&self, local_runtime_ns: u64, faults_per_core: &[u64]) -> f64 {
-        let worst = faults_per_core.iter().copied().max().unwrap_or(0);
-        let delay = self.rdma_latency_ns as f64 * worst as f64;
-        100.0 * delay / (local_runtime_ns as f64 + delay)
-    }
-
-    /// The fault-throughput ceiling of the fabric in pages/second: one
-    /// page per serialization slot. For 24 B/ns and 4 KiB pages this is
-    /// the paper's 5.8 M ops/s "ideal limit" (Fig. 5).
-    pub fn fault_rate_ceiling(bandwidth_bytes_per_ns: f64, page_bytes: u64) -> f64 {
-        bandwidth_bytes_per_ns * 1e9 / page_bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -67,41 +45,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_faults_means_no_drop() {
+    fn no_faults_means_local_runtime() {
         let m = IdealModel::paper();
         assert_eq!(m.runtime_ns(1_000_000, &[0, 0]), 1_000_000);
-        assert_eq!(m.throughput_drop_pct(1_000_000, &[0, 0]), 0.0);
+        assert_eq!(m.runtime_ns(1_000_000, &[]), 1_000_000);
     }
 
     #[test]
-    fn slowest_core_bounds_throughput() {
+    fn slowest_core_sets_the_runtime() {
         let m = IdealModel::paper();
         let rt = m.runtime_ns(1_000_000_000, &[10, 1_000, 100]);
         assert_eq!(rt, 1_000_000_000 + 3_900 * 1_000);
-    }
-
-    #[test]
-    fn drop_is_monotonic_in_faults() {
-        let m = IdealModel::paper();
-        let d1 = m.throughput_drop_pct(1_000_000_000, &[1_000]);
-        let d2 = m.throughput_drop_pct(1_000_000_000, &[100_000]);
-        assert!(d2 > d1);
-        assert!(d2 < 100.0);
-    }
-
-    #[test]
-    fn fault_ceiling_matches_paper() {
-        // 24 B/ns (192 Gbps practical) / 4 KiB = 5.86 M pages/s; the paper
-        // quotes 5.83 M ops/s as the ideal limit (Fig. 5).
-        let ceiling = IdealModel::fault_rate_ceiling(24.0, 4096);
-        assert!((ceiling / 1e6 - 5.86).abs() < 0.05, "ceiling {ceiling}");
-    }
-
-    #[test]
-    fn throughput_formula_roundtrip() {
-        let m = IdealModel::paper();
-        // T0 = 1 hour => 1 job/hour with no faults.
-        let thp = m.throughput_jobs_per_hour(3_600_000_000_000, &[0]);
-        assert!((thp - 1.0).abs() < 1e-9);
     }
 }

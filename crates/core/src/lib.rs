@@ -75,6 +75,6 @@ pub use events::{EventSink, PageEvent};
 pub use ideal::IdealModel;
 pub use machine::{Access, FarMemory, MachineParams};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, MetricsWindow};
-pub use reclaim::{EvictionPolicy, Fifo};
+pub use reclaim::VictimPolicy;
 pub use retry::{FaultError, RetryPolicy, TransferOp};
 pub use stats::{BreakdownMeans, EngineStats};

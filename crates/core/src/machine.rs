@@ -35,7 +35,7 @@ use crate::config::SystemConfig;
 use crate::events::{EventSink, EventTap, PageEvent};
 use crate::metrics::MetricsRegistry;
 use crate::prefetch::StreamDetector;
-use crate::reclaim::EvictionPolicy;
+use crate::reclaim::VictimPolicy;
 use crate::retry::FaultError;
 use crate::stats::EngineStats;
 use mage_sim::rng::{self, SplitMix64};
@@ -92,23 +92,13 @@ pub enum Access {
     },
 }
 
-impl Access {
-    /// The latency attributable to paging for this access.
-    pub fn paging_latency(&self) -> Nanos {
-        match self {
-            Access::Major { latency } => *latency,
-            _ => 0,
-        }
-    }
-}
-
 /// A far-memory machine instance running one system configuration.
 pub struct FarMemory {
     pub(crate) sim: SimHandle,
     pub(crate) cfg: SystemConfig,
     pub(crate) topo: Topology,
     pub(crate) backend: FarBackend,
-    pub(crate) policy: Box<dyn EvictionPolicy>,
+    pub(crate) policy: VictimPolicy,
     pub(crate) pt: PageTable,
     pub(crate) asp: RefCell<AddressSpace>,
     pub(crate) ic: Rc<InterruptController>,
@@ -254,11 +244,6 @@ impl FarMemory {
         engine
     }
 
-    /// The system configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
     /// The machine topology.
     pub fn topology(&self) -> Topology {
         self.topo
@@ -328,8 +313,8 @@ impl FarMemory {
     }
 
     /// The victim-selection policy.
-    pub fn eviction_policy(&self) -> &dyn EvictionPolicy {
-        &*self.policy
+    pub fn eviction_policy(&self) -> &VictimPolicy {
+        &self.policy
     }
 
     /// The backend's transfer link (bandwidth/latency model and stats).
@@ -355,11 +340,6 @@ impl FarMemory {
     /// The page accounting structure.
     pub fn accounting(&self) -> &Rc<PageAccounting> {
         &self.acct
-    }
-
-    /// Free-page low watermark (eviction trigger).
-    pub fn low_watermark(&self) -> u64 {
-        self.low_watermark
     }
 
     /// Free-page high watermark (eviction target).

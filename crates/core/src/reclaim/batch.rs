@@ -104,7 +104,7 @@ impl FarMemory {
     }
 
     /// Steps ① of §4.1: select victims through the accounting structure
-    /// and the configured [`EvictionPolicy`](crate::reclaim::EvictionPolicy),
+    /// and the configured [`VictimPolicy`](crate::reclaim::VictimPolicy),
     /// allocate backend slots and unmap.
     ///
     /// Returns the unmapped batch and the accounting-scan time.

@@ -1,8 +1,7 @@
 //! The eviction path (`EP₁`–`EP₃`), layered:
 //!
-//! - [`policy`] — pluggable victim-selection policies (the second-chance
-//!   test of `EP₁` and its alternatives), behind the [`EvictionPolicy`]
-//!   trait;
+//! - [`policy`] — the victim-selection policy (the second-chance test of
+//!   `EP₁` and its alternatives, all presets of one [`VictimPolicy`]);
 //! - `batch` — the life of one batch: unmap, shootdown, writeback,
 //!   reclaim (steps ①–⑦ of §4.1), shared by every eviction flavour;
 //! - `pipeline` — the background evictor threads: sequential loop,
@@ -11,15 +10,14 @@
 //!
 //! The split keeps one `scan_and_unmap`/`finalize_batch` implementation
 //! under all four entry points (background sequential, background
-//! pipelined, synchronous fault-path fallback, forced pageout); policies
-//! extend the path through a trait instead of engine edits.
+//! pipelined, synchronous fault-path fallback, forced pageout).
 
 pub mod policy;
 
 pub(crate) mod batch;
 pub(crate) mod pipeline;
 
-pub use policy::{EvictionPolicy, Fifo};
+pub use policy::VictimPolicy;
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,4 @@
-//! Pluggable victim-selection policies (`EP₁`).
+//! The victim-selection policy (`EP₁`).
 //!
 //! A policy answers one question — *is this candidate worth keeping
 //! resident for another round?* — by testing **and aging** the page's
@@ -8,13 +8,13 @@
 //! mirrors Linux: `isolate_lru_pages` picks candidates, the reference
 //! check decides reactivation.
 //!
-//! Two mechanisms ship. [`Fifo`] evicts in scan order with no recheck —
-//! MAGE-Lnx's FIFO queues (§5.1). Every other built-in
-//! [`EvictionPolicyKind`](crate::config::EvictionPolicyKind) is a preset
-//! of one counter mechanism (`CounterPolicy` below): a grace byte per
-//! local frame, charged when the accessed bit is set, decremented by a
-//! cold scan, and the page is evicted at zero. The presets differ only
-//! in the charge rule, the cap and whether a ghost hit recharges:
+//! Every built-in [`EvictionPolicyKind`](crate::config::EvictionPolicyKind)
+//! is a preset of one [`VictimPolicy`]. `Fifo` evicts in scan order with
+//! no recheck — MAGE-Lnx's FIFO queues (§5.1). Every other preset is a
+//! counter: a grace byte per local frame, charged when the accessed bit
+//! is set, decremented by a cold scan, and the page is evicted at zero.
+//! The counter presets differ only in the charge rule, the cap and
+//! whether a ghost hit recharges:
 //!
 //! | kind | increment | cap | refault recharge |
 //! |---|---|---|---|
@@ -29,84 +29,31 @@
 //! filter (SOSP '23) is a 2-bit saturating frequency; a policy that
 //! recharges on a ghost hit also asks the accounting structure to admit
 //! ghost hits to its protected list
-//! ([`EvictionPolicy::promotes_ghost_hits`]), which is S3-FIFO's
+//! ([`VictimPolicy::promotes_ghost_hits`]), which is S3-FIFO's
 //! small/main/ghost queue rule.
-//! New policies implement [`EvictionPolicy`] and plug in through
-//! [`EvictionPolicyKind::Custom`](crate::config::EvictionPolicyKind) —
-//! no engine edits.
 //!
 //! ## Ghost-feedback contract
 //!
-//! The engine notifies the policy via [`EvictionPolicy::note_refault`]
-//! whenever a fault-in (or an eviction cancel) hits the accounting
-//! ghost list — i.e. the page was evicted recently enough that evicting
-//! it was probably a mistake. Both call sites run after the page's PTE
-//! is present again. Policies may use the signal to bias victim
-//! selection away from such pages; the default is a no-op, so policies
-//! that ignore it (and the pinned default paths) pay nothing.
+//! The engine calls [`VictimPolicy::note_refault`] whenever a fault-in
+//! (or an eviction cancel) hits the accounting ghost list — i.e. the
+//! page was evicted recently enough that evicting it was probably a
+//! mistake. Both call sites run after the page's PTE is present again.
+//! Only a recharging preset (`S3Fifo`) acts on the signal; for the
+//! others it is a no-op, so the pinned default paths pay nothing.
 
 use std::cell::RefCell;
 
 use mage_mmu::PageTable;
 
-/// Victim-selection policy: test-and-age one eviction candidate.
-pub trait EvictionPolicy {
-    /// Display name (for reports and examples).
-    fn name(&self) -> &'static str;
-
-    /// Tests candidate `vpn` and ages its reference state; `true` keeps
-    /// the page resident for another round (it is reactivated by the
-    /// accounting structure), `false` hands it to the evictor.
-    ///
-    /// Implementations that consult the hardware-accessed bit must clear
-    /// it here, so the next round observes only newer accesses.
-    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool;
-
-    /// Called when a fault-in for `vpn` hits the accounting ghost list
-    /// (the page is back shortly after being evicted), once its PTE is
-    /// present again. Policies may bias future
-    /// [`test_and_age`](Self::test_and_age) decisions in its favour; the
-    /// default ignores the signal.
-    fn note_refault(&self, _pt: &PageTable, _vpn: u64) {}
-
-    /// Called by forced pageout just before it unmaps `vpn` — the one
-    /// eviction that does not ask [`test_and_age`](Self::test_and_age)
-    /// first. Policies drop any state the page still holds; the default
-    /// ignores the signal.
-    fn note_pageout(&self, _pt: &PageTable, _vpn: u64) {}
-
-    /// Whether the accounting structure should admit a page that faults
-    /// back while still on its ghost list straight to the protected list,
-    /// skipping probation. Asked once at machine launch; the default
-    /// keeps ghost hits on probation.
-    fn promotes_ghost_hits(&self) -> bool {
-        false
-    }
-}
-
-/// Strict FIFO: candidates are evicted in scan order with no reference
-/// recheck at all — MAGE-Lnx's FIFO queues (§5.1). The accessed bit is
-/// neither read nor cleared: only policies read it.
-#[derive(Default)]
-pub struct Fifo;
-
-impl EvictionPolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn test_and_age(&self, _pt: &PageTable, _vpn: u64) -> bool {
-        false
-    }
-}
-
-/// The counter mechanism behind every built-in policy except [`Fifo`].
+/// The victim-selection policy: test-and-age one eviction candidate.
 ///
-/// A scan that finds the accessed bit set charges the page's counter —
-/// to `cap`, or by one up to `cap` when `increment` is set — and keeps
-/// the page. A cold scan keeps the page while the counter is above zero,
-/// decrementing it, and evicts at zero. With `refault_recharge`, a ghost
-/// hit charges the counter to `cap`.
+/// With `recheck` off (`Fifo`) every candidate is evicted and the
+/// accessed bit is neither read nor cleared: only a rechecking policy
+/// reads it. Otherwise a scan that finds the accessed bit set charges
+/// the page's counter — to `cap`, or by one up to `cap` when `increment`
+/// is set — and keeps the page. A cold scan keeps the page while the
+/// counter is above zero, decrementing it, and evicts at zero. With
+/// `refault_recharge`, a ghost hit charges the counter to `cap`.
 ///
 /// **Frame keying.** Counters live in one byte per local frame, indexed
 /// by the PTE's frame number and grown on first touch, so the state is
@@ -115,26 +62,36 @@ impl EvictionPolicy for Fifo {
 /// - a page leaves residency through a scan only after its probe
 ///   returned `false`, and that verdict leaves the counter at zero;
 /// - forced pageout, the one eviction without a probe, zeroes it first
-///   ([`EvictionPolicy::note_pageout`]);
+///   ([`VictimPolicy::note_pageout`]);
 /// - eviction cancels and requeued victims re-map the same frame.
-pub(crate) struct CounterPolicy {
+pub struct VictimPolicy {
     name: &'static str,
+    recheck: bool,
     increment: bool,
     cap: u8,
     refault_recharge: bool,
     counters: RefCell<Vec<u8>>,
 }
 
-impl CounterPolicy {
+impl VictimPolicy {
+    /// Strict FIFO: evicts every candidate in scan order.
+    pub(crate) fn fifo(name: &'static str) -> Self {
+        VictimPolicy {
+            recheck: false,
+            ..VictimPolicy::counter(name, false, 0, false)
+        }
+    }
+
     /// A counter policy with every counter at zero.
-    pub(crate) fn new(
+    pub(crate) fn counter(
         name: &'static str,
         increment: bool,
         cap: u8,
         refault_recharge: bool,
     ) -> Self {
-        CounterPolicy {
+        VictimPolicy {
             name,
+            recheck: true,
             increment,
             cap,
             refault_recharge,
@@ -142,31 +99,20 @@ impl CounterPolicy {
         }
     }
 
-    /// Sets the counter of the frame behind `vpn`, if the page is
-    /// resident.
-    fn set(&self, pt: &PageTable, vpn: u64, value: u8) {
-        let pte = pt.get(vpn);
-        if pte.is_present() {
-            *slot(&mut self.counters.borrow_mut(), pte.payload()) = value;
-        }
-    }
-}
-
-/// The counter of `frame`, growing the array on first touch.
-fn slot(counters: &mut Vec<u8>, frame: u64) -> &mut u8 {
-    let i = usize::try_from(frame).expect("frame number fits in usize");
-    if i >= counters.len() {
-        counters.resize(i + 1, 0);
-    }
-    &mut counters[i]
-}
-
-impl EvictionPolicy for CounterPolicy {
-    fn name(&self) -> &'static str {
+    /// Display name (for reports).
+    pub fn name(&self) -> &'static str {
         self.name
     }
 
-    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
+    /// Tests candidate `vpn` and ages its reference state; `true` keeps
+    /// the page resident for another round (it is reactivated by the
+    /// accounting structure), `false` hands it to the evictor. A
+    /// rechecking policy clears the accessed bit, so the next round
+    /// observes only newer accesses.
+    pub fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
+        if !self.recheck {
+            return false;
+        }
         let old = pt.update(vpn, |p| p.with_accessed(false));
         if self.cap == 0 || !old.is_present() {
             // No grace to count (second chance), or a candidate that
@@ -191,21 +137,49 @@ impl EvictionPolicy for CounterPolicy {
         }
     }
 
-    fn note_refault(&self, pt: &PageTable, vpn: u64) {
+    /// Called when a fault-in for `vpn` hits the accounting ghost list
+    /// (the page is back shortly after being evicted), once its PTE is
+    /// present again. A recharging policy charges the page's counter to
+    /// the cap.
+    pub fn note_refault(&self, pt: &PageTable, vpn: u64) {
         if self.refault_recharge {
             self.set(pt, vpn, self.cap);
         }
     }
 
-    fn note_pageout(&self, pt: &PageTable, vpn: u64) {
+    /// Called by forced pageout just before it unmaps `vpn` — the one
+    /// eviction that does not ask [`test_and_age`](Self::test_and_age)
+    /// first. Zeroes the page's counter.
+    pub fn note_pageout(&self, pt: &PageTable, vpn: u64) {
         if self.cap > 0 {
             self.set(pt, vpn, 0);
         }
     }
 
-    fn promotes_ghost_hits(&self) -> bool {
+    /// Whether the accounting structure should admit a page that faults
+    /// back while still on its ghost list straight to the protected list,
+    /// skipping probation. Asked once at machine launch.
+    pub fn promotes_ghost_hits(&self) -> bool {
         self.refault_recharge
     }
+
+    /// Sets the counter of the frame behind `vpn`, if the page is
+    /// resident.
+    fn set(&self, pt: &PageTable, vpn: u64, value: u8) {
+        let pte = pt.get(vpn);
+        if pte.is_present() {
+            *slot(&mut self.counters.borrow_mut(), pte.payload()) = value;
+        }
+    }
+}
+
+/// The counter of `frame`, growing the array on first touch.
+fn slot(counters: &mut Vec<u8>, frame: u64) -> &mut u8 {
+    let i = usize::try_from(frame).expect("frame number fits in usize");
+    if i >= counters.len() {
+        counters.resize(i + 1, 0);
+    }
+    &mut counters[i]
 }
 
 #[cfg(test)]
@@ -232,7 +206,7 @@ mod tests {
     #[test]
     fn fifo_never_reactivates() {
         let pt = table_with(9, true);
-        let p = Fifo;
+        let p = EvictionPolicyKind::Fifo.build();
         assert!(!p.test_and_age(&pt, 9), "no recheck");
         assert!(pt.get(9).accessed(), "the accessed bit is left alone");
     }
@@ -309,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn default_note_refault_is_a_no_op() {
+    fn second_chance_ignores_the_refault_signal() {
         let pt = table_with(9, false);
         let p = EvictionPolicyKind::SecondChance.build();
         p.note_refault(&pt, 9);

@@ -27,19 +27,6 @@ pub struct FaultBreakdown {
     pub other: RefCell<TimeStat>,
 }
 
-impl FaultBreakdown {
-    /// Mean of one component in ns.
-    pub fn means(&self) -> BreakdownMeans {
-        BreakdownMeans {
-            rdma: self.rdma.borrow().mean(),
-            tlb: self.tlb.borrow().mean(),
-            accounting: self.accounting.borrow().mean(),
-            circulation: self.circulation.borrow().mean(),
-            other: self.other.borrow().mean(),
-        }
-    }
-}
-
 /// Snapshot of mean per-fault component latencies (ns).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BreakdownMeans {
@@ -160,15 +147,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn breakdown_means_sum() {
+    fn record_fault_books_the_residual() {
         let s = EngineStats::default();
-        s.breakdown.rdma.borrow_mut().record(3_900);
-        s.breakdown.circulation.borrow_mut().record(100);
         s.record_fault(5_000, 4_000);
-        let m = s.breakdown.means();
-        assert!((m.rdma - 3_900.0).abs() < 1e-9);
-        assert!((m.other - 1_000.0).abs() < 1e-9);
-        assert!((m.total() - 5_000.0).abs() < 1e-9);
+        assert_eq!(s.breakdown.other.borrow().max(), 1_000);
+        assert_eq!(s.fault_latency.max(), 5_000);
         assert_eq!(s.major_faults.get(), 1);
     }
 

@@ -14,6 +14,8 @@
 //!
 //! The models are the deleted code with one addition: forced pageout
 //! (`note_pageout`, which the old trait lacked) drops the page's state.
+//! They implement [`Model`], a local copy of the trait the policies
+//! once shared.
 //!
 //! Everything is seeded [`SplitMix64`], so a failure reproduces
 //! bit-for-bit from the printed seed and step.
@@ -21,7 +23,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use mage::{EvictionPolicy, EvictionPolicyKind};
+use mage::EvictionPolicyKind;
 use mage_mmu::{PageTable, Pte};
 use mage_sim::rng::SplitMix64;
 
@@ -32,10 +34,19 @@ const PAGES: u64 = 48;
 const FRAMES: u64 = 32;
 const VPN0: u64 = 0x1000;
 
+/// A reference policy: the engine's `VictimPolicy` methods, with
+/// no-op defaults for the signals a model ignores.
+trait Model {
+    fn name(&self) -> &'static str;
+    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool;
+    fn note_refault(&self, _pt: &PageTable, _vpn: u64) {}
+    fn note_pageout(&self, _pt: &PageTable, _vpn: u64) {}
+}
+
 /// The paper's second-chance test.
 struct SecondChanceModel;
 
-impl EvictionPolicy for SecondChanceModel {
+impl Model for SecondChanceModel {
     fn name(&self) -> &'static str {
         "second-chance"
     }
@@ -60,7 +71,7 @@ impl AgingClockModel {
     }
 }
 
-impl EvictionPolicy for AgingClockModel {
+impl Model for AgingClockModel {
     fn name(&self) -> &'static str {
         "aging-clock"
     }
@@ -100,7 +111,7 @@ impl S3FifoModel {
     const FREQ_CAP: u8 = 3;
 }
 
-impl EvictionPolicy for S3FifoModel {
+impl Model for S3FifoModel {
     fn name(&self) -> &'static str {
         "s3-fifo"
     }
@@ -141,7 +152,7 @@ struct ApproxLruModel {
     age: RefCell<BTreeMap<u64, u8>>,
 }
 
-impl EvictionPolicy for ApproxLruModel {
+impl Model for ApproxLruModel {
     fn name(&self) -> &'static str {
         "approx-lru"
     }
@@ -165,8 +176,8 @@ impl EvictionPolicy for ApproxLruModel {
 }
 
 /// Every preset paired with a fresh model of the policy it replaced.
-fn pairs() -> Vec<(EvictionPolicyKind, Box<dyn EvictionPolicy>)> {
-    let mut v: Vec<(EvictionPolicyKind, Box<dyn EvictionPolicy>)> = vec![
+fn pairs() -> Vec<(EvictionPolicyKind, Box<dyn Model>)> {
+    let mut v: Vec<(EvictionPolicyKind, Box<dyn Model>)> = vec![
         (
             EvictionPolicyKind::SecondChance,
             Box::new(SecondChanceModel),
@@ -199,16 +210,27 @@ struct Tally {
 
 /// Drives `model` and the preset `kind` through one seeded op stream,
 /// each on its own page table receiving identical writes.
-fn fuzz(kind: EvictionPolicyKind, model: Box<dyn EvictionPolicy>, seed: u64) -> Tally {
-    let policies = [model, kind.build()];
+fn fuzz(kind: EvictionPolicyKind, model: Box<dyn Model>, seed: u64) -> Tally {
+    let preset = kind.build();
     let name = kind.name();
-    assert_eq!(policies[0].name(), name);
-    assert_eq!(policies[1].name(), name);
+    assert_eq!(model.name(), name);
+    assert_eq!(preset.name(), name);
     let pts = [PageTable::new(), PageTable::new()];
     let set = |vpn, pte| pts.iter().for_each(|pt| pt.set(vpn, pte));
-    let probe = |vpn| [0, 1].map(|i| policies[i].test_and_age(&pts[i], vpn));
-    let refault = |vpn| (0..2).for_each(|i| policies[i].note_refault(&pts[i], vpn));
-    let pageout = |vpn| (0..2).for_each(|i| policies[i].note_pageout(&pts[i], vpn));
+    let probe = |vpn| {
+        [
+            model.test_and_age(&pts[0], vpn),
+            preset.test_and_age(&pts[1], vpn),
+        ]
+    };
+    let refault = |vpn| {
+        model.note_refault(&pts[0], vpn);
+        preset.note_refault(&pts[1], vpn);
+    };
+    let pageout = |vpn| {
+        model.note_pageout(&pts[0], vpn);
+        preset.note_pageout(&pts[1], vpn);
+    };
     let rng = SplitMix64::new(seed);
     let mut frame_of: Vec<Option<u64>> = vec![None; PAGES as usize];
     let mut last_frame: Vec<Option<u64>> = vec![None; PAGES as usize];

@@ -263,11 +263,6 @@ impl FaultInjector {
         FaultInjector { plan, rng }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Whether a pseudo-randomly placed window is open at `now`. Pure in
     /// (`seed`, `stream`, `now`): independent of operation order.
     fn window_active(
@@ -338,29 +333,6 @@ impl FaultInjector {
             self.plan.crash_rate,
             now,
         )
-    }
-
-    /// End instant of the outage window containing `now`, if the node is
-    /// down. Background re-replication uses this to wait out the window
-    /// instead of polling blindly.
-    pub fn outage_ends_at(&self, now: SimTime) -> Option<SimTime> {
-        if !self.node_down(now) {
-            return None;
-        }
-        let period = self.plan.crash_period_ns;
-        let duration = self.plan.crash_duration_ns.min(period);
-        let t = now.as_nanos();
-        if self.plan.crash_aligned {
-            let shifted = t.wrapping_add(self.plan.crash_phase_ns);
-            let into = shifted % period;
-            return Some(SimTime::from_nanos(t + (duration - into)));
-        }
-        // Recompute the pseudo-random offset of this epoch's window.
-        let epoch = t / period;
-        let h = mix64(self.plan.seed ^ STREAM_CRASH ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let span = period - duration;
-        let offset = if span == 0 { 0 } else { mix64(h ^ 0x000F_F5E7) % (span + 1) };
-        Some(SimTime::from_nanos(epoch * period + offset + duration))
     }
 
     /// Decides the fate of one operation posted at `now`.
@@ -545,36 +517,6 @@ mod tests {
         }
         for (i, c) in down_counts.iter().enumerate() {
             assert!(*c > 0, "node {i} never crashed");
-        }
-    }
-
-    #[test]
-    fn outage_end_bounds_the_open_window() {
-        for plan in [
-            FaultPlan::staggered_node_crash(4, 1, 2, 200_000, 30_000),
-            FaultPlan {
-                seed: 4,
-                crash_period_ns: 200_000,
-                crash_duration_ns: 30_000,
-                crash_rate: 1.0,
-                ..FaultPlan::none()
-            },
-        ] {
-            let inj = FaultInjector::new(plan, 0);
-            let mut checked = 0;
-            for t in (0..2_000_000u64).step_by(777) {
-                let now = SimTime::from_nanos(t);
-                if let Some(end) = inj.outage_ends_at(now) {
-                    assert!(inj.node_down(now));
-                    assert!(
-                        !inj.node_down(end),
-                        "node still down at its predicted recovery {end:?} (t={t})"
-                    );
-                    assert!(end.as_nanos() > t && end.as_nanos() - t <= 30_000);
-                    checked += 1;
-                }
-            }
-            assert!(checked > 0, "no outage window ever observed");
         }
     }
 

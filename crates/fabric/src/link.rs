@@ -103,10 +103,6 @@ impl Direction {
         self.busy_until.set(end);
         end
     }
-
-    fn backlog(&self, now: SimTime) -> Nanos {
-        self.busy_until.get().saturating_since(now)
-    }
 }
 
 /// A simulated RDMA NIC connected to a far-memory node.
@@ -198,19 +194,9 @@ impl Nic {
         *self.tracer.borrow_mut() = Some(tracer);
     }
 
-    /// The NIC configuration.
-    pub fn config(&self) -> &NicConfig {
-        &self.config
-    }
-
     /// Transfer statistics.
     pub fn stats(&self) -> &NicStats {
         &self.stats
-    }
-
-    /// The active fault injector, if any.
-    pub fn injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
     }
 
     fn sample(&self, now: SimTime) -> OpInjection {
@@ -359,32 +345,9 @@ impl Nic {
         }
     }
 
-    /// End of the outage window `node` is currently inside, if any.
-    pub fn node_outage_ends_at(&self, node: NodeId) -> Option<SimTime> {
-        self.node_injectors
-            .get(node.index())
-            .and_then(|i| i.as_ref())
-            .and_then(|inj| inj.outage_ends_at(self.sim.now()))
-    }
-
     /// The per-node fault injector of `node`, if one is configured.
     pub fn node_injector(&self, node: NodeId) -> Option<&FaultInjector> {
         self.node_injectors.get(node.index()).and_then(|i| i.as_ref())
-    }
-
-    /// Number of per-node fault plans this NIC was configured with.
-    pub fn node_plan_count(&self) -> usize {
-        self.node_injectors.len()
-    }
-
-    /// Current backlog (ns of queued serialization) on the read direction.
-    pub fn read_backlog_ns(&self) -> Nanos {
-        self.rx.backlog(self.sim.now())
-    }
-
-    /// Current backlog (ns of queued serialization) on the write direction.
-    pub fn write_backlog_ns(&self) -> Nanos {
-        self.tx.backlog(self.sim.now())
     }
 
     /// Achieved read bandwidth in Gbps over `elapsed` ns.
@@ -591,15 +554,18 @@ mod tests {
     }
 
     #[test]
-    fn backlog_reporting() {
+    fn back_to_back_reads_queue_on_their_direction() {
         let sim = Simulation::new();
         let nic = Rc::new(Nic::new(sim.handle(), fast_cfg()));
         let n = Rc::clone(&nic);
         sim.block_on(async move {
-            assert_eq!(n.read_backlog_ns(), 0);
-            let _c1 = n.post_read(4096);
-            let _c2 = n.post_read(4096);
-            assert_eq!(n.read_backlog_ns(), 2 * 1_024);
+            let c1 = n.post_read(4096);
+            let c2 = n.post_read(4096);
+            let w = n.post_write(4096);
+            assert_eq!(c1.completes_at().as_nanos(), 1_024 + 1_000);
+            assert_eq!(c2.completes_at().as_nanos(), 2 * 1_024 + 1_000);
+            // The write direction is empty: no queueing behind the reads.
+            assert_eq!(w.completes_at().as_nanos(), 1_024 + 2_000);
         });
     }
 
@@ -663,7 +629,12 @@ mod tests {
         let h = sim.handle();
         sim.block_on(async move {
             let c = n.post_write(4096);
-            assert_eq!(n.write_backlog_ns(), 0, "no serialization reserved");
+            let next = n.post_write(4096);
+            assert_eq!(
+                next.completes_at(),
+                c.completes_at(),
+                "no serialization reserved"
+            );
             assert_eq!(c.await, Err(TransferError::NodeUnreachable));
             // Detection after exactly one base write latency.
             assert_eq!(h.now().as_nanos(), 2_000);
@@ -743,6 +714,6 @@ mod tests {
     fn zero_fault_nic_has_no_injector() {
         let sim = Simulation::new();
         let nic = Nic::with_faults(sim.handle(), fast_cfg(), FaultPlan::none());
-        assert!(nic.injector().is_none());
+        assert!(nic.injector.is_none());
     }
 }

@@ -170,11 +170,6 @@ impl InterruptController {
         &self.stats
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &IpiCostModel {
-        &self.cost
-    }
-
     /// Drains the interrupt-handling time stolen from `core`'s thread
     /// since the last call. Workload threads add this to their compute.
     pub fn take_stolen(&self, core: CoreId) -> Nanos {

@@ -198,11 +198,6 @@ impl BuddyAllocator {
         self.free_frames
     }
 
-    /// Total frames managed.
-    pub fn total_frames(&self) -> u64 {
-        self.nframes
-    }
-
     /// Host-side metadata entries currently held: materialized free-list
     /// blocks plus outstanding blocks. The pristine run costs two words
     /// however large it is, so right after construction this is O(1) in

@@ -195,7 +195,7 @@ impl Sched {
 /// What the run loop does next.
 enum Step {
     Poll(TaskId),
-    /// Drained, or the deadline was reached.
+    /// Drained: nothing runnable and no timer pending.
     Done,
     /// The poll budget ran out with work still queued.
     Budget,
@@ -207,7 +207,6 @@ struct ExecCore {
     free_ids: RefCell<Vec<TaskId>>,
     sched: RefCell<Sched>,
     wake_queue: Arc<WakeQueue>,
-    live_tasks: Cell<usize>,
     /// Task currently being polled, for lockdep hold tracking and for
     /// `Sleep`'s own-task check.
     current: Cell<Option<TaskId>>,
@@ -231,7 +230,6 @@ impl ExecCore {
             free_ids: RefCell::new(Vec::new()),
             sched: RefCell::new(Sched::new()),
             wake_queue: Arc::new(WakeQueue::default()),
-            live_tasks: Cell::new(0),
             current: Cell::new(None),
             current_waker: Cell::new(std::ptr::null()),
             lockdep: LockDep::default(),
@@ -277,7 +275,6 @@ impl ExecCore {
         if let Some(det) = &race {
             det.task_begin(u64::from(id), fork_sync);
         }
-        self.live_tasks.set(self.live_tasks.get() + 1);
         self.sched.borrow_mut().spawned(id);
         (id, join_sync)
     }
@@ -301,11 +298,11 @@ impl ExecCore {
     }
 
     /// Picks the next task to poll. With nothing runnable it advances
-    /// the clock to the earliest pending timer (not past `deadline`) and
-    /// fires its deadline group in `seq` order: task ids go straight
-    /// onto the ready queue, foreign wakers are woken.
+    /// the clock to the earliest pending timer and fires its deadline
+    /// group in `seq` order: task ids go straight onto the ready queue,
+    /// foreign wakers are woken.
     #[inline]
-    fn next_step(&self, deadline: Option<SimTime>, budget_spent: bool) -> Step {
+    fn next_step(&self, budget_spent: bool) -> Step {
         let mut sched = self.sched.borrow_mut();
         loop {
             // Externally-woken tasks join the queue first.
@@ -316,12 +313,7 @@ impl ExecCore {
                 }
                 return Step::Poll(sched.pick(&self.explorer));
             }
-            let next = sched.timers.peek().map(SimTime::from_nanos);
-            if let Some(d) = deadline.filter(|&d| next.is_none_or(|t| t > d)) {
-                self.now.set(self.now.get().max(d));
-                return Step::Done;
-            }
-            let Some(next) = next else {
+            let Some(next) = sched.timers.peek().map(SimTime::from_nanos) else {
                 return Step::Done;
             };
             let now = self.now.get();
@@ -378,7 +370,6 @@ impl ExecCore {
                 // queue or in a timer: it must find the slot vacant.
                 self.sched.borrow_mut().state[id as usize] = SlotState::Vacant;
                 self.free_ids.borrow_mut().push(id);
-                self.live_tasks.set(self.live_tasks.get() - 1);
             }
             Poll::Pending => {
                 // The task may have been re-woken while it was being
@@ -391,16 +382,11 @@ impl ExecCore {
         }
     }
 
-    /// Runs until no task is runnable and no timer is pending, or the
-    /// optional deadline is reached, or `max_polls` task polls have been
-    /// performed. Returns true unless the poll budget stopped the run
-    /// first (the runaway case).
-    fn run(
-        self: &Rc<Self>,
-        deadline: Option<SimTime>,
-        stop: impl Fn() -> bool,
-        max_polls: Option<u64>,
-    ) -> bool {
+    /// Runs until `stop` holds, or no task is runnable and no timer is
+    /// pending, or `max_polls` task polls have been performed. Returns
+    /// true unless the poll budget stopped the run first (the runaway
+    /// case).
+    fn run(self: &Rc<Self>, stop: impl Fn() -> bool, max_polls: Option<u64>) -> bool {
         // simsan world edges: everything main did before this run
         // happens-before every task step inside it, and every task step
         // inside it happens-before whatever main does after it returns.
@@ -412,7 +398,7 @@ impl ExecCore {
             det.set_now(self.now.get().as_nanos());
             det.world_publish();
         }
-        let out = self.run_inner(deadline, stop, max_polls, race.as_ref());
+        let out = self.run_inner(stop, max_polls, race.as_ref());
         if let Some(det) = &race {
             det.set_now(self.now.get().as_nanos());
             det.world_join();
@@ -422,7 +408,6 @@ impl ExecCore {
 
     fn run_inner(
         &self,
-        deadline: Option<SimTime>,
         stop: impl Fn() -> bool,
         max_polls: Option<u64>,
         race: Option<&Rc<RaceDetector>>,
@@ -433,7 +418,7 @@ impl ExecCore {
                 return true;
             }
             let budget_spent = max_polls.is_some_and(|b| self.polls.get() - start_polls >= b);
-            match self.next_step(deadline, budget_spent) {
+            match self.next_step(budget_spent) {
                 Step::Poll(id) => {
                     self.polls.set(self.polls.get() + 1);
                     self.poll_one(id, race);
@@ -511,11 +496,6 @@ impl SimHandle {
         }
     }
 
-    /// Number of tasks that have been spawned and not yet completed.
-    pub fn live_tasks(&self) -> usize {
-        self.core.live_tasks.get()
-    }
-
     /// The simulation's lock-order registry (see [`crate::lockdep`]).
     pub fn lockdep(&self) -> &LockDep {
         &self.core.lockdep
@@ -588,13 +568,6 @@ pub struct JoinHandle<T> {
     /// simsan join edge: acquired when the join observes completion.
     race: Option<Rc<RaceDetector>>,
     race_join: u32,
-}
-
-impl<T> JoinHandle<T> {
-    /// Returns true if the task has finished.
-    pub fn is_finished(&self) -> bool {
-        self.state.borrow().result.is_some()
-    }
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -694,29 +667,8 @@ impl Simulation {
 
     /// Runs until no work remains; returns the final virtual time.
     pub fn run(&self) -> SimTime {
-        self.handle.core.run(None, || false, None);
+        self.handle.core.run(|| false, None);
         self.handle.core.now.get()
-    }
-
-    /// Runs until `deadline`, or earlier if the simulation drains.
-    pub fn run_until(&self, deadline: SimTime) -> SimTime {
-        self.handle.core.run(Some(deadline), || false, None);
-        self.handle.core.now.get()
-    }
-
-    /// Like [`Simulation::run`]/[`Simulation::run_until`], but performs
-    /// at most `max_polls` task polls, so a runaway schedule (livelock,
-    /// starvation loop) cannot hang the caller. The returned
-    /// [`RunProgress`] says how far the run got and whether it drained
-    /// (`completed`) or hit the budget.
-    pub fn run_bounded(&self, deadline: Option<SimTime>, max_polls: u64) -> RunProgress {
-        let start = self.handle.core.polls.get();
-        let completed = self.handle.core.run(deadline, || false, Some(max_polls));
-        RunProgress {
-            now: self.handle.core.now.get(),
-            polls: self.handle.core.polls.get() - start,
-            completed,
-        }
     }
 
     /// Spawns `future` and runs the simulation until it completes.
@@ -733,8 +685,9 @@ impl Simulation {
     }
 
     /// Like [`Simulation::block_on`], but gives up after `max_polls`
-    /// task polls. Returns `Err` with the progress made if the budget
-    /// ran out before the future completed (the runaway case).
+    /// task polls, so a runaway schedule (livelock, starvation loop)
+    /// cannot hang the caller. Returns `Err` with the progress made if
+    /// the budget ran out before the future completed.
     ///
     /// # Panics
     ///
@@ -763,14 +716,13 @@ impl Simulation {
             move || out.borrow().is_some()
         };
         let start = self.handle.core.polls.get();
-        let completed = self.handle.core.run(None, done, max_polls);
+        let completed = self.handle.core.run(done, max_polls);
         let result = out.borrow_mut().take();
         match result {
             Some(v) => Ok(v),
             None if !completed => Err(RunProgress {
                 now: self.handle.core.now.get(),
                 polls: self.handle.core.polls.get() - start,
-                completed: false,
             }),
             None => panic!("simulation deadlocked: block_on future never completed"),
         }
@@ -925,23 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        let flag = Rc::new(Cell::new(false));
-        let flag2 = Rc::clone(&flag);
-        sim.spawn(async move {
-            h.sleep(1_000_000).await;
-            flag2.set(true);
-        });
-        let t = sim.run_until(SimTime::from_nanos(500));
-        assert_eq!(t.as_nanos(), 500);
-        assert!(!flag.get());
-        sim.run();
-        assert!(flag.get());
-    }
-
-    #[test]
     fn yield_now_round_robins() {
         let sim = Simulation::new();
         let h = sim.handle();
@@ -958,17 +893,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(&*log.borrow(), &[(0, 0), (1, 0), (0, 1), (1, 1)]);
-    }
-
-    #[test]
-    fn live_tasks_tracks_completion() {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        assert_eq!(h.live_tasks(), 0);
-        sim.spawn(async {});
-        assert_eq!(h.live_tasks(), 1);
-        sim.run();
-        assert_eq!(h.live_tasks(), 0);
     }
 
     #[test]
@@ -1048,39 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn run_bounded_stops_runaway_schedules() {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        sim.spawn(async move {
-            loop {
-                h.yield_now().await;
-            }
-        });
-        let p = sim.run_bounded(None, 1_000);
-        assert!(!p.completed, "an infinite yield loop must hit the budget");
-        assert_eq!(p.polls, 1_000);
-        assert_eq!(sim.polls(), 1_000);
-        // A later bounded run resumes where the first stopped.
-        let p2 = sim.run_bounded(None, 500);
-        assert!(!p2.completed);
-        assert_eq!(p2.polls, 500);
-        assert_eq!(sim.polls(), 1_500);
-    }
-
-    #[test]
-    fn run_bounded_reports_completion_when_draining() {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        sim.spawn(async move {
-            h.sleep(100).await;
-        });
-        let p = sim.run_bounded(None, 1_000_000);
-        assert!(p.completed, "a finite schedule must drain within budget");
-        assert_eq!(p.now.as_nanos(), 100);
-        assert!(p.polls > 0);
-    }
-
-    #[test]
     fn block_on_bounded_returns_progress_on_budget_exhaustion() {
         let sim = Simulation::new();
         let h = sim.handle();
@@ -1094,8 +985,15 @@ mod tests {
                 200,
             )
             .expect_err("an infinite loop must exhaust the budget");
-        assert!(!err.completed);
         assert_eq!(err.polls, 200);
+        assert_eq!(err.now, SimTime::ZERO, "yields never advance the clock");
+        // A later bounded run resumes where the first stopped and counts
+        // only its own polls.
+        let err = sim
+            .block_on_bounded(std::future::pending::<()>(), 100)
+            .expect_err("the yield loop still runs");
+        assert_eq!(err.polls, 100);
+        assert_eq!(sim.polls(), 300);
 
         let sim2 = Simulation::new();
         let h2 = sim2.handle();
@@ -1109,6 +1007,7 @@ mod tests {
             )
             .expect("a finite future completes within budget");
         assert_eq!(v, 42);
+        assert_eq!(sim2.handle().now().as_nanos(), 7, "drained at the sleep");
     }
 
     #[test]

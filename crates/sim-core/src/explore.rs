@@ -62,17 +62,14 @@ impl ExplorationPolicy {
     }
 }
 
-/// Progress report from a bounded executor run (see
-/// `Simulation::run_bounded` / `Simulation::block_on_bounded`).
+/// Progress report from a bounded executor run that exhausted its poll
+/// budget (see `Simulation::block_on_bounded`).
 #[derive(Clone, Copy, Debug)]
 pub struct RunProgress {
     /// Virtual time when the run stopped.
     pub now: SimTime,
     /// Task polls performed by this run (not cumulative).
     pub polls: u64,
-    /// True if the run stopped because the simulation drained or its
-    /// goal completed; false if the poll budget stopped it first.
-    pub completed: bool,
 }
 
 /// The executor-side state backing an [`ExplorationPolicy`]: the policy

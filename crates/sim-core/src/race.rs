@@ -333,11 +333,6 @@ impl RaceDetector {
         std::mem::take(&mut self.inner.borrow_mut().reports)
     }
 
-    /// Logical id of the task currently executing (for tests).
-    pub fn current_task(&self) -> Lid {
-        self.inner.borrow().cur
-    }
-
     // ---- executor hooks (crate-internal) -------------------------------
 
     pub(crate) fn set_now(&self, now: Nanos) {
@@ -677,11 +672,6 @@ impl ShadowRegion {
             det: None,
             region: 0,
         }
-    }
-
-    /// Whether the detector behind this region is enabled.
-    pub fn enabled(&self) -> bool {
-        self.det.is_some()
     }
 
     /// Records a plain read of `idx` and checks it against the last

@@ -154,13 +154,7 @@ impl Tracer {
             cat,
             name,
             start_ns: self.sim.now().as_nanos(),
-            arg: std::cell::Cell::new(None),
         }
-    }
-
-    /// Virtual now, in ns (for callers recording manual intervals).
-    pub fn now_ns(&self) -> Nanos {
-        self.sim.now().as_nanos()
     }
 
     /// Total events currently buffered across all tracks.
@@ -171,11 +165,6 @@ impl Tracer {
     /// Whether no events have been buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total events dropped to ring-buffer bounds, across all tracks.
-    pub fn dropped(&self) -> u64 {
-        self.tracks.borrow().values().map(|t| t.dropped).sum()
     }
 
     /// All buffered events, in (track, record-order) order.
@@ -270,15 +259,9 @@ pub struct Span {
     cat: &'static str,
     name: &'static str,
     start_ns: Nanos,
-    arg: std::cell::Cell<Option<(&'static str, u64)>>,
 }
 
 impl Span {
-    /// Attaches (or replaces) the span's argument before it closes.
-    pub fn set_arg(&self, key: &'static str, value: u64) {
-        self.arg.set(Some((key, value)));
-    }
-
     /// Closes the span now (equivalent to dropping it).
     pub fn end(self) {}
 }
@@ -292,7 +275,7 @@ impl Drop for Span {
             self.name,
             self.start_ns,
             end.saturating_sub(self.start_ns),
-            self.arg.get(),
+            None,
         );
     }
 }
@@ -330,8 +313,7 @@ mod tests {
             let outer = t.span(3, "fault", "major");
             h.sleep(500).await;
             {
-                let inner = t.span(3, "fault", "fp2.read");
-                inner.set_arg("bytes", 4096);
+                let _inner = t.span(3, "fault", "fp2.read");
                 h.sleep(1_000).await;
             }
             h.sleep(200).await;
@@ -343,7 +325,7 @@ mod tests {
         assert_eq!(ev[0].name, "fp2.read");
         assert_eq!(ev[0].start_ns, 500);
         assert_eq!(ev[0].dur_ns, 1_000);
-        assert_eq!(ev[0].arg, Some(("bytes", 4096)));
+        assert_eq!(ev[0].arg, None);
         assert_eq!(ev[1].name, "major");
         assert_eq!(ev[1].start_ns, 0);
         assert_eq!(ev[1].dur_ns, 1_700);
@@ -357,7 +339,10 @@ mod tests {
             tracer.record(0, "c", "e", i, 1, None);
         }
         assert_eq!(tracer.len(), 4);
-        assert_eq!(tracer.dropped(), 6);
+        assert!(
+            tracer.to_chrome_json().contains("\"dropped_events\":6"),
+            "the export reports the six dropped events"
+        );
         let ev = tracer.events();
         assert_eq!(ev[0].start_ns, 6, "oldest events dropped first");
         assert_eq!(ev[3].start_ns, 9);

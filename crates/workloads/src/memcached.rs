@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use mage::{FarMemory, MachineParams, SystemConfig};
+use mage::{FarMemory, SystemConfig};
 use mage_mmu::{CoreId, Topology};
 use mage_sim::rng::SplitMix64;
 use mage_sim::slab::PageMap;
@@ -21,6 +21,7 @@ use mage_sim::time::{Nanos, SimTime};
 use mage_sim::Simulation;
 
 use crate::patterns::Zipf;
+use crate::runner::testbed;
 
 /// Configuration of a Memcached latency experiment.
 #[derive(Clone)]
@@ -81,14 +82,8 @@ impl MemcachedConfig {
 /// Results of a Memcached run.
 #[derive(Clone, Debug)]
 pub struct MemcachedReport {
-    /// Offered load, M ops/s.
-    pub offered_mops: f64,
     /// Completed requests per second, M ops/s.
     pub achieved_mops: f64,
-    /// Mean sojourn, ns.
-    pub mean_ns: f64,
-    /// Median sojourn, ns.
-    pub p50_ns: u64,
     /// 99th-percentile sojourn, ns (the paper's SLO metric).
     pub p99_ns: u64,
     /// Major faults taken while serving.
@@ -119,24 +114,15 @@ struct WorkerQueue {
 /// Runs the Memcached experiment.
 pub fn run_memcached(cfg: &MemcachedConfig) -> MemcachedReport {
     let sim = Simulation::new();
-    let local_pages = if cfg.local_ratio >= 0.999 {
-        // All-local: headroom above the (memory-scaled) watermarks so
-        // nothing evicts.
-        cfg.data_pages
-            + cfg.data_pages / 16
-            + 3 * (cfg.system.evictors as u64) * (cfg.system.eviction_batch as u64)
-            + 256
-    } else {
-        ((cfg.data_pages as f64 * cfg.local_ratio) as u64).max(1024)
-    };
-    let params = MachineParams {
-        topo: Topology::xeon_6348_dual(),
-        app_threads: cfg.workers,
-        local_pages,
-        remote_pages: cfg.data_pages + 1024,
-        tlb_entries: 1_536,
-        seed: cfg.seed,
-    };
+    let params = testbed(
+        Topology::xeon_6348_dual(),
+        cfg.workers,
+        cfg.data_pages,
+        cfg.local_ratio,
+        1024,
+        Some(&cfg.system),
+        cfg.seed,
+    );
     let engine = FarMemory::launch(sim.handle(), cfg.system.clone(), params);
     let vma = engine.mmap(cfg.data_pages);
     if cfg.lazy_populate {
@@ -250,10 +236,7 @@ pub fn run_memcached(cfg: &MemcachedConfig) -> MemcachedReport {
     let active_connections = conn_seen.borrow().len() as u64;
     let touched_pages = page_seen.borrow().len() as u64;
     MemcachedReport {
-        offered_mops: cfg.load_mops,
         achieved_mops: completed.get() as f64 * 1e3 / cfg.duration_ns as f64,
-        mean_ns: sojourn.mean(),
-        p50_ns: sojourn.p50(),
         p99_ns: sojourn.p99(),
         major_faults: window.major_faults,
         fault_p99_ns: window.fault_latency.p99(),

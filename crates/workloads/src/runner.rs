@@ -84,19 +84,39 @@ impl RunConfig {
             topo: Topology::xeon_6348_dual(),
         }
     }
+}
 
-    fn local_pages(&self) -> u64 {
-        if self.local_ratio >= 0.999 {
-            // All-local runs need headroom above the watermarks (which
-            // scale with both the eviction batch and memory size) so that
-            // nothing ever evicts.
-            self.wss_pages
-                + self.wss_pages / 16
-                + 3 * (self.system.evictors as u64) * (self.system.eviction_batch as u64)
-                + 256
-        } else {
-            ((self.wss_pages as f64 * self.local_ratio) as u64).max(512)
+/// The machine for `app_threads` threads over `wss` pages: 1,536 TLB
+/// entries, a remote slot for every page plus 1,024 spare, and
+/// `local_ratio` of the working set local, at least `floor` pages.
+///
+/// `all_local` names the system whose watermarks an all-local run
+/// (ratio ≥ 0.999) must clear: such a run instead gets the whole working
+/// set plus headroom above them (they scale with both the eviction batch
+/// and memory size), so that nothing ever evicts. With `None` the ratio
+/// rule holds at every ratio.
+pub(crate) fn testbed(
+    topo: Topology,
+    app_threads: usize,
+    wss: u64,
+    local_ratio: f64,
+    floor: u64,
+    all_local: Option<&SystemConfig>,
+    seed: u64,
+) -> MachineParams {
+    let local_pages = match all_local {
+        Some(system) if local_ratio >= 0.999 => {
+            wss + wss / 16 + 3 * (system.evictors as u64) * (system.eviction_batch as u64) + 256
         }
+        _ => ((wss as f64 * local_ratio) as u64).max(floor),
+    };
+    MachineParams {
+        topo,
+        app_threads,
+        local_pages,
+        remote_pages: wss + 1024,
+        tlb_entries: 1_536,
+        seed,
     }
 }
 
@@ -221,14 +241,15 @@ impl RunReport {
 /// Runs one closed-loop batch experiment to completion.
 pub fn run_batch(cfg: &RunConfig) -> RunReport {
     let sim = Simulation::new();
-    let params = MachineParams {
-        topo: cfg.topo,
-        app_threads: cfg.threads,
-        local_pages: cfg.local_pages(),
-        remote_pages: cfg.wss_pages + 1024,
-        tlb_entries: 1_536,
-        seed: cfg.seed,
-    };
+    let params = testbed(
+        cfg.topo,
+        cfg.threads,
+        cfg.wss_pages,
+        cfg.local_ratio,
+        512,
+        Some(&cfg.system),
+        cfg.seed,
+    );
     let engine = FarMemory::launch(sim.handle(), cfg.system.clone(), params);
     let vma = engine.mmap(cfg.wss_pages);
     if cfg.lazy_populate {
@@ -414,14 +435,8 @@ pub fn run_batch(cfg: &RunConfig) -> RunReport {
 /// Report of an open-loop experiment.
 #[derive(Clone, Debug)]
 pub struct OpenLoopReport {
-    /// Offered load, M ops/s.
-    pub offered_mops: f64,
     /// Achieved completion rate, M ops/s.
     pub achieved_mops: f64,
-    /// Mean request latency, ns.
-    pub mean_ns: f64,
-    /// p50 request latency, ns.
-    pub p50_ns: u64,
     /// p99 request latency, ns.
     pub p99_ns: u64,
     /// Requests the generator issued during the offered-load window.
@@ -447,15 +462,15 @@ pub fn run_open_loop_faults(
     seed: u64,
 ) -> OpenLoopReport {
     let sim = Simulation::new();
-    let local_pages = ((wss_pages as f64 * local_ratio) as u64).max(1024);
-    let params = MachineParams {
-        topo: Topology::xeon_6348_dual(),
-        app_threads: threads,
-        local_pages,
-        remote_pages: wss_pages + 1024,
-        tlb_entries: 1_536,
+    let params = testbed(
+        Topology::xeon_6348_dual(),
+        threads,
+        wss_pages,
+        local_ratio,
+        1024,
+        None,
         seed,
-    };
+    );
     let engine = FarMemory::launch(sim.handle(), system, params);
     let vma = engine.mmap(wss_pages);
     // Normal placement: local memory starts full of resident pages so the
@@ -579,10 +594,7 @@ where
     });
 
     OpenLoopReport {
-        offered_mops: rate_mops,
         achieved_mops: in_window.get() as f64 * 1e3 / duration_ns as f64,
-        mean_ns: latency.mean(),
-        p50_ns: latency.p50(),
         p99_ns: latency.p99(),
         issued_requests: issued.get(),
         completed_requests: completed.get(),
@@ -599,6 +611,23 @@ mod tests {
         cfg.ops_per_thread = 4_000;
         cfg.topo = Topology::single_socket(10);
         cfg
+    }
+
+    #[test]
+    fn testbed_sizes_local_memory_by_ratio_floor_and_headroom() {
+        let lib = SystemConfig::mage_lib();
+        let topo = Topology::single_socket(4);
+        let local = |ratio, floor, all_local| {
+            testbed(topo, 2, 10_000, ratio, floor, all_local, 1).local_pages
+        };
+        assert_eq!(local(0.3, 512, Some(&lib)), 3_000);
+        assert_eq!(local(0.01, 512, Some(&lib)), 512, "floor");
+        assert_eq!(local(0.01, 1024, None), 1024, "floor");
+        let headroom = 3 * (lib.evictors as u64) * (lib.eviction_batch as u64) + 256;
+        assert_eq!(local(1.0, 512, Some(&lib)), 10_000 + 625 + headroom);
+        assert_eq!(local(1.0, 1024, None), 10_000, "ratio rule at every ratio");
+        let p = testbed(topo, 2, 10_000, 0.5, 512, None, 7);
+        assert_eq!((p.remote_pages, p.tlb_entries, p.seed), (11_024, 1_536, 7));
     }
 
     #[test]

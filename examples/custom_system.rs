@@ -37,8 +37,8 @@ fn main() {
     multilayer.local_alloc = LocalAllocatorKind::MultiLayer;
 
     // Victim-selection policy swap on the finished system: the aging
-    // CLOCK grants hot pages extra grace rounds (an EvictionPolicy
-    // implementation selected purely through configuration).
+    // CLOCK grants hot pages extra grace rounds (a victim-policy preset
+    // selected purely through configuration).
     let mut aging = multilayer
         .clone()
         .with_eviction_policy(EvictionPolicyKind::AgingClock { hot_rounds: 3 });

@@ -48,10 +48,9 @@ pub use mage_workloads as workloads;
 /// The most common imports for running experiments.
 pub mod prelude {
     pub use mage::{
-        Access, CostModel, EvictionPolicy, EvictionPolicyKind, FarBackend, FarMemory, FaultError,
-        Fifo, IdealModel, MachineParams, MetricsRegistry, MetricsSnapshot, MetricsWindow,
-        OsProfile, PrefetchPolicy, ReplicaState, ReplicationConfig, ReplicationStats, RetryPolicy,
-        SystemConfig, TransferOp,
+        Access, CostModel, EvictionPolicyKind, FarBackend, FarMemory, FaultError, IdealModel,
+        MachineParams, MetricsRegistry, MetricsSnapshot, MetricsWindow, OsProfile, PrefetchPolicy,
+        ReplicaState, ReplicationConfig, ReplicationStats, RetryPolicy, SystemConfig, TransferOp,
     };
     pub use mage_fabric::{FaultPlan, TransferError};
     pub use mage_mmu::{CoreId, Topology};

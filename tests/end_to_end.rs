@@ -178,19 +178,41 @@ fn open_loop_and_memcached_agree_on_direction() {
     assert!(hi.p99_ns >= lo.p99_ns);
 }
 
+/// The §3.1 bound: with `T₀` from an all-local run of the same system
+/// and workload and the per-thread fault counts `F` of the offloaded
+/// run, no system finishes before `T₀ + L · max F`. The ideal preset,
+/// which zeroes every software cost, lands within 5% of that bound.
 #[test]
 fn ideal_model_bounds_real_systems() {
-    // The analytic ideal throughput computed from a real run's fault
-    // counts must upper-bound what the simulated systems achieve.
-    let r = run(SystemConfig::mage_lib(), WorkloadKind::RandomGraph, 8, 0.5);
-    let ideal = IdealModel::paper();
-    let compute_only_ns = r
-        .runtime_ns
-        .saturating_sub(ideal.rdma_latency_ns * r.faults_per_thread.iter().max().unwrap());
-    let ideal_runtime = ideal.runtime_ns(compute_only_ns, &r.faults_per_thread);
-    assert!(
-        ideal_runtime <= r.runtime_ns,
-        "ideal {ideal_runtime} must not exceed measured {}",
-        r.runtime_ns
-    );
+    let model = IdealModel::paper();
+    for system in [
+        SystemConfig::mage_lib(),
+        SystemConfig::mage_lnx(),
+        SystemConfig::dilos(),
+        SystemConfig::hermit(),
+        SystemConfig::ideal(),
+    ] {
+        let local_runtime = run(system.clone(), WorkloadKind::RandomGraph, 8, 1.0).runtime_ns;
+        for local in [0.5, 0.3] {
+            let r = run(system.clone(), WorkloadKind::RandomGraph, 8, local);
+            let ideal = model.runtime_ns(local_runtime, &r.faults_per_thread);
+            let label = format!("{} at local {local}", system.name);
+            assert!(
+                r.faults_per_thread.iter().any(|&f| f > 0),
+                "{label}: the offloaded run must fault"
+            );
+            assert!(
+                ideal <= r.runtime_ns,
+                "{label}: ideal {ideal} ns exceeds measured {} ns",
+                r.runtime_ns
+            );
+            if system.name == SystemConfig::ideal().name {
+                assert!(
+                    r.runtime_ns as f64 <= 1.05 * ideal as f64,
+                    "{label}: measured {} ns is more than 5% above ideal {ideal} ns",
+                    r.runtime_ns
+                );
+            }
+        }
+    }
 }

@@ -1,16 +1,15 @@
-//! Integration tests for the engine's one trait seam, the victim
-//! selection policy: every [`EvictionPolicy`] implementation, shipped or
-//! user-supplied, must run the full engine end-to-end while preserving
-//! the safety invariants the default configuration guarantees. The far
-//! memory backend is one concrete type whose shapes are config data
-//! (slot placement, link model, replication); every shape a config can
-//! build is held to the same invariants, and the goldens pin the
-//! default, baseline and replicated schedules.
+//! Integration tests for the engine's configuration seams. Every victim
+//! selection policy preset (`EvictionPolicyKind::BUILT_IN`, FIFO's
+//! evict-everything rule included) must run the full engine end-to-end
+//! while preserving the safety invariants the default configuration
+//! guarantees. The far memory backend is one concrete type whose shapes
+//! are config data (slot placement, link model, replication); every
+//! shape a config can build is held to the same invariants, and the
+//! goldens pin the default, baseline and replicated schedules.
 
 use std::rc::Rc;
 
-use mage_far_memory::engine::reclaim::EvictionPolicy;
-use mage_far_memory::mmu::{PageTable, Topology, Vma};
+use mage_far_memory::mmu::{Topology, Vma};
 use mage_far_memory::prelude::*;
 
 fn launch(system: SystemConfig, seed: u64) -> (Simulation, Rc<FarMemory>, Vma) {
@@ -302,30 +301,6 @@ fn mage_lnx_matches_golden_values() {
         (5_885_292, 32_000, 6_170, 6_271, 6_655, 5_939, 0, 205, 4_663_460_517_660_057_974, 129_877),
         "mage_lnx/RandomGraph drifted from the pinned schedule"
     );
-}
-
-/// A user-supplied policy plugs in through `EvictionPolicyKind::Custom`.
-#[test]
-fn custom_policy_plugs_in() {
-    struct EvictEverything;
-    impl EvictionPolicy for EvictEverything {
-        fn name(&self) -> &'static str {
-            "evict-everything"
-        }
-        fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
-            pt.update(vpn, |p| p.with_accessed(false));
-            false
-        }
-    }
-
-    let system = SystemConfig::mage_lib().with_eviction_policy(EvictionPolicyKind::Custom {
-        name: "evict-everything",
-        build: || Box::new(EvictEverything),
-    });
-    let (sim, engine, vma) = launch(system, 13);
-    assert_eq!(engine.eviction_policy().name(), "evict-everything");
-    churn(&sim, &engine, &vma);
-    assert_safe(&engine, &vma, "evict-everything");
 }
 
 /// Replicated-path golden: the replica routing, mirrored writes,
