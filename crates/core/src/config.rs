@@ -406,7 +406,7 @@ mod tests {
         let lnx = SystemConfig::mage_lnx();
         assert!(matches!(lnx.eviction_policy, EvictionPolicyKind::Fifo));
         assert_eq!(lnx.costs.accounting.scan_per_page_ns, 0, "no recheck, no scan cost");
-        assert!(lnx.nic.gbps() < 150.0, "Linux stack bandwidth ceiling");
+        assert!(lnx.nic.bandwidth_bytes_per_ns * 8.0 < 150.0, "Linux stack Gbps ceiling");
         assert_eq!(lnx.prefetch, PrefetchPolicy::None);
     }
 
@@ -414,7 +414,8 @@ mod tests {
     fn ideal_has_no_coherence_cost() {
         let ideal = SystemConfig::ideal();
         assert_eq!(ideal.costs.ipi.handler_cost(256), 0);
-        assert_eq!(ideal.costs.os.fault_fixed_ns(), 0);
+        let os = &ideal.costs.os;
+        assert_eq!([os.fault_entry_ns, os.pt_walk_ns, os.pte_update_ns, os.swapcache_ns], [0; 4]);
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl FarMemory {
     /// retries) only on transport errors, with every side effect rolled
     /// back: the frame freed, the PTE unlocked and still remote.
     async fn fault_in(&self, core: CoreId, vpn: u64, write: bool) -> Result<Nanos, FaultError> {
-        let costs = self.cfg.costs.clone();
+        let costs = &self.cfg.costs;
         let mut ctx = FaultCtx::enter(self.sim.now());
         self.sim
             .sleep(costs.os.fault_entry_ns + costs.os.pt_walk_ns + costs.os.swapcache_ns)
@@ -185,8 +185,9 @@ impl FarMemory {
             drop(guard);
         }
 
-        // PTE fault-dedup lock (unified-page-table style, §5.2).
-        loop {
+        // PTE fault-dedup lock (unified-page-table style, §5.2). The loop
+        // yields the entry it locked: `try_lock` sets only the lock bit.
+        let pte = loop {
             let pte = self.pt.get(vpn);
             if pte.is_present() {
                 // Another thread (or a prefetch) resolved the fault.
@@ -235,9 +236,8 @@ impl FarMemory {
             let locked = self.pt.try_lock(vpn);
             debug_assert!(locked, "PTE lock raced on a single-threaded executor");
             self.emit(PageEvent::FetchStart { vpn });
-            break;
-        }
-        let pte = self.pt.get(vpn);
+            break pte;
+        };
         let was_remote = pte.is_remote();
         let rpn = pte.payload();
 

@@ -12,11 +12,11 @@
 //! cannot appear in a report at all.
 //!
 //! Every windowed metric is one row of the `metrics!` table below, and
-//! the snapshot, the window, its JSON form and both operations are
-//! generated from it, so a new metric is one row from the stat field to
-//! every report that carries a window. Each source struct is
-//! destructured without `..`, so a stat field added to a source struct
-//! without a row is a compile error.
+//! the snapshot, the window and both operations are generated from it,
+//! so a new metric is one row from the stat field to every report that
+//! carries a window. Each source struct is destructured without `..`,
+//! so a stat field added to a source struct without a row is a compile
+//! error.
 //!
 //! The destructive `EngineStats::reset` shim this replaces (since
 //! removed) cleared only
@@ -29,7 +29,7 @@ use std::cell::RefCell;
 use mage_accounting::AccountingStats;
 use mage_fabric::NicStats;
 use mage_mmu::IpiStats;
-use mage_sim::stats::{Counter, Histogram, HistogramDelta, TimeStat, TimeStatDelta, Windowed};
+use mage_sim::stats::{Counter, Histogram, TimeStat, Windowed};
 use mage_sim::time::Nanos;
 
 use crate::backend::ReplicationStats;
@@ -52,8 +52,7 @@ pub struct MetricsRegistry<'a> {
     pub replication: Option<&'a ReplicationStats>,
 }
 
-/// Generates [`MetricsSnapshot`], [`MetricsWindow`], its
-/// [`to_json`](MetricsWindow::to_json) and the registry's
+/// Generates [`MetricsSnapshot`], [`MetricsWindow`] and the registry's
 /// `snapshot`/`window_since` from one table. Each group names a local
 /// bound by [`MetricsRegistry::sources`], the source struct, and the
 /// struct's fields that are not windowed metrics; each row maps one
@@ -75,24 +74,14 @@ macro_rules! metrics {
         /// The *end − start* deltas of one measurement window. Every field
         /// is a windowed value: counters are plain differences,
         /// distributions are [`HistogramDelta`]s / [`TimeStatDelta`]s
-        /// covering only samples recorded inside the window.
-        #[derive(Clone, Debug)]
+        /// covering only samples recorded inside the window. Every value
+        /// is made of integers, so equal windows mean bit-equal stats.
+        ///
+        /// [`HistogramDelta`]: mage_sim::stats::HistogramDelta
+        /// [`TimeStatDelta`]: mage_sim::stats::TimeStatDelta
+        #[derive(Clone, Debug, PartialEq)]
         pub struct MetricsWindow {
             $($( $(#[$doc])* pub $name: <$ty as Windowed>::Delta, )*)*
-        }
-
-        impl MetricsWindow {
-            /// The window as one JSON object with a key per table row,
-            /// named by the row's window name. Every value is an integer
-            /// (counters as numbers, histograms as
-            /// `{count, sum, p50, p99, p999}`, time stats as
-            /// `{count, sum}`), so byte-equal JSON means bit-equal stats.
-            pub fn to_json(&self) -> String {
-                let members = [$($(
-                    format!("\"{}\": {}", stringify!($name), self.$name.json()),
-                )*)*];
-                format!("{{{}}}", members.join(", "))
-            }
         }
 
         impl MetricsRegistry<'_> {
@@ -251,36 +240,6 @@ impl MetricsRegistry<'_> {
             self.accounting,
             self.replication.unwrap_or(absent),
         )
-    }
-}
-
-/// How one windowed value prints in [`MetricsWindow::to_json`].
-trait JsonValue {
-    fn json(&self) -> String;
-}
-
-impl JsonValue for u64 {
-    fn json(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl JsonValue for HistogramDelta {
-    fn json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}}}",
-            self.count(),
-            self.sum(),
-            self.p50(),
-            self.p99(),
-            self.p999()
-        )
-    }
-}
-
-impl JsonValue for TimeStatDelta {
-    fn json(&self) -> String {
-        format!("{{\"count\": {}, \"sum\": {}}}", self.count(), self.sum())
     }
 }
 

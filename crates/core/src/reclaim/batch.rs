@@ -79,8 +79,15 @@ impl FarMemory {
             + self.cfg.costs.os.swapcache_ns;
         self.sim.sleep(unmap_cost).await;
         let rpn = self.backend.alloc_slot(direct_rpn).await?;
-        let frame = pte.payload();
-        let dirty = pte.dirty();
+        // Other cores walked and wrote the page across those awaits: the
+        // frame and the dirty bit come from the live entry.
+        let live = self.pt.get(vpn);
+        debug_assert!(
+            live.is_present() && !live.locked() && live.payload() == pte.payload(),
+            "unmap candidate {vpn:#x} changed under its evictor: {pte:?} -> {live:?}"
+        );
+        let frame = live.payload();
+        let dirty = live.dirty();
         // The set below both rewrites the word and takes its lock bit:
         // tell the detector the lock edge comes first so the write is
         // inside the critical section.

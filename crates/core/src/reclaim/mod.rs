@@ -112,6 +112,34 @@ mod tests {
     }
 
     #[test]
+    fn write_during_the_unmap_is_written_back() {
+        // The unmap sleeps and allocates a slot before it rewrites the
+        // entry. A core that still caches the page may dirty it then, and
+        // the far copy must receive that write.
+        let (sim, engine, vma) = rig(SystemConfig::mage_lib(), 512);
+        let e = Rc::clone(&engine);
+        sim.block_on(async move {
+            let vpn = (0..vma.pages)
+                .map(|i| vma.start_vpn + i)
+                .find(|&v| e.pt.get(v).is_remote())
+                .expect("remote page");
+            let fault = e.access(CoreId(0), vpn, false).await;
+            assert!(matches!(fault, Access::Major { .. }));
+            assert!(!e.pt.get(vpn).dirty(), "a read fault installs a clean page");
+            assert!(matches!(e.access(CoreId(1), vpn, false).await, Access::Minor));
+            let writebacks = e.stats.writebacks.get();
+            let writer = Rc::clone(&e);
+            let write = e.sim.spawn(async move {
+                writer.sim.sleep(1).await;
+                writer.access(CoreId(1), vpn, true).await
+            });
+            assert_eq!(e.pageout(CoreId(0), &[vpn]).await, 1);
+            assert!(matches!(write.await, Access::TlbHit));
+            assert_eq!(e.stats.writebacks.get(), writebacks + 1);
+        });
+    }
+
+    #[test]
     fn hermit_scaling_controller_reacts_to_pressure() {
         let (sim, engine, vma) = rig(SystemConfig::hermit(), 512);
         assert_eq!(engine.active_evictors.get(), 4);

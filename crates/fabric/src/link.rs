@@ -60,11 +60,6 @@ impl NicConfig {
     pub fn serialize_ns(&self, bytes: u64) -> Nanos {
         (bytes as f64 / self.bandwidth_bytes_per_ns).ceil() as Nanos
     }
-
-    /// Link bandwidth in Gbps (per direction).
-    pub fn gbps(&self) -> f64 {
-        self.bandwidth_bytes_per_ns * 8.0
-    }
 }
 
 /// Per-NIC transfer statistics.

@@ -162,7 +162,7 @@ impl InterruptController {
     /// The lowest-numbered core whose TLB translates `vpn`, if any: the
     /// stale-translation safety check.
     pub fn sharer(&self, vpn: u64) -> Option<CoreId> {
-        self.topo.cores().find(|&c| self.tlb(c).translates(vpn))
+        self.topo.cores().find(|&c| self.tlb(c).lookup(vpn))
     }
 
     /// IPI statistics.
@@ -398,7 +398,7 @@ mod tests {
                 .await;
         });
         for core in topo.cores() {
-            assert!(!ic.tlb(core).translates(77), "core {core:?} stale");
+            assert!(!ic.tlb(core).lookup(77), "core {core:?} stale");
         }
         assert_eq!(ic.sharer(77), None);
         assert_eq!(topo.cores().map(|c| ic.tlb(c).len()).sum::<usize>(), 0);
@@ -426,9 +426,9 @@ mod tests {
                 .await;
             refill.await;
         });
-        assert!(!ic.tlb(CoreId(1)).translates(77));
+        assert!(!ic.tlb(CoreId(1)).lookup(77));
         assert!(
-            !ic.tlb(CoreId(2)).translates(77),
+            !ic.tlb(CoreId(2)).lookup(77),
             "mid-shootdown refill survived"
         );
     }

@@ -4,8 +4,8 @@
 //! translate without touching the page table. It serves two purposes in
 //! the reproduction:
 //!
-//! 1. **Hit accounting** — minor-access fast paths (TLB hit) versus
-//!    page-table walks.
+//! 1. **The fast path** — a TLB hit is a minor access; a miss walks the
+//!    page table. The engine counts the hits (`EngineStats::tlb_hits`).
 //! 2. **Safety checking** — the eviction pipeline must never reclaim a
 //!    frame while any core still caches a translation to it. The engine's
 //!    debug assertions ask
@@ -25,14 +25,13 @@
 //!
 //! Invalidations performed by the shootdown protocol clear entries at
 //! *request* time even though the simulated flush completes later; this is
-//! conservative for hit accounting and exact for the safety check, because
+//! conservative for the fast path and exact for the safety check, because
 //! the initiating evictor does not reclaim the frame until the flush ACK
 //! (see `mage_mmu::ipi`).
 
 use std::cell::RefCell;
 
 use mage_sim::rng::SplitMix64;
-use mage_sim::stats::Counter;
 
 /// An index slot that holds no page.
 const EMPTY: u16 = u16::MAX;
@@ -44,12 +43,6 @@ pub struct Tlb {
     capacity: usize,
     entries: RefCell<Entries>,
     rng: SplitMix64,
-    /// Translation hits.
-    pub hits: Counter,
-    /// Translation misses.
-    pub misses: Counter,
-    /// Entries evicted by capacity replacement.
-    pub capacity_evictions: Counter,
 }
 
 /// The cached pages and their index.
@@ -167,25 +160,11 @@ impl Tlb {
             capacity,
             entries: RefCell::new(Entries::new(capacity)),
             rng: SplitMix64::new(seed),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            capacity_evictions: Counter::new(),
         }
     }
 
-    /// Looks up `vpn`, recording a hit or miss.
+    /// Whether the core can currently translate `vpn`.
     pub fn lookup(&self, vpn: u64) -> bool {
-        if self.translates(vpn) {
-            self.hits.inc();
-            true
-        } else {
-            self.misses.inc();
-            false
-        }
-    }
-
-    /// Whether the core can currently translate `vpn` (no stats recorded).
-    pub fn translates(&self, vpn: u64) -> bool {
         self.entries.borrow().find(vpn).is_ok()
     }
 
@@ -203,7 +182,6 @@ impl Tlb {
                 .expect("a cached page is indexed");
             e.clear_slot(victim_slot);
             e.order[victim_pos] = vpn;
-            self.capacity_evictions.inc();
             // The backward shift may have emptied a slot earlier on
             // `vpn`'s probe.
             slot = e.vacant(vpn);
@@ -264,8 +242,6 @@ mod tests {
         assert!(!tlb.lookup(10));
         tlb.fill(10);
         assert!(tlb.lookup(10));
-        assert_eq!(tlb.hits.get(), 1);
-        assert_eq!(tlb.misses.get(), 1);
     }
 
     #[test]
@@ -274,8 +250,8 @@ mod tests {
         tlb.fill(1);
         tlb.fill(2);
         tlb.invalidate(1);
-        assert!(!tlb.translates(1));
-        assert!(tlb.translates(2));
+        assert!(!tlb.lookup(1));
+        assert!(tlb.lookup(2));
         assert_eq!(tlb.len(), 1);
     }
 
@@ -294,9 +270,8 @@ mod tests {
             tlb.fill(vpn);
         }
         assert_eq!(tlb.len(), 8);
-        assert_eq!(tlb.capacity_evictions.get(), 92);
         // Every resident entry must still be translatable.
-        let resident: Vec<u64> = (0..100).filter(|&v| tlb.translates(v)).collect();
+        let resident: Vec<u64> = (0..100).filter(|&v| tlb.lookup(v)).collect();
         assert_eq!(resident.len(), 8);
     }
 
@@ -308,7 +283,7 @@ mod tests {
         }
         tlb.flush_all();
         assert!(tlb.is_empty());
-        assert!((0..10).all(|v| !tlb.translates(v)));
+        assert!((0..10).all(|v| !tlb.lookup(v)));
     }
 
     #[test]
@@ -329,9 +304,9 @@ mod tests {
         // vector must stay coherent.
         for vpn in [3, 0, 9, 5] {
             tlb.invalidate(vpn);
-            assert!(!tlb.translates(vpn));
+            assert!(!tlb.lookup(vpn));
         }
-        let alive: Vec<u64> = (0..10).filter(|&v| tlb.translates(v)).collect();
+        let alive: Vec<u64> = (0..10).filter(|&v| tlb.lookup(v)).collect();
         assert_eq!(alive, vec![1, 2, 4, 6, 7, 8]);
         for &v in &alive {
             tlb.invalidate(v);
@@ -351,7 +326,7 @@ mod tests {
             4_096,
             "8 KiB at 1,536 entries"
         );
-        assert!((0..1_536).all(|v| tlb.translates(v << 12)));
+        assert!((0..1_536).all(|v| tlb.lookup(v << 12)));
     }
 
     #[test]

@@ -58,19 +58,19 @@ fn tlb_is_a_bounded_set() {
                 0 => {
                     tlb.fill(vpn);
                     model.insert(vpn);
-                    assert!(tlb.translates(vpn), "fill must take effect");
+                    assert!(tlb.lookup(vpn), "fill must take effect");
                 }
                 _ => {
                     tlb.invalidate(vpn);
                     model.remove(&vpn);
-                    assert!(!tlb.translates(vpn), "invalidate must take effect");
+                    assert!(!tlb.lookup(vpn), "invalidate must take effect");
                 }
             }
             assert!(tlb.len() <= capacity);
             // Everything resident must be in the model (the reverse may
             // not hold because of capacity evictions).
             for v in 0..128u64 {
-                if tlb.translates(v) {
+                if tlb.lookup(v) {
                     assert!(model.contains(&v), "ghost entry {v}");
                 }
             }

@@ -120,8 +120,9 @@ pub(crate) fn testbed(
     }
 }
 
-/// Results of one batch run.
-#[derive(Clone, Debug)]
+/// Results of one batch run. Two reports compare equal exactly when
+/// the runs were bit-identical.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// System name.
     pub system: &'static str,
@@ -207,34 +208,6 @@ impl RunReport {
     /// Pages evicted in the window, background plus synchronous.
     pub fn evicted_pages(&self) -> u64 {
         self.window.evicted_pages + self.window.sync_evicted_pages
-    }
-
-    /// The report as one JSON object: the per-run values, the end-of-run
-    /// gauges and `"window"` ([`MetricsWindow::to_json`]). Integers
-    /// only, so byte-equal JSON means a bit-identical run. The trace is
-    /// left out; it is its own export.
-    pub fn to_json(&self) -> String {
-        let list = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-        let timeline: Vec<String> =
-            self.timeline.iter().map(|(t, ops)| format!("[{t}, {ops}]")).collect();
-        format!(
-            "{{\"system\": \"{}\", \"runtime_ns\": {}, \"total_ops\": {}, \
-             \"faults_per_thread\": [{}], \"timeline\": [{}], \"phase_switch_ns\": [{}], \
-             \"executor_polls\": {}, \"pt_nodes\": {}, \"replica_entries\": {}, \
-             \"tlb_entries\": {}, \"degraded_pages\": {}, \"window\": {}}}",
-            self.system,
-            self.runtime_ns,
-            self.total_ops,
-            list(&self.faults_per_thread),
-            timeline.join(", "),
-            list(&self.phase_switch_ns),
-            self.executor_polls,
-            self.pt_nodes,
-            self.replica_entries,
-            self.tlb_entries,
-            self.degraded_pages,
-            self.window.to_json(),
-        )
     }
 }
 

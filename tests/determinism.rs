@@ -2,18 +2,18 @@
 //! with the same seed must produce bit-identical statistics, and a
 //! different seed must produce different ones. This is the property the
 //! whole evaluation rests on (and the one simlint + the deterministic
-//! executor exist to protect). A run's digest is its report's JSON: every
+//! executor exist to protect). Runs compare by their reports: every
 //! `metrics!` row of the window plus the per-run values and end-of-run
-//! gauges, all integers, so equal digests mean bit-identical runs.
+//! gauges, all integers, so equal reports mean bit-identical runs.
 
 use mage::{EvictionPolicyKind, PrefetchPolicy, ReplicationConfig, RetryPolicy, SystemConfig};
 use mage_fabric::FaultPlan;
-use mage_workloads::runner::{run_batch, RunConfig};
+use mage_workloads::runner::{run_batch, RunConfig, RunReport};
 use mage_workloads::WorkloadKind;
 
 /// Scaled-down fig05 sweep: three systems × two thread counts, with and
-/// without eviction pressure, all folded into one digest.
-fn sweep(seed: u64) -> Vec<String> {
+/// without eviction pressure.
+fn sweep(seed: u64) -> Vec<RunReport> {
     let mut out = Vec::new();
     for system in [
         SystemConfig::hermit(),
@@ -30,16 +30,16 @@ fn sweep(seed: u64) -> Vec<String> {
                 cfg.all_remote = true;
                 cfg.ops_per_thread = wss / threads as u64;
                 cfg.seed = seed;
-                out.push(run_batch(&cfg).to_json());
+                out.push(run_batch(&cfg));
             }
         }
     }
     // SeqFault is a deterministic access stream regardless of seed; add
-    // one zipfian GUPS run so the sweep digest is also seed-sensitive.
+    // one zipfian GUPS run so the sweep is also seed-sensitive.
     let mut cfg = RunConfig::new(SystemConfig::mage_lib(), WorkloadKind::Gups, 2, 2048, 0.5);
     cfg.ops_per_thread = 1000;
     cfg.seed = seed;
-    out.push(run_batch(&cfg).to_json());
+    out.push(run_batch(&cfg));
     out
 }
 
@@ -53,16 +53,16 @@ fn same_seed_is_bit_identical() {
 #[test]
 fn different_seeds_differ() {
     // A randomized workload's statistics must actually depend on the
-    // seed; identical digests would mean the seed is ignored.
+    // seed; identical reports would mean the seed is ignored.
     let a = sweep(1);
     let b = sweep(2);
     assert_ne!(a, b, "different seeds must perturb the statistics");
 }
 
 /// One faulty-link sweep: two systems under a degraded link plus a
-/// crash-window plan, folded into a digest. The fault plan's own seed is
-/// a parameter so both halves of the determinism contract can be pinned.
-fn faulty_sweep(fault_seed: u64) -> Vec<String> {
+/// crash-window plan. The fault plan's own seed is a parameter so both
+/// halves of the determinism contract can be pinned.
+fn faulty_sweep(fault_seed: u64) -> Vec<RunReport> {
     let mut out = Vec::new();
     for system in [SystemConfig::mage_lib(), SystemConfig::hermit()] {
         for plan in [
@@ -84,7 +84,7 @@ fn faulty_sweep(fault_seed: u64) -> Vec<String> {
             let mut cfg = RunConfig::new(s, WorkloadKind::Gups, 2, 2048, 0.5);
             cfg.ops_per_thread = 500;
             cfg.seed = 13;
-            out.push(run_batch(&cfg).to_json());
+            out.push(run_batch(&cfg));
         }
     }
     out
@@ -105,7 +105,7 @@ fn same_fault_plan_is_bit_identical() {
 
 #[test]
 fn different_fault_seeds_diverge() {
-    // The injector must actually consume its seed: identical digests
+    // The injector must actually consume its seed: identical reports
     // under different fault seeds would mean faults are not injected or
     // not seeded.
     let a = faulty_sweep(0xFA417);
@@ -115,10 +115,11 @@ fn different_fault_seeds_diverge() {
 
 /// One replicated sweep: MAGE-Lib on a two-node replicated
 /// [`FarBackend`](mage::FarBackend) under staggered per-node crash plans,
-/// two outage geometries, folded into a digest (which now carries the
-/// failover / re-replication counters). Returns the digest plus the total failovers and repairs so
-/// the tests can also pin that the counters were genuinely exercised.
-fn replicated_sweep(fault_seed: u64) -> (Vec<String>, u64, u64) {
+/// two outage geometries (the reports carry the failover and
+/// re-replication counters). Returns the reports plus the total failovers
+/// and repairs so the tests can also pin that the counters were genuinely
+/// exercised.
+fn replicated_sweep(fault_seed: u64) -> (Vec<RunReport>, u64, u64) {
     let mut out = Vec::new();
     let (mut failovers, mut repairs) = (0u64, 0u64);
     let nodes = 2usize;
@@ -153,7 +154,7 @@ fn replicated_sweep(fault_seed: u64) -> (Vec<String>, u64, u64) {
         let report = run_batch(&cfg);
         failovers += report.window.failover_reads;
         repairs += report.window.rereplicated_pages;
-        out.push(report.to_json());
+        out.push(report);
     }
     (out, failovers, repairs)
 }
@@ -162,7 +163,7 @@ fn replicated_sweep(fault_seed: u64) -> (Vec<String>, u64, u64) {
 fn replicated_sweep_same_fault_seed_is_bit_identical() {
     // Node crashes, monitor-lag failovers and background repairs must all
     // be functions of the fault seed alone — including the new counters,
-    // which ride in the digest.
+    // which ride in the reports.
     let (a, failovers, repairs) = replicated_sweep(0xFA417);
     let (b, _, _) = replicated_sweep(0xFA417);
     assert_eq!(
@@ -201,9 +202,9 @@ fn every_eviction_policy_is_bit_deterministic() {
         let mut cfg = RunConfig::new(system, WorkloadKind::Gups, 4, 4096, 0.5);
         cfg.ops_per_thread = 1500;
         cfg.seed = seed;
-        run_batch(&cfg).to_json()
+        run_batch(&cfg)
     };
-    let mut digests = Vec::new();
+    let mut reports = Vec::new();
     for kind in EvictionPolicyKind::BUILT_IN {
         let a = run(kind, 11);
         let b = run(kind, 11);
@@ -214,13 +215,13 @@ fn every_eviction_policy_is_bit_deterministic() {
             "{}: different seeds must perturb the statistics",
             kind.name()
         );
-        digests.push((kind.name(), a));
+        reports.push((kind.name(), a));
     }
-    for (i, (name_a, da)) in digests.iter().enumerate() {
-        for (name_b, db) in digests.iter().skip(i + 1) {
+    for (i, (name_a, da)) in reports.iter().enumerate() {
+        for (name_b, db) in reports.iter().skip(i + 1) {
             assert_ne!(
                 da, db,
-                "{name_a} and {name_b} produced identical digests — the \
+                "{name_a} and {name_b} produced identical reports — the \
                  policy knob is not reaching the engine"
             );
         }
@@ -242,7 +243,7 @@ fn random_access_workload_is_deterministic_too() {
         );
         cfg.ops_per_thread = 2000;
         cfg.seed = seed;
-        run_batch(&cfg).to_json()
+        run_batch(&cfg)
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));

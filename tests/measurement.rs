@@ -144,7 +144,6 @@ fn every_window_row_reads_its_own_source() {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    use mage_far_memory::sim::json::{parse, Value};
     use mage_far_memory::sim::stats::{
         Counter, Histogram, HistogramDelta, TimeStat, TimeStatDelta,
     };
@@ -193,7 +192,57 @@ fn every_window_row_reads_its_own_source() {
     });
     engine.shutdown();
 
-    let w = engine.metrics().window_since(&MetricsSnapshot::default());
+    // Destructured without `..`, so a table row that this test does not
+    // check is a compile error.
+    let MetricsWindow {
+        accesses,
+        tlb_hits,
+        minor_walks,
+        major_faults,
+        page_lock_waits,
+        sync_evictions,
+        evicted_pages,
+        sync_evicted_pages,
+        writebacks,
+        clean_reclaims,
+        eviction_batches,
+        unmapped_pages,
+        evict_cancels,
+        evict_cancelled_pages,
+        prefetches,
+        prefetch_inflight_hits,
+        transfer_retries,
+        transfer_failures,
+        aborted_faults,
+        requeued_victims,
+        failover_reads,
+        re_faults,
+        ghost_hits,
+        nic_reads,
+        nic_writes,
+        nic_read_bytes,
+        nic_write_bytes,
+        ipis,
+        shootdowns,
+        acct_inserts,
+        acct_scanned,
+        acct_reactivated,
+        acct_victims,
+        rereplicated_pages,
+        degraded_marks,
+        fault_latency,
+        retry_latency,
+        nic_read_latency,
+        nic_write_latency,
+        ipi_latency,
+        shootdown_latency,
+        free_wait,
+        breakdown_rdma,
+        breakdown_tlb,
+        breakdown_accounting,
+        breakdown_circulation,
+        breakdown_other,
+    } = engine.metrics().window_since(&MetricsSnapshot::default());
     let s = engine.stats();
     let b = &s.breakdown;
     let nic = engine.nic().stats();
@@ -205,52 +254,52 @@ fn every_window_row_reads_its_own_source() {
         .expect("replicated backend exposes repair stats");
 
     let counters: [(&str, u64, &Counter); 35] = [
-        ("accesses", w.accesses, &s.accesses),
-        ("tlb_hits", w.tlb_hits, &s.tlb_hits),
-        ("minor_walks", w.minor_walks, &s.minor_walks),
-        ("major_faults", w.major_faults, &s.major_faults),
-        ("page_lock_waits", w.page_lock_waits, &s.page_lock_waits),
-        ("sync_evictions", w.sync_evictions, &s.sync_evictions),
-        ("evicted_pages", w.evicted_pages, &s.evicted_pages),
-        ("sync_evicted_pages", w.sync_evicted_pages, &s.sync_evicted_pages),
-        ("writebacks", w.writebacks, &s.writebacks),
-        ("clean_reclaims", w.clean_reclaims, &s.clean_reclaims),
-        ("eviction_batches", w.eviction_batches, &s.eviction_batches),
-        ("unmapped_pages", w.unmapped_pages, &s.unmapped_pages),
-        ("evict_cancels", w.evict_cancels, &s.evict_cancels),
-        ("evict_cancelled_pages", w.evict_cancelled_pages, &s.evict_cancelled_pages),
-        ("prefetches", w.prefetches, &s.prefetches),
-        ("prefetch_inflight_hits", w.prefetch_inflight_hits, &s.prefetch_inflight_hits),
-        ("transfer_retries", w.transfer_retries, &s.transfer_retries),
-        ("transfer_failures", w.transfer_failures, &s.transfer_failures),
-        ("aborted_faults", w.aborted_faults, &s.aborted_faults),
-        ("requeued_victims", w.requeued_victims, &s.requeued_victims),
-        ("failover_reads", w.failover_reads, &s.failover_reads),
-        ("re_faults", w.re_faults, &s.re_faults),
-        ("ghost_hits", w.ghost_hits, &s.ghost_hits),
-        ("nic_reads", w.nic_reads, &nic.reads),
-        ("nic_writes", w.nic_writes, &nic.writes),
-        ("nic_read_bytes", w.nic_read_bytes, &nic.read_bytes),
-        ("nic_write_bytes", w.nic_write_bytes, &nic.write_bytes),
-        ("ipis", w.ipis, &ipi.ipis),
-        ("shootdowns", w.shootdowns, &ipi.shootdowns),
-        ("acct_inserts", w.acct_inserts, &acct.inserts),
-        ("acct_scanned", w.acct_scanned, &acct.scanned),
-        ("acct_reactivated", w.acct_reactivated, &acct.reactivated),
-        ("acct_victims", w.acct_victims, &acct.victims),
-        ("rereplicated_pages", w.rereplicated_pages, &repl.rereplicated_pages),
-        ("degraded_marks", w.degraded_marks, &repl.degraded_marks),
+        ("accesses", accesses, &s.accesses),
+        ("tlb_hits", tlb_hits, &s.tlb_hits),
+        ("minor_walks", minor_walks, &s.minor_walks),
+        ("major_faults", major_faults, &s.major_faults),
+        ("page_lock_waits", page_lock_waits, &s.page_lock_waits),
+        ("sync_evictions", sync_evictions, &s.sync_evictions),
+        ("evicted_pages", evicted_pages, &s.evicted_pages),
+        ("sync_evicted_pages", sync_evicted_pages, &s.sync_evicted_pages),
+        ("writebacks", writebacks, &s.writebacks),
+        ("clean_reclaims", clean_reclaims, &s.clean_reclaims),
+        ("eviction_batches", eviction_batches, &s.eviction_batches),
+        ("unmapped_pages", unmapped_pages, &s.unmapped_pages),
+        ("evict_cancels", evict_cancels, &s.evict_cancels),
+        ("evict_cancelled_pages", evict_cancelled_pages, &s.evict_cancelled_pages),
+        ("prefetches", prefetches, &s.prefetches),
+        ("prefetch_inflight_hits", prefetch_inflight_hits, &s.prefetch_inflight_hits),
+        ("transfer_retries", transfer_retries, &s.transfer_retries),
+        ("transfer_failures", transfer_failures, &s.transfer_failures),
+        ("aborted_faults", aborted_faults, &s.aborted_faults),
+        ("requeued_victims", requeued_victims, &s.requeued_victims),
+        ("failover_reads", failover_reads, &s.failover_reads),
+        ("re_faults", re_faults, &s.re_faults),
+        ("ghost_hits", ghost_hits, &s.ghost_hits),
+        ("nic_reads", nic_reads, &nic.reads),
+        ("nic_writes", nic_writes, &nic.writes),
+        ("nic_read_bytes", nic_read_bytes, &nic.read_bytes),
+        ("nic_write_bytes", nic_write_bytes, &nic.write_bytes),
+        ("ipis", ipis, &ipi.ipis),
+        ("shootdowns", shootdowns, &ipi.shootdowns),
+        ("acct_inserts", acct_inserts, &acct.inserts),
+        ("acct_scanned", acct_scanned, &acct.scanned),
+        ("acct_reactivated", acct_reactivated, &acct.reactivated),
+        ("acct_victims", acct_victims, &acct.victims),
+        ("rereplicated_pages", rereplicated_pages, &repl.rereplicated_pages),
+        ("degraded_marks", degraded_marks, &repl.degraded_marks),
     ];
     for (name, windowed, source) in counters {
         assert_eq!(windowed, source.get(), "{name}");
     }
     let histograms: [(&str, &HistogramDelta, &Histogram); 6] = [
-        ("fault_latency", &w.fault_latency, &s.fault_latency),
-        ("retry_latency", &w.retry_latency, &s.retry_latency),
-        ("nic_read_latency", &w.nic_read_latency, &nic.read_latency),
-        ("nic_write_latency", &w.nic_write_latency, &nic.write_latency),
-        ("ipi_latency", &w.ipi_latency, &ipi.ipi_latency),
-        ("shootdown_latency", &w.shootdown_latency, &ipi.shootdown_latency),
+        ("fault_latency", &fault_latency, &s.fault_latency),
+        ("retry_latency", &retry_latency, &s.retry_latency),
+        ("nic_read_latency", &nic_read_latency, &nic.read_latency),
+        ("nic_write_latency", &nic_write_latency, &nic.write_latency),
+        ("ipi_latency", &ipi_latency, &ipi.ipi_latency),
+        ("shootdown_latency", &shootdown_latency, &ipi.shootdown_latency),
     ];
     for (name, d, h) in histograms {
         assert_eq!(
@@ -260,59 +309,23 @@ fn every_window_row_reads_its_own_source() {
         );
     }
     let times: [(&str, TimeStatDelta, &RefCell<TimeStat>); 6] = [
-        ("free_wait", w.free_wait, &s.free_wait),
-        ("breakdown_rdma", w.breakdown_rdma, &b.rdma),
-        ("breakdown_tlb", w.breakdown_tlb, &b.tlb),
-        ("breakdown_accounting", w.breakdown_accounting, &b.accounting),
-        ("breakdown_circulation", w.breakdown_circulation, &b.circulation),
-        ("breakdown_other", w.breakdown_other, &b.other),
+        ("free_wait", free_wait, &s.free_wait),
+        ("breakdown_rdma", breakdown_rdma, &b.rdma),
+        ("breakdown_tlb", breakdown_tlb, &b.tlb),
+        ("breakdown_accounting", breakdown_accounting, &b.accounting),
+        ("breakdown_circulation", breakdown_circulation, &b.circulation),
+        ("breakdown_other", breakdown_other, &b.other),
     ];
     for (name, d, t) in times {
         let t = t.borrow();
         assert_eq!((d.count(), d.sum()), (t.count(), t.sum()), "{name}");
     }
 
-    // The generated JSON names exactly these rows, each with its
-    // source's value: counters as numbers, histograms as
-    // {count, sum, p50, p99, p999}, time stats as {count, sum}.
-    let json = parse(&w.to_json()).expect("window JSON parses");
-    let Value::Object(members) = &json else {
-        panic!("window JSON is not an object");
-    };
-    let num = |n: u64| Value::Number(n.to_string());
-    let obj = |fields: &[(&str, u64)]| {
-        Value::Object(fields.iter().map(|&(k, v)| (k.to_string(), num(v))).collect())
-    };
-    for (key, value) in members {
-        let expected = if let Some((.., c)) = counters.iter().find(|(n, ..)| n == key) {
-            num(c.get())
-        } else if let Some((.., h)) = histograms.iter().find(|(n, ..)| n == key) {
-            obj(&[
-                ("count", h.count()),
-                ("sum", h.sum()),
-                ("p50", h.p50()),
-                ("p99", h.p99()),
-                ("p999", h.p999()),
-            ])
-        } else if let Some((.., t)) = times.iter().find(|(n, ..)| n == key) {
-            let t = t.borrow();
-            obj(&[("count", t.count()), ("sum", t.sum())])
-        } else {
-            panic!("window JSON row {key:?} is not in this test's source lists");
-        };
-        assert_eq!(value, &expected, "{key}");
-    }
-    let names = counters.iter().map(|r| r.0);
-    let names = names.chain(histograms.iter().map(|r| r.0));
-    for name in names.chain(times.iter().map(|r| r.0)) {
-        assert!(json.get(name).is_some(), "{name} is missing from the window JSON");
-    }
-
     for (name, count) in [
-        ("transfer_retries", w.transfer_retries),
-        ("failover_reads", w.failover_reads),
-        ("rereplicated_pages", w.rereplicated_pages),
-        ("degraded_marks", w.degraded_marks),
+        ("transfer_retries", transfer_retries),
+        ("failover_reads", failover_reads),
+        ("rereplicated_pages", rereplicated_pages),
+        ("degraded_marks", degraded_marks),
     ] {
         assert!(count > 0, "{name} never fired, so its row is untested");
     }

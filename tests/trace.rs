@@ -109,10 +109,12 @@ fn same_seed_traces_are_bit_identical() {
 /// bit-identical with and without capture.
 #[test]
 fn tracing_does_not_perturb_the_run() {
-    let traced = run_batch(&traced_cfg());
+    // The trace is its own export; every other field must match.
+    let mut traced = run_batch(&traced_cfg());
+    assert!(traced.trace_json.take().is_some());
     let mut cfg = traced_cfg();
     cfg.capture_trace = false;
     let plain = run_batch(&cfg);
     assert!(plain.trace_json.is_none());
-    assert_eq!(traced.to_json(), plain.to_json());
+    assert_eq!(traced, plain);
 }
