@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI gate: build, test, determinism lint, clippy. Fails on the first error.
+# CI gate: build, test (the determinism lint included), clippy. Fails on
+# the first error.
 set -eu
 
 cd "$(dirname "$0")"
@@ -57,27 +58,6 @@ grep -q "lockdep: lock ordering cycle" target/lockdep_demo.err || {
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> simlint (determinism rules, DESIGN.md §5)"
-cargo run -p simlint
-
-echo "==> simlint self-check (fixtures must fail)"
-if cargo run -q -p simlint -- crates/simlint/fixtures/violations.rs >/dev/null 2>&1; then
-    echo "error: simlint accepted the seeded violation fixture" >&2
-    exit 1
-fi
-if cargo run -q -p simlint -- crates/simlint/fixtures/hotpath/executor.rs >/dev/null 2>&1; then
-    echo "error: simlint accepted the hot-path ordered-map fixture" >&2
-    exit 1
-fi
-if cargo run -q -p simlint -- crates/simlint/fixtures/hotpath/accounting/src/lib.rs >/dev/null 2>&1; then
-    echo "error: simlint accepted the accounting hot-path ordered-map fixture" >&2
-    exit 1
-fi
-cargo run -q -p simlint -- crates/simlint/fixtures/hotpath_ok >/dev/null 2>&1 || {
-    echo "error: simlint rejected the justified hot-path allow fixture" >&2
-    exit 1
-}
-
 echo "==> benchmark tests (benchsuite/ builds against the workspace's public API)"
 cargo test -q --release --manifest-path benchsuite/Cargo.toml
 
@@ -110,7 +90,7 @@ echo "==> micro benchmarks, one run (clippy --all-targets only type-checks them)
 # no longer fits, fails the gate here.
 cargo bench -q -p mage-bench --bench micro_datastructures >/dev/null
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attributes_without_reason"
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attributes_without_reason
 
 echo "CI OK"

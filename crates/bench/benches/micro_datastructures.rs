@@ -11,6 +11,12 @@
 //! the best per-iteration time is reported. Host wall-clock use is fine
 //! here — this binary measures the simulator, it is not part of it.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the harness times the simulator with the host clock; it is not part of it"
+)]
+
 use std::rc::Rc;
 use std::time::Instant;
 

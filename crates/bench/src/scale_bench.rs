@@ -31,11 +31,6 @@
 
 use std::rc::Rc;
 
-// Wall time and peak RSS are host gauges recorded next to the model;
-// nothing here reads the host clock inside virtual time.
-// simlint: allow(wall-clock): wall_ms is a host measurement; virtual time comes from the simulation
-use std::time::Instant;
-
 use mage::{FarMemory, MachineParams, ReplicationConfig, SystemConfig};
 use mage_mmu::{CoreId, Topology};
 use mage_sim::Simulation;
@@ -140,9 +135,14 @@ fn peak_rss_kb() -> u64 {
 }
 
 /// Runs the point named `id` in this process; `None` for an unknown id.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "wall_ms is a host gauge recorded next to the model; the clock is read outside the simulation"
+)]
 pub fn run_point(id: &str) -> Option<ScalePoint> {
     let &(id, run) = POINTS.iter().find(|&&(p, _)| p == id)?;
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let model = run();
     Some(ScalePoint {
         id,

@@ -11,40 +11,28 @@
 //! arena, the ready queue is a `VecDeque` of slot ids with a per-slot
 //! state byte that de-duplicates wakes, and timers live in an exact
 //! near-window queue ([`crate::wheel`]) whose payloads are `u32` slot
-//! ids. A `Sleep` polled with its own task's waker registers that id, so
-//! a fired timer moves the task straight onto the ready queue; any other
-//! waker waits in a side table. Both orders, FIFO and `(deadline, seq)`,
-//! are the historical ones bit for bit.
+//! ids. A `Sleep` registers the id of the task polling it, so a fired
+//! timer moves the task straight onto the ready queue. Both orders, FIFO
+//! and `(deadline, seq)`, are the historical ones bit for bit.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-// The Waker contract requires Send + Sync, so the cross-thread wake queue
-// must use a host mutex; it is drained only by the single executor thread
-// and never blocks on virtual time.
-// simlint: allow(std-sync): Waker contract requires a Send+Sync queue
-use std::sync::Mutex;
-// simlint: allow(std-sync): lock-free fast path of the wake queue above
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::explore::{ExplorationPolicy, Explorer, RunProgress};
 use crate::lockdep::{LockDep, TaskKey, MAIN_TASK};
 use crate::race::{CurrentGuard, RaceDetector};
-use crate::slab::Slab;
 use crate::time::{Nanos, SimTime};
 use crate::wheel::TimerWheel;
 
 /// A task's slot index in the arena.
 pub(crate) type TaskId = u32;
 type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
-
-/// Timer payload bit marking a key into the foreign-waker table; task
-/// ids stay below it.
-const FOREIGN: u32 = 1 << 31;
 
 /// Thread-safe queue that wakers push task ids into.
 ///
@@ -53,11 +41,14 @@ const FOREIGN: u32 = 1 << 31;
 /// executor drains this once per loop iteration, and most iterations
 /// find it empty, so an atomic count (updated under the lock) lets the
 /// empty case skip the Mutex entirely.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the Waker contract requires a Send + Sync queue; only the executor thread drains it, and it never blocks on virtual time"
+)]
 #[derive(Default)]
 struct WakeQueue {
-    ids: Mutex<Vec<TaskId>>,
-    // simlint: allow(std-sync): pairs with the Mutex above (same contract)
-    len: AtomicUsize,
+    ids: std::sync::Mutex<Vec<TaskId>>,
+    len: std::sync::atomic::AtomicUsize,
 }
 
 impl WakeQueue {
@@ -125,12 +116,8 @@ struct Sched {
     ready: VecDeque<TaskId>,
     state: Vec<SlotState>,
     /// Pending timers, fired in `(deadline, seq)` order (see
-    /// [`crate::wheel`]): payloads are task ids, or [`FOREIGN`]-marked
-    /// keys into `foreign`.
-    timers: TimerWheel<u32>,
-    /// Wakers of timers registered from a context other than the polled
-    /// task's own waker (combinator-wrapped or out-of-executor polls).
-    foreign: Slab<Waker>,
+    /// [`crate::wheel`]); payloads are task ids.
+    timers: TimerWheel<TaskId>,
     timer_seq: u64,
 }
 
@@ -140,7 +127,6 @@ impl Sched {
             ready: VecDeque::new(),
             state: Vec::new(),
             timers: TimerWheel::new(),
-            foreign: Slab::new(),
             timer_seq: 0,
         }
     }
@@ -183,12 +169,12 @@ impl Sched {
         id
     }
 
-    /// Registers a timer for `deadline` carrying `payload`.
+    /// Registers a timer for `deadline` that wakes task `id`.
     #[inline]
-    fn add_timer(&mut self, deadline: SimTime, payload: u32) {
+    fn add_timer(&mut self, deadline: SimTime, id: TaskId) {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        self.timers.insert(deadline.as_nanos(), seq, payload);
+        self.timers.insert(deadline.as_nanos(), seq, id);
     }
 }
 
@@ -208,11 +194,8 @@ struct ExecCore {
     sched: RefCell<Sched>,
     wake_queue: Arc<WakeQueue>,
     /// Task currently being polled, for lockdep hold tracking and for
-    /// `Sleep`'s own-task check.
+    /// the timers `Sleep` registers.
     current: Cell<Option<TaskId>>,
-    /// Data pointer of the polled task's waker (null outside a poll):
-    /// `Sleep` compares its context's waker against it.
-    current_waker: Cell<*const ()>,
     lockdep: LockDep,
     /// Ready-queue pick strategy (FIFO unless exploration is requested).
     explorer: Explorer,
@@ -231,7 +214,6 @@ impl ExecCore {
             sched: RefCell::new(Sched::new()),
             wake_queue: Arc::new(WakeQueue::default()),
             current: Cell::new(None),
-            current_waker: Cell::new(std::ptr::null()),
             lockdep: LockDep::default(),
             explorer: Explorer::new(policy),
             polls: Cell::new(0),
@@ -255,7 +237,6 @@ impl ExecCore {
             Some(id) => id,
             None => {
                 let id = TaskId::try_from(tasks.len()).expect("task slots exhausted");
-                assert!(id < FOREIGN, "task slots exhausted");
                 tasks.push(Task {
                     body: None,
                     race_join: 0,
@@ -279,28 +260,25 @@ impl ExecCore {
         (id, join_sync)
     }
 
-    /// Registers a timer for `deadline` on behalf of the future polled
-    /// with `cx`: the current task's id when `cx` carries that task's
-    /// own waker, otherwise a key to a copy of the waker.
+    /// Registers a timer for `deadline` that wakes the task being
+    /// polled. The executor builds the only `Context` in the tree, from
+    /// that task's own waker, so the task id stands for the waker.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a task poll.
     #[inline]
-    fn register_timer(&self, deadline: SimTime, cx: &Context<'_>) {
-        let waker = cx.waker();
-        let payload = match self.current.get() {
-            Some(id) if waker.data() == self.current_waker.get() => id,
-            _ => {
-                let waker = waker.clone();
-                let key = self.sched.borrow_mut().foreign.insert(waker);
-                assert!(key < FOREIGN, "foreign timer wakers exhausted");
-                FOREIGN | key
-            }
-        };
-        self.sched.borrow_mut().add_timer(deadline, payload);
+    fn register_timer(&self, deadline: SimTime) {
+        let id = self
+            .current
+            .get()
+            .expect("Sleep polled outside the executor's task poll");
+        self.sched.borrow_mut().add_timer(deadline, id);
     }
 
     /// Picks the next task to poll. With nothing runnable it advances
-    /// the clock to the earliest pending timer and fires its deadline
-    /// group in `seq` order: task ids go straight onto the ready queue,
-    /// foreign wakers are woken.
+    /// the clock to the earliest pending timer and moves its deadline
+    /// group, in `seq` order, onto the ready queue.
     #[inline]
     fn next_step(&self, budget_spent: bool) -> Step {
         let mut sched = self.sched.borrow_mut();
@@ -324,16 +302,8 @@ impl ExecCore {
             }
             let fired = sched.timers.fire_next(next.as_nanos());
             debug_assert!(fired, "the earliest timer is due");
-            while let Some(payload) = sched.timers.pop_fired() {
-                if payload & FOREIGN == 0 {
-                    sched.wake(payload);
-                } else {
-                    // A foreign wake runs arbitrary code: release the borrow.
-                    let waker = sched.foreign.remove(payload & !FOREIGN);
-                    drop(sched);
-                    waker.expect("foreign timer waker").wake();
-                    sched = self.sched.borrow_mut();
-                }
+            while let Some(id) = sched.timers.pop_fired() {
+                sched.wake(id);
             }
         }
     }
@@ -350,7 +320,6 @@ impl ExecCore {
         };
         let mut cx = Context::from_waker(&waker);
         self.current.set(Some(id));
-        self.current_waker.set(waker.data());
         if let Some(det) = race {
             det.set_now(self.now.get().as_nanos());
             det.enter(u64::from(id));
@@ -360,7 +329,6 @@ impl ExecCore {
             det.exit();
         }
         self.current.set(None);
-        self.current_waker.set(std::ptr::null());
         match polled {
             Poll::Ready(()) => {
                 if let Some(det) = race {
@@ -526,13 +494,13 @@ pub struct Sleep {
 impl Future for Sleep {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         if self.core.now.get() >= self.deadline {
             return Poll::Ready(());
         }
         if !self.registered {
             self.registered = true;
-            self.core.register_timer(self.deadline, cx);
+            self.core.register_timer(self.deadline);
         }
         Poll::Pending
     }
@@ -743,7 +711,6 @@ impl Drop for Simulation {
     /// can run wake paths (a released lock serving its next waiter), and
     /// those find an empty slab.
     fn drop(&mut self) {
-        // simlint: allow(host-thread): only asks whether this thread is unwinding
         if std::thread::panicking() {
             return; // leak rather than risk a second panic mid-unwind
         }
@@ -788,6 +755,14 @@ mod tests {
         sim.block_on(async move {
             h.sleep(0).await;
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "Sleep polled outside the executor's task poll")]
+    fn sleep_polled_outside_a_task_panics() {
+        let sim = Simulation::new();
+        let mut sleep = std::pin::pin!(sim.handle().sleep(10));
+        let _ = sleep.as_mut().poll(&mut Context::from_waker(Waker::noop()));
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl<T> Ord for Far<T> {
 /// The timer queue. See the module docs for the window invariant.
 ///
 /// Generic over the payload delivered at fire time: the executor stores
-/// `u32` task ids (or keys into its foreign-waker table).
+/// `u32` task ids.
 pub struct TimerWheel<T> {
     /// Deadline of the last fired group: the window's base.
     cur: u64,

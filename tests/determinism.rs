@@ -1,10 +1,11 @@
 //! End-to-end determinism: a scaled-down fig05-style sweep run twice
 //! with the same seed must produce bit-identical statistics, and a
 //! different seed must produce different ones. This is the property the
-//! whole evaluation rests on (and the one simlint + the deterministic
-//! executor exist to protect). Runs compare by their reports: every
-//! `metrics!` row of the window plus the per-run values and end-of-run
-//! gauges, all integers, so equal reports mean bit-identical runs.
+//! whole evaluation rests on (and the one the determinism lint and the
+//! deterministic executor exist to protect). Runs compare by their
+//! reports: every `metrics!` row of the window plus the per-run values
+//! and end-of-run gauges, all integers, so equal reports mean
+//! bit-identical runs.
 
 use mage::{EvictionPolicyKind, PrefetchPolicy, ReplicationConfig, RetryPolicy, SystemConfig};
 use mage_fabric::FaultPlan;

@@ -1,0 +1,24 @@
+//! One use of each banned path; none of this may pass the lint.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::AtomicU64;
+use std::sync::Mutex;
+
+pub fn wall_clock() -> std::time::SystemTime {
+    let _start = std::time::Instant::now();
+    std::time::UNIX_EPOCH
+}
+
+pub fn host_thread() {
+    std::thread::spawn(|| {}).join().unwrap();
+}
+
+pub struct Shared {
+    pub map: HashMap<u64, u64>,
+    pub set: HashSet<u64>,
+    pub lock: Mutex<u64>,
+    pub count: AtomicU64,
+}
+
+#[expect(clippy::disallowed_types)]
+pub type Unexplained = Mutex<()>;
