@@ -14,8 +14,11 @@ echo "==> cargo test --workspace -q"
 # planted-bug self-checks.
 cargo test --workspace -q
 
-echo "==> chaos + seams + placement differential + exploration under the race detector (MAGE_SIMSAN=1)"
-MAGE_SIMSAN=1 cargo test -q --test chaos --test seams --test populate_diff --test check_explore
+echo "==> chaos + seams + placement + policy differentials + invariants + exploration under the race detector (MAGE_SIMSAN=1)"
+# policy_diff and invariants run the MAGE-Lnx, DiLOS and Hermit presets
+# through the shared invariant list.
+MAGE_SIMSAN=1 cargo test -q --test chaos --test seams --test populate_diff --test policy_diff \
+    --test invariants --test check_explore
 
 echo "==> failover determinism under the race detector (MAGE_SIMSAN=1, DESIGN.md §13)"
 MAGE_SIMSAN=1 cargo test -q --test determinism replicated_sweep

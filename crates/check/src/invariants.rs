@@ -1,25 +1,36 @@
-//! The invariant registry: named whole-machine safety checks evaluated
-//! at quiescent points.
+//! The invariant list: named whole-machine safety checks evaluated at
+//! quiescent points.
 //!
-//! Each invariant is a pure inspection function over a [`CheckCtx`]
+//! Each check is a pure inspection function over a [`CheckCtx`]
 //! (engine + region + quota); it returns the first [`Violation`] it
-//! finds or `None`. The [`standard`](InvariantRegistry::standard)
-//! registry carries the four safety properties the engine must uphold
-//! under every schedule and fault plan (DESIGN.md §8/§9):
+//! finds or `None`. [`check_invariants`] runs the fixed list
+//! [`CHECKS`] in order. mage-check runs it at every quiescent point of
+//! every cell, and every churn suite runs it after its workload, so a
+//! property is written once and checked by every sweep (DESIGN.md
+//! §8/§9). The properties, in evaluation order:
 //!
-//! 1. **no-stale-tlb** — a settled remote page is translated by no
-//!    core's TLB (a stale entry would let the app read a reclaimed
-//!    frame);
+//! 1. **stale-tlb** — a settled remote page is translated by no core's
+//!    TLB (a stale entry would let the app read a reclaimed frame);
 //! 2. **settlement** — `evicted + sync + cancelled + requeued ≤
 //!    unmapped`: every unmapped page settles at most once;
 //! 3. **frame-conservation** — resident + free frames never exceed the
 //!    local quota (frames mid-circulation are owned by exactly one
 //!    path);
-//! 4. **no-lost-page** — every page of the region is resident or
-//!    remotely reachable, never neither.
+//! 4. **lost-page** — every page of the region is resident or remotely
+//!    reachable, never neither;
+//! 5. **replica-unreachable** — on a replicated backend, every settled
+//!    remote page has a tracked slot with a live replica;
+//! 6. **replica-transition** — replica states only move along the legal
+//!    state machine;
+//! 7. **ghost-accounting** — `re_faults ≤ ghost_hits ≤ re_faults +
+//!    requeued_victims`: every re-fault is a ghost hit, and only a
+//!    requeued victim hits the ghost list without re-faulting;
+//! 8. **cancel-bound** — `evict_cancelled_pages ≤ evict_cancels`: a
+//!    batch skips a page only for a refault that cancelled it.
 //!
-//! The registry is open: `register` adds project- or test-specific
-//! invariants without touching the harness.
+//! The replica checks are no-ops on a single-copy backend. The order is
+//! part of the contract: it decides which violation a failing run
+//! reports first, and so what the shrinker minimizes.
 
 use mage::FarMemory;
 use mage_mmu::Vma;
@@ -36,61 +47,26 @@ pub struct CheckCtx<'a> {
     pub local_pages: u64,
 }
 
-/// One named invariant check.
+/// One invariant check.
 type CheckFn = fn(&CheckCtx) -> Option<Violation>;
 
-/// An ordered collection of named invariants.
-#[derive(Default)]
-pub struct InvariantRegistry {
-    checks: Vec<(&'static str, CheckFn)>,
-}
+/// Every invariant, in evaluation order. Each name is the
+/// [`Violation::name`] its check reports.
+pub const CHECKS: [(&str, CheckFn); 8] = [
+    ("stale-tlb", no_stale_tlb),
+    ("settlement", settlement),
+    ("frame-conservation", frame_conservation),
+    ("lost-page", no_lost_page),
+    ("replica-unreachable", replica_coverage),
+    ("replica-transition", replica_transitions),
+    ("ghost-accounting", ghost_accounting),
+    ("cancel-bound", cancel_bound),
+];
 
-impl InvariantRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        InvariantRegistry::default()
-    }
-
-    /// The standard four-invariant registry described in the module
-    /// docs.
-    pub fn standard() -> Self {
-        let mut r = InvariantRegistry::new();
-        r.register("no-stale-tlb", no_stale_tlb);
-        r.register("settlement", settlement);
-        r.register("frame-conservation", frame_conservation);
-        r.register("no-lost-page", no_lost_page);
-        r
-    }
-
-    /// Appends a named invariant; checks run in registration order.
-    pub fn register(&mut self, name: &'static str, check: CheckFn) {
-        self.checks.push((name, check));
-    }
-
-    /// Names of the registered invariants, in evaluation order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.checks.iter().map(|(n, _)| *n).collect()
-    }
-
-    /// Number of registered invariants.
-    pub fn len(&self) -> usize {
-        self.checks.len()
-    }
-
-    /// True if no invariant is registered.
-    pub fn is_empty(&self) -> bool {
-        self.checks.is_empty()
-    }
-
-    /// Runs every invariant; fails on the first violation.
-    pub fn check_all(&self, ctx: &CheckCtx) -> Result<(), Violation> {
-        for (_, check) in &self.checks {
-            if let Some(v) = check(ctx) {
-                return Err(v);
-            }
-        }
-        Ok(())
-    }
+/// Runs every check of [`CHECKS`] in order; fails on the first
+/// violation.
+pub fn check_invariants(ctx: &CheckCtx) -> Result<(), Violation> {
+    CHECKS.iter().find_map(|(_, check)| check(ctx)).map_or(Ok(()), Err)
 }
 
 /// Settled remote page ⇒ no core still translates it. A page that is
@@ -139,50 +115,6 @@ fn frame_conservation(ctx: &CheckCtx) -> Option<Violation> {
     None
 }
 
-/// Replica coverage (replicated backends): a settled remote page must
-/// keep at least one replica that is `Synced` or actively `Rebuilding` —
-/// all-`Degraded` means the page's data survives on no node, which a
-/// correct repair loop makes impossible as long as node outages never
-/// overlap. Pages the backend does not track (or unreplicated backends,
-/// where `replica_states` is `None` everywhere) are skipped.
-pub fn replica_coverage(ctx: &CheckCtx) -> Option<Violation> {
-    use mage::ReplicaState;
-    let backend = ctx.engine.backend();
-    for i in 0..ctx.vma.pages {
-        let vpn = ctx.vma.start_vpn + i;
-        let pte = ctx.engine.page_table().get(vpn);
-        if !pte.is_remote() || pte.locked() {
-            continue;
-        }
-        let rpn = pte.payload();
-        if let Some(states) = backend.replica_states(rpn) {
-            let alive = states
-                .iter()
-                .any(|s| matches!(s, ReplicaState::Synced | ReplicaState::Rebuilding));
-            if !alive {
-                return Some(Violation::ReplicaUnreachable { vpn, rpn });
-            }
-        }
-    }
-    None
-}
-
-/// Replica states only ever move along the legal
-/// Synced↔Degraded→Rebuilding→Synced machine; the backend counts every
-/// violation at the single funnel all state writes pass through.
-pub fn replica_transitions(ctx: &CheckCtx) -> Option<Violation> {
-    let count = ctx
-        .engine
-        .backend()
-        .replication_stats()
-        .map(|s| s.illegal_transitions.get())
-        .unwrap_or(0);
-    if count > 0 {
-        return Some(Violation::ReplicaTransition { count });
-    }
-    None
-}
-
 /// Every page of the region is resident or remotely reachable.
 fn no_lost_page(ctx: &CheckCtx) -> Option<Violation> {
     for i in 0..ctx.vma.pages {
@@ -195,83 +127,172 @@ fn no_lost_page(ctx: &CheckCtx) -> Option<Violation> {
     None
 }
 
+/// Replica coverage (replicated backends only): a settled remote page
+/// must have a tracked slot with at least one replica that is `Synced`
+/// or actively `Rebuilding`. An untracked slot or an all-`Degraded` one
+/// means the page's data survives on no node, which a correct repair
+/// loop makes impossible as long as node outages never overlap.
+fn replica_coverage(ctx: &CheckCtx) -> Option<Violation> {
+    use mage::ReplicaState;
+    let backend = ctx.engine.backend();
+    // A single-copy backend has no replicas to cover.
+    backend.replication_stats()?;
+    for i in 0..ctx.vma.pages {
+        let vpn = ctx.vma.start_vpn + i;
+        let pte = ctx.engine.page_table().get(vpn);
+        if !pte.is_remote() || pte.locked() {
+            continue;
+        }
+        let rpn = pte.payload();
+        let alive = backend.replica_states(rpn).is_some_and(|states| {
+            states
+                .iter()
+                .any(|s| matches!(s, ReplicaState::Synced | ReplicaState::Rebuilding))
+        });
+        if !alive {
+            return Some(Violation::ReplicaUnreachable { vpn, rpn });
+        }
+    }
+    None
+}
+
+/// Replica states only ever move along the legal
+/// Synced↔Degraded→Rebuilding→Synced machine; the backend counts every
+/// violation at the single funnel all state writes pass through.
+fn replica_transitions(ctx: &CheckCtx) -> Option<Violation> {
+    let count = ctx
+        .engine
+        .backend()
+        .replication_stats()
+        .map(|s| s.illegal_transitions.get())
+        .unwrap_or(0);
+    if count > 0 {
+        return Some(Violation::ReplicaTransition { count });
+    }
+    None
+}
+
+/// Ghost-hit accounting: every re-fault is a ghost hit, and the only
+/// ghost hits that are not re-faults are requeued victims re-inserted
+/// while still on the ghost list.
+fn ghost_accounting(ctx: &CheckCtx) -> Option<Violation> {
+    let s = ctx.engine.stats();
+    let ghost_hits = s.ghost_hits.get();
+    let re_faults = s.re_faults.get();
+    let requeued = s.requeued_victims.get();
+    if re_faults > ghost_hits || ghost_hits > re_faults + requeued {
+        return Some(Violation::GhostAccounting {
+            ghost_hits,
+            re_faults,
+            requeued,
+        });
+    }
+    None
+}
+
+/// A batch skips a page as cancelled only after a refault cancelled its
+/// eviction, so cancelled pages never outnumber cancels.
+fn cancel_bound(ctx: &CheckCtx) -> Option<Violation> {
+    let s = ctx.engine.stats();
+    let cancelled_pages = s.evict_cancelled_pages.get();
+    let cancels = s.evict_cancels.get();
+    if cancelled_pages > cancels {
+        return Some(Violation::CancelBound {
+            cancelled_pages,
+            cancels,
+        });
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mage::{MachineParams, SystemConfig};
+    use mage::{MachineParams, ReplicationConfig, SystemConfig};
     use mage_mmu::Topology;
     use mage_sim::Simulation;
+    use std::rc::Rc;
 
-    #[test]
-    fn standard_registry_carries_the_four_invariants() {
-        let r = InvariantRegistry::standard();
-        assert_eq!(
-            r.names(),
-            [
-                "no-stale-tlb",
-                "settlement",
-                "frame-conservation",
-                "no-lost-page"
-            ]
-        );
-        assert_eq!(r.len(), 4);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn registry_is_open_for_extension() {
-        let mut r = InvariantRegistry::new();
-        assert!(r.is_empty());
-        r.register("always-fails", |_| Some(Violation::LostPage { vpn: 0 }));
-        assert_eq!(r.names(), ["always-fails"]);
-    }
-
-    #[test]
-    fn freshly_populated_machine_upholds_every_invariant() {
+    /// A freshly populated machine: 64 local pages under a 256-page
+    /// region, so the region spans local and remote placement.
+    fn fresh(system: SystemConfig) -> (Simulation, Rc<FarMemory>, Vma) {
         let sim = Simulation::new();
         let params = MachineParams {
             topo: Topology::single_socket(8),
             app_threads: 4,
-            local_pages: 128,
+            local_pages: 64,
             remote_pages: 1_024,
             tlb_entries: 64,
             seed: 3,
         };
-        let engine = mage::FarMemory::launch(sim.handle(), SystemConfig::mage_lib(), params);
+        let engine = FarMemory::launch(sim.handle(), system, params);
         let vma = engine.mmap(256);
         engine.populate(&vma);
-        let ctx = CheckCtx {
-            engine: &engine,
-            vma: &vma,
-            local_pages: 128,
-        };
-        InvariantRegistry::standard()
-            .check_all(&ctx)
-            .expect("fresh machine must be invariant-clean");
+        (sim, engine, vma)
+    }
+
+    fn check(engine: &FarMemory, vma: &Vma) -> Result<(), Violation> {
+        check_invariants(&CheckCtx {
+            engine,
+            vma,
+            local_pages: 64,
+        })
     }
 
     #[test]
-    fn custom_violation_stops_the_sweep() {
-        let sim = Simulation::new();
-        let params = MachineParams {
-            topo: Topology::single_socket(8),
-            app_threads: 2,
-            local_pages: 64,
-            remote_pages: 512,
-            tlb_entries: 32,
-            seed: 1,
-        };
-        let engine = mage::FarMemory::launch(sim.handle(), SystemConfig::mage_lib(), params);
-        let vma = engine.mmap(64);
-        engine.populate(&vma);
-        let ctx = CheckCtx {
-            engine: &engine,
-            vma: &vma,
-            local_pages: 64,
-        };
-        let mut r = InvariantRegistry::standard();
-        r.register("tripwire", |_| Some(Violation::LostPage { vpn: 7 }));
-        let err = r.check_all(&ctx).unwrap_err();
-        assert_eq!(err, Violation::LostPage { vpn: 7 });
+    fn checks_run_in_the_fixed_order() {
+        let names: Vec<&str> = CHECKS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            [
+                "stale-tlb",
+                "settlement",
+                "frame-conservation",
+                "lost-page",
+                "replica-unreachable",
+                "replica-transition",
+                "ghost-accounting",
+                "cancel-bound",
+            ]
+        );
+    }
+
+    #[test]
+    fn freshly_populated_machine_upholds_every_invariant() {
+        for system in [
+            SystemConfig::mage_lib(),
+            SystemConfig::mage_lib().with_replication(ReplicationConfig::default()),
+        ] {
+            let (_sim, engine, vma) = fresh(system);
+            check(&engine, &vma).expect("fresh machine must be invariant-clean");
+        }
+    }
+
+    #[test]
+    fn ghost_hit_without_a_refault_or_requeue_fails_ghost_accounting() {
+        let (_sim, engine, vma) = fresh(SystemConfig::mage_lib());
+        engine.stats().ghost_hits.inc();
+        let err = check(&engine, &vma).unwrap_err();
+        assert_eq!(err.name(), "ghost-accounting", "got {err}");
+        // A requeued victim accounts for one ghost hit without a re-fault.
+        engine.stats().requeued_victims.inc();
+        engine.stats().unmapped_pages.inc();
+        check(&engine, &vma).expect("a requeued victim's ghost hit is legal");
+        // A re-fault that missed the ghost list breaks the lower bound.
+        engine.stats().re_faults.add(2);
+        let err = check(&engine, &vma).unwrap_err();
+        assert_eq!(err.name(), "ghost-accounting", "got {err}");
+    }
+
+    #[test]
+    fn cancelled_page_without_a_cancel_fails_cancel_bound() {
+        let (_sim, engine, vma) = fresh(SystemConfig::mage_lib());
+        // Unmap the page first so the settlement identity still holds.
+        engine.stats().unmapped_pages.inc();
+        engine.stats().evict_cancelled_pages.inc();
+        let err = check(&engine, &vma).unwrap_err();
+        assert_eq!(err.name(), "cancel-bound", "got {err}");
+        engine.stats().evict_cancels.inc();
+        check(&engine, &vma).expect("one cancel covers one cancelled page");
     }
 }

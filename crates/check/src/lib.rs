@@ -10,11 +10,11 @@
 //!    executor's pluggable [`ExplorationPolicy`] perturbs which ready
 //!    task runs next, so different seeds visit genuinely different
 //!    interleavings of the same workload.
-//! 2. **Oracles** — at every quiescent point the
-//!    [`InvariantRegistry`] checks whole-machine safety properties, and
-//!    the differential [`RefModel`] (fed the engine's own page-lifecycle
-//!    event stream) cross-checks its abstract per-page state machine
-//!    against the concrete PTE bits.
+//! 2. **Oracles** — at every quiescent point [`check_invariants`] runs
+//!    the fixed list of whole-machine safety properties (the same list
+//!    every churn suite checks), and the differential [`RefModel`] (fed
+//!    the engine's own page-lifecycle event stream) cross-checks its
+//!    abstract per-page state machine against the concrete PTE bits.
 //! 3. **Shrinking** — when a cell fails, [`shrink()`] minimizes every
 //!    dimension to a fixpoint and the result's [`Cell::repro_line`] is a
 //!    single shell command (`MAGE_CHECK_SEED=… cargo test …`) that
@@ -39,7 +39,7 @@ pub mod invariants;
 pub mod model;
 pub mod shrink;
 
-pub use invariants::{CheckCtx, InvariantRegistry};
+pub use invariants::{check_invariants, CheckCtx};
 pub use model::{PageState, RefModel};
 pub use shrink::{shrink, shrink_with, ShrinkResult};
 
@@ -198,8 +198,8 @@ pub struct CheckOptions {
     /// under adversarial schedules, not just the default.
     pub eviction_policy: EvictionPolicyKind,
     /// Run every cell on a replicated [`FarBackend`](mage::FarBackend)
-    /// over two memory nodes with staggered per-node crash windows, and
-    /// register the replica-state invariants.
+    /// over two memory nodes with staggered per-node crash windows, so
+    /// the replica-state invariants have replicas to check.
     pub replicate: bool,
     /// Test-only: plant a known bug ([`SystemConfig::with_planted_bug`])
     /// to prove the oracles catch and shrink it: `Settlement` trips the
@@ -315,6 +315,24 @@ pub enum Violation {
         /// Illegal transitions recorded by the backend.
         count: u64,
     },
+    /// The ghost-hit identity `re_faults ≤ ghost_hits ≤ re_faults +
+    /// requeued_victims` is broken.
+    GhostAccounting {
+        /// Residency inserts that hit the ghost list.
+        ghost_hits: u64,
+        /// Major faults on pages still on the ghost list.
+        re_faults: u64,
+        /// Eviction victims re-inserted after a failed writeback.
+        requeued: u64,
+    },
+    /// More batch pages were skipped as cancelled than refaults
+    /// cancelled an eviction.
+    CancelBound {
+        /// Batch pages skipped as cancelled.
+        cancelled_pages: u64,
+        /// Refaults that cancelled an in-flight eviction.
+        cancels: u64,
+    },
 }
 
 impl Violation {
@@ -331,6 +349,8 @@ impl Violation {
             Violation::DataRace { .. } => "data-race",
             Violation::ReplicaUnreachable { .. } => "replica-unreachable",
             Violation::ReplicaTransition { .. } => "replica-transition",
+            Violation::GhostAccounting { .. } => "ghost-accounting",
+            Violation::CancelBound { .. } => "cancel-bound",
         }
     }
 }
@@ -374,6 +394,22 @@ impl std::fmt::Display for Violation {
             Violation::ReplicaTransition { count } => {
                 write!(f, "replica state machine violated {count} time(s)")
             }
+            Violation::GhostAccounting {
+                ghost_hits,
+                re_faults,
+                requeued,
+            } => write!(
+                f,
+                "ghost accounting broken: ghost hits {ghost_hits} outside \
+                 [re-faults {re_faults}, re-faults + requeued {requeued}]"
+            ),
+            Violation::CancelBound {
+                cancelled_pages,
+                cancels,
+            } => write!(
+                f,
+                "cancel bound broken: {cancelled_pages} cancelled pages > {cancels} cancels"
+            ),
         }
     }
 }
@@ -441,13 +477,6 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
     engine.tap_events(Rc::clone(&refmodel) as Rc<dyn EventSink>);
     engine.populate(&vma);
 
-    let mut registry = InvariantRegistry::standard();
-    if opts.replicate {
-        // Registered per-run (not in `standard()`): these only mean
-        // something on a replicated backend.
-        registry.register("replica-unreachable", invariants::replica_coverage);
-        registry.register("replica-transition", invariants::replica_transitions);
-    }
     for phase in 0..opts.phases {
         let mut joins = Vec::new();
         for t in 0..cell.threads {
@@ -488,12 +517,11 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
                 report: report.to_string(),
             });
         }
-        let ctx = CheckCtx {
+        check_invariants(&CheckCtx {
             engine: &engine,
             vma: &vma,
             local_pages: opts.local_pages,
-        };
-        registry.check_all(&ctx)?;
+        })?;
         refmodel.crosscheck(&engine, &vma)?;
     }
     engine.shutdown();

@@ -82,8 +82,8 @@ pub struct EngineStats {
     /// Time faulting threads spent waiting for free pages, ns.
     pub free_wait: RefCell<TimeStat>,
     /// Pages unmapped by the eviction machinery (each later settles as
-    /// exactly one of `evicted_pages`, `sync_evicted_pages` or
-    /// `evict_cancelled_pages`).
+    /// exactly one of `evicted_pages`, `sync_evicted_pages`,
+    /// `evict_cancelled_pages` or `requeued_victims`).
     pub unmapped_pages: Counter,
     /// Faults that cancelled an in-flight eviction of the same page
     /// (swap-cache-refault semantics).
@@ -120,8 +120,8 @@ pub struct EngineStats {
     /// ghost hit also counts as a re-fault except a requeued victim's, so
     /// `ghost_hits - re_faults` is the number of requeued victims still on
     /// the ghost list when re-inserted, and
-    /// `ghost_hits - re_faults <= requeued_victims` (checked per cell by
-    /// `tests/chaos.rs`).
+    /// `ghost_hits - re_faults <= requeued_victims` (mage-check's
+    /// `ghost-accounting` invariant).
     pub ghost_hits: Counter,
 }
 

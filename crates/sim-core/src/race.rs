@@ -42,7 +42,7 @@
 //!   word-granular protocols like the PTE lock bit.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::Location;
 use std::rc::Rc;
@@ -267,7 +267,6 @@ struct Inner {
     reports: Vec<RaceReport>,
     races: u64,
     atomic_ops: u64,
-    dedup: BTreeSet<(u32, u64)>,
 }
 
 /// The happens-before race detector. One per [`crate::Simulation`],
@@ -305,7 +304,6 @@ impl RaceDetector {
                 reports: Vec::new(),
                 races: 0,
                 atomic_ops: 0,
-                dedup: BTreeSet::new(),
             }),
             now: Cell::new(0),
         })
@@ -545,7 +543,6 @@ impl RaceDetector {
         };
         word.poisoned = true;
         g.races += 1;
-        g.dedup.insert((region, idx));
         let report = RaceReport {
             region: g.regions[region as usize],
             index: idx,

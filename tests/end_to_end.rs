@@ -3,6 +3,7 @@
 
 use std::rc::Rc;
 
+use mage_check::{check_invariants, CheckCtx};
 use mage_far_memory::mmu::Topology;
 use mage_far_memory::prelude::*;
 use mage_far_memory::sim::rng;
@@ -112,14 +113,17 @@ fn frame_conservation_under_stress() {
     });
     engine.shutdown();
 
-    // Count present pages via the public access surface of the engine.
+    let ctx = CheckCtx {
+        engine: &engine,
+        vma: &vma,
+        local_pages: 2_048,
+    };
+    if let Err(v) = check_invariants(&ctx) {
+        panic!("{v}");
+    }
+    // Frames still mid-pipeline in the evictors are the only slack.
     let resident = engine.accounting().resident_pages();
     let free = engine.allocator().free_frames();
-    // Frames still mid-pipeline in the evictors are the only slack.
-    assert!(
-        resident + free <= 2_048,
-        "resident {resident} + free {free} exceeds the local quota"
-    );
     let slack = 2_048 - (resident + free);
     assert!(
         slack <= 4 * 256 * 3,

@@ -1,8 +1,10 @@
 //! Randomized integration tests: seeded random machine shapes and access
-//! mixes preserve the engine's safety and accounting invariants.
+//! mixes preserve the engine's safety and accounting invariants (the
+//! list mage-check runs).
 
 use std::rc::Rc;
 
+use mage_check::{check_invariants, CheckCtx};
 use mage_far_memory::mmu::Topology;
 use mage_far_memory::prelude::*;
 use mage_far_memory::sim::rng::{self, SplitMix64};
@@ -47,19 +49,14 @@ fn stress(
         }
     });
     engine.shutdown();
-    // Eviction-stats identity: every unmapped page settles as exactly one
-    // of evicted, sync-evicted or cancelled (pages still in flight at
-    // shutdown account for the difference), and a batch can never observe
-    // more cancellations than faults performed.
-    let s = engine.stats();
-    let settled =
-        s.evicted_pages.get() + s.sync_evicted_pages.get() + s.evict_cancelled_pages.get();
-    assert!(
-        settled <= s.unmapped_pages.get(),
-        "settled {settled} > unmapped {}",
-        s.unmapped_pages.get()
-    );
-    assert!(s.evict_cancelled_pages.get() <= s.evict_cancels.get());
+    let ctx = CheckCtx {
+        engine: &engine,
+        vma: &vma,
+        local_pages,
+    };
+    if let Err(v) = check_invariants(&ctx) {
+        panic!("seed {seed}: {v}");
+    }
     (
         engine.stats().major_faults.get(),
         engine.stats().evicted_pages.get() + engine.stats().sync_evicted_pages.get(),
@@ -89,13 +86,10 @@ fn engine_invariants_hold() {
         let (faults, evicted, resident, free) =
             stress(system, threads, local_pages, wss_pages, ops, seed);
 
-        // Terminated (this line being reached) and produced work.
+        // Terminated (this line being reached) and produced work;
+        // `stress` checked the invariant list, frame conservation among
+        // them.
         assert!(faults + evicted < u64::MAX);
-        // No over-commit: resident + free never exceeds the quota.
-        assert!(
-            resident + free <= local_pages,
-            "case {case}: resident {resident} + free {free} > quota {local_pages}",
-        );
         // No massive leak: the unaccounted slack is bounded by the
         // eviction pipeline's in-flight capacity.
         let slack = local_pages - (resident + free);

@@ -1,14 +1,15 @@
 //! Differential test battery for the eviction-policy zoo: every
 //! `EvictionPolicyKind` must drive the engine through seeded random
-//! sweeps while preserving the settlement identity, frame conservation
-//! and the no-lost-page invariant — and per policy, same-seed runs must
-//! be bit-identical. The battery is differential: all policies run the
+//! sweeps while upholding the invariant list mage-check runs and
+//! re-reaching every page — and per policy, same-seed runs must be
+//! bit-identical. The battery is differential: all policies run the
 //! *same* seeded access mix on the *same* machine shape, so a policy
 //! that corrupts shared engine state (rather than merely choosing
 //! different victims) fails here even if it passes its unit tests.
 
 use std::rc::Rc;
 
+use mage_check::{check_invariants, CheckCtx};
 use mage_far_memory::mmu::Topology;
 use mage_far_memory::prelude::*;
 use mage_far_memory::sim::rng;
@@ -26,8 +27,8 @@ struct RunDigest {
     free: u64,
 }
 
-/// Seeded random access mix under eviction pressure; checks the safety
-/// invariants and returns a digest for the determinism half.
+/// Seeded random access mix under eviction pressure; checks the
+/// invariant list and returns a digest for the determinism half.
 fn run_policy(
     kind: EvictionPolicyKind,
     seed: u64,
@@ -85,32 +86,15 @@ fn run_policy(
     assert_eq!(reachable, wss_pages, "{label}: pages lost after churn");
     engine.shutdown();
 
+    let ctx = CheckCtx {
+        engine: &engine,
+        vma: &vma,
+        local_pages,
+    };
+    if let Err(v) = check_invariants(&ctx) {
+        panic!("{label}: {v}");
+    }
     let s = engine.stats();
-    // Settlement identity: every unmapped page settles as exactly one of
-    // evicted, sync-evicted or cancelled (in-flight pages at shutdown
-    // account for the slack).
-    let settled =
-        s.evicted_pages.get() + s.sync_evicted_pages.get() + s.evict_cancelled_pages.get();
-    assert!(
-        settled <= s.unmapped_pages.get(),
-        "{label}: settled {settled} > unmapped {}",
-        s.unmapped_pages.get()
-    );
-    // Frame conservation: residency plus free frames never exceeds the
-    // machine's local memory.
-    let resident = engine.accounting().resident_pages();
-    let free = engine.allocator().free_frames();
-    assert!(
-        resident + free <= local_pages,
-        "{label}: resident {resident} + free {free} over-commits {local_pages}"
-    );
-    // Ghost-counter sanity: every re-fault is a ghost hit.
-    assert!(
-        s.ghost_hits.get() >= s.re_faults.get(),
-        "{label}: re_faults {} > ghost_hits {}",
-        s.re_faults.get(),
-        s.ghost_hits.get()
-    );
     assert!(
         s.evicted_pages.get() > 0,
         "{label}: no eviction pressure — the battery tested nothing"
@@ -122,8 +106,8 @@ fn run_policy(
         evicted: s.evicted_pages.get() + s.sync_evicted_pages.get(),
         re_faults: s.re_faults.get(),
         ghost_hits: s.ghost_hits.get(),
-        resident,
-        free,
+        resident: engine.accounting().resident_pages(),
+        free: engine.allocator().free_frames(),
     }
 }
 
