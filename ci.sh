@@ -44,6 +44,10 @@ echo "==> swap_backends smoke (SystemConfig::with_backend is how a backend is sw
 # `set -e` fails the gate on a non-zero exit.
 cargo run -q --release --example swap_backends >/dev/null
 
+echo "==> custom_system smoke (each victim-policy row must differ from second chance)"
+# The example asserts it; `set -e` fails the gate on the panic.
+cargo run -q --release --example custom_system >/dev/null
+
 echo "==> lockdep demo (must abort on its planted lock-order cycle)"
 # The demo takes two lock classes in opposite orders; lockdep hooks into
 # SimMutex's lock future and guard drop, so a silent exit means the

@@ -1077,7 +1077,7 @@ pub fn claims() -> Vec<Claim> {
         claim("ext_policies_fifo_refault_over_second_chance", "§4.2.2", None, (">", &[1.0]),
             |lab| refault_over_second_chance(lab, EvictionPolicyKind::Fifo)),
         claim("ext_policies_aging_clock_refault_over_second_chance", "§4.2.2", None, ("<", &[1.0]),
-            |lab| refault_over_second_chance(lab, EvictionPolicyKind::AgingClock { hot_rounds: 3 })),
+            |lab| refault_over_second_chance(lab, EvictionPolicyKind::AgingClock)),
         claim("ext_policies_approx_lru_refault_over_second_chance", "§4.2.2", None, ("<", &[1.0]),
             |lab| refault_over_second_chance(lab, EvictionPolicyKind::ApproxLru)),
         claim("ext_policies_s3fifo_refault_over_second_chance", "§4.2.2", None, ("<", &[1.0]),

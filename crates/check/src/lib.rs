@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use mage::{
     EventSink, EvictionPolicyKind, FarMemory, MachineParams, PlantedBug, ReplicationConfig,
-    RetryPolicy, SystemConfig,
+    SystemConfig, REPLICA_NODES,
 };
 use mage_fabric::FaultPlan;
 use mage_mmu::{CoreId, Topology};
@@ -421,10 +421,6 @@ impl std::fmt::Display for Violation {
 pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violation> {
     assert!(cell.threads >= 1, "a cell needs at least one thread");
     let plan = FaultPlan::enumerate(cell.plan, cell.seed);
-    let retry = RetryPolicy {
-        max_retries: 2,
-        ..RetryPolicy::default()
-    };
     assert!(
         opts.replicate || opts.planted_bug != Some(PlantedBug::Rereplication),
         "PlantedBug::Rereplication needs `replicate`: a single-copy backend has no repairs to skip"
@@ -433,7 +429,7 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
         .with_eviction_policy(opts.eviction_policy)
         .with_eviction_batch(opts.eviction_batch)
         .with_faults(plan)
-        .with_retry(retry);
+        .with_max_retries(2);
     if let Some(bug) = opts.planted_bug {
         cfg = cfg.with_planted_bug(bug);
     }
@@ -442,12 +438,10 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
         // period; the repair poll sits well under both the window and the
         // inter-outage gap, so the monitor always observes each crash and
         // finishes repairs before the *other* node blinks.
-        let nodes = 2;
-        let node_plans = (0..nodes)
-            .map(|i| FaultPlan::staggered_node_crash(cell.seed, i, nodes, 150_000, 30_000))
+        let node_plans = (0..REPLICA_NODES)
+            .map(|i| FaultPlan::staggered_node_crash(cell.seed, i, REPLICA_NODES, 150_000, 30_000))
             .collect();
         cfg = cfg.with_replication(ReplicationConfig {
-            nodes,
             repair_poll_ns: 5_000,
             node_faults: node_plans,
         });

@@ -84,13 +84,15 @@ pub struct ReplicationStats {
     pub illegal_transitions: Counter,
 }
 
-/// How remote pages are replicated across simulated memory nodes.
+/// Memory nodes a replicated backend spreads its replicas across. Each
+/// page keeps two replicas: the primary on node `rpn % REPLICA_NODES`,
+/// the backup on the other node.
+pub const REPLICA_NODES: usize = 2;
+
+/// How remote pages are replicated across the [`REPLICA_NODES`] simulated
+/// memory nodes.
 #[derive(Clone, Debug)]
 pub struct ReplicationConfig {
-    /// Number of memory nodes replicas spread across (clamped to ≥ 2).
-    /// Each page keeps two replicas: the primary on node `rpn % nodes`,
-    /// the backup on the next node.
-    pub nodes: usize,
     /// Poll interval of the crash monitor / background repair task, ns.
     /// Must be at most the shortest configured outage window, or an
     /// outage could fall entirely between two polls and never degrade
@@ -105,7 +107,6 @@ pub struct ReplicationConfig {
 impl Default for ReplicationConfig {
     fn default() -> Self {
         ReplicationConfig {
-            nodes: 2,
             repair_poll_ns: 10_000,
             node_faults: Vec::new(),
         }
@@ -126,7 +127,6 @@ impl Default for ReplicationConfig {
 /// because repair order is part of the deterministic schedule and must
 /// not depend on hash-bucket layout.
 struct ReplicaTable {
-    nodes: u32,
     states: RefCell<PageMap<[ReplicaState; 2]>>,
     stats: ReplicationStats,
     stop: Cell<bool>,
@@ -138,7 +138,7 @@ impl ReplicaTable {
     /// all nodes, the backup lives on the next node over, so every node
     /// carries both roles and a single outage degrades both kinds.
     fn home(&self, rpn: u64, slot: usize) -> NodeId {
-        NodeId(((rpn + slot as u64) % self.nodes as u64) as u32)
+        NodeId(((rpn + slot as u64) % REPLICA_NODES as u64) as u32)
     }
 
     fn get(&self, rpn: u64) -> Option<[ReplicaState; 2]> {
@@ -280,7 +280,7 @@ async fn replication_monitor(
         if table.stop.get() {
             return;
         }
-        for n in 0..table.nodes {
+        for n in 0..REPLICA_NODES as u32 {
             let node = NodeId(n);
             if nic.node_injector(node).is_some() && !nic.node_reachable(node) {
                 table.degrade_node(node);
@@ -320,16 +320,16 @@ async fn replication_monitor(
 /// mapping for DiLOS/MAGE, a swap-slot bitmap behind a global lock for
 /// Hermit).
 ///
-/// With a replica table ([`SystemConfig::replication`]) pages live on ≥ 2
-/// simulated memory nodes: writebacks are mirrored to a primary + backup
-/// replica, reads route to a synced replica and fail over when the
-/// primary's node is mid-crash, and a background task re-replicates
-/// degraded pages after the node's recovery window — so a node crash
-/// costs failover latency instead of `aborted_faults`. Kept deliberately
-/// primary/backup-simple (bounded retry, no consensus): the simulation
-/// has a single initiator per page at a time, so the agreement problems
-/// that push real RDMA systems toward replicated state machines never
-/// arise here.
+/// With a replica table ([`SystemConfig::replication`]) pages live on
+/// the [`REPLICA_NODES`] simulated memory nodes: writebacks are mirrored
+/// to a primary + backup replica, reads route to a synced replica and
+/// fail over when the primary's node is mid-crash, and a background
+/// task re-replicates degraded pages after the node's recovery window —
+/// so a node crash costs failover latency instead of `aborted_faults`.
+/// Kept deliberately primary/backup-simple (bounded retry, no
+/// consensus): the simulation has a single initiator per page at a time,
+/// so the agreement problems that push real RDMA systems toward
+/// replicated state machines never arise here.
 pub struct FarBackend {
     sim: SimHandle,
     nic: Rc<Nic>,
@@ -358,10 +358,9 @@ impl FarBackend {
             ))),
         };
         let node_faults = cfg.replication.as_ref().map_or_else(Vec::new, |r| {
-            let nodes = r.nodes.max(2);
             assert!(
-                r.node_faults.len() <= nodes,
-                "{} per-node fault plans for {nodes} memory nodes",
+                r.node_faults.len() <= REPLICA_NODES,
+                "{} per-node fault plans for {REPLICA_NODES} memory nodes",
                 r.node_faults.len()
             );
             r.node_faults.clone()
@@ -374,7 +373,6 @@ impl FarBackend {
         ));
         let replicas = cfg.replication.as_ref().map(|r| {
             let table = Rc::new(ReplicaTable {
-                nodes: r.nodes.max(2) as u32,
                 states: RefCell::new(PageMap::new()),
                 stats: ReplicationStats::default(),
                 stop: Cell::new(false),

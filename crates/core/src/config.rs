@@ -23,7 +23,6 @@ use mage_palloc::LocalAllocatorKind;
 use crate::backend::ReplicationConfig;
 use crate::costs::{CostModel, OsProfile};
 use crate::reclaim::VictimPolicy;
-use crate::retry::RetryPolicy;
 
 /// Remote-slot allocation policy selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,11 +43,8 @@ pub enum EvictionPolicyKind {
     /// (MAGE-Lnx's FIFO queues, §5.1; its preset also zeroes the
     /// per-page scan cost, since nothing is checked).
     Fifo,
-    /// Aging-counter CLOCK: each hit grants `hot_rounds` grace rounds.
-    AgingClock {
-        /// Grace rounds granted per hit (1 behaves like second chance).
-        hot_rounds: u8,
-    },
+    /// Aging-counter CLOCK: each hit grants three grace rounds.
+    AgingClock,
     /// S3-FIFO (SOSP '23): a 2-bit frequency filter recharged by re-fault
     /// signals from the accounting ghost list. It also asks the
     /// accounting structure to admit ghost hits straight to the protected
@@ -62,12 +58,11 @@ pub enum EvictionPolicyKind {
 }
 
 impl EvictionPolicyKind {
-    /// Every built-in policy, in declaration order (`AgingClock` with
-    /// three grace rounds).
+    /// Every built-in policy, in declaration order.
     pub const BUILT_IN: [EvictionPolicyKind; 5] = [
         EvictionPolicyKind::SecondChance,
         EvictionPolicyKind::Fifo,
-        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
+        EvictionPolicyKind::AgingClock,
         EvictionPolicyKind::S3Fifo,
         EvictionPolicyKind::ApproxLru,
     ];
@@ -80,9 +75,7 @@ impl EvictionPolicyKind {
         match *self {
             EvictionPolicyKind::SecondChance => counter(false, 0, false),
             EvictionPolicyKind::Fifo => VictimPolicy::fifo(self.name()),
-            EvictionPolicyKind::AgingClock { hot_rounds } => {
-                counter(false, hot_rounds.max(1) - 1, false)
-            }
+            EvictionPolicyKind::AgingClock => counter(false, 2, false),
             EvictionPolicyKind::S3Fifo => counter(true, 3, true),
             EvictionPolicyKind::ApproxLru => counter(false, 7, false),
         }
@@ -93,7 +86,7 @@ impl EvictionPolicyKind {
         match *self {
             EvictionPolicyKind::SecondChance => "second-chance",
             EvictionPolicyKind::Fifo => "fifo",
-            EvictionPolicyKind::AgingClock { .. } => "aging-clock",
+            EvictionPolicyKind::AgingClock => "aging-clock",
             EvictionPolicyKind::S3Fifo => "s3-fifo",
             EvictionPolicyKind::ApproxLru => "approx-lru",
         }
@@ -139,8 +132,6 @@ pub struct SystemConfig {
     pub pipelined_eviction: bool,
     /// Pages per eviction batch / shootdown (256 for MAGE, §4.2.1).
     pub eviction_batch: usize,
-    /// Pages per synchronous (fault-path) eviction batch.
-    pub sync_eviction_batch: usize,
     /// Prefetch policy.
     pub prefetch: PrefetchPolicy,
     /// NIC / link configuration.
@@ -154,8 +145,10 @@ pub struct SystemConfig {
     /// (the default) keeps the single-copy backend bit-identical to
     /// before the replication layer existed.
     pub replication: Option<ReplicationConfig>,
-    /// Transfer retry/timeout policy for recovering from injected faults.
-    pub retry: RetryPolicy,
+    /// Retries after a failed transfer's first attempt (0 = fail
+    /// immediately); each waits an exponential, seeded-jitter backoff
+    /// ([`crate::retry::backoff_ns`]).
+    pub max_retries: u32,
     /// Service-time model.
     pub costs: CostModel,
     /// Test-only: a deliberately planted defect (see [`PlantedBug`]).
@@ -201,13 +194,12 @@ impl SystemConfig {
             sync_eviction: false,
             pipelined_eviction: true,
             eviction_batch: 256,
-            sync_eviction_batch: 64,
             prefetch: PrefetchPolicy::None,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             replication: None,
             planted_bug: None,
-            retry: RetryPolicy::default(),
+            max_retries: 3,
             costs: CostModel::new(OsProfile::unikernel(), true),
         }
     }
@@ -227,7 +219,6 @@ impl SystemConfig {
             sync_eviction: false,
             pipelined_eviction: true,
             eviction_batch: 256,
-            sync_eviction_batch: 64,
             prefetch: PrefetchPolicy::None,
             nic: NicConfig {
                 bandwidth_bytes_per_ns: 17.4, // 139 Gbps ceiling (§6.4)
@@ -236,7 +227,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             replication: None,
             planted_bug: None,
-            retry: RetryPolicy::default(),
+            max_retries: 3,
             costs: {
                 let mut costs = CostModel::new(OsProfile::mage_lnx(), true);
                 // FIFO queues check nothing per scanned page.
@@ -261,13 +252,12 @@ impl SystemConfig {
             sync_eviction: true,
             pipelined_eviction: false,
             eviction_batch: 64,
-            sync_eviction_batch: 32,
             prefetch: PrefetchPolicy::Readahead,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             replication: None,
             planted_bug: None,
-            retry: RetryPolicy::default(),
+            max_retries: 3,
             costs: CostModel::new(OsProfile::linux_bare_metal(), false),
         }
     }
@@ -288,13 +278,12 @@ impl SystemConfig {
             sync_eviction: true,
             pipelined_eviction: false,
             eviction_batch: 64,
-            sync_eviction_batch: 32,
             prefetch: PrefetchPolicy::Readahead,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             replication: None,
             planted_bug: None,
-            retry: RetryPolicy::default(),
+            max_retries: 3,
             costs: CostModel::new(OsProfile::unikernel(), true),
         }
     }
@@ -316,13 +305,12 @@ impl SystemConfig {
             sync_eviction: false,
             pipelined_eviction: true,
             eviction_batch: 256,
-            sync_eviction_batch: 64,
             prefetch: PrefetchPolicy::None,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
             replication: None,
             planted_bug: None,
-            retry: RetryPolicy::default(),
+            max_retries: 3,
             costs: CostModel::ideal(),
         }
     }
@@ -367,9 +355,9 @@ impl SystemConfig {
         self
     }
 
-    /// Overrides the transfer retry/timeout policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+    /// Overrides the transfer retry budget.
+    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
+        self.max_retries = max_retries;
         self
     }
 
@@ -424,14 +412,11 @@ mod tests {
             .with_prefetch()
             .with_eviction_batch(128)
             .with_faults(FaultPlan::degraded_link(3))
-            .with_retry(RetryPolicy {
-                max_retries: 5,
-                ..RetryPolicy::default()
-            });
+            .with_max_retries(5);
         assert_eq!(cfg.eviction_batch, 128);
         assert_eq!(cfg.prefetch, PrefetchPolicy::Readahead);
         assert!(cfg.faults.is_active());
-        assert_eq!(cfg.retry.max_retries, 5);
+        assert_eq!(cfg.max_retries, 5);
     }
 
     #[test]
@@ -444,7 +429,6 @@ mod tests {
             SystemConfig::ideal(),
         ] {
             assert!(!cfg.faults.is_active(), "{}: faults on by default", cfg.name);
-            assert_eq!(cfg.retry.op_timeout_ns, 0, "{}: timeout on by default", cfg.name);
         }
     }
 }

@@ -13,9 +13,9 @@
 //! The stream exists for differential checking: the `mage-check` crate
 //! replays it through an abstract per-page state machine
 //! (Local/Remote/InFlight/Evicting) and cross-checks the abstract state
-//! against the concrete PTE/TLB contents at quiescent points. With no
-//! sink registered the tap is a single `is_empty()` test per event site,
-//! so the default path stays schedule-identical.
+//! against the concrete PTE/TLB contents at quiescent points. A machine
+//! takes at most one sink; with none registered the tap is a single
+//! branch per event site, so the default path stays schedule-identical.
 
 use std::rc::Rc;
 
@@ -108,28 +108,32 @@ pub trait EventSink {
     fn on_event(&self, event: PageEvent);
 }
 
-/// The tap: an ordered list of registered sinks.
+/// The tap: at most one registered sink, as with the tracer.
 #[derive(Default)]
 pub(crate) struct EventTap {
-    sinks: std::cell::RefCell<Vec<Rc<dyn EventSink>>>,
+    sink: std::cell::OnceCell<Rc<dyn EventSink>>,
 }
 
 impl EventTap {
+    /// Registers the sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sink is already registered.
     pub(crate) fn register(&self, sink: Rc<dyn EventSink>) {
-        self.sinks.borrow_mut().push(sink);
+        assert!(self.sink.set(sink).is_ok(), "an event sink is already tapped");
     }
 
     #[inline]
     pub(crate) fn emit(&self, event: PageEvent) {
-        let sinks = self.sinks.borrow();
-        for sink in sinks.iter() {
+        if let Some(sink) = self.sink.get() {
             sink.on_event(event);
         }
     }
 
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.sinks.borrow().is_empty()
+        self.sink.get().is_none()
     }
 }
 
@@ -150,9 +154,7 @@ mod tests {
         let tap = EventTap::default();
         assert!(tap.is_empty());
         let a = Rc::new(Collect(RefCell::new(Vec::new())));
-        let b = Rc::new(Collect(RefCell::new(Vec::new())));
         tap.register(Rc::clone(&a) as Rc<dyn EventSink>);
-        tap.register(Rc::clone(&b) as Rc<dyn EventSink>);
         assert!(!tap.is_empty());
         let events = [
             PageEvent::Placed { vpn: 1, local: true },
@@ -163,7 +165,14 @@ mod tests {
             tap.emit(e);
         }
         assert_eq!(*a.0.borrow(), events);
-        assert_eq!(*b.0.borrow(), events);
+    }
+
+    #[test]
+    #[should_panic(expected = "an event sink is already tapped")]
+    fn second_sink_panics() {
+        let tap = EventTap::default();
+        tap.register(Rc::new(Collect(RefCell::new(Vec::new()))));
+        tap.register(Rc::new(Collect(RefCell::new(Vec::new()))));
     }
 
     #[test]

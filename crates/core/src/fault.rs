@@ -18,6 +18,10 @@ use crate::events::PageEvent;
 use crate::machine::{Access, FarMemory};
 use crate::retry::{FaultError, TransferOp};
 
+/// Pages per synchronous (fault-path) eviction batch, in the presets
+/// that evict on the fault path (Hermit, DiLOS).
+pub const SYNC_EVICTION_BATCH: usize = 32;
+
 /// One timed phase of a fault: the raw interval it occupied.
 #[derive(Clone, Copy)]
 struct PhaseSpan {
@@ -251,7 +255,7 @@ impl FarMemory {
             }
             if self.cfg.sync_eviction {
                 let outcome = self
-                    .evict_batch(core, core.index(), 0, self.cfg.sync_eviction_batch, true)
+                    .evict_batch(core, core.index(), 0, SYNC_EVICTION_BATCH, true)
                     .await;
                 ctx.sync_tlb_ns += outcome.tlb_ns;
                 ctx.sync_acct_ns += outcome.acct_ns;

@@ -68,7 +68,7 @@ pub mod reclaim;
 pub mod retry;
 pub mod stats;
 
-pub use backend::{FarBackend, ReplicaState, ReplicationConfig, ReplicationStats};
+pub use backend::{FarBackend, ReplicaState, ReplicationConfig, ReplicationStats, REPLICA_NODES};
 pub use config::{EvictionPolicyKind, PlantedBug, PrefetchPolicy, RemoteAllocKind, SystemConfig};
 pub use costs::{CostModel, OsProfile};
 pub use events::{EventSink, PageEvent};
@@ -76,5 +76,5 @@ pub use ideal::IdealModel;
 pub use machine::{Access, FarMemory, MachineParams};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, MetricsWindow};
 pub use reclaim::VictimPolicy;
-pub use retry::{FaultError, RetryPolicy, TransferOp};
+pub use retry::{FaultError, TransferOp};
 pub use stats::{BreakdownMeans, EngineStats};

@@ -347,20 +347,22 @@ impl FarMemory {
         self.high_watermark
     }
 
-    /// Registers an observer on the page-lifecycle event stream (see
-    /// [`crate::events`]). Sinks see every transition synchronously, in
-    /// program order; with no sink registered the tap costs one branch
-    /// per site and perturbs nothing.
+    /// Registers the observer of the page-lifecycle event stream (see
+    /// [`crate::events`]). The sink sees every transition synchronously,
+    /// in program order; with no sink registered the tap costs one
+    /// branch per site and perturbs nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sink is already registered: a machine has at most one.
     pub fn tap_events(&self, sink: Rc<dyn EventSink>) {
         self.events.register(sink);
     }
 
-    /// Emits a page-lifecycle event to the registered sinks, if any.
+    /// Emits a page-lifecycle event to the registered sink, if any.
     #[inline]
     pub(crate) fn emit(&self, event: PageEvent) {
-        if !self.events.is_empty() {
-            self.events.emit(event);
-        }
+        self.events.emit(event);
     }
 
     /// Signals the background threads (evictors and the backend's

@@ -129,11 +129,7 @@ impl FarMemory {
             return;
         };
         self.sim.sleep(self.cfg.costs.os.rdma_post_cpu_ns).await;
-        if self
-            .await_op(self.backend.read(rpn))
-            .await
-            .is_err()
-        {
+        if self.backend.read(rpn).await.is_err() {
             // Prefetches are speculative: no retries, just roll back and
             // let a real fault (with its retry budget) fetch the page.
             self.pt.unlock(vpn);

@@ -19,7 +19,7 @@
 //! | kind | increment | cap | refault recharge |
 //! |---|---|---|---|
 //! | `SecondChance` (default) | no | 0 | no |
-//! | `AgingClock { hot_rounds: h }` | no | `h.max(1) - 1` | no |
+//! | `AgingClock` | no | 2 | no |
 //! | `ApproxLru` | no | 7 | no |
 //! | `S3Fifo` | yes | 3 | yes |
 //!
@@ -214,10 +214,10 @@ mod tests {
     #[test]
     fn aging_clock_grants_grace_rounds() {
         let pt = table_with(9, true);
-        let p = EvictionPolicyKind::AgingClock { hot_rounds: 3 }.build();
+        let p = EvictionPolicyKind::AgingClock.build();
         assert!(p.test_and_age(&pt, 9), "hit: recharged");
         // Two further cold scans survive on the counter, the third evicts
-        // (three survivals per hit in total with hot_rounds = 3).
+        // (three survivals per hit in total: three grace rounds).
         assert!(p.test_and_age(&pt, 9));
         assert!(p.test_and_age(&pt, 9));
         assert!(!p.test_and_age(&pt, 9), "grace exhausted");
@@ -293,12 +293,15 @@ mod tests {
     #[test]
     fn aging_clock_recharges_on_rehit() {
         let pt = table_with(9, true);
-        let p = EvictionPolicyKind::AgingClock { hot_rounds: 2 }.build();
+        let p = EvictionPolicyKind::AgingClock.build();
         assert!(p.test_and_age(&pt, 9));
+        assert!(p.test_and_age(&pt, 9), "one grace round spent");
         pt.set(9, pt.get(9).with_accessed(true)); // page touched again
         assert!(p.test_and_age(&pt, 9), "recharged by the new hit");
-        assert!(p.test_and_age(&pt, 9), "counter full again");
-        assert!(!p.test_and_age(&pt, 9));
+        // The counter is full again: two more cold survivals, not one.
+        assert!(p.test_and_age(&pt, 9));
+        assert!(p.test_and_age(&pt, 9));
+        assert!(!p.test_and_age(&pt, 9), "grace exhausted");
     }
 
     #[test]

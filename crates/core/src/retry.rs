@@ -1,5 +1,5 @@
-//! Transfer retry policy: bounded retries with deterministic exponential
-//! backoff, seeded jitter and a per-op virtual-time timeout.
+//! Transfer retry: bounded retries with deterministic exponential backoff
+//! and seeded jitter.
 //!
 //! The fabric reports *what* went wrong ([`TransferError`]); this module
 //! decides *what to do about it*. Placement follows the paper's layering:
@@ -52,63 +52,21 @@ impl std::fmt::Display for FaultError {
     }
 }
 
-/// Retry policy for far-memory transfers.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Retries after the first failed attempt (0 = fail immediately).
-    pub max_retries: u32,
-    /// First backoff delay, ns; doubles each retry.
-    pub backoff_base_ns: Nanos,
-    /// Backoff ceiling, ns.
-    pub backoff_cap_ns: Nanos,
-    /// Virtual-time budget per attempt, ns; an op whose completion lies
-    /// further out is abandoned with [`TransferError::Timeout`]. 0
-    /// disables the timeout (the default: congestion on a healthy link
-    /// must never be misread as failure).
-    pub op_timeout_ns: Nanos,
-}
+/// First backoff delay, ns; doubles each retry.
+pub const BACKOFF_BASE_NS: Nanos = 2_000;
+/// Backoff ceiling, ns.
+pub const BACKOFF_CAP_NS: Nanos = 200_000;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base_ns: 2_000,
-            backoff_cap_ns: 200_000,
-            op_timeout_ns: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry `attempt` (1-based): exponential from
-    /// `backoff_base_ns`, capped, plus up to 50% seeded jitter. Fully
-    /// determined by the policy and the RNG state.
-    pub fn backoff_ns(&self, attempt: u32, rng: &SplitMix64) -> Nanos {
-        let shift = attempt.saturating_sub(1).min(20);
-        let base = self
-            .backoff_base_ns
-            .saturating_mul(1u64 << shift)
-            .min(self.backoff_cap_ns.max(self.backoff_base_ns));
-        base + rng.next_below(base / 2 + 1)
-    }
+/// The backoff before retry `attempt` (1-based): exponential from
+/// [`BACKOFF_BASE_NS`], capped at [`BACKOFF_CAP_NS`], plus up to 50%
+/// seeded jitter. Fully determined by `attempt` and the RNG state.
+pub fn backoff_ns(attempt: u32, rng: &SplitMix64) -> Nanos {
+    let shift = attempt.saturating_sub(1).min(20);
+    let base = BACKOFF_BASE_NS.saturating_mul(1u64 << shift).min(BACKOFF_CAP_NS);
+    base + rng.next_below(base / 2 + 1)
 }
 
 impl FarMemory {
-    /// Awaits a posted completion under the configured per-op timeout.
-    /// With the timeout disabled this is exactly `completion.await` — no
-    /// extra timers, no schedule perturbation. With a timeout, abandoning
-    /// an op does not un-post it: its wire time stays consumed.
-    pub(crate) async fn await_op(&self, c: Completion) -> Result<Nanos, TransferError> {
-        let timeout = self.cfg.retry.op_timeout_ns;
-        if timeout > 0 && c.completes_at().saturating_since(self.sim.now()) > timeout {
-            // The completion instant is fixed at post time, so the verdict
-            // is known immediately; sleep out the budget and give up.
-            self.sim.sleep(timeout).await;
-            return Err(TransferError::Timeout);
-        }
-        c.await
-    }
-
     /// Posts one page transfer of backend slot `rpn`.
     fn post_transfer(&self, op: TransferOp, rpn: u64) -> Completion {
         match op {
@@ -124,8 +82,7 @@ impl FarMemory {
         op: TransferOp,
         rpn: u64,
     ) -> Result<Nanos, FaultError> {
-        let c = self.post_transfer(op, rpn);
-        let first = self.await_op(c).await;
+        let first = self.post_transfer(op, rpn).await;
         self.retry_transfer(op, rpn, first).await
     }
 
@@ -150,30 +107,27 @@ impl FarMemory {
         // await or an RNG draw, leaving the fault schedule untouched.
         if last == TransferError::NodeUnreachable && op == TransferOp::Read {
             if let Some(c) = self.backend.failover_read(rpn) {
-                if let Ok(lat) = self.await_op(c).await {
+                if let Ok(lat) = c.await {
                     self.stats.failover_reads.inc();
                     return Ok(lat);
                 }
             }
         }
-        let policy = self.cfg.retry.clone();
+        let max_retries = self.cfg.max_retries;
         let t0 = self.sim.now();
         // Trace spans live on the dedicated retry track and are emitted
-        // only on this error path, so a clean run (no active FaultPlan,
-        // no timeouts) contains no `retry` events at all.
+        // only on this error path, so a clean run (no active FaultPlan)
+        // contains no `retry` events at all.
         let trace_name = match op {
             TransferOp::Read => "read",
             TransferOp::Write => "write",
         };
-        for attempt in 1..=policy.max_retries {
+        for attempt in 1..=max_retries {
             self.stats.transfer_retries.inc();
-            self.sim
-                .sleep(policy.backoff_ns(attempt, &self.retry_rng))
-                .await;
+            self.sim.sleep(backoff_ns(attempt, &self.retry_rng)).await;
             // Re-posting costs CPU like the original post did.
             self.sim.sleep(self.cfg.costs.os.rdma_post_cpu_ns).await;
-            let c = self.post_transfer(op, rpn);
-            match self.await_op(c).await {
+            match self.post_transfer(op, rpn).await {
                 Ok(lat) => {
                     self.stats
                         .retry_latency
@@ -196,11 +150,11 @@ impl FarMemory {
             "retry",
             trace_name,
             t0,
-            Some(("attempts", policy.max_retries as u64 + 1)),
+            Some(("attempts", max_retries as u64 + 1)),
         );
         Err(FaultError {
             op,
-            attempts: policy.max_retries + 1,
+            attempts: max_retries + 1,
             last,
         })
     }
@@ -221,28 +175,29 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_seed_reproducible() {
-        let policy = RetryPolicy::default();
         let a = SplitMix64::new(42);
         let b = SplitMix64::new(42);
-        let sched_a: Vec<Nanos> = (1..=8).map(|i| policy.backoff_ns(i, &a)).collect();
-        let sched_b: Vec<Nanos> = (1..=8).map(|i| policy.backoff_ns(i, &b)).collect();
+        let sched_a: Vec<Nanos> = (1..=8).map(|i| backoff_ns(i, &a)).collect();
+        let sched_b: Vec<Nanos> = (1..=8).map(|i| backoff_ns(i, &b)).collect();
         assert_eq!(sched_a, sched_b, "same seed, same schedule");
 
         let c = SplitMix64::new(43);
-        let sched_c: Vec<Nanos> = (1..=8).map(|i| policy.backoff_ns(i, &c)).collect();
+        let sched_c: Vec<Nanos> = (1..=8).map(|i| backoff_ns(i, &c)).collect();
         assert_ne!(sched_a, sched_c, "different seed must diverge");
 
         // Exponential shape under the jitter: every delay is in
         // [base·2^(i-1), 1.5·base·2^(i-1)] until the cap bites.
         for (i, &d) in sched_a.iter().enumerate() {
-            let lo = (policy.backoff_base_ns << i).min(policy.backoff_cap_ns);
+            let lo = (BACKOFF_BASE_NS << i).min(BACKOFF_CAP_NS);
             assert!(d >= lo && d <= lo + lo / 2, "retry {i}: {d} outside [{lo}, 1.5·{lo}]");
         }
     }
 
-    fn failing_machine(plan: FaultPlan, retry: RetryPolicy) -> (Simulation, Rc<FarMemory>, u64) {
+    fn failing_machine(plan: FaultPlan, max_retries: u32) -> (Simulation, Rc<FarMemory>, u64) {
         let sim = Simulation::new();
-        let cfg = SystemConfig::mage_lib().with_faults(plan).with_retry(retry);
+        let cfg = SystemConfig::mage_lib()
+            .with_faults(plan)
+            .with_max_retries(max_retries);
         let params = MachineParams {
             topo: Topology::single_socket(8),
             app_threads: 2,
@@ -258,53 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn timeout_fires_in_virtual_time() {
-        // Node permanently down: every op would complete (with an error)
-        // after one base latency, but a 500 ns budget gives up first.
-        let plan = FaultPlan {
-            seed: 2,
-            crash_period_ns: u64::MAX / 2,
-            crash_duration_ns: u64::MAX / 2,
-            crash_rate: 1.0,
-            ..FaultPlan::none()
-        };
-        // Identical machines; only the op timeout differs. Without it the
-        // access waits the full 3 900 ns base latency for the error; with
-        // a 500 ns budget it gives up after exactly 500 ns of virtual
-        // time, so the end-to-end difference is exactly 3 400 ns.
-        let mut elapsed = Vec::new();
-        let mut errors = Vec::new();
-        for timeout in [0, 500] {
-            let retry = RetryPolicy {
-                max_retries: 0,
-                op_timeout_ns: timeout,
-                ..RetryPolicy::default()
-            };
-            let (sim, engine, vpn) = failing_machine(plan.clone(), retry);
-            let e = Rc::clone(&engine);
-            let (t, access) = sim.block_on(async move {
-                let t0 = e.sim.now();
-                let a = e.access(CoreId(0), vpn, false).await;
-                (e.sim.now().saturating_since(t0), a)
-            });
-            engine.shutdown();
-            let Access::Failed { error } = access else {
-                panic!("expected a failed access, got {access:?}");
-            };
-            assert_eq!(error.attempts, 1);
-            elapsed.push(t);
-            errors.push(error.last);
-        }
-        assert_eq!(errors[0], mage_fabric::TransferError::NodeUnreachable);
-        assert_eq!(errors[1], mage_fabric::TransferError::Timeout);
-        assert_eq!(
-            elapsed[0] - elapsed[1],
-            3_900 - 500,
-            "timeout must cut the wait from the 3 900 ns detection latency to 500 ns"
-        );
-    }
-
-    #[test]
     fn retry_exhaustion_leaks_nothing() {
         // Every transfer errors; retries are exhausted and the fault
         // aborts. The PTE must be unlocked and still remote, the frame
@@ -314,13 +222,7 @@ mod tests {
             error_rate: 1.0,
             ..FaultPlan::none()
         };
-        let retry = RetryPolicy {
-            max_retries: 2,
-            backoff_base_ns: 100,
-            backoff_cap_ns: 1_000,
-            op_timeout_ns: 0,
-        };
-        let (sim, engine, vpn) = failing_machine(plan, retry);
+        let (sim, engine, vpn) = failing_machine(plan, 2);
         let free_before = engine.allocator().free_frames();
         let e = Rc::clone(&engine);
         let access = sim.block_on(async move { e.access(CoreId(0), vpn, false).await });
@@ -354,13 +256,7 @@ mod tests {
             error_rate: 0.4,
             ..FaultPlan::none()
         };
-        let retry = RetryPolicy {
-            max_retries: 8,
-            backoff_base_ns: 200,
-            backoff_cap_ns: 5_000,
-            op_timeout_ns: 0,
-        };
-        let (sim, engine, start_vpn) = failing_machine(plan, retry);
+        let (sim, engine, start_vpn) = failing_machine(plan, 8);
         let e = Rc::clone(&engine);
         sim.block_on(async move {
             for i in 0..64 {

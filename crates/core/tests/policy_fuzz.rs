@@ -56,19 +56,15 @@ impl Model for SecondChanceModel {
     }
 }
 
-/// Aging-counter CLOCK: a hit recharges to `hot_rounds`, a miss decays.
+/// Aging-counter CLOCK: a hit recharges to three grace rounds, a miss
+/// decays.
+#[derive(Default)]
 struct AgingClockModel {
-    hot_rounds: u8,
     counters: RefCell<BTreeMap<u64, u8>>,
 }
 
 impl AgingClockModel {
-    fn new(hot_rounds: u8) -> Self {
-        AgingClockModel {
-            hot_rounds: hot_rounds.max(1),
-            counters: RefCell::new(BTreeMap::new()),
-        }
-    }
+    const HOT_ROUNDS: u8 = 3;
 }
 
 impl Model for AgingClockModel {
@@ -80,7 +76,7 @@ impl Model for AgingClockModel {
         let old = pt.update(vpn, |p| p.with_accessed(false));
         let mut counters = self.counters.borrow_mut();
         if old.accessed() {
-            counters.insert(vpn, self.hot_rounds);
+            counters.insert(vpn, Self::HOT_ROUNDS);
             return true;
         }
         match counters.get_mut(&vpn) {
@@ -177,7 +173,7 @@ impl Model for ApproxLruModel {
 
 /// Every preset paired with a fresh model of the policy it replaced.
 fn pairs() -> Vec<(EvictionPolicyKind, Box<dyn Model>)> {
-    let mut v: Vec<(EvictionPolicyKind, Box<dyn Model>)> = vec![
+    vec![
         (
             EvictionPolicyKind::SecondChance,
             Box::new(SecondChanceModel),
@@ -187,14 +183,11 @@ fn pairs() -> Vec<(EvictionPolicyKind, Box<dyn Model>)> {
             Box::new(ApproxLruModel::default()),
         ),
         (EvictionPolicyKind::S3Fifo, Box::new(S3FifoModel::default())),
-    ];
-    for hot_rounds in [0, 1, 2, 3, 8] {
-        v.push((
-            EvictionPolicyKind::AgingClock { hot_rounds },
-            Box::new(AgingClockModel::new(hot_rounds)),
-        ));
-    }
-    v
+        (
+            EvictionPolicyKind::AgingClock,
+            Box::new(AgingClockModel::default()),
+        ),
+    ]
 }
 
 /// What one stream exercised, so a vacuous pass is caught.

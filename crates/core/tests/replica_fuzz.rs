@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use mage::{FarBackend, ReplicaState, ReplicationConfig, SystemConfig};
+use mage::{FarBackend, ReplicaState, ReplicationConfig, SystemConfig, REPLICA_NODES};
 use mage_fabric::{FaultInjector, FaultPlan, NodeId};
 use mage_sim::rng::SplitMix64;
 use mage_sim::time::SimTime;
@@ -42,13 +42,14 @@ const SEEDS: [u64; 4] = [1, 42, 0xDEAD_BEEF, 0x5EED_5EED_5EED_5EED];
 /// Slot universe: small enough that ops constantly revisit pages across
 /// outage windows.
 const SLOTS: u64 = 96;
-const NODES: usize = 2;
 const PERIOD_NS: u64 = 400_000;
 const DURATION_NS: u64 = 40_000;
 
 fn plans(seed: u64) -> Vec<FaultPlan> {
-    (0..NODES)
-        .map(|i| FaultPlan::staggered_node_crash(seed ^ 0xFA17, i, NODES, PERIOD_NS, DURATION_NS))
+    (0..REPLICA_NODES)
+        .map(|i| {
+            FaultPlan::staggered_node_crash(seed ^ 0xFA17, i, REPLICA_NODES, PERIOD_NS, DURATION_NS)
+        })
         .collect()
 }
 
@@ -74,7 +75,7 @@ impl NodeOracle {
 /// Home node of replica `slot` of page `rpn` — mirrors the backend's
 /// placement rule (primaries spread across nodes, backup on the next).
 fn home(rpn: u64, slot: usize) -> NodeId {
-    NodeId(((rpn + slot as u64) % NODES as u64) as u32)
+    NodeId(((rpn + slot as u64) % REPLICA_NODES as u64) as u32)
 }
 
 /// Builds a replicated backend over direct-mapped slots with per-node
@@ -82,7 +83,6 @@ fn home(rpn: u64, slot: usize) -> NodeId {
 /// differential; small makes it live for the laws fuzz.
 fn replicated(sim: &Simulation, seed: u64, repair_poll_ns: u64) -> Rc<FarBackend> {
     let cfg = SystemConfig::mage_lib().with_replication(ReplicationConfig {
-        nodes: NODES,
         repair_poll_ns,
         node_faults: plans(seed),
     });

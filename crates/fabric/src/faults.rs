@@ -38,9 +38,6 @@ pub enum TransferError {
     /// The remote node did not respond (crashed or rebooting); detected
     /// after one base latency, no bandwidth consumed.
     NodeUnreachable,
-    /// The initiator gave up waiting (consumer-side virtual-time timeout;
-    /// the fabric itself never produces this variant).
-    Timeout,
 }
 
 impl std::fmt::Display for TransferError {
@@ -48,7 +45,6 @@ impl std::fmt::Display for TransferError {
         match self {
             TransferError::Cq => write!(f, "completion-queue error"),
             TransferError::NodeUnreachable => write!(f, "remote node unreachable"),
-            TransferError::Timeout => write!(f, "operation timed out"),
         }
     }
 }

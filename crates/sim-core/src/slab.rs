@@ -1,135 +1,23 @@
-//! Deterministic dense containers for the simulator's hot paths.
+//! A deterministic dense map for the simulator's hot paths.
 //!
 //! The determinism pass (DESIGN.md §5) banned `HashMap`/`HashSet` for
 //! their per-process random iteration order, and the hot paths landed on
 //! `BTreeMap` — deterministic, but O(log n) with pointer-chasing on
-//! every timer fire, TLB lookup, page-waiter wake and evicting-set
-//! probe. The two containers here restore O(1) access while keeping
-//! every *observable* order a pure function of the operation history:
+//! every TLB lookup, page-waiter wake and evicting-set probe.
+//! [`PageMap`] restores O(1) access while keeping every *observable*
+//! order a pure function of the operation history: an open-addressed map
+//! keyed by `u64` (page numbers, sequence numbers) using Fibonacci
+//! multiplicative hashing, linear probing and backward-shift deletion.
+//! The probe function is a fixed constant — no per-process SipHash keys
+//! — so layout, growth and probe order replay identically for the same
+//! insert/remove history.
 //!
-//! * [`Slab`] — an index-keyed arena with a dense LIFO free-list. Keys
-//!   are handed out by the slab (recycled deterministically), so lookup
-//!   is one bounds-checked array index.
-//! * [`PageMap`] — an open-addressed map keyed by `u64` (page numbers,
-//!   sequence numbers) using Fibonacci multiplicative hashing, linear
-//!   probing and backward-shift deletion. The probe function is a fixed
-//!   constant — no per-process SipHash keys — so layout, growth and
-//!   probe order replay identically for the same insert/remove history.
-//!
-//! Neither container exposes raw storage-order iteration: walking a
-//! `PageMap` in probe order would make behaviour depend on the hash
-//! layout, which is deterministic but *not* semantically meaningful
-//! (an innocuous capacity change would reorder it). Iteration is only
-//! available in sorted-key form, which is what the fuzz suites compare
-//! against a `BTreeMap` shadow model.
-
-/// Sentinel for "no slot" in intrusive structures built on [`Slab`].
-pub const NIL: u32 = u32::MAX;
-
-/// An index-keyed arena with a dense free-list.
-///
-/// `insert` returns a stable `u32` key; `remove` recycles it LIFO. The
-/// recycling order is part of the container's deterministic contract:
-/// the same operation history always yields the same keys.
-#[derive(Default)]
-pub struct Slab<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<u32>,
-    len: usize,
-}
-
-impl<T> Slab<T> {
-    /// An empty slab.
-    pub fn new() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// An empty slab with room for `cap` values before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Slab {
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Number of live values.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no values are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts a value, returning its key (recycled LIFO when possible).
-    pub fn insert(&mut self, value: T) -> u32 {
-        self.len += 1;
-        match self.free.pop() {
-            Some(key) => {
-                debug_assert!(self.slots[key as usize].is_none());
-                self.slots[key as usize] = Some(value);
-                key
-            }
-            None => {
-                let key = u32::try_from(self.slots.len()).expect("slab key space exhausted");
-                assert_ne!(key, NIL, "slab key space exhausted");
-                self.slots.push(Some(value));
-                key
-            }
-        }
-    }
-
-    /// Removes and returns the value at `key`, freeing the slot.
-    pub fn remove(&mut self, key: u32) -> Option<T> {
-        let v = self.slots.get_mut(key as usize)?.take()?;
-        self.free.push(key);
-        self.len -= 1;
-        Some(v)
-    }
-
-    /// Shared access to the value at `key`.
-    pub fn get(&self, key: u32) -> Option<&T> {
-        self.slots.get(key as usize)?.as_ref()
-    }
-
-    /// Mutable access to the value at `key`.
-    pub fn get_mut(&mut self, key: u32) -> Option<&mut T> {
-        self.slots.get_mut(key as usize)?.as_mut()
-    }
-
-    /// True if `key` holds a live value.
-    pub fn contains(&self, key: u32) -> bool {
-        self.slots.get(key as usize).is_some_and(Option::is_some)
-    }
-
-    /// Live keys in ascending order (the only iteration order offered;
-    /// storage order is an implementation detail).
-    pub fn keys_sorted(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i as u32))
-    }
-}
-
-impl<T> std::ops::Index<u32> for Slab<T> {
-    type Output = T;
-    fn index(&self, key: u32) -> &T {
-        self.get(key).expect("stale slab key")
-    }
-}
-
-impl<T> std::ops::IndexMut<u32> for Slab<T> {
-    fn index_mut(&mut self, key: u32) -> &mut T {
-        self.get_mut(key).expect("stale slab key")
-    }
-}
+//! The map exposes no raw storage-order iteration: walking it in probe
+//! order would make behaviour depend on the hash layout, which is
+//! deterministic but *not* semantically meaningful (an innocuous capacity
+//! change would reorder it). Iteration is only available in sorted-key
+//! form, which is what the fuzz suites compare against a `BTreeMap`
+//! shadow model.
 
 /// Fibonacci multiplicative hash: spreads consecutive page numbers over
 /// the table while staying a fixed pure function (no per-process keys).
@@ -364,29 +252,6 @@ impl<V> PageMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slab_recycles_lifo() {
-        let mut s = Slab::new();
-        let a = s.insert("a");
-        let b = s.insert("b");
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(s.remove(a), Some("a"));
-        assert_eq!(s.insert("c"), a, "freed key is recycled LIFO");
-        assert_eq!(s[a], "c");
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.keys_sorted().collect::<Vec<_>>(), vec![0, 1]);
-    }
-
-    #[test]
-    fn slab_stale_key_is_none() {
-        let mut s = Slab::new();
-        let k = s.insert(7u64);
-        s.remove(k);
-        assert_eq!(s.get(k), None);
-        assert!(!s.contains(k));
-        assert_eq!(s.remove(k), None, "double remove is inert");
-    }
 
     #[test]
     fn pagemap_basic_ops() {

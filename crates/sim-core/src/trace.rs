@@ -1,12 +1,11 @@
-//! Virtual-time tracing: structured spans recorded into per-track ring
+//! Virtual-time tracing: timed events recorded into per-track ring
 //! buffers, exportable as Chrome `trace_event` JSON.
 //!
-//! A [`Tracer`] is attached to a simulation and collects [`TraceEvent`]s —
-//! named, categorized intervals of virtual time on a *track* (a core, the
-//! NIC, the TLB-shootdown machinery, ...). Components record events either
-//! directly ([`Tracer::record`], when the interval's end is already known,
-//! e.g. an RDMA completion fixed at post time) or through an RAII
-//! [`Span`] guard that stamps the end time when dropped.
+//! A [`Tracer`] collects [`TraceEvent`]s — named, categorized intervals
+//! of virtual time on a *track* (a core, the NIC, the TLB-shootdown
+//! machinery, ...). Components record each event with [`Tracer::record`]
+//! once its interval is known: an RDMA completion is fixed at post time,
+//! and a fault settles its phase intervals when it completes.
 //!
 //! Tracing is **zero-overhead when disabled** by construction: components
 //! hold an `Option<Rc<Tracer>>` and every recording site is gated on one
@@ -29,13 +28,14 @@
 //! use mage_sim::trace::{self, Tracer};
 //!
 //! let sim = Simulation::new();
-//! let tracer = Tracer::new(sim.handle());
+//! let tracer = Tracer::new();
 //! let t = Rc::clone(&tracer);
 //! let h = sim.handle();
 //! sim.block_on(async move {
-//!     let span = t.span(0, "fault", "major");
+//!     let start = h.now();
 //!     h.sleep(1_000).await;
-//!     drop(span);
+//!     let dur = h.now().saturating_since(start);
+//!     t.record(0, "fault", "major", start.as_nanos(), dur, None);
 //! });
 //! let json = tracer.to_chrome_json();
 //! trace::validate_json(&json).unwrap();
@@ -47,7 +47,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use crate::time::Nanos;
-use crate::SimHandle;
 
 /// Track id for NIC transfer events (reads/writes overlap freely here).
 pub const TRACK_NIC: u32 = 0xFFFF_0000;
@@ -86,7 +85,6 @@ struct Track {
 /// Oldest events are dropped first when a track's ring fills; the drop
 /// count is kept so exports can disclose truncation.
 pub struct Tracer {
-    sim: SimHandle,
     cap_per_track: usize,
     tracks: RefCell<BTreeMap<u32, Track>>,
     names: RefCell<BTreeMap<u32, String>>,
@@ -95,15 +93,14 @@ pub struct Tracer {
 impl Tracer {
     /// Creates a tracer with the default per-track capacity (65 536
     /// events).
-    pub fn new(sim: SimHandle) -> Rc<Self> {
-        Self::with_capacity(sim, 1 << 16)
+    pub fn new() -> Rc<Self> {
+        Self::with_capacity(1 << 16)
     }
 
     /// Creates a tracer bounding each track's ring to `cap_per_track`
     /// events (oldest dropped first).
-    pub fn with_capacity(sim: SimHandle, cap_per_track: usize) -> Rc<Self> {
+    pub fn with_capacity(cap_per_track: usize) -> Rc<Self> {
         Rc::new(Tracer {
-            sim,
             cap_per_track: cap_per_track.max(1),
             tracks: RefCell::new(BTreeMap::new()),
             names: RefCell::new(BTreeMap::new()),
@@ -143,18 +140,6 @@ impl Tracer {
             dur_ns,
             arg,
         });
-    }
-
-    /// Opens a span starting now; the interval is recorded when the
-    /// returned guard is dropped (or [`Span::end`]ed).
-    pub fn span(self: &Rc<Self>, track: u32, cat: &'static str, name: &'static str) -> Span {
-        Span {
-            tracer: Rc::clone(self),
-            track,
-            cat,
-            name,
-            start_ns: self.sim.now().as_nanos(),
-        }
     }
 
     /// Total events currently buffered across all tracks.
@@ -250,47 +235,6 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// An open interval on a tracer; records itself when dropped. Holding the
-/// guard across `await`s extends the span over the awaited virtual time,
-/// so nesting emerges naturally from scoping.
-pub struct Span {
-    tracer: Rc<Tracer>,
-    track: u32,
-    cat: &'static str,
-    name: &'static str,
-    start_ns: Nanos,
-}
-
-impl Span {
-    /// Closes the span now (equivalent to dropping it).
-    pub fn end(self) {}
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let end = self.tracer.sim.now().as_nanos();
-        self.tracer.record(
-            self.track,
-            self.cat,
-            self.name,
-            self.start_ns,
-            end.saturating_sub(self.start_ns),
-            None,
-        );
-    }
-}
-
-/// Opens a span on an optionally-attached tracer: `None` (tracing
-/// disabled) costs exactly one branch and nothing at drop.
-pub fn span(
-    tracer: Option<&Rc<Tracer>>,
-    track: u32,
-    cat: &'static str,
-    name: &'static str,
-) -> Option<Span> {
-    tracer.map(|t| t.span(track, cat, name))
-}
-
 /// Validates that `s` is a single well-formed JSON value (see
 /// [`json::parse`](crate::json::parse)). Returns the byte offset of the
 /// first error.
@@ -301,40 +245,10 @@ pub fn validate_json(s: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulation;
-
-    #[test]
-    fn spans_record_virtual_intervals() {
-        let sim = Simulation::new();
-        let tracer = Tracer::new(sim.handle());
-        let t = Rc::clone(&tracer);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let outer = t.span(3, "fault", "major");
-            h.sleep(500).await;
-            {
-                let _inner = t.span(3, "fault", "fp2.read");
-                h.sleep(1_000).await;
-            }
-            h.sleep(200).await;
-            drop(outer);
-        });
-        let ev = tracer.events();
-        assert_eq!(ev.len(), 2);
-        // Inner closed first, so it is recorded first.
-        assert_eq!(ev[0].name, "fp2.read");
-        assert_eq!(ev[0].start_ns, 500);
-        assert_eq!(ev[0].dur_ns, 1_000);
-        assert_eq!(ev[0].arg, None);
-        assert_eq!(ev[1].name, "major");
-        assert_eq!(ev[1].start_ns, 0);
-        assert_eq!(ev[1].dur_ns, 1_700);
-    }
 
     #[test]
     fn ring_drops_oldest_deterministically() {
-        let sim = Simulation::new();
-        let tracer = Tracer::with_capacity(sim.handle(), 4);
+        let tracer = Tracer::with_capacity(4);
         for i in 0..10u64 {
             tracer.record(0, "c", "e", i, 1, None);
         }
@@ -350,8 +264,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_json() {
-        let sim = Simulation::new();
-        let tracer = Tracer::new(sim.handle());
+        let tracer = Tracer::new();
         tracer.record(1, "fault", "major", 0, 5_432, Some(("vpn", 77)));
         tracer.record(TRACK_NIC, "nic", "read", 100, 4_071, Some(("bytes", 4096)));
         tracer.name_track(1, "core 1");
@@ -360,12 +273,6 @@ mod tests {
         assert!(json.contains("\"ts\":0.000"));
         assert!(json.contains("\"dur\":5.432"));
         assert!(json.contains("\"name\":\"nic\""));
-    }
-
-    #[test]
-    fn disabled_tracer_is_a_branch() {
-        let none: Option<&Rc<Tracer>> = None;
-        assert!(span(none, 0, "c", "n").is_none());
     }
 
     #[test]
@@ -383,8 +290,7 @@ mod tests {
     #[test]
     fn export_is_reproducible() {
         let build = || {
-            let sim = Simulation::new();
-            let tracer = Tracer::new(sim.handle());
+            let tracer = Tracer::new();
             for i in 0..100u64 {
                 tracer.record((i % 4) as u32, "cat", "name", i * 10, 7, Some(("i", i)));
             }

@@ -1,19 +1,19 @@
-//! Seeded differential fuzz of the slab-refactor data structures against
+//! Seeded differential fuzz of the hot-path containers against
 //! ordered-map shadow models.
 //!
 //! The hot-path refactor (DESIGN.md §11) replaced the executor's
 //! `BinaryHeap + BTreeMap` timer pair and the per-page `BTreeMap` indexes
 //! with a timer queue ([`TimerWheel`]: a 1-ns near window plus an
-//! overflow heap), an open-addressed [`PageMap`] and a free-list
-//! [`Slab`]. The refactor is pinned end-to-end by the golden
-//! seam tests; these fuzz runs pin it structure-by-structure: for each
-//! seeded op stream, the new structure must agree exactly — contents,
-//! sorted iteration order, and timer fire order — with the `BTreeMap` /
-//! `BTreeSet` it replaced. Everything is seeded [`SplitMix64`], so a
-//! failure reproduces bit-for-bit from the printed seed.
+//! overflow heap) and an open-addressed [`PageMap`]. The refactor is
+//! pinned end-to-end by the golden seam tests; these fuzz runs pin it
+//! structure-by-structure: for each seeded op stream, the new structure
+//! must agree exactly — contents, sorted iteration order, and timer fire
+//! order — with the `BTreeMap` / `BTreeSet` it replaced. Everything is
+//! seeded [`SplitMix64`], so a failure reproduces bit-for-bit from the
+//! printed seed.
 
 use mage_sim::rng::SplitMix64;
-use mage_sim::slab::{PageMap, Slab};
+use mage_sim::slab::PageMap;
 use mage_sim::wheel::{TimerWheel, WINDOW};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -70,46 +70,6 @@ fn pagemap_matches_btreemap_shadow() {
         let got: Vec<(u64, u64)> = map.iter_sorted().into_iter().map(|(k, &v)| (k, v)).collect();
         let want: Vec<(u64, u64)> = shadow.iter().map(|(&k, &v)| (k, v)).collect();
         assert_eq!(got, want, "seed {seed}: final contents diverged");
-    }
-}
-
-#[test]
-fn slab_matches_shadow_and_recycles_deterministically() {
-    for seed in SEEDS {
-        let rng = SplitMix64::new(seed);
-        let mut slab: Slab<u64> = Slab::new();
-        let mut shadow: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut live: Vec<u32> = Vec::new();
-        for step in 0..20_000u64 {
-            if live.is_empty() || rng.next_below(10) < 6 {
-                let val = rng.next_u64();
-                let key = slab.insert(val);
-                assert!(
-                    shadow.insert(key, val).is_none(),
-                    "seed {seed} step {step}: slab reused live key {key}"
-                );
-                live.push(key);
-            } else {
-                let idx = rng.next_below(live.len() as u64) as usize;
-                let key = live.swap_remove(idx);
-                assert_eq!(
-                    slab.remove(key),
-                    shadow.remove(&key),
-                    "seed {seed} step {step}: remove({key}) disagreed"
-                );
-                assert!(!slab.contains(key));
-                assert_eq!(slab.get(key), None, "stale key must read as vacant");
-            }
-            assert_eq!(slab.len(), shadow.len(), "seed {seed} step {step}: len");
-            if step % 1024 == 0 {
-                let got: Vec<u32> = slab.keys_sorted().collect();
-                let want: Vec<u32> = shadow.keys().copied().collect();
-                assert_eq!(got, want, "seed {seed} step {step}: key sets diverged");
-                for &k in &want {
-                    assert_eq!(slab.get(k), shadow.get(&k));
-                }
-            }
-        }
     }
 }
 

@@ -112,11 +112,8 @@ pub(crate) fn testbed(
     };
     MachineParams {
         topo,
-        app_threads,
-        local_pages,
-        remote_pages: wss + 1024,
-        tlb_entries: 1_536,
         seed,
+        ..MachineParams::testbed(app_threads, local_pages, wss + 1_024)
     }
 }
 
@@ -233,7 +230,7 @@ pub fn run_batch(cfg: &RunConfig) -> RunReport {
         engine.populate(&vma);
     }
     let tracer = cfg.capture_trace.then(|| {
-        let t = Tracer::new(sim.handle());
+        let t = Tracer::new();
         engine.attach_tracer(Rc::clone(&t));
         t
     });

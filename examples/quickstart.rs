@@ -25,7 +25,7 @@ fn main() {
         seed: 1,
     };
     let engine = FarMemory::launch(sim.handle(), SystemConfig::mage_lib(), params);
-    let tracer = Tracer::new(sim.handle());
+    let tracer = Tracer::new();
     engine.attach_tracer(Rc::clone(&tracer));
 
     // Map and place a 64 MiB region: it cannot fit locally, so the tail

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use mage::{
         Access, CostModel, EvictionPolicyKind, FarBackend, FarMemory, FaultError, IdealModel,
         MachineParams, MetricsRegistry, MetricsSnapshot, MetricsWindow, OsProfile, PrefetchPolicy,
-        ReplicaState, ReplicationConfig, ReplicationStats, RetryPolicy, SystemConfig, TransferOp,
+        ReplicaState, ReplicationConfig, ReplicationStats, SystemConfig, TransferOp, REPLICA_NODES,
     };
     pub use mage_fabric::{FaultPlan, TransferError};
     pub use mage_mmu::{CoreId, Topology};

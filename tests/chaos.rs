@@ -74,10 +74,6 @@ struct ChaosRun {
 /// check the invariant list. `label` and `seed` are echoed in the
 /// failure message for replay.
 fn chaos_run(system: SystemConfig, seed: u64, traced: bool, label: &str) -> ChaosRun {
-    let retry = RetryPolicy {
-        max_retries: 2,
-        ..RetryPolicy::default()
-    };
     let sim = Simulation::new();
     let params = MachineParams {
         topo: Topology::single_socket(CORES),
@@ -87,9 +83,9 @@ fn chaos_run(system: SystemConfig, seed: u64, traced: bool, label: &str) -> Chao
         tlb_entries: 64,
         seed,
     };
-    let engine = FarMemory::launch(sim.handle(), system.with_retry(retry), params);
+    let engine = FarMemory::launch(sim.handle(), system.with_max_retries(2), params);
     let tracer = traced.then(|| {
-        let tracer = Tracer::new(sim.handle());
+        let tracer = Tracer::new();
         engine.attach_tracer(Rc::clone(&tracer));
         tracer
     });
@@ -239,7 +235,6 @@ fn node_kill_sweep_loses_nothing_with_replication() {
         ("mid", 600_000, 60_000),
         ("tight", 300_000, 30_000),
     ];
-    let nodes = 2usize;
     let mut cells = 0usize;
     let mut failovers = 0u64;
     let mut repairs = 0u64;
@@ -247,19 +242,18 @@ fn node_kill_sweep_loses_nothing_with_replication() {
         for plan_seed in 0..4u64 {
             for seed in [5u64, 13, 23, 31] {
                 let label = format!("replicated/{geo}/pseed={plan_seed}");
-                let node_faults = (0..nodes)
+                let node_faults = (0..REPLICA_NODES)
                     .map(|i| {
                         FaultPlan::staggered_node_crash(
                             0x5EED ^ plan_seed,
                             i,
-                            nodes,
+                            REPLICA_NODES,
                             period,
                             duration,
                         )
                     })
                     .collect();
                 let system = SystemConfig::mage_lib().with_replication(ReplicationConfig {
-                    nodes,
                     repair_poll_ns: 10_000,
                     node_faults,
                 });

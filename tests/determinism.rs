@@ -7,7 +7,7 @@
 //! and end-of-run gauges, all integers, so equal reports mean
 //! bit-identical runs.
 
-use mage::{EvictionPolicyKind, PrefetchPolicy, ReplicationConfig, RetryPolicy, SystemConfig};
+use mage::{EvictionPolicyKind, PrefetchPolicy, ReplicationConfig, SystemConfig, REPLICA_NODES};
 use mage_fabric::FaultPlan;
 use mage_workloads::runner::{run_batch, RunConfig, RunReport};
 use mage_workloads::WorkloadKind;
@@ -77,10 +77,7 @@ fn faulty_sweep(fault_seed: u64) -> Vec<RunReport> {
                 ..FaultPlan::none()
             },
         ] {
-            let mut s = system.clone().with_faults(plan).with_retry(RetryPolicy {
-                max_retries: 3,
-                ..RetryPolicy::default()
-            });
+            let mut s = system.clone().with_faults(plan);
             s.prefetch = PrefetchPolicy::None;
             let mut cfg = RunConfig::new(s, WorkloadKind::Gups, 2, 2048, 0.5);
             cfg.ops_per_thread = 500;
@@ -123,9 +120,8 @@ fn different_fault_seeds_diverge() {
 fn replicated_sweep(fault_seed: u64) -> (Vec<RunReport>, u64, u64) {
     let mut out = Vec::new();
     let (mut failovers, mut repairs) = (0u64, 0u64);
-    let nodes = 2usize;
     for (period, duration) in [(400_000u64, 40_000u64), (600_000, 60_000)] {
-        let plans = (0..nodes)
+        let plans = (0..REPLICA_NODES)
             .map(|i| {
                 // Aligned staggered windows are a pure function of the
                 // geometry (rate 1.0 never consults the seed), so the
@@ -133,21 +129,17 @@ fn replicated_sweep(fault_seed: u64) -> (Vec<RunReport>, u64, u64) {
                 // shift together, outages stay disjoint, and a different
                 // seed genuinely moves every outage window.
                 let mut p =
-                    FaultPlan::staggered_node_crash(fault_seed, i, nodes, period, duration);
+                    FaultPlan::staggered_node_crash(fault_seed, i, REPLICA_NODES, period, duration);
                 p.crash_phase_ns = p.crash_phase_ns.wrapping_add((fault_seed % 97) * 1_000);
                 p
             })
             .collect();
         let mut s = SystemConfig::mage_lib()
             .with_replication(ReplicationConfig {
-                nodes,
                 repair_poll_ns: 10_000,
                 node_faults: plans,
             })
-            .with_retry(RetryPolicy {
-                max_retries: 2,
-                ..RetryPolicy::default()
-            });
+            .with_max_retries(2);
         s.prefetch = PrefetchPolicy::None;
         let mut cfg = RunConfig::new(s, WorkloadKind::Gups, 2, 2048, 0.5);
         cfg.ops_per_thread = 500;

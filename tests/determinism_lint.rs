@@ -133,8 +133,8 @@ fn hot_path_files_hold_no_ordered_map() {
     }
     assert!(
         found.is_empty(),
-        "BTreeMap/BTreeSet on a hot path (DESIGN.md §11); use Slab, PageMap, \
-         TimerWheel or a frame-indexed array:\n{}",
+        "BTreeMap/BTreeSet on a hot path (DESIGN.md §11); use PageMap, TimerWheel \
+         or a frame-indexed array:\n{}",
         found.join("\n")
     );
 }

@@ -4,6 +4,7 @@
 use std::rc::Rc;
 
 use mage_check::{check_invariants, CheckCtx};
+use mage_far_memory::engine::fault::SYNC_EVICTION_BATCH;
 use mage_far_memory::mmu::Topology;
 use mage_far_memory::prelude::*;
 use mage_far_memory::sim::rng;
@@ -75,6 +76,14 @@ fn mage_never_syncs_baselines_do_under_pressure() {
     assert!(
         hermit.sync_evictions > 0,
         "Hermit falls back under pressure"
+    );
+    // Each fault-path fallback evicts at most one fixed-size batch.
+    let w = &hermit.window;
+    assert!(
+        w.sync_evicted_pages <= SYNC_EVICTION_BATCH as u64 * w.sync_evictions,
+        "{} pages over {} synchronous evictions exceed {SYNC_EVICTION_BATCH} per call",
+        w.sync_evicted_pages,
+        w.sync_evictions
     );
 }
 

@@ -150,25 +150,20 @@ fn every_window_row_reads_its_own_source() {
 
     const THREADS: usize = 4;
     const PAGES: u64 = 512;
-    let nodes = 2;
     // Node crashes drive failover and repair; transient CQ errors on top
     // drive the retry path.
-    let plans = (0..nodes)
+    let plans = (0..REPLICA_NODES)
         .map(|i| FaultPlan {
             error_rate: 0.02,
-            ..FaultPlan::staggered_node_crash(0x5EED, i, nodes, 400_000, 40_000)
+            ..FaultPlan::staggered_node_crash(0x5EED, i, REPLICA_NODES, 400_000, 40_000)
         })
         .collect();
     let system = SystemConfig::mage_lib()
         .with_replication(ReplicationConfig {
-            nodes,
             repair_poll_ns: 10_000,
             node_faults: plans,
         })
-        .with_retry(RetryPolicy {
-            max_retries: 2,
-            ..RetryPolicy::default()
-        });
+        .with_max_retries(2);
     let sim = Simulation::new();
     let params = MachineParams {
         topo: Topology::single_socket(8),

@@ -307,20 +307,15 @@ fn replicated_path_matches_golden_values() {
     use mage_far_memory::workloads::WorkloadKind;
 
     let run = |preset: fn() -> SystemConfig| {
-        let nodes = 2usize;
-        let plans = (0..nodes)
-            .map(|i| FaultPlan::staggered_node_crash(0xFA417, i, nodes, 400_000, 40_000))
+        let plans = (0..REPLICA_NODES)
+            .map(|i| FaultPlan::staggered_node_crash(0xFA417, i, REPLICA_NODES, 400_000, 40_000))
             .collect();
         let mut system = preset()
             .with_replication(ReplicationConfig {
-                nodes,
                 repair_poll_ns: 10_000,
                 node_faults: plans,
             })
-            .with_retry(RetryPolicy {
-                max_retries: 2,
-                ..RetryPolicy::default()
-            });
+            .with_max_retries(2);
         system.prefetch = PrefetchPolicy::None;
         let mut cfg = RunConfig::new(system, WorkloadKind::Gups, 2, 2048, 0.5);
         cfg.ops_per_thread = 500;

@@ -38,7 +38,7 @@ fn fault_phase_spans_nest_inside_major_spans() {
         seed: 9,
     };
     let engine = FarMemory::launch(sim.handle(), SystemConfig::mage_lib(), params);
-    let tracer = Tracer::new(sim.handle());
+    let tracer = Tracer::new();
     engine.attach_tracer(Rc::clone(&tracer));
     let vma = engine.mmap(2_048);
     engine.populate_all_remote(&vma);
