@@ -23,6 +23,10 @@ MAGE_SIMSAN=1 cargo test -q --test chaos --test seams --test populate_diff --tes
 echo "==> failover determinism under the race detector (MAGE_SIMSAN=1, DESIGN.md §13)"
 MAGE_SIMSAN=1 cargo test -q --test determinism replicated_sweep
 
+echo "==> task clocks and the lock/wait-queue edges under the race detector (MAGE_SIMSAN=1)"
+# The run-ahead bound's skew invariant and its four clock edges.
+MAGE_SIMSAN=1 cargo test -q -p mage-sim --test task_clocks --lib
+
 echo "==> reclaim unit tests under the race detector (MAGE_SIMSAN=1)"
 # The unmap's live-entry read, cancel and stale-generation paths.
 MAGE_SIMSAN=1 cargo test -q -p mage --lib reclaim::

@@ -18,6 +18,10 @@
 //! * `--out <path>` — the report path (default: `<repo>/BENCH_paper.json`),
 //!   or with figure ids the CSV directory (default:
 //!   `<repo>/target/experiments`).
+//! * `--seed <n>` — run every experiment with seed `n` instead of the
+//!   committed ones (42 for batch and memcached runs, 7 for open-loop
+//!   runs), to check that a verdict holds across seeds. Write the report
+//!   elsewhere with `--out`: `BENCH_paper.json` is the default seeds'.
 
 use std::path::{Path, PathBuf};
 
@@ -33,11 +37,19 @@ fn workspace_root() -> PathBuf {
 
 fn main() {
     let mut out: Option<PathBuf> = None;
+    let mut seed = None;
     let mut figures = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out = Some(PathBuf::from(args.next().expect("--out needs a path"))),
+            "--seed" => match args.next().and_then(|n| n.parse().ok()) {
+                Some(n) => seed = Some(n),
+                None => {
+                    eprintln!("paper: --seed needs an integer");
+                    std::process::exit(2);
+                }
+            },
             flag if flag.starts_with('-') => {
                 eprintln!("paper: unknown flag {flag}");
                 std::process::exit(2);
@@ -48,7 +60,7 @@ fn main() {
 
     if figures.is_empty() {
         let out = out.unwrap_or_else(|| workspace_root().join("BENCH_paper.json"));
-        let rows = run_claims();
+        let rows = run_claims(seed);
         let json = render_json(&rows);
         validate_report(&json).expect("emitted report must validate against its own schema");
         std::fs::write(&out, &json).expect("write BENCH_paper.json");
@@ -61,7 +73,7 @@ fn main() {
         return;
     }
 
-    let mut lab = Lab::new(Scale::Paper);
+    let mut lab = Lab::new(Scale::Paper, seed);
     let ids = lab.ids();
     let selects = |f: &str, id: &str| f == "all" || id == f || id.starts_with(&format!("{f}_"));
     if let Some(f) = figures

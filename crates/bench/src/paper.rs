@@ -120,6 +120,8 @@ struct Run {
     local: f64,
     load: f64,
     size: Size,
+    /// Overrides the batch, memcached and open-loop seeds.
+    seed: Option<u64>,
 }
 
 /// What a run measured.
@@ -186,13 +188,14 @@ impl Run {
                 cfg.local_ratio = self.local;
                 cfg.load_mops = self.load;
                 cfg.duration_ns = self.size.ns;
+                cfg.seed = self.seed.unwrap_or(cfg.seed);
                 let r = run_memcached(&cfg);
                 return Sample::Open {
                     p99_ns: r.p99_ns,
                     achieved_mops: r.achieved_mops,
                 };
             }
-            Workload::RawRdma => run_raw_rdma(self.load, self.size.ns, OPEN_LOOP_SEED),
+            Workload::RawRdma => run_raw_rdma(self.load, self.size.ns, self.open_loop_seed()),
             Workload::OpenLoop => run_open_loop_faults(
                 self.system.clone(),
                 self.size.threads,
@@ -200,7 +203,7 @@ impl Run {
                 self.local,
                 self.load,
                 self.size.ns,
-                OPEN_LOOP_SEED,
+                self.open_loop_seed(),
             ),
             _ => return Sample::Batch(Box::new(run_batch(&self.batch_config()))),
         };
@@ -208,6 +211,10 @@ impl Run {
             p99_ns: r.p99_ns,
             achieved_mops: r.achieved_mops,
         }
+    }
+
+    fn open_loop_seed(&self) -> u64 {
+        self.seed.unwrap_or(OPEN_LOOP_SEED)
     }
 
     fn batch_config(&self) -> RunConfig {
@@ -232,6 +239,7 @@ impl Run {
         let mut cfg = RunConfig::new(self.system.clone(), kind, threads, wss, local);
         cfg.ops_per_thread = ops;
         cfg.warmup_ops = warmup;
+        cfg.seed = self.seed.unwrap_or(cfg.seed);
         match self.workload {
             Workload::Metis => cfg.phase_change_at_op = Some(ops / 2),
             Workload::Timeline => {
@@ -529,7 +537,7 @@ impl Spec {
         Spec { layout, ..self }
     }
 
-    fn run(&self, knob: Knob, line: &Line, scale: Scale) -> Run {
+    fn run(&self, knob: Knob, line: &Line, scale: Scale, seed: Option<u64>) -> Run {
         let size = if scale == Scale::Paper {
             self.paper
         } else {
@@ -541,6 +549,7 @@ impl Spec {
             local: self.local,
             load: self.load,
             size,
+            seed,
         };
         match knob {
             Knob::None => {}
@@ -735,6 +744,7 @@ fn specs() -> Vec<Spec> {
 /// Runs specs at one scale, each distinct run once.
 pub struct Lab {
     scale: Scale,
+    seed: Option<u64>,
     specs: Vec<Spec>,
     samples: BTreeMap<String, Sample>,
 }
@@ -753,10 +763,12 @@ fn sample<'a>(samples: &'a mut BTreeMap<String, Sample>, run: &Run) -> &'a Sampl
 }
 
 impl Lab {
-    /// A lab over every spec at `scale`.
-    pub fn new(scale: Scale) -> Self {
+    /// A lab over every spec at `scale`; `seed` overrides every run's
+    /// seed (by default batch and memcached runs use 42, open-loop runs 7).
+    pub fn new(scale: Scale, seed: Option<u64>) -> Self {
         Lab {
             scale,
+            seed,
             specs: specs(),
             samples: BTreeMap::new(),
         }
@@ -776,7 +788,7 @@ impl Lab {
         let (Some(&(_, knob)), Some(found)) = (knob, found) else {
             panic!("spec {id} has no cell at point {point:?} on line {line:?}")
         };
-        let mut run = spec.run(knob, found, self.scale);
+        let mut run = spec.run(knob, found, self.scale, self.seed);
         tweak(&mut run);
         sample(&mut self.samples, &run)
     }
@@ -795,7 +807,7 @@ impl Lab {
             .map(|&(_, knob)| {
                 spec.lines
                     .iter()
-                    .map(|l| spec.run(knob, l, self.scale))
+                    .map(|l| spec.run(knob, l, self.scale, self.seed))
                     .collect()
             })
             .collect();
@@ -1104,9 +1116,10 @@ pub struct Row {
     pub holds: bool,
 }
 
-/// Measures every claim at reduced scale.
-pub fn run_claims() -> Vec<Row> {
-    let mut lab = Lab::new(Scale::Reduced);
+/// Measures every claim at reduced scale, with `seed` overriding every
+/// run's seed (see [`Lab::new`]).
+pub fn run_claims(seed: Option<u64>) -> Vec<Row> {
+    let mut lab = Lab::new(Scale::Reduced, seed);
     claims()
         .into_iter()
         .map(|c| {
@@ -1225,7 +1238,7 @@ mod tests {
 
     #[test]
     fn spec_and_claim_ids_are_unique() {
-        let specs = Lab::new(Scale::Reduced).ids();
+        let specs = Lab::new(Scale::Reduced, None).ids();
         let claims: Vec<&str> = claims().iter().map(|c| c.id).collect();
         for ids in [specs, claims] {
             assert!(
@@ -1240,7 +1253,7 @@ mod tests {
         expected = "spec ext_policies_gups has no cell at point \"20\" on line \"s3fifo\""
     )]
     fn a_missing_cell_is_named() {
-        Lab::new(Scale::Reduced).cell("ext_policies_gups", "20", "s3fifo");
+        Lab::new(Scale::Reduced, None).cell("ext_policies_gups", "20", "s3fifo");
     }
 
     #[test]

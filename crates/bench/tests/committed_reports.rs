@@ -104,7 +104,7 @@ fn paper_report_rejects_a_value_across_its_tolerance() {
 fn paper_claims_reproduce_committed_report() {
     use mage_bench::paper::{render_json, run_claims};
     assert_eq!(
-        render_json(&run_claims()),
+        render_json(&run_claims(None)),
         committed("BENCH_paper.json"),
         "the paper claims no longer reproduce BENCH_paper.json; regenerate it with \
          `cargo run --release -p mage-bench --bin paper` only for a change meant to \

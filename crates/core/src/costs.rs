@@ -117,7 +117,17 @@ pub struct CostModel {
     /// Per-page CPU cost of posting doorbell-batched eviction writes
     /// (much cheaper than a standalone post).
     pub evict_post_per_page_ns: Nanos,
+    /// Run-ahead bound `Q` of the task clocks (DESIGN.md §7, "lax
+    /// synchronization"): a sleep ending at most this far past the
+    /// executor's global clock does not yield. Below the smallest
+    /// latency the model resolves as a queue (3.9 µs RDMA, ~11 µs
+    /// shootdown) and above one op's compute plus walk (~210 ns). 0 is
+    /// the exact schedule.
+    pub run_ahead_ns: Nanos,
 }
+
+/// The run-ahead bound every preset uses.
+const RUN_AHEAD_NS: Nanos = 1_000;
 
 impl CostModel {
     /// Cost model for a given OS profile on bare metal or in a VM.
@@ -135,6 +145,7 @@ impl CostModel {
             vma_lock_hold_ns: 120,
             hw_walk_ns: 60,
             evict_post_per_page_ns: 50,
+            run_ahead_ns: RUN_AHEAD_NS,
         }
     }
 
@@ -168,6 +179,7 @@ impl CostModel {
             vma_lock_hold_ns: 0,
             hw_walk_ns: 0,
             evict_post_per_page_ns: 0,
+            run_ahead_ns: RUN_AHEAD_NS,
         }
     }
 }

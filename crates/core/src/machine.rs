@@ -152,6 +152,7 @@ impl FarMemory {
             params.app_threads <= topo.total_cores() as usize,
             "more app threads than cores"
         );
+        sim.set_run_ahead(cfg.costs.run_ahead_ns);
         let backend = FarBackend::new(sim.clone(), &cfg, params.remote_pages);
         let policy = cfg.eviction_policy.build();
         let ic = Rc::new(InterruptController::new(

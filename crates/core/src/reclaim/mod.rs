@@ -128,11 +128,19 @@ mod tests {
             assert!(!e.pt.get(vpn).dirty(), "a read fault installs a clean page");
             assert!(matches!(e.access(CoreId(1), vpn, false).await, Access::Minor));
             let writebacks = e.stats.writebacks.get();
+            // Place the unmap so that its first sleep yields: a sleep past
+            // the run-ahead bound lands this task on the global clock, one
+            // of exactly `q` runs ahead to the bound, and the unmap's PTE
+            // update then ends past it. The writer, due 1 ns after the
+            // unmap starts, writes inside its window.
+            let q = e.cfg.costs.run_ahead_ns;
+            e.sim.sleep(q + 1).await;
             let writer = Rc::clone(&e);
             let write = e.sim.spawn(async move {
-                writer.sim.sleep(1).await;
+                writer.sim.sleep(q + 1).await;
                 writer.access(CoreId(1), vpn, true).await
             });
+            e.sim.sleep(q).await;
             assert_eq!(e.pageout(CoreId(0), &[vpn]).await, 1);
             assert!(matches!(write.await, Access::TlbHit));
             assert_eq!(e.stats.writebacks.get(), writebacks + 1);

@@ -14,6 +14,16 @@
 //! ids. A `Sleep` registers the id of the task polling it, so a fired
 //! timer moves the task straight onto the ready queue. Both orders, FIFO
 //! and `(deadline, seq)`, are the historical ones bit for bit.
+//!
+//! Two clocks (DESIGN.md §7 "lax synchronization", §11): the *global*
+//! clock is the deadline of the last fired timer, and every task carries
+//! its own clock, which [`SimHandle::now`] reads during that task's poll.
+//! A sleep that ends at most the run-ahead bound `Q` past the global
+//! clock advances only the task's clock and does not yield; a longer one
+//! registers a timer. Clocks flow along the happens-before edges simsan
+//! records (spawn, join, mutex handoff, wait-queue wake), so during a
+//! poll `global ≤ task clock ≤ global + Q`. With `Q` = 0 (the default)
+//! the task clock is the global clock and the schedule is the exact one.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -96,6 +106,8 @@ struct Task {
     /// simsan join-sync id released when the task completes (0 when the
     /// race detector is disabled).
     race_join: u32,
+    /// The task's own clock as its last poll left it.
+    clock: SimTime,
 }
 
 /// Where a task slot stands with respect to the ready queue.
@@ -188,7 +200,16 @@ enum Step {
 }
 
 struct ExecCore {
+    /// The global clock: the deadline of the last fired timer.
     now: Cell<SimTime>,
+    /// The running context's clock: the polled task's own clock during
+    /// a poll, the global clock otherwise.
+    clock: Cell<SimTime>,
+    /// The run-ahead bound `Q`, ns.
+    run_ahead: Cell<Nanos>,
+    /// The latest clock any poll ended at; a drained run's global clock
+    /// catches up with it.
+    horizon: Cell<SimTime>,
     tasks: RefCell<Vec<Task>>,
     free_ids: RefCell<Vec<TaskId>>,
     sched: RefCell<Sched>,
@@ -209,6 +230,9 @@ impl ExecCore {
     fn new(policy: ExplorationPolicy) -> Rc<Self> {
         Rc::new(ExecCore {
             now: Cell::new(SimTime::ZERO),
+            clock: Cell::new(SimTime::ZERO),
+            run_ahead: Cell::new(0),
+            horizon: Cell::new(SimTime::ZERO),
             tasks: RefCell::new(Vec::new()),
             free_ids: RefCell::new(Vec::new()),
             sched: RefCell::new(Sched::new()),
@@ -240,6 +264,7 @@ impl ExecCore {
                 tasks.push(Task {
                     body: None,
                     race_join: 0,
+                    clock: SimTime::ZERO,
                 });
                 id
             }
@@ -248,9 +273,11 @@ impl ExecCore {
             queue: Arc::clone(&self.wake_queue),
             id,
         }));
+        // Fork edge for the clocks too: the child starts at the spawner's.
         tasks[id as usize] = Task {
             body: Some((future, waker)),
             race_join: join_sync,
+            clock: self.clock.get(),
         };
         drop(tasks);
         if let Some(det) = &race {
@@ -276,6 +303,38 @@ impl ExecCore {
         self.sched.borrow_mut().add_timer(deadline, id);
     }
 
+    /// Moves the global clock (and with it the clock outside a poll).
+    #[inline]
+    fn set_global(&self, t: SimTime) {
+        self.now.set(t);
+        self.clock.set(t);
+    }
+
+    /// Runs the polled task's clock ahead to `deadline` if that lies at
+    /// most `Q` past the global clock; returns whether it did.
+    #[inline]
+    fn run_ahead_to(&self, deadline: SimTime) -> bool {
+        let bound = self
+            .now
+            .get()
+            .as_nanos()
+            .saturating_add(self.run_ahead.get());
+        if deadline.as_nanos() <= bound && self.current.get().is_some() {
+            self.clock.set(deadline);
+            return true;
+        }
+        false
+    }
+
+    /// The receiving end of a clock edge: raises the polled task's clock
+    /// to `t`. No-op outside a poll, where the clock is the global one.
+    #[inline]
+    fn sync_clock(&self, t: SimTime) {
+        if t > self.clock.get() && self.current.get().is_some() {
+            self.clock.set(t);
+        }
+    }
+
     /// Picks the next task to poll. With nothing runnable it advances
     /// the clock to the earliest pending timer and moves its deadline
     /// group, in `seq` order, onto the ready queue.
@@ -292,13 +351,14 @@ impl ExecCore {
                 return Step::Poll(sched.pick(&self.explorer));
             }
             let Some(next) = sched.timers.peek().map(SimTime::from_nanos) else {
+                // Drained: nothing can happen before the latest task clock.
+                self.set_global(self.now.get().max(self.horizon.get()));
                 return Step::Done;
             };
             let now = self.now.get();
             debug_assert!(next >= now, "timer in the past");
             if next > now {
-                self.lockdep.check_time_advance(now, next);
-                self.now.set(next);
+                self.set_global(next);
             }
             let fired = sched.timers.fire_next(next.as_nanos());
             debug_assert!(fired, "the earliest timer is due");
@@ -314,14 +374,17 @@ impl ExecCore {
             .tasks
             .borrow_mut()
             .get_mut(id as usize)
-            .and_then(|task| task.body.take());
-        let Some((mut future, waker)) = body else {
+            .and_then(|task| Some((task.body.take()?, task.clock)));
+        let Some(((mut future, waker), clock)) = body else {
             return;
         };
         let mut cx = Context::from_waker(&waker);
+        let global = self.now.get();
+        // A task resumes no earlier than the global clock that woke it.
+        self.clock.set(clock.max(global));
         self.current.set(Some(id));
         if let Some(det) = race {
-            det.set_now(self.now.get().as_nanos());
+            det.set_now(self.clock.get().as_nanos());
             det.enter(u64::from(id));
         }
         let polled = future.as_mut().poll(&mut cx);
@@ -329,6 +392,13 @@ impl ExecCore {
             det.exit();
         }
         self.current.set(None);
+        let clock = self.clock.replace(global);
+        debug_assert!(
+            global <= clock && clock.as_nanos() - global.as_nanos() <= self.run_ahead.get(),
+            "task clock {clock} outside [{global}, {global} + {} ns]",
+            self.run_ahead.get()
+        );
+        self.horizon.set(self.horizon.get().max(clock));
         match polled {
             Poll::Ready(()) => {
                 if let Some(det) = race {
@@ -345,6 +415,7 @@ impl ExecCore {
                 // just return the body to its slot.
                 if let Some(task) = self.tasks.borrow_mut().get_mut(id as usize) {
                     task.body = Some((future, waker));
+                    task.clock = clock;
                 }
             }
         }
@@ -362,6 +433,7 @@ impl ExecCore {
         // (WaitQueue) for the duration of the loop.
         let race = self.race.borrow().clone();
         let _guard = CurrentGuard::install(race.clone());
+        let _running = RunningGuard::install(Rc::clone(self));
         if let Some(det) = &race {
             det.set_now(self.now.get().as_nanos());
             det.world_publish();
@@ -398,6 +470,48 @@ impl ExecCore {
     }
 }
 
+thread_local! {
+    /// The executor whose run loop is active on this thread, for the
+    /// clock edges of handle-less primitives ([`crate::sync::WaitQueue`]).
+    static RUNNING: RefCell<Option<Rc<ExecCore>>> = const { RefCell::new(None) };
+}
+
+/// Installs an executor as this thread's running one for a run loop.
+struct RunningGuard {
+    prev: Option<Rc<ExecCore>>,
+}
+
+impl RunningGuard {
+    fn install(core: Rc<ExecCore>) -> Self {
+        RunningGuard {
+            prev: RUNNING.with(|r| r.replace(Some(core))),
+        }
+    }
+}
+
+impl Drop for RunningGuard {
+    fn drop(&mut self) {
+        RUNNING.with(|r| *r.borrow_mut() = self.prev.take());
+    }
+}
+
+/// The running context's clock ([`SimHandle::now`]) of the executor
+/// whose run loop is active on this thread; zero outside a run.
+pub(crate) fn running_now() -> SimTime {
+    RUNNING.with(|r| r.borrow().as_ref().map_or(SimTime::ZERO, |c| c.clock.get()))
+}
+
+/// Raises the polled task's clock to `t` on the executor whose run loop
+/// is active on this thread: the receiving end of a handle-less clock
+/// edge.
+pub(crate) fn running_sync_clock(t: SimTime) {
+    RUNNING.with(|r| {
+        if let Some(c) = r.borrow().as_ref() {
+            c.sync_clock(t);
+        }
+    });
+}
+
 /// A cloneable handle to the simulation, usable from inside tasks.
 ///
 /// The handle provides the virtual clock, sleeping, and task spawning. It
@@ -408,13 +522,36 @@ pub struct SimHandle {
 }
 
 impl SimHandle {
-    /// Returns the current virtual time.
+    /// Returns the current virtual time: inside a task's poll the task's
+    /// own clock, outside a poll the global clock.
     pub fn now(&self) -> SimTime {
+        self.core.clock.get()
+    }
+
+    /// Returns the global clock: the deadline of the last fired timer.
+    /// It equals [`SimHandle::now`] outside a poll, and everywhere at
+    /// `Q` = 0.
+    pub fn global_now(&self) -> SimTime {
         self.core.now.get()
     }
 
+    /// Sets the run-ahead bound `Q`, ns: a sleep ending at most `Q` past
+    /// the global clock completes without yielding (see the module
+    /// docs). 0, the default, is the exact schedule. Set it before any
+    /// task runs.
+    pub fn set_run_ahead(&self, q: Nanos) {
+        self.core.run_ahead.set(q);
+    }
+
+    /// The receiving end of a clock edge: the polled task resumes no
+    /// earlier than `t`.
+    pub(crate) fn sync_clock(&self, t: SimTime) {
+        self.core.sync_clock(t);
+    }
+
     /// Returns a future that completes `duration` nanoseconds of virtual
-    /// time from now. A zero-duration sleep completes without yielding.
+    /// time from now. A zero-duration sleep, or one within the run-ahead
+    /// bound, completes without yielding.
     ///
     /// # Panics
     ///
@@ -422,7 +559,7 @@ impl SimHandle {
     pub fn sleep(&self, duration: Nanos) -> Sleep {
         Sleep {
             core: Rc::clone(&self.core),
-            deadline: self.core.now.get() + duration,
+            deadline: self.core.clock.get() + duration,
             registered: false,
         }
     }
@@ -447,19 +584,22 @@ impl SimHandle {
         let state = Rc::new(RefCell::new(JoinState {
             result: None,
             waker: None,
+            done_at: SimTime::ZERO,
         }));
         let state2 = Rc::clone(&state);
+        let core = Rc::clone(&self.core);
         let (_id, race_join) = self.core.spawn(Box::pin(async move {
             let value = future.await;
             let mut s = state2.borrow_mut();
             s.result = Some(value);
+            s.done_at = core.clock.get();
             if let Some(w) = s.waker.take() {
                 w.wake();
             }
         }));
         JoinHandle {
             state,
-            race: self.core.race.borrow().clone(),
+            core: Rc::clone(&self.core),
             race_join,
         }
     }
@@ -495,7 +635,7 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        if self.core.now.get() >= self.deadline {
+        if self.core.clock.get() >= self.deadline || self.core.run_ahead_to(self.deadline) {
             return Poll::Ready(());
         }
         if !self.registered {
@@ -528,13 +668,16 @@ impl Future for YieldNow {
 struct JoinState<T> {
     result: Option<T>,
     waker: Option<Waker>,
+    /// The task's clock when it completed.
+    done_at: SimTime,
 }
 
 /// Handle to a spawned task; awaiting it yields the task's result.
 pub struct JoinHandle<T> {
     state: Rc<RefCell<JoinState<T>>>,
+    /// For the join's clock and simsan edges.
+    core: Rc<ExecCore>,
     /// simsan join edge: acquired when the join observes completion.
-    race: Option<Rc<RaceDetector>>,
     race_join: u32,
 }
 
@@ -546,10 +689,12 @@ impl<T> Future for JoinHandle<T> {
         match s.result.take() {
             Some(v) => {
                 // Join edge: everything the finished task did
-                // happens-before the joiner's continuation.
-                if let Some(det) = &self.race {
+                // happens-before the joiner's continuation, which
+                // resumes no earlier than the task's clock.
+                if let Some(det) = &*self.core.race.borrow() {
                     det.acquire(self.race_join);
                 }
+                self.core.sync_clock(s.done_at);
                 Poll::Ready(v)
             }
             None => {

@@ -18,25 +18,15 @@
 //! once-in-a-thousand-runs hang: the same seed produces the same panic
 //! with the same chains, every run.
 //!
-//! Two deliberate design points:
-//!
-//! - **Same-class nesting is allowed.** Holding two locks of one class
-//!   (e.g. two VMA shard locks) is a legitimate ordered-acquisition
-//!   pattern here, and flagging it would reject the sharded-lock models.
-//! - **Holding a guard across a virtual-time advance is opt-in checked.**
-//!   The simulator *intentionally* holds guards across `sleep()` to model
-//!   critical-section service time, so this cannot be an unconditional
-//!   rule. Classes that must never be held across an await that advances
-//!   the clock (e.g. locks guarding host-side scratch state) opt in via
-//!   [`crate::sync::SimMutex::forbid_hold_across_sleep`]; the check fires
-//!   when the executor is about to advance the clock while such a guard
-//!   is held.
+//! **Same-class nesting is allowed.** Holding two locks of one class
+//! (e.g. two VMA shard locks) is a legitimate ordered-acquisition
+//! pattern here, and flagging it would reject the sharded-lock models.
+//! Holding a guard across a `sleep()` is allowed too: that is how the
+//! simulator models critical-section service time.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::Location;
-
-use crate::time::SimTime;
 
 /// Task key used in lockdep bookkeeping: the executor's task id, or
 /// [`MAIN_TASK`] for guards acquired outside any task.
@@ -66,8 +56,6 @@ struct EdgeOrigin {
 struct Inner {
     /// Class id → name.
     names: Vec<String>,
-    /// Class id → "must not be held across a virtual-time advance".
-    no_hold_across_sleep: Vec<bool>,
     /// Name → class id (classes are deduplicated by name).
     by_name: BTreeMap<String, u32>,
     /// Acquisition graph, indexed by from-class: `edges[from]` maps
@@ -81,8 +69,6 @@ struct Inner {
     /// once per lock cycle on the engine's hot paths. Empty stacks stay
     /// in place rather than being evicted.
     held: Vec<Vec<Held>>,
-    /// Total held guards across all tasks (sum of `held[*].len()`).
-    held_total: usize,
 }
 
 /// Dense index for a task's `held` stack: tasks are numbered from 0 by
@@ -146,10 +132,6 @@ fn task_name(task: TaskKey) -> String {
 #[derive(Default)]
 pub struct LockDep {
     inner: RefCell<Inner>,
-    /// True once any class opted into `forbid_hold_across_sleep`; lets
-    /// [`LockDep::check_time_advance`] (called on every clock advance)
-    /// return without borrowing anything in the common case.
-    any_forbidden: Cell<bool>,
 }
 
 impl LockDep {
@@ -161,17 +143,9 @@ impl LockDep {
         }
         let id = inner.names.len() as u32;
         inner.names.push(name.to_string());
-        inner.no_hold_across_sleep.push(false);
         inner.edges.push(BTreeMap::new());
         inner.by_name.insert(name.to_string(), id);
         id
-    }
-
-    /// Marks `class` as forbidden to hold across a virtual-time advance.
-    pub(crate) fn forbid_hold_across_sleep(&self, class: u32) {
-        let mut inner = self.inner.borrow_mut();
-        inner.no_hold_across_sleep[class as usize] = true;
-        self.any_forbidden.set(true);
     }
 
     /// Validates an acquisition *attempt* of `class` by `task` at
@@ -262,7 +236,6 @@ impl LockDep {
             inner.held.resize_with(slot + 1, Vec::new);
         }
         inner.held[slot].push(Held { class, site });
-        inner.held_total += 1;
     }
 
     /// Records the release of `class` by `task` (innermost matching hold).
@@ -271,61 +244,6 @@ impl LockDep {
         if let Some(stack) = inner.held.get_mut(task_slot(task)) {
             if let Some(pos) = stack.iter().rposition(|h| h.class == class) {
                 stack.remove(pos);
-                inner.held_total -= 1;
-            }
-        }
-    }
-
-    /// Called by the executor just before the virtual clock advances from
-    /// `now` to `next`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any task holds a guard of a class registered with
-    /// [`forbid_hold_across_sleep`](Self::forbid_hold_across_sleep): the
-    /// clock advancing means that task is suspended in an await with the
-    /// guard still live.
-    #[inline]
-    pub(crate) fn check_time_advance(&self, now: SimTime, next: SimTime) {
-        // Fast path: the executor calls this on every clock advance, and
-        // almost no run registers a forbidden class.
-        if self.any_forbidden.get() {
-            self.check_held_across_advance(now, next);
-        }
-    }
-
-    fn check_held_across_advance(&self, now: SimTime, next: SimTime) {
-        let inner = self.inner.borrow();
-        // Nor is any task holding a guard at most advances.
-        if inner.held_total == 0 {
-            return;
-        }
-        // Slot 0 is MAIN_TASK (u64::MAX), which the ordered map this
-        // replaced reported *last*; keep that report order.
-        for slot in (1..inner.held.len()).chain(std::iter::once(0)) {
-            let stack = &inner.held[slot];
-            let task = if slot == 0 {
-                MAIN_TASK
-            } else {
-                (slot - 1) as TaskKey
-            };
-            for h in stack {
-                if inner.no_hold_across_sleep[h.class as usize] {
-                    let chain = stack
-                        .iter()
-                        .map(|h| inner.describe_held(h))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    panic!(
-                        "lockdep: guard held across virtual-time advance\n  task {} holds {} while the clock advances {} -> {} ns\n  held chain: [{}]\n  class {} was registered with forbid_hold_across_sleep()",
-                        task_name(task),
-                        inner.describe_held(h),
-                        now.as_nanos(),
-                        next.as_nanos(),
-                        chain,
-                        inner.names[h.class as usize],
-                    );
-                }
             }
         }
     }

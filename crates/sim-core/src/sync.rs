@@ -9,6 +9,11 @@
 //! they cause surface in the task clocks and are read through the
 //! engine's fault breakdown. [`WaitQueue`] is the condition-variable
 //! counterpart for waiting on state rather than on a lock.
+//!
+//! Both carry clock edges (see [`crate::executor`]): a lock's next
+//! holder resumes no earlier than the last release, and a woken waiter
+//! no earlier than its waker's clock at the wake, so a task that ran
+//! ahead of the global clock still delays those it hands over to.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
@@ -18,8 +23,9 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::SimHandle;
+use crate::executor::{self, SimHandle};
 use crate::race;
+use crate::time::SimTime;
 
 struct MutexCtl {
     next_ticket: Cell<u64>,
@@ -31,6 +37,9 @@ struct MutexCtl {
     /// lock/unlock hot path.
     wakers: RefCell<Vec<(u64, Waker)>>,
     abandoned: RefCell<BTreeSet<u64>>,
+    /// The releasing task's clock at the last unlock: the next holder
+    /// resumes no earlier (the handoff's clock edge).
+    released_at: Cell<SimTime>,
 }
 
 impl MutexCtl {
@@ -127,19 +136,12 @@ impl<T> SimMutex<T> {
                 now_serving: Cell::new(0),
                 wakers: RefCell::new(Vec::new()),
                 abandoned: RefCell::new(BTreeSet::new()),
+                released_at: Cell::new(SimTime::ZERO),
             },
             value: RefCell::new(value),
             class,
             race_sync: Cell::new(0),
         }
-    }
-
-    /// Forbids holding this lock's class across a virtual-time advance:
-    /// the executor panics (with the held chain) if the clock must move
-    /// while any guard of this class is live. See [`crate::lockdep`] for
-    /// why this is opt-in.
-    pub fn forbid_hold_across_sleep(&self) {
-        self.sim.lockdep().forbid_hold_across_sleep(self.class);
     }
 
     /// Acquires the mutex; resolves to a guard releasing it on drop.
@@ -201,6 +203,7 @@ impl<'a, T> Future for MutexLock<'a, T> {
             let task = m.sim.current_task_key();
             m.sim.lockdep().acquired(task, m.class, self.site);
             race::edge(&m.race_sync, |det, s| det.acquire(s));
+            m.sim.sync_clock(m.ctl.released_at.get());
             // The ticket protocol guarantees exclusivity, so this borrow
             // cannot conflict with another live guard.
             let inner = m.value.borrow_mut();
@@ -264,6 +267,7 @@ impl<T> Drop for MutexGuard<'_, T> {
         let m = self.mutex;
         m.sim.lockdep().release(self.task, m.class);
         race::edge(&m.race_sync, |det, s| det.release(s));
+        m.ctl.released_at.set(m.sim.now());
         m.ctl.serve_next();
     }
 }
@@ -276,6 +280,8 @@ struct WaitSlot {
     /// inherits exactly its waker's clock (a precise edge, not a
     /// queue-wide one).
     race_sync: Cell<u32>,
+    /// The waker's clock at the wake: the woken task resumes no earlier.
+    woken_at: Cell<SimTime>,
 }
 
 /// A condition-variable-style wait queue.
@@ -302,6 +308,7 @@ impl WaitQueue {
             signalled: Cell::new(false),
             waker: RefCell::new(None),
             race_sync: Cell::new(0),
+            woken_at: Cell::new(SimTime::ZERO),
         });
         self.waiters.borrow_mut().push_back(Rc::clone(&slot));
         Wait { slot }
@@ -313,6 +320,7 @@ impl WaitQueue {
         match slot {
             Some(s) => {
                 race::edge(&s.race_sync, |det, sy| det.release(sy));
+                s.woken_at.set(executor::running_now());
                 s.signalled.set(true);
                 if let Some(w) = s.waker.borrow_mut().take() {
                     w.wake();
@@ -326,8 +334,10 @@ impl WaitQueue {
     /// Wakes every current waiter.
     pub fn wake_all(&self) {
         let slots: Vec<_> = self.waiters.borrow_mut().drain(..).collect();
+        let now = executor::running_now();
         for s in slots {
             race::edge(&s.race_sync, |det, sy| det.release(sy));
+            s.woken_at.set(now);
             s.signalled.set(true);
             if let Some(w) = s.waker.borrow_mut().take() {
                 w.wake();
@@ -357,6 +367,7 @@ impl Future for Wait {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if self.slot.signalled.get() {
             race::edge(&self.slot.race_sync, |det, sy| det.acquire(sy));
+            executor::running_sync_clock(self.slot.woken_at.get());
             Poll::Ready(())
         } else {
             *self.slot.waker.borrow_mut() = Some(cx.waker().clone());
@@ -371,11 +382,13 @@ mod tests {
     use crate::Simulation;
 
     /// Spawns `contenders` tasks at t = 0 that each hold one mutex for
-    /// `service_ns`. Returns `(id, wait)` in grant order, where `wait` is
-    /// the task's own clock from its `lock()` call to its guard.
-    fn contend(contenders: u32, service_ns: u64) -> Vec<(u32, u64)> {
+    /// `service_ns`, under run-ahead bound `q`. Returns `(id, wait)` in
+    /// grant order, where `wait` is the task's own clock from its
+    /// `lock()` call to its guard.
+    fn contend(q: u64, contenders: u32, service_ns: u64) -> Vec<(u32, u64)> {
         let sim = Simulation::new();
         let h = sim.handle();
+        h.set_run_ahead(q);
         let m = Rc::new(SimMutex::new(h.clone(), Vec::new()));
         for id in 0..contenders {
             let (h, m) = (h.clone(), Rc::clone(&m));
@@ -392,13 +405,16 @@ mod tests {
 
     #[test]
     fn mutex_is_fifo_and_measures_wait() {
-        let granted = contend(4, 100);
-        let order: Vec<u32> = granted.iter().map(|&(id, _)| id).collect();
-        assert_eq!(order, [0, 1, 2, 3]);
-        // Waiters 1..3 wait 100, 200, 300 ns respectively.
-        let waits: Vec<u64> = granted.iter().map(|&(_, w)| w).collect();
-        assert_eq!(waits, [0, 100, 200, 300]);
-        assert_eq!(waits.iter().sum::<u64>(), 600);
+        // Whether the holders' service sleeps yield (Q = 0) or run ahead
+        // (Q = 1 µs), the handoff edge charges every wait.
+        for q in [0, 1_000] {
+            let granted = contend(q, 4, 100);
+            let order: Vec<u32> = granted.iter().map(|&(id, _)| id).collect();
+            assert_eq!(order, [0, 1, 2, 3]);
+            // Waiters 1..3 wait 100, 200, 300 ns respectively.
+            let waits: Vec<u64> = granted.iter().map(|&(_, w)| w).collect();
+            assert_eq!(waits, [0, 100, 200, 300], "Q = {q}");
+        }
     }
 
     #[test]
@@ -463,13 +479,13 @@ mod tests {
         // The core mechanism of the reproduction: total waiting time at a
         // lock with fixed service time grows quadratically with the number
         // of simultaneous contenders.
-        fn total_wait(contenders: u32) -> u64 {
-            contend(contenders, 200).iter().map(|&(_, w)| w).sum()
+        // The convoy survives run-ahead: the queue outgrows the bound.
+        for q in [0, 1_000] {
+            let total_wait =
+                |contenders| -> u64 { contend(q, contenders, 200).iter().map(|&(_, w)| w).sum() };
+            // sum_{i<n} i*200 = n(n-1)*100: 8 -> 5_600, 48 -> 225_600.
+            assert_eq!(total_wait(8), 5_600, "Q = {q}");
+            assert_eq!(total_wait(48), 225_600, "Q = {q}");
         }
-        let w8 = total_wait(8);
-        let w48 = total_wait(48);
-        // sum_{i<n} i*200 = n(n-1)*100: 8 -> 5_600, 48 -> 225_600.
-        assert_eq!(w8, 5_600);
-        assert_eq!(w48, 225_600);
     }
 }

@@ -1,6 +1,6 @@
-//! Lockdep behaviour tests: ordering cycles and hold-across-sleep are
-//! caught, reported with full acquisition chains, and — because the
-//! executor is deterministic — reproduce identically across runs.
+//! Lockdep behaviour tests: ordering cycles are caught, reported with
+//! full acquisition chains, and — because the executor is deterministic
+//! — reproduce identically across runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -112,54 +112,6 @@ fn three_lock_cycle_is_detected() {
         msg.contains("cyc-a") && msg.contains("cyc-b") && msg.contains("cyc-c"),
         "all three classes in the report: {msg}"
     );
-}
-
-/// Holding a flagged guard across a time-advancing await panics with the
-/// held chain; unflagged guards may sleep (service-time modeling).
-fn hold_across_sleep() -> String {
-    panic_message(|| {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        let m = Rc::new(SimMutex::new_named(h.clone(), "no-sleep-lock", 0u64));
-        m.forbid_hold_across_sleep();
-        let h2 = h.clone();
-        sim.spawn(async move {
-            let _g = m.lock().await;
-            h2.sleep(100).await; // flagged guard held across the advance
-        });
-        sim.run();
-    })
-}
-
-#[test]
-fn flagged_guard_across_sleep_is_detected() {
-    let msg = hold_across_sleep();
-    assert!(msg.contains("held across virtual-time advance"), "got: {msg}");
-    assert!(msg.contains("no-sleep-lock"), "got: {msg}");
-    assert!(msg.contains("held chain"), "got: {msg}");
-    assert!(msg.contains("tests/lockdep.rs"), "chain must carry the lock() site: {msg}");
-}
-
-#[test]
-fn hold_across_sleep_report_is_deterministic() {
-    assert_eq!(hold_across_sleep(), hold_across_sleep());
-}
-
-#[test]
-fn unflagged_guard_may_sleep() {
-    // The default: guards model critical-section service time by
-    // sleeping while held. Must not trip lockdep.
-    let sim = Simulation::new();
-    let h = sim.handle();
-    let m = Rc::new(SimMutex::new_named(h.clone(), "service-lock", ()));
-    for _ in 0..4 {
-        let (h, m) = (h.clone(), Rc::clone(&m));
-        sim.spawn(async move {
-            let _g = m.lock().await;
-            h.sleep(100).await;
-        });
-    }
-    assert_eq!(sim.run().as_nanos(), 400);
 }
 
 #[test]

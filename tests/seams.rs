@@ -12,6 +12,8 @@ use std::rc::Rc;
 use mage_check::{check_invariants, CheckCtx};
 use mage_far_memory::mmu::{Topology, Vma};
 use mage_far_memory::prelude::*;
+use mage_far_memory::workloads::runner::{run_batch, RunConfig, RunReport};
+use mage_far_memory::workloads::WorkloadKind;
 
 fn launch(system: SystemConfig, seed: u64) -> (Simulation, Rc<FarMemory>, Vma) {
     let sim = Simulation::new();
@@ -194,58 +196,65 @@ fn disagg_tier_rewrites_clean_pages() {
     assert!(clean_reclaims[1].1 > 0, "Hermit's evictions write back");
 }
 
-/// Zero-fault parity: with the default `FaultPlan::none()` the fault
-/// layer must be bit-invisible — these golden statistics were captured
-/// before the fault-injection layer existed, and the default
-/// configuration must still reproduce them exactly. Any drift means the
-/// clean path now consumes RNG draws, schedules extra events, or awaits
-/// differently than it used to.
-#[test]
-fn zero_fault_path_matches_pre_fault_layer_golden_values() {
-    use mage_far_memory::workloads::runner::{run_batch, RunConfig};
-    use mage_far_memory::workloads::WorkloadKind;
-
+/// MAGE-Lib on an all-remote sequential storm and Hermit on GUPS: the
+/// two configurations pinned since before the fault-injection layer.
+fn pre_fault_layer_configs() -> [RunConfig; 2] {
     let mut a = RunConfig::new(SystemConfig::mage_lib(), WorkloadKind::SeqFault, 2, 2048, 0.5);
     a.all_remote = true;
     a.ops_per_thread = 1024;
     a.seed = 0xA11CE;
-    let ra = run_batch(&a);
-    let got_a = (
-        ra.runtime_ns,
-        ra.total_ops,
-        ra.major_faults,
-        ra.window.fault_latency.p50(),
-        ra.fault_p99_ns,
-        ra.evicted_pages(),
-        ra.sync_evictions,
-        ra.window.evict_cancels,
-        ra.window.fault_latency.mean().to_bits(),
-    );
-    assert_eq!(
-        got_a,
-        (5_396_662, 2_048, 2_048, 5_119, 9_471, 1_964, 0, 0, 4_662_422_839_683_448_832),
-        "mage_lib/SeqFault drifted from the pre-fault-layer schedule"
-    );
-
     let mut b = RunConfig::new(SystemConfig::hermit(), WorkloadKind::Gups, 4, 2048, 0.5);
     b.ops_per_thread = 500;
     b.seed = 7;
-    let rb = run_batch(&b);
-    let got_b = (
-        rb.runtime_ns,
-        rb.total_ops,
-        rb.major_faults,
-        rb.window.fault_latency.p50(),
-        rb.fault_p99_ns,
-        rb.evicted_pages(),
-        rb.sync_evictions,
-        rb.window.evict_cancels,
-        rb.window.fault_latency.mean().to_bits(),
-    );
+    [a, b]
+}
+
+/// MAGE-Lnx on a random graph: its FIFO queues skip the accessed-bit
+/// recheck.
+fn mage_lnx_config() -> RunConfig {
+    let mut c = RunConfig::new(SystemConfig::mage_lnx(), WorkloadKind::RandomGraph, 8, 16_384, 0.5);
+    c.ops_per_thread = 4_000;
+    c.warmup_ops = 1_000;
+    c.seed = 7;
+    c
+}
+
+/// The pinned schedule of one run, executor polls included.
+type Golden = (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64);
+
+fn golden(r: &RunReport) -> Golden {
+    (
+        r.runtime_ns,
+        r.total_ops,
+        r.major_faults,
+        r.window.fault_latency.p50(),
+        r.fault_p99_ns,
+        r.evicted_pages(),
+        r.sync_evictions,
+        r.window.evict_cancels,
+        r.window.fault_latency.mean().to_bits(),
+        r.executor_polls,
+    )
+}
+
+/// Zero-fault parity: with the default `FaultPlan::none()` the fault
+/// layer must be bit-invisible. Any drift means the clean path now
+/// consumes RNG draws, schedules extra events, or awaits differently
+/// than it used to.
+#[test]
+fn zero_fault_path_matches_pre_fault_layer_golden_values() {
+    let [a, b] = pre_fault_layer_configs();
+    let ra = run_batch(&a);
     assert_eq!(
-        got_b,
-        (1_110_675, 2_000, 521, 7_807, 15_359, 410, 0, 101, 4_664_748_314_519_089_569),
-        "hermit/Gups drifted from the pre-fault-layer schedule"
+        golden(&ra),
+        (5_399_201, 2_048, 2_048, 5_119, 9_471, 1_965, 0, 0, 4_662_425_805_895_237_632, 7_120),
+        "mage_lib/SeqFault drifted from the pinned schedule"
+    );
+    let rb = run_batch(&b);
+    assert_eq!(
+        golden(&rb),
+        (1_107_271, 2_000, 521, 7_679, 14_335, 411, 0, 100, 4_664_721_221_370_764_447, 3_892),
+        "hermit/Gups drifted from the pinned schedule"
     );
 
     // And the fault-layer counters must read zero on a clean link.
@@ -255,7 +264,7 @@ fn zero_fault_path_matches_pre_fault_layer_golden_values() {
     assert_eq!(ra.window.requeued_victims + rb.window.requeued_victims, 0);
 
     // The ghost-feedback counters are measurement-only on the default
-    // path: they must flow into the report (hermit/Gups cancels 101
+    // path: they must flow into the report (hermit/Gups cancels 100
     // evictions, each a ghost hit) without having moved the pinned
     // schedules above.
     assert!(rb.window.re_faults > 0, "hermit/Gups churn must observe re-faults");
@@ -268,30 +277,37 @@ fn zero_fault_path_matches_pre_fault_layer_golden_values() {
 /// of the victim-selection path.
 #[test]
 fn mage_lnx_matches_golden_values() {
-    use mage_far_memory::workloads::runner::{run_batch, RunConfig};
-    use mage_far_memory::workloads::WorkloadKind;
+    assert_eq!(
+        golden(&run_batch(&mage_lnx_config())),
+        (5_886_970, 32_000, 6_186, 6_271, 7_167, 5_894, 0, 250, 4_663_429_976_240_861_768, 28_635),
+        "mage_lnx/RandomGraph drifted from the pinned schedule"
+    );
+}
 
-    let mut c = RunConfig::new(SystemConfig::mage_lnx(), WorkloadKind::RandomGraph, 8, 16_384, 0.5);
-    c.ops_per_thread = 4_000;
-    c.warmup_ops = 1_000;
-    c.seed = 7;
-    let r = run_batch(&c);
-    let got = (
-        r.runtime_ns,
-        r.total_ops,
-        r.major_faults,
-        r.window.fault_latency.p50(),
-        r.fault_p99_ns,
-        r.evicted_pages(),
-        r.sync_evictions,
-        r.window.evict_cancels,
-        r.window.fault_latency.mean().to_bits(),
-        r.executor_polls,
+/// The exact schedule stays under test: with `run_ahead_ns = 0` every
+/// sleep yields and the three runs above reproduce, executor polls
+/// included, the values pinned before task clocks could run ahead.
+#[test]
+fn exact_schedule_matches_pre_run_ahead_golden_values() {
+    let exact = |mut cfg: RunConfig| {
+        cfg.system.costs.run_ahead_ns = 0;
+        golden(&run_batch(&cfg))
+    };
+    let [a, b] = pre_fault_layer_configs();
+    assert_eq!(
+        exact(a),
+        (5_396_662, 2_048, 2_048, 5_119, 9_471, 1_964, 0, 0, 4_662_422_839_683_448_832, 22_807),
+        "mage_lib/SeqFault drifted from the exact schedule"
     );
     assert_eq!(
-        got,
+        exact(b),
+        (1_110_675, 2_000, 521, 7_807, 15_359, 410, 0, 101, 4_664_748_314_519_089_569, 10_868),
+        "hermit/Gups drifted from the exact schedule"
+    );
+    assert_eq!(
+        exact(mage_lnx_config()),
         (5_885_292, 32_000, 6_170, 6_271, 6_655, 5_939, 0, 205, 4_663_460_517_660_057_974, 129_877),
-        "mage_lnx/RandomGraph drifted from the pinned schedule"
+        "mage_lnx/RandomGraph drifted from the exact schedule"
     );
 }
 
@@ -303,9 +319,6 @@ fn mage_lnx_matches_golden_values() {
 /// on release and whose clean pages are written on every eviction.
 #[test]
 fn replicated_path_matches_golden_values() {
-    use mage_far_memory::workloads::runner::{run_batch, RunConfig};
-    use mage_far_memory::workloads::WorkloadKind;
-
     let run = |preset: fn() -> SystemConfig| {
         let plans = (0..REPLICA_NODES)
             .map(|i| FaultPlan::staggered_node_crash(0xFA417, i, REPLICA_NODES, 400_000, 40_000))
@@ -340,12 +353,12 @@ fn replicated_path_matches_golden_values() {
     }
     assert_eq!(
         lib,
-        (758_504, 457, 6, 2_634, 895, 7, 8_951, 0),
+        (758_561, 456, 6, 2_638, 895, 7, 1_660, 0),
         "mage_lib replicated schedule drifted"
     );
     assert_eq!(
         hermit,
-        (1_225_851, 316, 7, 4_478, 320, 10, 10_532, 1_491),
+        (1_221_099, 316, 10, 4_480, 320, 8, 3_258, 1_491),
         "hermit replicated schedule drifted"
     );
 }
