@@ -20,8 +20,10 @@ echo "==> chaos + seams + placement + policy differentials + invariants + explor
 MAGE_SIMSAN=1 cargo test -q --test chaos --test seams --test populate_diff --test policy_diff \
     --test invariants --test check_explore
 
-echo "==> failover determinism under the race detector (MAGE_SIMSAN=1, DESIGN.md §13)"
-MAGE_SIMSAN=1 cargo test -q --test determinism replicated_sweep
+echo "==> determinism goldens under the race detector (MAGE_SIMSAN=1, DESIGN.md §10, §13)"
+# The whole file: the refactor contract pins these goldens with simsan on
+# as well as off, failover's replicated sweep included.
+MAGE_SIMSAN=1 cargo test -q --test determinism
 
 echo "==> task clocks and the lock/wait-queue edges under the race detector (MAGE_SIMSAN=1)"
 # The run-ahead bound's skew invariant and its four clock edges.

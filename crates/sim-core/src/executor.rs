@@ -21,9 +21,15 @@
 //! A sleep that ends at most the run-ahead bound `Q` past the global
 //! clock advances only the task's clock and does not yield; a longer one
 //! registers a timer. Clocks flow along the happens-before edges simsan
-//! records (spawn, join, mutex handoff, wait-queue wake), so during a
+//! records: a spawned task starts at its spawner's clock, and the join,
+//! mutex handoff and wait-queue wake are each one `sync::Edge`,
+//! which carries the clock and the simsan halves together. So during a
 //! poll `global ≤ task clock ≤ global + Q`. With `Q` = 0 (the default)
 //! the task clock is the global clock and the schedule is the exact one.
+//!
+//! One thread-local, `RUNNING`, names the executor whose run loop is
+//! active: an edge reaches the running task's clock and the detector
+//! through it, and simsan stamps accesses with that clock.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -36,7 +42,8 @@ use std::task::{Context, Poll, Wake, Waker};
 
 use crate::explore::{ExplorationPolicy, Explorer, RunProgress};
 use crate::lockdep::{LockDep, TaskKey, MAIN_TASK};
-use crate::race::{CurrentGuard, RaceDetector};
+use crate::race::RaceDetector;
+use crate::sync::Edge;
 use crate::time::{Nanos, SimTime};
 use crate::wheel::TimerWheel;
 
@@ -103,9 +110,6 @@ struct Task {
     /// moved out for the duration of a poll, so polling touches no
     /// reference count. `None` while polled and once finished.
     body: Option<(LocalFuture, Waker)>,
-    /// simsan join-sync id released when the task completes (0 when the
-    /// race detector is disabled).
-    race_join: u32,
     /// The task's own clock as its last poll left it.
     clock: SimTime,
 }
@@ -199,7 +203,7 @@ enum Step {
     Budget,
 }
 
-struct ExecCore {
+pub(crate) struct ExecCore {
     /// The global clock: the deadline of the last fired timer.
     now: Cell<SimTime>,
     /// The running context's clock: the polled task's own clock during
@@ -245,17 +249,8 @@ impl ExecCore {
         })
     }
 
-    /// Spawns a task; returns its (recycled) slot id and the simsan
-    /// join-sync id (0 when the detector is disabled).
-    fn spawn(self: &Rc<Self>, future: LocalFuture) -> (TaskId, u32) {
-        // Fork edge: the spawner's clock happens-before everything the
-        // child does. Recorded before the slot id is even assigned, in
-        // the spawner's context.
-        let race = self.race.borrow().clone();
-        let (fork_sync, join_sync) = match &race {
-            Some(det) => det.fork(),
-            None => (0, 0),
-        };
+    /// Spawns a task into a (recycled) slot.
+    fn spawn(&self, future: LocalFuture) {
         let mut tasks = self.tasks.borrow_mut();
         let id = match self.free_ids.borrow_mut().pop() {
             Some(id) => id,
@@ -263,7 +258,6 @@ impl ExecCore {
                 let id = TaskId::try_from(tasks.len()).expect("task slots exhausted");
                 tasks.push(Task {
                     body: None,
-                    race_join: 0,
                     clock: SimTime::ZERO,
                 });
                 id
@@ -273,18 +267,15 @@ impl ExecCore {
             queue: Arc::clone(&self.wake_queue),
             id,
         }));
-        // Fork edge for the clocks too: the child starts at the spawner's.
+        // Fork edge: the child starts at the spawner's clock, and the
+        // spawner's accesses so far happen-before everything it does.
         tasks[id as usize] = Task {
             body: Some((future, waker)),
-            race_join: join_sync,
             clock: self.clock.get(),
         };
         drop(tasks);
-        if let Some(det) = &race {
-            det.task_begin(u64::from(id), fork_sync);
-        }
+        self.with_race(|det| det.task_begin(u64::from(id)));
         self.sched.borrow_mut().spawned(id);
-        (id, join_sync)
     }
 
     /// Registers a timer for `deadline` that wakes the task being
@@ -326,13 +317,26 @@ impl ExecCore {
         false
     }
 
+    /// The running context's clock: the polled task's own clock during
+    /// a poll, the global clock otherwise.
+    #[inline]
+    pub(crate) fn clock(&self) -> SimTime {
+        self.clock.get()
+    }
+
     /// The receiving end of a clock edge: raises the polled task's clock
     /// to `t`. No-op outside a poll, where the clock is the global one.
     #[inline]
-    fn sync_clock(&self, t: SimTime) {
+    pub(crate) fn sync_clock(&self, t: SimTime) {
         if t > self.clock.get() && self.current.get().is_some() {
             self.clock.set(t);
         }
+    }
+
+    /// Runs `f` with the race detector, if one is enabled.
+    #[inline]
+    pub(crate) fn with_race<R>(&self, f: impl FnOnce(&RaceDetector) -> R) -> Option<R> {
+        self.race.borrow().as_deref().map(f)
     }
 
     /// Picks the next task to poll. With nothing runnable it advances
@@ -384,7 +388,6 @@ impl ExecCore {
         self.clock.set(clock.max(global));
         self.current.set(Some(id));
         if let Some(det) = race {
-            det.set_now(self.clock.get().as_nanos());
             det.enter(u64::from(id));
         }
         let polled = future.as_mut().poll(&mut cx);
@@ -402,7 +405,7 @@ impl ExecCore {
         match polled {
             Poll::Ready(()) => {
                 if let Some(det) = race {
-                    det.task_end(u64::from(id), self.tasks.borrow()[id as usize].race_join);
+                    det.task_end(u64::from(id));
                 }
                 // A wake addressed to the slot may still sit in the wake
                 // queue or in a timer: it must find the slot vacant.
@@ -429,13 +432,11 @@ impl ExecCore {
         // simsan world edges: everything main did before this run
         // happens-before every task step inside it, and every task step
         // inside it happens-before whatever main does after it returns.
-        // The guard publishes the detector to handle-less primitives
-        // (WaitQueue) for the duration of the loop.
+        // Inside the run simsan stamps accesses with the running clock;
+        // the exit's `set_now` stamps main's accesses until the next run.
         let race = self.race.borrow().clone();
-        let _guard = CurrentGuard::install(race.clone());
         let _running = RunningGuard::install(Rc::clone(self));
         if let Some(det) = &race {
-            det.set_now(self.now.get().as_nanos());
             det.world_publish();
         }
         let out = self.run_inner(stop, max_polls, race.as_ref());
@@ -471,8 +472,8 @@ impl ExecCore {
 }
 
 thread_local! {
-    /// The executor whose run loop is active on this thread, for the
-    /// clock edges of handle-less primitives ([`crate::sync::WaitQueue`]).
+    /// The executor whose run loop is active on this thread, for both
+    /// halves of an [`Edge`] and for simsan's timestamps.
     static RUNNING: RefCell<Option<Rc<ExecCore>>> = const { RefCell::new(None) };
 }
 
@@ -495,21 +496,11 @@ impl Drop for RunningGuard {
     }
 }
 
-/// The running context's clock ([`SimHandle::now`]) of the executor
-/// whose run loop is active on this thread; zero outside a run.
-pub(crate) fn running_now() -> SimTime {
-    RUNNING.with(|r| r.borrow().as_ref().map_or(SimTime::ZERO, |c| c.clock.get()))
-}
-
-/// Raises the polled task's clock to `t` on the executor whose run loop
-/// is active on this thread: the receiving end of a handle-less clock
-/// edge.
-pub(crate) fn running_sync_clock(t: SimTime) {
-    RUNNING.with(|r| {
-        if let Some(c) = r.borrow().as_ref() {
-            c.sync_clock(t);
-        }
-    });
+/// Runs `f` on the executor whose run loop is active on this thread;
+/// `None` outside a run.
+#[inline]
+pub(crate) fn with_running<R>(f: impl FnOnce(&ExecCore) -> R) -> Option<R> {
+    RUNNING.with(|r| r.borrow().as_deref().map(f))
 }
 
 /// A cloneable handle to the simulation, usable from inside tasks.
@@ -541,12 +532,6 @@ impl SimHandle {
     /// task runs.
     pub fn set_run_ahead(&self, q: Nanos) {
         self.core.run_ahead.set(q);
-    }
-
-    /// The receiving end of a clock edge: the polled task resumes no
-    /// earlier than `t`.
-    pub(crate) fn sync_clock(&self, t: SimTime) {
-        self.core.sync_clock(t);
     }
 
     /// Returns a future that completes `duration` nanoseconds of virtual
@@ -584,24 +569,24 @@ impl SimHandle {
         let state = Rc::new(RefCell::new(JoinState {
             result: None,
             waker: None,
-            done_at: SimTime::ZERO,
+            done: Edge::default(),
         }));
-        let state2 = Rc::clone(&state);
-        let core = Rc::clone(&self.core);
-        let (_id, race_join) = self.core.spawn(Box::pin(async move {
+        let weak = Rc::downgrade(&state);
+        self.core.spawn(Box::pin(async move {
             let value = future.await;
-            let mut s = state2.borrow_mut();
+            // With the handle dropped nothing can observe the result or
+            // the join edge.
+            let Some(state) = weak.upgrade() else {
+                return;
+            };
+            let mut s = state.borrow_mut();
             s.result = Some(value);
-            s.done_at = core.clock.get();
+            s.done.release();
             if let Some(w) = s.waker.take() {
                 w.wake();
             }
         }));
-        JoinHandle {
-            state,
-            core: Rc::clone(&self.core),
-            race_join,
-        }
+        JoinHandle { state }
     }
 
     /// The simulation's lock-order registry (see [`crate::lockdep`]).
@@ -668,17 +653,13 @@ impl Future for YieldNow {
 struct JoinState<T> {
     result: Option<T>,
     waker: Option<Waker>,
-    /// The task's clock when it completed.
-    done_at: SimTime,
+    /// Released by the task as it completes, acquired by the join.
+    done: Edge,
 }
 
 /// Handle to a spawned task; awaiting it yields the task's result.
 pub struct JoinHandle<T> {
     state: Rc<RefCell<JoinState<T>>>,
-    /// For the join's clock and simsan edges.
-    core: Rc<ExecCore>,
-    /// simsan join edge: acquired when the join observes completion.
-    race_join: u32,
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -688,13 +669,7 @@ impl<T> Future for JoinHandle<T> {
         let mut s = self.state.borrow_mut();
         match s.result.take() {
             Some(v) => {
-                // Join edge: everything the finished task did
-                // happens-before the joiner's continuation, which
-                // resumes no earlier than the task's clock.
-                if let Some(det) = &*self.core.race.borrow() {
-                    det.acquire(self.race_join);
-                }
-                self.core.sync_clock(s.done_at);
+                s.done.acquire();
                 Poll::Ready(v)
             }
             None => {
@@ -821,7 +796,7 @@ impl Simulation {
     ) -> Result<T, RunProgress> {
         let out: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);
-        let (_id, _join) = self.handle.core.spawn(Box::pin(async move {
+        self.handle.core.spawn(Box::pin(async move {
             *out2.borrow_mut() = Some(future.await);
         }));
         let done = {

@@ -54,5 +54,5 @@ pub mod wheel;
 
 pub use executor::{JoinHandle, SimHandle, Simulation};
 pub use explore::{ExplorationPolicy, RunProgress};
-pub use race::{RaceDetector, RaceMode, RaceReport, ShadowCell, ShadowRegion};
+pub use race::{RaceDetector, RaceMode, RaceReport, ShadowRegion};
 pub use time::{Nanos, SimTime};

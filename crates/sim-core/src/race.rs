@@ -6,8 +6,9 @@
 //! synchronization protocol*. Two accesses to the same shadow-tracked
 //! word (a PTE, a per-CPU free-list slot, …) race when neither is ordered
 //! before the other by the happens-before relation built from the
-//! sim-core primitives — `SimMutex` lock/unlock, `WaitQueue` wake
-//! edges, executor spawn/join. A protocol bug that would corrupt state on real
+//! sim-core primitives: executor spawn, plus the `SimMutex` handoff, the
+//! `WaitQueue` wake and the join, each one `sync::Edge` that
+//! also carries the task clocks. A protocol bug that would corrupt state on real
 //! hardware (e.g. publishing a PTE after waking its waiters) shows up
 //! here as an unordered pair even though the single-threaded simulation
 //! happens to serialize it.
@@ -19,8 +20,10 @@
 //! demotes to a full per-task map only when reads are genuinely
 //! concurrent. Everything is keyed by *logical* task ids (monotone,
 //! never reused — executor slots are recycled) and stamped with virtual
-//! time, so reports are deterministic: the same seed produces the same
-//! race at the same virtual timestamp with the same two sites.
+//! time (the accessing task's own clock, read through the executor's
+//! running-executor thread-local), so reports are deterministic: the
+//! same seed produces the same race at the same virtual timestamp with
+//! the same two sites.
 //!
 //! Like the tracer, the detector is **zero-overhead when disabled**:
 //! components hold an `Option<Rc<RaceDetector>>` (or a [`ShadowRegion`]
@@ -47,6 +50,7 @@ use std::fmt;
 use std::panic::Location;
 use std::rc::Rc;
 
+use crate::executor::{self, ExecCore};
 use crate::time::Nanos;
 use crate::SimHandle;
 
@@ -274,8 +278,9 @@ struct Inner {
 /// `MAGE_SIMSAN` environment variable); `None` everywhere when disabled.
 pub struct RaceDetector {
     inner: RefCell<Inner>,
-    /// Virtual now, mirrored in by the executor (the detector must not
-    /// hold a `SimHandle`: the executor owns it).
+    /// The global clock at the last run exit, for main's accesses
+    /// between runs (the detector must not hold a `SimHandle`: the
+    /// executor owns it).
     now: Cell<Nanos>,
 }
 
@@ -337,22 +342,15 @@ impl RaceDetector {
         self.now.set(now);
     }
 
-    /// Parent-side half of a spawn: allocates the fork sync, releases the
-    /// spawner's clock into it, and returns (fork_sync, join_sync).
-    pub(crate) fn fork(&self) -> (u32, u32) {
-        let fork = self.alloc_sync();
-        let join = self.alloc_sync();
-        self.release(fork);
-        (fork, join)
-    }
-
-    /// Child-side half: binds the executor slot `raw` to a fresh logical
-    /// task whose clock acquires the fork sync.
-    pub(crate) fn task_begin(&self, raw: u64, fork_sync: u32) {
+    /// The spawn edge, taken in the spawner's context: binds the
+    /// executor slot `raw` to a fresh logical task that starts from the
+    /// spawner's clock, and steps the spawner's epoch.
+    pub(crate) fn task_begin(&self, raw: u64) {
         let mut g = self.inner.borrow_mut();
-        let lid = g.tasks.len() as Lid;
-        let mut clock = g.syncs[fork_sync as usize].clone();
+        let (lid, cur) = (g.tasks.len() as Lid, g.cur);
+        let mut clock = g.tasks[cur as usize].clock.clone();
         clock.bump(lid);
+        g.tasks[cur as usize].clock.bump(cur);
         g.tasks.push(TaskState {
             clock,
             world_seen: 0,
@@ -360,17 +358,16 @@ impl RaceDetector {
         g.slots.insert(raw, lid);
     }
 
-    /// The task bound to slot `raw` finished: release its final clock
-    /// into its join sync and the global finished clock, and free the
+    /// The task bound to slot `raw` finished: fold its final clock into
+    /// the finished clock (main acquires it at run exit) and free the
     /// slot binding (the executor reuses raw ids).
-    pub(crate) fn task_end(&self, raw: u64, join_sync: u32) {
+    pub(crate) fn task_end(&self, raw: u64) {
         let mut g = self.inner.borrow_mut();
         let Some(lid) = g.slots.remove(&raw) else {
             return;
         };
         g.tasks[lid as usize].clock.bump(lid);
         let clock = g.tasks[lid as usize].clock.clone();
-        g.syncs[join_sync as usize].join(&clock);
         g.finished.join(&clock);
     }
 
@@ -419,7 +416,7 @@ impl RaceDetector {
 
     // ---- synchronization edges (crate-internal) ------------------------
 
-    /// Allocates a sync object (mutex, semaphore, queue, channel, …).
+    /// Allocates a sync object (see [`crate::sync::Edge`]).
     pub(crate) fn alloc_sync(&self) -> u32 {
         let mut g = self.inner.borrow_mut();
         g.syncs.push(VClock::default());
@@ -473,7 +470,7 @@ impl RaceDetector {
         kind: AccessKind,
         site: &'static Location<'static>,
     ) {
-        let now = self.now.get();
+        let now = executor::with_running(ExecCore::clock).map_or(self.now.get(), |t| t.as_nanos());
         let mut g = self.inner.borrow_mut();
         let cur = g.cur;
         let clock = g.tasks[cur as usize].clock.clone();
@@ -577,62 +574,6 @@ impl RaceDetector {
     }
 }
 
-// ---- thread-local current detector -------------------------------------
-//
-// Handle-less primitives (WaitQueue) cannot reach the
-// detector through a SimHandle; the executor publishes it here for the
-// duration of each run loop. `None` outside an enabled simulation's run,
-// so a disabled simulation is never confused with a previously-enabled
-// one on the same host thread.
-
-thread_local! {
-    static CURRENT: RefCell<Option<Rc<RaceDetector>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with the detector currently published by the executor (if
-/// any). Used by the handle-less primitives in `sync.rs`.
-pub(crate) fn with_current<R>(f: impl FnOnce(&Rc<RaceDetector>) -> R) -> Option<R> {
-    CURRENT.with(|c| c.borrow().as_ref().map(f))
-}
-
-/// Takes a happens-before edge through the sync object whose id is
-/// lazily stored in `slot` (0 = not yet allocated). No-op when no
-/// detector is active on this thread, so primitives pay one thread-local
-/// read per edge in disabled runs. `f` receives the detector and the
-/// (freshly allocated if needed) sync id and performs the actual
-/// `acquire`/`release`.
-pub(crate) fn edge(slot: &Cell<u32>, f: impl FnOnce(&RaceDetector, u32)) {
-    with_current(|det| {
-        let mut id = slot.get();
-        if id == 0 {
-            id = det.alloc_sync();
-            slot.set(id);
-        }
-        f(det, id);
-    });
-}
-
-/// RAII guard installing `det` as the thread's current detector for the
-/// duration of a run loop.
-pub(crate) struct CurrentGuard {
-    prev: Option<Rc<RaceDetector>>,
-}
-
-impl CurrentGuard {
-    pub(crate) fn install(det: Option<Rc<RaceDetector>>) -> Self {
-        let prev = CURRENT.with(|c| c.replace(det));
-        CurrentGuard { prev }
-    }
-}
-
-impl Drop for CurrentGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            *c.borrow_mut() = self.prev.take();
-        });
-    }
-}
-
 // ---- public shadow-state API --------------------------------------------
 
 /// A named family of shadow-tracked words (e.g. all PTEs, indexed by
@@ -730,39 +671,6 @@ impl ShadowRegion {
     }
 }
 
-/// A single value with shadow-checked access: reads go through
-/// [`ShadowRegion::on_read`], writes through [`ShadowRegion::on_write`].
-/// The interior `RefCell` provides the storage; the shadow provides the
-/// race check.
-pub struct ShadowCell<T> {
-    value: RefCell<T>,
-    shadow: ShadowRegion,
-}
-
-impl<T> ShadowCell<T> {
-    /// Creates a shadow-checked cell bound to `sim`'s detector.
-    pub fn new(sim: &SimHandle, name: &'static str, value: T) -> Self {
-        ShadowCell {
-            value: RefCell::new(value),
-            shadow: ShadowRegion::new(sim, name),
-        }
-    }
-
-    /// Shadow-checked read access.
-    #[track_caller]
-    pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        self.shadow.on_read(0);
-        f(&self.value.borrow())
-    }
-
-    /// Shadow-checked write access.
-    #[track_caller]
-    pub fn write<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        self.shadow.on_write(0);
-        f(&mut self.value.borrow_mut())
-    }
-}
-
 /// Sugar over the [`ShadowRegion`] access methods, keeping the access
 /// class visible at the call site:
 ///
@@ -796,10 +704,8 @@ mod tests {
 
     /// Simulates two tasks via the executor hooks.
     fn two_tasks(d: &Rc<RaceDetector>) -> (u64, u64) {
-        let (f1, _) = d.fork();
-        d.task_begin(1, f1);
-        let (f2, _) = d.fork();
-        d.task_begin(2, f2);
+        d.task_begin(1);
+        d.task_begin(2);
         (1, 2)
     }
 
@@ -807,11 +713,7 @@ mod tests {
     fn unordered_write_write_races() {
         let d = det();
         let (a, b) = two_tasks(&d);
-        let r = {
-            let mut g = d.inner.borrow_mut();
-            g.regions.push("word");
-            0u32
-        };
+        let r = d.register_region("word");
         d.enter(a);
         d.on_access(r, 7, AccessKind::Write, Location::caller());
         d.exit();
@@ -829,11 +731,7 @@ mod tests {
     fn release_acquire_orders_accesses() {
         let d = det();
         let (a, b) = two_tasks(&d);
-        let r = {
-            let mut g = d.inner.borrow_mut();
-            g.regions.push("word");
-            0u32
-        };
+        let r = d.register_region("word");
         let m = d.alloc_sync();
         d.enter(a);
         d.on_access(r, 7, AccessKind::Write, Location::caller());
@@ -851,11 +749,7 @@ mod tests {
     fn concurrent_reads_do_not_race_but_a_write_against_them_does() {
         let d = det();
         let (a, b) = two_tasks(&d);
-        let r = {
-            let mut g = d.inner.borrow_mut();
-            g.regions.push("word");
-            0u32
-        };
+        let r = d.register_region("word");
         d.enter(a);
         d.on_access(r, 1, AccessKind::Read, Location::caller());
         d.exit();
@@ -864,8 +758,7 @@ mod tests {
         d.exit();
         assert!(d.take_reports().is_empty(), "read-read never races");
         // A third task writes without synchronizing with either reader.
-        let (f3, _) = d.fork();
-        d.task_begin(3, f3);
+        d.task_begin(3);
         d.enter(3);
         d.on_access(r, 1, AccessKind::Write, Location::caller());
         d.exit();
@@ -878,19 +771,16 @@ mod tests {
     #[test]
     fn fork_and_join_edges_order_parent_and_child() {
         let d = det();
-        let r = {
-            let mut g = d.inner.borrow_mut();
-            g.regions.push("word");
-            0u32
-        };
-        // Parent (main) writes, then forks: the child inherits the edge.
+        let r = d.register_region("word");
+        // Parent (main) writes, then spawns: the child inherits the edge.
         d.on_access(r, 0, AccessKind::Write, Location::caller());
-        let (fork, join) = d.fork();
-        d.task_begin(9, fork);
+        d.task_begin(9);
+        let join = d.alloc_sync();
         d.enter(9);
         d.on_access(r, 0, AccessKind::Write, Location::caller());
+        d.release(join);
         d.exit();
-        d.task_end(9, join);
+        d.task_end(9);
         // Parent joins the child, then writes again: still ordered.
         d.acquire(join);
         d.on_access(r, 0, AccessKind::Write, Location::caller());
@@ -900,16 +790,11 @@ mod tests {
     #[test]
     fn world_edges_order_main_setup_against_earlier_spawned_tasks() {
         let d = det();
-        let r = {
-            let mut g = d.inner.borrow_mut();
-            g.regions.push("word");
-            0u32
-        };
+        let r = d.register_region("word");
         // Task spawned first; main then writes (populate) and publishes
         // the world at run entry, exactly the launch()-then-populate()
         // pattern.
-        let (fork, _join) = d.fork();
-        d.task_begin(4, fork);
+        d.task_begin(4);
         d.on_access(r, 3, AccessKind::Write, Location::caller());
         d.world_publish();
         d.enter(4);
@@ -925,11 +810,7 @@ mod tests {
     fn word_lock_edges_order_lock_bit_protocols() {
         let d = det();
         let (a, b) = two_tasks(&d);
-        let r = {
-            let mut g = d.inner.borrow_mut();
-            g.regions.push("pte");
-            0u32
-        };
+        let r = d.register_region("pte");
         d.enter(a);
         {
             let s = d.word_lock_sync(r, 5);
@@ -953,11 +834,7 @@ mod tests {
     fn reports_render_both_sites_and_clocks() {
         let d = det();
         let (a, b) = two_tasks(&d);
-        let r = {
-            let mut g = d.inner.borrow_mut();
-            g.regions.push("pte");
-            0u32
-        };
+        let r = d.register_region("pte");
         d.enter(a);
         d.on_access(r, 42, AccessKind::Write, Location::caller());
         d.exit();
@@ -977,11 +854,7 @@ mod tests {
     fn duplicate_races_on_one_word_are_reported_once() {
         let d = det();
         let (a, b) = two_tasks(&d);
-        let r = {
-            let mut g = d.inner.borrow_mut();
-            g.regions.push("word");
-            0u32
-        };
+        let r = d.register_region("word");
         d.enter(a);
         d.on_access(r, 0, AccessKind::Write, Location::caller());
         d.exit();
@@ -997,11 +870,7 @@ mod tests {
     fn atomics_never_race() {
         let d = det();
         let (a, b) = two_tasks(&d);
-        let r = {
-            let mut g = d.inner.borrow_mut();
-            g.regions.push("tlb");
-            0u32
-        };
+        let r = d.register_region("tlb");
         d.enter(a);
         d.on_access(r, 0, AccessKind::Write, Location::caller());
         d.exit();
@@ -1010,6 +879,49 @@ mod tests {
         d.exit();
         assert!(d.take_reports().is_empty());
         assert_eq!(d.atomic_ops(), 1);
+    }
+
+    #[test]
+    fn a_race_is_stamped_with_the_accessing_tasks_clock() {
+        // The second writer runs 400 ns ahead of the global clock within
+        // one poll; its access carries its own clock, not the poll's
+        // entry time.
+        let sim = crate::Simulation::new();
+        let h = sim.handle();
+        h.set_run_ahead(1_000);
+        let d = sim.enable_race_detection();
+        d.set_mode(RaceMode::Collect);
+        let word = Rc::new(ShadowRegion::new(&h, "word"));
+        for delay in [0, 400] {
+            let (h, word) = (h.clone(), Rc::clone(&word));
+            sim.spawn(async move {
+                h.sleep(delay).await;
+                word.on_write(0);
+            });
+        }
+        sim.run();
+        let reports = d.take_reports();
+        assert_eq!(reports.len(), 1);
+        assert_eq!((reports[0].prior.time, reports[0].current.time), (0, 400));
+        assert!(reports[0].to_string().contains("(t=400 ns"), "{}", reports[0]);
+    }
+
+    #[test]
+    fn only_an_observable_join_allocates_a_sync_clock() {
+        // Id 0 is the reserved sentinel. A spawn allocates none, and a
+        // task whose handle is gone when it finishes has no join to
+        // release into.
+        let sim = crate::Simulation::new();
+        let d = sim.enable_race_detection();
+        let h = sim.handle();
+        let syncs = || d.inner.borrow().syncs.len();
+        drop(h.spawn(async {}));
+        sim.run();
+        assert_eq!(syncs(), 1);
+        let kept = h.spawn(async {});
+        sim.run();
+        assert_eq!(syncs(), 2);
+        drop(kept);
     }
 
     #[test]

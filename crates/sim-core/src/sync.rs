@@ -10,10 +10,14 @@
 //! engine's fault breakdown. [`WaitQueue`] is the condition-variable
 //! counterpart for waiting on state rather than on a lock.
 //!
-//! Both carry clock edges (see [`crate::executor`]): a lock's next
-//! holder resumes no earlier than the last release, and a woken waiter
-//! no earlier than its waker's clock at the wake, so a task that ran
-//! ahead of the global clock still delays those it hands over to.
+//! Every handoff between tasks is one `Edge`: a lock's unlock to its
+//! next lock, a wait-queue wake to the woken waiter's resume, and a
+//! task's completion to its [`crate::JoinHandle`]. An edge carries both
+//! halves of happens-before at once. The acquirer resumes no earlier
+//! than the releaser's task clock (see [`crate::executor`]), so a task
+//! that ran ahead of the global clock still delays those it hands over
+//! to; and simsan orders the acquirer's accesses after the releaser's
+//! (see [`crate::race`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
@@ -24,8 +28,51 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::executor::{self, SimHandle};
-use crate::race;
+use crate::race::RaceDetector;
 use crate::time::SimTime;
+
+/// One happens-before edge from a releasing task to the tasks that later
+/// acquire it. Both halves reach the executor through its one
+/// running-executor thread-local, so neither can be dropped at a call
+/// site.
+#[derive(Default)]
+pub(crate) struct Edge {
+    /// The releasing task's clock at the last release: an acquirer
+    /// resumes no earlier. A release outside a run stamps 0, which is
+    /// never above the clock of the poll that later acquires it.
+    at: Cell<SimTime>,
+    /// simsan sync id, allocated at the first release under a detector;
+    /// 0 until then, and an acquire of 0 is a no-op.
+    sync: Cell<u32>,
+}
+
+impl Edge {
+    /// Hands the running task's clock and its accesses so far to the
+    /// next acquirer.
+    pub(crate) fn release(&self) {
+        let at = executor::with_running(|core| {
+            core.with_race(|det| det.release(self.sync_id(det)));
+            core.clock()
+        });
+        self.at.set(at.unwrap_or(SimTime::ZERO));
+    }
+
+    /// The running task resumes no earlier than the last release, and
+    /// its accesses are ordered after the releaser's.
+    pub(crate) fn acquire(&self) {
+        executor::with_running(|core| {
+            core.with_race(|det| det.acquire(self.sync.get()));
+            core.sync_clock(self.at.get());
+        });
+    }
+
+    fn sync_id(&self, det: &RaceDetector) -> u32 {
+        if self.sync.get() == 0 {
+            self.sync.set(det.alloc_sync());
+        }
+        self.sync.get()
+    }
+}
 
 struct MutexCtl {
     next_ticket: Cell<u64>,
@@ -37,9 +84,8 @@ struct MutexCtl {
     /// lock/unlock hot path.
     wakers: RefCell<Vec<(u64, Waker)>>,
     abandoned: RefCell<BTreeSet<u64>>,
-    /// The releasing task's clock at the last unlock: the next holder
-    /// resumes no earlier (the handoff's clock edge).
-    released_at: Cell<SimTime>,
+    /// Unlock to the next lock.
+    handoff: Edge,
 }
 
 impl MutexCtl {
@@ -107,8 +153,6 @@ pub struct SimMutex<T> {
     value: RefCell<T>,
     /// Lockdep class (see [`crate::lockdep`]).
     class: u32,
-    /// Lazily-allocated simsan sync id (see [`crate::race`]).
-    race_sync: Cell<u32>,
 }
 
 impl<T> SimMutex<T> {
@@ -136,11 +180,10 @@ impl<T> SimMutex<T> {
                 now_serving: Cell::new(0),
                 wakers: RefCell::new(Vec::new()),
                 abandoned: RefCell::new(BTreeSet::new()),
-                released_at: Cell::new(SimTime::ZERO),
+                handoff: Edge::default(),
             },
             value: RefCell::new(value),
             class,
-            race_sync: Cell::new(0),
         }
     }
 
@@ -202,8 +245,7 @@ impl<'a, T> Future for MutexLock<'a, T> {
             self.acquired = true;
             let task = m.sim.current_task_key();
             m.sim.lockdep().acquired(task, m.class, self.site);
-            race::edge(&m.race_sync, |det, s| det.acquire(s));
-            m.sim.sync_clock(m.ctl.released_at.get());
+            m.ctl.handoff.acquire();
             // The ticket protocol guarantees exclusivity, so this borrow
             // cannot conflict with another live guard.
             let inner = m.value.borrow_mut();
@@ -266,22 +308,29 @@ impl<T> Drop for MutexGuard<'_, T> {
         self.inner = None;
         let m = self.mutex;
         m.sim.lockdep().release(self.task, m.class);
-        race::edge(&m.race_sync, |det, s| det.release(s));
-        m.ctl.released_at.set(m.sim.now());
+        m.ctl.handoff.release();
         m.ctl.serve_next();
     }
 }
 
+#[derive(Default)]
 struct WaitSlot {
     signalled: Cell<bool>,
     waker: RefCell<Option<Waker>>,
-    /// Per-waiter simsan sync: the waker releases into it at wake time,
-    /// the waiter acquires it when its `Wait` resolves, so a woken task
-    /// inherits exactly its waker's clock (a precise edge, not a
-    /// queue-wide one).
-    race_sync: Cell<u32>,
-    /// The waker's clock at the wake: the woken task resumes no earlier.
-    woken_at: Cell<SimTime>,
+    /// Per-waiter edge: released by the waker at the wake, acquired when
+    /// the `Wait` resolves, so a woken task inherits exactly its waker's
+    /// clocks (a precise edge, not a queue-wide one).
+    wake: Edge,
+}
+
+impl WaitSlot {
+    fn wake(&self) {
+        self.wake.release();
+        self.signalled.set(true);
+        if let Some(w) = self.waker.borrow_mut().take() {
+            w.wake();
+        }
+    }
 }
 
 /// A condition-variable-style wait queue.
@@ -304,44 +353,25 @@ impl WaitQueue {
 
     /// Returns a future completing at the next wake targeting this waiter.
     pub fn wait(&self) -> Wait {
-        let slot = Rc::new(WaitSlot {
-            signalled: Cell::new(false),
-            waker: RefCell::new(None),
-            race_sync: Cell::new(0),
-            woken_at: Cell::new(SimTime::ZERO),
-        });
+        let slot = Rc::new(WaitSlot::default());
         self.waiters.borrow_mut().push_back(Rc::clone(&slot));
         Wait { slot }
     }
 
     /// Wakes the oldest waiter, if any. Returns true if one was woken.
     pub fn wake_one(&self) -> bool {
-        let slot = self.waiters.borrow_mut().pop_front();
-        match slot {
-            Some(s) => {
-                race::edge(&s.race_sync, |det, sy| det.release(sy));
-                s.woken_at.set(executor::running_now());
-                s.signalled.set(true);
-                if let Some(w) = s.waker.borrow_mut().take() {
-                    w.wake();
-                }
-                true
-            }
-            None => false,
-        }
+        let Some(slot) = self.waiters.borrow_mut().pop_front() else {
+            return false;
+        };
+        slot.wake();
+        true
     }
 
     /// Wakes every current waiter.
     pub fn wake_all(&self) {
         let slots: Vec<_> = self.waiters.borrow_mut().drain(..).collect();
-        let now = executor::running_now();
         for s in slots {
-            race::edge(&s.race_sync, |det, sy| det.release(sy));
-            s.woken_at.set(now);
-            s.signalled.set(true);
-            if let Some(w) = s.waker.borrow_mut().take() {
-                w.wake();
-            }
+            s.wake();
         }
     }
 
@@ -366,8 +396,7 @@ impl Future for Wait {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if self.slot.signalled.get() {
-            race::edge(&self.slot.race_sync, |det, sy| det.acquire(sy));
-            executor::running_sync_clock(self.slot.woken_at.get());
+            self.slot.wake.acquire();
             Poll::Ready(())
         } else {
             *self.slot.waker.borrow_mut() = Some(cx.waker().clone());

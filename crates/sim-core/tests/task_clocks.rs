@@ -3,13 +3,17 @@
 //! advances only the sleeper's clock, and clocks flow along the four
 //! happens-before edges — spawn, join, mutex handoff and wait-queue wake.
 //! During a poll, `global ≤ task clock ≤ global + Q`.
+//!
+//! Each edge carries simsan's half too: every per-edge test also runs
+//! the race detector, and a shadow write before the edge is ordered with
+//! a read after it, while the same pair with no edge between them races.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use mage_sim::rng::SplitMix64;
 use mage_sim::sync::{SimMutex, WaitQueue};
-use mage_sim::{JoinHandle, SimHandle, SimTime, Simulation};
+use mage_sim::{JoinHandle, RaceDetector, RaceMode, ShadowRegion, SimHandle, SimTime, Simulation};
 
 const Q: u64 = 1_000;
 
@@ -17,6 +21,21 @@ fn sim_with(q: u64) -> Simulation {
     let sim = Simulation::new();
     sim.handle().set_run_ahead(q);
     sim
+}
+
+/// simsan in Collect mode on `sim`, and a shadow region to race on.
+fn detector(sim: &Simulation) -> (Rc<RaceDetector>, Rc<ShadowRegion>) {
+    let det = sim.enable_race_detection();
+    det.set_mode(RaceMode::Collect);
+    (det, Rc::new(ShadowRegion::new(&sim.handle(), "word")))
+}
+
+/// Asserts simsan's verdict on one write/read pair: no race when the
+/// write came before the edge, exactly one when nothing orders them.
+#[track_caller]
+fn assert_races(det: &RaceDetector, ordered: bool) {
+    let reports = det.take_reports();
+    assert_eq!(reports.len(), usize::from(!ordered), "ordered = {ordered}: {reports:?}");
 }
 
 /// Asserts the skew invariant for the task being polled.
@@ -53,16 +72,31 @@ fn a_short_sleep_runs_ahead_without_yielding() {
 fn spawned_task_starts_at_its_parents_clock() {
     // At Q = 0 the parent's sleep yields and moves the global clock.
     for (q, global) in [(0, 500), (Q, 0)] {
-        let sim = sim_with(q);
-        let h = sim.handle();
-        let h2 = h.clone();
-        let child_start = sim.block_on(async move {
-            h2.sleep(500).await;
-            let h3 = h2.clone();
-            h2.spawn(async move { h3.now().as_nanos() }).await
-        });
-        assert_eq!(child_start, 500, "Q = {q}");
-        assert_eq!(sim.handle().global_now().as_nanos(), global, "Q = {q}");
+        // The parent writes before the spawn, or after it.
+        for ordered in [true, false] {
+            let sim = sim_with(q);
+            let (det, word) = detector(&sim);
+            let h = sim.handle();
+            let h2 = h.clone();
+            let child_start = sim.block_on(async move {
+                h2.sleep(500).await;
+                if ordered {
+                    word.on_write(0);
+                }
+                let (h3, w3) = (h2.clone(), Rc::clone(&word));
+                let child = h2.spawn(async move {
+                    w3.on_read(0);
+                    h3.now().as_nanos()
+                });
+                if !ordered {
+                    word.on_write(0);
+                }
+                child.await
+            });
+            assert_eq!(child_start, 500, "Q = {q}");
+            assert_eq!(sim.handle().global_now().as_nanos(), global, "Q = {q}");
+            assert_races(&det, ordered);
+        }
     }
 }
 
@@ -70,20 +104,32 @@ fn spawned_task_starts_at_its_parents_clock() {
 fn joiner_resumes_no_earlier_than_the_task_it_joined() {
     // The joiner parks on the handle before the task runs (a wake), or
     // finds it finished (no wake): both resume at the task's clock.
-    for park_first in [true, false] {
+    // The joiner reads what the task wrote after the join, or before it.
+    for (park_first, ordered) in [(true, true), (false, true), (true, false), (false, false)] {
         let sim = sim_with(Q);
+        let (det, word) = detector(&sim);
         let h = sim.handle();
         let h2 = h.clone();
         let resumed = sim.block_on(async move {
-            let h3 = h2.clone();
-            let child = h2.spawn(async move { h3.sleep(800).await });
+            let (h3, w3) = (h2.clone(), Rc::clone(&word));
+            let child = h2.spawn(async move {
+                h3.sleep(800).await;
+                w3.on_write(0);
+            });
             if !park_first {
                 h2.yield_now().await;
             }
+            if !ordered {
+                word.on_read(0);
+            }
             child.await;
+            if ordered {
+                word.on_read(0);
+            }
             (h2.now().as_nanos(), h2.global_now().as_nanos())
         });
         assert_eq!(resumed, (800, 0), "park_first = {park_first}");
+        assert_races(&det, ordered);
     }
 }
 
@@ -92,15 +138,24 @@ fn lock_acquirer_resumes_no_earlier_than_the_last_release() {
     // The second locker either queues behind the holder (a handoff) or
     // calls lock() after the release: the guard comes at the release
     // clock either way.
-    for contended in [true, false] {
+    // The holder writes before its unlock, or after it.
+    for (contended, ordered) in [(true, true), (false, true), (true, false), (false, false)] {
         let sim = sim_with(Q);
+        let (det, word) = detector(&sim);
         let h = sim.handle();
         let m = Rc::new(SimMutex::new(h.clone(), ()));
-        let (h1, m1) = (h.clone(), Rc::clone(&m));
+        let (h1, m1, w1) = (h.clone(), Rc::clone(&m), Rc::clone(&word));
         sim.spawn(async move {
-            let _g = m1.lock().await;
+            let g = m1.lock().await;
             h1.yield_now().await;
             h1.sleep(600).await;
+            if ordered {
+                w1.on_write(0);
+            }
+            drop(g);
+            if !ordered {
+                w1.on_write(0);
+            }
         });
         let (h2, m2) = (h.clone(), Rc::clone(&m));
         let granted = sim.block_on(async move {
@@ -109,34 +164,49 @@ fn lock_acquirer_resumes_no_earlier_than_the_last_release() {
                 h2.yield_now().await;
             }
             let _g = m2.lock().await;
+            word.on_read(0);
             (h2.now().as_nanos(), h2.global_now().as_nanos())
         });
         assert_eq!(granted, (600, 0), "contended = {contended}");
+        assert_races(&det, ordered);
     }
 }
 
 #[test]
 fn waiter_resumes_no_earlier_than_its_wakers_clock() {
-    let sim = sim_with(Q);
-    let h = sim.handle();
-    let q = Rc::new(WaitQueue::new());
-    let woken = Rc::new(RefCell::new(Vec::new()));
-    for _ in 0..2 {
-        let (h, q, woken) = (h.clone(), Rc::clone(&q), Rc::clone(&woken));
+    // The waker writes before its first wake, or after it.
+    for ordered in [true, false] {
+        let sim = sim_with(Q);
+        let (det, word) = detector(&sim);
+        let h = sim.handle();
+        let q = Rc::new(WaitQueue::new());
+        let woken = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..2 {
+            let (h, q, woken, word) =
+                (h.clone(), Rc::clone(&q), Rc::clone(&woken), Rc::clone(&word));
+            sim.spawn(async move {
+                q.wait().await;
+                word.on_read(0);
+                woken.borrow_mut().push(h.now().as_nanos());
+            });
+        }
+        let (h2, q2) = (h.clone(), Rc::clone(&q));
         sim.spawn(async move {
-            q.wait().await;
-            woken.borrow_mut().push(h.now().as_nanos());
+            h2.sleep(300).await;
+            if ordered {
+                word.on_write(0);
+            }
+            q2.wake_one();
+            if !ordered {
+                word.on_write(0);
+            }
+            h2.sleep(400).await;
+            q2.wake_one();
         });
+        sim.run();
+        assert_eq!(*woken.borrow(), [300, 700]);
+        assert_races(&det, ordered);
     }
-    let (h2, q2) = (h.clone(), Rc::clone(&q));
-    sim.spawn(async move {
-        h2.sleep(300).await;
-        q2.wake_one();
-        h2.sleep(400).await;
-        q2.wake_one();
-    });
-    sim.run();
-    assert_eq!(*woken.borrow(), [300, 700]);
 }
 
 #[test]
