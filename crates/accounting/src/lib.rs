@@ -244,9 +244,7 @@ impl PageAccounting {
             promote_ghost_hits,
             costs,
             partitions: (0..partitions.max(1))
-                .map(|_| {
-                    SimMutex::new_named(sim.clone(), "accounting.lists", Lists::default())
-                })
+                .map(|_| SimMutex::new("accounting.lists", Lists::default()))
                 .collect(),
             ghost: RefCell::new(GhostList::new(GhostList::DEFAULT_CAP)),
             resident: Cell::new(0),

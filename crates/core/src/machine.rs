@@ -175,7 +175,7 @@ impl FarMemory {
             policy.promotes_ghost_hits(),
             cfg.costs.accounting.clone(),
         ));
-        let asp = RefCell::new(AddressSpace::new(sim.clone(), cfg.vma_lock));
+        let asp = RefCell::new(AddressSpace::new(cfg.vma_lock));
 
         let app_cores: Vec<CoreId> = (0..params.app_threads as u32).map(CoreId).collect();
         let evictor_cores: Vec<CoreId> = (0..cfg.max_evictors as u32)

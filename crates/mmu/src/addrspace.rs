@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mage_sim::sync::SimMutex;
-use mage_sim::SimHandle;
 
 use crate::pagetable::PAGE_SHIFT;
 
@@ -78,7 +77,7 @@ pub struct AddressSpace {
 
 impl AddressSpace {
     /// Creates an empty address space with the given lock model.
-    pub fn new(sim: SimHandle, lock_model: VmaLockModel) -> Self {
+    pub fn new(lock_model: VmaLockModel) -> Self {
         let n_locks = match lock_model {
             VmaLockModel::Global => 1,
             VmaLockModel::Sharded(n) => n.max(1),
@@ -88,7 +87,7 @@ impl AddressSpace {
             vmas: BTreeMap::new(),
             lock_model,
             locks: (0..n_locks)
-                .map(|_| Rc::new(SimMutex::new_named(sim.clone(), "mmu.vma-shard", ())))
+                .map(|_| Rc::new(SimMutex::new("mmu.vma-shard", ())))
                 .collect(),
             next_vpn: 0x10_0000, // leave low addresses unmapped
             next_remote: 0,
@@ -135,10 +134,9 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mage_sim::Simulation;
 
     fn space(model: VmaLockModel) -> AddressSpace {
-        AddressSpace::new(Simulation::new().handle(), model)
+        AddressSpace::new(model)
     }
 
     #[test]

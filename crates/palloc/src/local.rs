@@ -87,9 +87,9 @@ impl LocalAllocator {
         let buddy = BuddyAllocator::new(nframes);
         LocalAllocator {
             kind,
-            buddy: SimMutex::new_named(sim.clone(), "palloc.buddy", buddy),
+            buddy: SimMutex::new("palloc.buddy", buddy),
             per_core: (0..cores).map(|_| RefCell::new(Vec::new())).collect(),
-            shared_queue: SimMutex::new_named(sim.clone(), "palloc.shared-queue", VecDeque::new()),
+            shared_queue: SimMutex::new("palloc.shared-queue", VecDeque::new()),
             free_count: Cell::new(nframes),
             costs,
             shadow: ShadowRegion::new(&sim, "palloc"),

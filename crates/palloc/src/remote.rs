@@ -35,8 +35,7 @@ impl SwapBitmap {
     /// critical-section cost.
     pub fn new(sim: SimHandle, capacity: u64, op_ns: Nanos) -> Self {
         SwapBitmap {
-            inner: SimMutex::new_named(
-                sim.clone(),
+            inner: SimMutex::new(
                 "palloc.swap-bitmap",
                 SwapInner {
                     free: Vec::new(),

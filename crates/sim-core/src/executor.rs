@@ -29,11 +29,13 @@
 //!
 //! One thread-local, `RUNNING`, names the executor whose run loop is
 //! active: an edge reaches the running task's clock and the detector
-//! through it, and simsan stamps accesses with that clock.
+//! through it, a `SimMutex` checks and marks the one guard its task may
+//! hold, and simsan stamps accesses with that clock.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
+use std::panic::Location;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
@@ -41,7 +43,6 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::explore::{ExplorationPolicy, Explorer, RunProgress};
-use crate::lockdep::{LockDep, TaskKey, MAIN_TASK};
 use crate::race::RaceDetector;
 use crate::sync::Edge;
 use crate::time::{Nanos, SimTime};
@@ -112,6 +113,13 @@ struct Task {
     body: Option<(LocalFuture, Waker)>,
     /// The task's own clock as its last poll left it.
     clock: SimTime,
+}
+
+/// A `SimMutex` guard's marker on its task: lock name and `lock()` site.
+#[derive(Clone, Copy)]
+pub(crate) struct Held {
+    pub(crate) name: &'static str,
+    pub(crate) site: &'static Location<'static>,
 }
 
 /// Where a task slot stands with respect to the ready queue.
@@ -218,10 +226,12 @@ pub(crate) struct ExecCore {
     free_ids: RefCell<Vec<TaskId>>,
     sched: RefCell<Sched>,
     wake_queue: Arc<WakeQueue>,
-    /// Task currently being polled, for lockdep hold tracking and for
-    /// the timers `Sleep` registers.
+    /// Task currently being polled: whose guard marker a lock checks and
+    /// whom the timers `Sleep` registers wake.
     current: Cell<Option<TaskId>>,
-    lockdep: LockDep,
+    /// The `SimMutex` guard each task slot holds, if any (see
+    /// [`crate::sync`]); grown with the slot arena.
+    held: RefCell<Vec<Option<Held>>>,
     /// Ready-queue pick strategy (FIFO unless exploration is requested).
     explorer: Explorer,
     /// Cumulative task polls, for runaway-schedule bounding.
@@ -242,7 +252,7 @@ impl ExecCore {
             sched: RefCell::new(Sched::new()),
             wake_queue: Arc::new(WakeQueue::default()),
             current: Cell::new(None),
-            lockdep: LockDep::default(),
+            held: RefCell::new(Vec::new()),
             explorer: Explorer::new(policy),
             polls: Cell::new(0),
             race: RefCell::new(None),
@@ -256,6 +266,7 @@ impl ExecCore {
             Some(id) => id,
             None => {
                 let id = TaskId::try_from(tasks.len()).expect("task slots exhausted");
+                self.held.borrow_mut().push(None);
                 tasks.push(Task {
                     body: None,
                     clock: SimTime::ZERO,
@@ -330,6 +341,38 @@ impl ExecCore {
     pub(crate) fn sync_clock(&self, t: SimTime) {
         if t > self.clock.get() && self.current.get().is_some() {
             self.clock.set(t);
+        }
+    }
+
+    /// The one-lock rule, checked at a lock attempt: panics, naming both
+    /// locks and both sites, if the polled task already holds a guard.
+    /// No-op outside a poll.
+    pub(crate) fn check_unheld(&self, want: Held) {
+        let Some(id) = self.current.get() else {
+            return;
+        };
+        let held = self.held.borrow()[id as usize];
+        if let Some(held) = held {
+            panic!(
+                "task {id} acquires {} (locked at {}) while holding {} (locked at {}): \
+                 a task holds at most one SimMutex guard",
+                want.name, want.site, held.name, held.site,
+            );
+        }
+    }
+
+    /// Marks the polled task as holding `held` and returns it, for the
+    /// guard's [`ExecCore::clear_held`]; `None` outside a poll.
+    pub(crate) fn mark_held(&self, held: Held) -> Option<TaskId> {
+        let id = self.current.get()?;
+        self.held.borrow_mut()[id as usize] = Some(held);
+        Some(id)
+    }
+
+    /// Clears task `id`'s held-guard marker.
+    pub(crate) fn clear_held(&self, id: TaskId) {
+        if let Some(h) = self.held.borrow_mut().get_mut(id as usize) {
+            *h = None;
         }
     }
 
@@ -473,7 +516,7 @@ impl ExecCore {
 
 thread_local! {
     /// The executor whose run loop is active on this thread, for both
-    /// halves of an [`Edge`] and for simsan's timestamps.
+    /// halves of an [`Edge`], the one-lock rule and simsan's timestamps.
     static RUNNING: RefCell<Option<Rc<ExecCore>>> = const { RefCell::new(None) };
 }
 
@@ -589,23 +632,10 @@ impl SimHandle {
         JoinHandle { state }
     }
 
-    /// The simulation's lock-order registry (see [`crate::lockdep`]).
-    pub fn lockdep(&self) -> &LockDep {
-        &self.core.lockdep
-    }
-
     /// The simsan race detector, if enabled on this simulation (see
     /// [`crate::race`] and [`Simulation::enable_race_detection`]).
     pub fn race_detector(&self) -> Option<Rc<RaceDetector>> {
         self.core.race.borrow().clone()
-    }
-
-    /// Key identifying the task currently being polled, for lockdep.
-    pub(crate) fn current_task_key(&self) -> TaskKey {
-        match self.core.current.get() {
-            Some(id) => TaskKey::from(id),
-            None => MAIN_TASK,
-        }
     }
 }
 

@@ -42,7 +42,6 @@
 pub mod executor;
 pub mod explore;
 pub mod json;
-pub mod lockdep;
 pub mod race;
 pub mod rng;
 pub mod slab;

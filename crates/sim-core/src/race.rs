@@ -139,9 +139,10 @@ impl fmt::Display for AccessKind {
     }
 }
 
-/// One recorded shadow access: who, when (virtual time and epoch),
-/// where (source site), and the accessor's full clock at that moment.
-#[derive(Clone, Debug)]
+/// One recorded shadow access: who, when (virtual time and epoch) and
+/// where (source site). A shadow word keeps these epochs only, as
+/// FastTrack does; a vector clock is copied only into a report.
+#[derive(Clone, Copy, Debug)]
 pub struct AccessInfo {
     /// Read or write.
     pub kind: AccessKind,
@@ -149,18 +150,17 @@ pub struct AccessInfo {
     pub task: Lid,
     /// The accessor's epoch (its own clock component) at the access.
     pub epoch: u32,
-    /// The accessor's full vector clock at the access.
-    pub clock: VClock,
     /// Source site (`file:line`), captured via `#[track_caller]`.
     pub site: &'static Location<'static>,
     /// Virtual timestamp of the access, ns.
     pub time: Nanos,
 }
 
-impl AccessInfo {
-    fn describe(&self) -> String {
-        format!(
-            "{} by task {} at {}:{} (t={} ns, epoch {}@{}, clock {})",
+impl fmt::Display for AccessInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} by task {} at {}:{} (t={} ns, epoch {}@{})",
             self.kind,
             self.task,
             self.site.file(),
@@ -168,7 +168,6 @@ impl AccessInfo {
             self.time,
             self.task,
             self.epoch,
-            self.clock.render(),
         )
     }
 }
@@ -185,17 +184,20 @@ pub struct RaceReport {
     pub prior: AccessInfo,
     /// The later access (the one that detected the race).
     pub current: AccessInfo,
+    /// The later accessor's vector clock at its access.
+    pub clock: VClock,
 }
 
 impl fmt::Display for RaceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "simsan: data race on {}[{}]\n  {}\n  is unordered with earlier\n  {}",
+            "simsan: data race on {}[{}]\n  {}, clock {}\n  is unordered with earlier\n  {}",
             self.region,
             self.index,
-            self.current.describe(),
-            self.prior.describe(),
+            self.current,
+            self.clock.render(),
+            self.prior,
         )
     }
 }
@@ -360,14 +362,15 @@ impl RaceDetector {
 
     /// The task bound to slot `raw` finished: fold its final clock into
     /// the finished clock (main acquires it at run exit) and free the
-    /// slot binding (the executor reuses raw ids).
+    /// slot binding (the executor reuses raw ids). Nothing reads a
+    /// finished task's clock again, so it is freed here.
     pub(crate) fn task_end(&self, raw: u64) {
         let mut g = self.inner.borrow_mut();
         let Some(lid) = g.slots.remove(&raw) else {
             return;
         };
-        g.tasks[lid as usize].clock.bump(lid);
-        let clock = g.tasks[lid as usize].clock.clone();
+        let mut clock = std::mem::take(&mut g.tasks[lid as usize].clock);
+        clock.bump(lid);
         g.finished.join(&clock);
     }
 
@@ -471,14 +474,14 @@ impl RaceDetector {
         site: &'static Location<'static>,
     ) {
         let now = executor::with_running(ExecCore::clock).map_or(self.now.get(), |t| t.as_nanos());
-        let mut g = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let g = &mut *guard;
         let cur = g.cur;
-        let clock = g.tasks[cur as usize].clock.clone();
+        let clock = &g.tasks[cur as usize].clock;
         let access = AccessInfo {
             kind,
             task: cur,
             epoch: clock.get(cur),
-            clock,
             site,
             time: now,
         };
@@ -491,22 +494,22 @@ impl RaceDetector {
         }
         let mut conflict: Option<AccessInfo> = None;
         if let Some(w) = &word.write {
-            if !access.clock.covers(w.task, w.epoch) {
-                conflict = Some(w.clone());
+            if !clock.covers(w.task, w.epoch) {
+                conflict = Some(*w);
             }
         }
         if conflict.is_none() && kind == AccessKind::Write {
             match &word.reads {
                 ReadState::None => {}
                 ReadState::Epoch(r) => {
-                    if !access.clock.covers(r.task, r.epoch) {
-                        conflict = Some(r.clone());
+                    if !clock.covers(r.task, r.epoch) {
+                        conflict = Some(*r);
                     }
                 }
                 ReadState::Many(map) => {
                     for r in map.values() {
-                        if !access.clock.covers(r.task, r.epoch) {
-                            conflict = Some(r.clone());
+                        if !clock.covers(r.task, r.epoch) {
+                            conflict = Some(*r);
                             break;
                         }
                     }
@@ -515,23 +518,23 @@ impl RaceDetector {
         }
         match kind {
             AccessKind::Write => {
-                word.write = Some(access.clone());
+                word.write = Some(access);
                 word.reads = ReadState::None;
             }
             AccessKind::Read => match &mut word.reads {
-                ReadState::None => word.reads = ReadState::Epoch(access.clone()),
+                ReadState::None => word.reads = ReadState::Epoch(access),
                 ReadState::Epoch(r) => {
-                    if r.task == access.task || access.clock.covers(r.task, r.epoch) {
-                        word.reads = ReadState::Epoch(access.clone());
+                    if r.task == access.task || clock.covers(r.task, r.epoch) {
+                        word.reads = ReadState::Epoch(access);
                     } else {
                         let mut map = BTreeMap::new();
-                        map.insert(r.task, r.clone());
-                        map.insert(access.task, access.clone());
+                        map.insert(r.task, *r);
+                        map.insert(access.task, access);
                         word.reads = ReadState::Many(map);
                     }
                 }
                 ReadState::Many(map) => {
-                    map.insert(access.task, access.clone());
+                    map.insert(access.task, access);
                 }
             },
         }
@@ -545,11 +548,12 @@ impl RaceDetector {
             index: idx,
             prior,
             current: access,
+            clock: clock.clone(),
         };
         match g.mode {
             RaceMode::Collect => g.reports.push(report),
             RaceMode::Panic => {
-                drop(g);
+                drop(guard);
                 panic!("{report}");
             }
         }
@@ -560,17 +564,14 @@ impl RaceDetector {
     }
 
     fn word_lock_sync(&self, region: u32, idx: u64) -> u32 {
-        let mut g = self.inner.borrow_mut();
-        let next = (g.syncs.len()) as u32;
-        let word = g
-            .words
-            .entry((region, idx))
-            .or_insert_with(ShadowWord::new);
+        let mut guard = self.inner.borrow_mut();
+        let g = &mut *guard;
+        let word = g.words.entry((region, idx)).or_insert_with(ShadowWord::new);
         if word.lock == 0 {
-            word.lock = next;
+            word.lock = g.syncs.len() as u32;
             g.syncs.push(VClock::default());
         }
-        g.words[&(region, idx)].lock
+        word.lock
     }
 }
 
@@ -597,10 +598,7 @@ impl ShadowRegion {
                     region,
                 }
             }
-            None => ShadowRegion {
-                det: None,
-                region: 0,
-            },
+            None => ShadowRegion::disabled(),
         }
     }
 
@@ -632,7 +630,6 @@ impl ShadowRegion {
 
     /// Documents a racy-by-design access (accessed/dirty bits, lock-free
     /// `READ_ONCE`-style reads, stats bumps). Never races.
-    #[track_caller]
     pub fn on_atomic(&self, idx: u64) {
         if let Some(det) = &self.det {
             det.on_atomic(self.region, idx);
@@ -641,7 +638,6 @@ impl ShadowRegion {
 
     /// Acquire edge on `idx`'s word-lock (e.g. winning the PTE lock bit):
     /// the caller's clock joins everything released at this index.
-    #[track_caller]
     pub fn lock(&self, idx: u64) {
         if let Some(det) = &self.det {
             let sync = det.word_lock_sync(self.region, idx);
@@ -651,7 +647,6 @@ impl ShadowRegion {
 
     /// Release edge on `idx`'s word-lock (clearing the PTE lock bit,
     /// directly or by installing an unlocked value).
-    #[track_caller]
     pub fn unlock(&self, idx: u64) {
         if let Some(det) = &self.det {
             let sync = det.word_lock_sync(self.region, idx);
@@ -662,12 +657,8 @@ impl ShadowRegion {
     /// Release edge *without* conceptually unlocking: the holder makes
     /// its writes so far visible to whoever takes the word-lock over
     /// (the refault-cancel handoff through the `evicting` map).
-    #[track_caller]
     pub fn publish(&self, idx: u64) {
-        if let Some(det) = &self.det {
-            let sync = det.word_lock_sync(self.region, idx);
-            det.release(sync);
-        }
+        self.unlock(idx);
     }
 }
 

@@ -10,6 +10,11 @@
 //! engine's fault breakdown. [`WaitQueue`] is the condition-variable
 //! counterpart for waiting on state rather than on a lock.
 //!
+//! **A task holds at most one `SimMutex` guard.** A task that asks for a
+//! second panics before it queues, naming both locks and both `lock()`
+//! sites, so no lock cycle can deadlock a run. A guard may be held across
+//! a `sleep`: that is a critical section's service time.
+//!
 //! Every handoff between tasks is one `Edge`: a lock's unlock to its
 //! next lock, a wait-queue wake to the woken waiter's resume, and a
 //! task's completion to its [`crate::JoinHandle`]. An edge carries both
@@ -27,7 +32,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::{self, SimHandle};
+use crate::executor::{self, Held, TaskId};
 use crate::race::RaceDetector;
 use crate::time::SimTime;
 
@@ -129,7 +134,7 @@ impl MutexCtl {
 ///
 /// let sim = Simulation::new();
 /// let h = sim.handle();
-/// let m = Rc::new(SimMutex::new(h.clone(), 0u64));
+/// let m = Rc::new(SimMutex::new("counter", 0u64));
 /// let waits = Rc::new(RefCell::new(Vec::new()));
 /// for _ in 0..3 {
 ///     let (h, m, waits) = (h.clone(), Rc::clone(&m), Rc::clone(&waits));
@@ -148,33 +153,17 @@ impl MutexCtl {
 /// assert_eq!(*waits.borrow(), [0, 100, 200]);
 /// ```
 pub struct SimMutex<T> {
-    sim: SimHandle,
+    /// Names the lock in the one-lock rule's report.
+    name: &'static str,
     ctl: MutexCtl,
     value: RefCell<T>,
-    /// Lockdep class (see [`crate::lockdep`]).
-    class: u32,
 }
 
 impl<T> SimMutex<T> {
-    /// Creates an unlocked mutex protecting `value`.
-    ///
-    /// The lockdep class defaults to the protected type's name; locks
-    /// whose role matters for ordering should use [`SimMutex::new_named`]
-    /// so inversions are reported against meaningful class names.
-    pub fn new(sim: SimHandle, value: T) -> Self {
-        let name = format!("SimMutex<{}>", std::any::type_name::<T>());
-        Self::new_named(sim, &name, value)
-    }
-
-    /// Creates an unlocked mutex in the lockdep class `name`.
-    ///
-    /// All locks sharing a class are one node in the acquisition-order
-    /// graph (like a `lock_class_key` in Linux lockdep): shard arrays
-    /// should share a class, unrelated locks should not.
-    pub fn new_named(sim: SimHandle, name: &str, value: T) -> Self {
-        let class = sim.lockdep().register_class(name);
+    /// Creates an unlocked mutex called `name` protecting `value`.
+    pub fn new(name: &'static str, value: T) -> Self {
         SimMutex {
-            sim,
+            name,
             ctl: MutexCtl {
                 next_ticket: Cell::new(0),
                 now_serving: Cell::new(0),
@@ -183,7 +172,6 @@ impl<T> SimMutex<T> {
                 handoff: Edge::default(),
             },
             value: RefCell::new(value),
-            class,
         }
     }
 
@@ -196,7 +184,7 @@ impl<T> SimMutex<T> {
             mutex: self,
             ticket,
             acquired: false,
-            validated: false,
+            checked: false,
             site: Location::caller(),
         }
     }
@@ -224,7 +212,7 @@ pub struct MutexLock<'a, T> {
     mutex: &'a SimMutex<T>,
     ticket: u64,
     acquired: bool,
-    validated: bool,
+    checked: bool,
     site: &'static Location<'static>,
 }
 
@@ -233,18 +221,20 @@ impl<'a, T> Future for MutexLock<'a, T> {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let m = self.mutex;
-        if !self.validated {
-            // Validate the ordering at the *attempt* (before blocking),
-            // so inversions are reported even when they deadlock.
-            self.validated = true;
-            m.sim
-                .lockdep()
-                .check_acquire(m.sim.current_task_key(), m.class, self.site);
+        let held = Held {
+            name: m.name,
+            site: self.site,
+        };
+        if !self.checked {
+            // The one-lock rule is checked at the attempt, before the
+            // ticket wait, so a nested acquire panics even where it
+            // would deadlock.
+            self.checked = true;
+            executor::with_running(|core| core.check_unheld(held));
         }
         if m.ctl.now_serving.get() == self.ticket {
             self.acquired = true;
-            let task = m.sim.current_task_key();
-            m.sim.lockdep().acquired(task, m.class, self.site);
+            let task = executor::with_running(|core| core.mark_held(held)).flatten();
             m.ctl.handoff.acquire();
             // The ticket protocol guarantees exclusivity, so this borrow
             // cannot conflict with another live guard.
@@ -286,7 +276,8 @@ impl<T> Drop for MutexLock<'_, T> {
 pub struct MutexGuard<'a, T> {
     mutex: &'a SimMutex<T>,
     inner: Option<std::cell::RefMut<'a, T>>,
-    task: crate::lockdep::TaskKey,
+    /// The task whose held marker this guard set, if acquired in a poll.
+    task: Option<TaskId>,
 }
 
 impl<T> std::ops::Deref for MutexGuard<'_, T> {
@@ -306,8 +297,10 @@ impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         // Release the borrow before waking the next ticket holder.
         self.inner = None;
+        if let Some(id) = self.task {
+            executor::with_running(|core| core.clear_held(id));
+        }
         let m = self.mutex;
-        m.sim.lockdep().release(self.task, m.class);
         m.ctl.handoff.release();
         m.ctl.serve_next();
     }
@@ -407,8 +400,110 @@ impl Future for Wait {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     use super::*;
     use crate::Simulation;
+
+    /// Runs `f` and returns the message it must panic with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("expected a panic");
+        *err.downcast().expect("a formatted message")
+    }
+
+    /// One task takes the lock `outer` and then, still holding it,
+    /// `inner`. Asserts the report names both locks at both sites.
+    fn assert_nesting_panics(outer: &'static str, inner: &'static str) {
+        let line = Rc::new(Cell::new(0));
+        let l = Rc::clone(&line);
+        let msg = panic_message(move || {
+            let (a, b) = (SimMutex::new(outer, ()), SimMutex::new(inner, ()));
+            Simulation::new().block_on(async move {
+                l.set(line!() + 1);
+                let _ga = a.lock().await;
+                let _gb = b.lock().await;
+            });
+        });
+        let site = |name, line| format!("{name} (locked at {}:{line}:", file!());
+        let (wants, holds) = (site(inner, line.get() + 1), site(outer, line.get()));
+        assert!(msg.starts_with(&format!("task 0 acquires {wants}")), "{msg}");
+        assert!(msg.contains(&format!(" while holding {holds}")), "{msg}");
+    }
+
+    #[test]
+    fn nested_acquire_of_another_lock_panics() {
+        assert_nesting_panics("lock-a", "lock-b");
+    }
+
+    #[test]
+    fn same_name_nesting_panics() {
+        assert_nesting_panics("shard", "shard");
+    }
+
+    /// Two tasks take {A, B} in opposite orders. Without the one-lock
+    /// rule each would park on the other's lock, and the run would
+    /// drain deadlocked.
+    fn ab_ba_inversion() -> String {
+        panic_message(|| {
+            let sim = Simulation::new();
+            let h = sim.handle();
+            let ab = Rc::new([SimMutex::new("lock-a", ()), SimMutex::new("lock-b", ())]);
+            for (first, start) in [(0, 0), (1, 5)] {
+                let (h, ab) = (h.clone(), Rc::clone(&ab));
+                sim.spawn(async move {
+                    h.sleep(start).await;
+                    let _g1 = ab[first].lock().await;
+                    h.sleep(10).await;
+                    let _g2 = ab[1 - first].lock().await;
+                });
+            }
+            sim.run();
+        })
+    }
+
+    #[test]
+    fn ab_ba_inversion_panics_at_the_first_nested_attempt() {
+        // Task 0 asks for lock-b at t = 10, while task 1 holds it.
+        let msg = ab_ba_inversion();
+        assert!(msg.starts_with("task 0 acquires lock-b"), "{msg}");
+        assert!(msg.contains("while holding lock-a"), "{msg}");
+        assert_eq!(msg, ab_ba_inversion(), "the same report on every run");
+    }
+
+    #[test]
+    fn holding_a_guard_across_sleep_is_allowed() {
+        // Task 0 holds lock-a across a yielding sleep. Task 1 takes
+        // lock-b meanwhile, drops it and queues for lock-a: each task's
+        // marker is its own.
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let a = Rc::new(SimMutex::new("lock-a", ()));
+        let b = SimMutex::new("lock-b", ());
+        let (h1, a1) = (h.clone(), Rc::clone(&a));
+        sim.spawn(async move {
+            let _ga = a1.lock().await;
+            h1.sleep(100).await;
+        });
+        let got_a = sim.spawn(async move {
+            drop(b.lock().await);
+            let _ga = a.lock().await;
+            h.now().as_nanos()
+        });
+        assert_eq!(sim.block_on(got_a), 100);
+    }
+
+    #[test]
+    fn sequential_locks_do_not_panic() {
+        // A, B, B, A, one at a time on one task: each guard's drop
+        // clears the marker its lock set.
+        Simulation::new().block_on(async {
+            let ab = [SimMutex::new("lock-a", 0u32), SimMutex::new("lock-b", 0u32)];
+            for i in [0, 1, 1, 0] {
+                *ab[i].lock().await += 1;
+            }
+            assert_eq!(ab.each_ref().map(|m| m.with_sync(|v| *v)), [2, 2]);
+        });
+    }
 
     /// Spawns `contenders` tasks at t = 0 that each hold one mutex for
     /// `service_ns`, under run-ahead bound `q`. Returns `(id, wait)` in
@@ -418,7 +513,7 @@ mod tests {
         let sim = Simulation::new();
         let h = sim.handle();
         h.set_run_ahead(q);
-        let m = Rc::new(SimMutex::new(h.clone(), Vec::new()));
+        let m = Rc::new(SimMutex::new("contended", Vec::new()));
         for id in 0..contenders {
             let (h, m) = (h.clone(), Rc::clone(&m));
             sim.spawn(async move {
@@ -449,8 +544,7 @@ mod tests {
     #[test]
     fn mutex_uncontended_is_immediate() {
         let sim = Simulation::new();
-        let h = sim.handle();
-        let m = SimMutex::new(h.clone(), 5u32);
+        let m = SimMutex::new("uncontended", 5u32);
         let v = sim.block_on(async move {
             let g = m.lock().await;
             *g
@@ -462,7 +556,7 @@ mod tests {
     fn cancelled_lock_does_not_stall_queue() {
         let sim = Simulation::new();
         let h = sim.handle();
-        let m = Rc::new(SimMutex::new(h.clone(), ()));
+        let m = Rc::new(SimMutex::new("cancelled", ()));
         let m2 = Rc::clone(&m);
         let h2 = h.clone();
         let done = sim.block_on(async move {

@@ -89,7 +89,7 @@ fn mutex_is_strictly_fifo() {
             .collect();
         let sim = Simulation::new();
         let h = sim.handle();
-        let m = Rc::new(SimMutex::new(h.clone(), ()));
+        let m = Rc::new(SimMutex::new("fifo", ()));
         let order: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
         let requested: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
         for (i, &(arrive, hold)) in arrivals.iter().enumerate() {

@@ -143,7 +143,7 @@ fn lock_acquirer_resumes_no_earlier_than_the_last_release() {
         let sim = sim_with(Q);
         let (det, word) = detector(&sim);
         let h = sim.handle();
-        let m = Rc::new(SimMutex::new(h.clone(), ()));
+        let m = Rc::new(SimMutex::new("fifo", ()));
         let (h1, m1, w1) = (h.clone(), Rc::clone(&m), Rc::clone(&word));
         sim.spawn(async move {
             let g = m1.lock().await;
@@ -337,7 +337,7 @@ fn random_run(seed: u64, q: u64) -> Vec<(usize, u64)> {
     let w = Rc::new(World {
         h: h.clone(),
         q,
-        locks: (0..3).map(|_| SimMutex::new(h.clone(), ())).collect(),
+        locks: (0..3).map(|_| SimMutex::new("random", ())).collect(),
         released: RefCell::new(vec![0; 3]),
         queue: WaitQueue::new(),
         wakes: RefCell::new(Vec::new()),
