@@ -35,6 +35,23 @@ echo "==> reclaim unit tests under the race detector (MAGE_SIMSAN=1)"
 # The unmap's live-entry read, cancel and stale-generation paths.
 MAGE_SIMSAN=1 cargo test -q -p mage --lib reclaim::
 
+echo "==> README race demo (the planted re-publish must fail replay_cell with a pte race report)"
+# README "Catching a race"'s replay command, exactly as documented: the
+# documented demo must keep reproducing.
+if demo=$(MAGE_CHECK_BREAK=publish MAGE_CHECK_SEED=5 MAGE_CHECK_PLAN=0 \
+MAGE_CHECK_OPS=64 MAGE_CHECK_THREADS=2 MAGE_CHECK_POLICY=seeded-random \
+cargo test -q --test check_explore -- replay_cell --nocapture 2>&1); then
+    echo "error: the README race demo passed; it must fail with a race report" >&2
+    exit 1
+fi
+for want in 'simsan: data race on pte[' 'is unordered with earlier'; do
+    printf '%s\n' "$demo" | grep -qF "$want" || {
+        printf '%s\n' "$demo" >&2
+        echo "error: the README race demo's output lacks '$want'" >&2
+        exit 1
+    }
+done
+
 echo "==> cargo build --examples"
 cargo build --examples
 

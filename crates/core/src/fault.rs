@@ -131,9 +131,8 @@ impl FarMemory {
     /// Performs one page access from `core`. This is the application-facing
     /// entry point: TLB hit, hardware walk, or full page fault.
     pub async fn access(&self, core: CoreId, vpn: u64, write: bool) -> Access {
+        // Stats counters model relaxed atomics, racy by design.
         self.stats.accesses.inc();
-        // Stats counters model relaxed atomics: merged, never reported.
-        mage_sim::racecheck!(self.shadow_stats, atomic 0);
         // Interrupt handling (TLB shootdown IPIs) steals time from this
         // core's thread; account for it before the access proceeds.
         let stolen = self.ic.take_stolen(core);
@@ -141,8 +140,7 @@ impl FarMemory {
             self.sim.sleep(stolen).await;
         }
         // TLB entries are hardware state: fills and lookups on different
-        // cores are racy by design (atomic class).
-        mage_sim::racecheck!(self.shadow_tlb, atomic vpn);
+        // cores are racy by design.
         if self.ic.tlb(core).lookup(vpn) {
             self.stats.tlb_hits.inc();
             if write {
@@ -156,7 +154,6 @@ impl FarMemory {
             self.pt.update(vpn, |p| {
                 p.with_accessed(true).with_dirty(p.dirty() || write)
             });
-            mage_sim::racecheck!(self.shadow_tlb, atomic vpn);
             self.ic.tlb(core).fill(vpn);
             self.stats.minor_walks.inc();
             // Readahead retrigger: the first touch of a prefetched page is
@@ -198,7 +195,6 @@ impl FarMemory {
                 self.pt.update(vpn, |p| {
                     p.with_accessed(true).with_dirty(p.dirty() || write)
                 });
-                mage_sim::racecheck!(self.shadow_tlb, atomic vpn);
                 self.ic.tlb(core).fill(vpn);
                 self.stats.prefetch_inflight_hits.inc();
                 return Ok(ctx.settle_early(self, core, vpn));
@@ -226,7 +222,6 @@ impl FarMemory {
                         self.stats.ghost_hits.inc();
                         self.policy.note_refault(&self.pt, vpn);
                     }
-                    mage_sim::racecheck!(self.shadow_tlb, atomic vpn);
                     self.ic.tlb(core).fill(vpn);
                     self.wake_page(vpn);
                     self.stats.evict_cancels.inc();
@@ -337,7 +332,6 @@ impl FarMemory {
             start: t_a,
             dur: self.sim.now().saturating_since(t_a),
         });
-        mage_sim::racecheck!(self.shadow_tlb, atomic vpn);
         self.ic.tlb(core).fill(vpn);
         self.wake_page(vpn);
 

@@ -134,13 +134,6 @@ pub struct FarMemory {
     /// Optional virtual-time tracer (see [`mage_sim::trace`]); `None` by
     /// default, in which case every recording site is one branch.
     pub(crate) tracer: RefCell<Option<Rc<Tracer>>>,
-    /// Simsan shadow state over per-core TLB entries (atomic-class: TLB
-    /// fills/lookups model MMU hardware, not software writes). Inert
-    /// unless race detection is enabled on the simulation.
-    pub(crate) shadow_tlb: ShadowRegion,
-    /// Simsan shadow state over engine statistics (atomic-class: counter
-    /// bumps model relaxed atomics).
-    pub(crate) shadow_stats: ShadowRegion,
     pub(crate) self_ref: RefCell<Weak<FarMemory>>,
 }
 
@@ -221,8 +214,6 @@ impl FarMemory {
             retry_rng: rng::stream(params.seed, cfg.faults.seed),
             events: EventTap::default(),
             tracer: RefCell::new(None),
-            shadow_tlb: ShadowRegion::new(&sim, "tlb"),
-            shadow_stats: ShadowRegion::new(&sim, "stats"),
             self_ref: RefCell::new(Weak::new()),
             cfg,
         });

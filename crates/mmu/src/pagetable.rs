@@ -27,16 +27,13 @@
 //!
 //! # Race detection
 //!
-//! PTE words are the central racy-by-design state of the whole engine:
-//! the fault path and the eviction path mutate them from different
-//! simulated cores, synchronized only by the embedded LOCKED bit. When a
+//! PTE words are the central shared state of the whole engine: the fault
+//! path and the eviction path mutate them from different simulated
+//! cores, synchronized only by the embedded LOCKED bit. When a
 //! [`ShadowRegion`] is attached (see [`PageTable::attach_shadow`] and
-//! `mage_sim::race`), every access is classified for the simsan
-//! happens-before detector:
+//! `mage_sim::race`), the simsan happens-before detector checks that
+//! protocol:
 //!
-//! - [`get`](PageTable::get) / [`update`](PageTable::update) are
-//!   *atomic-class* (lock-free `READ_ONCE`/`SET_BIT`-style single-word
-//!   operations — the hardware a/d-bit updates and the dedup-loop reads);
 //! - [`set`](PageTable::set) and [`place_run`](PageTable::place_run)
 //!   are *plain writes* that must be ordered by the lock protocol;
 //! - [`try_lock`](PageTable::try_lock) / [`unlock`](PageTable::unlock)
@@ -47,6 +44,8 @@
 //!   [`shadow_unlock`](PageTable::shadow_unlock) /
 //!   [`shadow_publish`](PageTable::shadow_publish).
 //!
+//! [`get`](PageTable::get) and [`update`](PageTable::update) are not
+//! checked: they are lock-free single-word operations by design.
 //! Without an attached region every check is a single branch.
 
 use std::cell::RefCell;
@@ -184,9 +183,10 @@ impl PageTable {
         }
     }
 
-    /// Attaches simsan shadow state: from here on every PTE access is
-    /// classified and checked (see the module docs). Attach before the
-    /// simulation runs; pass [`ShadowRegion::disabled`] to detach.
+    /// Attaches simsan shadow state: from here on every PTE write and
+    /// lock-bit transition is checked (see the module docs). Attach
+    /// before the simulation runs; pass [`ShadowRegion::disabled`] to
+    /// detach.
     pub fn attach_shadow(&self, region: ShadowRegion) {
         *self.shadow.borrow_mut() = region;
     }
@@ -242,11 +242,9 @@ impl PageTable {
 
     /// Reads the entry for `vpn` ([`Pte::NONE`] if the path is absent).
     ///
-    /// Atomic-class for race detection: a lock-free `READ_ONCE`-style
-    /// single-word read (the dedup-loop and policy probes).
-    #[track_caller]
+    /// Not checked for races: a lock-free `READ_ONCE`-style single-word
+    /// read by design (the dedup-loop and policy probes).
     pub fn get(&self, vpn: u64) -> Pte {
-        self.shadow.borrow().on_atomic(vpn);
         match self.leaf_of(vpn, false) {
             Some((leaf, slot)) => Pte(self.leaves.borrow()[leaf][slot]),
             None => Pte::NONE,
@@ -303,11 +301,9 @@ impl PageTable {
     /// Atomically (w.r.t. the simulation) applies `f` to the entry for
     /// `vpn` and returns the *previous* value.
     ///
-    /// Atomic-class for race detection: the hardware's accessed/dirty-bit
-    /// RMWs and the lock-bit transitions are racy by design.
-    #[track_caller]
+    /// Not checked for races: the hardware's accessed/dirty-bit RMWs and
+    /// the lock-bit transitions are single-word atomics by design.
     pub fn update(&self, vpn: u64, f: impl FnOnce(Pte) -> Pte) -> Pte {
-        self.shadow.borrow().on_atomic(vpn);
         let (leaf, slot) = self.leaf_of(vpn, true).expect("create never fails");
         let mut leaves = self.leaves.borrow_mut();
         let old = Pte(leaves[leaf][slot]);
@@ -320,7 +316,6 @@ impl PageTable {
     /// This is the PTE-embedded fault-deduplication lock of DiLOS / the
     /// MAGE-Lib unified page table (§5.2). Winning the bit takes an
     /// acquire edge on the word's lock for race detection.
-    #[track_caller]
     pub fn try_lock(&self, vpn: u64) -> bool {
         let old = self.update(vpn, |p| p.with_locked(true));
         let won = !old.locked();
@@ -331,7 +326,6 @@ impl PageTable {
     }
 
     /// Clears the lock bit (a release edge on the word's lock).
-    #[track_caller]
     pub fn unlock(&self, vpn: u64) {
         let old = self.update(vpn, |p| p.with_locked(false));
         debug_assert!(old.locked(), "unlock of unlocked pte {vpn:#x}");
@@ -342,7 +336,6 @@ impl PageTable {
     /// a [`set`](PageTable::set) (the eviction unmap writes
     /// `remote+locked`; the refault-cancel takeover claims the eviction's
     /// lock through the `evicting` map).
-    #[track_caller]
     pub fn shadow_lock(&self, vpn: u64) {
         self.shadow.borrow().lock(vpn);
     }
@@ -350,7 +343,6 @@ impl PageTable {
     /// Release edge on `vpn`'s word-lock for unlock transitions implicit
     /// in a [`set`](PageTable::set) (installing a `present+unlocked`
     /// value, or settling `remote+unlocked` via `update`).
-    #[track_caller]
     pub fn shadow_unlock(&self, vpn: u64) {
         self.shadow.borrow().unlock(vpn);
     }
@@ -358,7 +350,6 @@ impl PageTable {
     /// Release edge on `vpn`'s word-lock *without* unlocking: the unmap
     /// publishes its `remote+locked` write so a refault-cancel that takes
     /// the lock over observes it ordered.
-    #[track_caller]
     pub fn shadow_publish(&self, vpn: u64) {
         self.shadow.borrow().publish(vpn);
     }

@@ -10,7 +10,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use mage_sim::race::ShadowRegion;
 use mage_sim::sync::SimMutex;
 use mage_sim::time::Nanos;
 use mage_sim::SimHandle;
@@ -67,12 +66,9 @@ pub struct LocalAllocator {
     buddy: SimMutex<BuddyAllocator>,
     per_core: Vec<RefCell<Vec<u64>>>,
     shared_queue: SimMutex<VecDeque<u64>>,
+    /// Frames free anywhere in the hierarchy: on hardware a relaxed
+    /// counter, racy by design, read only as a watermark.
     free_count: Cell<u64>,
-    /// Simsan shadow over the per-core caches (index = core) and the
-    /// `free_count` watermark (index = cores). Atomic class: the hermit
-    /// preset overlaps evictor cores with app cores, and the watermark is
-    /// a racy-by-design relaxed counter.
-    shadow: ShadowRegion,
 }
 
 impl LocalAllocator {
@@ -92,15 +88,8 @@ impl LocalAllocator {
             shared_queue: SimMutex::new("palloc.shared-queue", VecDeque::new()),
             free_count: Cell::new(nframes),
             costs,
-            shadow: ShadowRegion::new(&sim, "palloc"),
             sim,
         }
-    }
-
-    /// Shadow index of the `free_count` watermark (one past the per-core
-    /// cache indices).
-    fn watermark_idx(&self) -> usize {
-        self.per_core.len()
     }
 
     /// The stack in use.
@@ -133,7 +122,6 @@ impl LocalAllocator {
             LocalAllocatorKind::MultiLayer => self.alloc_cached(core, true).await,
         };
         if frame.is_some() {
-            mage_sim::racecheck!(self.shadow, atomic self.watermark_idx());
             self.free_count.set(self.free_count.get() - 1);
         }
         frame
@@ -146,10 +134,9 @@ impl LocalAllocator {
     }
 
     async fn alloc_cached(&self, core: usize, use_shared_queue: bool) -> Option<u64> {
-        // Fast path: the core-local cache. Atomic class: evictors free
-        // into caches they share with app threads under some presets.
+        // Fast path: the core-local cache. Under the hermit preset,
+        // evictors free into caches they share with app threads.
         self.sim.sleep(self.costs.cache_op_ns).await;
-        mage_sim::racecheck!(self.shadow, atomic core);
         if let Some(f) = self.per_core[core].borrow_mut().pop() {
             return Some(f);
         }
@@ -168,7 +155,6 @@ impl LocalAllocator {
             }
             if !grabbed.is_empty() {
                 let first = grabbed.pop().expect("non-empty");
-                mage_sim::racecheck!(self.shadow, atomic core);
                 self.per_core[core].borrow_mut().extend(grabbed);
                 return Some(first);
             }
@@ -183,7 +169,6 @@ impl LocalAllocator {
             buddy.alloc_batch(self.costs.batch, &mut refill);
         }
         let first = refill.pop()?;
-        mage_sim::racecheck!(self.shadow, atomic core);
         self.per_core[core].borrow_mut().extend(refill);
         Some(first)
     }
@@ -209,7 +194,6 @@ impl LocalAllocator {
                 // Free into the local cache, then drain the excess to the
                 // buddy (Linux pcp high-watermark behaviour).
                 self.sim.sleep(self.costs.cache_op_ns).await;
-                mage_sim::racecheck!(self.shadow, atomic core);
                 let drain: Vec<u64> = {
                     let mut cache = self.per_core[core].borrow_mut();
                     cache.extend_from_slice(frames);
@@ -236,7 +220,6 @@ impl LocalAllocator {
                 q.extend(frames.iter().copied());
             }
         }
-        mage_sim::racecheck!(self.shadow, atomic self.watermark_idx());
         self.free_count
             .set(self.free_count.get() + frames.len() as u64);
     }

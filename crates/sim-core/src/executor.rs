@@ -872,6 +872,7 @@ impl Drop for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::WaitQueue;
 
     #[test]
     fn sleep_advances_virtual_time() {
@@ -1150,5 +1151,64 @@ mod tests {
         }
         sim.run();
         assert_eq!(counter.get(), 10_000);
+    }
+
+    // The wake rules below are part of the schedule: an executor change
+    // that broke one would move every golden.
+
+    /// Wakes made during a poll join the ready queue after any task
+    /// spawned in that same poll, in wake order (the engine's fault path
+    /// wakes a page's waiters and then spawns a prefetch).
+    #[test]
+    fn wakes_from_a_poll_run_after_tasks_it_spawned_in_wake_order() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let queues = Rc::new([WaitQueue::new(), WaitQueue::new()]);
+        for (name, i) in [("a", 0), ("b", 1)] {
+            let (log, queues) = (Rc::clone(&log), Rc::clone(&queues));
+            sim.spawn(async move {
+                queues[i].wait().await;
+                log.borrow_mut().push(name);
+            });
+        }
+        let log2 = Rc::clone(&log);
+        sim.spawn(async move {
+            assert!(queues[1].wake_one() && queues[0].wake_one());
+            h.spawn(async move { log2.borrow_mut().push("spawned") });
+        });
+        sim.run();
+        assert_eq!(&*log.borrow(), &["spawned", "b", "a"]);
+    }
+
+    /// A wake made from main between two runs is delivered at the next.
+    #[test]
+    fn a_wake_from_main_between_runs_is_delivered_at_the_next_run() {
+        let sim = Simulation::new();
+        let queue = Rc::new(WaitQueue::new());
+        let woken = Rc::new(Cell::new(false));
+        let (q, w) = (Rc::clone(&queue), Rc::clone(&woken));
+        sim.spawn(async move {
+            q.wait().await;
+            w.set(true);
+        });
+        sim.run();
+        assert!(!woken.get(), "parked until woken");
+        assert!(queue.wake_one());
+        assert!(!woken.get(), "delivered at a run, not at the wake");
+        sim.run();
+        assert!(woken.get());
+    }
+
+    /// A wake whose simulation has been dropped is a no-op, not a panic.
+    #[test]
+    fn a_wake_after_the_simulation_is_dropped_is_a_no_op() {
+        let sim = Simulation::new();
+        let queue = Rc::new(WaitQueue::new());
+        let q = Rc::clone(&queue);
+        sim.spawn(async move { q.wait().await });
+        sim.run();
+        drop(sim);
+        assert!(queue.wake_one(), "the parked waiter's slot outlives it");
     }
 }

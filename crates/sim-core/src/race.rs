@@ -4,14 +4,14 @@
 //! The executor is single-threaded, so nothing here is a host-level data
 //! race: what `simsan` detects is a race *in the simulated machine's
 //! synchronization protocol*. Two accesses to the same shadow-tracked
-//! word (a PTE, a per-CPU free-list slot, …) race when neither is ordered
-//! before the other by the happens-before relation built from the
-//! sim-core primitives: executor spawn, plus the `SimMutex` handoff, the
-//! `WaitQueue` wake and the join, each one `sync::Edge` that
-//! also carries the task clocks. A protocol bug that would corrupt state on real
-//! hardware (e.g. publishing a PTE after waking its waiters) shows up
-//! here as an unordered pair even though the single-threaded simulation
-//! happens to serialize it.
+//! word (a PTE) race when neither is ordered before the other by the
+//! happens-before relation built from the sim-core primitives: executor
+//! spawn, plus the `SimMutex` handoff, the `WaitQueue` wake and the
+//! join, each one `sync::Edge` that also carries the task clocks. A
+//! protocol bug that would corrupt state on real hardware (e.g.
+//! publishing a PTE after waking its waiters) shows up here as an
+//! unordered pair even though the single-threaded simulation happens to
+//! serialize it.
 //!
 //! The algorithm is FastTrack-style: each logical task carries a vector
 //! clock; each synchronization object carries a clock joined on release
@@ -32,17 +32,17 @@
 //! randomness, so an *enabled* run still executes the exact same
 //! schedule — asserted by `tests/simsan.rs`.
 //!
-//! Three access classes exist:
+//! Two access classes exist, plus the word-lock edges:
 //!
 //! - [`ShadowRegion::on_read`] / [`ShadowRegion::on_write`] — plain
 //!   accesses that must be ordered by happens-before edges;
-//! - [`ShadowRegion::on_atomic`] — racy-by-design accesses (PTE
-//!   accessed/dirty bit updates, lock-free PTE reads à la `READ_ONCE`,
-//!   TLB fills, stats bumps) that are documented but never participate
-//!   in race pairs;
 //! - [`ShadowRegion::lock`] / [`ShadowRegion::unlock`] /
 //!   [`ShadowRegion::publish`] — per-index acquire/release edges for
 //!   word-granular protocols like the PTE lock bit.
+//!
+//! An access the detector could never report on (a lock-free
+//! `READ_ONCE`-style PTE read, a TLB fill, a stats bump) is not
+//! annotated at all.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -272,7 +272,6 @@ struct Inner {
     mode: RaceMode,
     reports: Vec<RaceReport>,
     races: u64,
-    atomic_ops: u64,
 }
 
 /// The happens-before race detector. One per [`crate::Simulation`],
@@ -310,7 +309,6 @@ impl RaceDetector {
                 mode: RaceMode::Panic,
                 reports: Vec::new(),
                 races: 0,
-                atomic_ops: 0,
             }),
             now: Cell::new(0),
         })
@@ -326,11 +324,6 @@ impl RaceDetector {
     /// mode the length of the pending report list plus taken ones).
     pub fn race_count(&self) -> u64 {
         self.inner.borrow().races
-    }
-
-    /// Atomic-class (racy-by-design) accesses observed; never races.
-    pub fn atomic_ops(&self) -> u64 {
-        self.inner.borrow().atomic_ops
     }
 
     /// Drains the collected reports (Collect mode).
@@ -559,10 +552,6 @@ impl RaceDetector {
         }
     }
 
-    fn on_atomic(&self, _region: u32, _idx: u64) {
-        self.inner.borrow_mut().atomic_ops += 1;
-    }
-
     fn word_lock_sync(&self, region: u32, idx: u64) -> u32 {
         let mut guard = self.inner.borrow_mut();
         let g = &mut *guard;
@@ -628,14 +617,6 @@ impl ShadowRegion {
         }
     }
 
-    /// Documents a racy-by-design access (accessed/dirty bits, lock-free
-    /// `READ_ONCE`-style reads, stats bumps). Never races.
-    pub fn on_atomic(&self, idx: u64) {
-        if let Some(det) = &self.det {
-            det.on_atomic(self.region, idx);
-        }
-    }
-
     /// Acquire edge on `idx`'s word-lock (e.g. winning the PTE lock bit):
     /// the caller's clock joins everything released at this index.
     pub fn lock(&self, idx: u64) {
@@ -660,27 +641,6 @@ impl ShadowRegion {
     pub fn publish(&self, idx: u64) {
         self.unlock(idx);
     }
-}
-
-/// Sugar over the [`ShadowRegion`] access methods, keeping the access
-/// class visible at the call site:
-///
-/// ```ignore
-/// racecheck!(self.shadow_pte, write vpn);   // plain write
-/// racecheck!(self.shadow_pte, read vpn);    // plain read
-/// racecheck!(self.shadow_tlb, atomic key);  // racy-by-design
-/// ```
-#[macro_export]
-macro_rules! racecheck {
-    ($region:expr, read $idx:expr) => {
-        $region.on_read($idx as u64)
-    };
-    ($region:expr, write $idx:expr) => {
-        $region.on_write($idx as u64)
-    };
-    ($region:expr, atomic $idx:expr) => {
-        $region.on_atomic($idx as u64)
-    };
 }
 
 #[cfg(test)]
@@ -855,21 +815,6 @@ mod tests {
             d.exit();
         }
         assert_eq!(d.take_reports().len(), 1);
-    }
-
-    #[test]
-    fn atomics_never_race() {
-        let d = det();
-        let (a, b) = two_tasks(&d);
-        let r = d.register_region("tlb");
-        d.enter(a);
-        d.on_access(r, 0, AccessKind::Write, Location::caller());
-        d.exit();
-        d.enter(b);
-        d.on_atomic(r, 0);
-        d.exit();
-        assert!(d.take_reports().is_empty());
-        assert_eq!(d.atomic_ops(), 1);
     }
 
     #[test]

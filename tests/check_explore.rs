@@ -240,8 +240,11 @@ fn replay_cell() {
 /// hook did not move the golden schedules.)
 #[test]
 fn fifo_policy_reproduces_the_default_schedule_bit_for_bit() {
-    let default_digest = churn_digest(Simulation::new());
-    let fifo_digest = churn_digest(Simulation::with_policy(ExplorationPolicy::Fifo));
+    let default_digest = churn_digest(Simulation::new(), SystemConfig::mage_lib());
+    let fifo_digest = churn_digest(
+        Simulation::with_policy(ExplorationPolicy::Fifo),
+        SystemConfig::mage_lib(),
+    );
     assert_eq!(default_digest, fifo_digest);
 }
 
@@ -250,17 +253,19 @@ fn fifo_policy_reproduces_the_default_schedule_bit_for_bit() {
 /// digest) while the workload still completes and settles cleanly.
 #[test]
 fn random_policies_visit_different_schedules() {
-    let fifo = churn_digest(Simulation::new());
-    let random = churn_digest(Simulation::with_policy(ExplorationPolicy::SeededRandom {
-        seed: 0xE5C4_0B1A,
-    }));
+    let fifo = churn_digest(Simulation::new(), SystemConfig::mage_lib());
+    let random = churn_digest(
+        Simulation::with_policy(ExplorationPolicy::SeededRandom { seed: 0xE5C4_0B1A }),
+        SystemConfig::mage_lib(),
+    );
     // Same workload, same accesses.
     assert_eq!(fifo[0], random[0]);
     // A genuinely different schedule: some observable differs.
     assert_ne!(fifo, random, "random policy replayed the FIFO schedule");
     // And the same random seed reproduces its schedule exactly.
-    let again = churn_digest(Simulation::with_policy(ExplorationPolicy::SeededRandom {
-        seed: 0xE5C4_0B1A,
-    }));
+    let again = churn_digest(
+        Simulation::with_policy(ExplorationPolicy::SeededRandom { seed: 0xE5C4_0B1A }),
+        SystemConfig::mage_lib(),
+    );
     assert_eq!(random, again);
 }

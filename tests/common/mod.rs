@@ -6,10 +6,10 @@ use mage_far_memory::mmu::Topology;
 use mage_far_memory::prelude::*;
 
 /// Stats-and-schedule digest of a fixed multi-threaded churn workload:
-/// four app threads over a 2:1 overcommitted working set. The simsan
-/// and exploration suites compare digests of this one workload across
-/// detector and policy settings.
-pub fn churn_digest(sim: Simulation) -> [u64; 10] {
+/// four app threads over a 2:1 overcommitted working set of a `cfg`
+/// machine. The simsan and exploration suites compare digests of this
+/// one workload across detector and policy settings.
+pub fn churn_digest(sim: Simulation, cfg: SystemConfig) -> [u64; 10] {
     let params = MachineParams {
         topo: Topology::single_socket(8),
         app_threads: 4,
@@ -18,7 +18,7 @@ pub fn churn_digest(sim: Simulation) -> [u64; 10] {
         tlb_entries: 64,
         seed: 11,
     };
-    let engine = FarMemory::launch(sim.handle(), SystemConfig::mage_lib(), params);
+    let engine = FarMemory::launch(sim.handle(), cfg, params);
     let vma = engine.mmap(512);
     engine.populate(&vma);
     let mut joins = Vec::new();

@@ -3,7 +3,7 @@
 //!
 //! - a full multi-threaded churn run is race-free with the detector on
 //!   (the engine's lock/wake/publish protocol really does order every
-//!   plain PTE access);
+//!   plain PTE access), and reports races once a bug is planted;
 //! - the detector never perturbs: an enabled run produces a bit-for-bit
 //!   identical stats-and-schedule digest to a disabled one;
 //! - the planted `PlantedBug::Publish` bug (an unlocked PTE re-publish after
@@ -27,18 +27,35 @@ use mage_far_memory::sim::race::RaceMode;
 /// A full churn run — four app threads hammering a 2:1 overcommitted
 /// working set against four evictors — finishes with zero races: every
 /// plain PTE write really is ordered by the lock-bit protocol, the
-/// evicting-map handoff or a wake edge. (In Panic mode a race would
-/// abort the run; the explicit count pins the detector was live.)
+/// evicting-map handoff or a wake edge. The zero is a measurement
+/// because the same run with a planted bug reports races (below).
 #[test]
 fn full_churn_run_is_race_free_under_the_detector() {
     let sim = Simulation::new();
     let det = sim.enable_race_detection();
-    let digest = churn_digest(sim);
+    let digest = churn_digest(sim, SystemConfig::mage_lib());
     assert!(digest[3] > 0, "the run must exercise major faults");
     assert_eq!(det.race_count(), 0, "clean engine must be race-free");
+}
+
+/// The detector is wired to the churn run's PTEs: the same machine with
+/// the unlocked re-publish planted reports races on `pte[…]` words.
+#[test]
+fn planted_publish_race_is_reported_on_the_churn_run() {
+    let sim = Simulation::new();
+    let det = sim.enable_race_detection();
+    det.set_mode(RaceMode::Collect);
+    churn_digest(
+        sim,
+        SystemConfig::mage_lib().with_planted_bug(PlantedBug::Publish),
+    );
+    let reports = det.take_reports();
     assert!(
-        det.atomic_ops() > 0,
-        "the run must classify TLB/stats traffic as atomic"
+        reports
+            .iter()
+            .any(|r| r.to_string().contains("data race on pte[")),
+        "{} reports, none on a pte word",
+        reports.len()
     );
 }
 
@@ -48,10 +65,10 @@ fn full_churn_run_is_race_free_under_the_detector() {
 /// together these prove simsan leaves the golden schedules untouched.)
 #[test]
 fn detector_does_not_perturb_the_schedule() {
-    let plain = churn_digest(Simulation::new());
+    let plain = churn_digest(Simulation::new(), SystemConfig::mage_lib());
     let sim = Simulation::new();
     sim.enable_race_detection();
-    let shadowed = churn_digest(sim);
+    let shadowed = churn_digest(sim, SystemConfig::mage_lib());
     assert_eq!(plain, shadowed, "enabling simsan changed the schedule");
 }
 
@@ -74,9 +91,10 @@ fn race_report(cell: &Cell) -> String {
 
 /// The planted unlocked re-publish is caught under the default FIFO
 /// schedule and under seeded-random exploration, and the report names
-/// the racing region, both access sites (file:line) and both tasks'
-/// clocks. Running the same cell twice yields the identical report:
-/// detection is as deterministic as the simulator itself.
+/// the racing region, both access sites (file:line) and the current
+/// accessor's vector clock. Running the same cell twice yields the
+/// identical report: detection is as deterministic as the simulator
+/// itself.
 #[test]
 fn planted_publish_race_is_caught_under_fifo_and_random() {
     for policy in [PolicyKind::Fifo, PolicyKind::SeededRandom] {
