@@ -14,11 +14,12 @@ echo "==> cargo test --workspace -q"
 # planted-bug self-checks.
 cargo test --workspace -q
 
-echo "==> chaos + seams + placement + policy differentials + invariants + exploration under the race detector (MAGE_SIMSAN=1)"
+echo "==> chaos + seams + placement + policy differentials + invariants + exploration + sparse scale under the race detector (MAGE_SIMSAN=1)"
 # policy_diff and invariants run the MAGE-Lnx, DiLOS and Hermit presets
-# through the shared invariant list.
+# through the shared invariant list. scale_sparse is the one end-to-end
+# run whose page-table leaves widen to 64-bit words.
 MAGE_SIMSAN=1 cargo test -q --test chaos --test seams --test populate_diff --test policy_diff \
-    --test invariants --test check_explore
+    --test invariants --test check_explore --test scale_sparse
 
 echo "==> determinism goldens under the race detector (MAGE_SIMSAN=1, DESIGN.md §10, §13)"
 # The whole file: the refactor contract pins these goldens with simsan on

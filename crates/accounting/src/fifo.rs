@@ -1,22 +1,52 @@
-//! A FIFO of page numbers stored in 4 KiB blocks.
+//! A FIFO of page numbers stored in 512-entry blocks.
 
 use std::collections::VecDeque;
 
-/// Entries per block: 512 page numbers of 8 bytes, one 4 KiB block.
+/// Entries per block.
 const BLOCK: usize = 512;
 const SHIFT: u32 = BLOCK.trailing_zeros();
 const MASK: usize = BLOCK - 1;
 
-type Block = Box<[u64; BLOCK]>;
+/// 512 page numbers: 4-byte words (2 KiB) while every page number stored
+/// in the block fits 32 bits, widened in place to 8-byte words (4 KiB) by
+/// the first that does not. A block never narrows back.
+enum Block {
+    Narrow(Box<[u32; BLOCK]>),
+    Wide(Box<[u64; BLOCK]>),
+}
+
+impl Block {
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Block::Narrow(words) => u64::from(words[i]),
+            Block::Wide(words) => words[i],
+        }
+    }
+
+    fn set(&mut self, i: usize, vpn: u64) {
+        match self {
+            Block::Narrow(words) => match u32::try_from(vpn) {
+                Ok(narrow) => words[i] = narrow,
+                Err(_) => {
+                    let wide = Box::new(std::array::from_fn(|j| u64::from(words[j])));
+                    *self = Block::Wide(wide);
+                    self.set(i, vpn);
+                }
+            },
+            Block::Wide(words) => words[i] = vpn,
+        }
+    }
+}
 
 /// A FIFO queue of page numbers whose memory follows its length.
 ///
 /// A `VecDeque` keeps the power-of-two capacity of its largest-ever
 /// length, and because its head and tail cycle through the whole ring,
 /// all of that capacity ends up resident. Here entries live in
-/// 512-entry blocks: `push_back` allocates a block only when the last
-/// one is full, and a block drained by `pop_front` is freed. The blocks
-/// number at most `⌈len / 512⌉ + 1`.
+/// 512-entry blocks, 2 KiB each while their page numbers fit 32 bits:
+/// `push_back` allocates a block only when the last one is full, and a
+/// block drained by `pop_front` is freed. The blocks number at most
+/// `⌈len / 512⌉ + 1`.
 ///
 /// Entry `i` (0 = front) sits at `head + i` across the blocks, found
 /// with a shift and a mask.
@@ -45,10 +75,10 @@ impl PageFifo {
     pub(crate) fn push_back(&mut self, vpn: u64) {
         let end = self.head + self.len;
         if end == self.blocks.len() << SHIFT {
-            self.blocks.push_back(Box::new([0; BLOCK]));
+            self.blocks.push_back(Block::Narrow(Box::new([0; BLOCK])));
         }
         let last = self.blocks.len() - 1;
-        self.blocks[last][end & MASK] = vpn;
+        self.blocks[last].set(end & MASK, vpn);
         self.len += 1;
     }
 
@@ -58,7 +88,7 @@ impl PageFifo {
         if self.len == 0 {
             return None;
         }
-        let vpn = self.blocks[0][self.head & MASK];
+        let vpn = self.blocks[0].get(self.head & MASK);
         self.head += 1;
         self.len -= 1;
         if self.head == BLOCK {
@@ -70,7 +100,7 @@ impl PageFifo {
 
     /// The queued pages, front to back.
     pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (self.head..self.head + self.len).map(|i| self.blocks[i >> SHIFT][i & MASK])
+        (self.head..self.head + self.len).map(|i| self.blocks[i >> SHIFT].get(i & MASK))
     }
 
     /// Removes the first occurrence of `vpn`, keeping the order of the
@@ -82,7 +112,8 @@ impl PageFifo {
         };
         let end = self.head + self.len;
         for i in self.head + pos..end - 1 {
-            self.blocks[i >> SHIFT][i & MASK] = self.blocks[(i + 1) >> SHIFT][(i + 1) & MASK];
+            let next = self.blocks[(i + 1) >> SHIFT].get((i + 1) & MASK);
+            self.blocks[i >> SHIFT].set(i & MASK, next);
         }
         self.len -= 1;
         if (end - 1) & MASK == 0 {
@@ -112,6 +143,14 @@ mod tests {
     use super::*;
     use mage_sim::rng::SplitMix64;
 
+    /// Blocks of `fifo` widened to 8-byte words.
+    fn wide_blocks(fifo: &PageFifo) -> usize {
+        fifo.blocks
+            .iter()
+            .filter(|block| matches!(block, Block::Wide(_)))
+            .count()
+    }
+
     /// Compares `fifo` with `reference` entry by entry and checks the
     /// block bound: at most `⌈len / 512⌉ + 1` blocks are allocated.
     fn check(fifo: &PageFifo, reference: &VecDeque<u64>, ctx: &str) {
@@ -134,52 +173,88 @@ mod tests {
         // A narrow page range makes duplicates, so `remove` must take
         // the first occurrence.
         const PAGES: u64 = 4_096;
-        for seed in [1u64, 42, 0xDEAD_BEEF, 0x5EED_5EED_5EED_5EED] {
-            let rng = SplitMix64::new(seed);
-            let mut fifo = PageFifo::default();
-            let mut reference = VecDeque::new();
-            for step in 0..30_000u64 {
-                let ctx = format!("seed {seed} step {step}");
-                match rng.next_below(16) {
-                    // Pushes slightly outnumber pops so lengths wander
-                    // across many block boundaries.
-                    0..=6 => {
-                        let vpn = rng.next_below(PAGES);
-                        fifo.push_back(vpn);
-                        reference.push_back(vpn);
+        // The second distribution draws one page in 256 at or above 2^32,
+        // so blocks widen mid-block through `push_back`, `extend` and
+        // `remove`'s shift.
+        for wide in [false, true] {
+            let mut widened = [0usize; 3];
+            for seed in [1u64, 42, 0xDEAD_BEEF, 0x5EED_5EED_5EED_5EED] {
+                let rng = SplitMix64::new(seed);
+                let page = || {
+                    let small = rng.next_below(PAGES);
+                    if wide && rng.next_below(256) == 0 {
+                        1 << 32 | small
+                    } else {
+                        small
                     }
-                    7..=11 => assert_eq!(fifo.pop_front(), reference.pop_front(), "{ctx}: pop"),
-                    12 => {
-                        let n = rng.next_below(1_100);
-                        let pages: Vec<u64> = (0..n).map(|_| rng.next_below(PAGES)).collect();
-                        fifo.extend(pages.iter().copied());
-                        reference.extend(pages);
-                    }
-                    13 => {
-                        // Drain to empty.
-                        while let Some(v) = reference.pop_front() {
-                            assert_eq!(fifo.pop_front(), Some(v), "{ctx}: drain");
+                };
+                let mut fifo = PageFifo::default();
+                let mut reference = VecDeque::new();
+                for step in 0..30_000u64 {
+                    let ctx = format!("wide {wide} seed {seed} step {step}");
+                    let wide_before = wide_blocks(&fifo);
+                    let op = match rng.next_below(16) {
+                        // Pushes slightly outnumber pops so lengths
+                        // wander across many block boundaries.
+                        0..=6 => {
+                            let vpn = page();
+                            fifo.push_back(vpn);
+                            reference.push_back(vpn);
+                            Some(0)
                         }
-                        assert_eq!(fifo.pop_front(), None, "{ctx}: drained");
-                    }
-                    _ => {
-                        // Remove the first, middle, last or an absent page.
-                        let len = reference.len();
-                        let target = match rng.next_below(4) {
-                            0 => reference.front().copied(),
-                            1 => reference.get(len / 2).copied(),
-                            2 => reference.back().copied(),
-                            _ => None,
-                        };
-                        let vpn = target.unwrap_or(u64::MAX);
-                        let pos = reference.iter().position(|&v| v == vpn);
-                        if let Some(pos) = pos {
-                            reference.remove(pos);
+                        7..=11 => {
+                            assert_eq!(fifo.pop_front(), reference.pop_front(), "{ctx}: pop");
+                            None
                         }
-                        assert_eq!(fifo.remove(vpn), pos.is_some(), "{ctx}: remove({vpn})");
+                        12 => {
+                            let n = rng.next_below(1_100);
+                            let pages: Vec<u64> = (0..n).map(|_| page()).collect();
+                            fifo.extend(pages.iter().copied());
+                            reference.extend(pages);
+                            Some(1)
+                        }
+                        13 => {
+                            // Drain to empty.
+                            while let Some(v) = reference.pop_front() {
+                                assert_eq!(fifo.pop_front(), Some(v), "{ctx}: drain");
+                            }
+                            assert_eq!(fifo.pop_front(), None, "{ctx}: drained");
+                            None
+                        }
+                        _ => {
+                            // Remove the first, middle, last or an absent
+                            // page.
+                            let len = reference.len();
+                            let target = match rng.next_below(4) {
+                                0 => reference.front().copied(),
+                                1 => reference.get(len / 2).copied(),
+                                2 => reference.back().copied(),
+                                _ => None,
+                            };
+                            let vpn = target.unwrap_or(u64::MAX);
+                            let pos = reference.iter().position(|&v| v == vpn);
+                            if let Some(pos) = pos {
+                                reference.remove(pos);
+                            }
+                            assert_eq!(fifo.remove(vpn), pos.is_some(), "{ctx}: remove({vpn})");
+                            Some(2)
+                        }
+                    };
+                    if let Some(op) = op {
+                        if wide_blocks(&fifo) > wide_before {
+                            widened[op] += 1;
+                        }
                     }
+                    check(&fifo, &reference, &ctx);
                 }
-                check(&fifo, &reference, &ctx);
+            }
+            if wide {
+                assert!(
+                    widened.iter().all(|&n| n > 0),
+                    "blocks widened by push_back, extend, remove: {widened:?}"
+                );
+            } else {
+                assert_eq!(widened, [0; 3], "a page below 2^32 widened a block");
             }
         }
     }

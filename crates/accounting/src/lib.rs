@@ -22,10 +22,12 @@
 //! page-table representation and of the eviction policy.
 //!
 //! Every queue here — both lists of every partition and the ghost
-//! list's ring — is one page FIFO stored in 4 KiB blocks of 512 page
-//! numbers, freed as they drain, so list memory follows the resident
-//! set rather than its peak. Push and pop are O(1); the ghost list's
-//! membership is a `PageMap` lookup.
+//! list's ring — is one page FIFO stored in blocks of 512 page numbers,
+//! freed as they drain, so list memory follows the resident set rather
+//! than its peak. A block holds 4-byte words (2 KiB) until it stores a
+//! page number of 2^32 or more, and 8-byte words (4 KiB) from then on.
+//! Push and pop are O(1); the ghost list's membership is a `PageMap`
+//! lookup.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;

@@ -25,6 +25,23 @@
 //! The API is copy-in/copy-out (`get`/`set`/`update`) so no references
 //! escape the internal arena; all methods are `&self`.
 //!
+//! # Storage
+//!
+//! The API deals in the 64-bit words above, but a leaf stores 4-byte
+//! words while every value written to it fits one:
+//!
+//! ```text
+//!  31                         5  4      3      2     1        0
+//! +----------------------------+------+------+-----+--------+---------+
+//! |   payload (below 2^27)     |REMOTE|LOCKED|DIRTY|ACCESSED| PRESENT |
+//! +----------------------------+------+------+-----+--------+---------+
+//! ```
+//!
+//! The first write whose word does not round-trip (a payload of 2^27 or
+//! more, or a bit set in 5–11) widens its leaf in place to 64-bit words,
+//! once; a leaf never narrows back. Which width a leaf has is invisible
+//! through the API: only host bytes move.
+//!
 //! # Race detection
 //!
 //! PTE words are the central shared state of the whole engine: the fault
@@ -142,6 +159,63 @@ impl Pte {
     }
 }
 
+/// The word bits a narrow leaf keeps below the payload: the five flags.
+const NARROW_FLAGS: u64 = (1 << 5) - 1;
+/// How far packing moves the payload down: from bit 12 to bit 5.
+const PACK_SHIFT: u32 = Pte::PAYLOAD_SHIFT - 5;
+/// The PTE word bits a narrow leaf cannot hold: bits 5–11, and the
+/// payload from 2^27 up.
+const UNFIT: u64 = !((1 << (Pte::PAYLOAD_SHIFT + 27)) - 1) | 0xFE0;
+
+/// Packs a PTE word into a narrow leaf word, or `None` if it does not
+/// round-trip.
+fn pack(word: u64) -> Option<u32> {
+    (word & UNFIT == 0).then_some((word >> PACK_SHIFT | word & NARROW_FLAGS) as u32)
+}
+
+/// The PTE word a narrow leaf word stands for.
+fn unpack(word: u32) -> u64 {
+    let word = u64::from(word);
+    (word & !NARROW_FLAGS) << PACK_SHIFT | word & NARROW_FLAGS
+}
+
+/// One leaf of 512 PTE words (see the module docs' "Storage").
+enum Leaf {
+    /// Packed words, while every value written fits one.
+    Narrow(Box<[u32; FANOUT]>),
+    /// Full PTE words, after the first value that did not.
+    Wide(Box<[u64; FANOUT]>),
+}
+
+impl Leaf {
+    fn get(&self, slot: usize) -> u64 {
+        match self {
+            Leaf::Narrow(words) => unpack(words[slot]),
+            Leaf::Wide(words) => words[slot],
+        }
+    }
+
+    fn set(&mut self, slot: usize, word: u64) {
+        match self {
+            Leaf::Narrow(words) => match pack(word) {
+                Some(narrow) => words[slot] = narrow,
+                None => {
+                    self.widen();
+                    self.set(slot, word);
+                }
+            },
+            Leaf::Wide(words) => words[slot] = word,
+        }
+    }
+
+    /// Converts a narrow leaf to full words in place.
+    fn widen(&mut self) {
+        if let Leaf::Narrow(words) = self {
+            *self = Leaf::Wide(Box::new(std::array::from_fn(|i| unpack(words[i]))));
+        }
+    }
+}
+
 /// A 5-level radix page table (arena-backed).
 ///
 /// # Examples
@@ -160,8 +234,8 @@ pub struct PageTable {
     /// Interior nodes; entry 0 is the root. Slots hold `child_index + 1`
     /// (0 = empty). The last interior level's slots index into `leaves`.
     interior: RefCell<Vec<[u32; FANOUT]>>,
-    /// Leaf nodes of raw PTE words.
-    leaves: RefCell<Vec<[u64; FANOUT]>>,
+    /// Leaf nodes of PTE words, narrow or wide.
+    leaves: RefCell<Vec<Leaf>>,
     /// Simsan shadow state over PTE words, indexed by vpn (inert until
     /// [`PageTable::attach_shadow`]).
     shadow: RefCell<ShadowRegion>,
@@ -230,7 +304,7 @@ impl PageTable {
                 idx
             } else {
                 let mut leaves = self.leaves.borrow_mut();
-                leaves.push([0; FANOUT]);
+                leaves.push(Leaf::Narrow(Box::new([0; FANOUT])));
                 let idx = leaves.len() - 1;
                 interior[node][slot] = Self::child_link(idx);
                 idx
@@ -246,7 +320,7 @@ impl PageTable {
     /// read by design (the dedup-loop and policy probes).
     pub fn get(&self, vpn: u64) -> Pte {
         match self.leaf_of(vpn, false) {
-            Some((leaf, slot)) => Pte(self.leaves.borrow()[leaf][slot]),
+            Some((leaf, slot)) => Pte(self.leaves.borrow()[leaf].get(slot)),
             None => Pte::NONE,
         }
     }
@@ -260,7 +334,7 @@ impl PageTable {
     pub fn set(&self, vpn: u64, pte: Pte) {
         self.shadow.borrow().on_write(vpn);
         let (leaf, slot) = self.leaf_of(vpn, true).expect("create never fails");
-        self.leaves.borrow_mut()[leaf][slot] = pte.0;
+        self.leaves.borrow_mut()[leaf].set(slot, pte.0);
     }
 
     /// Places `n` never-populated entries starting at `first_vpn`, in vpn
@@ -281,19 +355,47 @@ impl PageTable {
             .checked_add(n)
             .expect("place_run: vpn range overflows u64");
         let shadow = self.shadow.borrow();
+        // Checks the entry is unplaced, records the write and returns the
+        // new word. `#[track_caller]`, so reports and the panic name
+        // `place_run`'s caller; always inlined into both loops.
+        #[track_caller]
+        #[inline(always)]
+        fn place(shadow: &ShadowRegion, vpn: u64, old: u64, f: &mut impl FnMut(u64) -> Pte) -> u64 {
+            assert!(
+                old == Pte::NONE.0,
+                "place_run: vpn {vpn:#x} is already placed (pte {old:#x})"
+            );
+            shadow.on_write(vpn);
+            f(vpn).0
+        }
         let mut vpn = first_vpn;
         while vpn < end {
             let (leaf, first) = self.leaf_of(vpn, true).expect("create never fails");
             let last = (FANOUT as u64).min(first as u64 + (end - vpn)) as usize;
             let mut leaves = self.leaves.borrow_mut();
-            for word in &mut leaves[leaf][first..last] {
-                assert!(
-                    *word == Pte::NONE.0,
-                    "place_run: vpn {vpn:#x} is already placed (pte {word:#x})"
-                );
-                shadow.on_write(vpn);
-                *word = f(vpn).0;
-                vpn += 1;
+            let leaf = &mut leaves[leaf];
+            let mut slot = first;
+            if let Leaf::Narrow(words) = leaf {
+                // Packed words until one does not fit; that one widens
+                // the leaf and the rest of the run takes the wide loop.
+                while slot < last {
+                    let word = place(&shadow, vpn, unpack(words[slot]), &mut f);
+                    vpn += 1;
+                    let Some(packed) = pack(word) else {
+                        leaf.widen();
+                        leaf.set(slot, word);
+                        slot += 1;
+                        break;
+                    };
+                    words[slot] = packed;
+                    slot += 1;
+                }
+            }
+            if let Leaf::Wide(words) = leaf {
+                for wide in &mut words[slot..last] {
+                    *wide = place(&shadow, vpn, *wide, &mut f);
+                    vpn += 1;
+                }
             }
         }
     }
@@ -305,9 +407,9 @@ impl PageTable {
     /// the lock-bit transitions are single-word atomics by design.
     pub fn update(&self, vpn: u64, f: impl FnOnce(Pte) -> Pte) -> Pte {
         let (leaf, slot) = self.leaf_of(vpn, true).expect("create never fails");
-        let mut leaves = self.leaves.borrow_mut();
-        let old = Pte(leaves[leaf][slot]);
-        leaves[leaf][slot] = f(old).0;
+        let leaf = &mut self.leaves.borrow_mut()[leaf];
+        let old = Pte(leaf.get(slot));
+        leaf.set(slot, f(old).0);
         old
     }
 
@@ -354,7 +456,8 @@ impl PageTable {
         self.shadow.borrow().publish(vpn);
     }
 
-    /// Number of allocated interior + leaf nodes (footprint estimate).
+    /// Number of allocated interior + leaf nodes, each counted once
+    /// whatever its word width: a node count, not a byte count.
     pub fn node_count(&self) -> usize {
         self.interior.borrow().len() + self.leaves.borrow().len()
     }
