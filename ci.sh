@@ -28,8 +28,10 @@ MAGE_SIMSAN=1 cargo test -q --test determinism
 
 echo "==> task clocks, the lock/wait-queue edges and the one-lock rule under the race detector (MAGE_SIMSAN=1)"
 # The run-ahead bound's skew invariant and its four clock edges; the
-# lib tests include sync.rs's planted nested acquires, which must panic
-# with both sites.
+# random-program test's schedule digest is pinned, so this run also
+# checks that the detector does not perturb the schedule. The lib tests
+# include sync.rs's planted nested acquires, which must panic with both
+# sites.
 MAGE_SIMSAN=1 cargo test -q -p mage-sim --test task_clocks --lib
 
 echo "==> reclaim unit tests under the race detector (MAGE_SIMSAN=1)"

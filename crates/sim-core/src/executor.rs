@@ -2,10 +2,19 @@
 //!
 //! Tasks are `!Send` futures polled on the caller's thread. Time advances
 //! only when no task is runnable: the executor then jumps the virtual clock
-//! to the earliest pending timer. Wakers are `Arc`-based and thread-safe
-//! (so the `Waker` contract is honoured even if one escapes), but in
-//! practice everything stays on one thread and execution is deterministic:
-//! the ready queue is FIFO and timers break ties by registration sequence.
+//! to the earliest pending timer. Execution is deterministic: the ready
+//! queue is FIFO and timers break ties by registration sequence.
+//!
+//! Tasks park only through sim-core's primitives: [`Sleep`],
+//! [`YieldNow`], [`JoinHandle`], [`crate::sync::SimMutex`] and
+//! [`crate::sync::WaitQueue`]. Each names the parked task by the slot id
+//! of the task being polled, and panics if polled outside a task poll,
+//! where there is no task for a later wake to reach. A wake queues the
+//! id, and the next scheduling step moves it onto the ready queue, so
+//! tasks spawned in a poll run before that poll's wakes. The `Context`
+//! a task is polled with carries a no-op waker: a foreign future that
+//! parks on the context's waker is never woken, and
+//! [`Simulation::block_on`] reports the deadlock.
 //!
 //! Hot-path representation (DESIGN.md §11): tasks live in a dense slot
 //! arena, the ready queue is a `VecDeque` of slot ids with a per-slot
@@ -37,10 +46,8 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::Location;
 use std::pin::Pin;
-use std::rc::Rc;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::rc::{Rc, Weak};
+use std::task::{Context, Poll, Waker};
 
 use crate::explore::{ExplorationPolicy, Explorer, RunProgress};
 use crate::race::RaceDetector;
@@ -52,67 +59,15 @@ use crate::wheel::TimerWheel;
 pub(crate) type TaskId = u32;
 type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Thread-safe queue that wakers push task ids into.
-///
-/// Kept behind a real `Mutex` so that `Waker::wake` is sound even if a
-/// waker is (incorrectly but safely) moved to another thread. The
-/// executor drains this once per loop iteration, and most iterations
-/// find it empty, so an atomic count (updated under the lock) lets the
-/// empty case skip the Mutex entirely.
-#[expect(
-    clippy::disallowed_types,
-    reason = "the Waker contract requires a Send + Sync queue; only the executor thread drains it, and it never blocks on virtual time"
-)]
-#[derive(Default)]
-struct WakeQueue {
-    ids: std::sync::Mutex<Vec<TaskId>>,
-    len: std::sync::atomic::AtomicUsize,
-}
-
-impl WakeQueue {
-    fn push(&self, id: TaskId) {
-        let mut q = self.ids.lock().expect("wake queue poisoned");
-        q.push(id);
-        self.len.store(q.len(), Ordering::Release);
-    }
-
-    /// Hands every queued id to `f` in wake order and empties the queue.
-    #[inline]
-    fn drain(&self, mut f: impl FnMut(TaskId)) {
-        if self.len.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let mut q = self.ids.lock().expect("wake queue poisoned");
-        for id in q.drain(..) {
-            f(id);
-        }
-        self.len.store(0, Ordering::Release);
-    }
-}
-
-struct TaskWaker {
-    queue: Arc<WakeQueue>,
-    id: TaskId,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.queue.push(self.id);
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.push(self.id);
-    }
-}
-
 /// A task slot; [`Sched`]'s slot state says whether it is live.
 struct Task {
-    /// The future and the slot's waker, created once at spawn; both are
-    /// moved out for the duration of a poll, so polling touches no
-    /// reference count. `None` while polled and once finished.
-    body: Option<(LocalFuture, Waker)>,
+    /// The future, moved out for the duration of a poll; `None` while
+    /// polled and once finished.
+    body: Option<LocalFuture>,
     /// The task's own clock as its last poll left it.
     clock: SimTime,
+    /// The `SimMutex` guard the task holds, if any (see [`crate::sync`]).
+    held: Option<Held>,
 }
 
 /// A `SimMutex` guard's marker on its task: lock name and `lock()` site.
@@ -225,13 +180,11 @@ pub(crate) struct ExecCore {
     tasks: RefCell<Vec<Task>>,
     free_ids: RefCell<Vec<TaskId>>,
     sched: RefCell<Sched>,
-    wake_queue: Arc<WakeQueue>,
+    /// Tasks woken since the last scheduling step, in wake order.
+    woken: RefCell<Vec<TaskId>>,
     /// Task currently being polled: whose guard marker a lock checks and
-    /// whom the timers `Sleep` registers wake.
+    /// whom a parking primitive names.
     current: Cell<Option<TaskId>>,
-    /// The `SimMutex` guard each task slot holds, if any (see
-    /// [`crate::sync`]); grown with the slot arena.
-    held: RefCell<Vec<Option<Held>>>,
     /// Ready-queue pick strategy (FIFO unless exploration is requested).
     explorer: Explorer,
     /// Cumulative task polls, for runaway-schedule bounding.
@@ -250,9 +203,8 @@ impl ExecCore {
             tasks: RefCell::new(Vec::new()),
             free_ids: RefCell::new(Vec::new()),
             sched: RefCell::new(Sched::new()),
-            wake_queue: Arc::new(WakeQueue::default()),
+            woken: RefCell::new(Vec::new()),
             current: Cell::new(None),
-            held: RefCell::new(Vec::new()),
             explorer: Explorer::new(policy),
             polls: Cell::new(0),
             race: RefCell::new(None),
@@ -261,28 +213,24 @@ impl ExecCore {
 
     /// Spawns a task into a (recycled) slot.
     fn spawn(&self, future: LocalFuture) {
-        let mut tasks = self.tasks.borrow_mut();
-        let id = match self.free_ids.borrow_mut().pop() {
-            Some(id) => id,
-            None => {
-                let id = TaskId::try_from(tasks.len()).expect("task slots exhausted");
-                self.held.borrow_mut().push(None);
-                tasks.push(Task {
-                    body: None,
-                    clock: SimTime::ZERO,
-                });
-                id
-            }
-        };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            queue: Arc::clone(&self.wake_queue),
-            id,
-        }));
         // Fork edge: the child starts at the spawner's clock, and the
         // spawner's accesses so far happen-before everything it does.
-        tasks[id as usize] = Task {
-            body: Some((future, waker)),
+        let task = Task {
+            body: Some(future),
             clock: self.clock.get(),
+            held: None,
+        };
+        let mut tasks = self.tasks.borrow_mut();
+        let id = match self.free_ids.borrow_mut().pop() {
+            Some(id) => {
+                tasks[id as usize] = task;
+                id
+            }
+            None => {
+                let id = TaskId::try_from(tasks.len()).expect("task slots exhausted");
+                tasks.push(task);
+                id
+            }
         };
         drop(tasks);
         self.with_race(|det| det.task_begin(u64::from(id)));
@@ -290,8 +238,7 @@ impl ExecCore {
     }
 
     /// Registers a timer for `deadline` that wakes the task being
-    /// polled. The executor builds the only `Context` in the tree, from
-    /// that task's own waker, so the task id stands for the waker.
+    /// polled, named by its slot id like every parked task.
     ///
     /// # Panics
     ///
@@ -351,7 +298,7 @@ impl ExecCore {
         let Some(id) = self.current.get() else {
             return;
         };
-        let held = self.held.borrow()[id as usize];
+        let held = self.tasks.borrow()[id as usize].held;
         if let Some(held) = held {
             panic!(
                 "task {id} acquires {} (locked at {}) while holding {} (locked at {}): \
@@ -365,14 +312,14 @@ impl ExecCore {
     /// guard's [`ExecCore::clear_held`]; `None` outside a poll.
     pub(crate) fn mark_held(&self, held: Held) -> Option<TaskId> {
         let id = self.current.get()?;
-        self.held.borrow_mut()[id as usize] = Some(held);
+        self.tasks.borrow_mut()[id as usize].held = Some(held);
         Some(id)
     }
 
     /// Clears task `id`'s held-guard marker.
     pub(crate) fn clear_held(&self, id: TaskId) {
-        if let Some(h) = self.held.borrow_mut().get_mut(id as usize) {
-            *h = None;
+        if let Some(task) = self.tasks.borrow_mut().get_mut(id as usize) {
+            task.held = None;
         }
     }
 
@@ -389,8 +336,10 @@ impl ExecCore {
     fn next_step(&self, budget_spent: bool) -> Step {
         let mut sched = self.sched.borrow_mut();
         loop {
-            // Externally-woken tasks join the queue first.
-            self.wake_queue.drain(|id| sched.wake(id));
+            // Tasks woken since the last step join the queue first.
+            for id in self.woken.borrow_mut().drain(..) {
+                sched.wake(id);
+            }
             if !sched.ready.is_empty() {
                 if budget_spent {
                     return Step::Budget;
@@ -422,10 +371,10 @@ impl ExecCore {
             .borrow_mut()
             .get_mut(id as usize)
             .and_then(|task| Some((task.body.take()?, task.clock)));
-        let Some(((mut future, waker), clock)) = body else {
+        let Some((mut future, clock)) = body else {
             return;
         };
-        let mut cx = Context::from_waker(&waker);
+        let mut cx = Context::from_waker(Waker::noop());
         let global = self.now.get();
         // A task resumes no earlier than the global clock that woke it.
         self.clock.set(clock.max(global));
@@ -450,17 +399,17 @@ impl ExecCore {
                 if let Some(det) = race {
                     det.task_end(u64::from(id));
                 }
-                // A wake addressed to the slot may still sit in the wake
-                // queue or in a timer: it must find the slot vacant.
+                // A wake addressed to the slot may still sit in `woken`
+                // or in a timer: it must find the slot vacant.
                 self.sched.borrow_mut().state[id as usize] = SlotState::Vacant;
                 self.free_ids.borrow_mut().push(id);
             }
             Poll::Pending => {
                 // The task may have been re-woken while it was being
-                // polled; the id would already be in the wake queue, so we
-                // just return the body to its slot.
+                // polled; the id would already be in `woken`, so we just
+                // return the body to its slot.
                 if let Some(task) = self.tasks.borrow_mut().get_mut(id as usize) {
-                    task.body = Some((future, waker));
+                    task.body = Some(future);
                     task.clock = clock;
                 }
             }
@@ -546,6 +495,41 @@ pub(crate) fn with_running<R>(f: impl FnOnce(&ExecCore) -> R) -> Option<R> {
     RUNNING.with(|r| r.borrow().as_deref().map(f))
 }
 
+/// A parked task: the slot id of the task a primitive parked, on the
+/// executor that was polling it.
+pub(crate) struct TaskRef {
+    core: Weak<ExecCore>,
+    id: TaskId,
+}
+
+impl TaskRef {
+    /// The task being polled, which the primitive `what` is parking.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a task poll, where no task could be woken later.
+    pub(crate) fn current(what: &str) -> TaskRef {
+        RUNNING
+            .with(|r| {
+                let r = r.borrow();
+                let core = r.as_ref()?;
+                Some(TaskRef {
+                    core: Rc::downgrade(core),
+                    id: core.current.get()?,
+                })
+            })
+            .unwrap_or_else(|| panic!("{what} polled outside the executor's task poll"))
+    }
+
+    /// Queues the task for the next scheduling step; a no-op once its
+    /// simulation is gone.
+    pub(crate) fn wake(self) {
+        if let Some(core) = self.core.upgrade() {
+            core.woken.borrow_mut().push(self.id);
+        }
+    }
+}
+
 /// A cloneable handle to the simulation, usable from inside tasks.
 ///
 /// The handle provides the virtual clock, sleeping, and task spawning. It
@@ -611,7 +595,7 @@ impl SimHandle {
     pub fn spawn<T: 'static>(&self, future: impl Future<Output = T> + 'static) -> JoinHandle<T> {
         let state = Rc::new(RefCell::new(JoinState {
             result: None,
-            waker: None,
+            joiner: None,
             done: Edge::default(),
         }));
         let weak = Rc::downgrade(&state);
@@ -625,8 +609,8 @@ impl SimHandle {
             let mut s = state.borrow_mut();
             s.result = Some(value);
             s.done.release();
-            if let Some(w) = s.waker.take() {
-                w.wake();
+            if let Some(joiner) = s.joiner.take() {
+                joiner.wake();
             }
         }));
         JoinHandle { state }
@@ -669,12 +653,12 @@ pub struct YieldNow {
 impl Future for YieldNow {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         if self.yielded {
             Poll::Ready(())
         } else {
+            TaskRef::current("YieldNow").wake();
             self.yielded = true;
-            cx.waker().wake_by_ref();
             Poll::Pending
         }
     }
@@ -682,7 +666,8 @@ impl Future for YieldNow {
 
 struct JoinState<T> {
     result: Option<T>,
-    waker: Option<Waker>,
+    /// The task parked on the handle, if any.
+    joiner: Option<TaskRef>,
     /// Released by the task as it completes, acquired by the join.
     done: Edge,
 }
@@ -695,7 +680,7 @@ pub struct JoinHandle<T> {
 impl<T> Future for JoinHandle<T> {
     type Output = T;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         let mut s = self.state.borrow_mut();
         match s.result.take() {
             Some(v) => {
@@ -703,7 +688,7 @@ impl<T> Future for JoinHandle<T> {
                 Poll::Ready(v)
             }
             None => {
-                s.waker = Some(cx.waker().clone());
+                s.joiner = Some(TaskRef::current("JoinHandle"));
                 Poll::Pending
             }
         }
@@ -871,8 +856,10 @@ impl Drop for Simulation {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     use super::*;
-    use crate::sync::WaitQueue;
+    use crate::sync::{SimMutex, WaitQueue};
 
     #[test]
     fn sleep_advances_virtual_time() {
@@ -908,12 +895,57 @@ mod tests {
         });
     }
 
+    /// Polls `fut` once with a no-op context, outside any task poll.
+    fn poll_outside_a_task<F: Future>(fut: F) -> Poll<F::Output> {
+        std::pin::pin!(fut).poll(&mut Context::from_waker(Waker::noop()))
+    }
+
+    /// Runs `f`; returns its panic message, `None` if it returned.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let err = catch_unwind(AssertUnwindSafe(f)).err()?;
+        let msg = err.downcast_ref::<&str>().map(|m| m.to_string());
+        Some(msg.or_else(|| err.downcast_ref::<String>().cloned()).unwrap_or_default())
+    }
+
+    /// A primitive that would park outside a task poll has no task to
+    /// wake later: it panics rather than lose the wake.
     #[test]
-    #[should_panic(expected = "Sleep polled outside the executor's task poll")]
-    fn sleep_polled_outside_a_task_panics() {
+    fn parking_outside_a_task_poll_panics() {
         let sim = Simulation::new();
-        let mut sleep = std::pin::pin!(sim.handle().sleep(10));
-        let _ = sleep.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+        let h = sim.handle();
+        let queue = WaitQueue::new();
+        let mutex = SimMutex::new("held by main", ());
+        let cases = [
+            ("Sleep", panic_message(|| assert!(poll_outside_a_task(h.sleep(10)).is_pending()))),
+            ("Wait", panic_message(|| assert!(poll_outside_a_task(queue.wait()).is_pending()))),
+            (
+                "contended MutexLock",
+                panic_message(|| {
+                    let Poll::Ready(_guard) = poll_outside_a_task(mutex.lock()) else {
+                        unreachable!("an uncontended lock is granted at once");
+                    };
+                    assert!(poll_outside_a_task(mutex.lock()).is_pending());
+                }),
+            ),
+            (
+                "pending JoinHandle",
+                panic_message(|| assert!(poll_outside_a_task(sim.spawn(async {})).is_pending())),
+            ),
+            (
+                "YieldNow",
+                panic_message(|| assert!(poll_outside_a_task(h.yield_now()).is_pending())),
+            ),
+        ];
+        let mut silent = Vec::new();
+        for (name, msg) in cases {
+            match msg {
+                Some(msg) => {
+                    assert!(msg.contains("outside the executor's task poll"), "{name}: {msg}")
+                }
+                None => silent.push(name),
+            }
+        }
+        assert!(silent.is_empty(), "parked outside a task poll without a panic: {silent:?}");
     }
 
     #[test]

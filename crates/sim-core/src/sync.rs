@@ -30,9 +30,9 @@ use std::future::Future;
 use std::panic::Location;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-use crate::executor::{self, Held, TaskId};
+use crate::executor::{self, Held, TaskId, TaskRef};
 use crate::race::RaceDetector;
 use crate::time::SimTime;
 
@@ -82,23 +82,22 @@ impl Edge {
 struct MutexCtl {
     next_ticket: Cell<u64>,
     now_serving: Cell<u64>,
-    /// Waiters' wakers, keyed by ticket. Registration happens at
-    /// poll-time (not ticket order) and handoff needs a lookup by the
-    /// served ticket, so this is an association list — queues are short
-    /// and a linear scan beats the ordered map it replaced on the
-    /// lock/unlock hot path.
-    wakers: RefCell<Vec<(u64, Waker)>>,
+    /// Parked waiters, keyed by ticket. A waiter parks at poll time (not
+    /// in ticket order) and handoff needs a lookup by the served ticket,
+    /// so this is an association list — queues are short and a linear
+    /// scan beats the ordered map it replaced on the lock/unlock hot path.
+    parked: RefCell<Vec<(u64, TaskRef)>>,
     abandoned: RefCell<BTreeSet<u64>>,
     /// Unlock to the next lock.
     handoff: Edge,
 }
 
 impl MutexCtl {
-    /// Removes and returns the waker registered for `ticket`, if any.
-    fn take_waker(&self, ticket: u64) -> Option<Waker> {
-        let mut wakers = self.wakers.borrow_mut();
-        let pos = wakers.iter().position(|(t, _)| *t == ticket)?;
-        Some(wakers.swap_remove(pos).1)
+    /// Removes and returns the task parked on `ticket`, if any.
+    fn take_parked(&self, ticket: u64) -> Option<TaskRef> {
+        let mut parked = self.parked.borrow_mut();
+        let pos = parked.iter().position(|(t, _)| *t == ticket)?;
+        Some(parked.swap_remove(pos).1)
     }
 
     /// Advances `now_serving` past abandoned tickets and wakes the holder
@@ -112,8 +111,8 @@ impl MutexCtl {
             }
         }
         self.now_serving.set(serving);
-        if let Some(w) = self.take_waker(serving) {
-            w.wake();
+        if let Some(task) = self.take_parked(serving) {
+            task.wake();
         }
     }
 }
@@ -167,7 +166,7 @@ impl<T> SimMutex<T> {
             ctl: MutexCtl {
                 next_ticket: Cell::new(0),
                 now_serving: Cell::new(0),
-                wakers: RefCell::new(Vec::new()),
+                parked: RefCell::new(Vec::new()),
                 abandoned: RefCell::new(BTreeSet::new()),
                 handoff: Edge::default(),
             },
@@ -219,7 +218,7 @@ pub struct MutexLock<'a, T> {
 impl<'a, T> Future for MutexLock<'a, T> {
     type Output = MutexGuard<'a, T>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let m = self.mutex;
         let held = Held {
             name: m.name,
@@ -245,10 +244,11 @@ impl<'a, T> Future for MutexLock<'a, T> {
                 task,
             })
         } else {
-            let mut wakers = m.ctl.wakers.borrow_mut();
-            match wakers.iter_mut().find(|(t, _)| *t == self.ticket) {
-                Some(entry) => entry.1 = cx.waker().clone(),
-                None => wakers.push((self.ticket, cx.waker().clone())),
+            let task = TaskRef::current("MutexLock");
+            let mut parked = m.ctl.parked.borrow_mut();
+            match parked.iter_mut().find(|(t, _)| *t == self.ticket) {
+                Some(entry) => entry.1 = task,
+                None => parked.push((self.ticket, task)),
             }
             Poll::Pending
         }
@@ -263,7 +263,7 @@ impl<T> Drop for MutexLock<'_, T> {
         // Cancelled before acquisition: retire the ticket so the queue
         // does not stall on it.
         let m = self.mutex;
-        m.ctl.take_waker(self.ticket);
+        m.ctl.take_parked(self.ticket);
         if m.ctl.now_serving.get() == self.ticket {
             m.ctl.serve_next();
         } else {
@@ -309,7 +309,8 @@ impl<T> Drop for MutexGuard<'_, T> {
 #[derive(Default)]
 struct WaitSlot {
     signalled: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
+    /// The task parked on the slot, if any.
+    parked: RefCell<Option<TaskRef>>,
     /// Per-waiter edge: released by the waker at the wake, acquired when
     /// the `Wait` resolves, so a woken task inherits exactly its waker's
     /// clocks (a precise edge, not a queue-wide one).
@@ -320,8 +321,8 @@ impl WaitSlot {
     fn wake(&self) {
         self.wake.release();
         self.signalled.set(true);
-        if let Some(w) = self.waker.borrow_mut().take() {
-            w.wake();
+        if let Some(task) = self.parked.borrow_mut().take() {
+            task.wake();
         }
     }
 }
@@ -387,12 +388,12 @@ pub struct Wait {
 impl Future for Wait {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         if self.slot.signalled.get() {
             self.slot.wake.acquire();
             Poll::Ready(())
         } else {
-            *self.slot.waker.borrow_mut() = Some(cx.waker().clone());
+            *self.slot.parked.borrow_mut() = Some(TaskRef::current("Wait"));
             Poll::Pending
         }
     }

@@ -234,6 +234,7 @@ enum Op {
     Spawn(u64, u64),
     /// Join the oldest unjoined child.
     Join,
+    Yield,
 }
 
 fn random_program(rng: &SplitMix64) -> Vec<Op> {
@@ -250,7 +251,8 @@ fn random_program(rng: &SplitMix64) -> Vec<Op> {
             6 => Op::Wait,
             7 => Op::WakeAll,
             8..=9 => Op::Spawn(delay(rng), delay(rng)),
-            _ => Op::Join,
+            10 => Op::Join,
+            _ => Op::Yield,
         })
         .collect()
 }
@@ -321,6 +323,10 @@ async fn run_program(w: Rc<World>, id: usize, prog: Vec<Op>) {
                     step(&w, end);
                 }
             }
+            Op::Yield => {
+                w.h.yield_now().await;
+                step(&w, 0);
+            }
         }
     }
     for child in children {
@@ -370,17 +376,31 @@ fn random_run(seed: u64, q: u64) -> Vec<(usize, u64)> {
     log
 }
 
+/// The runs' schedule digest: FNV-1a over every log entry's task and
+/// clock, in log order. Fixed by the executor's wake order, so a change
+/// to how the primitives park and wake tasks that moves one step
+/// changes it.
+const SCHEDULE_DIGEST: (usize, u64) = (10_200, 0x701a_5016_b0ab_a62b);
+
 #[test]
 fn random_programs_keep_every_clock_within_the_bound() {
     let seeds = SplitMix64::new(0xC10C_5EED);
+    let (mut entries, mut digest) = (0, 0xcbf2_9ce4_8422_2325_u64);
     for _ in 0..64 {
         let seed = seeds.next_u64();
         for q in [0, Q] {
             let log = random_run(seed, q);
             assert!(!log.is_empty());
             assert_eq!(log, random_run(seed, q), "seed {seed:#x}, Q = {q}: not reproducible");
+            for &(id, t) in &log {
+                for x in [id as u64, t] {
+                    digest = (digest ^ x).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            entries += log.len();
         }
     }
+    assert_eq!((entries, digest), SCHEDULE_DIGEST, "digest {digest:#x}");
 }
 
 #[test]

@@ -112,6 +112,8 @@ fn lint_rejects_every_planted_violation() {
         "`std::time::SystemTime`",
         "`std::sync::Mutex`",
         "`std::sync::atomic::AtomicU64`",
+        "`std::sync::Arc`",
+        "`std::task::Wake`",
         "`std::thread::spawn`",
         "`expect` attribute without specifying a reason",
     ] {

@@ -2,7 +2,8 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::task::Wake;
 
 pub fn wall_clock() -> std::time::SystemTime {
     let _start = std::time::Instant::now();
@@ -18,6 +19,13 @@ pub struct Shared {
     pub set: HashSet<u64>,
     pub lock: Mutex<u64>,
     pub count: AtomicU64,
+    pub shared: Arc<u64>,
+}
+
+pub struct ThreadWaker;
+
+impl Wake for ThreadWaker {
+    fn wake(self: Arc<Self>) {}
 }
 
 #[expect(clippy::disallowed_types)]
