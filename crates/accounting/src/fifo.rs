@@ -1,42 +1,17 @@
 //! A FIFO of page numbers stored in 512-entry blocks.
+//!
+//! Each block is a 512-entry [`Words`]: 4-byte words (2 KiB) while every
+//! page number stored in it fits 32 bits, widened in place to 8-byte
+//! words (4 KiB) by the first that does not. A block never narrows back.
 
 use std::collections::VecDeque;
+
+use mage_sim::words::Words;
 
 /// Entries per block.
 const BLOCK: usize = 512;
 const SHIFT: u32 = BLOCK.trailing_zeros();
 const MASK: usize = BLOCK - 1;
-
-/// 512 page numbers: 4-byte words (2 KiB) while every page number stored
-/// in the block fits 32 bits, widened in place to 8-byte words (4 KiB) by
-/// the first that does not. A block never narrows back.
-enum Block {
-    Narrow(Box<[u32; BLOCK]>),
-    Wide(Box<[u64; BLOCK]>),
-}
-
-impl Block {
-    fn get(&self, i: usize) -> u64 {
-        match self {
-            Block::Narrow(words) => u64::from(words[i]),
-            Block::Wide(words) => words[i],
-        }
-    }
-
-    fn set(&mut self, i: usize, vpn: u64) {
-        match self {
-            Block::Narrow(words) => match u32::try_from(vpn) {
-                Ok(narrow) => words[i] = narrow,
-                Err(_) => {
-                    let wide = Box::new(std::array::from_fn(|j| u64::from(words[j])));
-                    *self = Block::Wide(wide);
-                    self.set(i, vpn);
-                }
-            },
-            Block::Wide(words) => words[i] = vpn,
-        }
-    }
-}
 
 /// A FIFO queue of page numbers whose memory follows its length.
 ///
@@ -53,7 +28,7 @@ impl Block {
 #[derive(Default)]
 pub(crate) struct PageFifo {
     /// Blocks holding entries: `⌈(head + len) / 512⌉` of them.
-    blocks: VecDeque<Block>,
+    blocks: VecDeque<Words>,
     /// Offset of the front entry in `blocks[0]`, always `< 512`.
     head: usize,
     len: usize,
@@ -75,7 +50,7 @@ impl PageFifo {
     pub(crate) fn push_back(&mut self, vpn: u64) {
         let end = self.head + self.len;
         if end == self.blocks.len() << SHIFT {
-            self.blocks.push_back(Block::Narrow(Box::new([0; BLOCK])));
+            self.blocks.push_back(Words::zeroed(BLOCK));
         }
         let last = self.blocks.len() - 1;
         self.blocks[last].set(end & MASK, vpn);
@@ -142,12 +117,13 @@ impl Extend<u64> for PageFifo {
 mod tests {
     use super::*;
     use mage_sim::rng::SplitMix64;
+    use mage_sim::words::View;
 
     /// Blocks of `fifo` widened to 8-byte words.
     fn wide_blocks(fifo: &PageFifo) -> usize {
         fifo.blocks
             .iter()
-            .filter(|block| matches!(block, Block::Wide(_)))
+            .filter(|block| matches!(block.view(), View::Wide(_)))
             .count()
     }
 

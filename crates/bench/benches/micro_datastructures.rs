@@ -2,9 +2,9 @@
 //! sleep/wake round trip and its timer queue, buddy allocator
 //! alloc/free, TLB fill/invalidate, a 48-core fill storm and shootdown
 //! probe, page-table updates, set-up placement, histogram recording,
-//! page accounting's partition lists and its ghost list. These bound the
-//! *host-side* cost of a simulated event, which determines how large an
-//! experiment the harness can run.
+//! `PageMap` upserts, page accounting's partition lists and its ghost
+//! list. These bound the *host-side* cost of a simulated event, which
+//! determines how large an experiment the harness can run.
 //!
 //! Self-contained timing loop (no external bench framework): each case
 //! is warmed up, then run for a fixed iteration count several times, and
@@ -25,6 +25,7 @@ use mage_accounting::{AccountingCosts, GhostList, PageAccounting};
 use mage_mmu::{PageTable, Pte, Tlb};
 use mage_palloc::BuddyAllocator;
 use mage_sim::rng::mix64;
+use mage_sim::slab::PageMap;
 use mage_sim::stats::Histogram;
 use mage_sim::wheel::TimerWheel;
 use mage_sim::Simulation;
@@ -62,7 +63,7 @@ fn sleep_mix(key: u64) -> u64 {
 
 /// Prints one case's best time per iteration.
 fn row(case: &str, ns: f64) {
-    println!("{case:>28}  {ns:>8.1}");
+    println!("{case:>32}  {ns:>8.1}");
 }
 
 fn main() {
@@ -147,26 +148,31 @@ fn main() {
 
     // A fault storm's TLB traffic: 48 cores, each walking its own
     // sequential page stream, so every lookup misses and, once the
-    // 1,536 entries are full, every fill evicts a random victim.
-    let tlbs: Vec<Tlb> = (0..48).map(|c| Tlb::new(1_536, c)).collect();
-    let mut next = 0u64;
-    let ns = best_ns_per_iter(|_| {
-        let (core, vpn) = (next % 48, (next / 48) | ((next % 48) << 32));
-        next += 1;
-        let tlb = &tlbs[core as usize];
-        if !tlb.lookup(std::hint::black_box(vpn)) {
-            tlb.fill(vpn);
-        }
-    });
-    row("tlb_fill_storm_48", ns);
+    // 1,536 entries are full, every fill evicts a random victim. Then a
+    // shootdown round's target-side probes: 240 pages invalidated on
+    // each of the 48 full TLBs, which cache none of them. Every page
+    // number stays below 2^32, as on every benchmark machine; the
+    // `_wide` rows start each core's stream at `core << 32`, so every
+    // TLB's insertion vector widens on its first fill.
+    for (suffix, core_shift, absent) in [("", 20, 1 << 30), ("_wide", 32, 1 << 40)] {
+        let tlbs: Vec<Tlb> = (0..48).map(|c| Tlb::new(1_536, c)).collect();
+        let mut next = 0u64;
+        let ns = best_ns_per_iter(|_| {
+            let (core, vpn) = (next % 48, (next / 48) | ((next % 48) << core_shift));
+            next += 1;
+            let tlb = &tlbs[core as usize];
+            if !tlb.lookup(std::hint::black_box(vpn)) {
+                tlb.fill(vpn);
+            }
+        });
+        row(&format!("tlb_fill_storm_48{suffix}"), ns);
 
-    // A shootdown round's target-side probes: 240 pages invalidated on
-    // each of 48 full TLBs that cache none of them.
-    let ns = best_ns_per_iter(|i| {
-        let tlb = &tlbs[(i / 240 % 48) as usize];
-        tlb.invalidate(std::hint::black_box((1 << 40) | (i % 240)));
-    });
-    row("tlb_shootdown_probe_48x240", ns);
+        let ns = best_ns_per_iter(|i| {
+            let tlb = &tlbs[(i / 240 % 48) as usize];
+            tlb.invalidate(std::hint::black_box(absent | (i % 240)));
+        });
+        row(&format!("tlb_shootdown_probe_48x240{suffix}"), ns);
+    }
 
     let pt = PageTable::new();
     for v in 0..10_000u64 {
@@ -215,6 +221,17 @@ fn main() {
         h.record(std::hint::black_box(v.max(1)));
     });
     row("histogram_record", ns);
+
+    // The memcached driver's per-request upsert: a count per key over
+    // 65,536 keys, drawn at random, below 2^32 or (`_wide`) from 2^40.
+    for (suffix, base) in [("", 0u64), ("_wide", 1 << 40)] {
+        let mut map: PageMap<u32> = PageMap::new();
+        let ns = best_ns_per_iter(|i| {
+            let key = base | (mix64(i) & 0xFFFF);
+            *map.get_or_insert_with(std::hint::black_box(key), || 0) += 1;
+        });
+        row(&format!("pagemap_upsert{suffix}"), ns);
+    }
 
     // Pages cycling through 8 accounting partitions at pagerank_evict's
     // 49,152 resident pages: an evictor takes 64 victims (every eighth

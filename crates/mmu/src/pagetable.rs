@@ -27,20 +27,22 @@
 //!
 //! # Storage
 //!
-//! The API deals in the 64-bit words above, but a leaf stores 4-byte
-//! words while every value written to it fits one:
+//! The API deals in the 64-bit words above, but a leaf stores each PTE
+//! word rotated so that its usual bits come first:
 //!
 //! ```text
-//!  31                         5  4      3      2     1        0
-//! +----------------------------+------+------+-----+--------+---------+
-//! |   payload (below 2^27)     |REMOTE|LOCKED|DIRTY|ACCESSED| PRESENT |
-//! +----------------------------+------+------+-----+--------+---------+
+//!  63           57 56                        5  4      3      2     1        0
+//! +---------------+---------------------------+------+------+-----+--------+---------+
+//! | PTE bits 5–11 |         payload           |REMOTE|LOCKED|DIRTY|ACCESSED| PRESENT |
+//! +---------------+---------------------------+------+------+-----+--------+---------+
 //! ```
 //!
-//! The first write whose word does not round-trip (a payload of 2^27 or
-//! more, or a bit set in 5–11) widens its leaf in place to 64-bit words,
-//! once; a leaf never narrows back. Which width a leaf has is invisible
-//! through the API: only host bytes move.
+//! The stored word is below 2^32 exactly when bits 5–11 are clear and the
+//! payload is below 2^27. A leaf is a 512-entry [`Words`], so it keeps
+//! 4-byte words while every stored word fits one, and the first write
+//! that does not fit widens the leaf in place to 8-byte words, once, by
+//! zero-extension; a leaf never narrows back. Which width a leaf has is
+//! invisible through the API: only host bytes move.
 //!
 //! # Race detection
 //!
@@ -68,6 +70,7 @@
 use std::cell::RefCell;
 
 use mage_sim::race::ShadowRegion;
+use mage_sim::words::{ViewMut, Words};
 
 /// log2 of the page size.
 pub const PAGE_SHIFT: u32 = 12;
@@ -159,61 +162,27 @@ impl Pte {
     }
 }
 
-/// The word bits a narrow leaf keeps below the payload: the five flags.
-const NARROW_FLAGS: u64 = (1 << 5) - 1;
-/// How far packing moves the payload down: from bit 12 to bit 5.
-const PACK_SHIFT: u32 = Pte::PAYLOAD_SHIFT - 5;
-/// The PTE word bits a narrow leaf cannot hold: bits 5–11, and the
-/// payload from 2^27 up.
-const UNFIT: u64 = !((1 << (Pte::PAYLOAD_SHIFT + 27)) - 1) | 0xFE0;
+/// The PTE bits below the payload that a stored word keeps in place:
+/// the five flags.
+const FLAGS: u64 = (1 << 5) - 1;
+/// The payload's width: bits 12–63 of a PTE word.
+const PAYLOAD_BITS: u32 = 64 - Pte::PAYLOAD_SHIFT;
+/// Where a stored word keeps PTE bits 5–11: above the payload.
+const SPARE_SHIFT: u32 = 5 + PAYLOAD_BITS;
 
-/// Packs a PTE word into a narrow leaf word, or `None` if it does not
-/// round-trip.
-fn pack(word: u64) -> Option<u32> {
-    (word & UNFIT == 0).then_some((word >> PACK_SHIFT | word & NARROW_FLAGS) as u32)
+/// The word a leaf stores for PTE word `word` (see the module docs'
+/// "Storage"): a bijection on `u64`, below 2^32 exactly when `word`'s
+/// bits 5–11 are clear and its payload is below 2^27.
+fn to_stored(word: u64) -> u64 {
+    word & FLAGS | (word >> Pte::PAYLOAD_SHIFT) << 5 | (word >> 5 & 0x7F) << SPARE_SHIFT
 }
 
-/// The PTE word a narrow leaf word stands for.
-fn unpack(word: u32) -> u64 {
-    let word = u64::from(word);
-    (word & !NARROW_FLAGS) << PACK_SHIFT | word & NARROW_FLAGS
-}
-
-/// One leaf of 512 PTE words (see the module docs' "Storage").
-enum Leaf {
-    /// Packed words, while every value written fits one.
-    Narrow(Box<[u32; FANOUT]>),
-    /// Full PTE words, after the first value that did not.
-    Wide(Box<[u64; FANOUT]>),
-}
-
-impl Leaf {
-    fn get(&self, slot: usize) -> u64 {
-        match self {
-            Leaf::Narrow(words) => unpack(words[slot]),
-            Leaf::Wide(words) => words[slot],
-        }
-    }
-
-    fn set(&mut self, slot: usize, word: u64) {
-        match self {
-            Leaf::Narrow(words) => match pack(word) {
-                Some(narrow) => words[slot] = narrow,
-                None => {
-                    self.widen();
-                    self.set(slot, word);
-                }
-            },
-            Leaf::Wide(words) => words[slot] = word,
-        }
-    }
-
-    /// Converts a narrow leaf to full words in place.
-    fn widen(&mut self) {
-        if let Leaf::Narrow(words) = self {
-            *self = Leaf::Wide(Box::new(std::array::from_fn(|i| unpack(words[i]))));
-        }
-    }
+/// The PTE word a leaf's stored word stands for: the inverse of
+/// [`to_stored`].
+fn from_stored(stored: u64) -> u64 {
+    stored & FLAGS
+        | (stored >> 5 & ((1 << PAYLOAD_BITS) - 1)) << Pte::PAYLOAD_SHIFT
+        | (stored >> SPARE_SHIFT) << 5
 }
 
 /// A 5-level radix page table (arena-backed).
@@ -234,8 +203,8 @@ pub struct PageTable {
     /// Interior nodes; entry 0 is the root. Slots hold `child_index + 1`
     /// (0 = empty). The last interior level's slots index into `leaves`.
     interior: RefCell<Vec<[u32; FANOUT]>>,
-    /// Leaf nodes of PTE words, narrow or wide.
-    leaves: RefCell<Vec<Leaf>>,
+    /// Leaf nodes: 512 stored PTE words each (see "Storage").
+    leaves: RefCell<Vec<Words>>,
     /// Simsan shadow state over PTE words, indexed by vpn (inert until
     /// [`PageTable::attach_shadow`]).
     shadow: RefCell<ShadowRegion>,
@@ -304,7 +273,7 @@ impl PageTable {
                 idx
             } else {
                 let mut leaves = self.leaves.borrow_mut();
-                leaves.push(Leaf::Narrow(Box::new([0; FANOUT])));
+                leaves.push(Words::zeroed(FANOUT));
                 let idx = leaves.len() - 1;
                 interior[node][slot] = Self::child_link(idx);
                 idx
@@ -320,7 +289,7 @@ impl PageTable {
     /// read by design (the dedup-loop and policy probes).
     pub fn get(&self, vpn: u64) -> Pte {
         match self.leaf_of(vpn, false) {
-            Some((leaf, slot)) => Pte(self.leaves.borrow()[leaf].get(slot)),
+            Some((leaf, slot)) => Pte(from_stored(self.leaves.borrow()[leaf].get(slot))),
             None => Pte::NONE,
         }
     }
@@ -334,7 +303,7 @@ impl PageTable {
     pub fn set(&self, vpn: u64, pte: Pte) {
         self.shadow.borrow().on_write(vpn);
         let (leaf, slot) = self.leaf_of(vpn, true).expect("create never fails");
-        self.leaves.borrow_mut()[leaf].set(slot, pte.0);
+        self.leaves.borrow_mut()[leaf].set(slot, to_stored(pte.0));
     }
 
     /// Places `n` never-populated entries starting at `first_vpn`, in vpn
@@ -356,17 +325,18 @@ impl PageTable {
             .expect("place_run: vpn range overflows u64");
         let shadow = self.shadow.borrow();
         // Checks the entry is unplaced, records the write and returns the
-        // new word. `#[track_caller]`, so reports and the panic name
-        // `place_run`'s caller; always inlined into both loops.
+        // new stored word. `#[track_caller]`, so reports and the panic
+        // name `place_run`'s caller; always inlined into both loops.
         #[track_caller]
         #[inline(always)]
         fn place(shadow: &ShadowRegion, vpn: u64, old: u64, f: &mut impl FnMut(u64) -> Pte) -> u64 {
             assert!(
-                old == Pte::NONE.0,
-                "place_run: vpn {vpn:#x} is already placed (pte {old:#x})"
+                old == to_stored(Pte::NONE.0),
+                "place_run: vpn {vpn:#x} is already placed (pte {:#x})",
+                from_stored(old)
             );
             shadow.on_write(vpn);
-            f(vpn).0
+            to_stored(f(vpn).0)
         }
         let mut vpn = first_vpn;
         while vpn < end {
@@ -375,23 +345,22 @@ impl PageTable {
             let mut leaves = self.leaves.borrow_mut();
             let leaf = &mut leaves[leaf];
             let mut slot = first;
-            if let Leaf::Narrow(words) = leaf {
-                // Packed words until one does not fit; that one widens
+            if let ViewMut::Narrow(words) = leaf.view_mut() {
+                // 4-byte words until one does not fit; that one widens
                 // the leaf and the rest of the run takes the wide loop.
                 while slot < last {
-                    let word = place(&shadow, vpn, unpack(words[slot]), &mut f);
+                    let stored = place(&shadow, vpn, u64::from(words[slot]), &mut f);
                     vpn += 1;
-                    let Some(packed) = pack(word) else {
-                        leaf.widen();
-                        leaf.set(slot, word);
+                    let Ok(narrow) = u32::try_from(stored) else {
+                        leaf.set(slot, stored);
                         slot += 1;
                         break;
                     };
-                    words[slot] = packed;
+                    words[slot] = narrow;
                     slot += 1;
                 }
             }
-            if let Leaf::Wide(words) = leaf {
+            if let ViewMut::Wide(words) = leaf.view_mut() {
                 for wide in &mut words[slot..last] {
                     *wide = place(&shadow, vpn, *wide, &mut f);
                     vpn += 1;
@@ -408,8 +377,8 @@ impl PageTable {
     pub fn update(&self, vpn: u64, f: impl FnOnce(Pte) -> Pte) -> Pte {
         let (leaf, slot) = self.leaf_of(vpn, true).expect("create never fails");
         let leaf = &mut self.leaves.borrow_mut()[leaf];
-        let old = Pte(leaf.get(slot));
-        leaf.set(slot, f(old).0);
+        let old = Pte(from_stored(leaf.get(slot)));
+        leaf.set(slot, to_stored(f(old).0));
         old
     }
 
@@ -517,6 +486,29 @@ mod tests {
         let p = Pte::present(9);
         assert!(p.is_present() && !p.is_remote());
         assert_eq!(r.payload(), p.payload());
+    }
+
+    #[test]
+    fn stored_words_round_trip_and_fit_exactly_the_narrow_ptes() {
+        let rng = mage_sim::rng::SplitMix64::new(0x5707ED);
+        let edges = [
+            0,
+            u64::MAX,
+            Pte::present((1 << 27) - 1).0 | 0x1F,
+            Pte::remote(1 << 27).0,
+            1 << 5,
+            1 << 11,
+        ];
+        for word in edges.into_iter().chain((0..10_000).map(|_| rng.next_u64())) {
+            let stored = to_stored(word);
+            assert_eq!(from_stored(stored), word, "{word:#x}");
+            let fits = word & 0xFE0 == 0 && word >> Pte::PAYLOAD_SHIFT < 1 << 27;
+            assert_eq!(stored <= u64::from(u32::MAX), fits, "{word:#x}");
+            if fits {
+                // Payload down from bit 12 to bit 5, the flags in place.
+                assert_eq!(stored, word >> 7 | word & 0x1F, "{word:#x}");
+            }
+        }
     }
 
     #[test]

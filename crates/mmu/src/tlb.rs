@@ -17,11 +17,19 @@
 //! index of 2-byte slots: each occupied slot holds a page's position in
 //! the vector, at or after the page's Fibonacci home slot. Probing is
 //! linear and deletion shifts the cluster back, so there are no
-//! tombstones. The index starts at 16 slots and doubles to keep its load
-//! ≤ 3/8, so an idle core costs 32 bytes and a full 1,536-entry TLB
-//! 8 KiB — small enough to stay cache-resident on the fault path. A
-//! lookup, fill or invalidation is one probe; invalidation re-points the
-//! last vector entry's slot and swap-removes, so it never scans.
+//! tombstones.
+//!
+//! The vector is a [`Words`] reserved at full capacity when the TLB is
+//! built: 4 bytes per entry while every cached page number fits 32 bits
+//! (6 KiB for 1,536 entries), 8 bytes after the first fill of a larger
+//! one widens it (12 KiB). A lookup or invalidation of such a page on a
+//! narrow TLB answers "absent" without widening. The index starts at 16
+//! slots and doubles to keep its load ≤ 3/8, from 32 bytes to 8 KiB at
+//! 1,536 entries. So a core's TLB costs 6 KiB idle and 14 KiB full
+//! (20 KiB widened) — small enough to stay cache-resident on the fault
+//! path. A lookup, fill
+//! or invalidation is one probe; invalidation re-points the last vector
+//! entry's slot and swap-removes, so it never scans.
 //!
 //! Invalidations performed by the shootdown protocol clear entries at
 //! *request* time even though the simulated flush completes later; this is
@@ -32,6 +40,7 @@
 use std::cell::RefCell;
 
 use mage_sim::rng::SplitMix64;
+use mage_sim::words::{View, Words};
 
 /// An index slot that holds no page.
 const EMPTY: u16 = u16::MAX;
@@ -48,7 +57,7 @@ pub struct Tlb {
 /// The cached pages and their index.
 struct Entries {
     /// Cached vpns in insertion order, for random replacement.
-    order: Vec<u64>,
+    order: Words,
     /// Open-addressed slots: a position in `order`, or [`EMPTY`]. The
     /// length is a power of two ≥ 16 with `order.len() * 8 ≤ len * 3`.
     index: Vec<u16>,
@@ -59,7 +68,7 @@ struct Entries {
 impl Entries {
     fn new(capacity: usize) -> Self {
         Entries {
-            order: Vec::with_capacity(capacity),
+            order: Words::with_capacity(capacity),
             index: vec![EMPTY; 1 << MIN_BITS],
             shift: 64 - MIN_BITS,
         }
@@ -70,24 +79,39 @@ impl Entries {
         self.index.len() - 1
     }
 
-    /// `vpn`'s Fibonacci home slot.
-    #[inline]
-    fn home(&self, vpn: u64) -> usize {
-        (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    /// The slot holding `vpn`, or `Err` with the empty slot that ends its
+    /// probe. A vpn too large for a narrow vector matches no entry.
+    /// Always inlined: with a loop per width the compiler would call it,
+    /// and a call costs a lookup about a third of its time.
+    #[inline(always)]
+    fn find(&self, vpn: u64) -> Result<usize, usize> {
+        let slot = home(vpn, self.shift);
+        match self.order.view() {
+            View::Narrow(order) => self.probe(slot, |pos| u64::from(order[pos]) == vpn),
+            View::Wide(order) => self.probe(slot, |pos| order[pos] == vpn),
+        }
     }
 
-    /// The slot holding `vpn`, or `Err` with the empty slot that ends its
-    /// probe.
+    /// The slot holding vector position `pos`, whose page is `vpn`: the
+    /// slot `find(vpn)` returns, found by comparing positions, so the
+    /// probe never reads the vector.
     #[inline]
-    fn find(&self, vpn: u64) -> Result<usize, usize> {
+    fn slot_of(&self, vpn: u64, pos: usize) -> usize {
+        self.probe(home(vpn, self.shift), |p| p == pos)
+            .expect("a cached page is indexed")
+    }
+
+    /// Walks the probe from `slot` to the first slot whose position
+    /// `holds` the page (`Ok`) or to the empty slot that ends it (`Err`).
+    #[inline(always)]
+    fn probe(&self, mut slot: usize, holds: impl Fn(usize) -> bool) -> Result<usize, usize> {
         let mask = self.mask();
-        let mut slot = self.home(vpn);
         // Bounded by the slot count: a probe that wraps the whole index
         // means the index lost its empty slots.
         for _ in 0..=mask {
             match self.index[slot] {
                 EMPTY => return Err(slot),
-                pos if self.order[usize::from(pos)] == vpn => return Ok(slot),
+                pos if holds(usize::from(pos)) => return Ok(slot),
                 _ => slot = (slot + 1) & mask,
             }
         }
@@ -98,7 +122,7 @@ impl Entries {
     #[inline]
     fn vacant(&self, vpn: u64) -> usize {
         let mask = self.mask();
-        let mut slot = self.home(vpn);
+        let mut slot = home(vpn, self.shift);
         for _ in 0..=mask {
             if self.index[slot] == EMPTY {
                 return slot;
@@ -111,24 +135,14 @@ impl Entries {
     /// Empties `hole`, shifting later entries of its cluster back so that
     /// every remaining page stays reachable from its home slot. Reads
     /// `order` for those entries' pages, so it must be current for them.
-    fn clear_slot(&mut self, mut hole: usize) {
-        let mask = self.mask();
-        let mut slot = hole;
-        loop {
-            slot = (slot + 1) & mask;
-            let pos = self.index[slot];
-            if pos == EMPTY {
-                break;
-            }
-            let home = self.home(self.order[usize::from(pos)]);
-            // The entry may fill the hole only if its home is not
-            // cyclically inside (hole, slot].
-            if slot.wrapping_sub(home) & mask >= slot.wrapping_sub(hole) & mask {
-                self.index[hole] = pos;
-                hole = slot;
-            }
+    fn clear_slot(&mut self, hole: usize) {
+        let shift = self.shift;
+        match self.order.view() {
+            View::Narrow(order) => shift_back(&mut self.index, hole, |pos| {
+                home(u64::from(order[pos]), shift)
+            }),
+            View::Wide(order) => shift_back(&mut self.index, hole, |pos| home(order[pos], shift)),
         }
-        self.index[hole] = EMPTY;
     }
 
     /// Doubles the index and re-homes every cached page.
@@ -136,10 +150,39 @@ impl Entries {
         self.index = vec![EMPTY; self.index.len() * 2];
         self.shift -= 1;
         for pos in 0..self.order.len() {
-            let slot = self.vacant(self.order[pos]);
+            let slot = self.vacant(self.order.get(pos));
             self.index[slot] = pos as u16;
         }
     }
+}
+
+/// `vpn`'s Fibonacci home slot in an index of `2^(64 - shift)` slots.
+#[inline]
+fn home(vpn: u64, shift: u32) -> usize {
+    (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
+/// Empties `index[hole]` by backward-shift deletion; `home_of(pos)` is
+/// the home slot of the page at vector position `pos`.
+#[inline(always)]
+fn shift_back(index: &mut [u16], mut hole: usize, home_of: impl Fn(usize) -> usize) {
+    let mask = index.len() - 1;
+    let mut slot = hole;
+    loop {
+        slot = (slot + 1) & mask;
+        let pos = index[slot];
+        if pos == EMPTY {
+            break;
+        }
+        let home = home_of(usize::from(pos));
+        // The entry may fill the hole only if its home is not
+        // cyclically inside (hole, slot].
+        if slot.wrapping_sub(home) & mask >= slot.wrapping_sub(hole) & mask {
+            index[hole] = pos;
+            hole = slot;
+        }
+    }
+    index[hole] = EMPTY;
 }
 
 impl Tlb {
@@ -164,6 +207,7 @@ impl Tlb {
     }
 
     /// Whether the core can currently translate `vpn`.
+    #[inline]
     pub fn lookup(&self, vpn: u64) -> bool {
         self.entries.borrow().find(vpn).is_ok()
     }
@@ -175,25 +219,24 @@ impl Tlb {
         let Err(mut slot) = e.find(vpn) else {
             return;
         };
-        let pos = if e.order.len() >= self.capacity {
-            let victim_pos = self.rng.next_below(e.order.len() as u64) as usize;
-            let victim_slot = e
-                .find(e.order[victim_pos])
-                .expect("a cached page is indexed");
+        let len = e.order.len();
+        let pos = if len >= self.capacity {
+            let victim_pos = self.rng.next_below(len as u64) as usize;
+            let victim_slot = e.slot_of(e.order.get(victim_pos), victim_pos);
             e.clear_slot(victim_slot);
-            e.order[victim_pos] = vpn;
+            e.order.set(victim_pos, vpn);
             // The backward shift may have emptied a slot earlier on
             // `vpn`'s probe.
             slot = e.vacant(vpn);
             victim_pos
         } else {
             e.order.push(vpn);
-            if e.order.len() * 8 > e.index.len() * 3 {
+            if (len + 1) * 8 > e.index.len() * 3 {
                 // Re-homing indexes `vpn` with every other page.
                 e.grow();
                 return;
             }
-            e.order.len() - 1
+            len
         };
         e.index[slot] = pos as u16;
     }
@@ -205,9 +248,9 @@ impl Tlb {
             return;
         };
         let pos = e.index[slot];
-        let last = *e.order.last().expect("an indexed page is cached");
-        if last != vpn {
-            let moved = e.find(last).expect("a cached page is indexed");
+        let last = e.order.len() - 1;
+        if usize::from(pos) != last {
+            let moved = e.slot_of(e.order.get(last), last);
             e.index[moved] = pos;
         }
         e.order.swap_remove(usize::from(pos));
@@ -327,6 +370,26 @@ mod tests {
             "8 KiB at 1,536 entries"
         );
         assert!((0..1_536).all(|v| tlb.lookup(v << 12)));
+    }
+
+    #[test]
+    fn only_a_fill_widens_the_vector() {
+        let tlb = Tlb::new(4, 1);
+        let wide = |tlb: &Tlb| matches!(tlb.entries.borrow().order.view(), View::Wide(_));
+        tlb.fill(7);
+        let big = (1 << 32) | 7;
+        assert!(!tlb.lookup(big));
+        tlb.invalidate(big);
+        assert!(
+            !wide(&tlb),
+            "a lookup or invalidation of a page past 2^32 keeps it narrow"
+        );
+        tlb.fill(big);
+        assert!(wide(&tlb));
+        assert!(tlb.lookup(7) && tlb.lookup(big));
+        tlb.invalidate(7);
+        assert!(!tlb.lookup(7) && tlb.lookup(big));
+        assert_eq!(tlb.len(), 1);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! - a small dependency-free **JSON reader** ([`json`]) for validating
 //!   trace exports and committed benchmark reports,
 //! - a tiny deterministic **RNG** ([`rng::SplitMix64`]) for components that
-//!   must not depend on external crates.
+//!   must not depend on external crates,
+//! - a **narrow-word store** ([`words::Words`]) that keeps `u64` values
+//!   in 4 bytes each until one does not fit, for per-key host arrays.
 //!
 //! Determinism is a design requirement (DESIGN.md §4.1): given the same
 //! configuration and seeds, every experiment reproduces bit-for-bit. The
@@ -50,6 +52,7 @@ pub mod sync;
 pub mod time;
 pub mod trace;
 pub mod wheel;
+pub mod words;
 
 pub use executor::{JoinHandle, SimHandle, Simulation};
 pub use explore::{ExplorationPolicy, RunProgress};

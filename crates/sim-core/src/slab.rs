@@ -19,6 +19,8 @@
 //! form, which is what the fuzz suites compare against a `BTreeMap`
 //! shadow model.
 
+use crate::words::{View, ViewMut, Words};
+
 /// Fibonacci multiplicative hash: spreads consecutive page numbers over
 /// the table while staying a fixed pure function (no per-process keys).
 #[inline]
@@ -35,14 +37,17 @@ fn fib_hash(key: u64, shift: u32) -> usize {
 /// Every point operation, upserts and read-modify-remove included,
 /// makes one probe (two when an insert grows the table).
 ///
-/// Keys and values live in parallel arrays so the probe loop touches 8
-/// bytes per slot (the key array) and only dereferences a value on a
-/// hit.
+/// Keys and values live in parallel arrays so the probe loop touches
+/// only the key array, 4 bytes per slot while every stored key is at
+/// most 2^32 − 2 (a [`Words`]; 8 bytes once a larger key widens it),
+/// and only dereferences a value on a hit. Widening zero-extends every
+/// slot where it is, so layout and probe order do not depend on the
+/// width.
 pub struct PageMap<V> {
     /// `key + 1` per slot; 0 marks an empty slot. Keys of `u64::MAX`
     /// are rejected at insert (page and sequence numbers never get
     /// there).
-    keys: Vec<u64>,
+    keys: Words,
     /// Value for each occupied slot, `None` where `keys` is 0.
     vals: Vec<Option<V>>,
     shift: u32,
@@ -64,7 +69,7 @@ impl<V> PageMap<V> {
         let mut vals = Vec::new();
         vals.resize_with(Self::MIN_CAP, || None);
         PageMap {
-            keys: vec![0; Self::MIN_CAP],
+            keys: Words::zeroed(Self::MIN_CAP),
             vals,
             shift: 64 - Self::MIN_CAP.trailing_zeros(),
             len: 0,
@@ -81,11 +86,6 @@ impl<V> PageMap<V> {
         self.len == 0
     }
 
-    #[inline]
-    fn mask(&self) -> usize {
-        self.keys.len() - 1
-    }
-
     /// Slot index of `key`, if present.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
@@ -97,21 +97,14 @@ impl<V> PageMap<V> {
 
     /// One probe for `key` (never `u64::MAX`): `Ok(slot)` where it lives,
     /// or `Err(slot)` for the empty slot ending its chain, where an
-    /// insert would put it.
+    /// insert would put it. A key too large for a narrow table matches
+    /// no slot, so it probes as absent.
     #[inline]
     fn probe(&self, key: u64) -> Result<usize, usize> {
-        let mask = self.mask();
-        let tagged = key + 1;
-        let mut i = fib_hash(key, self.shift);
-        loop {
-            let k = self.keys[i];
-            if k == tagged {
-                return Ok(i);
-            }
-            if k == 0 {
-                return Err(i);
-            }
-            i = (i + 1) & mask;
+        let home = fib_hash(key, self.shift);
+        match self.keys.view() {
+            View::Narrow(keys) => probe_chain(keys, key + 1, home),
+            View::Wide(keys) => probe_chain(keys, key + 1, home),
         }
     }
 
@@ -133,7 +126,7 @@ impl<V> PageMap<V> {
     /// Fills the empty slot `i` that a probe for `key` ended at.
     #[inline]
     fn occupy(&mut self, i: usize, key: u64, value: V) -> &mut V {
-        self.keys[i] = key + 1;
+        self.keys.set(i, key + 1);
         self.len += 1;
         self.vals[i].insert(value)
     }
@@ -184,29 +177,13 @@ impl<V> PageMap<V> {
         Some(self.remove_at(i))
     }
 
-    /// Empties occupied slot `hole`. Backward-shift deletion keeps probe
-    /// chains tombstone-free, so lookup cost never decays.
-    fn remove_at(&mut self, mut hole: usize) -> V {
-        self.keys[hole] = 0;
+    /// Empties occupied slot `hole`.
+    fn remove_at(&mut self, hole: usize) -> V {
         let value = self.vals[hole].take().expect("found slot is occupied");
         self.len -= 1;
-        let mask = self.mask();
-        let mut i = hole;
-        loop {
-            i = (i + 1) & mask;
-            let k = self.keys[i];
-            if k == 0 {
-                break;
-            }
-            let home = fib_hash(k - 1, self.shift);
-            // Shift `i` back into the hole iff its home position does not
-            // lie strictly between the hole and `i` (cyclic distance test).
-            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
-                self.keys[hole] = k;
-                self.keys[i] = 0;
-                self.vals[hole] = self.vals[i].take();
-                hole = i;
-            }
+        match self.keys.view_mut() {
+            ViewMut::Narrow(keys) => shift_back(keys, &mut self.vals, hole, self.shift),
+            ViewMut::Wide(keys) => shift_back(keys, &mut self.vals, hole, self.shift),
         }
         value
     }
@@ -215,36 +192,85 @@ impl<V> PageMap<V> {
     /// callers can never observe the hash layout.
     pub fn iter_sorted(&self) -> Vec<(u64, &V)> {
         let mut out: Vec<(u64, &V)> = self
-            .keys
+            .vals
             .iter()
-            .zip(&self.vals)
-            .filter(|&(&k, _)| k != 0)
-            .map(|(&k, v)| (k - 1, v.as_ref().expect("occupied slot has a value")))
+            .enumerate()
+            .filter_map(|(i, v)| v.as_ref().map(|v| (self.keys.get(i) - 1, v)))
             .collect();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
 
+    /// Doubles the table and re-homes every entry in slot order. The new
+    /// key array starts narrow and widens on the first key that needs it.
     fn grow(&mut self) {
         let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
+        let old_keys = std::mem::replace(&mut self.keys, Words::zeroed(new_cap));
         let old_vals = std::mem::replace(&mut self.vals, {
             let mut v = Vec::new();
             v.resize_with(new_cap, || None);
             v
         });
         self.shift = 64 - new_cap.trailing_zeros();
-        let mask = self.mask();
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
-            if k == 0 {
+        for (i, v) in old_vals.into_iter().enumerate() {
+            if v.is_none() {
                 continue;
             }
-            let mut i = fib_hash(k - 1, self.shift);
-            while self.keys[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            self.keys[i] = k;
-            self.vals[i] = v;
+            let tagged = old_keys.get(i);
+            let Err(slot) = self.probe(tagged - 1) else {
+                unreachable!("keys are distinct");
+            };
+            self.keys.set(slot, tagged);
+            self.vals[slot] = v;
+        }
+    }
+}
+
+/// Walks the chain from `home` for the tagged key `tagged`: `Ok(slot)`
+/// where it lives, or `Err(slot)` for the empty slot ending the chain.
+#[inline(always)]
+fn probe_chain<W: Copy + Into<u64>>(keys: &[W], tagged: u64, home: usize) -> Result<usize, usize> {
+    let mask = keys.len() - 1;
+    let mut i = home;
+    loop {
+        let k: u64 = keys[i].into();
+        if k == tagged {
+            return Ok(i);
+        }
+        if k == 0 {
+            return Err(i);
+        }
+        i = (i + 1) & mask;
+    }
+}
+
+/// Empties slot `hole` of `keys` (its value already taken) by
+/// backward-shift deletion, which keeps probe chains tombstone-free, so
+/// lookup cost never decays.
+fn shift_back<W: Copy + Default + Into<u64>, V>(
+    keys: &mut [W],
+    vals: &mut [Option<V>],
+    mut hole: usize,
+    shift: u32,
+) {
+    keys[hole] = W::default();
+    let mask = keys.len() - 1;
+    let mut i = hole;
+    loop {
+        i = (i + 1) & mask;
+        let k = keys[i];
+        let tagged: u64 = k.into();
+        if tagged == 0 {
+            break;
+        }
+        let home = fib_hash(tagged - 1, shift);
+        // Shift `i` back into the hole iff its home position does not
+        // lie strictly between the hole and `i` (cyclic distance test).
+        if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
+            keys[hole] = k;
+            keys[i] = W::default();
+            vals[hole] = vals[i].take();
+            hole = i;
         }
     }
 }
@@ -301,6 +327,26 @@ mod tests {
         for &c in [colliders[0], colliders[2], colliders[3]].iter() {
             assert_eq!(m.get(c), Some(&c), "collider {c} lost after deletion");
         }
+    }
+
+    #[test]
+    fn pagemap_keys_stay_narrow_up_to_2p32_minus_2() {
+        let wide = |m: &PageMap<u64>| matches!(m.keys.view(), View::Wide(_));
+        let mut m = PageMap::new();
+        let edge = (1 << 32) - 2;
+        m.insert(edge, 1);
+        assert!(!wide(&m), "2^32 - 2 is stored narrow, as 2^32 - 1");
+        assert_eq!(
+            m.get(edge + 1),
+            None,
+            "a key too large for a narrow table is absent"
+        );
+        assert_eq!(m.remove(edge + 1), None);
+        assert!(!wide(&m), "a lookup never widens");
+        m.insert(edge + 1, 2);
+        assert!(wide(&m), "2^32 - 1 widens the table");
+        assert_eq!((m.get(edge), m.get(edge + 1)), (Some(&1), Some(&2)));
+        assert_eq!(m.iter_sorted(), [(edge, &1), (edge + 1, &2)]);
     }
 
     #[test]

@@ -50,12 +50,16 @@ impl Windowed for Histogram {
     type Snapshot = HistogramSnapshot;
     type Delta = HistogramDelta;
 
-    /// Copies the bucket counts: one fixed-size copy (~15 KiB), taken
-    /// once per run.
+    /// Copies the bucket counts up to the highest bucket recorded so
+    /// far, 8 bytes per bucket.
     fn start(&self) -> HistogramSnapshot {
+        let h = self.0.borrow();
         HistogramSnapshot {
-            buckets: self.buckets.iter().map(Cell::get).collect(),
-            stat: self.stat.start(),
+            buckets: h.buckets.clone(),
+            stat: TimeStatSnapshot {
+                count: h.stat.count,
+                sum: h.stat.sum,
+            },
         }
     }
 
@@ -64,19 +68,20 @@ impl Windowed for Histogram {
     /// documented upper-bound approximation (a window's true max is not
     /// recoverable from two cumulative states).
     fn since(&self, start: &HistogramSnapshot) -> HistogramDelta {
-        let buckets = self
+        let h = self.0.borrow();
+        let buckets = h
             .buckets
             .iter()
             .enumerate()
-            .map(|(i, b)| {
-                b.get()
-                    .saturating_sub(start.buckets.get(i).copied().unwrap_or(0))
-            })
+            .map(|(i, &b)| b.saturating_sub(start.buckets.get(i).copied().unwrap_or(0)))
             .collect();
         HistogramDelta {
             buckets,
-            stat: self.stat.since(&start.stat),
-            max_hint: self.max(),
+            stat: TimeStatDelta {
+                count: h.stat.count.saturating_sub(start.stat.count),
+                sum: h.stat.sum.saturating_sub(start.stat.sum),
+            },
+            max_hint: h.stat.max,
         }
     }
 }
@@ -243,24 +248,24 @@ impl TimeStatDelta {
 
 const SUB_BUCKET_BITS: u32 = 5;
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS; // 32
-const GROUPS: usize = 64 - SUB_BUCKET_BITS as usize + 1;
 
 /// A log-bucketed histogram of `u64` values with ~3% relative error.
 ///
 /// Values below 32 are exact; larger values share a bucket with values of
-/// the same magnitude (top 5 mantissa bits). Memory is a fixed ~15 KiB.
-pub struct Histogram {
-    buckets: Vec<Cell<u64>>,
-    stat: std::cell::RefCell<TimeStat>,
-}
+/// the same magnitude (top 5 mantissa bits). The bucket counts grow only
+/// up to the highest bucket recorded, 8 bytes per bucket: a latency
+/// histogram of values up to 1 ms holds at most 512 buckets (4 KiB), and
+/// recording `u64::MAX` takes all 1,920 (15 KiB).
+#[derive(Default)]
+pub struct Histogram(RefCell<Recorded>);
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: (0..GROUPS * SUB_BUCKETS).map(|_| Cell::new(0)).collect(),
-            stat: std::cell::RefCell::new(TimeStat::new()),
-        }
-    }
+/// What a [`Histogram`] has recorded, behind one borrow.
+#[derive(Default)]
+struct Recorded {
+    /// Counts of buckets `0..=` the highest recorded; empty until the
+    /// first sample.
+    buckets: Vec<u64>,
+    stat: TimeStat,
 }
 
 impl Histogram {
@@ -288,41 +293,56 @@ impl Histogram {
         if group == 0 {
             sub
         } else {
+            // `((32 + sub + 1) << shift) - 1`, in a form whose last
+            // bucket does not overflow.
             let shift = (group - 1) as u32;
-            ((SUB_BUCKETS as u64 + sub + 1) << shift) - 1
+            ((SUB_BUCKETS as u64 + sub) << shift) + ((1 << shift) - 1)
         }
     }
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let bucket = &self.buckets[Self::index(v)];
-        bucket.set(bucket.get() + 1);
-        self.stat.borrow_mut().record(v);
+        let i = Self::index(v);
+        let h = &mut *self.0.borrow_mut();
+        match h.buckets.get_mut(i) {
+            Some(count) => *count += 1,
+            None => Self::grow_to(&mut h.buckets, i),
+        }
+        h.stat.record(v);
+    }
+
+    /// Extends `buckets` to bucket `i`, the new highest, and counts one
+    /// sample there.
+    #[cold]
+    fn grow_to(buckets: &mut Vec<u64>, i: usize) {
+        buckets.reserve_exact(i + 1 - buckets.len());
+        buckets.resize(i, 0);
+        buckets.push(1);
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.stat.borrow().count()
+        self.0.borrow().stat.count()
     }
 
     /// Arithmetic mean of the recorded samples (exact).
     pub fn mean(&self) -> f64 {
-        self.stat.borrow().mean()
+        self.0.borrow().stat.mean()
     }
 
     /// Exact maximum of the recorded samples.
     pub fn max(&self) -> u64 {
-        self.stat.borrow().max()
+        self.0.borrow().stat.max()
     }
 
     /// Exact minimum of the recorded samples.
     pub fn min(&self) -> u64 {
-        self.stat.borrow().min()
+        self.0.borrow().stat.min()
     }
 
     /// Sum of the recorded samples (exact).
     pub fn sum(&self) -> u64 {
-        self.stat.borrow().sum()
+        self.0.borrow().stat.sum()
     }
 
     /// Value at quantile `q` in `[0, 1]` (bucket upper bound; 0 if empty).
@@ -333,8 +353,8 @@ impl Histogram {
         }
         let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.get();
+        for (i, &b) in self.0.borrow().buckets.iter().enumerate() {
+            seen += b;
             if seen >= rank {
                 return Self::bucket_value(i).min(self.max());
             }
@@ -565,6 +585,55 @@ mod tests {
         assert_eq!(d.p50(), w.p50());
         assert_eq!(d.p99(), w.p99());
         assert!(d.p99() < 2_000, "warmup samples leaked into the window");
+
+        // The reverse: small warmup samples, so the start line spans only
+        // the low buckets and the window grows the histogram past it.
+        let h = Histogram::new();
+        for v in 1..=1_000u64 {
+            h.record(v);
+        }
+        let start = h.start();
+        let w = Histogram::new();
+        for v in (0..2_000u64).map(|i| 1_000_000 + i * 997) {
+            h.record(v);
+            w.record(v);
+        }
+        let d = h.since(&start);
+        assert_eq!(d.count(), w.count());
+        assert_eq!(d.sum(), w.sum());
+        assert_eq!(d.mean().to_bits(), w.mean().to_bits());
+        assert_eq!(d.p50(), w.p50());
+        assert_eq!(d.p99(), w.p99());
+        assert_eq!(d.p999(), w.p999());
+        assert_eq!(d.quantile(1.0), w.quantile(1.0));
+        assert!(
+            d.quantile(0.0) >= 1_000_000,
+            "warmup samples leaked into the window"
+        );
+        // An empty start line still reproduces the cumulative histogram
+        // after the growth.
+        let all = h.since(&HistogramSnapshot::default());
+        assert_eq!(all.count(), h.count());
+        assert_eq!(all.sum(), h.sum());
+        assert_eq!(all.mean().to_bits(), h.mean().to_bits());
+        assert_eq!(all.p50(), h.p50());
+        assert_eq!(all.p99(), h.p99());
+        assert_eq!(all.p999(), h.p999());
+        assert_eq!(all.quantile(1.0), h.quantile(1.0));
+
+        // `u64::MAX` takes the last bucket (zeros beside it keep the sum
+        // from overflowing).
+        let h = Histogram::new();
+        h.record(0);
+        let start = h.start();
+        h.record(u64::MAX);
+        assert_eq!(h.0.borrow().buckets.len(), 1_920, "60 groups of 32");
+        let d = h.since(&start);
+        assert_eq!((d.count(), d.sum()), (1, u64::MAX));
+        assert_eq!(d.p50(), u64::MAX);
+        assert_eq!(d.quantile(1.0), u64::MAX);
+        let all = h.since(&HistogramSnapshot::default());
+        assert_eq!((all.p50(), all.quantile(1.0)), (0, u64::MAX));
     }
 
     #[test]

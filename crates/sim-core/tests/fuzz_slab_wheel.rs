@@ -19,58 +19,84 @@ use std::collections::{BTreeMap, BTreeSet};
 
 const SEEDS: [u64; 4] = [1, 42, 0xDEAD_BEEF, 0x5EED_5EED_5EED_5EED];
 
+/// Keys at the edge of `PageMap`'s 4-byte key words: the largest key
+/// they hold (2^32 − 2, stored as 2^32 − 1), the first that widens the
+/// table, and keys far above.
+const EDGE_KEYS: [u64; 4] = [(1 << 32) - 2, (1 << 32) - 1, 1 << 32, u64::MAX - 1];
+
 #[test]
 fn pagemap_matches_btreemap_shadow() {
-    for seed in SEEDS {
-        let rng = SplitMix64::new(seed);
-        let mut map: PageMap<u64> = PageMap::new();
-        let mut shadow: BTreeMap<u64, u64> = BTreeMap::new();
-        for step in 0..20_000u64 {
-            // Narrow key space forces probe collisions, backward-shift
-            // deletes and growth through several capacities.
-            let key = rng.next_below(512);
-            match rng.next_below(10) {
-                0..=4 => {
-                    let val = rng.next_u64();
-                    assert_eq!(
-                        map.insert(key, val),
-                        shadow.insert(key, val),
-                        "seed {seed} step {step}: insert({key}) disagreed"
-                    );
-                }
-                5..=7 => {
-                    assert_eq!(
-                        map.remove(key),
-                        shadow.remove(&key),
-                        "seed {seed} step {step}: remove({key}) disagreed"
-                    );
-                }
-                8 => {
-                    let val = rng.next_u64();
-                    let got = *map.get_or_insert_with(key, || val);
-                    let want = *shadow.entry(key).or_insert(val);
-                    assert_eq!(got, want, "seed {seed} step {step}: get_or_insert({key})");
-                }
-                _ => {
-                    assert_eq!(
-                        map.get(key),
-                        shadow.get(&key),
-                        "seed {seed} step {step}: get({key}) disagreed"
-                    );
-                    assert_eq!(map.contains_key(key), shadow.contains_key(&key));
-                }
+    // The second distribution draws one key in 16 from `EDGE_KEYS` or
+    // from 512 keys above 2^32, so tables widen and regrow between
+    // inserts, removes and growth. It starts from an empty map every
+    // 2,048 steps: a table never narrows back, so each restart gives
+    // another first key to widen one.
+    for wide in [false, true] {
+        for seed in SEEDS {
+            pagemap_stream(seed, wide);
+        }
+    }
+}
+
+fn pagemap_stream(seed: u64, wide: bool) {
+    let rng = SplitMix64::new(seed);
+    let mut map: PageMap<u64> = PageMap::new();
+    let mut shadow: BTreeMap<u64, u64> = BTreeMap::new();
+    for step in 0..20_000u64 {
+        if wide && step % 2_048 == 0 {
+            map = PageMap::new();
+            shadow.clear();
+        }
+        // Narrow key space forces probe collisions, backward-shift
+        // deletes and growth through several capacities.
+        let mut key = rng.next_below(512);
+        if wide && rng.next_below(16) == 0 {
+            key = match rng.next_below(8) {
+                0..=3 => EDGE_KEYS[rng.next_below(4) as usize],
+                _ => (1 << 32) + key,
+            };
+        }
+        match rng.next_below(10) {
+            0..=4 => {
+                let val = rng.next_u64();
+                assert_eq!(
+                    map.insert(key, val),
+                    shadow.insert(key, val),
+                    "seed {seed} wide {wide} step {step}: insert({key}) disagreed"
+                );
             }
-            assert_eq!(map.len(), shadow.len(), "seed {seed} step {step}: len");
-            if step % 512 == 0 {
-                let got: Vec<(u64, u64)> = map.iter_sorted().into_iter().map(|(k, &v)| (k, v)).collect();
-                let want: Vec<(u64, u64)> = shadow.iter().map(|(&k, &v)| (k, v)).collect();
-                assert_eq!(got, want, "seed {seed} step {step}: sorted iteration diverged");
+            5..=7 => {
+                assert_eq!(
+                    map.remove(key),
+                    shadow.remove(&key),
+                    "seed {seed} wide {wide} step {step}: remove({key}) disagreed"
+                );
+            }
+            8 => {
+                let val = rng.next_u64();
+                let got = *map.get_or_insert_with(key, || val);
+                let want = *shadow.entry(key).or_insert(val);
+                assert_eq!(got, want, "seed {seed} wide {wide} step {step}: get_or_insert({key})");
+            }
+            _ => {
+                assert_eq!(
+                    map.get(key),
+                    shadow.get(&key),
+                    "seed {seed} wide {wide} step {step}: get({key}) disagreed"
+                );
+                assert_eq!(map.contains_key(key), shadow.contains_key(&key));
             }
         }
-        let got: Vec<(u64, u64)> = map.iter_sorted().into_iter().map(|(k, &v)| (k, v)).collect();
-        let want: Vec<(u64, u64)> = shadow.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(got, want, "seed {seed}: final contents diverged");
+        assert_eq!(map.len(), shadow.len(), "seed {seed} wide {wide} step {step}: len");
+        if step % 512 == 0 {
+            let got: Vec<(u64, u64)> = map.iter_sorted().into_iter().map(|(k, &v)| (k, v)).collect();
+            let want: Vec<(u64, u64)> = shadow.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(got, want, "seed {seed} wide {wide} step {step}: sorted iteration diverged");
+        }
     }
+    let got: Vec<(u64, u64)> = map.iter_sorted().into_iter().map(|(k, &v)| (k, v)).collect();
+    let want: Vec<(u64, u64)> = shadow.iter().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(got, want, "seed {seed} wide {wide}: final contents diverged");
 }
 
 /// Picks a pending deadline from `shadow` at random, if any.
